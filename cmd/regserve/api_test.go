@@ -293,9 +293,9 @@ func TestAPIReadReportsServer(t *testing.T) {
 }
 
 // TestAPITransportAndReadPathMetrics: the wire-level hot-path series
-// (coalescing factor, batch gauge, backpressure counters) and the quorum
-// read fast/slow split render on /metrics with the values the backend
-// reports.
+// (coalescing factor, batch gauge, backpressure counters, loop turns) and
+// the quorum read fast/slow split render on /metrics with the values the
+// backend reports.
 func TestAPITransportAndReadPathMetrics(t *testing.T) {
 	b := newFakeBackend()
 	b.stats.FlushWrites.Store(10)
@@ -303,6 +303,9 @@ func TestAPITransportAndReadPathMetrics(t *testing.T) {
 	b.stats.LastBatchFrames.Store(16)
 	b.stats.MailboxStalls.Store(3)
 	b.stats.QueueDrops.Store(2)
+	b.stats.LoopTurns.Store(7)
+	b.stats.LoopTasks.Store(91)
+	b.stats.SelfDeliveries.Store(40)
 	srv := newTestAPI(t, b)
 	status, body := get(t, srv.URL+"/metrics")
 	if status != 200 {
@@ -314,6 +317,9 @@ func TestAPITransportAndReadPathMetrics(t *testing.T) {
 		"regserve_transport_flushed_frames_total 80",
 		"regserve_transport_mailbox_stalls_total 3",
 		"regserve_transport_queue_drops_total 2",
+		"regserve_transport_loop_turns_total 7",
+		"regserve_transport_loop_tasks_total 91",
+		"regserve_transport_self_deliveries_total 40",
 		`regserve_read_path_total{path="fast"} 5`,
 		`regserve_read_path_total{path="slow"} 2`,
 	} {

@@ -337,7 +337,7 @@ func (a *api) metrics(w http.ResponseWriter, r *http.Request) {
 
 // writeTransportMetrics renders the wire-level hot-path counters: the
 // coalescing factor (frames per frame-carrying write syscall), the latest
-// batch size, and the backpressure counters.
+// batch size, the backpressure counters, and the event loop's turns.
 func (a *api) writeTransportMetrics(w http.ResponseWriter) {
 	st := a.tr.Stats()
 	if st == nil {
@@ -349,15 +349,24 @@ func (a *api) writeTransportMetrics(w http.ResponseWriter) {
 	fmt.Fprintf(w, "# HELP regserve_transport_last_batch_frames Frame count of the most recently flushed batch.\n")
 	fmt.Fprintf(w, "# TYPE regserve_transport_last_batch_frames gauge\n")
 	fmt.Fprintf(w, "regserve_transport_last_batch_frames %d\n", st.LastBatchFrames.Load())
-	fmt.Fprintf(w, "# HELP regserve_transport_flushed_frames_total Frames written to peers by coalesced flushes.\n")
+	fmt.Fprintf(w, "# HELP regserve_transport_flushed_frames_total Frames written to peers and client sessions by coalesced flushes.\n")
 	fmt.Fprintf(w, "# TYPE regserve_transport_flushed_frames_total counter\n")
 	fmt.Fprintf(w, "regserve_transport_flushed_frames_total %d\n", st.FlushedFrames.Load())
 	fmt.Fprintf(w, "# HELP regserve_transport_mailbox_stalls_total Enqueues that found the event-loop mailbox full and waited.\n")
 	fmt.Fprintf(w, "# TYPE regserve_transport_mailbox_stalls_total counter\n")
 	fmt.Fprintf(w, "regserve_transport_mailbox_stalls_total %d\n", st.MailboxStalls.Load())
-	fmt.Fprintf(w, "# HELP regserve_transport_queue_drops_total Frames dropped on full per-peer queues (fair-lossy links).\n")
+	fmt.Fprintf(w, "# HELP regserve_transport_queue_drops_total Frames dropped on full per-link queues (fair-lossy links).\n")
 	fmt.Fprintf(w, "# TYPE regserve_transport_queue_drops_total counter\n")
 	fmt.Fprintf(w, "regserve_transport_queue_drops_total %d\n", st.QueueDrops.Load())
+	fmt.Fprintf(w, "# HELP regserve_transport_loop_turns_total Event-loop turns; each link that got frames in a turn is flushed once at its end.\n")
+	fmt.Fprintf(w, "# TYPE regserve_transport_loop_turns_total counter\n")
+	fmt.Fprintf(w, "regserve_transport_loop_turns_total %d\n", st.LoopTurns.Load())
+	fmt.Fprintf(w, "# HELP regserve_transport_loop_tasks_total Mailbox tasks the event loop ran; tasks per turn is the batching a turn achieves.\n")
+	fmt.Fprintf(w, "# TYPE regserve_transport_loop_tasks_total counter\n")
+	fmt.Fprintf(w, "regserve_transport_loop_tasks_total %d\n", st.LoopTasks.Load())
+	fmt.Fprintf(w, "# HELP regserve_transport_self_deliveries_total Messages the node addressed to itself, delivered by the loop without touching the mailbox.\n")
+	fmt.Fprintf(w, "# TYPE regserve_transport_self_deliveries_total counter\n")
+	fmt.Fprintf(w, "regserve_transport_self_deliveries_total %d\n", st.SelfDeliveries.Load())
 }
 
 // writeReadPathMetrics renders the quorum-read fast/slow split for

@@ -41,13 +41,15 @@ import (
 	"churnreg/internal/wire"
 )
 
+// microBatch is how many frames the coalesced micro leg puts in one
+// write. The transport itself has no such knob: a link's writer flushes
+// whatever is queued.
+const microBatch = 64
+
 // Config parameterizes one Run.
 type Config struct {
 	// Frames per micro measurement (default 100000).
 	Frames int
-	// BatchFrames is the coalescing budget, mirroring the transport's
-	// default (default 64).
-	BatchFrames int
 	// AllocRuns is the AllocsPerRun iteration count (default 2000).
 	AllocRuns int
 	// MacroNodes is the regserve cluster size for the macro measurement
@@ -66,9 +68,6 @@ type Config struct {
 func (c *Config) fillDefaults() {
 	if c.Frames <= 0 {
 		c.Frames = 100000
-	}
-	if c.BatchFrames <= 0 {
-		c.BatchFrames = 64
 	}
 	if c.AllocRuns <= 0 {
 		c.AllocRuns = 2000
@@ -141,13 +140,13 @@ func hotFrame(i int) wire.Frame {
 // Run produces the full report.
 func Run(cfg Config) (Report, error) {
 	cfg.fillDefaults()
-	rep := Report{Name: "net", BatchFrames: cfg.BatchFrames}
+	rep := Report{Name: "net", BatchFrames: microBatch}
 
 	var err error
 	if rep.Baseline, err = runMicro(cfg.Frames, 1); err != nil {
 		return rep, fmt.Errorf("baseline micro: %w", err)
 	}
-	if rep.Coalesced, err = runMicro(cfg.Frames, cfg.BatchFrames); err != nil {
+	if rep.Coalesced, err = runMicro(cfg.Frames, microBatch); err != nil {
 		return rep, fmt.Errorf("coalesced micro: %w", err)
 	}
 	if rep.Baseline.FramesPerSec > 0 {

@@ -168,7 +168,12 @@ type Env interface {
 	// model protocols must not base decisions on it (it exists for tracing),
 	// matching the paper's "time notion inaccessible to the processes".
 	Now() sim.Time
-	// Send transmits m to process to over the point-to-point network.
+	// Send transmits m to process to over the point-to-point network. A
+	// message a process addresses to itself (to == ID(), or its own copy
+	// of a Broadcast) arrives asynchronously — after the handler that sent
+	// it has returned, never from inside Send — and within δ; a runtime
+	// may deliver it with no delay at all, since a process's message to
+	// itself crosses no network.
 	Send(to ProcessID, m Message)
 	// Broadcast disseminates m through the broadcast service of §3.2/§5.1.
 	Broadcast(m Message)

@@ -102,6 +102,26 @@ func InScope(scope map[ProcessID]bool, id ProcessID) bool {
 	return scope == nil || scope[id]
 }
 
+// GroupSender is implemented by runtimes that can send one message to
+// several processes for less than that many Sends (a transport that
+// encodes the message once for the whole group). SendGroup(to, m) means
+// exactly Send(id, m) for each id of to, in order; to is not retained.
+type GroupSender interface {
+	SendGroup(to []ProcessID, m Message)
+}
+
+// sendGroup sends m to every process in to, as one group send where the
+// runtime offers it.
+func sendGroup(env Env, to []ProcessID, m Message) {
+	if gs, ok := env.(GroupSender); ok {
+		gs.SendGroup(to, m)
+		return
+	}
+	for _, id := range to {
+		env.Send(id, m)
+	}
+}
+
 // ScopedBroadcast disseminates a per-register message to reg's replica
 // group — point-to-point sends to each member, self included via the
 // runtime's loopback — or to the full membership when env is unsharded.
@@ -119,9 +139,7 @@ func ScopedBroadcast(env Env, reg RegisterID, m Message) {
 		env.Broadcast(m)
 		return
 	}
-	for _, id := range g {
-		env.Send(id, m)
-	}
+	sendGroup(env, g, m)
 }
 
 // ScopedBroadcastMulti disseminates one message addressing several
@@ -147,9 +165,7 @@ func ScopedBroadcastMulti(env Env, regs []RegisterID, m Message) {
 		env.Broadcast(m)
 		return
 	}
-	for _, id := range order {
-		env.Send(id, m)
-	}
+	sendGroup(env, order, m)
 }
 
 // ServedReader is the forwarding-aware read interface: done reports the

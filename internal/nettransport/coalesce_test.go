@@ -1,8 +1,8 @@
 package nettransport
 
-// White-box tests for the coalescing write path: drain is driven directly
-// with scripted net.Conns, so batch formation, partial-write failure,
-// inflight requeue, and HELLO ordering are all checked deterministically —
+// White-box tests for the write path: a link's drain is driven directly
+// with scripted net.Conns, so the one-write flush, overflow, partial-write
+// failure, requeue, and HELLO ordering are all checked deterministically —
 // no real sockets, no timing.
 
 import (
@@ -15,7 +15,6 @@ import (
 
 	"churnreg/internal/core"
 	"churnreg/internal/esyncreg"
-	"churnreg/internal/sim"
 	"churnreg/internal/wire"
 )
 
@@ -68,49 +67,28 @@ func (c *scriptConn) SetReadDeadline(t time.Time) error  { return nil }
 func (c *scriptConn) SetWriteDeadline(t time.Time) error { return nil }
 
 // newDrainHarness builds an inert transport (no Start: no goroutines) plus
-// a peer whose queue holds payloads numbered 0..frames-1.
-func newDrainHarness(t *testing.T, frames int, cfg func(*Config)) (*Transport, *peer, [][]byte) {
+// a peer whose link holds frames numbered 0..frames-1, queued the way a
+// sender off the loop queues them.
+func newDrainHarness(t *testing.T, frames int, cfg func(*Config)) (*Transport, *peer, []core.WriteMsg) {
 	t.Helper()
-	c := Config{
-		ID:         1,
-		ListenAddr: "127.0.0.1:0",
-		N:          3,
-		Delta:      5,
-		Factory:    esyncreg.Factory(esyncreg.Options{}),
-		Bootstrap:  true,
-	}
-	if cfg != nil {
-		cfg(&c)
-	}
-	tr, err := New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(tr.Close)
-	p := &peer{addr: "test", id: 2, out: make(chan []byte, tr.cfg.QueueLen), quit: make(chan struct{})}
-	payloads := make([][]byte, 0, frames)
+	tr, _ := newProbeTransport(t, nil, cfg)
+	p := &peer{link: newLink(), addr: "test", id: 2}
+	msgs := make([]core.WriteMsg, 0, frames)
 	for i := 0; i < frames; i++ {
-		payload, err := wire.EncodeFrame(wire.Frame{
-			Type: wire.FrameMsg,
-			From: 1,
-			Msg:  core.WriteMsg{From: 1, Value: core.VersionedValue{Val: core.Value(i), SN: core.SeqNum(i + 1)}, Reg: 7, Op: core.OpID(i + 1)},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		payloads = append(payloads, payload)
-		p.out <- payload
+		m := core.WriteMsg{From: 1, Value: core.VersionedValue{Val: core.Value(i), SN: core.SeqNum(i + 1)}, Reg: 7, Op: core.OpID(i + 1)}
+		msgs = append(msgs, m)
+		tr.transmit(false, wire.Frame{Type: wire.FrameMsg, From: 1, Msg: m}, &p.link)
 	}
-	return tr, p, payloads
+	return tr, p, msgs
 }
 
-// drainUntilIdle runs drain against conn, releasing it via the peer's quit
-// channel once the queue has been consumed (drain otherwise blocks waiting
-// for more frames).
+// drainUntilIdle runs drain against conn, releasing it via the link's quit
+// channel once the queue has been consumed (drain otherwise sleeps on the
+// wake).
 func drainUntilIdle(t *testing.T, tr *Transport, p *peer, conn net.Conn) bool {
 	t.Helper()
 	done := make(chan bool, 1)
-	go func() { done <- p.drain(tr, conn, make(chan struct{})) }()
+	go func() { done <- p.drain(tr, conn, true, nil) }()
 	deadline := time.After(5 * time.Second)
 	for {
 		select {
@@ -119,7 +97,7 @@ func drainUntilIdle(t *testing.T, tr *Transport, p *peer, conn net.Conn) bool {
 		case <-deadline:
 			t.Fatal("drain did not settle")
 		case <-time.After(time.Millisecond):
-			if len(p.out) == 0 {
+			if p.depth() == 0 {
 				p.stop() // all consumed: ask drain to exit cleanly
 			}
 		}
@@ -141,67 +119,95 @@ func scanAll(t *testing.T, b []byte) []wire.Frame {
 	}
 }
 
-func TestDrainCoalescesQueueIntoFewWrites(t *testing.T) {
+// wantMsgs checks that got is exactly the WRITE frames want, in order.
+func wantMsgs(t *testing.T, got []wire.Frame, want []core.WriteMsg) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("got %d message frames, want %d", len(got), len(want))
+	}
+	for i, f := range got {
+		if m, ok := f.Msg.(core.WriteMsg); !ok || m != want[i] {
+			t.Fatalf("frame %d = %+v, want %+v", i, f.Msg, want[i])
+		}
+	}
+}
+
+func TestDrainFlushesWholeQueueInOneWrite(t *testing.T) {
 	const frames = 100
-	tr, p, _ := newDrainHarness(t, frames, nil)
+	tr, p, msgs := newDrainHarness(t, frames, nil)
 	conn := &scriptConn{failAfter: -1}
 	if redial := drainUntilIdle(t, tr, p, conn); redial {
 		t.Fatal("clean drain asked for a redial")
 	}
 	got := scanAll(t, conn.bytesWritten())
-	if len(got) != frames+1 {
-		t.Fatalf("scanned %d frames, want %d (HELLO + %d msgs)", len(got), frames+1, frames)
+	if len(got) != frames+1 || got[0].Type != wire.FrameHello {
+		t.Fatalf("scanned %d frames starting with %v, want HELLO + %d msgs", len(got), got[0].Type, frames)
 	}
-	if got[0].Type != wire.FrameHello {
-		t.Fatalf("first frame = %v, want HELLO", got[0].Type)
+	wantMsgs(t, got[1:], msgs)
+	// All 100 frames were queued before the connection existed: the
+	// writer swaps the whole buffer out and hands it to one Write.
+	if writes := tr.stats.FlushWrites.Load(); writes != 1 {
+		t.Fatalf("FlushWrites = %d, want 1 for %d pre-queued frames", writes, frames)
 	}
-	// All 100 frames were queued before the connection existed, so the
-	// batcher must have amortized aggressively: at most ceil(100/64)+1
-	// flushes, hence a coalescing factor well above 1.
-	writes := tr.stats.FlushWrites.Load()
-	if writes == 0 || writes > 3 {
-		t.Fatalf("FlushWrites = %d, want 1..3 for %d pre-queued frames", writes, frames)
+	if fpw := tr.stats.FramesPerWrite(); fpw != frames {
+		t.Fatalf("FramesPerWrite = %.1f, want %d", fpw, frames)
 	}
-	if fpw := tr.stats.FramesPerWrite(); fpw < 2 {
-		t.Fatalf("FramesPerWrite = %.1f, want >= 2", fpw)
+	if tr.stats.FlushedFrames.Load() != frames || tr.stats.LastBatchFrames.Load() != frames {
+		t.Fatalf("FlushedFrames = %d, LastBatchFrames = %d, want %d", tr.stats.FlushedFrames.Load(), tr.stats.LastBatchFrames.Load(), frames)
 	}
-	if tr.stats.FlushedFrames.Load() != frames {
-		t.Fatalf("FlushedFrames = %d, want %d", tr.stats.FlushedFrames.Load(), frames)
-	}
-	if last := tr.stats.LastBatchFrames.Load(); last == 0 {
-		t.Fatal("LastBatchFrames gauge never set")
+	if tr.stats.FramesSent.Load() != frames+1 {
+		t.Fatalf("FramesSent = %d, want %d + HELLO", tr.stats.FramesSent.Load(), frames)
 	}
 }
 
-func TestDrainRespectsFrameBudget(t *testing.T) {
-	const frames = 10
-	tr, p, _ := newDrainHarness(t, frames, func(c *Config) { c.BatchFrames = 4 })
+// TestLinkKeepsNoBurstSizedBuffer pins the memory budget of a link: the
+// buffer a flush is done with is kept for the next swap only while it is
+// small, so a backlog does not stay allocated on every link it crossed.
+func TestLinkKeepsNoBurstSizedBuffer(t *testing.T) {
+	big := wire.Frame{Type: wire.FrameMsg, From: 1, Msg: core.WriteBatchMsg{From: 1, Op: 1, Entries: make([]core.KeyedValue, maxSpare/24+1)}}
+	tr, p, _ := newDrainHarness(t, 3, nil)
+	drainUntilIdle(t, tr, p, &scriptConn{failAfter: -1})
+	if p.spare == nil || cap(p.spare) > maxSpare {
+		t.Fatalf("after a small flush the spare has cap %d, want a reusable buffer of at most %d", cap(p.spare), maxSpare)
+	}
+	p.link = newLink()
+	tr.transmit(false, big, &p.link)
+	if len(p.buf) <= maxSpare {
+		t.Fatalf("test frame is %d bytes, want more than maxSpare", len(p.buf))
+	}
+	drainUntilIdle(t, tr, p, &scriptConn{failAfter: -1})
+	if p.spare != nil || cap(p.buf) > maxSpare || p.batch != nil {
+		t.Fatalf("after a %d-byte flush the link keeps spare cap %d, buf cap %d", maxSpare, cap(p.spare), cap(p.buf))
+	}
+}
+
+func TestPushDropsOldestFrameAndCountsIt(t *testing.T) {
+	const queue, frames = 4, 10
+	tr, p, msgs := newDrainHarness(t, frames, func(c *Config) { c.QueueLen = queue })
+	if drops := tr.stats.QueueDrops.Load(); drops != frames-queue {
+		t.Fatalf("QueueDrops = %d, want %d", drops, frames-queue)
+	}
+	if p.depth() != queue {
+		t.Fatalf("depth = %d, want the bound %d", p.depth(), queue)
+	}
 	conn := &scriptConn{failAfter: -1}
 	drainUntilIdle(t, tr, p, conn)
-	if writes := tr.stats.FlushWrites.Load(); writes != 3 { // 4+4+2
-		t.Fatalf("FlushWrites = %d with BatchFrames=4 over %d frames, want 3", writes, frames)
-	}
-	if last := tr.stats.LastBatchFrames.Load(); last != 2 {
-		t.Fatalf("LastBatchFrames = %d, want the final batch of 2", last)
-	}
+	// What survives is the newest QueueLen frames, still in order.
+	wantMsgs(t, scanAll(t, conn.bytesWritten())[1:], msgs[frames-queue:])
 }
 
 func TestDrainPartialWriteRequeuesWholeBatch(t *testing.T) {
 	const frames = 8
-	// Let the HELLO (small) through, then fail 10 bytes into the first
-	// coalesced batch: a partial write of a mid-frame prefix.
-	tr, p, payloads := newDrainHarness(t, frames, nil)
-	helloLen := 0
-	{
-		hello, err := wire.EncodeFrame(tr.helloFrame())
-		if err != nil {
-			t.Fatal(err)
-		}
-		helloLen = len(wire.FrameBytes(hello))
+	// Let the HELLO (small) through, then fail 10 bytes into the batch: a
+	// partial write of a mid-frame prefix.
+	tr, p, msgs := newDrainHarness(t, frames, nil)
+	hello, err := wire.AppendFrameBytes(nil, tr.helloFrame())
+	if err != nil {
+		t.Fatal(err)
 	}
-	conn := &scriptConn{failAfter: helloLen + 10}
+	conn := &scriptConn{failAfter: len(hello) + 10}
 	done := make(chan bool, 1)
-	go func() { done <- p.drain(tr, conn, make(chan struct{})) }()
+	go func() { done <- p.drain(tr, conn, true, nil) }()
 	select {
 	case redial := <-done:
 		if !redial {
@@ -210,58 +216,49 @@ func TestDrainPartialWriteRequeuesWholeBatch(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("drain did not notice the failed write")
 	}
-	if len(p.inflight) != frames {
-		t.Fatalf("inflight holds %d frames after mid-batch death, want the whole batch of %d", len(p.inflight), frames)
+	if p.batchFrames != frames {
+		t.Fatalf("link holds %d frames after mid-batch death, want the whole batch of %d", p.batchFrames, frames)
 	}
+	// A frame queued while the connection is down goes out behind the
+	// requeued batch.
+	late := core.WriteMsg{From: 1, Value: core.VersionedValue{Val: 99, SN: 99}, Reg: 7, Op: 99}
+	tr.transmit(false, wire.Frame{Type: wire.FrameMsg, From: 1, Msg: late}, &p.link)
 	// Reconnect: a fresh conn must carry HELLO first, then every requeued
 	// frame, in order, decodable by the canonical scanner.
 	conn2 := &scriptConn{failAfter: -1}
 	if redial := drainUntilIdle(t, tr, p, conn2); redial {
 		t.Fatal("clean drain asked for a redial")
 	}
-	if len(p.inflight) != 0 {
-		t.Fatalf("inflight not cleared after successful retry: %d", len(p.inflight))
+	if p.batchFrames != 0 || p.batch != nil {
+		t.Fatalf("batch not cleared after successful retry: %d", p.batchFrames)
 	}
 	got := scanAll(t, conn2.bytesWritten())
-	if len(got) != frames+1 {
-		t.Fatalf("retry connection carried %d frames, want %d", len(got), frames+1)
+	if len(got) == 0 || got[0].Type != wire.FrameHello {
+		t.Fatalf("first frame on reconnect = %+v, want HELLO (identity before traffic)", got)
 	}
-	if got[0].Type != wire.FrameHello {
-		t.Fatalf("first frame on reconnect = %v, want HELLO (identity before traffic)", got[0].Type)
-	}
-	for i, f := range got[1:] {
-		want, err := wire.DecodeFrame(payloads[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Msg.(core.WriteMsg) != want.Msg.(core.WriteMsg) {
-			t.Fatalf("requeued frame %d = %+v, want %+v", i, f.Msg, want.Msg)
-		}
-	}
+	wantMsgs(t, got[1:], append(msgs, late))
 }
 
 func TestDrainHelloPrecedesRequeuedFrames(t *testing.T) {
-	// Even with inflight frames waiting from a dead connection, the new
+	// Even with frames waiting from a dead connection, the new
 	// connection's first frame must be HELLO — the remote drops protocol
 	// frames from links whose identity it cannot bind.
-	tr, p, _ := newDrainHarness(t, 3, nil)
+	tr, p, msgs := newDrainHarness(t, 3, nil)
 	conn := &scriptConn{} // failAfter 0: every write fails immediately
 	done := make(chan bool, 1)
-	go func() { done <- p.drain(tr, conn, make(chan struct{})) }()
+	go func() { done <- p.drain(tr, conn, true, nil) }()
 	if redial := <-done; !redial {
 		t.Fatal("want redial after total write failure")
 	}
 	// The HELLO write itself failed, so nothing reached the wire; the
-	// queue still holds the frames. Drain again on a good conn.
+	// link still holds the frames. Drain again on a good conn.
 	conn2 := &scriptConn{failAfter: -1}
 	drainUntilIdle(t, tr, p, conn2)
 	got := scanAll(t, conn2.bytesWritten())
 	if len(got) == 0 || got[0].Type != wire.FrameHello {
 		t.Fatalf("first frame = %+v, want HELLO before batched frames", got)
 	}
-	if len(got) != 4 {
-		t.Fatalf("got %d frames, want HELLO + 3", len(got))
-	}
+	wantMsgs(t, got[1:], msgs)
 }
 
 func TestMailboxStallCounted(t *testing.T) {
@@ -296,42 +293,4 @@ func TestMailboxStallCounted(t *testing.T) {
 	}
 	tr.Close()
 	<-released
-}
-
-func TestCloseStopsTrackedTimers(t *testing.T) {
-	tr, err := New(Config{
-		ID:         1,
-		ListenAddr: "127.0.0.1:0",
-		N:          3,
-		Delta:      5,
-		Tick:       time.Hour, // timers far in the future: they must be stopped, not awaited
-		Factory:    esyncreg.Factory(esyncreg.Options{}),
-		Bootstrap:  true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Send(1, core.TokenMsg{From: 1})    // self-send: one tracked timer
-	tr.After(sim.Duration(10), func() {}) // protocol timer: another
-	tr.Broadcast(core.TokenMsg{From: 1})  // loopback: a third
-	tr.mu.Lock()
-	pending := len(tr.timers)
-	tr.mu.Unlock()
-	if pending != 3 {
-		t.Fatalf("tracked timers = %d, want 3", pending)
-	}
-	tr.Close()
-	tr.mu.Lock()
-	after := tr.timers
-	tr.mu.Unlock()
-	if after != nil {
-		t.Fatalf("timers not released on Close: %d still tracked", len(after))
-	}
-	// And scheduling after Close is a no-op, not a leak.
-	tr.After(sim.Duration(10), func() {})
-	tr.mu.Lock()
-	if tr.timers != nil {
-		t.Fatal("After on a closed transport tracked a timer")
-	}
-	tr.mu.Unlock()
 }

@@ -27,10 +27,10 @@
 //
 // # Reliability
 //
-// Each known peer has a dedicated outbound queue drained by a writer
+// Each known peer has a dedicated outbound link drained by a writer
 // goroutine that dials, redials with backoff, and re-sends HELLO after
-// every reconnect. Frames enqueued while the link is down wait in the
-// queue (bounded; overflow drops the oldest-queued frame and counts it —
+// every reconnect. Frames queued while the connection is down wait on the
+// link (bounded; overflow drops the oldest-queued frame and counts it —
 // the paper's channels are fair-lossy, and both protocols tolerate loss
 // of individual messages). The paper's broadcast primitive guarantees
 // delivery to every process present at the broadcast; for the one message
@@ -41,10 +41,31 @@
 //
 // # Concurrency
 //
-// Exactly livenet's discipline: the node's handlers run only on the
-// process's single mailbox goroutine; connection readers, timer callbacks
-// and client operations enqueue closures onto that mailbox. Everything
-// else (address book, connection set) is guarded by one mutex.
+// The node's handlers run only on the process's loop goroutine, which
+// works in turns. A turn takes a task from the mailbox (a received
+// message, a fired timer, a client operation) and runs it; every message
+// the node addressed to itself meanwhile sits in a FIFO only the loop
+// touches and is delivered next — after the handler that sent it has
+// returned, so never re-entrantly; before the next mailbox task; never
+// through the mailbox, so a full mailbox cannot wedge the loop; and
+// without a timer, a lock or a goroutine, because a process's message to
+// itself costs no message delay (it is still asynchronous, which is all
+// core.Env promises). The turn goes on while the mailbox has work, up to
+// turnTasks steps, and ends by waking, once, the writer of every link it
+// queued frames on: one flush per link per turn.
+//
+// A link (a peer's dialed connection, or a client session's accepted one)
+// owns a mutex-guarded append buffer of encoded frames and a one-slot
+// wake. Senders encode a message once and append the bytes to each
+// destination link; the link's writer goroutine swaps the buffer out and
+// hands it to one conn.Write, so neither the loop nor any other sender
+// ever blocks on a socket. The node reaches this through loopEnv, the
+// core.Env its factory was given, which may assume the loop goroutine;
+// the exported Send, Broadcast and Invoke are safe from any goroutine,
+// post self-addressed messages to the mailbox and wake links at once.
+// Destinations are looked up in an immutable table republished whenever
+// the address book or the session set changes; the address book itself
+// and the connection set are guarded by one mutex.
 package nettransport
 
 import (
@@ -53,6 +74,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,23 +123,15 @@ type Config struct {
 	// a replacement process is often handed the address of the process it
 	// replaces).
 	HandshakeWait time.Duration
-	// QueueLen is the per-peer outbound queue capacity (default 512;
-	// regserve -queue). Overflow drops the oldest-queued frame (the links
-	// are fair-lossy) and counts it in Stats.QueueDrops.
+	// QueueLen is how many frames one link (a peer, or a client session)
+	// may hold queued (default 512; regserve -queue). Overflow drops the
+	// oldest-queued frame (the links are fair-lossy) and counts it in
+	// Stats.QueueDrops.
 	QueueLen int
 	// MailboxLen is the capacity of the process's event-loop mailbox
 	// (default 512; regserve -mailbox). A full mailbox makes enqueuers
 	// wait and counts a Stats.MailboxStalls.
 	MailboxLen int
-	// BatchFrames caps how many queued frames one coalesced flush may
-	// carry (default 64): peer writers greedily drain their queue into a
-	// single buffered write, so a deep queue costs one syscall per batch,
-	// not one per frame.
-	BatchFrames int
-	// BatchBytes caps a coalesced flush's payload bytes (default 64 KiB):
-	// the frame budget alone would let a few giant snapshot frames build
-	// an unboundedly large write buffer.
-	BatchBytes int
 	// EvictAfter drops a peer whose dials have failed continuously for
 	// this long (default 15s). Graceful departures announce themselves
 	// with LEAVE, but that frame is best-effort (the leaver's links may
@@ -167,12 +181,6 @@ func (c *Config) fillDefaults() error {
 	if c.MailboxLen <= 0 {
 		c.MailboxLen = 512
 	}
-	if c.BatchFrames <= 0 {
-		c.BatchFrames = 64
-	}
-	if c.BatchBytes <= 0 {
-		c.BatchBytes = 64 << 10
-	}
 	if c.EvictAfter <= 0 {
 		c.EvictAfter = 15 * time.Second
 	}
@@ -190,15 +198,14 @@ func (c *Config) fillDefaults() error {
 type Stats struct {
 	FramesSent     atomic.Uint64
 	FramesReceived atomic.Uint64
-	QueueDrops     atomic.Uint64 // frames dropped on a full peer queue
+	QueueDrops     atomic.Uint64 // frames dropped on a full link
 	SendUnknown    atomic.Uint64 // sends to ids with no address-book entry
 	Reconnects     atomic.Uint64 // successful dials beyond a peer's first
 	DecodeErrors   atomic.Uint64
-	// FlushWrites counts frame-carrying conn.Write calls issued by peer
-	// writers draining their queues; FlushedFrames counts the frames those
-	// writes carried. Their ratio (FramesPerWrite) is the coalescing
-	// factor: 1.0 means every frame paid its own syscall, higher means the
-	// batcher is amortizing.
+	// FlushWrites counts frame-carrying conn.Write calls issued by link
+	// writers; FlushedFrames counts the frames those writes carried. Their
+	// ratio (FramesPerWrite) is the coalescing factor: 1.0 means every
+	// frame paid its own syscall, higher means the turn is amortizing.
 	FlushWrites   atomic.Uint64
 	FlushedFrames atomic.Uint64
 	// LastBatchFrames is a gauge: the frame count of the most recently
@@ -208,6 +215,13 @@ type Stats struct {
 	// and had to wait — sustained growth means the loop is the bottleneck
 	// (raise -mailbox, or shed load).
 	MailboxStalls atomic.Uint64
+	// LoopTurns counts event-loop turns and LoopTasks the mailbox tasks
+	// they ran: tasks per turn is the batching a turn achieves (each link
+	// is flushed once per turn). SelfDeliveries counts messages the node
+	// addressed to itself, delivered from the loop's own FIFO.
+	LoopTurns      atomic.Uint64
+	LoopTasks      atomic.Uint64
+	SelfDeliveries atomic.Uint64
 }
 
 // FramesPerWrite reports the average coalescing factor — frames flushed
@@ -255,14 +269,14 @@ type Transport struct {
 	// sessionSeq mints session pseudo-ids (negated, so they can never
 	// collide with real process ids, which are positive by construction).
 	sessionSeq int64
-	// timers tracks pending time.AfterFunc timers (self-sends, loopbacks,
-	// protocol After callbacks) so Close stops them instead of leaking
-	// each until it fires — the livenet fix from PR 2, mirrored.
+	// timers tracks the pending timers of protocol After callbacks so
+	// Close stops them instead of leaking each until it fires — the
+	// livenet fix from PR 2, mirrored.
 	timers map[*time.Timer]struct{}
 	closed bool
-	// pendingInquiry is the encoded join INQUIRY to replay to peers
-	// learned while this process's join is still running (see package
-	// comment); nil once active.
+	// pendingInquiry is the join INQUIRY, in wire form, to replay to
+	// peers learned while this process's join is still running (see
+	// package comment); nil once active.
 	pendingInquiry []byte
 	// viewSeq stamps successive placement views (guarded by mu).
 	viewSeq uint64
@@ -271,12 +285,42 @@ type Transport struct {
 	// (nil when sharding is disabled). Written under mu, read lock-free
 	// by the protocol on the loop goroutine.
 	view atomic.Pointer[placement.View]
+	// links is what Send and Broadcast look destinations up in without
+	// t.mu: an immutable snapshot, republished (publishLinksLocked)
+	// wherever byAddr, byID or sessions change.
+	links atomic.Pointer[linkTable]
+
+	// selfq[selfHead:] holds the messages the node addressed to itself
+	// and dirty the links it queued frames on during the current turn.
+	// Only the loop goroutine touches them.
+	selfq    []core.Message
+	selfHead int
+	dirty    []*link
 
 	active atomic.Bool
 	stats  Stats
 }
 
-var _ core.Env = (*Transport)(nil)
+var (
+	_ core.Env         = (*Transport)(nil)
+	_ core.GroupSender = loopEnv{}
+)
+
+// loopEnv is the core.Env the node is built with. The node runs only on
+// the loop goroutine, so its sends take the loop's shortcuts: a
+// self-addressed message goes on the loop-owned FIFO, and a link that got
+// frames is woken once, when the turn ends. Everything else is the
+// Transport's.
+type loopEnv struct{ *Transport }
+
+// Send implements core.Env.
+func (e loopEnv) Send(to core.ProcessID, m core.Message) { e.send(true, m, to) }
+
+// SendGroup implements core.GroupSender: m is encoded once for the group.
+func (e loopEnv) SendGroup(to []core.ProcessID, m core.Message) { e.send(true, m, to...) }
+
+// Broadcast implements core.Env.
+func (e loopEnv) Broadcast(m core.Message) { e.broadcast(true, m) }
 
 // New binds the listener and builds the protocol node. The transport is
 // inert (no goroutines, no dialing) until Start.
@@ -303,7 +347,8 @@ func New(cfg Config) (*Transport, error) {
 		sessions: make(map[core.ProcessID]*clientSession),
 		timers:   make(map[*time.Timer]struct{}),
 	}
-	t.node = cfg.Factory(t, core.SpawnContext{
+	t.links.Store(&linkTable{})
+	t.node = cfg.Factory(loopEnv{t}, core.SpawnContext{
 		Bootstrap:   cfg.Bootstrap,
 		Initial:     cfg.Initial,
 		InitialKeys: cfg.InitialKeys,
@@ -401,37 +446,19 @@ func (t *Transport) Close() {
 
 // Leave departs gracefully: a LEAVE frame tells every peer to drop this
 // process from its address book (so nobody keeps redialing a gone
-// process), queues get a moment to flush, then the transport closes.
+// process), the links get a moment to flush, then the transport closes.
 func (t *Transport) Leave() {
-	payload, err := wire.EncodeFrame(wire.Frame{Type: wire.FrameLeave, From: t.cfg.ID})
-	if err == nil {
-		t.mu.Lock()
-		ps := t.peersLocked()
-		t.mu.Unlock()
-		for _, p := range ps {
-			p.send(t, payload)
-		}
-		// Bounded flush: wait for the queues to drain (writers re-check
-		// every frame) rather than a fixed sleep.
-		deadline := time.Now().Add(500 * time.Millisecond)
-		for time.Now().Before(deadline) {
-			empty := true
-			t.mu.Lock()
-			for _, p := range t.byAddr {
-				if len(p.out) > 0 {
-					empty = false
-				}
-			}
-			t.mu.Unlock()
-			if empty {
-				break
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-		// One extra tick so flushed bytes clear the kernel buffers before
-		// the sockets are torn down.
-		time.Sleep(10 * time.Millisecond)
+	t.transmit(false, wire.Frame{Type: wire.FrameLeave, From: t.cfg.ID}, t.links.Load().peers...)
+	// Bounded flush: wait for every link to drain rather than a fixed
+	// sleep. Client sessions count too: a reply queued for a client
+	// answers an operation this process already served.
+	deadline := time.Now().Add(500 * time.Millisecond)
+	for time.Now().Before(deadline) && !t.links.Load().drained() {
+		time.Sleep(5 * time.Millisecond)
 	}
+	// One extra tick so the last write in progress and the flushed bytes
+	// clear the kernel buffers before the sockets are torn down.
+	time.Sleep(10 * time.Millisecond)
 	t.Close()
 }
 
@@ -541,102 +568,129 @@ func (t *Transport) Now() sim.Time {
 	return sim.Time(time.Since(t.start) / t.cfg.Tick)
 }
 
-// Send implements core.Env: point-to-point, via the peer's outbound
-// queue. A send to self loops back through the mailbox after one tick —
-// the quorum protocols count their own replies, exactly as in the
-// simulator and livenet.
-func (t *Transport) Send(to core.ProcessID, m core.Message) {
+// Send implements core.Env for callers off the loop goroutine (the node
+// itself sends through loopEnv): the frame is queued on the destination's
+// link and the link's writer woken at once; a send to self is posted to
+// the mailbox.
+func (t *Transport) Send(to core.ProcessID, m core.Message) { t.send(false, m, to) }
+
+// Broadcast implements core.Env for callers off the loop goroutine: the
+// frame goes to every process in the address book, plus self (the
+// simulator's and livenet's contract).
+func (t *Transport) Broadcast(m core.Message) { t.broadcast(false, m) }
+
+// send is the one point-to-point path: m is encoded once and queued on
+// the link of every remote process in to — a peer, or for a negative id
+// the client session whose pseudo-id it is (the reply rides the session's
+// own connection; a session is never dialed back). An entry naming this
+// process is delivered locally: the quorum protocols count their own
+// replies, exactly as in the simulator and livenet.
+func (t *Transport) send(onLoop bool, m core.Message, to ...core.ProcessID) {
 	select {
 	case <-t.quit:
 		return
 	default:
 	}
-	if to == t.cfg.ID {
-		t.afterFunc(t.cfg.Tick, func() { t.enqueueDeliver(to, m) })
-		return
-	}
-	payload, err := t.encodeMsg(m)
-	if err != nil {
-		t.cfg.Logf("nettransport %v: encode %v: %v", t.cfg.ID, m.Kind(), err)
-		return
-	}
-	if to < core.NoProcess {
-		// Negative ids are client-session pseudo-ids: the reply rides the
-		// session's own connection (a session is never dialed back).
-		t.mu.Lock()
-		s := t.sessions[to]
-		t.mu.Unlock()
-		if s == nil {
+	tab := t.links.Load()
+	var room [8]*link
+	ls := room[:0]
+	for _, id := range to {
+		if id == t.cfg.ID {
+			t.deliverSelf(onLoop, m)
+		} else if l := tab.byID[id]; l != nil {
+			ls = append(ls, l)
+		} else {
 			t.stats.SendUnknown.Add(1)
-			return
 		}
-		s.send(t, payload)
-		return
 	}
-	t.mu.Lock()
-	p := t.byID[to]
-	t.mu.Unlock()
-	if p == nil {
-		t.stats.SendUnknown.Add(1)
-		return
-	}
-	p.send(t, payload)
+	t.transmit(onLoop, wire.Frame{Type: wire.FrameMsg, From: t.cfg.ID, Msg: m}, ls...)
 }
 
-// Broadcast implements core.Env: the frame goes to every process in the
-// address book, plus loopback to self after one tick (the simulator's and
-// livenet's contract). A join INQUIRY is additionally remembered for
-// replay to peers learned while the join is still running.
-func (t *Transport) Broadcast(m core.Message) {
+// broadcast queues m on every outbound peer and delivers it to self. A
+// join INQUIRY is additionally remembered for replay to peers learned
+// while the join is still running.
+func (t *Transport) broadcast(onLoop bool, m core.Message) {
 	select {
 	case <-t.quit:
 		return
 	default:
 	}
-	payload, err := t.encodeMsg(m)
-	if err != nil {
-		t.cfg.Logf("nettransport %v: encode %v: %v", t.cfg.ID, m.Kind(), err)
+	f := wire.Frame{Type: wire.FrameMsg, From: t.cfg.ID, Msg: m}
+	if inq, ok := m.(core.InquiryMsg); ok && inq.RSN == core.JoinReadSeq && !t.active.Load() {
+		if b, err := wire.AppendFrameBytes(nil, f); err == nil {
+			t.mu.Lock()
+			t.pendingInquiry = b
+			t.mu.Unlock()
+		}
+	}
+	t.deliverSelf(onLoop, m)
+	t.transmit(onLoop, f, t.links.Load().peers...)
+}
+
+// deliverSelf hands the node a message it addressed to itself —
+// asynchronously, after the current handler. On the loop that is an
+// append to the FIFO the turn drains before its next mailbox task; off
+// the loop it is a mailbox post.
+func (t *Transport) deliverSelf(onLoop bool, m core.Message) {
+	if onLoop {
+		t.selfq = append(t.selfq, m)
+	} else {
+		t.enqueueDeliver(t.cfg.ID, m)
+	}
+}
+
+// transmit encodes f once, length prefix included, and queues the bytes
+// on every link in ls.
+func (t *Transport) transmit(onLoop bool, f wire.Frame, ls ...*link) {
+	if len(ls) == 0 {
 		return
 	}
-	if inq, ok := m.(core.InquiryMsg); ok && inq.RSN == core.JoinReadSeq && !t.active.Load() {
-		t.mu.Lock()
-		t.pendingInquiry = payload
-		t.mu.Unlock()
+	bp := wire.GetBuffer()
+	defer wire.PutBuffer(bp)
+	b, err := wire.AppendFrameBytes(*bp, f)
+	if err != nil {
+		t.cfg.Logf("nettransport %v: encode %v: %v", t.cfg.ID, f.Type, err)
+		return
 	}
-	self := m
-	t.afterFunc(t.cfg.Tick, func() { t.enqueueDeliver(t.cfg.ID, self) })
-	t.mu.Lock()
-	ps := t.peersLocked()
-	t.mu.Unlock()
-	for _, p := range ps {
-		p.send(t, payload)
+	*bp = b // keep what the encode grew
+	t.queue(onLoop, b, ls...)
+}
+
+// queue appends one encoded frame to each link. Off the loop each link's
+// writer is woken at once; on the loop the link is marked and woken when
+// the turn ends: many frames on a link, one wake and, usually, one write.
+func (t *Transport) queue(onLoop bool, frame []byte, ls ...*link) {
+	for _, l := range ls {
+		if l.push(frame, t.cfg.QueueLen) {
+			t.stats.QueueDrops.Add(1)
+		}
+		if !onLoop {
+			l.kick()
+		} else if !l.dirty {
+			l.dirty = true
+			t.dirty = append(t.dirty, l)
+		}
 	}
+	t.stats.FramesSent.Add(uint64(len(ls)))
 }
 
 // After implements core.Env: fn runs on the loop goroutine after d ticks,
 // suppressed once the process has shut down. The timer is tracked, so a
 // Close before it fires stops it rather than leaking it.
 func (t *Transport) After(d sim.Duration, fn func()) {
-	t.afterFunc(time.Duration(d)*t.cfg.Tick, func() { t.enqueue(fn) })
-}
-
-// afterFunc schedules fn on a tracked timer: Close stops every pending
-// one, so a torn-down transport holds no timer (or its goroutine, once
-// fired) alive until the deadline. No-op once closed.
-func (t *Transport) afterFunc(d time.Duration, fn func()) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return
 	}
 	var tm *time.Timer
-	tm = time.AfterFunc(d, func() {
+	tm = time.AfterFunc(time.Duration(d)*t.cfg.Tick, func() {
 		// Untrack first. The map read of tm is ordered after the
 		// registration below by t.mu.
 		t.mu.Lock()
 		delete(t.timers, tm)
 		t.mu.Unlock()
-		fn()
+		t.enqueue(fn)
 	})
 	t.timers[tm] = struct{}{}
 }
@@ -704,18 +758,8 @@ func (t *Transport) refreshPlacement() {
 		t.viewSeq++
 	}
 	vf := t.viewFrameLocked()
-	sessions := make([]*clientSession, 0, len(t.sessions))
-	for _, s := range t.sessions {
-		sessions = append(sessions, s)
-	}
 	t.mu.Unlock()
-	if len(sessions) > 0 {
-		if payload, err := wire.EncodeFrame(vf); err == nil {
-			for _, s := range sessions {
-				s.send(t, payload)
-			}
-		}
-	}
+	t.transmit(false, vf, t.links.Load().sessions...)
 	if !sharded {
 		return
 	}
@@ -747,24 +791,84 @@ func (t *Transport) viewFrameLocked() wire.Frame {
 
 // ---- internals ----
 
-func (t *Transport) encodeMsg(m core.Message) ([]byte, error) {
-	return wire.EncodeFrame(wire.Frame{Type: wire.FrameMsg, From: t.cfg.ID, Msg: m})
-}
+// turnTasks bounds one loop turn, self-deliveries included: long enough
+// that a busy loop wakes each link's writer (and pays its write) once per
+// dozens of frames, short enough that the first frame of a turn waits
+// well under a millisecond for its flush.
+const turnTasks = 64
 
+// loop runs the turns the package comment's Concurrency section describes.
 func (t *Transport) loop() {
 	defer t.wg.Done()
 	for {
-		select {
-		case tk := <-t.mailbox:
+		n := 0
+		for ; n < turnTasks; n++ {
+			tk, ok := t.next(n == 0)
+			if !ok {
+				break
+			}
 			if tk.msg != nil {
 				t.node.Deliver(tk.from, tk.msg)
 			} else {
 				tk.fn()
 			}
+		}
+		if n == 0 {
+			return // stopped while idle
+		}
+		t.stats.LoopTurns.Add(1)
+		t.wakeLinks()
+	}
+}
+
+// wakeLinks ends a turn: every link it queued frames on is woken, once.
+func (t *Transport) wakeLinks() {
+	for i, l := range t.dirty {
+		l.dirty = false
+		l.kick()
+		t.dirty[i] = nil
+	}
+	t.dirty = t.dirty[:0]
+}
+
+// next picks the loop's next step. Within a turn the oldest self-addressed
+// message goes first, then whatever the mailbox holds, and an empty
+// mailbox ends the turn (ok false). A turn opens (first) with a mailbox
+// task when one is ready — so a node that keeps messaging itself cannot
+// starve its peers and clients — and with nothing to do at all it waits
+// for one, or for the transport to stop (ok false).
+func (t *Transport) next(first bool) (tk task, ok bool) {
+	self := t.selfHead < len(t.selfq)
+	switch {
+	case self && !first: // mid-turn: the FIFO goes first
+	case first && !self: // idle: wait
+		select {
 		case <-t.quit:
-			return
+			return tk, false
+		case tk = <-t.mailbox:
+			t.stats.LoopTasks.Add(1)
+			return tk, true
+		}
+	default: // look, do not wait
+		select {
+		case <-t.quit:
+			return tk, false
+		case tk = <-t.mailbox:
+			t.stats.LoopTasks.Add(1)
+			return tk, true
+		default:
+			if !self {
+				return tk, false
+			}
 		}
 	}
+	tk = task{from: t.cfg.ID, msg: t.selfq[t.selfHead]}
+	t.selfq[t.selfHead] = nil
+	if t.selfHead++; t.selfHead == len(t.selfq) {
+		t.selfq, t.selfHead = t.selfq[:0], 0
+	}
+	t.stats.SelfDeliveries.Add(1)
+	return tk, true
 }
 
 // enqueue posts fn to the loop, giving up if the process stops first.
@@ -841,13 +945,33 @@ func (t *Transport) untrackConn(conn net.Conn) {
 	t.mu.Unlock()
 }
 
-// peersLocked snapshots the outbound peers (t.mu held).
-func (t *Transport) peersLocked() []*peer {
-	out := make([]*peer, 0, len(t.byAddr))
+// linkTable is one immutable snapshot of where frames can go.
+type linkTable struct {
+	peers    []*link                  // every outbound peer, identified or not: Broadcast's audience
+	sessions []*link                  // every client session
+	byID     map[core.ProcessID]*link // identified peers, and sessions under their pseudo-ids
+}
+
+// drained reports whether no link holds an unwritten frame.
+func (tab *linkTable) drained() bool {
+	return !slices.ContainsFunc(slices.Concat(tab.peers, tab.sessions), func(l *link) bool { return l.depth() > 0 })
+}
+
+// publishLinksLocked rebuilds the table from the address book and the
+// session set (t.mu held).
+func (t *Transport) publishLinksLocked() {
+	tab := &linkTable{byID: make(map[core.ProcessID]*link, len(t.byID)+len(t.sessions))}
 	for _, p := range t.byAddr {
-		out = append(out, p)
+		tab.peers = append(tab.peers, &p.link)
 	}
-	return out
+	for id, p := range t.byID {
+		tab.byID[id] = &p.link
+	}
+	for id, s := range t.sessions {
+		tab.sessions = append(tab.sessions, &s.link)
+		tab.byID[id] = &s.link
+	}
+	t.links.Store(tab)
 }
 
 // helloFrame is the first frame on every dialed connection.
@@ -875,12 +999,7 @@ func (t *Transport) ensurePeerLocked(id core.ProcessID, addr string) *peer {
 	}
 	p, ok := t.byAddr[addr]
 	if !ok {
-		p = &peer{
-			addr: addr,
-			id:   id,
-			out:  make(chan []byte, t.cfg.QueueLen),
-			quit: make(chan struct{}),
-		}
+		p = &peer{link: newLink(), addr: addr, id: id}
 		t.byAddr[addr] = p
 		t.wg.Add(1)
 		go p.run(t)
@@ -891,6 +1010,7 @@ func (t *Transport) ensurePeerLocked(id core.ProcessID, addr string) *peer {
 	if p.id != core.NoProcess {
 		t.byID[p.id] = p
 	}
+	t.publishLinksLocked()
 	return p
 }
 
@@ -910,12 +1030,6 @@ func (t *Transport) learnPeer(id core.ProcessID, addr string) {
 		return
 	}
 	p := t.ensurePeerLocked(id, addr)
-	others := make([]*peer, 0, len(t.byAddr))
-	for _, q := range t.byAddr {
-		if q != p {
-			others = append(others, q)
-		}
-	}
 	pending := t.pendingInquiry
 	t.mu.Unlock()
 	if p == nil {
@@ -923,18 +1037,17 @@ func (t *Transport) learnPeer(id core.ProcessID, addr string) {
 	}
 	t.cfg.Logf("nettransport %v: learned peer %v at %s", t.cfg.ID, id, addr)
 	// Gossip the newcomer to everyone already known.
-	if payload, err := wire.EncodeFrame(wire.Frame{
-		Type:  wire.FramePeers,
-		Peers: []wire.Peer{{ID: id, Addr: addr}},
-	}); err == nil {
-		for _, q := range others {
-			q.send(t, payload)
+	var others []*link
+	for _, q := range t.links.Load().peers {
+		if q != &p.link {
+			others = append(others, q)
 		}
 	}
+	t.transmit(false, wire.Frame{Type: wire.FramePeers, Peers: []wire.Peer{{ID: id, Addr: addr}}}, others...)
 	// Replay our in-flight join INQUIRY so the paper's "broadcast reaches
 	// every present process" holds across the discovery race.
 	if pending != nil && !t.active.Load() {
-		p.send(t, pending)
+		t.queue(false, pending, &p.link)
 	}
 	t.refreshPlacement()
 }
@@ -949,6 +1062,7 @@ func (t *Transport) evictPeer(p *peer) {
 	if p.id != core.NoProcess && t.byID[p.id] == p {
 		delete(t.byID, p.id)
 	}
+	t.publishLinksLocked()
 	t.mu.Unlock()
 	t.cfg.Logf("nettransport %v: evicted unreachable peer %v at %s", t.cfg.ID, p.id, p.addr)
 	p.stop()
@@ -962,6 +1076,7 @@ func (t *Transport) forgetPeer(id core.ProcessID) {
 	if p != nil {
 		delete(t.byID, id)
 		delete(t.byAddr, p.addr)
+		t.publishLinksLocked()
 	}
 	t.mu.Unlock()
 	if p != nil {
@@ -1069,9 +1184,7 @@ func (t *Transport) readConn(conn net.Conn, own *peer, accepted bool, onDead fun
 				t.mu.Lock()
 				vf := t.viewFrameLocked()
 				t.mu.Unlock()
-				if payload, err := wire.EncodeFrame(vf); err == nil {
-					sess.send(t, payload)
-				}
+				t.transmit(false, vf, &sess.link)
 			}
 		}
 	}
@@ -1087,15 +1200,16 @@ func (t *Transport) newClientSession(conn net.Conn) *clientSession {
 		return nil
 	}
 	t.sessionSeq++
-	s := &clientSession{
-		pid:  core.ProcessID(-t.sessionSeq),
-		conn: conn,
-		out:  make(chan []byte, t.cfg.QueueLen),
-		quit: make(chan struct{}),
-	}
+	s := &clientSession{link: newLink(), pid: core.ProcessID(-t.sessionSeq)}
 	t.sessions[s.pid] = s
+	t.publishLinksLocked()
+	// The session's writer lives exactly as long as its accepted
+	// connection; closing that on the way out also unblocks the reader.
 	t.wg.Add(1)
-	go s.writer(t)
+	go func() {
+		defer t.wg.Done()
+		s.drain(t, conn, false, nil)
+	}()
 	return s
 }
 
@@ -1105,12 +1219,8 @@ func (t *Transport) sessionHello(s *clientSession) {
 	t.mu.Lock()
 	vf := t.viewFrameLocked()
 	t.mu.Unlock()
-	if payload, err := wire.EncodeFrame(t.helloFrame()); err == nil {
-		s.send(t, payload)
-	}
-	if payload, err := wire.EncodeFrame(vf); err == nil {
-		s.send(t, payload)
-	}
+	t.transmit(false, t.helloFrame(), &s.link)
+	t.transmit(false, vf, &s.link)
 }
 
 // dropSession unregisters a finished client session and stops its writer.
@@ -1118,6 +1228,7 @@ func (t *Transport) dropSession(s *clientSession) {
 	t.mu.Lock()
 	if t.sessions[s.pid] == s {
 		delete(t.sessions, s.pid)
+		t.publishLinksLocked()
 	}
 	t.mu.Unlock()
 	s.stop()
@@ -1135,149 +1246,161 @@ func isClosedErr(err error) bool {
 }
 
 // clientSession is the serving side of one external SDK connection: a
-// bounded reply queue drained by a writer goroutine that coalesces
-// frames into batched writes, mirroring the peer writer minus the
-// dialing (a session lives exactly as long as its accepted connection —
-// reconnecting is the client's job, and a reconnect is a new session).
+// link written to the accepted connection, with no dialing (a session
+// lives exactly as long as its connection — reconnecting is the client's
+// job, and a reconnect is a new session).
 type clientSession struct {
+	link
 	// pid is the negative pseudo-id this session's operations are
 	// delivered under; replies Sent to it route back here.
-	pid     core.ProcessID
-	conn    net.Conn
-	out     chan []byte
-	quit    chan struct{}
-	stopped sync.Once
-	// scratch and flushBuf are the writer's reusable batch state
-	// (writer-goroutine-owned), as in peer.
-	scratch  [][]byte
-	flushBuf []byte
+	pid core.ProcessID
 }
 
-func (s *clientSession) stop() { s.stopped.Do(func() { close(s.quit) }) }
-
-// send enqueues an encoded payload for the session, dropping the oldest
-// queued frame when the queue is full — the same fair-lossy discipline
-// as peer queues (the client times out and retries; blocking here would
-// stall a node-loop reply path on one slow client).
-func (s *clientSession) send(t *Transport, payload []byte) {
-	select {
-	case <-s.quit:
-		return
-	default:
-	}
-	select {
-	case s.out <- payload:
-		t.stats.FramesSent.Add(1)
-	default:
-		select {
-		case <-s.out:
-			t.stats.QueueDrops.Add(1)
-		default:
-		}
-		select {
-		case s.out <- payload:
-			t.stats.FramesSent.Add(1)
-		default:
-			t.stats.QueueDrops.Add(1)
-		}
-	}
-}
-
-// writer drains the session queue into coalesced writes until the
-// session or the transport stops, or the connection breaks. Closing the
-// connection on exit also unblocks the session's reader.
-func (s *clientSession) writer(t *Transport) {
-	defer t.wg.Done()
-	maxFrames, maxBytes := t.cfg.BatchFrames, t.cfg.BatchBytes
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-t.quit:
-			return
-		case payload := <-s.out:
-			batch := append(s.scratch[:0], payload)
-			size := len(payload)
-			for len(batch) < maxFrames && size < maxBytes {
-				select {
-				case more := <-s.out:
-					batch = append(batch, more)
-					size += len(more)
-				default:
-					size = maxBytes // queue empty: stop gathering
-				}
-			}
-			s.scratch = batch[:0]
-			buf := s.flushBuf[:0]
-			for _, p := range batch {
-				buf = wire.AppendPayloadBytes(buf, p)
-			}
-			s.flushBuf = buf
-			s.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-			if _, err := s.conn.Write(buf); err != nil {
-				s.conn.Close()
-				return
-			}
-			t.stats.FlushWrites.Add(1)
-			t.stats.FlushedFrames.Add(uint64(len(batch)))
-			t.stats.LastBatchFrames.Store(uint64(len(batch)))
-		}
-	}
-}
-
-// peer is one outbound link: a queue drained by a dial/redial writer that
-// coalesces queued frames into batched writes.
+// peer is one outbound link plus where to dial it.
 type peer struct {
+	link
 	addr string
 	// id is the peer's identity once learned (guarded by the transport's
 	// mutex; NoProcess until the peer's HELLO arrives).
-	id      core.ProcessID
-	out     chan []byte
-	quit    chan struct{}
-	stopped sync.Once
-	// inflight holds the payloads of a batch whose write failed when the
-	// connection broke; drain retries them first after the reconnect
-	// (only the writer goroutine touches it). Frames the remote had not
-	// yet read from its kernel buffer are still lost — the link is
-	// fair-lossy, not reliable — but requeuing the batch we were holding
-	// shrinks the loss window considerably (the protocols tolerate the
-	// duplicates a partially-delivered batch implies).
-	inflight [][]byte
-	// scratch and flushBuf are the writer's reusable batch state: the
-	// payload slice gathered per flush and the single buffer the whole
-	// batch is rendered into (length prefixes included) for its one
-	// conn.Write. Writer-goroutine-owned.
-	scratch  [][]byte
-	flushBuf []byte
+	id core.ProcessID
 }
 
-func (p *peer) stop() { p.stopped.Do(func() { close(p.quit) }) }
+// maxSpare caps the buffer capacity a link keeps between flushes: a burst
+// (a join snapshot, a backlog built while the connection was down) must
+// not stay pinned on every link it once passed through.
+const maxSpare = 64 << 10
 
-// send enqueues an encoded payload, dropping the oldest queued frame when
-// the queue is full (fair-lossy links; blocking would stall the sender's
-// protocol loop, which is worse than a lost message).
-func (p *peer) send(t *Transport, payload []byte) {
+// link is the sending half of one connection, shared by peers and client
+// sessions: frames already in wire form, appended back to back by any
+// goroutine, swapped out whole by the link's one writer goroutine.
+type link struct {
+	mu     sync.Mutex
+	buf    []byte // queued frames, length prefixes included, oldest first
+	frames int    // how many frames buf holds
+	// wake holds at most one token, "buf may hold frames": senders never
+	// block on it and the writer sleeps on it.
+	wake    chan struct{}
+	quit    chan struct{}
+	stopped sync.Once
+	// dirty is the loop goroutine's: frames went in this turn and the wake
+	// is still owed.
+	dirty bool
+	// batch and spare are the writer goroutine's (it alone writes
+	// batchFrames, under mu so that depth may read it). batch is what it
+	// swapped out of buf for the write in progress; a failed write leaves
+	// it there and the next connection resends it first, behind its HELLO.
+	// The kernel may have taken a prefix, so the remote can see duplicates,
+	// which the protocols tolerate (quorums dedupe by sender, merges are
+	// idempotent). spare is the last batch's buffer, the next swap's buf.
+	batch       []byte
+	batchFrames int
+	spare       []byte
+}
+
+func newLink() link {
+	return link{wake: make(chan struct{}, 1), quit: make(chan struct{})}
+}
+
+func (l *link) stop() { l.stopped.Do(func() { close(l.quit) }) }
+
+// push queues one encoded frame, first dropping the oldest queued frame
+// if the link already holds max of them (fair-lossy links; blocking would
+// stall the sender's protocol loop, which is worse than a lost message).
+// It reports whether it dropped one.
+func (l *link) push(frame []byte, max int) (dropped bool) {
+	l.mu.Lock()
+	if l.frames >= max {
+		l.buf = l.buf[:copy(l.buf, l.buf[wire.FrameSize(l.buf):])]
+		l.frames--
+		dropped = true
+	}
+	l.buf = append(l.buf, frame...)
+	l.frames++
+	l.mu.Unlock()
+	return dropped
+}
+
+// kick wakes the writer; a token already waiting covers this frame too.
+func (l *link) kick() {
 	select {
-	case <-p.quit:
-		return
+	case l.wake <- struct{}{}:
 	default:
 	}
-	select {
-	case p.out <- payload:
+}
+
+// depth reports how many frames are queued or in the writer's hands.
+func (l *link) depth() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.frames + l.batchFrames
+}
+
+// drain is the writer's life on one connection: HELLO first where asked
+// (a dialed connection: flushed alone, so the remote binds the link's
+// identity before protocol traffic arrives), then one flush per wake,
+// until the connection breaks or connDead closes (returns true: redial)
+// or the link or the transport stops (returns false). It closes conn on
+// the way out.
+func (l *link) drain(t *Transport, conn net.Conn, hello bool, connDead <-chan struct{}) bool {
+	defer conn.Close()
+	if hello {
+		b, err := wire.AppendFrameBytes(nil, t.helloFrame())
+		if err != nil {
+			return false
+		}
+		if !writeAll(conn, b) {
+			return true
+		}
 		t.stats.FramesSent.Add(1)
-	default:
+	}
+	for l.flush(t, conn) {
 		select {
-		case <-p.out:
-			t.stats.QueueDrops.Add(1)
-		default:
-		}
-		select {
-		case p.out <- payload:
-			t.stats.FramesSent.Add(1)
-		default:
-			t.stats.QueueDrops.Add(1)
+		case <-l.wake:
+		case <-l.quit:
+			return false
+		case <-t.quit:
+			return false
+		case <-connDead:
+			return true
 		}
 	}
+	return true
+}
+
+// flush hands every queued frame (or the batch a dead connection left
+// behind) to ONE conn.Write. It reports false when the write failed.
+func (l *link) flush(t *Transport, conn net.Conn) bool {
+	if l.batchFrames == 0 {
+		l.mu.Lock()
+		if l.frames > 0 {
+			l.batch, l.batchFrames = l.buf, l.frames
+			l.buf, l.frames, l.spare = l.spare, 0, nil
+		}
+		l.mu.Unlock()
+	}
+	if l.batchFrames == 0 {
+		return true
+	}
+	if !writeAll(conn, l.batch) {
+		return false
+	}
+	t.stats.FlushWrites.Add(1)
+	t.stats.FlushedFrames.Add(uint64(l.batchFrames))
+	t.stats.LastBatchFrames.Store(uint64(l.batchFrames))
+	if cap(l.batch) <= maxSpare {
+		l.spare = l.batch[:0]
+	}
+	l.mu.Lock()
+	l.batch, l.batchFrames = nil, 0
+	l.mu.Unlock()
+	return true
+}
+
+// writeAll writes b under a deadline, reporting whether all of it went.
+func writeAll(conn net.Conn, b []byte) bool {
+	conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
+	_, err := conn.Write(b)
+	return err == nil
 }
 
 // run is the peer's writer goroutine: dial (with backoff), handshake,
@@ -1335,94 +1458,8 @@ func (p *peer) run(t *Transport) {
 		connDead := make(chan struct{})
 		t.wg.Add(1)
 		go t.readConn(conn, p, false, func() { close(connDead) })
-		if !p.drain(t, conn, connDead) {
+		if !p.drain(t, conn, true, connDead) {
 			return
-		}
-	}
-}
-
-// drain writes HELLO, then coalesces queued frames into batched writes —
-// greedily pulling every ready frame up to the configured frame/byte
-// budget and flushing the whole batch in ONE conn.Write — until the
-// connection breaks (returns true: redial) or the peer stops (returns
-// false). HELLO always leads its connection: it is flushed alone, before
-// any requeued or freshly queued frame, so the remote binds the link's
-// identity before protocol traffic arrives.
-func (p *peer) drain(t *Transport, conn net.Conn, connDead <-chan struct{}) bool {
-	write := func(b []byte) bool {
-		conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-		if _, err := conn.Write(b); err != nil {
-			conn.Close()
-			return false
-		}
-		return true
-	}
-	hello, err := wire.EncodeFrame(t.helloFrame())
-	if err != nil || !write(wire.FrameBytes(hello)) {
-		return err == nil
-	}
-	t.stats.FramesSent.Add(1)
-
-	// flush renders batch into one buffer — length prefixes included —
-	// and writes it with a single syscall. On failure the whole batch is
-	// requeued: the kernel may have taken a prefix of it, so the remote
-	// can see duplicates after the redial, which the protocols tolerate
-	// (quorums dedupe by sender, merges are idempotent).
-	flush := func(batch [][]byte) bool {
-		buf := p.flushBuf[:0]
-		for _, payload := range batch {
-			buf = wire.AppendPayloadBytes(buf, payload)
-		}
-		p.flushBuf = buf
-		if !write(buf) {
-			p.inflight = append(p.inflight, batch...)
-			return false
-		}
-		t.stats.FlushWrites.Add(1)
-		t.stats.FlushedFrames.Add(uint64(len(batch)))
-		t.stats.LastBatchFrames.Store(uint64(len(batch)))
-		return true
-	}
-
-	// Retry the batch the previous connection died holding.
-	if len(p.inflight) > 0 {
-		batch := p.inflight
-		p.inflight = nil
-		if !flush(batch) {
-			return true
-		}
-	}
-	maxFrames, maxBytes := t.cfg.BatchFrames, t.cfg.BatchBytes
-	for {
-		select {
-		case <-p.quit:
-			conn.Close()
-			return false
-		case <-t.quit:
-			conn.Close()
-			return false
-		case <-connDead:
-			conn.Close()
-			return true
-		case payload := <-p.out:
-			// Greedily gather everything already queued, up to budget:
-			// under pipelined load the queue refills faster than the
-			// kernel takes writes, so most flushes carry many frames.
-			batch := append(p.scratch[:0], payload)
-			size := len(payload)
-			for len(batch) < maxFrames && size < maxBytes {
-				select {
-				case more := <-p.out:
-					batch = append(batch, more)
-					size += len(more)
-				default:
-					size = maxBytes // queue empty: stop gathering
-				}
-			}
-			p.scratch = batch[:0]
-			if !flush(batch) {
-				return true
-			}
 		}
 	}
 }

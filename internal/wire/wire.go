@@ -324,6 +324,13 @@ func FrameBytes(payload []byte) []byte {
 	return AppendPayloadBytes(make([]byte, 0, 4+len(payload)), payload)
 }
 
+// FrameSize reports how many bytes the first frame in b occupies, length
+// prefix included. b must start at a frame boundary and hold the prefix:
+// this is how a queue of rendered frames finds where its oldest one ends.
+func FrameSize(b []byte) int {
+	return 4 + int(binary.BigEndian.Uint32(b))
+}
+
 // WriteFrame encodes f and writes it with its length prefix in one Write
 // call, so concurrent writers interleave whole frames at worst never
 // partial ones (callers still serialize per connection).
