@@ -8,7 +8,14 @@
 // # Sessions
 //
 // A Client pools one pipelined TCP connection per server it talks to.
-// The handshake is a HELLO frame carrying wire.RoleClient, which the
+// Each is a link: callers append their encoded operations to the
+// connection's buffer and one writer goroutine hands whatever has
+// gathered there to a single conn.Write, so operations issued together
+// travel together (Stats.FramesSent over Stats.Flushes says how many).
+// One reader goroutine per connection resolves replies against that
+// connection's table of pending operations, and one sweep per client
+// fails the operations that outlive OpTimeout. Close waits for all of
+// them. The handshake is a HELLO frame carrying wire.RoleClient, which the
 // server answers with its own HELLO and a VIEW frame: the placement's
 // shard/replication constants plus the member address book. Placement
 // assignment is deterministic in the member ids (rendezvous hashing), so
@@ -100,7 +107,9 @@ type Config struct {
 	DialTimeout time.Duration
 	// OpTimeout bounds one operation attempt end to end (default 5s). A
 	// read that times out retries another replica within the same call; a
-	// write that times out is ambiguous and fails.
+	// write that times out is ambiguous and fails. Deadlines are checked
+	// eight times per OpTimeout, so an unanswered attempt fails between
+	// OpTimeout and nine eighths of it.
 	OpTimeout time.Duration
 	// MaxAttempts bounds routing attempts per operation (default 6).
 	MaxAttempts int
@@ -146,6 +155,11 @@ type Stats struct {
 	// Redials counts connection (re)establishments beyond each address's
 	// first.
 	Redials uint64
+	// Flushes counts conn.Write calls and FramesSent the frames they
+	// carried (operations, plus the HELLO and VIEW_REQ frames of the
+	// session): FramesSent/Flushes is how many frames a connection's
+	// writer found queued each time it ran.
+	Flushes, FramesSent uint64
 }
 
 // viewState is one adopted placement snapshot. Immutable once built;
@@ -171,6 +185,9 @@ type Client struct {
 	cfg   Config
 	opSeq atomic.Uint64
 	rr    atomic.Uint64
+	// epoch is what operation deadlines are measured from (a monotonic
+	// reading is cheaper to take and compare than a wall-clock time).
+	epoch time.Time
 
 	mu     sync.Mutex
 	conns  map[string]*serverConn
@@ -178,26 +195,15 @@ type Client struct {
 	viewCh chan struct{} // closed and replaced on every view adoption
 	closed bool
 
-	pmu     sync.Mutex
-	pending map[core.OpID]*pendingOp
+	// quit stops the sweep; wg counts it and every connection's reader
+	// and writer (added under mu, so Close's Wait sees them all).
+	quit chan struct{}
+	wg   sync.WaitGroup
 
 	stats struct {
 		reads, writes, retries, refreshes, ambiguous, redials atomic.Uint64
+		flushes, framesSent                                   atomic.Uint64
 	}
-}
-
-// pendingOp is one in-flight operation awaiting its FORWARDED reply.
-type pendingOp struct {
-	ch   chan opOutcome
-	conn *serverConn
-}
-
-// opOutcome is how a pending op resolves: a real reply, or broken=true
-// when the connection died with the op in flight (the frame was sent, no
-// answer will come — ambiguous for writes).
-type opOutcome struct {
-	msg    core.ForwardedMsg
-	broken bool
 }
 
 // errNotSent marks an attempt whose frame provably never left the
@@ -209,10 +215,6 @@ var errNotSent = errors.New("client: frame not sent")
 // writes.
 var errMaybeSent = errors.New("client: frame sent, no reply")
 
-// errConnBroken is the generic broken-connection failure for dials and
-// handshakes (nothing operation-bearing was in flight).
-var errConnBroken = errors.New("client: connection broken")
-
 // Dial connects to the seeds and returns a ready Client: at least one
 // seed must complete the view handshake within DialTimeout.
 func Dial(cfg Config) (*Client, error) {
@@ -220,11 +222,14 @@ func Dial(cfg Config) (*Client, error) {
 		return nil, err
 	}
 	c := &Client{
-		cfg:     cfg,
-		conns:   make(map[string]*serverConn),
-		viewCh:  make(chan struct{}),
-		pending: make(map[core.OpID]*pendingOp),
+		cfg:    cfg,
+		epoch:  time.Now(),
+		conns:  make(map[string]*serverConn),
+		viewCh: make(chan struct{}),
+		quit:   make(chan struct{}),
 	}
+	c.wg.Add(1)
+	go c.sweepLoop()
 	deadline := time.Now().Add(cfg.DialTimeout)
 	var lastErr error
 	for _, seed := range cfg.Seeds {
@@ -243,22 +248,19 @@ func Dial(cfg Config) (*Client, error) {
 	return nil, ErrNoView
 }
 
-// Close tears down every connection. In-flight operations fail.
+// Close tears down every connection and returns once every goroutine the
+// client started has exited. In-flight operations fail.
 func (c *Client) Close() {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return
-	}
-	c.closed = true
-	conns := make([]*serverConn, 0, len(c.conns))
-	for _, sc := range c.conns {
-		conns = append(conns, sc)
+	if !c.closed {
+		c.closed = true
+		close(c.quit)
+		for _, sc := range c.conns {
+			sc.hangUp()
+		}
 	}
 	c.mu.Unlock()
-	for _, sc := range conns {
-		sc.close()
-	}
+	c.wg.Wait()
 }
 
 // Stats snapshots the client's counters.
@@ -270,6 +272,8 @@ func (c *Client) Stats() Stats {
 		Refreshes:       c.stats.refreshes.Load(),
 		AmbiguousWrites: c.stats.ambiguous.Load(),
 		Redials:         c.stats.redials.Load(),
+		Flushes:         c.stats.flushes.Load(),
+		FramesSent:      c.stats.framesSent.Load(),
 	}
 }
 
@@ -475,38 +479,24 @@ func (c *Client) anyMember(vs *viewState, salt int) (string, core.ProcessID, boo
 	return vs.addrs[id], id, true
 }
 
-// roundTrip registers the op, sends its FORWARD on sc, and waits for the
-// FORWARDED reply. Failures keep the distinction the write ambiguity
-// contract turns on: errNotSent (provably never left — clean) versus
-// errMaybeSent (sent or partially sent, no answer — ambiguous if it was
-// a write).
+// roundTrip queues the op's FORWARD on sc and waits for whoever takes the
+// op out of the connection's pending table to say how it ended: the
+// reader with the FORWARDED reply, the sweep with a timeout, the writer
+// with the connection's death. Failures keep the distinction the write
+// ambiguity contract turns on: errNotSent (provably never left — clean)
+// versus errMaybeSent (sent or partially sent, no answer — ambiguous if
+// it was a write).
 func (c *Client) roundTrip(sc *serverConn, m core.ForwardMsg) (core.ForwardedMsg, error) {
-	op := &pendingOp{ch: make(chan opOutcome, 1), conn: sc}
-	c.pmu.Lock()
-	c.pending[m.Op] = op
-	c.pmu.Unlock()
-	defer func() {
-		c.pmu.Lock()
-		delete(c.pending, m.Op)
-		c.pmu.Unlock()
-	}()
-	if err := sc.writeFrame(wire.Frame{Type: wire.FrameMsg, Msg: m}); err != nil {
-		if !err.sent {
-			return core.ForwardedMsg{}, errNotSent
-		}
-		return core.ForwardedMsg{}, errMaybeSent
+	op := opPool.Get().(*pendingOp)
+	op.id = m.Op
+	op.deadline = time.Since(c.epoch) + c.cfg.OpTimeout
+	if !sc.send(wire.Frame{Type: wire.FrameMsg, Msg: m}, op) {
+		opPool.Put(op)
+		return core.ForwardedMsg{}, errNotSent
 	}
-	timer := time.NewTimer(c.cfg.OpTimeout)
-	defer timer.Stop()
-	select {
-	case out := <-op.ch:
-		if out.broken {
-			return core.ForwardedMsg{}, errMaybeSent
-		}
-		return out.msg, nil
-	case <-timer.C:
-		return core.ForwardedMsg{}, errMaybeSent
-	}
+	out := <-op.done
+	opPool.Put(op)
+	return out.msg, out.err
 }
 
 // refreshAndWait asks for a fresh view and briefly waits for one newer
@@ -526,7 +516,7 @@ func (c *Client) refreshAndWait(stale *viewState) {
 		return // already newer than what the caller routed on
 	}
 	if any != nil {
-		any.writeFrame(wire.Frame{Type: wire.FrameViewReq})
+		any.send(wire.Frame{Type: wire.FrameViewReq}, nil)
 	} else {
 		// Every pooled connection is dead: re-bootstrap from the seeds
 		// (plus the last known membership) — dialing adopts the VIEW the
@@ -654,11 +644,10 @@ func (c *Client) getConn(addr string) (*serverConn, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := &serverConn{addr: addr, conn: conn, done: make(chan struct{})}
-	if werr := sc.writeFrame(wire.Frame{Type: wire.FrameHello, Role: wire.RoleClient}); werr != nil {
-		conn.Close()
-		return nil, errConnBroken
-	}
+	sc := newServerConn(c, addr, conn)
+	// The HELLO waits in the buffer for the writer: it leads the session's
+	// first write, whatever else is queued by then.
+	sc.send(wire.Frame{Type: wire.FrameHello, Role: wire.RoleClient}, nil)
 
 	c.mu.Lock()
 	if c.closed {
@@ -673,59 +662,11 @@ func (c *Client) getConn(addr string) (*serverConn, error) {
 		return cur, nil
 	}
 	c.conns[addr] = sc
+	c.wg.Add(2)
 	c.mu.Unlock()
-	go c.readLoop(sc)
+	go sc.readLoop()
+	go sc.writeLoop()
 	return sc, nil
-}
-
-// readLoop drains one connection: op replies resolve pending ops, VIEW
-// frames refresh the cache. On exit every pending op that was sent on
-// this connection fails errConnBroken.
-func (c *Client) readLoop(sc *serverConn) {
-	defer sc.close()
-	defer c.failPending(sc)
-	scn := wire.NewScanner(sc.conn)
-	for {
-		f, err := scn.Next()
-		if err != nil {
-			return
-		}
-		switch f.Type {
-		case wire.FrameMsg:
-			if fm, ok := f.Msg.(core.ForwardedMsg); ok {
-				c.pmu.Lock()
-				op := c.pending[fm.Op]
-				c.pmu.Unlock()
-				if op != nil {
-					select {
-					case op.ch <- opOutcome{msg: fm}:
-					default:
-					}
-				}
-			}
-		case wire.FrameView:
-			c.adoptView(sc.addr, f)
-		case wire.FrameHello:
-			// The server naming itself; nothing to record — replies carry
-			// the serving id per op.
-		}
-	}
-}
-
-// failPending resolves every op still pending on a dead connection with
-// the broken outcome — deliberately NOT a refusal: a refusal promises
-// "not applied, safe to retry", which a vanished server cannot promise.
-func (c *Client) failPending(sc *serverConn) {
-	c.pmu.Lock()
-	for _, op := range c.pending {
-		if op.conn == sc {
-			select {
-			case op.ch <- opOutcome{broken: true}:
-			default:
-			}
-		}
-	}
-	c.pmu.Unlock()
 }
 
 // sleep pauses between retries (a plain sleep: retry pacing needs no
@@ -741,65 +682,4 @@ func nextBackoff(d time.Duration) time.Duration {
 		d = 250 * time.Millisecond
 	}
 	return d
-}
-
-// writeErr distinguishes "the frame may have (partially or fully) left"
-// from "provably never sent" — the bit the write ambiguity contract
-// turns on.
-type writeErr struct {
-	err  error
-	sent bool
-}
-
-func (e *writeErr) Error() string { return e.err.Error() }
-
-// serverConn is one pooled connection: concurrent op senders serialize
-// frame writes under a mutex; one readLoop goroutine owns reads.
-type serverConn struct {
-	addr string
-	conn net.Conn
-	wmu  sync.Mutex
-	done chan struct{}
-	once sync.Once
-}
-
-func (s *serverConn) close() {
-	s.once.Do(func() {
-		close(s.done)
-		s.conn.Close()
-	})
-}
-
-func (s *serverConn) alive() bool {
-	select {
-	case <-s.done:
-		return false
-	default:
-		return true
-	}
-}
-
-// writeFrame encodes and writes one frame (length prefix included) in a
-// single Write call, using a pooled buffer. Returns nil or a *writeErr
-// whose sent flag reports whether any byte may have left.
-func (s *serverConn) writeFrame(f wire.Frame) *writeErr {
-	if !s.alive() {
-		return &writeErr{err: errConnBroken, sent: false}
-	}
-	buf := wire.GetBuffer()
-	defer wire.PutBuffer(buf)
-	b, err := wire.AppendFrameBytes((*buf)[:0], f)
-	if err != nil {
-		return &writeErr{err: err, sent: false}
-	}
-	*buf = b
-	s.wmu.Lock()
-	s.conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	n, werr := s.conn.Write(b)
-	s.wmu.Unlock()
-	if werr != nil {
-		s.close()
-		return &writeErr{err: werr, sent: n > 0}
-	}
-	return nil
 }

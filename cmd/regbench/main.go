@@ -17,7 +17,8 @@
 //
 //	regbench -mode http -api 127.0.0.1:8001 -rate 2000 -ops 10000
 //
-// Both print an open-loop latency report (JSON) to stdout.
+// Both print an open-loop latency report (JSON) to stdout; the wire mode
+// adds, on stderr, how many frames each of the client's writes carried.
 //
 // The comparison mode spawns its own sharded regserve cluster, runs the
 // naive HTTP path and the smart wire path against it (closed-loop
@@ -134,17 +135,19 @@ func run(args []string, out, errW io.Writer) error {
 	if cfg.compare {
 		return runCompare(cfg, out)
 	}
-	return runOpenLoop(cfg, out)
+	return runOpenLoop(cfg, out, errW)
 }
 
 // runOpenLoop fires the open-loop workload at an existing cluster and
-// prints the latency report.
-func runOpenLoop(cfg *benchConfig, out io.Writer) error {
+// prints the latency report to out; in wire mode, how the client's
+// connections coalesced the run goes to errW beside it.
+func runOpenLoop(cfg *benchConfig, out, errW io.Writer) error {
 	var do benchclient.OpFunc
+	var c *client.Client
 	switch cfg.mode {
 	case "wire":
-		c, err := client.Dial(client.Config{Seeds: cfg.seeds})
-		if err != nil {
+		var err error
+		if c, err = client.Dial(client.Config{Seeds: cfg.seeds}); err != nil {
 			return fmt.Errorf("dialing %v: %w", cfg.seeds, err)
 		}
 		defer c.Close()
@@ -167,9 +170,21 @@ func runOpenLoop(cfg *benchConfig, out io.Writer) error {
 		return err
 	}
 	res.Mix = benchclient.Mix{Name: cfg.mode, WriteFraction: cfg.writeFrac}
+	if c != nil {
+		fmt.Fprintln(errW, framesPerFlush(c.Stats()))
+	}
 	enc := json.NewEncoder(out)
 	enc.SetIndent("", "  ")
 	return enc.Encode(res)
+}
+
+// framesPerFlush renders how many frames each conn.Write of the client
+// carried: 1 means every operation paid its own write, more means
+// operations issued together left together. A dialled client has flushed
+// its HELLO at least.
+func framesPerFlush(s client.Stats) string {
+	return fmt.Sprintf("client: %d frames in %d writes, %.2f frames per flush",
+		s.FramesSent, s.Flushes, float64(s.FramesSent)/float64(s.Flushes))
 }
 
 // httpOp is the naive per-op HTTP path (mode http).

@@ -4,6 +4,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"churnreg/client"
 )
 
 func TestParseFlagsValidates(t *testing.T) {
@@ -47,5 +49,11 @@ func TestParseFlagsSeedsList(t *testing.T) {
 	}
 	if len(cfg.seeds) != 3 || cfg.seeds[0] != "a:1" || cfg.seeds[1] != "b:2" || cfg.seeds[2] != "c:3" {
 		t.Fatalf("seeds = %q", cfg.seeds)
+	}
+}
+
+func TestFramesPerFlush(t *testing.T) {
+	if got := framesPerFlush(client.Stats{FramesSent: 700, Flushes: 100}); !strings.Contains(got, "7.00 frames per flush") {
+		t.Fatalf("700 frames in 100 writes rendered as %q", got)
 	}
 }

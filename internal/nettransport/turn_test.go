@@ -93,6 +93,13 @@ func attachPeer(tr *Transport, id core.ProcessID, conn net.Conn) *peer {
 		defer tr.wg.Done()
 		p.drain(tr, conn, false, nil)
 	}()
+	// drain flushes once on entry, whenever its goroutine first runs: a
+	// late start would take part of a turn's frames in a write of its own.
+	// A wake that has been consumed means the writer is past that flush.
+	p.kick()
+	for len(p.wake) > 0 {
+		time.Sleep(50 * time.Microsecond)
+	}
 	return p
 }
 
