@@ -293,9 +293,10 @@ func TestAPIReadReportsServer(t *testing.T) {
 }
 
 // TestAPITransportAndReadPathMetrics: the wire-level hot-path series
-// (coalescing factor, batch gauge, backpressure counters, loop turns) and
-// the quorum read fast/slow split render on /metrics with the values the
-// backend reports.
+// (coalescing factor, batch gauge, backpressure counters, the monitor's
+// turns and its flushes) and the quorum read fast/slow split render on
+// /metrics with the values the backend reports — every name a scraper
+// (bench/ among them) already knows, unchanged.
 func TestAPITransportAndReadPathMetrics(t *testing.T) {
 	b := newFakeBackend()
 	b.stats.FlushWrites.Store(10)
@@ -306,6 +307,8 @@ func TestAPITransportAndReadPathMetrics(t *testing.T) {
 	b.stats.LoopTurns.Store(7)
 	b.stats.LoopTasks.Store(91)
 	b.stats.SelfDeliveries.Store(40)
+	b.stats.InlineFlushes.Store(9)
+	b.stats.FlushHandoffs.Store(1)
 	srv := newTestAPI(t, b)
 	status, body := get(t, srv.URL+"/metrics")
 	if status != 200 {
@@ -320,6 +323,8 @@ func TestAPITransportAndReadPathMetrics(t *testing.T) {
 		"regserve_transport_loop_turns_total 7",
 		"regserve_transport_loop_tasks_total 91",
 		"regserve_transport_self_deliveries_total 40",
+		"regserve_transport_inline_flushes_total 9",
+		"regserve_transport_flush_handoffs_total 1",
 		`regserve_read_path_total{path="fast"} 5`,
 		`regserve_read_path_total{path="slow"} 2`,
 	} {

@@ -92,7 +92,6 @@ type serverConfig struct {
 	replication int
 	evictAfter  time.Duration
 	queueLen    int
-	mailboxLen  int
 	pprof       bool
 }
 
@@ -116,7 +115,6 @@ func parseFlags(args []string, errW io.Writer) (*serverConfig, error) {
 		replication = fs.Int("replication", 3, "replica group size per shard (with -shards; must match across the whole system)")
 		evictAfter  = fs.Duration("evict-after", 15*time.Second, "drop a peer whose dials have failed continuously for this long (sharded clusters under churn want this low — placement heals only after eviction)")
 		queueLen    = fs.Int("queue", 0, "per-peer outbound frame queue capacity (0 = transport default of 512); overflow drops the oldest frame")
-		mailboxLen  = fs.Int("mailbox", 0, "event-loop mailbox capacity (0 = transport default of 512); a full mailbox stalls producers (see regserve_transport_mailbox_stalls_total)")
 		pprofFlag   = fs.Bool("pprof", false, "serve net/http/pprof under /debug/pprof on the API address (profiling a live cluster)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -148,10 +146,10 @@ func parseFlags(args []string, errW io.Writer) (*serverConfig, error) {
 		n: *n, delta: *delta, tick: *tick, bootstrap: *bootstrap,
 		initial: *initial, opTimeout: *opTimeout, verbose: *verbose,
 		shards: *shards, replication: *replication, evictAfter: *evictAfter,
-		queueLen: *queueLen, mailboxLen: *mailboxLen, pprof: *pprofFlag,
+		queueLen: *queueLen, pprof: *pprofFlag,
 	}
-	if cfg.queueLen < 0 || cfg.mailboxLen < 0 {
-		return nil, fmt.Errorf("-queue and -mailbox must be >= 0 (got %d, %d)", cfg.queueLen, cfg.mailboxLen)
+	if cfg.queueLen < 0 {
+		return nil, fmt.Errorf("-queue must be >= 0 (got %d)", cfg.queueLen)
 	}
 	for _, p := range strings.Split(*peers, ",") {
 		if p = strings.TrimSpace(p); p != "" {
@@ -210,7 +208,6 @@ func run(args []string, out, errW io.Writer) error {
 		Initial:    core.VersionedValue{Val: core.Value(cfg.initial), SN: 0},
 		EvictAfter: cfg.evictAfter,
 		QueueLen:   cfg.queueLen,
-		MailboxLen: cfg.mailboxLen,
 		Placement:  placement.Config{Shards: cfg.shards, Replication: cfg.replication},
 		Logf:       logf,
 	})
@@ -272,7 +269,7 @@ type backend interface {
 	// replication factor); total is 0 when the keyspace is unsharded.
 	ShardInfo() (shards, owned, replication int)
 	// Stats exposes the transport's wire-level counters (coalescing
-	// factor, batch gauge, queue drops, mailbox stalls) for /metrics.
+	// factor, batch gauge, queue drops, monitor stalls) for /metrics.
 	Stats() *nettransport.Stats
 }
 
@@ -337,7 +334,8 @@ func (a *api) metrics(w http.ResponseWriter, r *http.Request) {
 
 // writeTransportMetrics renders the wire-level hot-path counters: the
 // coalescing factor (frames per frame-carrying write syscall), the latest
-// batch size, the backpressure counters, and the event loop's turns.
+// batch size, the backpressure counters, and the monitor's turns and
+// flushes.
 func (a *api) writeTransportMetrics(w http.ResponseWriter) {
 	st := a.tr.Stats()
 	if st == nil {
@@ -352,38 +350,43 @@ func (a *api) writeTransportMetrics(w http.ResponseWriter) {
 	fmt.Fprintf(w, "# HELP regserve_transport_flushed_frames_total Frames written to peers and client sessions by coalesced flushes.\n")
 	fmt.Fprintf(w, "# TYPE regserve_transport_flushed_frames_total counter\n")
 	fmt.Fprintf(w, "regserve_transport_flushed_frames_total %d\n", st.FlushedFrames.Load())
-	fmt.Fprintf(w, "# HELP regserve_transport_mailbox_stalls_total Enqueues that found the event-loop mailbox full and waited.\n")
+	fmt.Fprintf(w, "# HELP regserve_transport_mailbox_stalls_total Producers (connection readers, timers, API calls) that found the node's monitor held and waited for it.\n")
 	fmt.Fprintf(w, "# TYPE regserve_transport_mailbox_stalls_total counter\n")
 	fmt.Fprintf(w, "regserve_transport_mailbox_stalls_total %d\n", st.MailboxStalls.Load())
-	fmt.Fprintf(w, "# HELP regserve_transport_queue_drops_total Frames dropped on full per-link queues (fair-lossy links).\n")
+	fmt.Fprintf(w, "# HELP regserve_transport_queue_drops_total Frames dropped, oldest first, on full per-link queues.\n")
 	fmt.Fprintf(w, "# TYPE regserve_transport_queue_drops_total counter\n")
 	fmt.Fprintf(w, "regserve_transport_queue_drops_total %d\n", st.QueueDrops.Load())
-	fmt.Fprintf(w, "# HELP regserve_transport_loop_turns_total Event-loop turns; each link that got frames in a turn is flushed once at its end.\n")
+	fmt.Fprintf(w, "# HELP regserve_transport_loop_turns_total Turns of the node's monitor; each link that got frames in a turn is flushed once at its end.\n")
 	fmt.Fprintf(w, "# TYPE regserve_transport_loop_turns_total counter\n")
 	fmt.Fprintf(w, "regserve_transport_loop_turns_total %d\n", st.LoopTurns.Load())
-	fmt.Fprintf(w, "# HELP regserve_transport_loop_tasks_total Mailbox tasks the event loop ran; tasks per turn is the batching a turn achieves.\n")
+	fmt.Fprintf(w, "# HELP regserve_transport_loop_tasks_total Tasks (frames, timers, API calls) the monitor's turns ran; tasks per turn is the batching a turn achieves.\n")
 	fmt.Fprintf(w, "# TYPE regserve_transport_loop_tasks_total counter\n")
 	fmt.Fprintf(w, "regserve_transport_loop_tasks_total %d\n", st.LoopTasks.Load())
-	fmt.Fprintf(w, "# HELP regserve_transport_self_deliveries_total Messages the node addressed to itself, delivered by the loop without touching the mailbox.\n")
+	fmt.Fprintf(w, "# HELP regserve_transport_self_deliveries_total Messages the node addressed to itself, delivered within the turn that sent them.\n")
 	fmt.Fprintf(w, "# TYPE regserve_transport_self_deliveries_total counter\n")
 	fmt.Fprintf(w, "regserve_transport_self_deliveries_total %d\n", st.SelfDeliveries.Load())
+	fmt.Fprintf(w, "# HELP regserve_transport_inline_flushes_total Non-blocking writes made at the end of a turn by the goroutine that ran it.\n")
+	fmt.Fprintf(w, "# TYPE regserve_transport_inline_flushes_total counter\n")
+	fmt.Fprintf(w, "regserve_transport_inline_flushes_total %d\n", st.InlineFlushes.Load())
+	fmt.Fprintf(w, "# HELP regserve_transport_flush_handoffs_total Inline flushes the socket cut short or refused; the link's writer took the remainder.\n")
+	fmt.Fprintf(w, "# TYPE regserve_transport_flush_handoffs_total counter\n")
+	fmt.Fprintf(w, "regserve_transport_flush_handoffs_total %d\n", st.FlushHandoffs.Load())
 }
 
 // writeReadPathMetrics renders the quorum-read fast/slow split for
 // protocols that track it (abd's one-round fast path). The counts live on
-// the node, so they are fetched through one loop round-trip; a node too
-// busy to answer promptly just omits the series this scrape.
+// the node, so they are fetched through one turn of its monitor; a node
+// too busy to answer promptly just omits the series this scrape.
 func (a *api) writeReadPathMetrics(w http.ResponseWriter) {
 	type counts struct {
 		fast, slow uint64
 		tracked    bool
 	}
 	done := make(chan counts, 1)
-	// The timeout must bound the WHOLE fetch, including the Invoke
-	// enqueue itself (a full mailbox blocks it), so Invoke runs on its
-	// own goroutine; its channel send is buffered and its wait ends when
-	// the transport stops, so the goroutine never outlives a slow loop
-	// by more than that.
+	// The timeout must bound the WHOLE fetch, including Invoke's wait for
+	// the monitor, so Invoke runs on its own goroutine; its channel send
+	// is buffered and its wait ends when the transport stops, so the
+	// goroutine never outlives a busy node by more than that.
 	go func() {
 		err := a.tr.Invoke(func(n core.Node) {
 			c, ok := n.(core.ReadPathCounter)
@@ -423,8 +426,8 @@ type forwardCounter interface {
 // node could not serve locally and forwarded to a replica (the cost a
 // placement-aware client avoids by routing direct — under a smart client
 // regserve_forward_total stays ≈0), plus the receiving side (forwards
-// this node served or refused). Fetched through one loop round-trip like
-// the read-path series.
+// this node served or refused). Fetched through one turn of the monitor
+// like the read-path series.
 func (a *api) writeForwardMetrics(w http.ResponseWriter) {
 	done := make(chan *shard.Stats, 1)
 	go func() {

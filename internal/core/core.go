@@ -173,7 +173,8 @@ type Env interface {
 	// of a Broadcast) arrives asynchronously — after the handler that sent
 	// it has returned, never from inside Send — and within δ; a runtime
 	// may deliver it with no delay at all, since a process's message to
-	// itself crosses no network.
+	// itself crosses no network (nettransport does: the goroutine that
+	// ran the handler delivers it next, before it lets go of the node).
 	Send(to ProcessID, m Message)
 	// Broadcast disseminates m through the broadcast service of §3.2/§5.1.
 	Broadcast(m Message)

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"churnreg/internal/core"
-	"churnreg/internal/esyncreg"
 	"churnreg/internal/wire"
 )
 
@@ -261,36 +260,23 @@ func TestDrainHelloPrecedesRequeuedFrames(t *testing.T) {
 	wantMsgs(t, got[1:], msgs)
 }
 
-func TestMailboxStallCounted(t *testing.T) {
-	tr, err := New(Config{
-		ID:         1,
-		ListenAddr: "127.0.0.1:0",
-		N:          3,
-		Delta:      5,
-		Factory:    esyncreg.Factory(esyncreg.Options{}),
-		Bootstrap:  true,
-		MailboxLen: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestMonitorStallCounted: a producer that finds the node's monitor held
+// waits for it, and is counted — the question MailboxStalls always asked,
+// "did work wait for the node".
+func TestMonitorStallCounted(t *testing.T) {
+	tr, _ := newProbeTransport(t, nil, nil)
+	if err := tr.Invoke(func(core.Node) {}); err != nil || tr.stats.MailboxStalls.Load() != 0 {
+		t.Fatalf("Invoke on an idle node: err %v, %d stalls", err, tr.stats.MailboxStalls.Load())
 	}
-	defer tr.Close()
-	// The loop is not running (no Start), so the first enqueue fills the
-	// 1-slot mailbox and the second stalls until Close releases it.
-	tr.enqueue(func() {})
-	released := make(chan struct{})
-	go func() {
-		tr.enqueue(func() {})
-		close(released)
-	}()
-	deadline := time.After(5 * time.Second)
-	for tr.stats.MailboxStalls.Load() == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("mailbox stall never counted")
-		case <-time.After(time.Millisecond):
-		}
+	ran := make(chan struct{})
+	tr.lock() // somebody's turn
+	go tr.Invoke(func(core.Node) { close(ran) })
+	waitFor(t, "the stall to be counted", func() bool { return tr.stats.MailboxStalls.Load() == 1 })
+	select {
+	case <-ran:
+		t.Fatal("a closure ran beside another producer's turn")
+	default:
 	}
-	tr.Close()
-	<-released
+	tr.unlock()
+	<-ran
 }

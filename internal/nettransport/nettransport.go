@@ -27,45 +27,58 @@
 //
 // # Reliability
 //
-// Each known peer has a dedicated outbound link drained by a writer
-// goroutine that dials, redials with backoff, and re-sends HELLO after
-// every reconnect. Frames queued while the connection is down wait on the
-// link (bounded; overflow drops the oldest-queued frame and counts it —
-// the paper's channels are fair-lossy, and both protocols tolerate loss
-// of individual messages). The paper's broadcast primitive guarantees
-// delivery to every process present at the broadcast; for the one message
-// where late delivery changes correctness — a joiner's INQUIRY — the
-// transport replays the broadcast to peers learned while the join is
+// The paper's network neither loses, creates, nor modifies messages; a
+// message is lost only when its destination has left. Each known peer has
+// an outbound link whose writer goroutine dials, redials with backoff and
+// re-sends HELLO after every reconnect; frames queued while the connection
+// is down wait on the link. The link is bounded, and today's overflow
+// policy drops the oldest-queued frame and counts it (Stats.QueueDrops)
+// even on a healthy connection — weaker than the paper's channel: the
+// quorum protocols absorb it, the synchronous one does not, and ROADMAP 2a
+// narrows it to links whose destination may truly have left. For the one
+// message where late delivery changes correctness — a joiner's INQUIRY —
+// the transport replays the broadcast to peers learned while the join is
 // still in progress, so discovering the membership and inquiring over it
 // are not racy.
 //
 // # Concurrency
 //
-// The node's handlers run only on the process's loop goroutine, which
-// works in turns. A turn takes a task from the mailbox (a received
-// message, a fired timer, a client operation) and runs it; every message
-// the node addressed to itself meanwhile sits in a FIFO only the loop
-// touches and is delivered next — after the handler that sent it has
-// returned, so never re-entrantly; before the next mailbox task; never
-// through the mailbox, so a full mailbox cannot wedge the loop; and
-// without a timer, a lock or a goroutine, because a process's message to
-// itself costs no message delay (it is still asynchronous, which is all
-// core.Env promises). The turn goes on while the mailbox has work, up to
-// turnTasks steps, and ends by waking, once, the writer of every link it
-// queued frames on: one flush per link per turn.
+// The node is a monitor: one mutex owns it, and whoever brings it work
+// runs that work — a connection's reader the frames it read, a timer's
+// goroutine its After callback, the caller of Invoke its closure — so
+// nothing the node does waits to be scheduled. Work goes in turns. A turn
+// runs a task and then every message the node addressed to itself
+// meanwhile, from a FIFO the monitor owns: after the handler that sent it
+// has returned, so never re-entrantly; before the next task; with no timer
+// or goroutine, because a process's message to itself costs no message
+// delay (it is still asynchronous, which is all core.Env promises). A
+// reader stays for every whole frame already in its scanner's buffer —
+// what the remote flushed together. When the producer has nothing more, or
+// after turnTasks steps, the turn ends: each link it queued frames on is
+// flushed, once, and the monitor released — between two turns of one
+// producer too, so a node that keeps messaging itself starves nobody.
 //
 // A link (a peer's dialed connection, or a client session's accepted one)
-// owns a mutex-guarded append buffer of encoded frames and a one-slot
-// wake. Senders encode a message once and append the bytes to each
-// destination link; the link's writer goroutine swaps the buffer out and
-// hands it to one conn.Write, so neither the loop nor any other sender
-// ever blocks on a socket. The node reaches this through loopEnv, the
-// core.Env its factory was given, which may assume the loop goroutine;
-// the exported Send, Broadcast and Invoke are safe from any goroutine,
-// post self-addressed messages to the mailbox and wake links at once.
-// Destinations are looked up in an immutable table republished whenever
-// the address book or the session set changes; the address book itself
-// and the connection set are guarded by one mutex.
+// owns a mutex-guarded append buffer of encoded frames; senders encode a
+// message once and append the bytes to each destination link. The flush
+// that ends a turn is ONE non-blocking write on the link's live
+// connection: a handler's goroutine never parks on a socket, or two nodes
+// with full buffers would wait for each other to read. All else is the
+// link's writer goroutine, the only blocking writer and the slow path of
+// the same flush: dial, HELLO, redial, a connection that is not a
+// syscall.Conn, frames queued outside the monitor, and what a short write
+// or EAGAIN left. The batch in flight keeps an offset that holds on the
+// live connection only; when that dies the next one carries HELLO, then
+// the batch from its first byte, a frame boundary: the remote may see a
+// frame twice, never the tail of one.
+//
+// The node reaches this through loopEnv, the core.Env its factory got,
+// which assumes the monitor held. The exported Send, Broadcast and Invoke
+// are for every other goroutine; inside a handler they would wait for the
+// monitor their own goroutine holds, which is illegal (tests make it a
+// panic: Transport.goid). Lock order: monitor → link.wmu (only tried) →
+// link.mu, and monitor → Transport.mu, which guards the address book and
+// the connection set and under which no lock is taken, never the monitor.
 package nettransport
 
 import (
@@ -125,13 +138,8 @@ type Config struct {
 	HandshakeWait time.Duration
 	// QueueLen is how many frames one link (a peer, or a client session)
 	// may hold queued (default 512; regserve -queue). Overflow drops the
-	// oldest-queued frame (the links are fair-lossy) and counts it in
-	// Stats.QueueDrops.
+	// oldest-queued frame and counts it in Stats.QueueDrops.
 	QueueLen int
-	// MailboxLen is the capacity of the process's event-loop mailbox
-	// (default 512; regserve -mailbox). A full mailbox makes enqueuers
-	// wait and counts a Stats.MailboxStalls.
-	MailboxLen int
 	// EvictAfter drops a peer whose dials have failed continuously for
 	// this long (default 15s). Graceful departures announce themselves
 	// with LEAVE, but that frame is best-effort (the leaver's links may
@@ -147,7 +155,7 @@ type Config struct {
 	// rebuilds the placement view from its identified address book (plus
 	// itself) whenever a peer is learned, leaves, or is evicted, exposes
 	// it to the protocol via core.Placed, and notifies the node (the
-	// internal/shard wrapper) on its loop. Pair with a shard.Factory-
+	// internal/shard wrapper) under the monitor. Pair with a shard.Factory-
 	// wrapped Factory; every process of one system must agree on the
 	// Shards/Replication numbers (like N, they are deployment constants).
 	Placement placement.Config
@@ -178,9 +186,6 @@ func (c *Config) fillDefaults() error {
 	if c.QueueLen <= 0 {
 		c.QueueLen = 512
 	}
-	if c.MailboxLen <= 0 {
-		c.MailboxLen = 512
-	}
 	if c.EvictAfter <= 0 {
 		c.EvictAfter = 15 * time.Second
 	}
@@ -202,23 +207,29 @@ type Stats struct {
 	SendUnknown    atomic.Uint64 // sends to ids with no address-book entry
 	Reconnects     atomic.Uint64 // successful dials beyond a peer's first
 	DecodeErrors   atomic.Uint64
-	// FlushWrites counts frame-carrying conn.Write calls issued by link
-	// writers; FlushedFrames counts the frames those writes carried. Their
-	// ratio (FramesPerWrite) is the coalescing factor: 1.0 means every
-	// frame paid its own syscall, higher means the turn is amortizing.
+	// FlushWrites counts the writes that carried frames to a connection,
+	// from a turn's end or from a link's writer; FlushedFrames counts the
+	// frames they carried. Their ratio (FramesPerWrite) is the coalescing
+	// factor: 1.0 means every frame paid its own syscall, higher means the
+	// turn is amortizing.
 	FlushWrites   atomic.Uint64
 	FlushedFrames atomic.Uint64
+	// InlineFlushes counts the non-blocking writes that ended turns, made
+	// by the goroutine that ran the turn; FlushHandoffs those the socket cut
+	// short or refused, leaving the rest of the batch to the link's writer.
+	InlineFlushes atomic.Uint64
+	FlushHandoffs atomic.Uint64
 	// LastBatchFrames is a gauge: the frame count of the most recently
 	// flushed batch.
 	LastBatchFrames atomic.Uint64
-	// MailboxStalls counts enqueues that found the event-loop mailbox full
-	// and had to wait — sustained growth means the loop is the bottleneck
-	// (raise -mailbox, or shed load).
+	// MailboxStalls counts producers that found the node's monitor held
+	// and had to wait for it — work that waited for the node; sustained
+	// growth means the node is the bottleneck (shed load).
 	MailboxStalls atomic.Uint64
-	// LoopTurns counts event-loop turns and LoopTasks the mailbox tasks
-	// they ran: tasks per turn is the batching a turn achieves (each link
-	// is flushed once per turn). SelfDeliveries counts messages the node
-	// addressed to itself, delivered from the loop's own FIFO.
+	// LoopTurns counts the monitor's turns and LoopTasks the tasks they
+	// ran: tasks per turn is the batching a turn achieves (each link is
+	// flushed once per turn). SelfDeliveries counts messages the node
+	// addressed to itself, delivered from the monitor's own FIFO.
 	LoopTurns      atomic.Uint64
 	LoopTasks      atomic.Uint64
 	SelfDeliveries atomic.Uint64
@@ -234,15 +245,6 @@ func (s *Stats) FramesPerWrite() float64 {
 	return float64(s.FlushedFrames.Load()) / float64(w)
 }
 
-// task is one unit of event-loop work: a message delivery carried unboxed
-// (msg != nil) so the frame-receive hot path pays no closure allocation,
-// or an arbitrary closure (timers, client operations).
-type task struct {
-	fn   func()
-	from core.ProcessID
-	msg  core.Message
-}
-
 // Transport hosts one protocol process over TCP.
 type Transport struct {
 	cfg   Config
@@ -250,7 +252,6 @@ type Transport struct {
 	start time.Time
 
 	node    core.Node
-	mailbox chan task
 	quit    chan struct{}
 	stopped sync.Once
 	ctx     context.Context
@@ -283,19 +284,29 @@ type Transport struct {
 
 	// view is the current placement over the identified peers plus self
 	// (nil when sharding is disabled). Written under mu, read lock-free
-	// by the protocol on the loop goroutine.
+	// by the protocol.
 	view atomic.Pointer[placement.View]
 	// links is what Send and Broadcast look destinations up in without
 	// t.mu: an immutable snapshot, republished (publishLinksLocked)
 	// wherever byAddr, byID or sessions change.
 	links atomic.Pointer[linkTable]
 
-	// selfq[selfHead:] holds the messages the node addressed to itself
-	// and dirty the links it queued frames on during the current turn.
-	// Only the loop goroutine touches them.
+	// mon is the monitor: it owns the node and the fields below.
+	// selfq[selfHead:] holds the messages the node addressed to itself,
+	// dirty the links the current turn queued frames on, steps how far into
+	// the turn it is. chasing: a producer whose turn left selfq not empty is
+	// between turns and will be back for the rest. halted: Close has run.
+	mon      sync.Mutex
 	selfq    []core.Message
 	selfHead int
 	dirty    []*link
+	steps    int
+	chasing  bool
+	halted   bool
+	// goid, set by tests only, names the calling goroutine: lock then
+	// panics on re-entry (Invoke from a handler) instead of deadlocking.
+	goid   func() int64
+	holder atomic.Int64
 
 	active atomic.Bool
 	stats  Stats
@@ -306,10 +317,10 @@ var (
 	_ core.GroupSender = loopEnv{}
 )
 
-// loopEnv is the core.Env the node is built with. The node runs only on
-// the loop goroutine, so its sends take the loop's shortcuts: a
-// self-addressed message goes on the loop-owned FIFO, and a link that got
-// frames is woken once, when the turn ends. Everything else is the
+// loopEnv is the core.Env the node is built with. The node runs only
+// inside the monitor, so its sends take the monitor's shortcuts: a
+// self-addressed message goes on the monitor-owned FIFO, and a link that
+// got frames is flushed once, when the turn ends. Everything else is the
 // Transport's.
 type loopEnv struct{ *Transport }
 
@@ -337,7 +348,6 @@ func New(cfg Config) (*Transport, error) {
 		cfg:      cfg,
 		ln:       ln,
 		start:    time.Now(),
-		mailbox:  make(chan task, cfg.MailboxLen),
 		quit:     make(chan struct{}),
 		ctx:      ctx,
 		cancel:   cancel,
@@ -359,7 +369,7 @@ func New(cfg Config) (*Transport, error) {
 // Addr returns the bound listen address.
 func (t *Transport) Addr() string { return t.ln.Addr().String() }
 
-// Start launches the event loop and network goroutines, dials the seed
+// Start launches the network goroutines, dials the seed
 // addresses, and starts the protocol node — for a non-bootstrap process
 // that begins its join, which is how a fresh OS process enters the
 // system. It returns immediately; use WaitActive to block until the join
@@ -373,8 +383,7 @@ func (t *Transport) Addr() string { return t.ln.Addr().String() }
 // because bootstrap processes have nothing to wait for and joiners are
 // awaited through WaitActive anyway.
 func (t *Transport) Start(seeds []string) {
-	t.wg.Add(2)
-	go t.loop()
+	t.wg.Add(1)
 	go t.acceptLoop()
 	n := 0
 	for _, addr := range seeds {
@@ -396,7 +405,7 @@ func (t *Transport) Start(seeds []string) {
 		// discovered (just self for a seedless bootstrap) before the
 		// protocol starts.
 		t.refreshPlacement()
-		t.enqueue(func() { t.node.Start() })
+		t.do(t.node.Start)
 	}()
 }
 
@@ -440,6 +449,10 @@ func (t *Transport) Close() {
 		}
 		t.timers = nil
 		t.mu.Unlock()
+		// Whoever is inside the monitor finishes its turn; nobody opens another.
+		t.mon.Lock()
+		t.halted = true
+		t.mon.Unlock()
 	})
 	t.wg.Wait()
 }
@@ -500,18 +513,15 @@ func (t *Transport) Peers() []wire.Peer {
 func (t *Transport) Stats() *Stats { return &t.stats }
 
 // Active reports whether the hosted process completed its join (cheap:
-// backed by an atomic fed from MarkActive, not a loop round-trip).
+// backed by an atomic fed from MarkActive, not a turn of the monitor).
 func (t *Transport) Active() bool { return t.active.Load() }
 
-// Invoke runs fn on the process's loop goroutine — the only legal way to
-// touch the node. It returns without waiting for fn to run.
+// Invoke runs fn inside the node's monitor, on the caller's goroutine —
+// the only legal way to touch the node from outside it. fn has run when
+// Invoke returns; it must not wait for anything a handler does, and Invoke
+// must not be called from inside a handler (it would wait for itself).
 func (t *Transport) Invoke(fn func(core.Node)) error {
-	select {
-	case <-t.quit:
-		return ErrClosed
-	default:
-	}
-	if !t.post(task{fn: func() { fn(t.node) }}) {
+	if !t.do(func() { fn(t.node) }) {
 		return ErrClosed
 	}
 	return nil
@@ -568,13 +578,13 @@ func (t *Transport) Now() sim.Time {
 	return sim.Time(time.Since(t.start) / t.cfg.Tick)
 }
 
-// Send implements core.Env for callers off the loop goroutine (the node
+// Send implements core.Env for callers outside the monitor (the node
 // itself sends through loopEnv): the frame is queued on the destination's
-// link and the link's writer woken at once; a send to self is posted to
-// the mailbox.
+// link and the link's writer woken at once; a send to self is a turn of
+// its own, taken on the caller's goroutine.
 func (t *Transport) Send(to core.ProcessID, m core.Message) { t.send(false, m, to) }
 
-// Broadcast implements core.Env for callers off the loop goroutine: the
+// Broadcast implements core.Env for callers outside the monitor: the
 // frame goes to every process in the address book, plus self (the
 // simulator's and livenet's contract).
 func (t *Transport) Broadcast(m core.Message) { t.broadcast(false, m) }
@@ -585,7 +595,7 @@ func (t *Transport) Broadcast(m core.Message) { t.broadcast(false, m) }
 // own connection; a session is never dialed back). An entry naming this
 // process is delivered locally: the quorum protocols count their own
 // replies, exactly as in the simulator and livenet.
-func (t *Transport) send(onLoop bool, m core.Message, to ...core.ProcessID) {
+func (t *Transport) send(inTurn bool, m core.Message, to ...core.ProcessID) {
 	select {
 	case <-t.quit:
 		return
@@ -596,20 +606,20 @@ func (t *Transport) send(onLoop bool, m core.Message, to ...core.ProcessID) {
 	ls := room[:0]
 	for _, id := range to {
 		if id == t.cfg.ID {
-			t.deliverSelf(onLoop, m)
+			t.deliverSelf(inTurn, m)
 		} else if l := tab.byID[id]; l != nil {
 			ls = append(ls, l)
 		} else {
 			t.stats.SendUnknown.Add(1)
 		}
 	}
-	t.transmit(onLoop, wire.Frame{Type: wire.FrameMsg, From: t.cfg.ID, Msg: m}, ls...)
+	t.transmit(inTurn, wire.Frame{Type: wire.FrameMsg, From: t.cfg.ID, Msg: m}, ls...)
 }
 
 // broadcast queues m on every outbound peer and delivers it to self. A
 // join INQUIRY is additionally remembered for replay to peers learned
 // while the join is still running.
-func (t *Transport) broadcast(onLoop bool, m core.Message) {
+func (t *Transport) broadcast(inTurn bool, m core.Message) {
 	select {
 	case <-t.quit:
 		return
@@ -623,25 +633,26 @@ func (t *Transport) broadcast(onLoop bool, m core.Message) {
 			t.mu.Unlock()
 		}
 	}
-	t.deliverSelf(onLoop, m)
-	t.transmit(onLoop, f, t.links.Load().peers...)
+	t.deliverSelf(inTurn, m)
+	t.transmit(inTurn, f, t.links.Load().peers...)
 }
 
 // deliverSelf hands the node a message it addressed to itself —
-// asynchronously, after the current handler. On the loop that is an
-// append to the FIFO the turn drains before its next mailbox task; off
-// the loop it is a mailbox post.
-func (t *Transport) deliverSelf(onLoop bool, m core.Message) {
-	if onLoop {
+// asynchronously, after the current handler: inside a turn that is an
+// append to the FIFO the turn drains before its next task. From outside
+// the monitor there is no handler to wait for, and it is a turn.
+func (t *Transport) deliverSelf(inTurn bool, m core.Message) {
+	if inTurn {
 		t.selfq = append(t.selfq, m)
-	} else {
-		t.enqueueDeliver(t.cfg.ID, m)
+	} else if t.enter() {
+		t.run(t.cfg.ID, m, nil)
+		t.exit()
 	}
 }
 
 // transmit encodes f once, length prefix included, and queues the bytes
 // on every link in ls.
-func (t *Transport) transmit(onLoop bool, f wire.Frame, ls ...*link) {
+func (t *Transport) transmit(inTurn bool, f wire.Frame, ls ...*link) {
 	if len(ls) == 0 {
 		return
 	}
@@ -653,18 +664,18 @@ func (t *Transport) transmit(onLoop bool, f wire.Frame, ls ...*link) {
 		return
 	}
 	*bp = b // keep what the encode grew
-	t.queue(onLoop, b, ls...)
+	t.queue(inTurn, b, ls...)
 }
 
-// queue appends one encoded frame to each link. Off the loop each link's
-// writer is woken at once; on the loop the link is marked and woken when
-// the turn ends: many frames on a link, one wake and, usually, one write.
-func (t *Transport) queue(onLoop bool, frame []byte, ls ...*link) {
+// queue appends one encoded frame to each link. Outside the monitor each
+// link's writer is woken at once; inside a turn the link is marked and
+// flushed when the turn ends: many frames on a link, one write.
+func (t *Transport) queue(inTurn bool, frame []byte, ls ...*link) {
 	for _, l := range ls {
 		if l.push(frame, t.cfg.QueueLen) {
 			t.stats.QueueDrops.Add(1)
 		}
-		if !onLoop {
+		if !inTurn {
 			l.kick()
 		} else if !l.dirty {
 			l.dirty = true
@@ -674,9 +685,10 @@ func (t *Transport) queue(onLoop bool, frame []byte, ls ...*link) {
 	t.stats.FramesSent.Add(uint64(len(ls)))
 }
 
-// After implements core.Env: fn runs on the loop goroutine after d ticks,
-// suppressed once the process has shut down. The timer is tracked, so a
-// Close before it fires stops it rather than leaking it.
+// After implements core.Env: fn runs inside the monitor, on the timer's
+// goroutine, after d ticks, suppressed once the process has shut down.
+// The timer is tracked, so a Close before it fires stops it rather than
+// leaking it.
 func (t *Transport) After(d sim.Duration, fn func()) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -690,7 +702,7 @@ func (t *Transport) After(d sim.Duration, fn func()) {
 		t.mu.Lock()
 		delete(t.timers, tm)
 		t.mu.Unlock()
-		t.enqueue(fn)
+		t.do(fn)
 	})
 	t.timers[tm] = struct{}{}
 }
@@ -735,7 +747,7 @@ func (t *Transport) ShardInfo() (shards, owned, replication int) {
 
 // refreshPlacement rebuilds the placement view from the identified
 // address book plus self, publishes it for the protocol's lock-free
-// reads, and posts PlacementChanged to the node's loop. Called whenever
+// reads, and runs the node's PlacementChanged. Called whenever
 // a peer is learned, leaves, or is evicted. Even with sharding disabled
 // the membership change is versioned and pushed to the connected client
 // sessions, so an SDK client's server list tracks the live system.
@@ -763,11 +775,9 @@ func (t *Transport) refreshPlacement() {
 	if !sharded {
 		return
 	}
-	t.enqueue(func() {
-		if pa, ok := t.node.(core.PlacementAware); ok {
-			pa.PlacementChanged(t.Placement())
-		}
-	})
+	if pa, ok := t.node.(core.PlacementAware); ok {
+		t.do(func() { pa.PlacementChanged(t.Placement()) })
+	}
 }
 
 // viewFrameLocked snapshots the placement bootstrap a client session
@@ -791,114 +801,124 @@ func (t *Transport) viewFrameLocked() wire.Frame {
 
 // ---- internals ----
 
-// turnTasks bounds one loop turn, self-deliveries included: long enough
-// that a busy loop wakes each link's writer (and pays its write) once per
-// dozens of frames, short enough that the first frame of a turn waits
-// well under a millisecond for its flush.
+// turnTasks bounds one turn, self-deliveries included: long enough that a
+// busy node pays each link's write once per dozens of frames, short enough
+// that a turn's first frame waits well under a millisecond for its flush,
+// and a producer no longer for the monitor.
 const turnTasks = 64
 
-// loop runs the turns the package comment's Concurrency section describes.
-func (t *Transport) loop() {
-	defer t.wg.Done()
-	for {
-		n := 0
-		for ; n < turnTasks; n++ {
-			tk, ok := t.next(n == 0)
-			if !ok {
-				break
-			}
-			if tk.msg != nil {
-				t.node.Deliver(tk.from, tk.msg)
-			} else {
-				tk.fn()
-			}
+// lock takes the monitor, counting a stall when it has to wait for it.
+func (t *Transport) lock() {
+	if !t.mon.TryLock() {
+		if t.goid != nil && t.holder.Load() == t.goid() {
+			panic("nettransport: Invoke or an exported Send from inside a handler: the monitor is not re-entrant")
 		}
-		if n == 0 {
-			return // stopped while idle
-		}
-		t.stats.LoopTurns.Add(1)
-		t.wakeLinks()
+		t.stats.MailboxStalls.Add(1)
+		t.mon.Lock()
+	}
+	if t.goid != nil {
+		t.holder.Store(t.goid())
 	}
 }
 
-// wakeLinks ends a turn: every link it queued frames on is woken, once.
-func (t *Transport) wakeLinks() {
+func (t *Transport) unlock() {
+	if t.goid != nil {
+		t.holder.Store(0)
+	}
+	t.mon.Unlock()
+}
+
+// enter takes the monitor for a producer with work for the node. It
+// reports false, monitor not held, once the transport has stopped. What
+// enter opened, exit closes.
+func (t *Transport) enter() bool {
+	if t.lock(); t.halted {
+		t.unlock()
+		return false
+	}
+	return true
+}
+
+// run is one task of a turn, monitor held: a message delivery (m != nil,
+// carried unboxed: the receive path pays no closure) or fn, then the
+// node's messages to itself. A producer whose earlier tasks used the turn
+// up starts another first.
+func (t *Transport) run(from core.ProcessID, m core.Message, fn func()) {
+	if t.steps >= turnTasks && !t.yield() {
+		return
+	}
+	t.stats.LoopTasks.Add(1)
+	if m != nil {
+		t.node.Deliver(from, m)
+	} else {
+		fn()
+	}
+	t.steps++
+	t.drainSelf()
+}
+
+// drainSelf delivers the self-addressed FIFO, oldest first, while the
+// turn lasts.
+func (t *Transport) drainSelf() {
+	for ; t.steps < turnTasks && t.selfHead < len(t.selfq); t.steps++ {
+		m := t.selfq[t.selfHead]
+		t.selfq[t.selfHead] = nil
+		if t.selfHead++; t.selfHead == len(t.selfq) {
+			t.selfq, t.selfHead = t.selfq[:0], 0
+		}
+		t.stats.SelfDeliveries.Add(1)
+		t.node.Deliver(t.cfg.ID, m)
+	}
+}
+
+// exit ends the producer's last turn and leaves the monitor. Self-addressed
+// messages that turn had no room for get further turns, from one producer
+// at a time: whoever else finds them still there leaves them to it.
+func (t *Transport) exit() {
+	for t.selfHead < len(t.selfq) && !t.chasing {
+		t.chasing = true
+		ok := t.yield()
+		if t.chasing = false; !ok {
+			break
+		}
+		t.drainSelf()
+	}
+	t.endTurn()
+	t.unlock()
+}
+
+// endTurn flushes, once, every link the turn queued frames on.
+func (t *Transport) endTurn() {
+	t.stats.LoopTurns.Add(1)
+	t.steps = 0
 	for i, l := range t.dirty {
 		l.dirty = false
-		l.kick()
+		l.flush(t, nil)
 		t.dirty[i] = nil
 	}
 	t.dirty = t.dirty[:0]
 }
 
-// next picks the loop's next step. Within a turn the oldest self-addressed
-// message goes first, then whatever the mailbox holds, and an empty
-// mailbox ends the turn (ok false). A turn opens (first) with a mailbox
-// task when one is ready — so a node that keeps messaging itself cannot
-// starve its peers and clients — and with nothing to do at all it waits
-// for one, or for the transport to stop (ok false).
-func (t *Transport) next(first bool) (tk task, ok bool) {
-	self := t.selfHead < len(t.selfq)
-	switch {
-	case self && !first: // mid-turn: the FIFO goes first
-	case first && !self: // idle: wait
-		select {
-		case <-t.quit:
-			return tk, false
-		case tk = <-t.mailbox:
-			t.stats.LoopTasks.Add(1)
-			return tk, true
-		}
-	default: // look, do not wait
-		select {
-		case <-t.quit:
-			return tk, false
-		case tk = <-t.mailbox:
-			t.stats.LoopTasks.Add(1)
-			return tk, true
-		default:
-			if !self {
-				return tk, false
-			}
-		}
-	}
-	tk = task{from: t.cfg.ID, msg: t.selfq[t.selfHead]}
-	t.selfq[t.selfHead] = nil
-	if t.selfHead++; t.selfHead == len(t.selfq) {
-		t.selfq, t.selfHead = t.selfq[:0], 0
-	}
-	t.stats.SelfDeliveries.Add(1)
-	return tk, true
+// yield ends the turn and opens the producer's next, letting go of the
+// monitor in between (sync.Mutex hands it to a waiter that has starved
+// for a millisecond). It reports false once the transport has stopped.
+func (t *Transport) yield() bool {
+	t.endTurn()
+	t.unlock()
+	t.lock()
+	return !t.halted
 }
 
-// enqueue posts fn to the loop, giving up if the process stops first.
-func (t *Transport) enqueue(fn func()) {
-	t.post(task{fn: fn})
-}
-
-// enqueueDeliver posts one message delivery to the loop without building a
-// closure — the per-frame receive path.
-func (t *Transport) enqueueDeliver(from core.ProcessID, m core.Message) {
-	t.post(task{from: from, msg: m})
-}
-
-// post is the one mailbox protocol every producer shares: try without
-// blocking, count a stall if the mailbox is full, then wait for a slot
-// (backpressure on producers beats dropping loop work). Reports whether
-// the task was accepted (false: the transport stopped first).
-func (t *Transport) post(tk task) bool {
-	select {
-	case t.mailbox <- tk:
-		return true
-	default:
-	}
-	t.stats.MailboxStalls.Add(1)
-	select {
-	case t.mailbox <- tk:
-		return true
-	case <-t.quit:
+// do runs fn as a turn of its own, on the caller's goroutine: After
+// callbacks, Invoke, the node's Start and PlacementChanged. It reports
+// false if the transport stopped first.
+func (t *Transport) do(fn func()) bool {
+	if !t.enter() {
 		return false
 	}
+	t.run(core.NoProcess, nil, fn)
+	t.exit()
+	return true
 }
 
 func (t *Transport) acceptLoop() {
@@ -1086,7 +1106,12 @@ func (t *Transport) forgetPeer(id core.ProcessID) {
 	}
 }
 
-// readConn drains one connection. own is the outbound peer the connection
+// readConn drains one connection, and runs the node on what it reads: the
+// reader enters the monitor for a protocol frame and stays in it while
+// whole frames are waiting in its scanner — one turn for what the remote
+// flushed together — leaving before it waits for the network, and before
+// any frame of the transport's own, whose handling takes t.mu and may
+// bring the node work of its own. own is the outbound peer the connection
 // belongs to (nil for accepted connections); accepted connections answer
 // the remote's HELLO with our HELLO + address book — the only writes ever
 // issued on an inbound connection, all from this goroutine. An accepted
@@ -1114,7 +1139,18 @@ func (t *Transport) readConn(conn net.Conn, own *peer, accepted bool, onDead fun
 	// through bufio (a batched flush from the remote surfaces as one
 	// kernel read), and the payload buffer is reused across frames.
 	sc := wire.NewScanner(conn)
+	inTurn := false
+	endTurn := func() {
+		if inTurn {
+			t.exit()
+			inTurn = false
+		}
+	}
+	defer endTurn()
 	for {
+		if !sc.HasFrame() {
+			endTurn()
+		}
 		f, err := sc.Next()
 		if err != nil {
 			if !isClosedErr(err) {
@@ -1124,6 +1160,9 @@ func (t *Transport) readConn(conn net.Conn, own *peer, accepted bool, onDead fun
 			return
 		}
 		t.stats.FramesReceived.Add(1)
+		if f.Type != wire.FrameMsg {
+			endTurn()
+		}
 		switch f.Type {
 		case wire.FrameHello:
 			if accepted && f.Role == wire.RoleClient {
@@ -1167,13 +1206,19 @@ func (t *Transport) readConn(conn net.Conn, own *peer, accepted bool, onDead fun
 				// Its From is overwritten with the session pseudo-id: the
 				// shard wrapper's reply then routes back here via Send's
 				// negative-id path, whatever id the client claimed.
-				if fm, ok := f.Msg.(core.ForwardMsg); ok {
-					fm.From = sess.pid
-					t.enqueueDeliver(sess.pid, fm)
+				fm, ok := f.Msg.(core.ForwardMsg)
+				if !ok {
+					continue
 				}
-				continue
+				fm.From = sess.pid
+				f.From, f.Msg = sess.pid, fm
 			}
-			t.enqueueDeliver(f.From, f.Msg)
+			if !inTurn {
+				if inTurn = t.enter(); !inTurn {
+					return
+				}
+			}
+			t.run(f.From, f.Msg, nil)
 		case wire.FrameLeave:
 			if sess != nil {
 				continue
@@ -1263,144 +1308,6 @@ type peer struct {
 	// id is the peer's identity once learned (guarded by the transport's
 	// mutex; NoProcess until the peer's HELLO arrives).
 	id core.ProcessID
-}
-
-// maxSpare caps the buffer capacity a link keeps between flushes: a burst
-// (a join snapshot, a backlog built while the connection was down) must
-// not stay pinned on every link it once passed through.
-const maxSpare = 64 << 10
-
-// link is the sending half of one connection, shared by peers and client
-// sessions: frames already in wire form, appended back to back by any
-// goroutine, swapped out whole by the link's one writer goroutine.
-type link struct {
-	mu     sync.Mutex
-	buf    []byte // queued frames, length prefixes included, oldest first
-	frames int    // how many frames buf holds
-	// wake holds at most one token, "buf may hold frames": senders never
-	// block on it and the writer sleeps on it.
-	wake    chan struct{}
-	quit    chan struct{}
-	stopped sync.Once
-	// dirty is the loop goroutine's: frames went in this turn and the wake
-	// is still owed.
-	dirty bool
-	// batch and spare are the writer goroutine's (it alone writes
-	// batchFrames, under mu so that depth may read it). batch is what it
-	// swapped out of buf for the write in progress; a failed write leaves
-	// it there and the next connection resends it first, behind its HELLO.
-	// The kernel may have taken a prefix, so the remote can see duplicates,
-	// which the protocols tolerate (quorums dedupe by sender, merges are
-	// idempotent). spare is the last batch's buffer, the next swap's buf.
-	batch       []byte
-	batchFrames int
-	spare       []byte
-}
-
-func newLink() link {
-	return link{wake: make(chan struct{}, 1), quit: make(chan struct{})}
-}
-
-func (l *link) stop() { l.stopped.Do(func() { close(l.quit) }) }
-
-// push queues one encoded frame, first dropping the oldest queued frame
-// if the link already holds max of them (fair-lossy links; blocking would
-// stall the sender's protocol loop, which is worse than a lost message).
-// It reports whether it dropped one.
-func (l *link) push(frame []byte, max int) (dropped bool) {
-	l.mu.Lock()
-	if l.frames >= max {
-		l.buf = l.buf[:copy(l.buf, l.buf[wire.FrameSize(l.buf):])]
-		l.frames--
-		dropped = true
-	}
-	l.buf = append(l.buf, frame...)
-	l.frames++
-	l.mu.Unlock()
-	return dropped
-}
-
-// kick wakes the writer; a token already waiting covers this frame too.
-func (l *link) kick() {
-	select {
-	case l.wake <- struct{}{}:
-	default:
-	}
-}
-
-// depth reports how many frames are queued or in the writer's hands.
-func (l *link) depth() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.frames + l.batchFrames
-}
-
-// drain is the writer's life on one connection: HELLO first where asked
-// (a dialed connection: flushed alone, so the remote binds the link's
-// identity before protocol traffic arrives), then one flush per wake,
-// until the connection breaks or connDead closes (returns true: redial)
-// or the link or the transport stops (returns false). It closes conn on
-// the way out.
-func (l *link) drain(t *Transport, conn net.Conn, hello bool, connDead <-chan struct{}) bool {
-	defer conn.Close()
-	if hello {
-		b, err := wire.AppendFrameBytes(nil, t.helloFrame())
-		if err != nil {
-			return false
-		}
-		if !writeAll(conn, b) {
-			return true
-		}
-		t.stats.FramesSent.Add(1)
-	}
-	for l.flush(t, conn) {
-		select {
-		case <-l.wake:
-		case <-l.quit:
-			return false
-		case <-t.quit:
-			return false
-		case <-connDead:
-			return true
-		}
-	}
-	return true
-}
-
-// flush hands every queued frame (or the batch a dead connection left
-// behind) to ONE conn.Write. It reports false when the write failed.
-func (l *link) flush(t *Transport, conn net.Conn) bool {
-	if l.batchFrames == 0 {
-		l.mu.Lock()
-		if l.frames > 0 {
-			l.batch, l.batchFrames = l.buf, l.frames
-			l.buf, l.frames, l.spare = l.spare, 0, nil
-		}
-		l.mu.Unlock()
-	}
-	if l.batchFrames == 0 {
-		return true
-	}
-	if !writeAll(conn, l.batch) {
-		return false
-	}
-	t.stats.FlushWrites.Add(1)
-	t.stats.FlushedFrames.Add(uint64(l.batchFrames))
-	t.stats.LastBatchFrames.Store(uint64(l.batchFrames))
-	if cap(l.batch) <= maxSpare {
-		l.spare = l.batch[:0]
-	}
-	l.mu.Lock()
-	l.batch, l.batchFrames = nil, 0
-	l.mu.Unlock()
-	return true
-}
-
-// writeAll writes b under a deadline, reporting whether all of it went.
-func writeAll(conn net.Conn, b []byte) bool {
-	conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	_, err := conn.Write(b)
-	return err == nil
 }
 
 // run is the peer's writer goroutine: dial (with backoff), handshake,

@@ -1,21 +1,26 @@
 package nettransport
 
-// White-box tests for the event loop's turn: they post tasks to the
-// mailbox of a transport whose loop is not yet running, then run the
-// loop, so what a turn does and in which order is checked without sockets
-// or timing. The node is a probe that records what it is handed.
+// White-box tests for the monitor's turn: a reader is run on the test's
+// own goroutine over a scripted connection that hands it a chosen batch of
+// frames, so what a turn does and in which order is checked without
+// sockets or timing. The node is a probe that records what it is handed.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
 	"reflect"
+	"runtime"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"churnreg/internal/core"
 	"churnreg/internal/sim"
+	"churnreg/internal/wire"
 )
 
 // probe is a protocol node that runs a script on every delivery and
@@ -50,8 +55,16 @@ func (p *probe) Deliver(from core.ProcessID, m core.Message) {
 // label is a message told apart by its Op.
 func label(op int) core.Message { return core.ReadMsg{From: 1, Op: core.OpID(op)} }
 
+// goid names the calling goroutine, from the first line of its stack
+// ("goroutine 12 [running]:"): the tests' half of Transport.goid.
+func goid() int64 {
+	var buf [64]byte
+	id, _ := strconv.ParseInt(string(bytes.Fields(buf[:runtime.Stack(buf[:], false)])[1]), 10, 64)
+	return id
+}
+
 // newProbeTransport builds an inert transport (no Start: no goroutines)
-// hosting a probe.
+// hosting a probe, with the re-entry assertion armed.
 func newProbeTransport(t *testing.T, script func(p *probe, from core.ProcessID, m core.Message), cfg func(*Config)) (*Transport, *probe) {
 	t.Helper()
 	p := &probe{onDeliver: script}
@@ -69,14 +82,47 @@ func newProbeTransport(t *testing.T, script func(p *probe, from core.ProcessID, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr.goid = goid
 	t.Cleanup(tr.Close)
 	return tr, p
 }
 
-// runLoop starts only the event loop (no listener, no dialing).
-func runLoop(tr *Transport) {
+// feedConn is an accepted connection whose remote flushed each chunk
+// whole: one Read returns one chunk, and after the last the remote is gone.
+type feedConn struct {
+	scriptConn
+	chunks [][]byte
+}
+
+func (c *feedConn) Read(p []byte) (int, error) {
+	if len(c.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.chunks[0])
+	if c.chunks[0] = c.chunks[0][n:]; len(c.chunks[0]) == 0 {
+		c.chunks = c.chunks[1:]
+	}
+	return n, nil
+}
+
+// batch encodes msgs as the frames process from would flush together.
+func batch(t *testing.T, from core.ProcessID, msgs ...core.Message) []byte {
+	t.Helper()
+	var b []byte
+	for _, m := range msgs {
+		var err error
+		if b, err = wire.AppendFrameBytes(b, wire.Frame{Type: wire.FrameMsg, From: from, Msg: m}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
+}
+
+// serve runs a connection's reader on the caller's goroutine until the
+// remote is gone: every chunk is read, delivered and flushed on return.
+func serve(tr *Transport, chunks ...[]byte) {
 	tr.wg.Add(1)
-	go tr.loop()
+	tr.readConn(&feedConn{chunks: chunks}, nil, true, nil)
 }
 
 // attachPeer registers an identified peer whose writer drains into conn,
@@ -101,6 +147,28 @@ func attachPeer(tr *Transport, id core.ProcessID, conn net.Conn) *peer {
 		time.Sleep(50 * time.Microsecond)
 	}
 	return p
+}
+
+// attachTCPPeer is attachPeer over a loopback connection — the kind the
+// end of a turn can write to itself — and returns the remote end.
+func attachTCPPeer(t *testing.T, tr *Transport, id core.ProcessID) net.Conn {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	local, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { remote.Close() })
+	attachPeer(tr, id, local)
+	return remote
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -128,12 +196,9 @@ func TestSelfDeliveryIsFIFOAfterHandlerBeforeNextTask(t *testing.T) {
 			p.events = append(p.events, "handler 1 returns")
 		}
 	}, nil)
-	done := make(chan struct{})
-	tr.enqueueDeliver(2, label(100))
-	tr.enqueue(func() { p.events = append(p.events, "next mailbox task") })
-	tr.enqueue(func() { close(done) })
-	runLoop(tr)
-	<-done
+	// Two frames the peer flushed together: one turn, and the second frame
+	// waits for everything the first one's handler sent to self.
+	serve(tr, batch(t, 2, label(100), label(200)))
 	want := []string{
 		"deliver 100 from p2",
 		"handler 100 returns",
@@ -143,7 +208,7 @@ func TestSelfDeliveryIsFIFOAfterHandlerBeforeNextTask(t *testing.T) {
 		"deliver 3 from p1",
 		"deliver 4 from p1",
 		"deliver 5 from p1",
-		"next mailbox task",
+		"deliver 200 from p2",
 	}
 	if !reflect.DeepEqual(p.events, want) {
 		t.Fatalf("events:\n got %q\nwant %q", p.events, want)
@@ -152,8 +217,8 @@ func TestSelfDeliveryIsFIFOAfterHandlerBeforeNextTask(t *testing.T) {
 		t.Fatalf("Deliver nested to depth %d, want 1 (self-delivery must not be re-entrant)", p.maxDepth)
 	}
 	st := tr.Stats()
-	if turns, tasks, self := st.LoopTurns.Load(), st.LoopTasks.Load(), st.SelfDeliveries.Load(); turns != 1 || tasks != 3 || self != 5 {
-		t.Fatalf("turns, tasks, self-deliveries = %d, %d, %d, want 1, 3, 5", turns, tasks, self)
+	if turns, tasks, self := st.LoopTurns.Load(), st.LoopTasks.Load(), st.SelfDeliveries.Load(); turns != 1 || tasks != 2 || self != 5 {
+		t.Fatalf("turns, tasks, self-deliveries = %d, %d, %d, want 1, 2, 5", turns, tasks, self)
 	}
 	tr.mu.Lock()
 	timers := len(tr.timers)
@@ -163,30 +228,54 @@ func TestSelfDeliveryIsFIFOAfterHandlerBeforeNextTask(t *testing.T) {
 	}
 }
 
-// TestSelfChatterCannotWedgeOrStarveTheLoop runs a node that sends to
-// itself on every delivery behind a one-slot mailbox: the chain must keep
-// moving (it never touches the mailbox), mailbox tasks must still get
-// their turn, and Close must still stop the loop.
-func TestSelfChatterCannotWedgeOrStarveTheLoop(t *testing.T) {
+// TestSelfChatterCannotWedgeOrStarveTheNode runs a node that sends to
+// itself on every delivery. The chain must keep moving, on the goroutine
+// that started it; because the monitor is released between turns, two
+// connections' frames and Invoke must still be served, promptly and more
+// than once each (nobody else gets stuck behind the chain); and Close must
+// stop it all.
+func TestSelfChatterCannotWedgeOrStarveTheNode(t *testing.T) {
 	checkLeaks := grabGoroutineBaseline(t)
-	tr, p := newProbeTransport(t, func(p *probe, _ core.ProcessID, m core.Message) {
-		p.env.Send(1, m)
-	}, func(c *Config) { c.MailboxLen = 1 })
+	var served [4]atomic.Int64 // by sender
+	tr, p := newProbeTransport(t, func(p *probe, from core.ProcessID, m core.Message) {
+		if from != 1 {
+			served[from].Add(1)
+		}
+		p.env.Send(1, core.TokenMsg{From: 1})
+	}, nil)
 	tr.Start(nil)
-	tr.Send(1, core.TokenMsg{From: 1}) // off the loop: goes through the mailbox
+	var chain sync.WaitGroup
+	chain.Add(1)
+	go func() {
+		defer chain.Done()
+		tr.Send(1, core.TokenMsg{From: 1}) // returns when the chain ends: at Close
+	}()
 	waitFor(t, "the self-addressed chain to advance", func() bool { return p.delivers.Load() > 10*turnTasks })
-	for i := 0; i < 3; i++ {
+	for round := int64(1); round <= 3; round++ {
+		for _, from := range []core.ProcessID{2, 3} {
+			remote, local := net.Pipe()
+			tr.wg.Add(1)
+			go tr.readConn(local, nil, true, nil)
+			if _, err := remote.Write(batch(t, from, label(int(round)))); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "a connection's frame to be served beside the chain", func() bool { return served[from].Load() == round })
+			remote.Close()
+		}
 		ran := make(chan struct{})
 		if err := tr.Invoke(func(core.Node) { close(ran) }); err != nil {
 			t.Fatal(err)
 		}
 		select {
 		case <-ran:
-		case <-time.After(5 * time.Second):
-			t.Fatal("a mailbox task starved behind the node's messages to itself")
+		default:
+			t.Fatal("Invoke returned before its closure ran")
 		}
 	}
+	before := p.delivers.Load()
+	waitFor(t, "the chain to go on", func() bool { return p.delivers.Load() > before+10*turnTasks })
 	tr.Close() // with self-deliveries queued
+	chain.Wait()
 	checkLeaks()
 }
 
@@ -195,35 +284,58 @@ type discardConn struct{ scriptConn }
 
 func (*discardConn) Write(p []byte) (int, error) { return len(p), nil }
 
-func TestLoopWakesEachLinkOncePerTurn(t *testing.T) {
-	const tasks = 20
-	tr, p := newProbeTransport(t, nil, nil)
+func TestReaderBatchIsOneTurnAndOneWritePerLink(t *testing.T) {
+	const frames = 20
+	tr, _ := newProbeTransport(t, func(p *probe, _ core.ProcessID, m core.Message) {
+		p.env.Send(2, m)
+	}, nil)
 	conn := &scriptConn{failAfter: -1}
 	attachPeer(tr, 2, conn)
-	for i := 0; i < tasks; i++ {
-		msg := label(i)
-		tr.enqueue(func() { p.env.Send(2, msg) })
+	msgs := make([]core.Message, frames)
+	for i := range msgs {
+		msgs[i] = label(i)
 	}
-	runLoop(tr)
-	waitFor(t, "the turn's frames", func() bool { return len(scanAll(t, conn.bytesWritten())) == tasks })
+	serve(tr, batch(t, 3, msgs...))
+	waitFor(t, "the turn's frames", func() bool { return len(scanAll(t, conn.bytesWritten())) == frames })
 	for i, f := range scanAll(t, conn.bytesWritten()) {
 		if f.Msg != label(i) {
 			t.Fatalf("frame %d = %+v, want %+v", i, f.Msg, label(i))
 		}
 	}
-	// Every task was in the mailbox before the loop ran, so they made one
-	// turn, the link was woken once, and its writer wrote once.
+	// The reader found every frame in its buffer at once, so they made one
+	// turn, the link was flushed once, and its writer wrote once.
 	st := tr.Stats()
 	if turns, writes := st.LoopTurns.Load(), st.FlushWrites.Load(); turns != 1 || writes != 1 {
-		t.Fatalf("turns = %d, writes = %d, want 1 and 1 for %d sends queued ahead of the loop", turns, writes, tasks)
+		t.Fatalf("turns = %d, writes = %d, want 1 and 1 for %d frames read together", turns, writes, frames)
 	}
-	if st.LoopTasks.Load() != tasks || st.FramesPerWrite() != tasks {
-		t.Fatalf("tasks = %d, frames per write = %v, want %d", st.LoopTasks.Load(), st.FramesPerWrite(), tasks)
+	if st.LoopTasks.Load() != frames || st.FramesPerWrite() != frames {
+		t.Fatalf("tasks = %d, frames per write = %v, want %d", st.LoopTasks.Load(), st.FramesPerWrite(), frames)
+	}
+	// The same frames arriving one read at a time are a turn each.
+	serve(tr, batch(t, 3, msgs[0]), batch(t, 3, msgs[1]), batch(t, 3, msgs[2]))
+	if turns := st.LoopTurns.Load(); turns != 4 {
+		t.Fatalf("turns = %d after three more frames in three reads, want 4", turns)
 	}
 }
 
-func TestForeignSendFlushesWithoutTheLoop(t *testing.T) {
-	tr, p := newProbeTransport(t, nil, nil) // the loop is never started
+// TestTurnIsBoundedAndReleasesTheMonitor feeds a reader more frames than a
+// turn holds: the turn ends at turnTasks steps, flushing, and the reader
+// goes on in another.
+func TestTurnIsBoundedAndReleasesTheMonitor(t *testing.T) {
+	const frames = turnTasks + 10
+	tr, p := newProbeTransport(t, nil, nil)
+	msgs := make([]core.Message, frames)
+	for i := range msgs {
+		msgs[i] = label(i)
+	}
+	serve(tr, batch(t, 2, msgs...))
+	if p.delivers.Load() != frames || tr.Stats().LoopTurns.Load() != 2 {
+		t.Fatalf("delivered %d in %d turns, want %d in 2", p.delivers.Load(), tr.Stats().LoopTurns.Load(), frames)
+	}
+}
+
+func TestForeignSendFlushesWithoutATurn(t *testing.T) {
+	tr, p := newProbeTransport(t, nil, nil)
 	conn := &scriptConn{failAfter: -1}
 	attachPeer(tr, 2, conn)
 	tr.Send(2, label(7))
@@ -232,15 +344,34 @@ func TestForeignSendFlushesWithoutTheLoop(t *testing.T) {
 	if got := scanAll(t, conn.bytesWritten())[0]; got.From != 1 || got.Msg != label(7) {
 		t.Fatalf("wrote %+v, want message 7 from p1", got)
 	}
-	// A send to self off the loop waits in the mailbox for the loop.
+	st := tr.Stats()
+	if st.LoopTurns.Load() != 0 || st.SendUnknown.Load() != 1 || p.delivers.Load() != 0 {
+		t.Fatalf("turns = %d, unknown = %d, delivered = %d; want 0, 1, 0", st.LoopTurns.Load(), st.SendUnknown.Load(), p.delivers.Load())
+	}
+	// A send to self from outside the monitor is a turn, on this goroutine.
 	tr.Send(1, label(9))
 	tr.Broadcast(label(10))
 	waitFor(t, "the broadcast frame", func() bool { return len(scanAll(t, conn.bytesWritten())) == 2 })
-	st := tr.Stats()
-	if st.LoopTurns.Load() != 0 || st.SendUnknown.Load() != 1 || p.delivers.Load() != 0 || len(tr.mailbox) != 2 {
-		t.Fatalf("turns = %d, unknown = %d, delivered = %d, mailbox = %d; want 0, 1, 0, 2",
-			st.LoopTurns.Load(), st.SendUnknown.Load(), p.delivers.Load(), len(tr.mailbox))
+	if st.LoopTurns.Load() != 2 || p.delivers.Load() != 2 {
+		t.Fatalf("turns = %d, delivered = %d; want 2, 2", st.LoopTurns.Load(), p.delivers.Load())
 	}
+}
+
+// TestInvokeFromAHandlerIsCaught pins the rule the monitor adds: a handler
+// that calls Invoke (or an exported Send to self) waits for the monitor
+// its own goroutine holds. Production code would hang; under test it
+// panics.
+func TestInvokeFromAHandlerIsCaught(t *testing.T) {
+	var tr *Transport
+	tr, _ = newProbeTransport(t, func(*probe, core.ProcessID, core.Message) {
+		defer func() {
+			if recover() == nil {
+				t.Error("Invoke from inside a handler did not panic")
+			}
+		}()
+		tr.Invoke(func(core.Node) {})
+	}, nil)
+	serve(tr, batch(t, 2, label(1)))
 }
 
 func TestLeaveWaitsForClientSessionLinks(t *testing.T) {
@@ -270,7 +401,7 @@ func TestCloseStopsTrackedTimers(t *testing.T) {
 	})
 	p.env.Send(1, core.TokenMsg{From: 1})    // self-send: no timer
 	p.env.Broadcast(core.TokenMsg{From: 1})  // loopback: no timer
-	tr.Send(1, core.TokenMsg{From: 1})       // off the loop: a mailbox post, no timer
+	tr.Send(1, core.TokenMsg{From: 1})       // outside the monitor: a turn, no timer
 	p.env.After(sim.Duration(10), func() {}) // protocol timer: the only one
 	tr.mu.Lock()
 	pending := len(tr.timers)
@@ -278,8 +409,7 @@ func TestCloseStopsTrackedTimers(t *testing.T) {
 	if pending != 1 {
 		t.Fatalf("tracked timers = %d, want 1 (After only)", pending)
 	}
-	runLoop(tr)
-	tr.Close() // with self-deliveries possibly still queued
+	tr.Close()
 	tr.mu.Lock()
 	after := tr.timers
 	tr.mu.Unlock()
@@ -299,38 +429,39 @@ func TestCloseStopsTrackedTimers(t *testing.T) {
 // TestSendPathZeroAllocs is the send path's allocation ceiling: with the
 // message already boxed in its interface (the codec's one allocation per
 // message, paid by whoever builds it), neither a send to a connected peer
-// nor a send to self allocates in steady state.
+// nor a send to self allocates in steady state — the turn around it, and
+// the non-blocking write that ends it, included.
 func TestSendPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
 	}
 	tr, p := newProbeTransport(t, nil, nil)
+	tr.goid = nil // reads the stack: test-only, and not free
 	attachPeer(tr, 2, &discardConn{})
+	go io.Copy(io.Discard, attachTCPPeer(t, tr, 3))
 	msg := core.Message(core.WriteMsg{From: 1, Value: core.VersionedValue{Val: 123456, SN: 42}, Reg: 9, Op: 1337})
-	group := []core.ProcessID{1, 2}
+	group := []core.ProcessID{1, 2, 3}
+	toWriter := func() { p.env.Send(2, msg) }
+	toSocket := func() { p.env.Send(3, msg) }
+	toSelf := func() { p.env.Send(1, msg) }
+	toGroup := func() { p.env.(core.GroupSender).SendGroup(group, msg) }
 	for name, send := range map[string]func(){
-		"Send to a peer, off the loop": func() { tr.Send(2, msg) },
-		"Send to a peer, on the loop": func() {
-			p.env.Send(2, msg)
-			tr.wakeLinks()
-		},
-		"Send to self, on the loop": func() {
-			p.env.Send(1, msg)
-			if _, ok := tr.next(false); !ok {
-				t.Fatal("self-delivery not queued")
-			}
-		},
-		"group send, on the loop": func() {
-			p.env.(core.GroupSender).SendGroup(group, msg)
-			tr.next(false)
-			tr.wakeLinks()
-		},
+		"Send to a peer, outside the monitor":          func() { tr.Send(2, msg) },
+		"Send to a peer, in a turn, writer's flush":    func() { tr.do(toWriter) },
+		"Send to a peer, in a turn, inline flush":      func() { tr.do(toSocket) },
+		"Send to self, in a turn":                      func() { tr.do(toSelf) },
+		"group send, in a turn":                        func() { tr.do(toGroup) },
+		"a frame from a connection, answered in place": func() { tr.enter(); tr.run(3, msg, nil); toSocket(); tr.exit() },
 	} {
 		if allocs := testing.AllocsPerRun(2000, send); allocs != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, allocs)
 		}
 	}
-	if drops := tr.Stats().QueueDrops.Load(); drops != 0 {
+	st := tr.Stats()
+	if st.InlineFlushes.Load() < 3*2000 || st.SelfDeliveries.Load() < 2*2000 {
+		t.Fatalf("inline flushes = %d, self-deliveries = %d: the turns did not do what the test is named for", st.InlineFlushes.Load(), st.SelfDeliveries.Load())
+	}
+	if drops := st.QueueDrops.Load(); drops != 0 {
 		t.Logf("writer fell behind: %d drops", drops)
 	}
 }

@@ -7,10 +7,11 @@
 // how they route reads to local vs. quorum protocols or how they emulate
 // batched writes.
 //
-// The contract mirrors core.Env's: an Invoke function schedules a closure
-// on the node's single loop goroutine; every channel the closures send to
-// is buffered, so a node completing an operation after its caller timed
-// out never blocks the loop.
+// The contract mirrors core.Env's: an Invoke function runs a closure where
+// no other handler of the node runs — on the node's loop goroutine
+// (livenet) or inside its monitor, on the caller's own (nettransport);
+// every channel the closures send to is buffered, so a node completing an
+// operation after its caller timed out never blocks.
 //
 // Every function here may be called from any number of goroutines at
 // once: each call is its own operation with its own completion channel,
@@ -30,9 +31,11 @@ import (
 // ErrTimeout is returned when an operation misses its real-time deadline.
 var ErrTimeout = errors.New("nodeops: operation timed out")
 
-// Invoke schedules fn on the node's loop goroutine — the only legal way to
-// touch a node — returning without waiting for fn to run. It returns an
-// error if the node is gone (left, killed, or the runtime closed).
+// Invoke runs fn serialized with the node's handlers — the only legal way
+// to touch a node. fn may or may not have run when Invoke returns, so it
+// reports through channels; it must not itself call Invoke. Invoke
+// returns an error if the node is gone (left, killed, or the runtime
+// closed).
 type Invoke func(fn func(core.Node)) error
 
 // ReadKey runs a read of one register and waits for its result, routing to

@@ -204,3 +204,51 @@ func TestAppendFrameBytesMatchesFrameBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestScannerHasFrame pins the accessor a reader uses to tell "more of the
+// batch the remote flushed" from "wait for the network": true exactly when
+// the next Next would not read from the connection, and free. Each case is
+// what one read left in the buffer behind a first frame.
+func TestScannerHasFrame(t *testing.T) {
+	frame, err := wire.AppendFrameBytes(nil, hotMsgFrame())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wire.NewScanner(bytes.NewReader(frame)).HasFrame() {
+		t.Fatal("HasFrame on a scanner that has read nothing: it must not read to find out")
+	}
+	for _, c := range []struct {
+		name   string
+		behind []byte
+		want   bool
+	}{
+		{"empty buffer", nil, false},
+		{"3 of 4 header bytes", frame[:3], false},
+		{"header without payload", frame[:4], false},
+		{"all but the last byte", frame[:len(frame)-1], false},
+		{"exactly one frame", frame, true},
+		{"a frame and a half", append(append([]byte(nil), frame...), frame[:len(frame)/2]...), true},
+	} {
+		s := wire.NewScanner(bytes.NewReader(append(append([]byte(nil), frame...), c.behind...)))
+		if _, err := s.Next(); err != nil {
+			t.Fatalf("%s: first frame: %v", c.name, err)
+		}
+		got := s.HasFrame()
+		allocs := 0.0
+		if !raceEnabled {
+			allocs = testing.AllocsPerRun(100, func() { got = s.HasFrame() })
+		}
+		if got != c.want || allocs != 0 {
+			t.Errorf("%s: HasFrame = %v (%v allocs), want %v and 0", c.name, got, allocs, c.want)
+		}
+		if !c.want {
+			continue
+		}
+		if _, err := s.Next(); err != nil {
+			t.Fatalf("%s: the frame HasFrame promised: %v", c.name, err)
+		}
+		if s.HasFrame() {
+			t.Errorf("%s: HasFrame still true with less than a frame left", c.name)
+		}
+	}
+}

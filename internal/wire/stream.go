@@ -61,6 +61,19 @@ func NewScanner(r io.Reader) *Scanner {
 	return &Scanner{r: bufio.NewReaderSize(r, defaultBufCap), buf: make([]byte, 0, defaultBufCap)}
 }
 
+// HasFrame reports whether a whole frame is already buffered, so that the
+// next Next returns without reading from the connection. A reader uses it
+// to tell "more of the batch the remote flushed" from "wait for the
+// network". It never reads, blocks or allocates.
+func (s *Scanner) HasFrame() bool {
+	have := s.r.Buffered() - 4
+	if have < 0 {
+		return false
+	}
+	hdr, _ := s.r.Peek(4)
+	return uint32(have) >= binary.BigEndian.Uint32(hdr)
+}
+
 // Next reads and decodes one frame. It returns exactly ReadFrame's errors:
 // io errors from the connection, ErrTooLarge for a hostile length prefix,
 // and DecodeFrame's errors for malformed payloads.
