@@ -1,6 +1,6 @@
 package churnreg_test
 
-// One benchmark per experiment table (E1-E10, DESIGN.md §5): running
+// One benchmark per experiment table (E1-E12, internal/harness.All): running
 // `go test -bench=.` regenerates every figure/claim of the paper and
 // reports the experiment's headline quantity as a custom metric. Use
 // -v to also see the rendered tables (b.Logf). The micro-benchmarks at

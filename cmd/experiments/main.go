@@ -1,6 +1,6 @@
-// Command experiments regenerates every table in EXPERIMENTS.md: one
-// experiment per figure, lemma, or theorem of the paper (see DESIGN.md §5
-// for the index). Runs are deterministic in the seed.
+// Command experiments regenerates every experiment table: one experiment
+// per figure, lemma, or theorem of the paper (internal/harness.All is the
+// index). Runs are deterministic in the seed.
 //
 // Usage:
 //

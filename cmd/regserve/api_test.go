@@ -294,9 +294,9 @@ func TestAPIReadReportsServer(t *testing.T) {
 
 // TestAPITransportAndReadPathMetrics: the wire-level hot-path series
 // (coalescing factor, batch gauge, backpressure counters, the monitor's
-// turns and its flushes) and the quorum read fast/slow split render on
-// /metrics with the values the backend reports — every name a scraper
-// (bench/ among them) already knows, unchanged.
+// turns and its flushes, timer lateness) and the quorum read fast/slow
+// split render on /metrics with the values the backend reports — every
+// name a scraper (bench/ among them) already knows, unchanged.
 func TestAPITransportAndReadPathMetrics(t *testing.T) {
 	b := newFakeBackend()
 	b.stats.FlushWrites.Store(10)
@@ -309,6 +309,9 @@ func TestAPITransportAndReadPathMetrics(t *testing.T) {
 	b.stats.SelfDeliveries.Store(40)
 	b.stats.InlineFlushes.Store(9)
 	b.stats.FlushHandoffs.Store(1)
+	b.stats.TimerFires.Store(12)
+	b.stats.TimerLateNanos.Store(1_500_000)
+	b.stats.TimerOverruns.Store(1)
 	srv := newTestAPI(t, b)
 	status, body := get(t, srv.URL+"/metrics")
 	if status != 200 {
@@ -325,6 +328,9 @@ func TestAPITransportAndReadPathMetrics(t *testing.T) {
 		"regserve_transport_self_deliveries_total 40",
 		"regserve_transport_inline_flushes_total 9",
 		"regserve_transport_flush_handoffs_total 1",
+		"regserve_transport_timer_fires_total 12",
+		"regserve_transport_timer_late_seconds_total 0.0015",
+		"regserve_transport_timer_overruns_total 1",
 		`regserve_read_path_total{path="fast"} 5`,
 		`regserve_read_path_total{path="slow"} 2`,
 	} {

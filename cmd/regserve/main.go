@@ -334,8 +334,8 @@ func (a *api) metrics(w http.ResponseWriter, r *http.Request) {
 
 // writeTransportMetrics renders the wire-level hot-path counters: the
 // coalescing factor (frames per frame-carrying write syscall), the latest
-// batch size, the backpressure counters, and the monitor's turns and
-// flushes.
+// batch size, the backpressure counters, the monitor's turns and flushes,
+// and how late its timers fire.
 func (a *api) writeTransportMetrics(w http.ResponseWriter) {
 	st := a.tr.Stats()
 	if st == nil {
@@ -371,6 +371,15 @@ func (a *api) writeTransportMetrics(w http.ResponseWriter) {
 	fmt.Fprintf(w, "# HELP regserve_transport_flush_handoffs_total Inline flushes the socket cut short or refused; the link's writer took the remainder.\n")
 	fmt.Fprintf(w, "# TYPE regserve_transport_flush_handoffs_total counter\n")
 	fmt.Fprintf(w, "regserve_transport_flush_handoffs_total %d\n", st.FlushHandoffs.Load())
+	fmt.Fprintf(w, "# HELP regserve_transport_timer_fires_total Protocol timer callbacks (wait(δ) and the like) run by the node.\n")
+	fmt.Fprintf(w, "# TYPE regserve_transport_timer_fires_total counter\n")
+	fmt.Fprintf(w, "regserve_transport_timer_fires_total %d\n", st.TimerFires.Load())
+	fmt.Fprintf(w, "# HELP regserve_transport_timer_late_seconds_total Summed lateness of timer callbacks: when each one's turn began, minus its deadline.\n")
+	fmt.Fprintf(w, "# TYPE regserve_transport_timer_late_seconds_total counter\n")
+	fmt.Fprintf(w, "regserve_transport_timer_late_seconds_total %g\n", float64(st.TimerLateNanos.Load())/1e9)
+	fmt.Fprintf(w, "# HELP regserve_transport_timer_overruns_total Timer callbacks that began more than delta past their deadline: this process stalled past delta.\n")
+	fmt.Fprintf(w, "# TYPE regserve_transport_timer_overruns_total counter\n")
+	fmt.Fprintf(w, "regserve_transport_timer_overruns_total %d\n", st.TimerOverruns.Load())
 }
 
 // writeReadPathMetrics renders the quorum-read fast/slow split for

@@ -178,9 +178,12 @@ type Env interface {
 	Send(to ProcessID, m Message)
 	// Broadcast disseminates m through the broadcast service of §3.2/§5.1.
 	Broadcast(m Message)
-	// After schedules fn on this node after d time units of the runtime's
-	// clock. Implements the protocols' wait(δ) statements. The callback is
-	// not invoked once the process has left the system.
+	// After schedules fn on this node no earlier than d time units of the
+	// runtime's clock after the call — a lower bound; how much later is the
+	// runtime's precision. Implements the protocols' wait(δ) statements.
+	// Callbacks due together may run back to back, as one batch whose
+	// sends go out together (nettransport's turn). The callback is not
+	// invoked once the process has left the system.
 	After(d sim.Duration, fn func())
 	// Delta returns the system's claimed communication bound δ. Only the
 	// synchronous protocol may rely on it; the eventually synchronous

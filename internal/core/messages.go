@@ -165,7 +165,7 @@ func (WriteBatchMsg) Kind() MsgKind { return KindWriteBatch }
 func (m WriteBatchMsg) WireSize() int { return 16 + 32*len(m.Entries) }
 
 // AckMsg is ACK(i, sn) (Figure 6 line 08, Figure 4 line 20). SN carries the
-// register sequence number being acknowledged (see the DESIGN.md §2 note on
+// register sequence number being acknowledged (ARCHITECTURE.md §1 says
 // why the REPLY-triggered ACK carries the register sn rather than r_sn).
 // Reg names the register whose write quorum the ACK feeds. Op echoes the
 // WRITE's OpID for acks triggered directly by a WRITE delivery; the

@@ -1,9 +1,10 @@
 // Package docslint is the repository's documentation lint, enforced as
 // an ordinary test so CI needs no external linter binary: every package
-// must carry a package doc comment, and the foundational API surfaces —
+// must carry a package doc comment; the foundational API surfaces —
 // internal/core, internal/wire, and the public churnreg package — must
-// document every exported symbol. It uses only go/parser, so the rules
-// it enforces and the code enforcing them version together.
+// document every exported symbol; and a comment that sends the reader to
+// a Markdown file must name one that exists. It uses only go/parser, so
+// the rules it enforces and the code enforcing them version together.
 package docslint
 
 import (
@@ -12,6 +13,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -139,6 +141,52 @@ func TestFoundationalAPIsDocumentExportedSymbols(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mdRef matches a Markdown file named in prose: "ARCHITECTURE.md",
+// "bench/README.md".
+var mdRef = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+
+// TestSourceCommentsReferToFilesInTheTree: every *.md file a Go comment
+// (test files included) names exists, relative to the module root or to
+// the commenting file's directory — a reader sent to a document finds it.
+func TestSourceCommentsReferToFilesInTheTree(t *testing.T) {
+	root := moduleRoot(t)
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, ref := range mdRef.FindAllString(cg.Text(), -1) {
+				if !exists(filepath.Join(root, ref)) && !exists(filepath.Join(filepath.Dir(path), ref)) {
+					t.Errorf("%s: comment refers to %s, which is not in the tree", fset.Position(cg.Pos()), ref)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
 }
 
 func declKind(d *ast.FuncDecl) string {

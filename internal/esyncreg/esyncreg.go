@@ -65,8 +65,8 @@ type Options struct {
 	DisableDLPrev bool
 	// LiteralAckRSN makes the REPLY-triggered ACK carry the request's
 	// read sequence number, the literal text of Figure 4 line 20, instead
-	// of the register sequence number our DESIGN.md §2 interpretation
-	// argues Lemma 7 needs. With it, writers can starve (tested).
+	// of the register sequence number Lemma 7 needs (ARCHITECTURE.md §1,
+	// "The REPLY-triggered ACK"). With it, writers can starve (tested).
 	LiteralAckRSN bool
 }
 
@@ -581,7 +581,7 @@ func (n *Node) handleReply(m core.ReplyMsg) {
 	// register sequence number from the reply (not r_sn): if the replier
 	// is a writer with an in-flight write on this key, this ACK is how
 	// processes that joined after the WRITE broadcast contribute to its
-	// quorum (Lemma 7; see DESIGN.md §2). Options.LiteralAckRSN restores
+	// quorum (Lemma 7; see ARCHITECTURE.md §1). Options.LiteralAckRSN restores
 	// the literal text.
 	if cur, ok := o.readReplies[m.From]; !ok || m.Value.MoreRecent(cur) {
 		o.readReplies[m.From] = m.Value

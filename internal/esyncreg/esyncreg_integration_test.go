@@ -185,7 +185,8 @@ func TestDLPrevRescuesStarvedJoiner(t *testing.T) {
 // writer whose WRITE broadcast was lost to departures cannot assemble its
 // ACK quorum from direct deliveries; joiners that learn the pending value
 // through the writer's REPLY contribute the missing ACKs — but only when
-// the ACK carries the register sequence number (our DESIGN.md §2 reading).
+// the ACK carries the register sequence number (the reading ARCHITECTURE.md
+// §1 argues for).
 func TestJoinerAcksUnblockWriter(t *testing.T) {
 	runScenario := func(opts esyncreg.Options) (writeCompleted bool) {
 		sys := newSystem(t, 5, netsim.SynchronousModel{Delta: delta}, opts, 0, 0)
@@ -222,7 +223,7 @@ func TestJoinerAcksUnblockWriter(t *testing.T) {
 		t.Fatal("joiner ACKs did not unblock the writer")
 	}
 	if runScenario(esyncreg.Options{LiteralAckRSN: true}) {
-		t.Fatal("literal-r_sn ACKs unblocked the writer — the DESIGN.md §2 concern is moot")
+		t.Fatal("literal-r_sn ACKs unblocked the writer — the register-sn reading is moot")
 	}
 }
 

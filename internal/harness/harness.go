@@ -1,10 +1,10 @@
 // Package harness defines the repository's experiments: one per figure,
-// lemma, or theorem of the paper (DESIGN.md §5 maps them). Each experiment
-// builds a simulated dynamic system, drives a workload, checks the
-// recorded history against the register specification, and renders a
-// metrics.Table — the repository's equivalent of regenerating the paper's
-// figures. cmd/experiments prints them; bench_test.go wraps them as
-// benchmarks; EXPERIMENTS.md records their output.
+// lemma, or theorem of the paper (All lists them, each titled with what it
+// reproduces). Each experiment builds a simulated dynamic system, drives a
+// workload, checks the recorded history against the register
+// specification, and renders a metrics.Table — the repository's equivalent
+// of regenerating the paper's figures. cmd/experiments prints them;
+// bench_test.go wraps them as benchmarks.
 package harness
 
 import (
@@ -181,7 +181,7 @@ type Experiment struct {
 	Run   func(seed uint64) []*metrics.Table
 }
 
-// All returns every experiment in DESIGN.md §5 order.
+// All returns every experiment, E1 first.
 func All() []Experiment {
 	return []Experiment{
 		{ID: "E1", Title: "Figure 3: why the join pre-wait is required", Run: one(Fig3WhyWait)},

@@ -3,10 +3,10 @@
 // wall-clock message delays. It implements the same core.Env contract as
 // the deterministic simulator, so protocol state machines run unmodified.
 //
-// The simulator remains the source of every number in EXPERIMENTS.md; the
-// live runtime exists to show the protocols are deployable outside virtual
-// time (examples/socialprofile uses it) and to exercise them under real
-// concurrency in tests.
+// The simulator remains the source of every experiment table
+// (cmd/experiments); the live runtime exists to show the protocols are
+// deployable outside virtual time (examples/socialprofile uses it) and to
+// exercise them under real concurrency in tests.
 //
 // Caveat for the synchronous protocol: its correctness rests on δ really
 // bounding delivery. In real time, delivery latency includes Go timer

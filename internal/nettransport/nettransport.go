@@ -44,19 +44,27 @@
 // # Concurrency
 //
 // The node is a monitor: one mutex owns it, and whoever brings it work
-// runs that work — a connection's reader the frames it read, a timer's
-// goroutine its After callback, the caller of Invoke its closure — so
-// nothing the node does waits to be scheduled. Work goes in turns. A turn
-// runs a task and then every message the node addressed to itself
-// meanwhile, from a FIFO the monitor owns: after the handler that sent it
-// has returned, so never re-entrantly; before the next task; with no timer
-// or goroutine, because a process's message to itself costs no message
-// delay (it is still asynchronous, which is all core.Env promises). A
-// reader stays for every whole frame already in its scanner's buffer —
-// what the remote flushed together. When the producer has nothing more, or
-// after turnTasks steps, the turn ends: each link it queued frames on is
-// flushed, once, and the monitor released — between two turns of one
-// producer too, so a node that keeps messaging itself starves nobody.
+// runs that work — a connection's reader the frames it read, the clock's
+// goroutine the After callbacks that are due, the caller of Invoke its
+// closure — so nothing the node does waits to be scheduled. Work goes in
+// turns. A turn runs a task and then every message the node addressed to
+// itself meanwhile, from a FIFO the monitor owns: after the handler that
+// sent it has returned, so never re-entrantly; before the next task; with
+// no timer or goroutine, because a process's message to itself costs no
+// message delay (it is still asynchronous, which is all core.Env
+// promises). A reader stays for every whole frame already in its
+// scanner's buffer — what the remote flushed together. When the producer
+// has nothing more, or after turnTasks steps, the turn ends: each link it
+// queued frames on is flushed, once, and the monitor released — between
+// two turns of one producer too, so a node that keeps messaging itself
+// starves nobody.
+//
+// Timers are a producer like a reader. After pushes its callback on a
+// deadline heap the monitor owns; one clock — a timerfd in the runtime's
+// netpoller on Linux, so a deadline is met at kernel precision rather than
+// at the idle runtime's next whole millisecond — wakes one goroutine per
+// expiry, which runs every callback then due, in deadline order, as the
+// tasks of one turn. A callback never runs early, and never after Close.
 //
 // A link (a peer's dialed connection, or a client session's accepted one)
 // owns a mutex-guarded append buffer of encoded frames; senders encode a
@@ -233,6 +241,13 @@ type Stats struct {
 	LoopTurns      atomic.Uint64
 	LoopTasks      atomic.Uint64
 	SelfDeliveries atomic.Uint64
+	// TimerFires counts After callbacks run, and TimerLateNanos sums how
+	// far past its deadline each one's turn began. TimerOverruns counts the
+	// callbacks that began more than δ late: the process itself stalled
+	// past δ, which breaks the synchronous model for whatever waited on it.
+	TimerFires     atomic.Uint64
+	TimerLateNanos atomic.Uint64
+	TimerOverruns  atomic.Uint64
 }
 
 // FramesPerWrite reports the average coalescing factor — frames flushed
@@ -270,11 +285,7 @@ type Transport struct {
 	// sessionSeq mints session pseudo-ids (negated, so they can never
 	// collide with real process ids, which are positive by construction).
 	sessionSeq int64
-	// timers tracks the pending timers of protocol After callbacks so
-	// Close stops them instead of leaking each until it fires — the
-	// livenet fix from PR 2, mirrored.
-	timers map[*time.Timer]struct{}
-	closed bool
+	closed     bool
 	// pendingInquiry is the join INQUIRY, in wire form, to replay to
 	// peers learned while this process's join is still running (see
 	// package comment); nil once active.
@@ -296,13 +307,20 @@ type Transport struct {
 	// dirty the links the current turn queued frames on, steps how far into
 	// the turn it is. chasing: a producer whose turn left selfq not empty is
 	// between turns and will be back for the rest. halted: Close has run.
-	mon      sync.Mutex
-	selfq    []core.Message
-	selfHead int
-	dirty    []*link
-	steps    int
-	chasing  bool
-	halted   bool
+	// deadlines holds the pending After callbacks, timerSeq numbers them,
+	// and clock wakes the tick goroutine, started (ticking) by the first
+	// After.
+	mon       sync.Mutex
+	selfq     []core.Message
+	selfHead  int
+	dirty     []*link
+	steps     int
+	chasing   bool
+	halted    bool
+	deadlines timerHeap
+	timerSeq  uint64
+	ticking   bool
+	clock     clock
 	// goid, set by tests only, names the calling goroutine: lock then
 	// panics on re-entry (Invoke from a handler) instead of deadlocking.
 	goid   func() int64
@@ -343,6 +361,11 @@ func New(cfg Config) (*Transport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nettransport: listen %s: %w", cfg.ListenAddr, err)
 	}
+	clk, err := newClock()
+	if err != nil {
+		ln.Close()
+		return nil, fmt.Errorf("nettransport: %w", err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t := &Transport{
 		cfg:      cfg,
@@ -355,7 +378,7 @@ func New(cfg Config) (*Transport, error) {
 		byID:     make(map[core.ProcessID]*peer),
 		conns:    make(map[net.Conn]struct{}),
 		sessions: make(map[core.ProcessID]*clientSession),
-		timers:   make(map[*time.Timer]struct{}),
+		clock:    clk,
 	}
 	t.links.Store(&linkTable{})
 	t.node = cfg.Factory(loopEnv{t}, core.SpawnContext{
@@ -444,15 +467,14 @@ func (t *Transport) Close() {
 		for _, p := range t.byAddr {
 			p.stop()
 		}
-		for tm := range t.timers {
-			tm.Stop()
-		}
-		t.timers = nil
 		t.mu.Unlock()
-		// Whoever is inside the monitor finishes its turn; nobody opens another.
+		// Whoever is inside the monitor finishes its turn; nobody opens
+		// another, and no pending callback is kept. Only then is the clock
+		// closed: nothing arms it after halted.
 		t.mon.Lock()
-		t.halted = true
+		t.halted, t.deadlines = true, nil
 		t.mon.Unlock()
+		t.clock.close()
 	})
 	t.wg.Wait()
 }
@@ -685,28 +707,6 @@ func (t *Transport) queue(inTurn bool, frame []byte, ls ...*link) {
 	t.stats.FramesSent.Add(uint64(len(ls)))
 }
 
-// After implements core.Env: fn runs inside the monitor, on the timer's
-// goroutine, after d ticks, suppressed once the process has shut down.
-// The timer is tracked, so a Close before it fires stops it rather than
-// leaking it.
-func (t *Transport) After(d sim.Duration, fn func()) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return
-	}
-	var tm *time.Timer
-	tm = time.AfterFunc(time.Duration(d)*t.cfg.Tick, func() {
-		// Untrack first. The map read of tm is ordered after the
-		// registration below by t.mu.
-		t.mu.Lock()
-		delete(t.timers, tm)
-		t.mu.Unlock()
-		t.do(fn)
-	})
-	t.timers[tm] = struct{}{}
-}
-
 // Delta implements core.Env.
 func (t *Transport) Delta() sim.Duration { return t.cfg.Delta }
 
@@ -909,9 +909,9 @@ func (t *Transport) yield() bool {
 	return !t.halted
 }
 
-// do runs fn as a turn of its own, on the caller's goroutine: After
-// callbacks, Invoke, the node's Start and PlacementChanged. It reports
-// false if the transport stopped first.
+// do runs fn as a turn of its own, on the caller's goroutine: Invoke, the
+// node's Start and PlacementChanged. It reports false if the transport
+// stopped first.
 func (t *Transport) do(fn func()) bool {
 	if !t.enter() {
 		return false

@@ -220,11 +220,8 @@ func TestSelfDeliveryIsFIFOAfterHandlerBeforeNextTask(t *testing.T) {
 	if turns, tasks, self := st.LoopTurns.Load(), st.LoopTasks.Load(), st.SelfDeliveries.Load(); turns != 1 || tasks != 2 || self != 5 {
 		t.Fatalf("turns, tasks, self-deliveries = %d, %d, %d, want 1, 2, 5", turns, tasks, self)
 	}
-	tr.mu.Lock()
-	timers := len(tr.timers)
-	tr.mu.Unlock()
-	if timers != 0 {
-		t.Fatalf("self-sends created %d timers, want none", timers)
+	if n := len(tr.deadlines); n != 0 {
+		t.Fatalf("self-sends created %d timers, want none", n)
 	}
 }
 
@@ -397,33 +394,29 @@ func TestLeaveWaitsForClientSessionLinks(t *testing.T) {
 func TestCloseStopsTrackedTimers(t *testing.T) {
 	checkLeaks := grabGoroutineBaseline(t)
 	tr, p := newProbeTransport(t, nil, func(c *Config) {
-		c.Tick = time.Hour // timers far in the future: they must be stopped, not awaited
+		c.Tick = time.Hour // timers far in the future: they must be dropped, not awaited
 	})
-	p.env.Send(1, core.TokenMsg{From: 1})    // self-send: no timer
-	p.env.Broadcast(core.TokenMsg{From: 1})  // loopback: no timer
-	tr.Send(1, core.TokenMsg{From: 1})       // outside the monitor: a turn, no timer
-	p.env.After(sim.Duration(10), func() {}) // protocol timer: the only one
-	tr.mu.Lock()
-	pending := len(tr.timers)
-	tr.mu.Unlock()
-	if pending != 1 {
-		t.Fatalf("tracked timers = %d, want 1 (After only)", pending)
+	var pending int
+	tr.Invoke(func(core.Node) {
+		p.env.Send(1, core.TokenMsg{From: 1})    // self-send: no timer
+		p.env.Broadcast(core.TokenMsg{From: 1})  // loopback: no timer
+		p.env.After(sim.Duration(10), func() {}) // protocol timer: the only one
+		pending = len(tr.deadlines)
+	})
+	tr.Send(1, core.TokenMsg{From: 1}) // outside the monitor: a turn, no timer
+	if pending != 1 || len(tr.deadlines) != 1 {
+		t.Fatalf("pending timers = %d, then %d, want 1 (After only)", pending, len(tr.deadlines))
 	}
 	tr.Close()
-	tr.mu.Lock()
-	after := tr.timers
-	tr.mu.Unlock()
-	if after != nil {
-		t.Fatalf("timers not released on Close: %d still tracked", len(after))
+	if tr.deadlines != nil {
+		t.Fatalf("timers not released on Close: %d still held", len(tr.deadlines))
 	}
 	// And scheduling after Close is a no-op, not a leak.
 	tr.After(sim.Duration(10), func() {})
-	tr.mu.Lock()
-	if tr.timers != nil {
-		t.Fatal("After on a closed transport tracked a timer")
+	if tr.deadlines != nil {
+		t.Fatal("After on a closed transport queued a timer")
 	}
-	tr.mu.Unlock()
-	checkLeaks()
+	checkLeaks() // the clock's goroutine, started by the first After, is gone
 }
 
 // TestSendPathZeroAllocs is the send path's allocation ceiling: with the
