@@ -2,9 +2,10 @@
 // an ordinary test so CI needs no external linter binary: every package
 // must carry a package doc comment; the foundational API surfaces —
 // internal/core, internal/wire, and the public churnreg package — must
-// document every exported symbol; and a comment that sends the reader to
-// a Markdown file must name one that exists. It uses only go/parser, so
-// the rules it enforces and the code enforcing them version together.
+// document every exported symbol; and a Go comment or a document that
+// sends the reader to a Markdown file, a package directory or a root JSON
+// file must name one that exists. It uses only go/parser, so the rules it
+// enforces and the code enforcing them version together.
 package docslint
 
 import (
@@ -143,13 +144,40 @@ func TestFoundationalAPIsDocumentExportedSymbols(t *testing.T) {
 	}
 }
 
-// mdRef matches a Markdown file named in prose: "ARCHITECTURE.md",
-// "bench/README.md".
-var mdRef = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+// The references a reader can follow, each checked against the tree: a
+// Markdown file ("ARCHITECTURE.md", "bench/README.md"), a package directory
+// of this module ("internal/wire", "./cmd/regserve", "churnreg/cmd/regsim"),
+// and a JSON file at the root ("BENCHMARK.json"). A glob ("BENCH_*.json")
+// names no file and is not checked.
+var (
+	mdRef   = regexp.MustCompile(`[\w./-]*\w\.md\b`)
+	pkgRef  = regexp.MustCompile(`(?:^|[^\w./-])(?:\./|churnreg/)?((?:internal|cmd)/\w+)`)
+	jsonRef = regexp.MustCompile(`(?:^|[^\w./-])(\w[\w-]*\.json)\b`)
+)
 
-// TestSourceCommentsReferToFilesInTheTree: every *.md file a Go comment
-// (test files included) names exists, relative to the module root or to
-// the commenting file's directory — a reader sent to a document finds it.
+// danglingRefs returns every reference in text that is not in the tree: a
+// Markdown file is looked for at the module root and in dir, a package or a
+// JSON file at the root only.
+func danglingRefs(root, dir, text string) []string {
+	var out []string
+	for _, ref := range mdRef.FindAllString(text, -1) {
+		if !exists(filepath.Join(root, ref)) && !exists(filepath.Join(dir, ref)) {
+			out = append(out, ref)
+		}
+	}
+	for _, re := range []*regexp.Regexp{pkgRef, jsonRef} {
+		for _, m := range re.FindAllStringSubmatch(text, -1) {
+			if !exists(filepath.Join(root, m[1])) {
+				out = append(out, m[1])
+			}
+		}
+	}
+	return out
+}
+
+// TestSourceCommentsReferToFilesInTheTree: every Markdown file, package
+// directory and root JSON file a Go comment (test files included) names
+// exists — a reader sent somewhere finds it.
 func TestSourceCommentsReferToFilesInTheTree(t *testing.T) {
 	root := moduleRoot(t)
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
@@ -171,16 +199,35 @@ func TestSourceCommentsReferToFilesInTheTree(t *testing.T) {
 			return err
 		}
 		for _, cg := range f.Comments {
-			for _, ref := range mdRef.FindAllString(cg.Text(), -1) {
-				if !exists(filepath.Join(root, ref)) && !exists(filepath.Join(filepath.Dir(path), ref)) {
-					t.Errorf("%s: comment refers to %s, which is not in the tree", fset.Position(cg.Pos()), ref)
-				}
+			for _, ref := range danglingRefs(root, filepath.Dir(path), cg.Text()) {
+				t.Errorf("%s: comment refers to %s, which is not in the tree", fset.Position(cg.Pos()), ref)
 			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDocsReferToFilesInTheTree applies the same check to the documents
+// that describe the tree as it is. CHANGES.md and ROADMAP.md record its
+// history, so they may name what is gone; bench/README.md belongs to the
+// benchmark and changes with it.
+func TestDocsReferToFilesInTheTree(t *testing.T) {
+	root := moduleRoot(t)
+	for _, doc := range []string{"README.md", "TESTING.md", "ARCHITECTURE.md", ".claude/skills/verify/SKILL.md"} {
+		path := filepath.Join(root, doc)
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Errorf("%s: %v", doc, err)
+			continue
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			for _, ref := range danglingRefs(root, filepath.Dir(path), line) {
+				t.Errorf("%s:%d: refers to %s, which is not in the tree", doc, i+1, ref)
+			}
+		}
 	}
 }
 
