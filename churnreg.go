@@ -14,8 +14,9 @@
 //   - SimCluster: a deterministic discrete-event simulation with a churn
 //     engine and built-in correctness checking. Every run is a pure
 //     function of its options; this is what the experiment suite uses.
-//   - LiveCluster: a real-time runtime (goroutine per process, channels
-//     as links) running the identical protocol state machines.
+//   - NetCluster: a real-time runtime running the identical protocol state
+//     machines over loopback TCP — each process a listener that speaks the
+//     wire codec, the same transport cmd/regserve deploys across machines.
 //
 // Beyond the paper's single register, every cluster hosts a KEYED
 // NAMESPACE of independent regular registers over one membership
@@ -138,7 +139,8 @@ func WithDelta(delta int64) Option { return func(o *options) { o.delta = delta }
 // replaced per tick (default 0; must be in [0, 1)).
 func WithChurnRate(c float64) Option { return func(o *options) { o.churnRate = c } }
 
-// WithSeed sets the deterministic seed (default 1).
+// WithSeed sets the deterministic seed (default 1). Only SimCluster uses
+// it; NetCluster's schedule is the operating system's.
 func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
 
 // WithProtocol selects the register implementation (default Synchronous).
@@ -177,9 +179,9 @@ func WithGST(gst, preGSTMax int64) Option {
 // ticks (the eventually synchronous analysis assumes joiners stay ≥ 3δ).
 func WithMinLifetime(d int64) Option { return func(o *options) { o.minLifetime = d } }
 
-// WithTick sets the real duration of one tick for LiveCluster (default
-// 1ms; δ×tick must comfortably exceed OS timer slop for the synchronous
-// protocol).
+// WithTick sets the real duration of one tick for NetCluster (default
+// 1ms; δ×tick must comfortably exceed loopback round-trips plus OS timer
+// slop for the synchronous protocol).
 func WithTick(d time.Duration) Option { return func(o *options) { o.tick = d } }
 
 // WithOperationTimeout bounds how long cluster-level operations wait

@@ -50,6 +50,49 @@ func TestSimClusterQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestNetClusterQuickstartFlow is the quickstart over loopback TCP,
+// through the public API only: the joiner reads the written value, and a
+// process that has left serves nothing more.
+func TestNetClusterQuickstartFlow(t *testing.T) {
+	c, err := churnreg.NewNetCluster(
+		churnreg.WithN(5),
+		churnreg.WithDelta(20),
+		churnreg.WithTick(time.Millisecond),
+		churnreg.WithProtocol(churnreg.EventuallySynchronous),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Write(31); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	v, err := c.Read()
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if v != 31 {
+		t.Fatalf("Read = %d, want 31", v)
+	}
+	id, err := c.Join()
+	if err != nil {
+		t.Fatalf("Join: %v", err)
+	}
+	v2, err := c.ReadAt(id)
+	if err != nil {
+		t.Fatalf("ReadAt: %v", err)
+	}
+	if v2 != 31 {
+		t.Fatalf("joiner read %d, want 31", v2)
+	}
+	if err := c.Leave(id); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReadAt(id); err == nil {
+		t.Fatal("read on departed process succeeded")
+	}
+}
+
 func TestSimClusterUnderChurn(t *testing.T) {
 	c, err := churnreg.NewSimCluster(
 		churnreg.WithN(20),
@@ -160,8 +203,8 @@ func TestOptionValidation(t *testing.T) {
 			if _, err := churnreg.NewSimCluster(tc.opts...); err == nil {
 				t.Fatal("invalid options accepted")
 			}
-			if _, err := churnreg.NewLiveCluster(tc.opts...); err == nil {
-				t.Fatal("invalid live options accepted")
+			if _, err := churnreg.NewNetCluster(tc.opts...); err == nil {
+				t.Fatal("invalid net options accepted")
 			}
 		})
 	}
@@ -178,84 +221,5 @@ func TestChurnBoundHelpers(t *testing.T) {
 		churnreg.EventuallySynchronous.String() != "eventually-synchronous" ||
 		churnreg.StaticABD.String() != "static-abd" {
 		t.Fatal("protocol names wrong")
-	}
-}
-
-func TestLiveClusterEndToEnd(t *testing.T) {
-	c, err := churnreg.NewLiveCluster(
-		churnreg.WithN(5),
-		churnreg.WithDelta(20),
-		churnreg.WithTick(time.Millisecond),
-		churnreg.WithProtocol(churnreg.EventuallySynchronous),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Write(31); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	v, err := c.Read()
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if v != 31 {
-		t.Fatalf("Read = %d, want 31", v)
-	}
-	id, err := c.Join()
-	if err != nil {
-		t.Fatalf("Join: %v", err)
-	}
-	v2, err := c.ReadAt(id)
-	if err != nil {
-		t.Fatalf("ReadAt: %v", err)
-	}
-	if v2 != 31 {
-		t.Fatalf("joiner read %d, want 31", v2)
-	}
-	if err := c.Leave(id); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.ReadAt(id); err == nil {
-		t.Fatal("read on departed process succeeded")
-	}
-}
-
-func TestLiveClusterWriterFailover(t *testing.T) {
-	c, err := churnreg.NewLiveCluster(
-		churnreg.WithN(5),
-		churnreg.WithDelta(20),
-		churnreg.WithProtocol(churnreg.Synchronous),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Write(1); err != nil {
-		t.Fatal(err)
-	}
-	// Kill the current writer; the next Write must fail over to a
-	// successor that already holds write #1 (the failover settle wait).
-	if err := c.Leave(c.WriterID()); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Write(2); err != nil {
-		t.Fatalf("write after writer loss: %v", err)
-	}
-	// Under load, real delays can exceed the synchronous protocol's δ
-	// budget; the WRITE still arrives eventually — poll for it.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		v, err := c.Read()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v == 2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("read %d, want 2", v)
-		}
-		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -9,18 +9,14 @@
 // WHOLE profile through its single join: each join reply carries a
 // snapshot of every register the replier holds, so one INQUIRY broadcast
 // suffices no matter how many fields the profile grows. Everything here
-// runs on real goroutines and channels (LiveCluster), not the simulator.
+// runs over real TCP sockets (NetCluster), not the simulator: every peer
+// owns a loopback listener and the profile updates travel through the
+// internal/wire binary codec.
 //
 // Run with: go run ./examples/socialprofile
-//
-// Pass -transport tcp to run the identical scenario over real TCP
-// sockets (NetCluster): every peer owns a loopback listener and the
-// profile updates travel through the internal/wire binary codec instead
-// of Go channels.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 	"math/rand"
@@ -28,18 +24,6 @@ import (
 
 	"churnreg"
 )
-
-// cluster is the slice of the LiveCluster/NetCluster API this example
-// drives — the two are interchangeable here by construction.
-type cluster interface {
-	WriteKey(k churnreg.RegisterID, v int64) error
-	ReadKeyAt(id churnreg.ProcessID, k churnreg.RegisterID) (int64, error)
-	Join() (churnreg.ProcessID, error)
-	Leave(id churnreg.ProcessID) error
-	IDs() []churnreg.ProcessID
-	Size() int
-	Close()
-}
 
 // Profile fields: one register per field. Field keys are just small
 // integers here; a production deployment would hash/intern field names.
@@ -76,31 +60,19 @@ var (
 )
 
 func main() {
-	transport := flag.String("transport", "live", "runtime: live (goroutines+channels) or tcp (real sockets)")
-	flag.Parse()
-	opts := []churnreg.Option{
+	cluster, err := churnreg.NewNetCluster(
 		churnreg.WithN(7),
 		churnreg.WithDelta(25), // 25ms δ budget: real timers have slop
 		churnreg.WithTick(time.Millisecond),
 		churnreg.WithProtocol(churnreg.EventuallySynchronous),
-		churnreg.WithOperationTimeout(10 * time.Second),
-	}
-	var cluster cluster
-	var err error
-	switch *transport {
-	case "live":
-		cluster, err = churnreg.NewLiveCluster(opts...)
-	case "tcp":
-		cluster, err = churnreg.NewNetCluster(opts...)
-	default:
-		log.Fatalf("unknown -transport %q (want live or tcp)", *transport)
-	}
+		churnreg.WithOperationTimeout(10*time.Second),
+	)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer cluster.Close()
 
-	fmt.Printf("7 peers online (%s transport), replicating @gopher's profile — one register per field\n", *transport)
+	fmt.Println("7 peers online, replicating @gopher's profile — one register per field")
 
 	rng := rand.New(rand.NewSource(7))
 	for round := range statuses {
@@ -111,11 +83,12 @@ func main() {
 				log.Fatalf("%s update: %v", fieldNames[field], err)
 			}
 		}
-		// ...while the peer set churns: one peer drops, a new one joins
-		// and must learn EVERY field through its single join.
+		// ...while the peer set churns: one peer drops without a goodbye,
+		// a new one joins and must learn EVERY field through its single
+		// join.
 		ids := cluster.IDs()
 		victim := ids[rng.Intn(len(ids))]
-		if err := cluster.Leave(victim); err == nil {
+		if err := cluster.Kill(victim); err == nil {
 			fmt.Printf("  peer %v went offline\n", victim)
 		}
 		joined, err := cluster.Join()

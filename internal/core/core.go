@@ -5,9 +5,9 @@
 //
 // Protocols (internal/syncreg, internal/esyncreg, internal/abd) are pure
 // event-driven state machines over these interfaces. The deterministic
-// simulator (internal/dynsys) and the goroutine live runtime
-// (internal/livenet) both implement Env, so identical protocol code runs in
-// virtual time and in real time.
+// simulator (internal/dynsys) and the real-time TCP runtime
+// (internal/nettransport) both implement Env, so identical protocol code runs
+// in virtual time and in real time.
 package core
 
 import (

@@ -211,12 +211,12 @@ func TestSourceCommentsReferToFilesInTheTree(t *testing.T) {
 }
 
 // TestDocsReferToFilesInTheTree applies the same check to the documents
-// that describe the tree as it is. CHANGES.md and ROADMAP.md record its
-// history, so they may name what is gone; bench/README.md belongs to the
-// benchmark and changes with it.
+// that describe the tree as it is, the CI workflow's comments among them.
+// CHANGES.md and ROADMAP.md record its history, so they may name what is
+// gone; bench/README.md belongs to the benchmark and changes with it.
 func TestDocsReferToFilesInTheTree(t *testing.T) {
 	root := moduleRoot(t)
-	for _, doc := range []string{"README.md", "TESTING.md", "ARCHITECTURE.md", ".claude/skills/verify/SKILL.md"} {
+	for _, doc := range []string{"README.md", "TESTING.md", "ARCHITECTURE.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"} {
 		path := filepath.Join(root, doc)
 		b, err := os.ReadFile(path)
 		if err != nil {

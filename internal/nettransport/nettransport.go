@@ -1,5 +1,5 @@
 // Package nettransport runs one register-protocol process over real TCP.
-// It implements the same core.Env contract as internal/livenet and the
+// It implements the same core.Env contract as internal/dynsys, the
 // deterministic simulator, so the protocol state machines of
 // internal/syncreg, internal/esyncreg, internal/abd and
 // internal/multiwriter run over actual sockets unmodified — this is the
@@ -608,7 +608,7 @@ func (t *Transport) Send(to core.ProcessID, m core.Message) { t.send(false, m, t
 
 // Broadcast implements core.Env for callers outside the monitor: the
 // frame goes to every process in the address book, plus self (the
-// simulator's and livenet's contract).
+// simulator's contract).
 func (t *Transport) Broadcast(m core.Message) { t.broadcast(false, m) }
 
 // send is the one point-to-point path: m is encoded once and queued on
@@ -616,7 +616,7 @@ func (t *Transport) Broadcast(m core.Message) { t.broadcast(false, m) }
 // the client session whose pseudo-id it is (the reply rides the session's
 // own connection; a session is never dialed back). An entry naming this
 // process is delivered locally: the quorum protocols count their own
-// replies, exactly as in the simulator and livenet.
+// replies, exactly as in the simulator.
 func (t *Transport) send(inTurn bool, m core.Message, to ...core.ProcessID) {
 	select {
 	case <-t.quit:

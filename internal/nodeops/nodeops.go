@@ -1,17 +1,17 @@
 // Package nodeops turns the asynchronous, loop-confined protocol node API
 // (core.KeyedReader, core.KeyedWriter, ...) into blocking operations with
 // real-time deadlines. It is the one implementation of "invoke an
-// operation on a node and wait" shared by every real-time runtime:
-// internal/livenet (goroutines + channels) and internal/nettransport (OS
-// processes + TCP) both delegate here, so the two runtimes cannot drift in
-// how they route reads to local vs. quorum protocols or how they emulate
-// batched writes.
+// operation on a node and wait": internal/nettransport, the TCP runtime
+// behind cmd/regserve and the public NetCluster, delegates here. It depends
+// only on the Invoke seam, not on the transport, so how reads route to
+// local vs. quorum protocols and how batched writes are emulated can be
+// driven by anything that can run a closure on a node.
 //
 // The contract mirrors core.Env's: an Invoke function runs a closure where
-// no other handler of the node runs — on the node's loop goroutine
-// (livenet) or inside its monitor, on the caller's own (nettransport);
-// every channel the closures send to is buffered, so a node completing an
-// operation after its caller timed out never blocks.
+// no other handler of the node runs (in nettransport: inside the node's
+// monitor, on the caller's own goroutine). Every channel the closures
+// send to is buffered, so a node completing an operation after its caller
+// timed out never blocks.
 //
 // Every function here may be called from any number of goroutines at
 // once: each call is its own operation with its own completion channel,

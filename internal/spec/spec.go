@@ -96,7 +96,7 @@ func (o *Op) overlaps(s, e sim.Time) bool {
 
 // History is an append-only record of operations over the keyed register
 // namespace. It is not safe for concurrent use; the simulator is
-// single-threaded and the live runtime wraps it in a lock.
+// single-threaded, and real-time recorders wrap it in a lock.
 type History struct {
 	ops []*Op
 	// initial is register 0's initial value (the paper's virtual write

@@ -1,17 +1,16 @@
 package churnreg
 
 // Acceptance coverage for the keyed register namespace: ReadKey/WriteKey
-// over >= 64 concurrent keys under churn on both runtimes, with exactly
+// over >= 64 concurrent keys under churn on the simulator, with exactly
 // one join (one INQUIRY broadcast) per process no matter how many keys it
 // serves, and per-key regularity holding throughout. White-box (package
 // churnreg) so the tests can reach protocol node stats through the
-// cluster internals.
+// cluster internals. The real-time twin, TestNetKeyedNamespaceUnderChurn,
+// is in netcluster_test.go.
 
 import (
 	"testing"
-	"time"
 
-	"churnreg/internal/core"
 	"churnreg/internal/esyncreg"
 	"churnreg/internal/syncreg"
 )
@@ -174,71 +173,5 @@ func TestSimWriteBatchOneBroadcastManyKeys(t *testing.T) {
 	}
 	if rep := c.Check(); !rep.OK() {
 		t.Fatalf("batch write broke regularity:\n%s", rep)
-	}
-}
-
-func TestLiveKeyedNamespaceUnderChurn(t *testing.T) {
-	c, err := NewLiveCluster(
-		WithN(7),
-		WithDelta(10),
-		WithTick(time.Millisecond),
-		WithProtocol(EventuallySynchronous),
-		WithOperationTimeout(20*time.Second),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	// Populate all 64 keys, churning one process per 16 keys: each
-	// departure+join forces a newcomer to recover the namespace state
-	// through its single join.
-	for k := 0; k < keyedTestKeys; k++ {
-		if err := c.WriteKey(RegisterID(k), int64(100+k)); err != nil {
-			t.Fatalf("write key %d: %v", k, err)
-		}
-		if k%16 == 15 {
-			ids := c.IDs()
-			victim := ids[0]
-			if victim == c.WriterID() {
-				victim = ids[1]
-			}
-			if err := c.Leave(victim); err != nil {
-				t.Fatalf("leave: %v", err)
-			}
-			if _, err := c.Join(); err != nil {
-				t.Fatalf("join: %v", err)
-			}
-		}
-	}
-
-	// A fresh joiner serves every key after one join, and its node
-	// broadcast exactly one INQUIRY for the whole namespace.
-	id, err := c.Join()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < keyedTestKeys; k++ {
-		v, err := c.ReadKeyAt(id, RegisterID(k))
-		if err != nil {
-			t.Fatalf("joiner read key %d: %v", k, err)
-		}
-		if v != int64(100+k) {
-			t.Fatalf("joiner key %d = %d, want %d", k, v, 100+k)
-		}
-	}
-	inquiries := make(chan uint64, 1)
-	if err := c.cluster.Invoke(id, func(n core.Node) {
-		inquiries <- n.(*esyncreg.Node).Stats().JoinInquiries
-	}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case got := <-inquiries:
-		if got != 1 {
-			t.Fatalf("live joiner sent %d join inquiries for %d keys, want exactly 1", got, keyedTestKeys)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("timed out reading joiner stats")
 	}
 }

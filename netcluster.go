@@ -11,23 +11,27 @@ import (
 	"churnreg/internal/sim"
 )
 
-// NetCluster runs the chosen protocol over REAL TCP sockets: every
-// process owns a listener on 127.0.0.1, dials its peers, and speaks the
-// internal/wire binary codec — the same transport cmd/regserve deploys
-// across machines, here packaged as an in-process cluster so library
-// callers and examples can opt into real networking by swapping one
-// constructor. The API mirrors LiveCluster; protocol state machines are
-// identical across SimCluster, LiveCluster, and NetCluster.
+// NetCluster is the real-time runtime: it runs the chosen protocol over
+// REAL TCP sockets. Every process owns a listener on 127.0.0.1, dials its
+// peers, and speaks the internal/wire binary codec — the same transport
+// cmd/regserve deploys across machines, here packaged as an in-process
+// cluster for library callers, tests and examples. Protocol state
+// machines are identical across SimCluster and NetCluster.
 //
-// Like LiveCluster there is no churn engine (drive membership with Join,
-// Leave, and Kill) and no built-in history checking. The synchronous
-// protocol's δ budget must cover genuine TCP round-trips plus scheduler
-// slop — keep Delta×Tick at tens of milliseconds.
+// Unlike SimCluster there is no churn engine — the caller drives
+// membership with Join, Leave (graceful) and Kill (a crash); see
+// examples/socialprofile for a churn loop — and no built-in history
+// checking (real-time response instants are not exact enough to
+// adjudicate boundary cases). The synchronous protocol's δ budget must
+// cover genuine TCP round-trips plus scheduler slop — keep Delta×Tick at
+// tens of milliseconds.
 //
-// Concurrency matches LiveCluster: any number of goroutines may issue
-// reads and writes at once; every call pipelines as its own operation on
-// its node, across keys and on one key. Route one key's writes through
-// one node (WriteKey uses the designated writer for exactly this).
+// NetCluster is safe for concurrent use, and concurrency is the point:
+// any number of goroutines may issue reads and writes at once; every call
+// pipelines as its own operation on its node, across keys and on one key.
+// Route one key's writes through one node (WriteKey uses the designated
+// writer for exactly this); a single node orders its own pipelined writes
+// by invocation.
 type NetCluster struct {
 	opts   options
 	mu     sync.Mutex
@@ -229,9 +233,9 @@ func (c *NetCluster) WriterID() ProcessID {
 func (c *NetCluster) Write(v int64) error { return c.WriteKey(core.DefaultRegister, v) }
 
 // WriteKey stores v in one register via the designated writer process,
-// adopting a successor if the writer departed (same value-continuity wait
-// as LiveCluster: the last completed write propagated within δ of the
-// departure).
+// adopting a successor if the writer departed (see writerTransport).
+// Concurrent calls — same key or not — pipeline on the writer, which
+// assigns their sequence numbers in arrival order.
 func (c *NetCluster) WriteKey(k RegisterID, v int64) error {
 	tr, err := c.writerTransport()
 	if err != nil {
@@ -277,8 +281,13 @@ func (c *NetCluster) writerTransport() (*nettransport.Transport, error) {
 	if ok {
 		return tr, nil
 	}
-	// The writer departed. Wait out value propagation (see
-	// LiveCluster.WriteKey) before a successor writes.
+	// The writer departed. Before the successor writes it must hold the
+	// departed writer's last value, or it would mint a new value under an
+	// already-used sequence number (two different values with one sn — a
+	// permanent split). The last write returned at most δ after its
+	// broadcast, so in a timing-honest run the value reaches everyone
+	// within δ of the departure; wait several δ of real time to also
+	// absorb scheduler slop.
 	time.Sleep(5 * time.Duration(c.opts.delta) * c.opts.tick)
 	ids := c.IDs()
 	if len(ids) == 0 {

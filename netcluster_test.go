@@ -1,18 +1,21 @@
 package churnreg
 
 import (
+	"errors"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
+
+	"churnreg/internal/core"
+	"churnreg/internal/esyncreg"
 )
 
 // TestNetClusterEndToEnd drives the TCP-backed cluster through the same
 // journey the quickstart takes on the simulator: write, read everywhere,
-// batch, join (the joiner must have learned every key), graceful leave,
-// crash, and writer failover.
+// batch, join (the joiner must have learned every key), graceful leave
+// (the departed process serves nothing more), crash, and writer failover.
 func TestNetClusterEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real TCP cluster; skipped in -short")
-	}
 	c, err := NewNetCluster(
 		WithN(3),
 		WithProtocol(EventuallySynchronous),
@@ -58,6 +61,9 @@ func TestNetClusterEndToEnd(t *testing.T) {
 	if err := c.Leave(joined); err != nil {
 		t.Fatalf("leave: %v", err)
 	}
+	if _, err := c.ReadKeyAt(joined, 1); !errors.Is(err, ErrNoActiveProcess) {
+		t.Fatalf("read at departed process = %v, want ErrNoActiveProcess", err)
+	}
 	writer := c.WriterID()
 	if err := c.Kill(writer); err != nil {
 		t.Fatalf("kill writer: %v", err)
@@ -80,9 +86,6 @@ func TestNetClusterEndToEnd(t *testing.T) {
 // TestNetClusterSyncProtocol runs the synchronous protocol over TCP with
 // a δ budget generous enough for loopback sockets plus timer slop.
 func TestNetClusterSyncProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("real TCP cluster; skipped in -short")
-	}
 	c, err := NewNetCluster(
 		WithN(3),
 		WithProtocol(Synchronous),
@@ -193,5 +196,279 @@ func TestNetClusterSharded(t *testing.T) {
 				t.Fatalf("post-leave read %v at %v = %d, want %d", k, id, v, 900+k)
 			}
 		}
+	}
+}
+
+// TestNetClusterWriterFailover crashes the designated writer under the
+// synchronous protocol: the next Write must fail over to a successor that
+// already holds write #1 (the failover settle wait).
+func TestNetClusterWriterFailover(t *testing.T) {
+	c, err := NewNetCluster(
+		WithN(5),
+		WithDelta(20),
+		WithProtocol(Synchronous),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Write(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Kill(c.WriterID()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Write(2); err != nil {
+		t.Fatalf("write after writer loss: %v", err)
+	}
+	// Under load, real delays can exceed the synchronous protocol's δ
+	// budget; the WRITE still arrives eventually — poll for it.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		v, err := c.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v == 2 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("read %d, want 2", v)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestNetClusterConcurrentReaders fires several reads at every process at
+// once; each pipelines as its own operation and returns the written value.
+func TestNetClusterConcurrentReaders(t *testing.T) {
+	c, err := NewNetCluster(
+		WithN(5),
+		WithDelta(20),
+		WithTick(time.Millisecond),
+		WithProtocol(EventuallySynchronous),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Write(7); err != nil {
+		t.Fatal(err)
+	}
+	ids := c.IDs()
+	var wg sync.WaitGroup
+	errs := make(chan error, 4*len(ids))
+	for g := 0; g < 4; g++ {
+		for _, id := range ids {
+			wg.Add(1)
+			go func(id ProcessID) {
+				defer wg.Done()
+				v, err := c.ReadAt(id)
+				if err == nil && v != 7 {
+					err = errors.New("stale concurrent read")
+				}
+				if err != nil {
+					errs <- err
+				}
+			}(id)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+}
+
+// TestNetClusterStringRoundTrip writes an interned string through the
+// TCP cluster's register and resolves it on the read side.
+func TestNetClusterStringRoundTrip(t *testing.T) {
+	c, err := NewNetCluster(
+		WithN(5),
+		WithDelta(20),
+		WithProtocol(EventuallySynchronous),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tab := NewStringTable()
+	if err := c.WriteString(tab, "online"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.ReadString(tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != "online" {
+		t.Fatalf("ReadString = %q", got)
+	}
+}
+
+// TestNetKeyedNamespaceUnderChurn is the real-time twin of the simulator's
+// keyed-namespace tests: 64 keys written while processes crash and join,
+// then a fresh joiner serves every key after its one join, having
+// broadcast exactly one INQUIRY for the whole namespace.
+func TestNetKeyedNamespaceUnderChurn(t *testing.T) {
+	c, err := NewNetCluster(
+		WithN(7),
+		WithDelta(10),
+		WithTick(time.Millisecond),
+		WithProtocol(EventuallySynchronous),
+		WithOperationTimeout(20*time.Second),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Populate all 64 keys, churning one process per 16 keys: each
+	// crash+join forces a newcomer to recover the namespace state
+	// through its single join.
+	for k := 0; k < keyedTestKeys; k++ {
+		if err := c.WriteKey(RegisterID(k), int64(100+k)); err != nil {
+			t.Fatalf("write key %d: %v", k, err)
+		}
+		if k%16 == 15 {
+			ids := c.IDs()
+			victim := ids[0]
+			if victim == c.WriterID() {
+				victim = ids[1]
+			}
+			if err := c.Kill(victim); err != nil {
+				t.Fatalf("kill: %v", err)
+			}
+			if _, err := c.Join(); err != nil {
+				t.Fatalf("join: %v", err)
+			}
+		}
+	}
+
+	id, err := c.Join()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < keyedTestKeys; k++ {
+		v, err := c.ReadKeyAt(id, RegisterID(k))
+		if err != nil {
+			t.Fatalf("joiner read key %d: %v", k, err)
+		}
+		if v != int64(100+k) {
+			t.Fatalf("joiner key %d = %d, want %d", k, v, 100+k)
+		}
+	}
+	tr, err := c.get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inquiries uint64
+	if err := tr.Invoke(func(n core.Node) {
+		inquiries = n.(*esyncreg.Node).Stats().JoinInquiries
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if inquiries != 1 {
+		t.Fatalf("joiner sent %d join inquiries for %d keys, want exactly 1", inquiries, keyedTestKeys)
+	}
+}
+
+// TestNetClusterCloseLeavesNoGoroutines drives a cluster through a write,
+// a read, a join and a crash, closes it twice, and requires the goroutine
+// count to return to baseline.
+func TestNetClusterCloseLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+
+	c, err := NewNetCluster(
+		WithN(5),
+		WithDelta(20),
+		WithProtocol(EventuallySynchronous),
+		WithOperationTimeout(10*time.Second),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := c.IDs()
+	if err := c.WriteKeyAt(ids[0], 3, 9); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	if _, err := c.ReadKeyAt(ids[1], 3); err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if _, err := c.Join(); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	if err := c.Kill(ids[2]); err != nil {
+		t.Fatalf("kill: %v", err)
+	}
+	c.Close()
+	c.Close() // idempotent
+
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		if runtime.NumGoroutine() <= base+2 {
+			return
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	t.Fatalf("goroutine leak after Close: %d goroutines, baseline %d\n%s",
+		runtime.NumGoroutine(), base, buf)
+}
+
+// TestNetClusterKillSuppressesProcess crashes a process under the
+// synchronous protocol: it is gone for good (a second Kill and a read at
+// it fail), and the survivors keep serving writes.
+func TestNetClusterKillSuppressesProcess(t *testing.T) {
+	c, err := NewNetCluster(
+		WithN(5),
+		WithDelta(20),
+		WithProtocol(Synchronous),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ids := c.IDs()
+	victim := ids[0]
+	if victim == c.WriterID() {
+		victim = ids[1]
+	}
+	if err := c.Kill(victim); err != nil {
+		t.Fatal(err)
+	}
+	if c.Size() != 4 {
+		t.Fatalf("size = %d, want 4", c.Size())
+	}
+	if err := c.Kill(victim); !errors.Is(err, ErrNoActiveProcess) {
+		t.Fatalf("second kill = %v, want ErrNoActiveProcess", err)
+	}
+	if _, err := c.ReadAt(victim); !errors.Is(err, ErrNoActiveProcess) {
+		t.Fatalf("read at killed process = %v, want ErrNoActiveProcess", err)
+	}
+	if err := c.Write(5); err != nil {
+		t.Fatalf("write after kill: %v", err)
+	}
+}
+
+// TestNetClusterCloseIsIdempotentAndStopsOps closes a cluster twice; after
+// that neither a join nor a read at a former member succeeds.
+func TestNetClusterCloseIsIdempotentAndStopsOps(t *testing.T) {
+	c, err := NewNetCluster(
+		WithN(5),
+		WithDelta(20),
+		WithProtocol(Synchronous),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := c.IDs()
+	c.Close()
+	c.Close()
+	if _, err := c.Join(); !errors.Is(err, ErrNoActiveProcess) {
+		t.Fatalf("join after close = %v, want ErrNoActiveProcess", err)
+	}
+	if _, err := c.ReadAt(ids[0]); !errors.Is(err, ErrNoActiveProcess) {
+		t.Fatalf("read after close = %v, want ErrNoActiveProcess", err)
 	}
 }

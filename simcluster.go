@@ -19,7 +19,7 @@ import (
 // single-threaded by design) — but operations still pipeline: the
 // Start*/Await API issues any number of operations, across keys and on
 // one key, before driving the simulation until they complete, which is
-// the deterministic twin of LiveCluster/NetCluster's concurrent callers.
+// the deterministic twin of NetCluster's concurrent callers.
 type SimCluster struct {
 	opts    options
 	sys     *dynsys.System

@@ -2,12 +2,9 @@ package churnreg_test
 
 import (
 	"errors"
-	"sync"
 	"testing"
-	"time"
 
 	"churnreg"
-	"churnreg/internal/core"
 )
 
 func TestSimClusterWriterFailoverAfterLeave(t *testing.T) {
@@ -107,59 +104,5 @@ func TestSimClusterNowAdvancesOnlyWhenDriven(t *testing.T) {
 	}
 	if c.Now() < 38 || c.Now() > 37+20 {
 		t.Fatalf("write advanced clock to %d", c.Now())
-	}
-}
-
-func TestLiveClusterConcurrentReaders(t *testing.T) {
-	c, err := churnreg.NewLiveCluster(
-		churnreg.WithN(5),
-		churnreg.WithDelta(20),
-		churnreg.WithTick(time.Millisecond),
-		churnreg.WithProtocol(churnreg.EventuallySynchronous),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Write(7); err != nil {
-		t.Fatal(err)
-	}
-	ids := c.IDs()
-	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	var successes int64
-	var mu sync.Mutex
-	for g := 0; g < 4; g++ {
-		for _, id := range ids {
-			wg.Add(1)
-			go func(id churnreg.ProcessID) {
-				defer wg.Done()
-				v, err := c.ReadAt(id)
-				if err != nil {
-					// A process runs one operation at a time: two
-					// goroutines racing the same id legitimately collide.
-					if errors.Is(err, core.ErrOpInProgress) {
-						return
-					}
-					errs <- err
-					return
-				}
-				if v != 7 {
-					errs <- errors.New("stale concurrent read")
-					return
-				}
-				mu.Lock()
-				successes++
-				mu.Unlock()
-			}(id)
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if successes < int64(len(ids)) {
-		t.Fatalf("only %d successful concurrent reads across %d processes", successes, len(ids))
 	}
 }

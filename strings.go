@@ -51,25 +51,21 @@ func (c *SimCluster) WriteString(t *StringTable, s string) error {
 
 // ReadString reads the register and resolves the payload via the table.
 func (c *SimCluster) ReadString(t *StringTable) (string, error) {
-	v, err := c.Read()
-	if err != nil {
-		return "", err
-	}
-	s, ok := t.Lookup(v)
-	if !ok {
-		return "", fmt.Errorf("churnreg: value %d not in string table (initial value or foreign writer?)", v)
-	}
-	return s, nil
+	return t.resolve(c.Read())
 }
 
-// WriteString writes a string payload through the live cluster's register.
-func (c *LiveCluster) WriteString(t *StringTable, s string) error {
+// WriteString writes a string payload through the TCP cluster's register.
+func (c *NetCluster) WriteString(t *StringTable, s string) error {
 	return c.Write(t.Intern(s))
 }
 
-// ReadString reads the live register and resolves the payload.
-func (c *LiveCluster) ReadString(t *StringTable) (string, error) {
-	v, err := c.Read()
+// ReadString reads the TCP cluster's register and resolves the payload.
+func (c *NetCluster) ReadString(t *StringTable) (string, error) {
+	return t.resolve(c.Read())
+}
+
+// resolve turns a register read into the string it references.
+func (t *StringTable) resolve(v int64, err error) (string, error) {
 	if err != nil {
 		return "", err
 	}

@@ -52,26 +52,3 @@ func TestSimClusterStringRoundTrip(t *testing.T) {
 		t.Fatal("uninterned initial value resolved")
 	}
 }
-
-func TestLiveClusterStringRoundTrip(t *testing.T) {
-	c, err := churnreg.NewLiveCluster(
-		churnreg.WithN(5),
-		churnreg.WithDelta(20),
-		churnreg.WithProtocol(churnreg.EventuallySynchronous),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	tab := churnreg.NewStringTable()
-	if err := c.WriteString(tab, "online"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.ReadString(tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != "online" {
-		t.Fatalf("ReadString = %q", got)
-	}
-}

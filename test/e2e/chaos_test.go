@@ -268,7 +268,7 @@ func runChaos(t *testing.T, cfg chaosConfig, seed int64) {
 
 	// Readers: random alive node EXCEPT the writer (the quorum protocols
 	// serve one operation per key per node at a time, so a client
-	// load-balances reads away from the writing node — LiveCluster.ReadKey
+	// load-balances reads away from the writing node — NetCluster.ReadKey
 	// encodes the same policy), random key. A read that fails (its node
 	// was killed under it) is abandoned — the spec only constrains reads
 	// that returned.
