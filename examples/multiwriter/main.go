@@ -58,8 +58,8 @@ func main() {
 		op := acquire(id)
 		wOp := history.BeginWrite(id, sys.Now())
 		val := core.Value(500 + round)
-		if err := op.Write(val, func() {
-			history.CompleteWrite(wOp, sys.Now(), op.Snapshot())
+		if err := op.Write(core.DefaultRegister, val, func(v core.VersionedValue, _ error) {
+			history.CompleteWrite(wOp, sys.Now(), v)
 		}); err != nil {
 			log.Fatal(err)
 		}
@@ -85,8 +85,8 @@ func main() {
 	// Everyone still reads the last calibration — locally and instantly.
 	reader := sys.Node(5).(*multiwriter.Node)
 	rOp := history.BeginRead(5, sys.Now())
-	v, err := reader.ReadLocal()
-	if err != nil {
+	var v core.VersionedValue
+	if err := reader.Read(core.DefaultRegister, func(got core.VersionedValue, _ core.ProcessID, _ error) { v = got }); err != nil {
 		log.Fatal(err)
 	}
 	history.CompleteRead(rOp, sys.Now(), v)

@@ -58,7 +58,7 @@ type op struct {
 
 	reading     bool
 	readReplies map[core.ProcessID]core.VersionedValue
-	readDone    func(core.VersionedValue)
+	readDone    func(core.VersionedValue, core.ProcessID, error)
 
 	// Write-back round of a slow-path read (quorum replies disagreed):
 	// wbVal is the adopted value being propagated; its ACKs route here by
@@ -70,7 +70,7 @@ type op struct {
 	writing   bool
 	writeVal  core.VersionedValue
 	writeAck  map[core.ProcessID]bool
-	writeDone func(core.VersionedValue)
+	writeDone func(core.VersionedValue, error)
 }
 
 // ackKey routes acknowledgments that carry no OpID: an in-flight write is
@@ -133,11 +133,7 @@ func Factory() core.NodeFactory {
 // Compile-time interface checks.
 var (
 	_ core.Node             = (*Node)(nil)
-	_ core.Reader           = (*Node)(nil)
-	_ core.Writer           = (*Node)(nil)
-	_ core.KeyedReader      = (*Node)(nil)
-	_ core.KeyedWriter      = (*Node)(nil)
-	_ core.SNWriter         = (*Node)(nil)
+	_ core.Ops              = (*Node)(nil)
 	_ core.KeyedSnapshotter = (*Node)(nil)
 	_ core.OpAccountant     = (*Node)(nil)
 	_ core.ReadPathCounter  = (*Node)(nil)
@@ -186,14 +182,9 @@ func (n *Node) ReadPathCounts() (fast, slow uint64) {
 // Stats returns a copy of this node's counters.
 func (n *Node) Stats() Stats { return n.stats }
 
-// Read implements core.Reader — key-0 sugar for ReadKey.
-func (n *Node) Read(done func(core.VersionedValue)) error {
-	return n.ReadKey(core.DefaultRegister, done)
-}
-
-// ReadKey implements core.KeyedReader: query all, adopt the majority's
-// freshest value for the key. Any number of reads may be in flight.
-func (n *Node) ReadKey(k core.RegisterID, done func(core.VersionedValue)) error {
+// Read implements core.Ops: query all, adopt the majority's freshest
+// value for the key. Any number of reads may be in flight.
+func (n *Node) Read(k core.RegisterID, done func(core.VersionedValue, core.ProcessID, error)) error {
 	if !n.active {
 		return core.ErrNotActive
 	}
@@ -238,9 +229,7 @@ func (n *Node) checkRead(id core.OpID, o *op) {
 		// with no write-back (arXiv:1601.04820).
 		n.stats.FastReads++
 		n.ops.Finish(id)
-		if o.readDone != nil {
-			o.readDone(freshest)
-		}
+		o.readDone(freshest, n.env.ID(), nil)
 		return
 	}
 	// Slow path: before returning the freshest value, propagate it to a
@@ -258,31 +247,15 @@ func (n *Node) checkWriteBack(id core.OpID, o *op) {
 		return
 	}
 	n.ops.Finish(id)
-	if o.readDone != nil {
-		o.readDone(o.wbVal)
-	}
+	o.readDone(o.wbVal, n.env.ID(), nil)
 }
 
-// Write implements core.Writer — key-0 sugar for WriteKey.
-func (n *Node) Write(v core.Value, done func()) error {
-	return n.WriteKey(core.DefaultRegister, v, done)
-}
-
-// WriteKey implements core.KeyedWriter — sugar over WriteKeySN.
-func (n *Node) WriteKey(k core.RegisterID, v core.Value, done func()) error {
-	return n.WriteKeySN(k, v, func(core.VersionedValue) {
-		if done != nil {
-			done()
-		}
-	})
-}
-
-// WriteKeySN implements core.SNWriter. Single-writer: the writer's own
-// sequence number for the key is authoritative, so no read phase is
-// needed; it is assigned at invocation, so pipelined writes to one key
-// from this node number themselves in invocation order. done receives
-// the exact ⟨v, sn⟩ stored.
-func (n *Node) WriteKeySN(k core.RegisterID, v core.Value, done func(core.VersionedValue)) error {
+// Write implements core.Ops. Single-writer: the writer's own sequence
+// number for the key is authoritative, so no read phase is needed; it is
+// assigned at invocation, so pipelined writes to one key from this node
+// number themselves in invocation order. done receives the exact ⟨v, sn⟩
+// stored.
+func (n *Node) Write(k core.RegisterID, v core.Value, done func(core.VersionedValue, error)) error {
 	if !n.active {
 		return core.ErrNotActive
 	}
@@ -310,9 +283,13 @@ func (n *Node) checkWrite(id core.OpID, o *op) {
 	}
 	delete(n.ackRoute, ackKey{reg: o.reg, sn: o.writeVal.SN})
 	n.ops.Finish(id)
-	if o.writeDone != nil {
-		o.writeDone(o.writeVal)
-	}
+	o.writeDone(o.writeVal, nil)
+}
+
+// WriteBatch implements core.Ops as one write per entry (core.WriteEach):
+// a quorum write costs a round trip per key whether batched or not.
+func (n *Node) WriteBatch(entries []core.KeyedWrite, done func([]core.KeyedValue, error)) error {
+	return core.WriteEach(n, entries, done)
 }
 
 // writeFor resolves the in-flight write an ACK feeds: by the OpID the

@@ -45,7 +45,7 @@ func TestWriteThenRead(t *testing.T) {
 	r := abdNode(t, sys, ids[2])
 
 	wrote := false
-	if err := w.Write(11, func() { wrote = true }); err != nil {
+	if err := w.Write(0, 11, func(core.VersionedValue, error) { wrote = true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(4 * delta); err != nil {
@@ -55,7 +55,7 @@ func TestWriteThenRead(t *testing.T) {
 		t.Fatal("write did not complete")
 	}
 	var got core.VersionedValue
-	if err := r.Read(func(v core.VersionedValue) { got = v }); err != nil {
+	if err := r.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { got = v }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(4 * delta); err != nil {
@@ -77,7 +77,7 @@ func TestReadQuorumIntersectsWriteQuorum(t *testing.T) {
 	sys.Network().SetDropRule(func(_, to core.ProcessID, m core.Message, _ sim.Time) bool {
 		return m.Kind() == core.KindWrite && dropTo[to]
 	})
-	if err := w.Write(5, nil); err != nil {
+	if err := w.Write(0, 5, ignoreWrite); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(4 * delta); err != nil {
@@ -85,7 +85,7 @@ func TestReadQuorumIntersectsWriteQuorum(t *testing.T) {
 	}
 	r := abdNode(t, sys, ids[4])
 	var got core.VersionedValue
-	if err := r.Read(func(v core.VersionedValue) { got = v }); err != nil {
+	if err := r.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { got = v }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(4 * delta); err != nil {
@@ -106,10 +106,10 @@ func TestReplacementsArePassive(t *testing.T) {
 		t.Fatal("ABD replacement became active without a join protocol")
 	}
 	n := abdNode(t, sys, id)
-	if err := n.Read(nil); err != core.ErrNotActive {
+	if err := n.Read(0, ignoreRead); err != core.ErrNotActive {
 		t.Fatalf("Read on passive replica = %v, want ErrNotActive", err)
 	}
-	if err := n.Write(1, nil); err != core.ErrNotActive {
+	if err := n.Write(0, 1, ignoreWrite); err != core.ErrNotActive {
 		t.Fatalf("Write on passive replica = %v, want ErrNotActive", err)
 	}
 }
@@ -123,7 +123,7 @@ func TestPassiveReplicaServesQuorums(t *testing.T) {
 	ids := sys.ActiveIDs()
 	r := abdNode(t, sys, ids[0])
 	read := false
-	if err := r.Read(func(core.VersionedValue) { read = true }); err != nil {
+	if err := r.Read(0, func(core.VersionedValue, core.ProcessID, error) { read = true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(4 * delta); err != nil {
@@ -154,7 +154,7 @@ func TestStaleValueAfterHeavyTurnover(t *testing.T) {
 	ids := sys.ActiveIDs()
 	w := abdNode(t, sys, ids[0])
 	wrote := false
-	if err := w.Write(400, func() { wrote = true }); err != nil {
+	if err := w.Write(0, 400, func(core.VersionedValue, error) { wrote = true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(3000); err != nil {
@@ -174,3 +174,11 @@ func TestStaleValueAfterHeavyTurnover(t *testing.T) {
 		t.Fatalf("turnover did not erode state: only %d ⊥ replicas of 10", bottoms)
 	}
 }
+
+// ignoreWrite is a write's done callback for a test that does not look
+// at the outcome.
+func ignoreWrite(core.VersionedValue, error) {}
+
+// ignoreRead is a read's done callback for a test that does not look at
+// the outcome.
+func ignoreRead(core.VersionedValue, core.ProcessID, error) {}

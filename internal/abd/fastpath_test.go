@@ -17,7 +17,7 @@ func TestReadFastPathWhenQuorumAgrees(t *testing.T) {
 	sys := newSystem(t, 5, 0)
 	ids := sys.ActiveIDs()
 	w := abdNode(t, sys, ids[0])
-	if err := w.Write(21, nil); err != nil {
+	if err := w.Write(0, 21, ignoreWrite); err != nil {
 		t.Fatal(err)
 	}
 	// Run well past the write: the broadcast reaches every present
@@ -27,7 +27,7 @@ func TestReadFastPathWhenQuorumAgrees(t *testing.T) {
 	}
 	r := abdNode(t, sys, ids[3])
 	var got core.VersionedValue
-	if err := r.Read(func(v core.VersionedValue) { got = v }); err != nil {
+	if err := r.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { got = v }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(4 * delta); err != nil {
@@ -47,7 +47,7 @@ func TestReadHeavyWorkloadIsAllFastPath(t *testing.T) {
 	// phase over a settled value must be served entirely in one round.
 	sys := newSystem(t, 5, 0)
 	ids := sys.ActiveIDs()
-	if err := abdNode(t, sys, ids[0]).Write(99, nil); err != nil {
+	if err := abdNode(t, sys, ids[0]).Write(0, 99, ignoreWrite); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(4 * delta); err != nil {
@@ -57,7 +57,7 @@ func TestReadHeavyWorkloadIsAllFastPath(t *testing.T) {
 	completed := 0
 	for i := 0; i < reads; i++ {
 		r := abdNode(t, sys, ids[i%len(ids)])
-		if err := r.Read(func(v core.VersionedValue) {
+		if err := r.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) {
 			completed++
 			if v.Val != 99 {
 				t.Errorf("read %d: %v, want 99", i, v)
@@ -94,7 +94,7 @@ func TestReadDisagreementPaysWriteBack(t *testing.T) {
 	sys.Network().SetDropRule(func(from, to core.ProcessID, m core.Message, _ sim.Time) bool {
 		return m.Kind() == core.KindWrite && from == ids[0] && dropTo[to]
 	})
-	if err := w.Write(5, nil); err != nil {
+	if err := w.Write(0, 5, ignoreWrite); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(4 * delta); err != nil {
@@ -102,7 +102,7 @@ func TestReadDisagreementPaysWriteBack(t *testing.T) {
 	}
 	r := abdNode(t, sys, ids[4])
 	var got core.VersionedValue
-	if err := r.Read(func(v core.VersionedValue) { got = v }); err != nil {
+	if err := r.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { got = v }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(6 * delta); err != nil {
@@ -151,7 +151,7 @@ func TestNoNewOldInversionWithIncompleteWrite(t *testing.T) {
 		}
 		return false
 	})
-	if err := abdNode(t, sys, writer).Write(9, nil); err != nil {
+	if err := abdNode(t, sys, writer).Write(0, 9, ignoreWrite); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(3 * delta); err != nil {
@@ -160,7 +160,7 @@ func TestNoNewOldInversionWithIncompleteWrite(t *testing.T) {
 	a := abdNode(t, sys, readerA)
 	var gotA core.VersionedValue
 	doneA := false
-	if err := a.Read(func(v core.VersionedValue) { gotA, doneA = v, true }); err != nil {
+	if err := a.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { gotA, doneA = v, true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(6 * delta); err != nil {
@@ -180,7 +180,7 @@ func TestNoNewOldInversionWithIncompleteWrite(t *testing.T) {
 	b := abdNode(t, sys, readerB)
 	var gotB core.VersionedValue
 	doneB := false
-	if err := b.Read(func(v core.VersionedValue) { gotB, doneB = v, true }); err != nil {
+	if err := b.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { gotB, doneB = v, true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(6 * delta); err != nil {
@@ -211,13 +211,13 @@ func TestReadMonotonicityUnderChurnAndConcurrentWrites(t *testing.T) {
 		w, ra, rb := ids[0], ids[1%len(ids)], ids[2%len(ids)]
 		val++
 		// Kick off a write and read WHILE it is in flight.
-		_ = abdNode(t, sys, w).Write(val, nil)
+		_ = abdNode(t, sys, w).Write(0, val, ignoreWrite)
 		if err := sys.RunFor(2); err != nil {
 			t.Fatal(err)
 		}
 		var gotA core.VersionedValue
 		doneA := false
-		_ = abdNode(t, sys, ra).Read(func(v core.VersionedValue) { gotA, doneA = v, true })
+		_ = abdNode(t, sys, ra).Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { gotA, doneA = v, true })
 		if err := sys.RunFor(6 * delta); err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestReadMonotonicityUnderChurnAndConcurrentWrites(t *testing.T) {
 		lastReturned = gotA
 		var gotB core.VersionedValue
 		doneB := false
-		_ = abdNode(t, sys, rb).Read(func(v core.VersionedValue) { gotB, doneB = v, true })
+		_ = abdNode(t, sys, rb).Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { gotB, doneB = v, true })
 		if err := sys.RunFor(6 * delta); err != nil {
 			t.Fatal(err)
 		}

@@ -104,7 +104,7 @@ func TestBrokenDeltaBreaksSynchronousSafety(t *testing.T) {
 	}
 	writer := sys.Node(1).(*syncreg.Node)
 	done := false
-	if err := writer.Write(1, func() { done = true }); err != nil {
+	if err := writer.Write(0, 1, func(core.VersionedValue, error) { done = true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(delta); err != nil { // write "returns" at δ
@@ -123,11 +123,19 @@ func TestBrokenDeltaBreaksSynchronousSafety(t *testing.T) {
 	if !joiner.Active() {
 		t.Fatal("join did not complete")
 	}
-	v, err := joiner.(*syncreg.Node).ReadLocal()
+	v, err := readLocal(joiner.(*syncreg.Node))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.SN != 0 {
 		t.Fatalf("expected the stale read (sn=0) the impossibility predicts, got %v", v)
 	}
+}
+
+// readLocal runs a local read of register 0, which completes before Read
+// returns; ⊥ with the error when the node refuses it.
+func readLocal(n core.Ops) (core.VersionedValue, error) {
+	v := core.Bottom()
+	err := n.Read(0, func(got core.VersionedValue, _ core.ProcessID, _ error) { v = got })
+	return v, err
 }

@@ -20,6 +20,8 @@
 package atomicreg
 
 import (
+	"fmt"
+
 	"churnreg/internal/core"
 	"churnreg/internal/esyncreg"
 )
@@ -44,7 +46,7 @@ type Node struct {
 	wbSN     core.SeqNum
 	wbAcks   map[core.ProcessID]bool
 	wbValue  core.VersionedValue
-	wbDone   func(core.VersionedValue)
+	wbDone   func(core.VersionedValue, core.ProcessID, error)
 
 	stats Stats
 }
@@ -75,10 +77,18 @@ func Factory(opts esyncreg.Options) core.NodeFactory {
 // Compile-time interface checks.
 var (
 	_ core.Node   = (*Node)(nil)
-	_ core.Reader = (*Node)(nil)
-	_ core.Writer = (*Node)(nil)
+	_ core.Ops    = (*Node)(nil)
 	_ core.Joiner = (*Node)(nil)
 )
+
+// keyZeroOnly refuses an operation on any register but the default one:
+// the atomic upgrade is exposed for key 0 only (see Deliver).
+func keyZeroOnly(reg core.RegisterID) error {
+	if reg != core.DefaultRegister {
+		return fmt.Errorf("atomicreg: only %v is atomic, not %v", core.DefaultRegister, reg)
+	}
+	return nil
+}
 
 func (n *Node) majority() int { return n.env.SystemSize()/2 + 1 }
 
@@ -94,22 +104,34 @@ func (n *Node) Snapshot() core.VersionedValue { return n.inner.Snapshot() }
 // OnJoined implements core.Joiner.
 func (n *Node) OnJoined(done func()) { n.inner.OnJoined(done) }
 
-// Write implements core.Writer (unchanged from the regular protocol —
-// writes already install their value at a majority).
-func (n *Node) Write(v core.Value, done func()) error {
-	return n.inner.Write(v, done)
+// Write implements core.Ops (unchanged from the regular protocol —
+// writes already install their value at a majority), on key 0 only.
+func (n *Node) Write(reg core.RegisterID, v core.Value, done func(core.VersionedValue, error)) error {
+	if err := keyZeroOnly(reg); err != nil {
+		return err
+	}
+	return n.inner.Write(reg, v, done)
+}
+
+// WriteBatch implements core.Ops as one write per entry (core.WriteEach);
+// a batch naming any key but 0 is refused at that entry.
+func (n *Node) WriteBatch(entries []core.KeyedWrite, done func([]core.KeyedValue, error)) error {
+	return core.WriteEach(n, entries, done)
 }
 
 // Stats returns write-back counters.
 func (n *Node) Stats() Stats { return n.stats }
 
-// Read implements core.Reader with atomic semantics: quorum read, then
-// write the result back to a majority, then return.
-func (n *Node) Read(done func(core.VersionedValue)) error {
+// Read implements core.Ops with atomic semantics, on key 0 only: quorum
+// read, then write the result back to a majority, then return.
+func (n *Node) Read(reg core.RegisterID, done func(core.VersionedValue, core.ProcessID, error)) error {
+	if err := keyZeroOnly(reg); err != nil {
+		return err
+	}
 	if n.reading || n.wbActive {
 		return core.ErrOpInProgress
 	}
-	err := n.inner.Read(func(v core.VersionedValue) {
+	err := n.inner.Read(reg, func(v core.VersionedValue, _ core.ProcessID, _ error) {
 		n.reading = false
 		n.startWriteBack(v, done)
 	})
@@ -123,7 +145,7 @@ func (n *Node) Read(done func(core.VersionedValue)) error {
 
 // startWriteBack broadcasts the read value and waits for a majority of
 // ACKs before reporting the read complete.
-func (n *Node) startWriteBack(v core.VersionedValue, done func(core.VersionedValue)) {
+func (n *Node) startWriteBack(v core.VersionedValue, done func(core.VersionedValue, core.ProcessID, error)) {
 	n.stats.WriteBacks++
 	n.wbActive = true
 	n.wbSN = v.SN
@@ -144,9 +166,7 @@ func (n *Node) checkWriteBack() {
 	n.wbActive = false
 	done := n.wbDone
 	n.wbDone = nil
-	if done != nil {
-		done(n.wbValue)
-	}
+	done(n.wbValue, n.env.ID(), nil)
 }
 
 // Deliver implements core.Node: write-back ACKs are consumed here; all

@@ -49,7 +49,7 @@ func TestWriteThenAtomicRead(t *testing.T) {
 	w := atNode(t, sys, ids[0])
 	r := atNode(t, sys, ids[2])
 	wrote := false
-	if err := w.Write(9, func() { wrote = true }); err != nil {
+	if err := w.Write(0, 9, func(core.VersionedValue, error) { wrote = true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(20 * delta); err != nil {
@@ -59,7 +59,7 @@ func TestWriteThenAtomicRead(t *testing.T) {
 		t.Fatal("write incomplete")
 	}
 	var got core.VersionedValue
-	if err := r.Read(func(v core.VersionedValue) { got = v }); err != nil {
+	if err := r.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { got = v }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(20 * delta); err != nil {
@@ -85,7 +85,7 @@ func TestReadInstallsValueAtMajority(t *testing.T) {
 		return m.Kind() == core.KindWrite && from == ids[0] && to != ids[0] && to != ids[1]
 	})
 	werr := make(chan struct{}, 1)
-	if err := w.Write(3, func() { werr <- struct{}{} }); err != nil {
+	if err := w.Write(0, 3, func(core.VersionedValue, error) { werr <- struct{}{} }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(20 * delta); err != nil {
@@ -97,7 +97,7 @@ func TestReadInstallsValueAtMajority(t *testing.T) {
 	sys.Network().SetDropRule(nil)
 	r := atNode(t, sys, ids[1])
 	var got core.VersionedValue
-	if err := r.Read(func(v core.VersionedValue) { got = v }); err != nil {
+	if err := r.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { got = v }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(20 * delta); err != nil {
@@ -121,15 +121,23 @@ func TestAtomicReadGuards(t *testing.T) {
 	sys := newSystem(t, 5, nil, 0)
 	_, joiner := sys.Spawn()
 	j := joiner.(*atomicreg.Node)
-	if err := j.Read(nil); err != core.ErrNotActive {
+	if err := j.Read(0, ignoreRead); err != core.ErrNotActive {
 		t.Fatalf("read while joining = %v, want ErrNotActive", err)
 	}
 	n := atNode(t, sys, sys.ActiveIDs()[0])
-	if err := n.Read(nil); err != nil {
+	if err := n.Read(0, ignoreRead); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Read(nil); err != core.ErrOpInProgress {
+	if err := n.Read(0, ignoreRead); err != core.ErrOpInProgress {
 		t.Fatalf("second read = %v, want ErrOpInProgress", err)
+	}
+	// The atomic upgrade covers key 0 only: other keys are refused at
+	// invocation, and done never runs.
+	if err := n.Read(1, ignoreRead); err == nil {
+		t.Fatal("read of key 1 accepted")
+	}
+	if err := n.Write(1, 5, func(core.VersionedValue, error) { t.Fatal("refused write completed") }); err == nil {
+		t.Fatal("write of key 1 accepted")
 	}
 }
 
@@ -202,10 +210,10 @@ func runScriptedReaders(t *testing.T, factory core.NodeFactory) (*spec.History, 
 	}
 	history := spec.NewHistory(core.VersionedValue{Val: 0, SN: 0})
 
-	writer := sys.Node(1).(core.Writer)
+	writer := sys.Node(1).(core.Ops)
 	wOp := history.BeginWrite(1, sys.Now())
-	if err := writer.Write(1, func() {
-		history.CompleteWrite(wOp, sys.Now(), sys.Node(1).Snapshot())
+	if err := writer.Write(0, 1, func(v core.VersionedValue, _ error) {
+		history.CompleteWrite(wOp, sys.Now(), v)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +223,8 @@ func runScriptedReaders(t *testing.T, factory core.NodeFactory) (*spec.History, 
 	}
 	read := func(id core.ProcessID) {
 		op := history.BeginRead(id, sys.Now())
-		r := sys.Node(id).(core.Reader)
-		if err := r.Read(func(v core.VersionedValue) {
+		r := sys.Node(id).(core.Ops)
+		if err := r.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) {
 			history.CompleteRead(op, sys.Now(), v)
 		}); err != nil {
 			t.Fatal(err)
@@ -243,3 +251,7 @@ func runScriptedReaders(t *testing.T, factory core.NodeFactory) (*spec.History, 
 	}
 	return history, len(history.FindInversions())
 }
+
+// ignoreRead is a read's done callback for a test that does not look at
+// the outcome.
+func ignoreRead(core.VersionedValue, core.ProcessID, error) {}

@@ -8,6 +8,12 @@
 // simulator (internal/dynsys) and the real-time TCP runtime
 // (internal/nettransport) both implement Env, so identical protocol code runs
 // in virtual time and in real time.
+//
+// Every node serves its operations through one interface, Ops: Read,
+// Write and WriteBatch on any key, each completing through a done
+// callback (WriteEach is the batch of a protocol without a batched
+// broadcast). The other interfaces a node may implement only look at it:
+// Joiner, KeyedSnapshotter, OpAccountant and ReadPathCounter.
 package core
 
 import (
@@ -56,8 +62,8 @@ func (id ProcessID) String() string { return fmt.Sprintf("p%d", int64(id)) }
 // intern a string — see package strings for the value-side analogue).
 type RegisterID int64
 
-// DefaultRegister is key 0: the paper's single register. The legacy
-// single-register API (Read/Write, Snapshot) is sugar over this key, and
+// DefaultRegister is key 0: the paper's single register. The public
+// clusters' Read/Write and Node.Snapshot are sugar over this key, and
 // the zero value of the Reg field on wire messages addresses it, so
 // pre-keyed message constructions remain valid.
 const DefaultRegister RegisterID = 0
@@ -230,59 +236,77 @@ type SpawnContext struct {
 // NodeFactory builds a protocol instance for a freshly spawned process.
 type NodeFactory func(env Env, sc SpawnContext) Node
 
-// Reader is implemented by protocols whose read returns asynchronously
-// (quorum-based reads). done receives the value the read returns.
-type Reader interface {
-	Read(done func(VersionedValue)) error
+// Ops is the one operation contract every register node serves: the
+// paper's read() and write(v), addressed to any register of the keyed
+// namespace, plus a batch of writes. Every engine (syncreg, esyncreg, abd,
+// multiwriter, atomicreg) and the sharding wrapper (internal/shard)
+// implement it, so a caller invokes an operation the same way whatever
+// protocol runs underneath.
+//
+// The contract has one rule: if a call returns an error, done never runs
+// (the operation was not invoked); otherwise done runs exactly once, on
+// the node's handler context, possibly before the call returns (a local
+// read completes at once). done must not be nil.
+//
+// Operations may be in flight concurrently on one node — across keys and
+// pipelined on one key, each its own operation-table entry; a node's writes
+// to a key take sequence numbers in invocation order. ErrOpInProgress only
+// signals a full table. The paper's no-concurrent-writes discipline still
+// applies per key ACROSS nodes: two nodes must not write one key at once.
+type Ops interface {
+	// Read returns reg's value. from names the process that served the
+	// read: the node itself, or the replica that answered a forwarded
+	// read. err reports a read that failed after invocation (a sharded
+	// node's routing failure).
+	Read(reg RegisterID, done func(v VersionedValue, from ProcessID, err error)) error
+	// Write stores v in reg. done receives the exact ⟨v, sn⟩ this write
+	// stored — with several writes to one key in flight, a snapshot taken
+	// after completion may reflect a LATER write — or the error of a write
+	// that failed after invocation (ErrUnroutable, ErrUnacknowledged).
+	Write(reg RegisterID, v Value, done func(VersionedValue, error)) error
+	// WriteBatch stores several registers' values. Entries must be sorted
+	// by Reg and name each key at most once. done receives the stored
+	// ⟨v, sn⟩ per entry, in entry order; on a failure the entries that
+	// were not applied carry ⊥. A protocol with a batched broadcast sends
+	// one message for the whole batch; every other one is WriteEach.
+	WriteBatch(entries []KeyedWrite, done func([]KeyedValue, error)) error
 }
 
-// LocalReader is implemented by protocols with fast local reads (§3).
-type LocalReader interface {
-	ReadLocal() (VersionedValue, error)
-}
-
-// Writer is implemented by protocol nodes that can issue writes. done runs
-// when the write operation returns ok.
-type Writer interface {
-	Write(v Value, done func()) error
-}
-
-// KeyedReader is the multi-register analogue of Reader: a quorum read of
-// one register in the namespace. Reads may be in flight concurrently on
-// one node — across keys and pipelined on the same key — each tracked as
-// its own operation-table entry; ErrOpInProgress only signals a full
-// table.
-type KeyedReader interface {
-	ReadKey(reg RegisterID, done func(VersionedValue)) error
-}
-
-// KeyedLocalReader is the multi-register analogue of LocalReader.
-type KeyedLocalReader interface {
-	ReadLocalKey(reg RegisterID) (VersionedValue, error)
-}
-
-// KeyedWriter is the multi-register analogue of Writer. Writes may be in
-// flight concurrently on one node — across keys, and pipelined on one key
-// from this node (sequence numbers are assigned in invocation order). The
-// paper's no-concurrent-writes discipline still applies per key ACROSS
-// nodes: two different nodes must not write one key concurrently.
-type KeyedWriter interface {
-	WriteKey(reg RegisterID, v Value, done func()) error
-}
-
-// SNWriter is implemented by protocols that report the exact versioned
-// value a write stored. Pipelined clients need it: with several writes to
-// one key in flight, a snapshot taken after completion may reflect a
-// LATER write, so the done callback carries this write's own ⟨v, sn⟩.
-// WriteKey is sugar over this method in every protocol that has it.
-type SNWriter interface {
-	WriteKeySN(reg RegisterID, v Value, done func(VersionedValue)) error
-}
-
-// SNBatchWriter is the batch analogue of SNWriter: done receives the
-// exact ⟨v, sn⟩ stored for each entry, in entry order.
-type SNBatchWriter interface {
-	WriteBatchSN(entries []KeyedWrite, done func([]KeyedValue)) error
+// WriteEach is WriteBatch as one Write per entry, all in flight at once:
+// the batch of every protocol without a batched broadcast, and of a
+// sharded batch whose keys span primaries. Every entry settles before done
+// runs, once. The first entry the node refuses stops the batch: it and
+// the entries after it are not invoked and carry ⊥, with the refusal as
+// the batch's error, while the entries before it run to completion. An
+// error delivered to a write's done marks that entry failed too. Where
+// errors differ, ErrUnacknowledged wins: the caller's safe reaction to
+// "maybe applied" covers "not applied", but not the reverse. An empty
+// batch is an error and done never runs.
+func WriteEach(o Ops, entries []KeyedWrite, done func([]KeyedValue, error)) error {
+	if len(entries) == 0 {
+		return errors.New("register: empty batch")
+	}
+	out := make([]KeyedValue, len(entries))
+	remaining := len(entries)
+	var failed error
+	settle := func(i int, vv VersionedValue, err error) {
+		if err != nil && (failed == nil || errors.Is(err, ErrUnacknowledged)) {
+			failed = err
+		}
+		out[i] = KeyedValue{Reg: entries[i].Reg, Value: vv}
+		if remaining--; remaining == 0 {
+			done(out, failed)
+		}
+	}
+	for i, e := range entries {
+		if err := o.Write(e.Reg, e.Val, func(vv VersionedValue, err error) { settle(i, vv, err) }); err != nil {
+			for j := i; j < len(entries); j++ {
+				settle(j, Bottom(), err)
+			}
+			break
+		}
+	}
+	return nil
 }
 
 // OpAccountant exposes the size of a node's operation table, for leak
@@ -300,14 +324,6 @@ type OpAccountant interface {
 // can see what fraction of reads the fast path serves.
 type ReadPathCounter interface {
 	ReadPathCounts() (fast, slow uint64)
-}
-
-// BatchWriter is implemented by protocols that can disseminate updates to
-// several registers in one broadcast (the synchronous protocol: a batched
-// WRITE costs the same single broadcast plus one δ wait as a lone write).
-// Entries must be sorted by Reg and name each key at most once.
-type BatchWriter interface {
-	WriteBatch(entries []KeyedWrite, done func()) error
 }
 
 // KeyedWrite is one entry of a batched write: the key and the raw value

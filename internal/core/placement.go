@@ -167,30 +167,3 @@ func ScopedBroadcastMulti(env Env, regs []RegisterID, m Message) {
 	}
 	sendGroup(env, order, m)
 }
-
-// ServedReader is the forwarding-aware read interface: done reports the
-// value, the process that actually SERVED the read (self for local
-// serves; the replica that answered a FORWARD otherwise), and a terminal
-// error when every routing attempt failed. History recorders use the
-// server identity so per-key attribution names the replica that produced
-// the value, not the node that merely relayed the request.
-type ServedReader interface {
-	ReadKeyServed(reg RegisterID, done func(v VersionedValue, server ProcessID, err error)) error
-}
-
-// FallibleSNWriter is the forwarding-aware write interface: unlike
-// core.SNWriter, the done callback carries an error, because a forwarded
-// write can fail AFTER invocation (ErrUnroutable, ErrUnacknowledged)
-// where a node-local write cannot.
-type FallibleSNWriter interface {
-	WriteKeySNErr(reg RegisterID, v Value, done func(VersionedValue, error)) error
-}
-
-// FallibleSNBatchWriter is the forwarding-aware batch write interface:
-// done reports the stored ⟨v, sn⟩ per entry (entry order) or the first
-// routing error. A sharded batch whose keys span shards decomposes into
-// per-key routed writes; a batch local to one primary keeps the inner
-// protocol's one-broadcast dividend.
-type FallibleSNBatchWriter interface {
-	WriteBatchSNErr(entries []KeyedWrite, done func([]KeyedValue, error)) error
-}

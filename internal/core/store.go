@@ -97,8 +97,8 @@ func (s *RegStore) sortedNonZeroKeys() []RegisterID {
 }
 
 // SnapshotKey reads a node's local copy of one key, falling back to the
-// single-register Snapshot for nodes predating the keyed interfaces —
-// the one dispatch history recorders (SimCluster, workload) share.
+// single-register Snapshot for a node without KeyedSnapshotter (the
+// atomicreg wrapper) — how the shard wrapper reads its inner node.
 func SnapshotKey(node Node, k RegisterID) VersionedValue {
 	if s, ok := node.(KeyedSnapshotter); ok {
 		return s.SnapshotKey(k)

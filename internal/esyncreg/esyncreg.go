@@ -101,7 +101,7 @@ type op struct {
 	// Figure 6 line 01's embedded read for a write.
 	reading     bool
 	readReplies map[core.ProcessID]core.VersionedValue
-	readDone    func(core.VersionedValue)
+	readDone    func(core.VersionedValue, core.ProcessID, error)
 
 	// Write phase (Figure 6). writeReadDone marks the embedded read
 	// complete while the op waits its turn in the key's SN-assignment
@@ -114,7 +114,7 @@ type op struct {
 	writeBroadcast bool
 	writeSN        core.SeqNum
 	writeAck       map[core.ProcessID]bool
-	writeDone      func(core.VersionedValue)
+	writeDone      func(core.VersionedValue, error)
 }
 
 // ackKey routes acknowledgments that carry no OpID — the Lemma-7 reply
@@ -203,12 +203,8 @@ func Factory(opts Options) core.NodeFactory {
 // Compile-time interface checks.
 var (
 	_ core.Node             = (*Node)(nil)
-	_ core.Reader           = (*Node)(nil)
-	_ core.Writer           = (*Node)(nil)
+	_ core.Ops              = (*Node)(nil)
 	_ core.Joiner           = (*Node)(nil)
-	_ core.KeyedReader      = (*Node)(nil)
-	_ core.KeyedWriter      = (*Node)(nil)
-	_ core.SNWriter         = (*Node)(nil)
 	_ core.KeyedSnapshotter = (*Node)(nil)
 	_ core.OpAccountant     = (*Node)(nil)
 )
@@ -327,16 +323,11 @@ func (n *Node) PendingOps() int { return n.ops.Len() }
 // Stats returns a copy of this node's counters.
 func (n *Node) Stats() Stats { return n.stats }
 
-// Read implements core.Reader — key-0 sugar for ReadKey.
-func (n *Node) Read(done func(core.VersionedValue)) error {
-	return n.ReadKey(core.DefaultRegister, done)
-}
-
-// ReadKey implements core.KeyedReader — operation read(i), Figure 5 lines
-// 01-07, on one key. done receives the value the read returns. Any number
-// of reads may be in flight concurrently, on this key or others;
-// ErrOpInProgress only signals a full operation table.
-func (n *Node) ReadKey(k core.RegisterID, done func(core.VersionedValue)) error {
+// Read implements core.Ops — operation read(i), Figure 5 lines 01-07, on
+// one key. done receives the value the read returns. Any number of reads
+// may be in flight concurrently, on this key or others; ErrOpInProgress
+// only signals a full operation table.
+func (n *Node) Read(k core.RegisterID, done func(core.VersionedValue, core.ProcessID, error)) error {
 	if !n.active {
 		return core.ErrNotActive
 	}
@@ -386,32 +377,16 @@ func (n *Node) checkRead(id core.OpID, o *op) {
 		return
 	}
 	n.ops.Finish(id)
-	if o.readDone != nil {
-		o.readDone(n.value(o.reg))
-	}
+	o.readDone(n.value(o.reg), n.env.ID(), nil)
 }
 
-// Write implements core.Writer — key-0 sugar for WriteKey.
-func (n *Node) Write(v core.Value, done func()) error {
-	return n.WriteKey(core.DefaultRegister, v, done)
-}
-
-// WriteKey implements core.KeyedWriter — sugar over WriteKeySN.
-func (n *Node) WriteKey(k core.RegisterID, v core.Value, done func()) error {
-	return n.WriteKeySN(k, v, func(core.VersionedValue) {
-		if done != nil {
-			done()
-		}
-	})
-}
-
-// WriteKeySN implements core.SNWriter — operation write(v), Figure 6
-// lines 01-05, on one key. done receives the exact ⟨v, sn⟩ this write
-// stored. Writes may be in flight concurrently on this node — across
-// keys, and pipelined on one key: each runs its own embedded read, and
-// the key's FIFO assigns sequence numbers in invocation order. The
-// paper's no-concurrent-writes discipline applies per key across nodes.
-func (n *Node) WriteKeySN(k core.RegisterID, v core.Value, done func(core.VersionedValue)) error {
+// Write implements core.Ops — operation write(v), Figure 6 lines 01-05,
+// on one key. done receives the exact ⟨v, sn⟩ this write stored. Writes
+// may be in flight concurrently on this node — across keys, and
+// pipelined on one key: each runs its own embedded read, and the key's
+// FIFO assigns sequence numbers in invocation order. The paper's
+// no-concurrent-writes discipline applies per key across nodes.
+func (n *Node) Write(k core.RegisterID, v core.Value, done func(core.VersionedValue, error)) error {
 	if !n.active {
 		return core.ErrNotActive
 	}
@@ -483,9 +458,14 @@ func (n *Node) checkWrite(id core.OpID, o *op) {
 	}
 	delete(n.ackRoute, ackKey{reg: o.reg, sn: o.writeSN})
 	n.ops.Finish(id)
-	if o.writeDone != nil {
-		o.writeDone(core.VersionedValue{Val: o.writeVal, SN: o.writeSN})
-	}
+	o.writeDone(core.VersionedValue{Val: o.writeVal, SN: o.writeSN}, nil)
+}
+
+// WriteBatch implements core.Ops as one write per entry (core.WriteEach):
+// every write runs its own embedded read and ACK quorum, so a batch saves
+// no round trip.
+func (n *Node) WriteBatch(entries []core.KeyedWrite, done func([]core.KeyedValue, error)) error {
+	return core.WriteEach(n, entries, done)
 }
 
 // Deliver implements core.Node, dispatching the handlers of Figures 4-6.

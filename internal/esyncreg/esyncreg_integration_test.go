@@ -81,7 +81,7 @@ func TestWriteThenReadEndToEnd(t *testing.T) {
 	reader := esNode(t, sys, ids[3])
 
 	wrote := false
-	if err := writer.Write(99, func() { wrote = true }); err != nil {
+	if err := writer.Write(0, 99, func(core.VersionedValue, error) { wrote = true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(10 * delta); err != nil {
@@ -92,7 +92,7 @@ func TestWriteThenReadEndToEnd(t *testing.T) {
 	}
 	var got core.VersionedValue
 	read := false
-	if err := reader.Read(func(v core.VersionedValue) { got = v; read = true }); err != nil {
+	if err := reader.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { got = v; read = true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(10 * delta); err != nil {
@@ -112,7 +112,7 @@ func TestReadMergesFreshValueFromQuorum(t *testing.T) {
 	sys := newSystem(t, 5, netsim.SynchronousModel{Delta: delta}, esyncreg.Options{}, 0, 0)
 	ids := sys.ActiveIDs()
 	writer := esNode(t, sys, ids[0])
-	if err := writer.Write(55, nil); err != nil {
+	if err := writer.Write(0, 55, ignoreWrite); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(10 * delta); err != nil {
@@ -128,7 +128,7 @@ func TestReadMergesFreshValueFromQuorum(t *testing.T) {
 		t.Fatal("join incomplete")
 	}
 	var got core.VersionedValue
-	if err := joiner.Read(func(v core.VersionedValue) { got = v }); err != nil {
+	if err := joiner.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { got = v }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(10 * delta); err != nil {
@@ -199,7 +199,7 @@ func TestJoinerAcksUnblockWriter(t *testing.T) {
 			return m.Kind() == core.KindWrite && from == writerID && to != writerID
 		})
 		done := false
-		if err := writer.Write(31, func() { done = true }); err != nil {
+		if err := writer.Write(0, 31, func(core.VersionedValue, error) { done = true }); err != nil {
 			t.Fatal(err)
 		}
 		if err := sys.RunFor(10 * delta); err != nil {
@@ -234,7 +234,7 @@ func TestChurnRunValuePersists(t *testing.T) {
 	ids := sys.ActiveIDs()
 	writer := esNode(t, sys, ids[0])
 	wrote := false
-	if err := writer.Write(777, func() { wrote = true }); err != nil {
+	if err := writer.Write(0, 777, func(core.VersionedValue, error) { wrote = true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(2000); err != nil {
@@ -251,7 +251,7 @@ func TestChurnRunValuePersists(t *testing.T) {
 	reader := esNode(t, sys, actives[len(actives)-1])
 	var got core.VersionedValue
 	read := false
-	if err := reader.Read(func(v core.VersionedValue) { got = v; read = true }); err != nil {
+	if err := reader.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { got = v; read = true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(200); err != nil {
@@ -278,7 +278,7 @@ func TestOpsInvokedBeforeGSTCompleteAfterGST(t *testing.T) {
 	ids := sys.ActiveIDs()
 	writer := esNode(t, sys, ids[0])
 	wrote := false
-	if err := writer.Write(5, func() { wrote = true }); err != nil {
+	if err := writer.Write(0, 5, func(core.VersionedValue, error) { wrote = true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(250); err != nil { // still pre-GST
@@ -293,3 +293,7 @@ func TestOpsInvokedBeforeGSTCompleteAfterGST(t *testing.T) {
 	}
 	t.Logf("write completed before GST: %v (legal either way)", preGST)
 }
+
+// ignoreWrite is a write's done callback for a test that does not look
+// at the outcome.
+func ignoreWrite(core.VersionedValue, error) {}

@@ -10,7 +10,7 @@ import (
 
 func TestReadMergeUpdatesLocalRegister(t *testing.T) {
 	n, _ := newActive(5, Options{})
-	if err := n.Read(nil); err != nil {
+	if err := n.Read(0, ignoreRead); err != nil {
 		t.Fatal(err)
 	}
 	n.Deliver(1, reply(1, 40, 4, 1))
@@ -24,7 +24,7 @@ func TestReadMergeUpdatesLocalRegister(t *testing.T) {
 
 func TestSameReplierUpgradesWithinOneRead(t *testing.T) {
 	n, _ := newActive(5, Options{})
-	if err := n.Read(nil); err != nil {
+	if err := n.Read(0, ignoreRead); err != nil {
 		t.Fatal(err)
 	}
 	// The same process answers twice (direct + deferred): counted once for
@@ -60,7 +60,7 @@ func TestListenersAckWrites(t *testing.T) {
 
 func TestWriteAckQuorumCountsDistinctProcesses(t *testing.T) {
 	n, _ := newActive(5, Options{})
-	if err := n.Write(3, nil); err != nil {
+	if err := n.Write(0, 3, ignoreWrite); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []core.ProcessID{1, 2, 3} {

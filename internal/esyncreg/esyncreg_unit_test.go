@@ -178,7 +178,7 @@ func TestInquiryWhileActiveRepliesImmediately(t *testing.T) {
 
 func TestInquiryWhileActiveAndReadingAddsDLPrev(t *testing.T) {
 	n, env := newActive(5, Options{})
-	if err := n.Read(nil); err != nil {
+	if err := n.Read(0, ignoreRead); err != nil {
 		t.Fatal(err)
 	}
 	env.sent = nil
@@ -256,7 +256,7 @@ func TestReadBroadcastsAndCompletesOnMajority(t *testing.T) {
 	n, env := newActive(5, Options{})
 	var got core.VersionedValue
 	doneRan := false
-	if err := n.Read(func(v core.VersionedValue) { got = v; doneRan = true }); err != nil {
+	if err := n.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { got = v; doneRan = true }); err != nil {
 		t.Fatal(err)
 	}
 	rd, ok := env.bcasts[len(env.bcasts)-1].(core.ReadMsg)
@@ -279,13 +279,13 @@ func TestReadBroadcastsAndCompletesOnMajority(t *testing.T) {
 
 func TestSecondReadUsesFreshRSNAndIgnoresOldReplies(t *testing.T) {
 	n, _ := newActive(5, Options{})
-	if err := n.Read(nil); err != nil {
+	if err := n.Read(0, ignoreRead); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []core.ProcessID{1, 2, 3} {
 		n.Deliver(p, reply(p, 0, 0, 1))
 	}
-	if err := n.Read(nil); err != nil {
+	if err := n.Read(0, ignoreRead); err != nil {
 		t.Fatal(err)
 	}
 	// Replies to read #1 must not count toward read #2.
@@ -306,7 +306,7 @@ func TestSecondReadUsesFreshRSNAndIgnoresOldReplies(t *testing.T) {
 func TestWriteEmbedsReadThenBroadcastsWrite(t *testing.T) {
 	n, env := newActive(5, Options{})
 	doneRan := false
-	if err := n.Write(77, func() { doneRan = true }); err != nil {
+	if err := n.Write(0, 77, func(core.VersionedValue, error) { doneRan = true }); err != nil {
 		t.Fatal(err)
 	}
 	// Phase 1: the embedded read.
@@ -338,7 +338,7 @@ func TestWriteEmbedsReadThenBroadcastsWrite(t *testing.T) {
 
 func TestAckWithWrongSNIgnored(t *testing.T) {
 	n, _ := newActive(5, Options{})
-	if err := n.Write(1, nil); err != nil {
+	if err := n.Write(0, 1, ignoreWrite); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []core.ProcessID{1, 2, 3} {
@@ -406,23 +406,23 @@ func TestDLPrevAtActiveNodeAnswersImmediately(t *testing.T) {
 
 func TestOperationGuards(t *testing.T) {
 	joining, _ := newJoining(5, Options{})
-	if err := joining.Read(nil); err != core.ErrNotActive {
+	if err := joining.Read(0, ignoreRead); err != core.ErrNotActive {
 		t.Fatalf("Read while joining = %v, want ErrNotActive", err)
 	}
-	if err := joining.Write(1, nil); err != core.ErrNotActive {
+	if err := joining.Write(0, 1, ignoreWrite); err != core.ErrNotActive {
 		t.Fatalf("Write while joining = %v, want ErrNotActive", err)
 	}
 
 	// Sequentiality is relaxed: a second read and a write during a read
 	// are pipelined, each its own op-table entry.
 	active, _ := newActive(5, Options{})
-	if err := active.Read(nil); err != nil {
+	if err := active.Read(0, ignoreRead); err != nil {
 		t.Fatal(err)
 	}
-	if err := active.Read(nil); err != nil {
+	if err := active.Read(0, ignoreRead); err != nil {
 		t.Fatalf("pipelined second Read = %v, want nil", err)
 	}
-	if err := active.Write(1, nil); err != nil {
+	if err := active.Write(0, 1, ignoreWrite); err != nil {
 		t.Fatalf("Write during reads = %v, want nil", err)
 	}
 	if got := active.PendingOps(); got != 3 {
@@ -431,11 +431,11 @@ func TestOperationGuards(t *testing.T) {
 	// ErrOpInProgress survives as backpressure: it fires only when the
 	// operation table is full.
 	for active.PendingOps() < core.MaxInFlightOps {
-		if err := active.Read(nil); err != nil {
+		if err := active.Read(0, ignoreRead); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := active.Read(nil); err != core.ErrOpInProgress {
+	if err := active.Read(0, ignoreRead); err != core.ErrOpInProgress {
 		t.Fatalf("Read with a full op table = %v, want ErrOpInProgress", err)
 	}
 }
@@ -471,3 +471,11 @@ type fakeMsg struct{}
 
 func (fakeMsg) Kind() core.MsgKind { return core.MsgKind(42) }
 func (fakeMsg) WireSize() int      { return 1 }
+
+// ignoreWrite is a write's done callback for a test that does not look
+// at the outcome.
+func ignoreWrite(core.VersionedValue, error) {}
+
+// ignoreRead is a read's done callback for a test that does not look at
+// the outcome.
+func ignoreRead(core.VersionedValue, core.ProcessID, error) {}

@@ -93,18 +93,18 @@ func scriptedInversionSchedule(seed uint64, factory core.NodeFactory) (*spec.His
 		panic(err)
 	}
 	history := spec.NewHistory(core.VersionedValue{Val: 0, SN: 0})
-	writer := sys.Node(1).(core.Writer)
+	writer := sys.Node(1).(core.Ops)
 	wOp := history.BeginWrite(1, sys.Now())
-	if err := writer.Write(1, func() {
-		history.CompleteWrite(wOp, sys.Now(), sys.Node(1).Snapshot())
+	if err := writer.Write(core.DefaultRegister, 1, func(v core.VersionedValue, _ error) {
+		history.CompleteWrite(wOp, sys.Now(), v)
 	}); err != nil {
 		panic(err)
 	}
 	_ = sys.RunFor(6)
 	read := func(id core.ProcessID) {
 		op := history.BeginRead(id, sys.Now())
-		r := sys.Node(id).(core.Reader)
-		if err := r.Read(func(v core.VersionedValue) {
+		r := sys.Node(id).(core.Ops)
+		if err := r.Read(core.DefaultRegister, func(v core.VersionedValue, _ core.ProcessID, _ error) {
 			history.CompleteRead(op, sys.Now(), v)
 		}); err != nil {
 			panic(err)

@@ -98,13 +98,13 @@ func TestMinorityPartitionStallsButStaysSafe(t *testing.T) {
 	// Majority-side write completes.
 	maj := sys.Node(5).(*esyncreg.Node)
 	majWrote := false
-	if err := maj.Write(77, func() { majWrote = true }); err != nil {
+	if err := maj.Write(0, 77, func(core.VersionedValue, error) { majWrote = true }); err != nil {
 		t.Fatal(err)
 	}
 	// Minority-side read hangs.
 	min3 := sys.Node(1).(*esyncreg.Node)
 	minRead := false
-	if err := min3.Read(func(core.VersionedValue) { minRead = true }); err != nil {
+	if err := min3.Read(0, func(core.VersionedValue, core.ProcessID, error) { minRead = true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(100 * delta); err != nil {
@@ -127,7 +127,7 @@ func TestMinorityPartitionStallsButStaysSafe(t *testing.T) {
 	// What must still work: NEW operations after the heal.
 	min2 := sys.Node(2).(*esyncreg.Node)
 	var healed core.VersionedValue
-	if err := min2.Read(func(v core.VersionedValue) { healed = v }); err != nil {
+	if err := min2.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { healed = v }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(20 * delta); err != nil {

@@ -50,8 +50,8 @@ func fig3Run(seed uint64, withWait bool) (readSN core.SeqNum, writeReturned, joi
 
 	writer := sys.Node(1).(*syncreg.Node)
 	wOp := history.BeginWrite(1, sys.Now())
-	_ = writer.Write(1, func() {
-		history.CompleteWrite(wOp, sys.Now(), writer.Snapshot())
+	_ = writer.Write(core.DefaultRegister, 1, func(v core.VersionedValue, _ error) {
+		history.CompleteWrite(wOp, sys.Now(), v)
 		writeReturned = true
 	})
 	_ = sys.RunFor(1)
@@ -64,11 +64,19 @@ func fig3Run(seed uint64, withWait bool) (readSN core.SeqNum, writeReturned, joi
 	joined = joiner.Active()
 	if joined {
 		rOp := history.BeginRead(4, sys.Now())
-		v, _ := joiner.ReadLocal()
+		v := readLocal(joiner)
 		history.CompleteRead(rOp, sys.Now(), v)
 		readSN = v.SN
 	}
 	return readSN, writeReturned, joined, len(history.CheckRegular()) > 0
+}
+
+// readLocal is the synchronous protocol's read of register 0, which
+// completes before Read returns; ⊥ if the node is not active.
+func readLocal(n *syncreg.Node) core.VersionedValue {
+	v := core.Bottom()
+	_ = n.Read(core.DefaultRegister, func(got core.VersionedValue, _ core.ProcessID, _ error) { v = got })
+	return v
 }
 
 // Fig3WhyWait regenerates Figure 3: the same timed scenario with and
@@ -119,12 +127,12 @@ func NewOldInversion(seed uint64) *metrics.Table {
 	history := spec.NewHistory(core.VersionedValue{Val: 0, SN: 0})
 	writer := sys.Node(1).(*syncreg.Node)
 	wOp := history.BeginWrite(1, sys.Now())
-	_ = writer.Write(1, func() { history.CompleteWrite(wOp, sys.Now(), writer.Snapshot()) })
+	_ = writer.Write(core.DefaultRegister, 1, func(v core.VersionedValue, _ error) { history.CompleteWrite(wOp, sys.Now(), v) })
 
 	read := func(id core.ProcessID) core.VersionedValue {
 		n := sys.Node(id).(*syncreg.Node)
 		op := history.BeginRead(id, sys.Now())
-		v, _ := n.ReadLocal()
+		v := readLocal(n)
 		history.CompleteRead(op, sys.Now(), v)
 		return v
 	}

@@ -107,14 +107,8 @@ func Factory() core.NodeFactory {
 // Compile-time interface checks.
 var (
 	_ core.Node             = (*Node)(nil)
-	_ core.LocalReader      = (*Node)(nil)
-	_ core.Writer           = (*Node)(nil)
+	_ core.Ops              = (*Node)(nil)
 	_ core.Joiner           = (*Node)(nil)
-	_ core.KeyedLocalReader = (*Node)(nil)
-	_ core.KeyedWriter      = (*Node)(nil)
-	_ core.SNWriter         = (*Node)(nil)
-	_ core.BatchWriter      = (*Node)(nil)
-	_ core.SNBatchWriter    = (*Node)(nil)
 	_ core.KeyedSnapshotter = (*Node)(nil)
 	_ core.OpAccountant     = (*Node)(nil)
 )
@@ -131,13 +125,10 @@ func (n *Node) Snapshot() core.VersionedValue { return n.reg.Snapshot() }
 // OnJoined implements core.Joiner.
 func (n *Node) OnJoined(done func()) { n.reg.OnJoined(done) }
 
-// ReadLocal implements core.LocalReader — reads stay fast and tokenless.
-func (n *Node) ReadLocal() (core.VersionedValue, error) { return n.reg.ReadLocal() }
-
-// ReadLocalKey implements core.KeyedLocalReader — every key of the
-// namespace reads locally, tokenless.
-func (n *Node) ReadLocalKey(k core.RegisterID) (core.VersionedValue, error) {
-	return n.reg.ReadLocalKey(k)
+// Read implements core.Ops — every key of the namespace reads locally,
+// fast and tokenless.
+func (n *Node) Read(k core.RegisterID, done func(core.VersionedValue, core.ProcessID, error)) error {
+	return n.reg.Read(k, done)
 }
 
 // SnapshotKey implements core.KeyedSnapshotter.
@@ -281,48 +272,25 @@ func (n *Node) Transfer(to core.ProcessID) error {
 	return nil
 }
 
-// Write implements core.Writer, gated on token ownership.
-func (n *Node) Write(v core.Value, done func()) error {
+// Write implements core.Ops, gated on token ownership. One token guards
+// the whole namespace: the holder may write any key (per-key tokens would
+// shrink contention further; the coarse token keeps the §7 mechanism
+// intact). The holder's writes pipeline exactly like the underlying
+// register's — the token excludes OTHER writers, not this node's own
+// in-flight ops.
+func (n *Node) Write(k core.RegisterID, v core.Value, done func(core.VersionedValue, error)) error {
 	if !n.holder {
 		return ErrNotHolder
 	}
-	return n.reg.Write(v, done)
+	return n.reg.Write(k, v, done)
 }
 
-// WriteKey implements core.KeyedWriter. One token guards the whole
-// namespace: the holder may write any key (per-key tokens would shrink
-// contention further; the coarse token keeps the §7 mechanism intact).
-// The holder's writes pipeline exactly like the underlying register's —
-// the token excludes OTHER writers, not this node's own in-flight ops.
-func (n *Node) WriteKey(k core.RegisterID, v core.Value, done func()) error {
-	if !n.holder {
-		return ErrNotHolder
-	}
-	return n.reg.WriteKey(k, v, done)
-}
-
-// WriteKeySN implements core.SNWriter, token-gated like WriteKey.
-func (n *Node) WriteKeySN(k core.RegisterID, v core.Value, done func(core.VersionedValue)) error {
-	if !n.holder {
-		return ErrNotHolder
-	}
-	return n.reg.WriteKeySN(k, v, done)
-}
-
-// WriteBatch implements core.BatchWriter, token-gated like WriteKey.
-func (n *Node) WriteBatch(entries []core.KeyedWrite, done func()) error {
+// WriteBatch implements core.Ops, token-gated like Write.
+func (n *Node) WriteBatch(entries []core.KeyedWrite, done func([]core.KeyedValue, error)) error {
 	if !n.holder {
 		return ErrNotHolder
 	}
 	return n.reg.WriteBatch(entries, done)
-}
-
-// WriteBatchSN implements core.SNBatchWriter, token-gated like WriteKey.
-func (n *Node) WriteBatchSN(entries []core.KeyedWrite, done func([]core.KeyedValue)) error {
-	if !n.holder {
-		return ErrNotHolder
-	}
-	return n.reg.WriteBatchSN(entries, done)
 }
 
 // Deliver implements core.Node: token traffic is handled here, the rest

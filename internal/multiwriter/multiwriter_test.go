@@ -71,7 +71,7 @@ func TestFirstAcquireWins(t *testing.T) {
 func TestWriteRequiresToken(t *testing.T) {
 	sys := newSystem(t, 5, 0)
 	n := mwNode(t, sys, 2)
-	if err := n.Write(1, nil); !errors.Is(err, multiwriter.ErrNotHolder) {
+	if err := n.Write(0, 1, ignoreWrite); !errors.Is(err, multiwriter.ErrNotHolder) {
 		t.Fatalf("tokenless write = %v, want ErrNotHolder", err)
 	}
 	if err := n.Acquire(nil); err != nil {
@@ -80,7 +80,7 @@ func TestWriteRequiresToken(t *testing.T) {
 	if err := sys.RunFor(3 * delta); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Write(1, nil); err != nil {
+	if err := n.Write(0, 1, ignoreWrite); err != nil {
 		t.Fatalf("holder write = %v", err)
 	}
 }
@@ -192,7 +192,7 @@ func TestTransferRefusedWhileWritesInFlight(t *testing.T) {
 	if err := sys.RunFor(3 * delta); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.WriteKey(1, 42, nil); err != nil {
+	if err := a.Write(1, 42, ignoreWrite); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.Transfer(3); !errors.Is(err, core.ErrOpInProgress) {
@@ -230,7 +230,7 @@ func TestTransferHandsTokenDirectly(t *testing.T) {
 	if !mwNode(t, sys, 3).Holder() {
 		t.Fatal("successor did not receive the token")
 	}
-	if err := mwNode(t, sys, 3).Write(5, nil); err != nil {
+	if err := mwNode(t, sys, 3).Write(0, 5, ignoreWrite); err != nil {
 		t.Fatalf("successor write: %v", err)
 	}
 }
@@ -292,7 +292,7 @@ func TestRotatingWritersStayRegular(t *testing.T) {
 			t.Fatalf("round %d: %v failed to acquire", round, writerID)
 		}
 		op := history.BeginWrite(writerID, sys.Now())
-		if err := w.Write(core.Value(1000+round), func() {
+		if err := w.Write(0, core.Value(1000+round), func(core.VersionedValue, error) {
 			history.CompleteWrite(op, sys.Now(), w.Snapshot())
 		}); err != nil {
 			t.Fatal(err)
@@ -304,7 +304,7 @@ func TestRotatingWritersStayRegular(t *testing.T) {
 		readerID := core.ProcessID((round+3)%6 + 1)
 		r := mwNode(t, sys, readerID)
 		rOp := history.BeginRead(readerID, sys.Now())
-		v, err := r.ReadLocal()
+		v, err := readLocal(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,3 +349,15 @@ func TestNeverTwoHolders(t *testing.T) {
 		}
 	}
 }
+
+// readLocal runs a local read of register 0, which completes before Read
+// returns; ⊥ with the error when the node refuses it.
+func readLocal(n core.Ops) (core.VersionedValue, error) {
+	v := core.Bottom()
+	err := n.Read(0, func(got core.VersionedValue, _ core.ProcessID, _ error) { v = got })
+	return v, err
+}
+
+// ignoreWrite is a write's done callback for a test that does not look
+// at the outcome.
+func ignoreWrite(core.VersionedValue, error) {}

@@ -565,11 +565,7 @@ func (t *Transport) ReadKey(reg core.RegisterID, timeout time.Duration) (core.Ve
 // process for local/quorum serves, the answering replica for forwarded
 // reads on a sharded node.
 func (t *Transport) ReadKeyServed(reg core.RegisterID, timeout time.Duration) (core.VersionedValue, core.ProcessID, error) {
-	v, server, err := nodeops.ReadKeyServed(t.invoker(), reg, timeout)
-	if err == nil && server == core.NoProcess {
-		server = t.cfg.ID
-	}
-	return v, server, err
+	return nodeops.ReadKeyServed(t.invoker(), reg, timeout)
 }
 
 // WriteKey runs a write of one register, waits for it to return ok, and

@@ -126,6 +126,8 @@ type shardState struct {
 type Node struct {
 	env   core.Env
 	inner core.Node
+	// ops is inner's operations: every protocol node implements core.Ops.
+	ops core.Ops
 
 	// view is the latest placement this node was told about; nil until
 	// the runtime pushes one (the wrapper delegates everything until
@@ -168,9 +170,11 @@ func Factory(inner core.NodeFactory) core.NodeFactory {
 
 // New builds a wrapper around inner's node for this process.
 func New(env core.Env, sc core.SpawnContext, inner core.NodeFactory) *Node {
+	in := inner(env, sc)
 	return &Node{
 		env:       env,
-		inner:     inner(env, sc),
+		inner:     in,
+		ops:       in.(core.Ops),
 		bootstrap: sc.Bootstrap,
 		shards:    make(map[int]*shardState),
 		fwd:       core.NewOpTable[fwdOp](0),
@@ -185,17 +189,12 @@ func (n *Node) Stats() Stats { return n.stats }
 
 // Compile-time interface checks.
 var (
-	_ core.Node                  = (*Node)(nil)
-	_ core.KeyedReader           = (*Node)(nil)
-	_ core.KeyedWriter           = (*Node)(nil)
-	_ core.SNWriter              = (*Node)(nil)
-	_ core.ServedReader          = (*Node)(nil)
-	_ core.FallibleSNWriter      = (*Node)(nil)
-	_ core.FallibleSNBatchWriter = (*Node)(nil)
-	_ core.KeyedSnapshotter      = (*Node)(nil)
-	_ core.OpAccountant          = (*Node)(nil)
-	_ core.Joiner                = (*Node)(nil)
-	_ core.PlacementAware        = (*Node)(nil)
+	_ core.Node             = (*Node)(nil)
+	_ core.Ops              = (*Node)(nil)
+	_ core.KeyedSnapshotter = (*Node)(nil)
+	_ core.OpAccountant     = (*Node)(nil)
+	_ core.Joiner           = (*Node)(nil)
+	_ core.PlacementAware   = (*Node)(nil)
 )
 
 // ---- core.Node ----
@@ -510,28 +509,13 @@ func (n *Node) pendingShard(s int) bool {
 
 // ---- client operations ----
 
-// ReadKey implements core.KeyedReader (compat shim over ReadKeyServed;
-// routing failures surface as a ⊥ result).
-func (n *Node) ReadKey(reg core.RegisterID, done func(core.VersionedValue)) error {
-	return n.ReadKeyServed(reg, func(v core.VersionedValue, _ core.ProcessID, err error) {
-		if done == nil {
-			return
-		}
-		if err != nil {
-			done(core.Bottom())
-			return
-		}
-		done(v)
-	})
-}
-
-// ReadKeyServed implements core.ServedReader: serve locally when this
-// node replicates the key's shard, else forward to a group member. The
-// invocation only fails on backpressure (full forwarding table); every
-// later outcome — including routing failure — arrives through done.
-func (n *Node) ReadKeyServed(reg core.RegisterID, done func(core.VersionedValue, core.ProcessID, error)) error {
+// Read implements core.Ops: serve locally when this node replicates the
+// key's shard, else forward to a group member. Sharded, the invocation
+// only fails on backpressure (full forwarding table); every later
+// outcome — including routing failure — arrives through done.
+func (n *Node) Read(reg core.RegisterID, done func(core.VersionedValue, core.ProcessID, error)) error {
 	if n.view == nil {
-		return n.serveReadLocal(reg, done)
+		return n.ops.Read(reg, done)
 	}
 	if n.fwd.Full() {
 		return core.ErrOpInProgress
@@ -540,22 +524,18 @@ func (n *Node) ReadKeyServed(reg core.RegisterID, done func(core.VersionedValue,
 	return nil
 }
 
-// serveReadLocal runs the read on the inner node.
-func (n *Node) serveReadLocal(reg core.RegisterID, done func(core.VersionedValue, core.ProcessID, error)) error {
-	self := n.env.ID()
-	switch r := n.inner.(type) {
-	case core.KeyedLocalReader:
-		v, err := r.ReadLocalKey(reg)
+// ReadKey is Read with a routing failure reported as ⊥. It is kept only
+// because bench/layers calls it and the benchmark's directory is frozen;
+// everything else calls Read.
+func (n *Node) ReadKey(reg core.RegisterID, done func(core.VersionedValue)) error {
+	return n.Read(reg, func(v core.VersionedValue, _ core.ProcessID, err error) {
 		if err != nil {
-			return err
+			v = core.Bottom()
 		}
-		done(v, self, nil)
-		return nil
-	case core.KeyedReader:
-		return r.ReadKey(reg, func(v core.VersionedValue) { done(v, self, nil) })
-	default:
-		return core.ErrUnroutable
-	}
+		if done != nil {
+			done(v)
+		}
+	})
 }
 
 // dispatchRead routes one read attempt. Runs on the node loop; never
@@ -563,7 +543,7 @@ func (n *Node) serveReadLocal(reg core.RegisterID, done func(core.VersionedValue
 func (n *Node) dispatchRead(reg core.RegisterID, attempt int, done func(core.VersionedValue, core.ProcessID, error)) {
 	v := n.view
 	if v == nil {
-		if err := n.serveReadLocal(reg, done); err != nil {
+		if err := n.ops.Read(reg, done); err != nil {
 			done(core.Bottom(), core.NoProcess, err)
 		}
 		return
@@ -582,7 +562,7 @@ func (n *Node) dispatchRead(reg core.RegisterID, attempt int, done func(core.Ver
 		}
 		if n.inner.Active() {
 			n.stats.LocalReads++
-			if err := n.serveReadLocal(reg, done); err != nil {
+			if err := n.ops.Read(reg, done); err != nil {
 				done(core.Bottom(), core.NoProcess, err)
 			}
 			return
@@ -614,35 +594,11 @@ func (n *Node) dispatchRead(reg core.RegisterID, attempt int, done func(core.Ver
 	n.forward(reg, attempt, target, fwdOp{reg: reg, readDone: done})
 }
 
-// WriteKey implements core.KeyedWriter (compat shim).
-func (n *Node) WriteKey(reg core.RegisterID, v core.Value, done func()) error {
-	return n.WriteKeySNErr(reg, v, func(_ core.VersionedValue, err error) {
-		if done != nil && err == nil {
-			done()
-		}
-	})
-}
-
-// WriteKeySN implements core.SNWriter (compat shim; routing failures
-// surface as a ⊥ result).
-func (n *Node) WriteKeySN(reg core.RegisterID, v core.Value, done func(core.VersionedValue)) error {
-	return n.WriteKeySNErr(reg, v, func(vv core.VersionedValue, err error) {
-		if done == nil {
-			return
-		}
-		if err != nil {
-			done(core.Bottom())
-			return
-		}
-		done(vv)
-	})
-}
-
-// WriteKeySNErr implements core.FallibleSNWriter: serve locally when
-// this node is the key's shard primary, else forward to the primary.
-func (n *Node) WriteKeySNErr(reg core.RegisterID, v core.Value, done func(core.VersionedValue, error)) error {
+// Write implements core.Ops: serve locally when this node is the key's
+// shard primary, else forward to the primary.
+func (n *Node) Write(reg core.RegisterID, v core.Value, done func(core.VersionedValue, error)) error {
 	if n.view == nil {
-		return n.serveWriteLocal(reg, v, done)
+		return n.ops.Write(reg, v, done)
 	}
 	if n.fwd.Full() {
 		return core.ErrOpInProgress
@@ -651,23 +607,25 @@ func (n *Node) WriteKeySNErr(reg core.RegisterID, v core.Value, done func(core.V
 	return nil
 }
 
-// serveWriteLocal runs the write on the inner node.
-func (n *Node) serveWriteLocal(reg core.RegisterID, v core.Value, done func(core.VersionedValue, error)) error {
-	switch w := n.inner.(type) {
-	case core.SNWriter:
-		return w.WriteKeySN(reg, v, func(vv core.VersionedValue) { done(vv, nil) })
-	case core.KeyedWriter:
-		return w.WriteKey(reg, v, func() { done(core.SnapshotKey(n.inner, reg), nil) })
-	default:
-		return core.ErrUnroutable
-	}
+// WriteKeySN is Write with a routing failure reported as ⊥ and done
+// optional. It is kept only because bench/layers calls it and the
+// benchmark's directory is frozen; everything else calls Write.
+func (n *Node) WriteKeySN(reg core.RegisterID, v core.Value, done func(core.VersionedValue)) error {
+	return n.Write(reg, v, func(vv core.VersionedValue, err error) {
+		if err != nil {
+			vv = core.Bottom()
+		}
+		if done != nil {
+			done(vv)
+		}
+	})
 }
 
 // dispatchWrite routes one write attempt to the key's primary.
 func (n *Node) dispatchWrite(reg core.RegisterID, v core.Value, attempt int, done func(core.VersionedValue, error)) {
 	view := n.view
 	if view == nil {
-		if err := n.serveWriteLocal(reg, v, done); err != nil {
+		if err := n.ops.Write(reg, v, done); err != nil {
 			done(core.Bottom(), err)
 		}
 		return
@@ -685,7 +643,7 @@ func (n *Node) dispatchWrite(reg core.RegisterID, v core.Value, attempt int, don
 			return
 		}
 		n.stats.LocalWrites++
-		if err := n.serveWriteLocal(reg, v, done); err != nil {
+		if err := n.ops.Write(reg, v, done); err != nil {
 			done(core.Bottom(), err)
 		}
 		return
@@ -698,80 +656,37 @@ func (n *Node) dispatchWrite(reg core.RegisterID, v core.Value, attempt int, don
 	n.forward(reg, attempt, g[0], fwdOp{reg: reg, isWrite: true, val: v, writeDone: done})
 }
 
-// WriteBatchSNErr implements core.FallibleSNBatchWriter: a batch whose
-// every key lives in ONE shard this node is primary for (and ready)
-// keeps the inner protocol's one-broadcast dividend — the broadcast
-// reaches exactly that shard's group; any other batch decomposes into
-// per-key writes, each routed independently. (Same-primary keys from
-// DIFFERENT shards also decompose: one batched broadcast to the union
-// of their groups would store every key on every union member, leaking
-// the per-shard capacity bound.) done reports the stored ⟨v, sn⟩ per
-// entry, or the most severe error.
-func (n *Node) WriteBatchSNErr(entries []core.KeyedWrite, done func([]core.KeyedValue, error)) error {
-	if n.view != nil {
-		allLocal := len(entries) > 0
-		firstShard := -1
-		for i, e := range entries {
-			s := n.view.ShardOf(e.Reg)
-			if i == 0 {
-				firstShard = s
-			}
-			if s != firstShard || n.view.Group(e.Reg)[0] != n.env.ID() || n.pendingShard(s) {
-				allLocal = false
-				break
-			}
-		}
-		if !allLocal {
-			// Decompose: each entry routes to its own shard primary.
-			// Every entry settles through the one accounting path — a
-			// synchronous invocation failure settles its entry too,
-			// never orphaning entries already dispatched (their
-			// forwards may still be applied). The reported error
-			// prefers ErrUnacknowledged over clean refusals: ambiguity
-			// dominates, because the caller's safe reaction to "maybe
-			// applied" covers "definitely not applied" but not vice
-			// versa.
-			out := make([]core.KeyedValue, len(entries))
-			remaining := len(entries)
-			var failed error
-			settle := func(i int, reg core.RegisterID, vv core.VersionedValue, err error) {
-				if err != nil && (failed == nil || err == core.ErrUnacknowledged) {
-					failed = err
-				}
-				out[i] = core.KeyedValue{Reg: reg, Value: vv}
-				if remaining--; remaining == 0 {
-					done(out, failed)
-				}
-			}
-			for i, e := range entries {
-				i, e := i, e
-				err := n.WriteKeySNErr(e.Reg, e.Val, func(vv core.VersionedValue, err error) {
-					settle(i, e.Reg, vv, err)
-				})
-				if err != nil {
-					settle(i, e.Reg, core.Bottom(), err)
-				}
-			}
-			return nil
+// WriteBatch implements core.Ops: a batch whose every key lives in ONE
+// shard this node is primary for (and ready) keeps the inner protocol's
+// batch — for the synchronous protocol one broadcast, reaching exactly
+// that shard's group; any other batch is core.WriteEach over this node,
+// each key routed independently. (Same-primary keys from DIFFERENT
+// shards also decompose: one batched broadcast to the union of their
+// groups would store every key on every union member, leaking the
+// per-shard capacity bound.)
+func (n *Node) WriteBatch(entries []core.KeyedWrite, done func([]core.KeyedValue, error)) error {
+	if n.view != nil && !n.primaryOfOneShard(entries) {
+		return core.WriteEach(n, entries, done)
+	}
+	return n.ops.WriteBatch(entries, done)
+}
+
+// primaryOfOneShard reports whether every entry's key lives in one ready
+// shard this node is the primary of.
+func (n *Node) primaryOfOneShard(entries []core.KeyedWrite) bool {
+	if len(entries) == 0 {
+		return false
+	}
+	s := n.view.ShardOf(entries[0].Reg)
+	if n.pendingShard(s) {
+		return false
+	}
+	for _, e := range entries {
+		if n.view.ShardOf(e.Reg) != s || n.view.Group(e.Reg)[0] != n.env.ID() {
+			return false
 		}
 	}
-	if bw, ok := n.inner.(core.SNBatchWriter); ok {
-		return bw.WriteBatchSN(entries, func(kvs []core.KeyedValue) { done(kvs, nil) })
-	}
-	out := make([]core.KeyedValue, len(entries))
-	remaining := len(entries)
-	for i, e := range entries {
-		i, e := i, e
-		if err := n.serveWriteLocal(e.Reg, e.Val, func(vv core.VersionedValue, err error) {
-			out[i] = core.KeyedValue{Reg: e.Reg, Value: vv}
-			if remaining--; remaining == 0 {
-				done(out, err)
-			}
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return true
 }
 
 // queueOnShard parks an operation until the shard's handoff completes.
@@ -859,7 +774,7 @@ func (n *Node) handleForward(m core.ForwardMsg) {
 	}
 	var err error
 	if m.IsWrite {
-		err = n.serveWriteLocal(m.Reg, m.Val, func(vv core.VersionedValue, serr error) {
+		err = n.ops.Write(m.Reg, m.Val, func(vv core.VersionedValue, serr error) {
 			if serr != nil {
 				refuse(core.ForwardBusy)
 				return
@@ -867,7 +782,7 @@ func (n *Node) handleForward(m core.ForwardMsg) {
 			reply(vv)
 		})
 	} else {
-		err = n.serveReadLocal(m.Reg, func(vv core.VersionedValue, _ core.ProcessID, serr error) {
+		err = n.ops.Read(m.Reg, func(vv core.VersionedValue, _ core.ProcessID, serr error) {
 			if serr != nil {
 				refuse(core.ForwardBusy)
 				return

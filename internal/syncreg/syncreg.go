@@ -121,20 +121,14 @@ func Factory(opts Options) core.NodeFactory {
 // a lone write, several for a batch) and the callback its δ timer runs.
 type writeOp struct {
 	entries []core.KeyedValue
-	done    func([]core.KeyedValue)
+	done    func([]core.KeyedValue, error)
 }
 
 // Compile-time interface checks.
 var (
 	_ core.Node             = (*Node)(nil)
-	_ core.LocalReader      = (*Node)(nil)
-	_ core.Writer           = (*Node)(nil)
+	_ core.Ops              = (*Node)(nil)
 	_ core.Joiner           = (*Node)(nil)
-	_ core.KeyedLocalReader = (*Node)(nil)
-	_ core.KeyedWriter      = (*Node)(nil)
-	_ core.SNWriter         = (*Node)(nil)
-	_ core.BatchWriter      = (*Node)(nil)
-	_ core.SNBatchWriter    = (*Node)(nil)
 	_ core.KeyedSnapshotter = (*Node)(nil)
 	_ core.OpAccountant     = (*Node)(nil)
 )
@@ -241,44 +235,25 @@ func (n *Node) Keys() []core.RegisterID { return n.regs.Keys() }
 // Stats returns a copy of this node's counters.
 func (n *Node) Stats() Stats { return n.stats }
 
-// ReadLocal implements core.LocalReader — key-0 sugar for ReadLocalKey.
-func (n *Node) ReadLocal() (core.VersionedValue, error) {
-	return n.ReadLocalKey(core.DefaultRegister)
-}
-
-// ReadLocalKey implements core.KeyedLocalReader — operation read(),
-// Figure 2: the read is fast, returning the local copy of the key with no
-// communication and no wait.
-func (n *Node) ReadLocalKey(k core.RegisterID) (core.VersionedValue, error) {
+// Read implements core.Ops — operation read(), Figure 2: the read is
+// fast, returning the local copy of the key with no communication and no
+// wait, so done runs before Read returns.
+func (n *Node) Read(k core.RegisterID, done func(core.VersionedValue, core.ProcessID, error)) error {
 	if !n.active {
-		return core.Bottom(), core.ErrNotActive
+		return core.ErrNotActive
 	}
 	n.stats.Reads++
-	return n.value(k), nil
+	done(n.value(k), n.env.ID(), nil)
+	return nil
 }
 
-// Write implements core.Writer — key-0 sugar for WriteKey.
-func (n *Node) Write(v core.Value, done func()) error {
-	return n.WriteKey(core.DefaultRegister, v, done)
-}
-
-// WriteKey implements core.KeyedWriter — sugar over WriteKeySN for
-// callers that do not need the assigned sequence number.
-func (n *Node) WriteKey(k core.RegisterID, v core.Value, done func()) error {
-	return n.WriteKeySN(k, v, func(core.VersionedValue) {
-		if done != nil {
-			done()
-		}
-	})
-}
-
-// WriteKeySN implements core.SNWriter — operation write(v), Figure 2
-// lines 01-02, on one key. done receives the exact ⟨v, sn⟩ this write
-// stored when the write returns ok. Writes may be in flight concurrently
-// on this node — across keys and pipelined on this key (each is its own
-// op-table entry with its own δ timer); the paper's no-concurrent-writes
-// discipline applies per key across nodes.
-func (n *Node) WriteKeySN(k core.RegisterID, v core.Value, done func(core.VersionedValue)) error {
+// Write implements core.Ops — operation write(v), Figure 2 lines 01-02,
+// on one key. done receives the exact ⟨v, sn⟩ this write stored when the
+// write returns ok. Writes may be in flight concurrently on this node —
+// across keys and pipelined on this key (each is its own op-table entry
+// with its own δ timer); the paper's no-concurrent-writes discipline
+// applies per key across nodes.
+func (n *Node) Write(k core.RegisterID, v core.Value, done func(core.VersionedValue, error)) error {
 	if !n.active {
 		return core.ErrNotActive
 	}
@@ -293,9 +268,7 @@ func (n *Node) WriteKeySN(k core.RegisterID, v core.Value, done func(core.Versio
 	next := core.VersionedValue{Val: v, SN: n.value(k).SN + 1}
 	n.regs.Store(k, next)
 	o.entries = []core.KeyedValue{{Reg: k, Value: next}}
-	if done != nil {
-		o.done = func(kvs []core.KeyedValue) { done(kvs[0].Value) }
-	}
+	o.done = func(kvs []core.KeyedValue, err error) { done(kvs[0].Value, err) }
 	// Sharded runtimes scope the dissemination to the key's replica
 	// group (R sends instead of a full broadcast — the capacity dividend);
 	// unsharded ones broadcast exactly as Figure 2 prescribes.
@@ -314,26 +287,15 @@ func (n *Node) finishWrite(id core.OpID) {
 		return
 	}
 	n.ops.Finish(id)
-	if o.done != nil {
-		o.done(o.entries)
-	}
+	o.done(o.entries, nil)
 }
 
-// WriteBatch implements core.BatchWriter — sugar over WriteBatchSN.
-func (n *Node) WriteBatch(entries []core.KeyedWrite, done func()) error {
-	return n.WriteBatchSN(entries, func([]core.KeyedValue) {
-		if done != nil {
-			done()
-		}
-	})
-}
-
-// WriteBatchSN implements core.SNBatchWriter: one broadcast carries
-// updates for every named key, and the single δ wait covers them all —
-// the synchronous model's batching dividend. done receives the stored
-// ⟨v, sn⟩ per entry, in entry order. Entries must be sorted by Reg with
-// no duplicates. The whole batch is ONE op-table entry.
-func (n *Node) WriteBatchSN(entries []core.KeyedWrite, done func([]core.KeyedValue)) error {
+// WriteBatch implements core.Ops: one broadcast carries updates for
+// every named key, and the single δ wait covers them all — the
+// synchronous model's batching dividend. done receives the stored ⟨v, sn⟩
+// per entry, in entry order. Entries must be sorted by Reg with no
+// duplicates. The whole batch is ONE op-table entry.
+func (n *Node) WriteBatch(entries []core.KeyedWrite, done func([]core.KeyedValue, error)) error {
 	if !n.active {
 		return core.ErrNotActive
 	}

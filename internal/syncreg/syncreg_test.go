@@ -46,9 +46,9 @@ func TestBootstrapNodesActiveWithInitialValue(t *testing.T) {
 		if !n.Active() {
 			t.Fatalf("bootstrap node %v not active", id)
 		}
-		v, err := n.ReadLocal()
+		v, err := readLocal(n)
 		if err != nil {
-			t.Fatalf("ReadLocal: %v", err)
+			t.Fatalf("read: %v", err)
 		}
 		if v.SN != 0 || v.Val != 0 {
 			t.Fatalf("initial value = %v, want ⟨0,#0⟩", v)
@@ -73,7 +73,7 @@ func TestJoinWithoutConcurrentWriteAdoptsCurrentValue(t *testing.T) {
 		t.Fatal("join did not complete within 3δ")
 	}
 	n := syncNode(t, sys, id)
-	v, err := n.ReadLocal()
+	v, err := readLocal(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestWritePropagatesWithinDelta(t *testing.T) {
 	ids := sys.ActiveIDs()
 	writer := syncNode(t, sys, ids[0])
 	done := false
-	if err := writer.Write(42, func() { done = true }); err != nil {
+	if err := writer.Write(0, 42, func(core.VersionedValue, error) { done = true }); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
 	if err := sys.RunFor(delta); err != nil {
@@ -101,7 +101,7 @@ func TestWritePropagatesWithinDelta(t *testing.T) {
 		t.Fatal("write did not return after δ")
 	}
 	for _, id := range ids {
-		v, err := syncNode(t, sys, id).ReadLocal()
+		v, err := readLocal(syncNode(t, sys, id))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func TestReadIsLocalAndFast(t *testing.T) {
 	sys := newSystem(t, 4, netsim.SynchronousModel{Delta: delta}, syncreg.Options{}, 0)
 	before := sys.Network().Stats().Sent
 	n := syncNode(t, sys, sys.ActiveIDs()[0])
-	if _, err := n.ReadLocal(); err != nil {
+	if _, err := readLocal(n); err != nil {
 		t.Fatal(err)
 	}
 	if after := sys.Network().Stats().Sent; after != before {
@@ -127,10 +127,10 @@ func TestReadBeforeJoinCompletesErrors(t *testing.T) {
 	sys := newSystem(t, 3, netsim.SynchronousModel{Delta: delta}, syncreg.Options{}, 0)
 	_, node := sys.Spawn()
 	n := node.(*syncreg.Node)
-	if _, err := n.ReadLocal(); !errors.Is(err, core.ErrNotActive) {
-		t.Fatalf("ReadLocal before join = %v, want ErrNotActive", err)
+	if _, err := readLocal(n); !errors.Is(err, core.ErrNotActive) {
+		t.Fatalf("read before join = %v, want ErrNotActive", err)
 	}
-	if err := n.Write(1, nil); !errors.Is(err, core.ErrNotActive) {
+	if err := n.Write(0, 1, ignoreWrite); !errors.Is(err, core.ErrNotActive) {
 		t.Fatalf("Write before join = %v, want ErrNotActive", err)
 	}
 }
@@ -144,7 +144,7 @@ func TestPipelinedWritesOnSameNode(t *testing.T) {
 	n := syncNode(t, sys, sys.ActiveIDs()[0])
 	var sns []core.SeqNum
 	for i := 1; i <= 3; i++ {
-		if err := n.WriteKeySN(core.DefaultRegister, core.Value(i*10), func(vv core.VersionedValue) {
+		if err := n.Write(core.DefaultRegister, core.Value(i*10), func(vv core.VersionedValue, _ error) {
 			sns = append(sns, vv.SN)
 		}); err != nil {
 			t.Fatalf("pipelined write %d = %v, want nil", i, err)
@@ -162,7 +162,7 @@ func TestPipelinedWritesOnSameNode(t *testing.T) {
 	if got := n.PendingOps(); got != 0 {
 		t.Fatalf("PendingOps after completion = %d, want 0 (leak)", got)
 	}
-	v, _ := n.ReadLocal()
+	v, _ := readLocal(n)
 	if v.SN != 3 || v.Val != 30 {
 		t.Fatalf("after pipelined writes value = %v, want ⟨30,#3⟩", v)
 	}
@@ -172,14 +172,14 @@ func TestSequentialWritesIncrementSN(t *testing.T) {
 	sys := newSystem(t, 3, netsim.SynchronousModel{Delta: delta}, syncreg.Options{}, 0)
 	n := syncNode(t, sys, sys.ActiveIDs()[0])
 	for i := 1; i <= 5; i++ {
-		if err := n.Write(core.Value(i*100), nil); err != nil {
+		if err := n.Write(0, core.Value(i*100), ignoreWrite); err != nil {
 			t.Fatal(err)
 		}
 		if err := sys.RunFor(delta); err != nil {
 			t.Fatal(err)
 		}
 	}
-	v, _ := n.ReadLocal()
+	v, _ := readLocal(n)
 	if v.SN != 5 || v.Val != 500 {
 		t.Fatalf("after 5 writes value = %v, want ⟨500,#5⟩", v)
 	}
@@ -191,7 +191,7 @@ func TestStaleWriteIgnored(t *testing.T) {
 	n := syncNode(t, sys, ids[0])
 	// Hand-deliver a stale WRITE (sn 0 when node already has sn 0).
 	n.Deliver(ids[1], core.WriteMsg{From: ids[1], Value: core.VersionedValue{Val: 99, SN: 0}})
-	v, _ := n.ReadLocal()
+	v, _ := readLocal(n)
 	if v.Val != 0 {
 		t.Fatalf("stale write applied: %v", v)
 	}
@@ -213,7 +213,7 @@ func TestJoinerAppliesWriteWhileListening(t *testing.T) {
 	_ = id
 	// Write immediately: the joiner is present (listening) and included in
 	// the broadcast snapshot.
-	if err := writer.Write(7, nil); err != nil {
+	if err := writer.Write(0, 7, ignoreWrite); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(3*delta + 1); err != nil {
@@ -225,7 +225,7 @@ func TestJoinerAppliesWriteWhileListening(t *testing.T) {
 	if got := n.Stats().JoinInquiries; got != 1 {
 		t.Fatalf("join inquiries = %d, want exactly 1", got)
 	}
-	v, _ := n.ReadLocal()
+	v, _ := readLocal(n)
 	if v.Val != 7 || v.SN != 1 {
 		t.Fatalf("joiner value = %v, want ⟨7,#1⟩", v)
 	}
@@ -249,8 +249,8 @@ func TestConcurrentJoinersDeferReplies(t *testing.T) {
 	if a.Stats().InquiriesDelayed == 0 && b.Stats().InquiriesDelayed == 0 {
 		t.Fatal("no inquiry was deferred; concurrency not exercised")
 	}
-	va, _ := a.ReadLocal()
-	vb, _ := b.ReadLocal()
+	va, _ := readLocal(a)
+	vb, _ := readLocal(b)
 	if va.IsBottom() || vb.IsBottom() {
 		t.Fatalf("joiner returned ⊥: a=%v b=%v", va, vb)
 	}
@@ -277,7 +277,7 @@ func TestFigure3aWithoutWaitReturnsStaleValue(t *testing.T) {
 	writer := syncNode(t, sys, writerID)
 
 	writeDone := false
-	if err := writer.Write(1, func() { writeDone = true }); err != nil {
+	if err := writer.Write(0, 1, func(core.VersionedValue, error) { writeDone = true }); err != nil {
 		t.Fatal(err)
 	}
 	// p_i enters just after the write started: it is not in the WRITE
@@ -306,7 +306,7 @@ func TestFigure3aWithoutWaitReturnsStaleValue(t *testing.T) {
 	if !joiner.Active() {
 		t.Fatal("join did not complete")
 	}
-	v, err := joiner.ReadLocal()
+	v, err := readLocal(joiner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestFigure3bWithWaitReturnsFreshValue(t *testing.T) {
 	sys := newSystem(t, 3, model, syncreg.Options{}, 0)
 	writerID := sys.ActiveIDs()[0]
 	writer := syncNode(t, sys, writerID)
-	if err := writer.Write(1, nil); err != nil {
+	if err := writer.Write(0, 1, ignoreWrite); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(1); err != nil {
@@ -352,7 +352,7 @@ func TestFigure3bWithWaitReturnsFreshValue(t *testing.T) {
 	if !joiner.Active() {
 		t.Fatal("join did not complete")
 	}
-	v, err := joiner.ReadLocal()
+	v, err := readLocal(joiner)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestWriterValueSurvivesTotalTurnover(t *testing.T) {
 	sys := newSystem(t, 20, netsim.SynchronousModel{Delta: delta}, syncreg.Options{}, 0.02)
 	writerID := sys.ActiveIDs()[0]
 	writer := syncNode(t, sys, writerID)
-	if err := writer.Write(1234, nil); err != nil {
+	if err := writer.Write(0, 1234, ignoreWrite); err != nil {
 		t.Fatal(err)
 	}
 	// Protect nothing; run 3000 ticks — expected turnover 0.02*20*3000 =
@@ -456,7 +456,7 @@ func TestWriterValueSurvivesTotalTurnover(t *testing.T) {
 		t.Fatal("no active processes after churn")
 	}
 	bootstrapGone := !sys.Present(writerID)
-	v, err := syncNode(t, sys, ids[len(ids)-1]).ReadLocal()
+	v, err := readLocal(syncNode(t, sys, ids[len(ids)-1]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,3 +464,15 @@ func TestWriterValueSurvivesTotalTurnover(t *testing.T) {
 		t.Fatalf("value lost after turnover: %v (bootstrap writer gone: %v)", v, bootstrapGone)
 	}
 }
+
+// readLocal runs a local read of register 0, which completes before Read
+// returns; ⊥ with the error when the node refuses it.
+func readLocal(n core.Ops) (core.VersionedValue, error) {
+	v := core.Bottom()
+	err := n.Read(0, func(got core.VersionedValue, _ core.ProcessID, _ error) { v = got })
+	return v, err
+}
+
+// ignoreWrite is a write's done callback for a test that does not look
+// at the outcome.
+func ignoreWrite(core.VersionedValue, error) {}

@@ -176,7 +176,7 @@ func TestWriteUsesAdoptedSN(t *testing.T) {
 	n.Start()
 	// The node learns sn 7 via a WRITE, then writes: new sn must be 8.
 	n.Deliver(2, core.WriteMsg{From: 2, Value: core.VersionedValue{Val: 70, SN: 7}})
-	if err := n.Write(80, nil); err != nil {
+	if err := n.Write(0, 80, ignoreWrite); err != nil {
 		t.Fatal(err)
 	}
 	w, ok := env.bcasts[len(env.bcasts)-1].(core.WriteMsg)
@@ -212,3 +212,7 @@ func TestSkipInitialWaitGoesStraightToInquiry(t *testing.T) {
 		t.Fatal("no immediate INQUIRY in skip-wait mode")
 	}
 }
+
+// ignoreWrite is a write's done callback for a test that does not look
+// at the outcome.
+func ignoreWrite(core.VersionedValue, error) {}

@@ -69,7 +69,7 @@ func TestTimelineCapturesDrops(t *testing.T) {
 	log := trace.New(0)
 	sys := newTracedSystem(t, log)
 	writer := sys.Node(1).(*syncreg.Node)
-	if err := writer.Write(1, nil); err != nil {
+	if err := writer.Write(0, 1, ignoreWrite); err != nil {
 		t.Fatal(err)
 	}
 	sys.KillProcess(3) // in-flight WRITE to p3 drops
@@ -86,7 +86,7 @@ func TestLogCapTruncates(t *testing.T) {
 	sys := newTracedSystem(t, log)
 	writer := sys.Node(1).(*syncreg.Node)
 	for i := 0; i < 5; i++ {
-		if err := writer.Write(core.Value(i), nil); err != nil {
+		if err := writer.Write(0, core.Value(i), ignoreWrite); err != nil {
 			t.Fatal(err)
 		}
 		if err := sys.RunFor(10); err != nil {
@@ -135,3 +135,7 @@ func TestEventStrings(t *testing.T) {
 		t.Fatal("kind names wrong")
 	}
 }
+
+// ignoreWrite is a write's done callback for a test that does not look
+// at the outcome.
+func ignoreWrite(core.VersionedValue, error) {}

@@ -211,39 +211,28 @@ func (r *Runner) writeTick() {
 		r.stats.WriteBusy++
 		return
 	}
-	node := r.sys.Node(r.writerID)
 	k := r.pickKey()
-	// Protocols without the keyed interfaces (e.g. the atomicreg wrapper)
-	// still serve the default register through the legacy Writer.
-	if _, keyed := node.(core.KeyedWriter); !keyed {
-		k = core.DefaultRegister
-	}
 	v := r.nextVal
 	op := r.history.BeginWriteKey(r.writerID, k, r.sys.Now())
 	id := r.writerID
-	done := func() {
-		r.history.CompleteWrite(op, r.sys.Now(), core.SnapshotKey(node, k))
+	r.pending[id] = op
+	err := r.sys.Node(id).(core.Ops).Write(k, v, func(vv core.VersionedValue, werr error) {
 		delete(r.pending, id)
-	}
-	var err error
-	switch w := node.(type) {
-	case core.KeyedWriter:
-		err = w.WriteKey(k, v, done)
-	case core.Writer:
-		err = w.Write(v, done)
-	default:
-		r.history.Abandon(op)
-		return
-	}
+		if werr != nil {
+			r.history.Abandon(op)
+			return
+		}
+		r.history.CompleteWrite(op, r.sys.Now(), vv)
+	})
 	if err != nil {
 		// Busy or not active: withdraw the record entirely — the
 		// operation was never invoked.
+		delete(r.pending, id)
 		r.history.Abandon(op)
 		r.stats.WriteBusy++
 		return
 	}
 	r.nextVal++
-	r.pending[id] = op
 }
 
 func (r *Runner) readTick() {
@@ -263,8 +252,8 @@ func (r *Runner) readTick() {
 }
 
 // readOn issues one read of register k on process id, recording it in the
-// history. Protocols with local reads complete instantaneously; quorum
-// protocols complete via callback.
+// history. Protocols with local reads complete before Read returns;
+// quorum protocols complete via callback.
 func (r *Runner) readOn(id core.ProcessID, k core.RegisterID) {
 	node := r.sys.Node(id)
 	if node == nil {
@@ -274,49 +263,19 @@ func (r *Runner) readOn(id core.ProcessID, k core.RegisterID) {
 		r.stats.ReadBusy++
 		return
 	}
-	switch n := node.(type) {
-	case core.KeyedLocalReader:
-		op := r.history.BeginReadKey(id, k, r.sys.Now())
-		v, err := n.ReadLocalKey(k)
-		if err != nil {
+	op := r.history.BeginReadKey(id, k, r.sys.Now())
+	r.pending[id] = op
+	err := node.(core.Ops).Read(k, func(v core.VersionedValue, _ core.ProcessID, rerr error) {
+		delete(r.pending, id)
+		if rerr != nil {
 			r.history.Abandon(op)
-			r.stats.ReadBusy++
 			return
 		}
 		r.history.CompleteRead(op, r.sys.Now(), v)
-	case core.KeyedReader:
-		op := r.history.BeginReadKey(id, k, r.sys.Now())
-		err := n.ReadKey(k, func(v core.VersionedValue) {
-			r.history.CompleteRead(op, r.sys.Now(), v)
-			delete(r.pending, id)
-		})
-		if err != nil {
-			r.history.Abandon(op)
-			r.stats.ReadBusy++
-			return
-		}
-		r.pending[id] = op
-	case core.LocalReader:
-		// Legacy single-register protocols: serve key 0 only.
-		op := r.history.BeginRead(id, r.sys.Now())
-		v, err := n.ReadLocal()
-		if err != nil {
-			r.history.Abandon(op)
-			r.stats.ReadBusy++
-			return
-		}
-		r.history.CompleteRead(op, r.sys.Now(), v)
-	case core.Reader:
-		op := r.history.BeginRead(id, r.sys.Now())
-		err := n.Read(func(v core.VersionedValue) {
-			r.history.CompleteRead(op, r.sys.Now(), v)
-			delete(r.pending, id)
-		})
-		if err != nil {
-			r.history.Abandon(op)
-			r.stats.ReadBusy++
-			return
-		}
-		r.pending[id] = op
+	})
+	if err != nil {
+		delete(r.pending, id)
+		r.history.Abandon(op)
+		r.stats.ReadBusy++
 	}
 }

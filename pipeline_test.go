@@ -178,10 +178,11 @@ func TestSimPipelineBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := c.ActiveIDs()[0]
-	node := c.sys.Node(id).(core.KeyedReader)
+	node := c.sys.Node(id).(core.Ops)
+	ignore := func(core.VersionedValue, core.ProcessID, error) {}
 	issued := 0
 	for {
-		err := node.ReadKey(1, nil)
+		err := node.Read(1, ignore)
 		if errors.Is(err, core.ErrOpInProgress) {
 			break
 		}
@@ -199,7 +200,7 @@ func TestSimPipelineBackpressure(t *testing.T) {
 	if got := c.PendingOps(); got != 0 {
 		t.Fatalf("table did not drain: %d pending", got)
 	}
-	if err := node.ReadKey(1, nil); err != nil {
+	if err := node.Read(1, ignore); err != nil {
 		t.Fatalf("read after drain = %v, want nil", err)
 	}
 	c.Run(100)

@@ -283,46 +283,30 @@ func (c *SimCluster) StartWriteKey(k RegisterID, v int64) *PendingOp {
 	p.proc = id
 	node := c.sys.Node(id)
 	p.op = c.history.BeginWriteKey(id, k, c.sys.Now())
-	complete := func(vv core.VersionedValue) {
-		if p.done {
-			return
-		}
-		c.history.CompleteWrite(p.op, c.sys.Now(), vv)
-		p.done = true
-		p.val = vv
-	}
 	c.shield(id)
 	p.shielded = true
 	c.live = append(c.live, p)
-	switch w := node.(type) {
-	case core.FallibleSNWriter:
-		// Sharded node: the write may fail after invocation (forward
-		// refused or unacknowledged); the handle settles either way. An
-		// UNACKNOWLEDGED write may still have been applied, so its
-		// history op stays pending for Check-time resolution instead of
-		// being abandoned — abandoning would turn a later read of the
-		// actually-applied value into a false violation.
-		err = w.WriteKeySNErr(k, core.Value(v), func(vv core.VersionedValue, werr error) {
-			if werr != nil {
-				if errors.Is(werr, core.ErrUnacknowledged) {
-					c.ambiguous = append(c.ambiguous, ambiguousWrite{op: p.op, key: k, val: v})
-					p.failPending(fmt.Errorf("churnreg: write %v: %w", k, werr))
-					return
-				}
-				p.fail(fmt.Errorf("churnreg: write %v: %w", k, werr))
+	// A write may fail after invocation on a sharded node (forward
+	// refused or unacknowledged); the handle settles either way. An
+	// UNACKNOWLEDGED write may still have been applied, so its history op
+	// stays pending for Check-time resolution instead of being abandoned —
+	// abandoning would turn a later read of the actually-applied value
+	// into a false violation.
+	err = node.(core.Ops).Write(k, core.Value(v), func(vv core.VersionedValue, werr error) {
+		if werr != nil {
+			if errors.Is(werr, core.ErrUnacknowledged) {
+				c.ambiguous = append(c.ambiguous, ambiguousWrite{op: p.op, key: k, val: v})
+				p.failPending(fmt.Errorf("churnreg: write %v: %w", k, werr))
 				return
 			}
-			complete(vv)
-		})
-	case core.SNWriter:
-		err = w.WriteKeySN(k, core.Value(v), complete)
-	case core.KeyedWriter:
-		// Legacy writer: the snapshot right after completion is this
-		// write's value only when writes are NOT pipelined on the key.
-		err = w.WriteKey(k, core.Value(v), func() { complete(core.SnapshotKey(node, k)) })
-	default:
-		err = fmt.Errorf("churnreg: protocol %v cannot write", c.opts.protocol)
-	}
+			p.fail(fmt.Errorf("churnreg: write %v: %w", k, werr))
+			return
+		}
+		if !p.done {
+			c.history.CompleteWrite(p.op, c.sys.Now(), vv)
+			p.done, p.val = true, vv
+		}
+	})
 	if err != nil {
 		p.fail(fmt.Errorf("churnreg: write %v: %w", k, err))
 	}
@@ -342,42 +326,22 @@ func (c *SimCluster) StartReadKeyAt(id ProcessID, k RegisterID) *PendingOp {
 		c.history.Abandon(p.op)
 		return p
 	}
-	complete := func(v core.VersionedValue) {
-		if p.done {
-			return
-		}
-		c.history.CompleteRead(p.op, c.sys.Now(), v)
-		p.done = true
-		p.val = v
-	}
 	c.shield(id)
 	p.shielded = true
 	c.live = append(c.live, p)
-	var err error
-	switch n := node.(type) {
-	case core.ServedReader:
-		// Sharded node: the read may be forwarded; record the replica
-		// that actually served it, so per-key attribution stays sound.
-		err = n.ReadKeyServed(k, func(v core.VersionedValue, server core.ProcessID, rerr error) {
-			if rerr != nil {
-				p.fail(fmt.Errorf("churnreg: read %v: %w", k, rerr))
-				return
-			}
-			c.history.SetServer(p.op, server)
-			complete(v)
-		})
-	case core.KeyedLocalReader:
-		v, rerr := n.ReadLocalKey(k)
+	// A sharded node may forward the read; record the replica that
+	// actually served it, so per-key attribution stays sound.
+	err := node.(core.Ops).Read(k, func(v core.VersionedValue, server core.ProcessID, rerr error) {
 		if rerr != nil {
-			err = rerr
-		} else {
-			complete(v)
+			p.fail(fmt.Errorf("churnreg: read %v: %w", k, rerr))
+			return
 		}
-	case core.KeyedReader:
-		err = n.ReadKey(k, complete)
-	default:
-		err = fmt.Errorf("churnreg: protocol %v cannot read", c.opts.protocol)
-	}
+		c.history.SetServer(p.op, server)
+		if !p.done {
+			c.history.CompleteRead(p.op, c.sys.Now(), v)
+			p.done, p.val = true, v
+		}
+	})
 	if err != nil {
 		p.fail(fmt.Errorf("churnreg: read %v: %w", k, err))
 	}
@@ -435,9 +399,12 @@ func (p *PendingOp) opName() string {
 	return "write"
 }
 
-// WriteBatch stores several keys' values with ONE broadcast and one δ
-// wait (synchronous protocol only — quorum protocols return an error).
-// The batch is recorded as one write per key.
+// WriteBatch stores several keys' values via the designated writer,
+// running the simulation until every entry returns. The synchronous
+// protocol sends one broadcast and waits one δ for the whole batch; the
+// quorum protocols, and a sharded batch spanning primaries, run one write
+// per key, all in flight at once. The batch is recorded as one write per
+// key.
 func (c *SimCluster) WriteBatch(kvs map[RegisterID]int64) error {
 	if len(kvs) == 0 {
 		return nil
@@ -460,45 +427,26 @@ func (c *SimCluster) WriteBatch(kvs map[RegisterID]int64) error {
 	}
 	done := false
 	var batchErr error
-	record := func(stored []core.KeyedValue) {
-		for i := range ks {
-			c.history.CompleteWrite(ops[i], c.sys.Now(), stored[i].Value)
-		}
-		done = true
-	}
-	switch bw := node.(type) {
-	case core.FallibleSNBatchWriter:
-		// Sharded node: entries route to their shard primaries, and the
-		// batch may fail after invocation — PARTIALLY: entries with a
-		// reported ⟨v, sn⟩ were applied and complete normally; the rest
-		// stay pending if the failure was ambiguous (the primary may
-		// have applied them before dying) or are abandoned on a clean
-		// refusal.
-		err = bw.WriteBatchSNErr(entries, func(stored []core.KeyedValue, werr error) {
-			if werr != nil {
-				for i, kv := range stored {
-					switch {
-					case !kv.Value.IsBottom():
-						c.history.CompleteWrite(ops[i], c.sys.Now(), kv.Value)
-					case errors.Is(werr, core.ErrUnacknowledged):
-						c.ambiguous = append(c.ambiguous, ambiguousWrite{
-							op: ops[i], key: entries[i].Reg, val: int64(entries[i].Val),
-						})
-					default:
-						c.history.Abandon(ops[i])
-					}
-				}
-				batchErr = werr
-				done = true
-				return
+	// The batch may fail after invocation — PARTIALLY: entries with a
+	// reported ⟨v, sn⟩ were applied and complete normally; the rest stay
+	// pending if the failure was ambiguous (a shard primary may have
+	// applied them before dying) or are abandoned on a clean refusal.
+	err = node.(core.Ops).WriteBatch(entries, func(stored []core.KeyedValue, werr error) {
+		for i, kv := range stored {
+			switch {
+			case !kv.Value.IsBottom():
+				c.history.CompleteWrite(ops[i], c.sys.Now(), kv.Value)
+			case errors.Is(werr, core.ErrUnacknowledged):
+				c.ambiguous = append(c.ambiguous, ambiguousWrite{
+					op: ops[i], key: entries[i].Reg, val: int64(entries[i].Val),
+				})
+			default:
+				c.history.Abandon(ops[i])
 			}
-			record(stored)
-		})
-	case core.SNBatchWriter:
-		err = bw.WriteBatchSN(entries, record)
-	default:
-		err = fmt.Errorf("churnreg: protocol %v cannot batch-write", c.opts.protocol)
-	}
+		}
+		batchErr = werr
+		done = true
+	})
 	if err != nil {
 		for _, op := range ops {
 			c.history.Abandon(op)
