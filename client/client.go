@@ -2,8 +2,10 @@
 // it speaks the binary wire protocol directly to the regserve processes,
 // keeping a cached placement view so every operation goes to a server
 // that can serve it locally — reads to any member of the key's replica
-// group, writes straight to the shard primary — instead of paying the
-// HTTP edge plus a server-side FORWARD relay hop.
+// group, writes straight to the shard primary (to the lowest member id
+// when the system is unsharded) — instead of paying a server-side FORWARD
+// relay hop. It is the only way to read and write: regserve's HTTP
+// address serves administration alone.
 //
 // # Sessions
 //
@@ -44,6 +46,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -173,8 +176,8 @@ type viewState struct {
 	// view is the locally rebuilt placement (nil when the system is
 	// unsharded: any member serves any key).
 	view *placement.View
-	// addrs maps member ids to wire addresses; order fixes an iteration
-	// order for unsharded round-robin.
+	// addrs maps member ids to wire addresses; order lists their ids
+	// ascending.
 	addrs map[core.ProcessID]string
 	order []core.ProcessID
 }
@@ -332,7 +335,7 @@ func (c *Client) ReadServed(key int64) (Versioned, int64, error) {
 		if vs == nil {
 			return Versioned{}, 0, ErrClosed
 		}
-		addr, _, ok := c.readTarget(vs, reg, seed+attempt)
+		addr, _, ok := c.target(vs, reg, seed+attempt)
 		if !ok {
 			c.refreshAndWait(vs)
 			sleep(backoff)
@@ -366,7 +369,8 @@ func (c *Client) ReadServed(key int64) (Versioned, int64, error) {
 }
 
 // Write stores val under key and returns the stored ⟨val, sn⟩. The write
-// runs at the key's shard primary. Explicit refusals (the op was NOT
+// runs at the key's shard primary (at the lowest member id when the
+// system is unsharded). Explicit refusals (the op was NOT
 // applied) re-route after a view refresh; a target that goes silent
 // after the frame was sent fails with AmbiguousWriteError — never a
 // blind retry.
@@ -381,7 +385,7 @@ func (c *Client) Write(key, val int64) (Versioned, error) {
 		if vs == nil {
 			return Versioned{}, ErrClosed
 		}
-		addr, target, ok := c.writeTarget(vs, reg, attempt)
+		addr, target, ok := c.target(vs, reg, 0)
 		if !ok {
 			c.refreshAndWait(vs)
 			sleep(backoff)
@@ -439,44 +443,23 @@ func (c *Client) currentView() *viewState {
 	return c.view
 }
 
-// readTarget picks the server for one read attempt: a member of the
-// key's replica group (rotated by attempt so retries spread and a dead
-// member does not blackhole the key), or any member when unsharded.
-func (c *Client) readTarget(vs *viewState, reg core.RegisterID, attempt int) (string, core.ProcessID, bool) {
-	if vs.view == nil {
-		return c.anyMember(vs, attempt)
+// target picks the server for one attempt: the i-th member (modulo
+// their number) of the key's replica group, or of the whole membership
+// when the system is unsharded. Reads rotate i so retries spread and a
+// dead member does not blackhole the key; writes pass 0 — the shard
+// primary, or the lowest member id unsharded — because a key's sequence
+// numbers are minted by one process.
+func (c *Client) target(vs *viewState, reg core.RegisterID, i int) (string, core.ProcessID, bool) {
+	members := vs.order
+	if vs.view != nil {
+		members = vs.view.Group(reg)
 	}
-	g := vs.view.Group(reg)
-	if len(g) == 0 {
+	if len(members) == 0 {
 		return "", 0, false
 	}
-	id := g[attempt%len(g)]
+	id := members[i%len(members)]
 	addr, ok := vs.addrs[id]
 	return addr, id, ok
-}
-
-// writeTarget picks the server for one write attempt: always the key's
-// shard primary (sequence numbers for a key are minted by one process),
-// or any member when unsharded.
-func (c *Client) writeTarget(vs *viewState, reg core.RegisterID, attempt int) (string, core.ProcessID, bool) {
-	if vs.view == nil {
-		return c.anyMember(vs, attempt)
-	}
-	g := vs.view.Group(reg)
-	if len(g) == 0 {
-		return "", 0, false
-	}
-	addr, ok := vs.addrs[g[0]]
-	return addr, g[0], ok
-}
-
-// anyMember round-robins over the unsharded membership.
-func (c *Client) anyMember(vs *viewState, salt int) (string, core.ProcessID, bool) {
-	if len(vs.order) == 0 {
-		return "", 0, false
-	}
-	id := vs.order[(int(c.rr.Add(1))+salt)%len(vs.order)]
-	return vs.addrs[id], id, true
 }
 
 // roundTrip queues the op's FORWARD on sc and waits for whoever takes the
@@ -589,6 +572,7 @@ func (c *Client) adoptView(source string, f wire.Frame) {
 		vs.addrs[p.ID] = p.Addr
 		members = append(members, p.ID)
 	}
+	slices.Sort(members)
 	vs.order = members
 	if f.Shards > 0 {
 		cfg := placement.Config{Shards: int(f.Shards), Replication: int(f.Replication)}

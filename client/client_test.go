@@ -2,6 +2,8 @@ package client
 
 import (
 	"errors"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -17,8 +19,10 @@ const opTimeout = 10 * time.Second
 
 // startCluster boots an in-process cluster of nettransport processes —
 // sharded (shard.Factory-wrapped esync) when shards > 0, plain esync
-// otherwise — and returns the transports, fully meshed and active.
-func startCluster(t *testing.T, n, shards, repl int) []*nettransport.Transport {
+// otherwise — and returns the transports, fully meshed and active. A
+// process evicts a peer whose dials have failed for evictAfter (0: the
+// transport's default).
+func startCluster(t *testing.T, n, shards, repl int, evictAfter time.Duration) []*nettransport.Transport {
 	t.Helper()
 	// Always shard-wrap, even unsharded: client operations arrive as
 	// FORWARDs, which only the wrapper understands (regserve wraps
@@ -41,6 +45,7 @@ func startCluster(t *testing.T, n, shards, repl int) []*nettransport.Transport {
 			Bootstrap:  true,
 			Initial:    core.VersionedValue{Val: 0, SN: 0},
 			Placement:  pcfg,
+			EvictAfter: evictAfter,
 		})
 		if err != nil {
 			t.Fatalf("New(%d): %v", i, err)
@@ -122,7 +127,7 @@ func shardStats(t *testing.T, ts []*nettransport.Transport) shard.Stats {
 // bootstrapped from one seed learns the whole membership, writes land at
 // shard primaries, and reads come back from the owning replica group.
 func TestShardedReadWrite(t *testing.T) {
-	ts := startCluster(t, 4, 8, 3)
+	ts := startCluster(t, 4, 8, 3, 0)
 	c := dialClient(t, ts, Config{})
 	if !c.Sharded() {
 		t.Fatal("client did not learn a sharded view")
@@ -163,7 +168,7 @@ func TestShardedReadWrite(t *testing.T) {
 // PR: a smart client's operations are all served where they arrive —
 // the server-side FORWARD relay count stays zero.
 func TestDirectRoutingSkipsForwardHop(t *testing.T) {
-	ts := startCluster(t, 4, 8, 3)
+	ts := startCluster(t, 4, 8, 3, 0)
 	c := dialClient(t, ts, Config{})
 	for key := int64(0); key < 32; key++ {
 		if _, err := c.Write(key, key); err != nil {
@@ -186,7 +191,7 @@ func TestDirectRoutingSkipsForwardHop(t *testing.T) {
 // TestUnshardedCluster: with placement disabled every member replicates
 // every key, and the VIEW's Shards=0 tells the client to round-robin.
 func TestUnshardedCluster(t *testing.T) {
-	ts := startCluster(t, 3, 0, 0)
+	ts := startCluster(t, 3, 0, 0, 0)
 	c := dialClient(t, ts, Config{})
 	if c.Sharded() {
 		t.Fatal("client believes an unsharded system is sharded")
@@ -205,12 +210,87 @@ func TestUnshardedCluster(t *testing.T) {
 	}
 }
 
+// TestUnshardedConcurrentWritesGetDistinctSNs: one key's sequence numbers
+// are minted by one process. Concurrent writes to a key of an unsharded
+// system all go to the same member, so each gets a sequence number of its
+// own; spread over members, two of them could mint the same one.
+func TestUnshardedConcurrentWritesGetDistinctSNs(t *testing.T) {
+	ts := startCluster(t, 3, 0, 0, 0)
+	c := dialClient(t, ts, Config{OpTimeout: opTimeout})
+	const writers = 32
+	sns := make(chan int64, writers)
+	var wg sync.WaitGroup
+	for i := int64(0); i < writers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, err := c.Write(0, 1000+i)
+			if err != nil {
+				t.Errorf("write %d: %v", i, err)
+				return
+			}
+			sns <- v.SN
+		}()
+	}
+	wg.Wait()
+	close(sns)
+	seen := make(map[int64]int)
+	for sn := range sns {
+		seen[sn]++
+	}
+	for sn, n := range seen {
+		if n > 1 {
+			t.Errorf("%d of %d writes got sn %d", n, writers, sn)
+		}
+	}
+}
+
+// TestUnshardedWritesFailOverOnKill: unsharded, every write goes to the
+// lowest member id, so a crash of that member stops writes until the
+// survivors evict it. Then the client adopts their view and writes go to
+// the next-lowest id, sequence numbers still increasing.
+func TestUnshardedWritesFailOverOnKill(t *testing.T) {
+	const evictAfter = 300 * time.Millisecond
+	ts := startCluster(t, 3, 0, 0, evictAfter)
+	c := dialClient(t, ts, Config{Seeds: []string{ts[1].Addr()}, OpTimeout: 2 * time.Second})
+	last, err := c.Write(0, 1)
+	if err != nil {
+		t.Fatalf("write before the crash: %v", err)
+	}
+	ts[0].Close() // process 1, the writing member, crashes: no goodbye
+	deadline := time.Now().Add(evictAfter + 10*time.Second)
+	for val := int64(2); val < 5; val++ {
+		for {
+			v, err := c.Write(0, val)
+			if err == nil {
+				if v.SN <= last.SN {
+					t.Fatalf("write %d after the crash got sn %d, not above %d", val, v.SN, last.SN)
+				}
+				last = v
+				break
+			}
+			if !errors.Is(err, ErrUnroutable) && !errors.Is(err, ErrUnacknowledged) {
+				t.Fatalf("write %d after the crash: %v", val, err)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("writes never recovered after the crash of process 1: %v", err)
+			}
+		}
+	}
+	if members := c.Members(); slices.Contains(members, 1) {
+		t.Fatalf("Members() = %v, still lists the crashed process 1", members)
+	}
+	if v, err := c.Read(0); err != nil || v != last {
+		t.Fatalf("read after failover = %+v, %v; want %+v", v, err, last)
+	}
+}
+
 // TestStaleViewHealsOnDeparture is the deterministic staleness test: the
 // client caches a view, a member leaves gracefully, and the next
 // operations succeed anyway — served by the shrunken membership — with
 // the cache observably refreshed.
 func TestStaleViewHealsOnDeparture(t *testing.T) {
-	ts := startCluster(t, 4, 8, 3)
+	ts := startCluster(t, 4, 8, 3, 0)
 	// Seed ONLY through a survivor, so the departed node isn't the
 	// client's bootstrap link.
 	c := dialClient(t, ts, Config{Seeds: []string{ts[0].Addr()}, OpTimeout: 3 * time.Second})
@@ -265,7 +345,7 @@ func TestStaleViewHealsOnDeparture(t *testing.T) {
 // without a LEAVE (connection drop + eviction), so the client discovers
 // staleness only through dead connections and refusals.
 func TestStaleViewHealsOnKill(t *testing.T) {
-	ts := startCluster(t, 4, 8, 3)
+	ts := startCluster(t, 4, 8, 3, 0)
 	c := dialClient(t, ts, Config{
 		Seeds:     []string{ts[0].Addr()},
 		OpTimeout: 2 * time.Second,

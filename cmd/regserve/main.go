@@ -13,33 +13,26 @@
 //	regserve -id 2 -bootstrap -listen 127.0.0.1:7002 -api 127.0.0.1:8002 -n 3 -peers 127.0.0.1:7001
 //	regserve -id 3 -bootstrap -listen 127.0.0.1:7003 -api 127.0.0.1:8003 -n 3 -peers 127.0.0.1:7001,127.0.0.1:7002
 //
-// then talk to any node's HTTP API:
+// Reads and writes travel on the wire protocol only: package client (or
+// cmd/regbench) dials any node's -listen address, learns the membership
+// from it, and sends each operation to a process that serves it locally.
+// Every operation is its own pipelined entry in the node's operation
+// table, so one regserve serves many in-flight reads and writes at once,
+// across keys and on the same key.
 //
-//	curl -X POST 'localhost:8001/write?key=0&val=42'
-//	curl 'localhost:8002/read?key=0'
-//	curl -X POST 'localhost:8001/writebatch?b=1=10,2=20,3=30'
+// The HTTP address (-api) is for administration only:
+//
 //	curl 'localhost:8003/health'
+//	curl 'localhost:8003/metrics'          # Prometheus text
 //
-// and grow the system under churn:
+// and grows or shrinks the system under churn:
 //
 //	regserve -id 4 -listen 127.0.0.1:7004 -api 127.0.0.1:8004 -n 3 -peers 127.0.0.1:7001
 //	curl -X POST 'localhost:8002/leave'    # graceful departure
-//
-// The HTTP handlers are genuinely concurrent: every request is its own
-// pipelined operation on the node (the protocols run an operation table,
-// not a single pending slot), so one regserve serves many in-flight
-// reads and writes at once — across keys and on the same key. The write
-// discipline that remains is the paper's, per key ACROSS nodes: do not
-// write one key through two different nodes concurrently (one writing
-// client per key, coordination above the API, or -protocol multiwriter,
-// which serializes writers with the §7 token). Operational visibility
-// lives on /metrics (Prometheus text): per-key in-flight gauges and
-// read/write latency histograms.
 package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -48,8 +41,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sort"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -57,10 +48,7 @@ import (
 	"churnreg/internal/abd"
 	"churnreg/internal/core"
 	"churnreg/internal/esyncreg"
-	"churnreg/internal/metrics"
-	"churnreg/internal/multiwriter"
 	"churnreg/internal/nettransport"
-	"churnreg/internal/nodeops"
 	"churnreg/internal/placement"
 	"churnreg/internal/shard"
 	"churnreg/internal/sim"
@@ -86,7 +74,6 @@ type serverConfig struct {
 	bootstrap   bool
 	initial     int64
 	peers       []string
-	opTimeout   time.Duration
 	verbose     bool
 	shards      int
 	replication int
@@ -101,15 +88,14 @@ func parseFlags(args []string, errW io.Writer) (*serverConfig, error) {
 	var (
 		id          = fs.Int64("id", 0, "unique process id (> 0; never reuse an id)")
 		listen      = fs.String("listen", "127.0.0.1:0", "TCP address for protocol traffic")
-		api         = fs.String("api", "127.0.0.1:0", "HTTP address for the client API")
-		protocol    = fs.String("protocol", "sync", "protocol: sync, esync, abd, or multiwriter")
+		api         = fs.String("api", "127.0.0.1:0", "HTTP address for /health, /metrics and /leave")
+		protocol    = fs.String("protocol", "sync", "protocol: sync, esync, or abd")
 		n           = fs.Int("n", 3, "constant system size n known to every process")
 		delta       = fs.Int64("delta", 50, "communication bound δ (ticks)")
 		tick        = fs.Duration("tick", time.Millisecond, "real duration of one tick (δ×tick must exceed network+scheduler slop)")
 		bootstrap   = fs.Bool("bootstrap", false, "one of the n initial processes (active at once, holds the initial value)")
 		initial     = fs.Int64("initial", 0, "register 0's initial value (bootstrap only)")
 		peers       = fs.String("peers", "", "comma-separated seed addresses to dial")
-		opTimeout   = fs.Duration("op-timeout", 10*time.Second, "client API operation deadline")
 		verbose     = fs.Bool("v", false, "log transport events to stderr")
 		shards      = fs.Int("shards", 0, "shard the keyspace into this many shards (0 = every node replicates every key); must match across the whole system")
 		replication = fs.Int("replication", 3, "replica group size per shard (with -shards; must match across the whole system)")
@@ -135,16 +121,13 @@ func parseFlags(args []string, errW io.Writer) (*serverConfig, error) {
 	if *shards > 0 && *replication < 1 {
 		return nil, fmt.Errorf("-replication must be >= 1 (got %d)", *replication)
 	}
-	if *shards > 0 && *protocol == "multiwriter" {
-		// The §7 token makes ONE process the writer for every key at a
-		// time; sharding routes each key's writes to its own shard
-		// primary. The two write-authority models contradict each other.
-		return nil, fmt.Errorf("-shards is not supported with -protocol multiwriter (the global write token and per-shard primaries are competing write authorities)")
+	if *protocol == "multiwriter" {
+		return nil, fmt.Errorf("-protocol multiwriter is not served: nothing on the wire protocol acquires its §7 write token, so every write would be refused")
 	}
 	cfg := &serverConfig{
 		id: *id, listen: *listen, api: *api, protocol: *protocol,
 		n: *n, delta: *delta, tick: *tick, bootstrap: *bootstrap,
-		initial: *initial, opTimeout: *opTimeout, verbose: *verbose,
+		initial: *initial, verbose: *verbose,
 		shards: *shards, replication: *replication, evictAfter: *evictAfter,
 		queueLen: *queueLen, pprof: *pprofFlag,
 	}
@@ -176,10 +159,8 @@ func factoryFor(protocol string) (core.NodeFactory, error) {
 		f = esyncreg.Factory(esyncreg.Options{})
 	case "abd":
 		f = abd.Factory()
-	case "multiwriter":
-		f = multiwriter.Factory()
 	default:
-		return nil, fmt.Errorf("unknown protocol %q (want sync, esync, abd, or multiwriter)", protocol)
+		return nil, fmt.Errorf("unknown protocol %q (want sync, esync, or abd)", protocol)
 	}
 	return shard.Factory(f), nil
 }
@@ -250,17 +231,11 @@ func run(args []string, out, errW io.Writer) error {
 	return nil
 }
 
-// backend is the slice of the transport the HTTP layer drives — an
+// backend is the slice of the transport the admin HTTP layer reads — an
 // interface so handler tests exercise the API against a fake without
 // binding sockets. *nettransport.Transport is the production
 // implementation.
 type backend interface {
-	ReadKey(reg core.RegisterID, timeout time.Duration) (core.VersionedValue, error)
-	// ReadKeyServed also names the process that served the read (this
-	// one, or the replica a sharded node forwarded to).
-	ReadKeyServed(reg core.RegisterID, timeout time.Duration) (core.VersionedValue, core.ProcessID, error)
-	WriteKey(reg core.RegisterID, v core.Value, timeout time.Duration) (core.VersionedValue, error)
-	WriteBatch(entries []core.KeyedWrite, timeout time.Duration) ([]core.KeyedValue, error)
 	Invoke(fn func(core.Node)) error
 	Active() bool
 	PeerCount() int
@@ -275,24 +250,18 @@ type backend interface {
 
 var _ backend = (*nettransport.Transport)(nil)
 
-// api serves the client operations over HTTP. Handlers run concurrently
-// (net/http gives each request a goroutine) and the backend pipelines
-// every call as its own node operation; the api itself keeps no
-// operation state beyond metrics.
+// api serves the node's administration over HTTP: its health, its
+// metrics, and a graceful leave. Register operations are not served here.
 type api struct {
 	cfg    *serverConfig
 	tr     backend
-	ops    *metrics.OpMetrics
 	leavec chan<- struct{}
 }
 
 func newAPI(cfg *serverConfig, tr backend, leavec chan<- struct{}) http.Handler {
-	a := &api{cfg: cfg, tr: tr, ops: metrics.NewOpMetrics(), leavec: leavec}
+	a := &api{cfg: cfg, tr: tr, leavec: leavec}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /health", a.health)
-	mux.HandleFunc("GET /read", a.read)
-	mux.HandleFunc("POST /write", a.write)
-	mux.HandleFunc("POST /writebatch", a.writeBatch)
 	mux.HandleFunc("POST /leave", a.leave)
 	mux.HandleFunc("GET /metrics", a.metrics)
 	if cfg.pprof {
@@ -307,13 +276,12 @@ func newAPI(cfg *serverConfig, tr backend, leavec chan<- struct{}) http.Handler 
 	return mux
 }
 
-// metrics serves the Prometheus text exposition: per-key in-flight
-// gauges, per-operation latency histograms, and — when the keyspace is
-// sharded — the placement gauges (total shards, shards this node
-// replicates, configured replication factor).
+// metrics serves the Prometheus text exposition: the transport's
+// counters, the read-path and forward-relay counters, and — when the
+// keyspace is sharded — the placement gauges (total shards, shards this
+// node replicates, configured replication factor).
 func (a *api) metrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	a.ops.WritePrometheus(w)
 	a.writeTransportMetrics(w)
 	a.writeReadPathMetrics(w)
 	a.writeForwardMetrics(w)
@@ -473,37 +441,9 @@ func (a *api) writeForwardMetrics(w http.ResponseWriter) {
 	}
 }
 
-func (a *api) reply(w http.ResponseWriter, status int, v any) {
+func reply(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
-}
-
-// replyErr maps operation errors onto HTTP statuses: not-yet-joined and
-// per-key op-in-progress are client-visible protocol states, a deadline
-// miss is an upstream timeout.
-func (a *api) replyErr(w http.ResponseWriter, err error) {
-	status := http.StatusInternalServerError
-	switch {
-	case errors.Is(err, core.ErrNotActive):
-		status = http.StatusServiceUnavailable
-	case errors.Is(err, core.ErrOpInProgress):
-		status = http.StatusConflict
-	case errors.Is(err, nodeops.ErrTimeout):
-		status = http.StatusGatewayTimeout
-	case errors.Is(err, multiwriter.ErrNotHolder):
-		status = http.StatusServiceUnavailable
-	case errors.Is(err, core.ErrUnroutable):
-		// No replica of the key's shard reachable right now; the
-		// operation was NOT applied — clients may retry.
-		status = http.StatusServiceUnavailable
-	case errors.Is(err, core.ErrUnacknowledged):
-		// A forwarded write went unanswered: it MAY have been applied.
-		// 502 (not 504): the upstream replica, not this node, went dark,
-		// and the ambiguity is the client's to resolve.
-		status = http.StatusBadGateway
-	}
-	a.reply(w, status, map[string]string{"error": err.Error()})
 }
 
 func (a *api) health(w http.ResponseWriter, r *http.Request) {
@@ -519,194 +459,13 @@ func (a *api) health(w http.ResponseWriter, r *http.Request) {
 		out["shards_owned"] = owned
 		out["replication"] = repl
 	}
-	a.reply(w, http.StatusOK, out)
-}
-
-func (a *api) read(w http.ResponseWriter, r *http.Request) {
-	key, err := keyParam(r)
-	if err != nil {
-		a.reply(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	done := a.ops.Begin("read", int64(key))
-	v, server, err := a.tr.ReadKeyServed(key, a.cfg.opTimeout)
-	done()
-	if err != nil {
-		a.replyErr(w, err)
-		return
-	}
-	// served_by names the replica whose local copy produced the value —
-	// this node, or the group member a sharded node forwarded to. Chaos
-	// clients record it so history attribution survives forwarding.
-	a.reply(w, http.StatusOK, map[string]any{
-		"key": int64(key), "val": int64(v.Val), "sn": int64(v.SN), "served_by": int64(server),
-	})
-}
-
-func (a *api) write(w http.ResponseWriter, r *http.Request) {
-	key, err := keyParam(r)
-	if err != nil {
-		a.reply(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	val, err := strconv.ParseInt(r.URL.Query().Get("val"), 10, 64)
-	if err != nil {
-		a.reply(w, http.StatusBadRequest, map[string]string{"error": "val must be an integer"})
-		return
-	}
-	if err := a.ensureToken(); err != nil {
-		a.replyErr(w, err)
-		return
-	}
-	done := a.ops.Begin("write", int64(key))
-	vv, err := a.tr.WriteKey(key, core.Value(val), a.cfg.opTimeout)
-	done()
-	if err != nil {
-		a.replyErr(w, err)
-		return
-	}
-	// Report the sequence number the protocol assigned TO THIS WRITE —
-	// carried back through the operation table, so it is exact even with
-	// several writes to this key in flight (a snapshot here could reflect
-	// a later pipelined write).
-	a.reply(w, http.StatusOK, map[string]any{"ok": true, "key": int64(key), "val": val, "sn": int64(vv.SN)})
-}
-
-func (a *api) writeBatch(w http.ResponseWriter, r *http.Request) {
-	entries, err := parseBatch(r.URL.Query().Get("b"))
-	if err != nil {
-		a.reply(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
-	}
-	if err := a.ensureToken(); err != nil {
-		a.replyErr(w, err)
-		return
-	}
-	dones := make([]func(), len(entries))
-	for i, e := range entries {
-		dones[i] = a.ops.Begin("write", int64(e.Reg))
-	}
-	kvs, err := a.tr.WriteBatch(entries, a.cfg.opTimeout)
-	for _, done := range dones {
-		done()
-	}
-	if err != nil {
-		a.replyErr(w, err)
-		return
-	}
-	sns := make(map[string]int64, len(kvs))
-	for _, kv := range kvs {
-		sns[strconv.FormatInt(int64(kv.Reg), 10)] = int64(kv.Value.SN)
-	}
-	a.reply(w, http.StatusOK, map[string]any{"ok": true, "keys": len(entries), "sns": sns})
+	reply(w, out)
 }
 
 func (a *api) leave(w http.ResponseWriter, r *http.Request) {
-	a.reply(w, http.StatusOK, map[string]any{"ok": true, "leaving": true})
+	reply(w, map[string]any{"ok": true, "leaving": true})
 	select {
 	case a.leavec <- struct{}{}:
 	default:
 	}
-}
-
-// ensureToken acquires the §7 write token when the hosted protocol is the
-// multi-writer one (other protocols write token-free). Contention is
-// resolved by retrying the claim until the deadline.
-func (a *api) ensureToken() error {
-	if a.cfg.protocol != "multiwriter" {
-		return nil
-	}
-	deadline := time.Now().Add(a.cfg.opTimeout)
-	for {
-		won := make(chan bool, 1)
-		errc := make(chan error, 1)
-		err := a.tr.Invoke(func(n core.Node) {
-			// Every protocol node rides inside the shard wrapper; the token
-			// lives on the inner multiwriter.
-			if sn, ok := n.(*shard.Node); ok {
-				n = sn.Inner()
-			}
-			mw, ok := n.(*multiwriter.Node)
-			if !ok {
-				errc <- fmt.Errorf("node %T is not a multiwriter", n)
-				return
-			}
-			if mw.Holder() {
-				won <- true
-				return
-			}
-			if err := mw.Acquire(func(ok bool) { won <- ok }); err != nil {
-				errc <- err
-			}
-		})
-		if err != nil {
-			return err
-		}
-		timer := time.NewTimer(time.Until(deadline))
-		select {
-		case ok := <-won:
-			timer.Stop()
-			if ok {
-				return nil
-			}
-			// Lost the claim (another holder is alive); back off a beat
-			// and retry until the deadline.
-			time.Sleep(50 * time.Millisecond)
-		case err := <-errc:
-			timer.Stop()
-			if errors.Is(err, core.ErrOpInProgress) {
-				time.Sleep(50 * time.Millisecond)
-			} else {
-				return err
-			}
-		case <-timer.C:
-			return nodeops.ErrTimeout
-		}
-		if time.Now().After(deadline) {
-			return nodeops.ErrTimeout
-		}
-	}
-}
-
-func keyParam(r *http.Request) (core.RegisterID, error) {
-	q := r.URL.Query().Get("key")
-	if q == "" {
-		return core.DefaultRegister, nil
-	}
-	k, err := strconv.ParseInt(q, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("key must be an integer")
-	}
-	return core.RegisterID(k), nil
-}
-
-// parseBatch parses "k1=v1,k2=v2" into sorted, deduplicated batch entries.
-func parseBatch(s string) ([]core.KeyedWrite, error) {
-	if s == "" {
-		return nil, fmt.Errorf("writebatch needs b=k1=v1,k2=v2,...")
-	}
-	seen := make(map[core.RegisterID]bool)
-	var entries []core.KeyedWrite
-	for _, pair := range strings.Split(s, ",") {
-		k, v, ok := strings.Cut(pair, "=")
-		if !ok {
-			return nil, fmt.Errorf("bad batch entry %q (want key=val)", pair)
-		}
-		key, err := strconv.ParseInt(strings.TrimSpace(k), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad batch key %q", k)
-		}
-		val, err := strconv.ParseInt(strings.TrimSpace(v), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad batch value %q", v)
-		}
-		reg := core.RegisterID(key)
-		if seen[reg] {
-			return nil, fmt.Errorf("batch names key %d twice", key)
-		}
-		seen[reg] = true
-		entries = append(entries, core.KeyedWrite{Reg: reg, Val: core.Value(val)})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Reg < entries[j].Reg })
-	return entries, nil
 }

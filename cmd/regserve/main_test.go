@@ -4,8 +4,6 @@ import (
 	"io"
 	"strings"
 	"testing"
-
-	"churnreg/internal/core"
 )
 
 func TestParseFlagsValidates(t *testing.T) {
@@ -22,7 +20,9 @@ func TestParseFlagsValidates(t *testing.T) {
 		{"bad queue", []string{"-id", "1", "-queue", "-1"}, "-queue must be >= 0"},
 		{"the mailbox is gone, and its knob", []string{"-id", "1", "-mailbox", "64"}, "flag provided but not defined"},
 		{"ok sync", []string{"-id", "1", "-bootstrap"}, ""},
-		{"ok multiwriter", []string{"-id", "2", "-protocol", "multiwriter"}, ""},
+		{"the HTTP data path is gone, and its deadline", []string{"-id", "1", "-op-timeout", "5s"}, "flag provided but not defined"},
+		{"multiwriter refused", []string{"-id", "2", "-protocol", "multiwriter"}, "nothing on the wire protocol acquires its §7 write token"},
+		{"ok abd sharded", []string{"-id", "2", "-protocol", "abd", "-shards", "8"}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -54,34 +54,15 @@ func TestParseFlagsPeersList(t *testing.T) {
 }
 
 func TestFactoryForCoversEveryProtocol(t *testing.T) {
-	for _, p := range []string{"sync", "esync", "abd", "multiwriter"} {
+	for _, p := range []string{"sync", "esync", "abd"} {
 		f, err := factoryFor(p)
 		if err != nil || f == nil {
 			t.Fatalf("factoryFor(%q): %v", p, err)
 		}
 	}
-	if _, err := factoryFor("nope"); err == nil {
-		t.Fatal("factoryFor accepted unknown protocol")
-	}
-}
-
-func TestParseBatch(t *testing.T) {
-	entries, err := parseBatch("3=30,1=10, 2=20")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []core.KeyedWrite{{Reg: 1, Val: 10}, {Reg: 2, Val: 20}, {Reg: 3, Val: 30}}
-	if len(entries) != len(want) {
-		t.Fatalf("entries = %v", entries)
-	}
-	for i := range want {
-		if entries[i] != want[i] {
-			t.Fatalf("entries[%d] = %v, want %v", i, entries[i], want[i])
-		}
-	}
-	for _, bad := range []string{"", "x", "a=1", "1=b", "1=1,1=2"} {
-		if _, err := parseBatch(bad); err == nil {
-			t.Fatalf("parseBatch(%q) accepted", bad)
+	for _, p := range []string{"nope", "multiwriter"} {
+		if _, err := factoryFor(p); err == nil {
+			t.Fatalf("factoryFor accepted protocol %q", p)
 		}
 	}
 }

@@ -561,13 +561,6 @@ func (t *Transport) ReadKey(reg core.RegisterID, timeout time.Duration) (core.Ve
 	return nodeops.ReadKey(t.invoker(), reg, timeout)
 }
 
-// ReadKeyServed is ReadKey plus the process that served the read: this
-// process for local/quorum serves, the answering replica for forwarded
-// reads on a sharded node.
-func (t *Transport) ReadKeyServed(reg core.RegisterID, timeout time.Duration) (core.VersionedValue, core.ProcessID, error) {
-	return nodeops.ReadKeyServed(t.invoker(), reg, timeout)
-}
-
 // WriteKey runs a write of one register, waits for it to return ok, and
 // reports the exact ⟨v, sn⟩ it stored. Safe for concurrent callers: each
 // call pipelines as its own operation on the node.

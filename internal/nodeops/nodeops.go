@@ -39,24 +39,15 @@ type Invoke func(fn func(core.Node)) error
 
 // ReadKey runs a read of one register and waits for its result.
 func ReadKey(inv Invoke, reg core.RegisterID, timeout time.Duration) (core.VersionedValue, error) {
-	v, _, err := ReadKeyServed(inv, reg, timeout)
-	return v, err
-}
-
-// ReadKeyServed is ReadKey plus the identity of the process that SERVED
-// the read: the node itself, or the answering replica for a read a
-// sharded node forwarded. History recorders attribute the read to the
-// server, not the relay.
-func ReadKeyServed(inv Invoke, reg core.RegisterID, timeout time.Duration) (core.VersionedValue, core.ProcessID, error) {
 	r, err := run(inv, timeout, func(o core.Ops, res chan<- result) error {
-		return o.Read(reg, func(v core.VersionedValue, from core.ProcessID, err error) {
-			res <- result{v: v, from: from, err: err}
+		return o.Read(reg, func(v core.VersionedValue, _ core.ProcessID, err error) {
+			res <- result{v: v, err: err}
 		})
 	})
 	if err != nil {
-		return core.Bottom(), core.NoProcess, err
+		return core.Bottom(), err
 	}
-	return r.v, r.from, nil
+	return r.v, nil
 }
 
 // WriteKey runs a write of one register, waits for it to return ok, and
@@ -96,10 +87,9 @@ func WriteBatch(inv Invoke, entries []core.KeyedWrite, timeout time.Duration) ([
 
 // result is one operation's outcome, as its done callback reports it.
 type result struct {
-	v    core.VersionedValue
-	from core.ProcessID
-	kvs  []core.KeyedValue
-	err  error
+	v   core.VersionedValue
+	kvs []core.KeyedValue
+	err error
 }
 
 // run invokes op on the node's core.Ops and waits for the result op's

@@ -90,12 +90,8 @@ const wait = time.Second
 
 func TestValuesAndServerPassThrough(t *testing.T) {
 	n := &scriptedNode{}
-	v, from, err := ReadKeyServed(inline(n), 4, wait)
-	if err != nil || v != (core.VersionedValue{Val: 4, SN: 3}) || from != 9 {
-		t.Fatalf("read = %v from %v, %v", v, from, err)
-	}
-	if v, err := ReadKey(inline(n), 4, wait); err != nil || v.Val != 4 {
-		t.Fatalf("ReadKey = %v, %v", v, err)
+	if v, err := ReadKey(inline(n), 4, wait); err != nil || v != (core.VersionedValue{Val: 4, SN: 3}) {
+		t.Fatalf("read = %v, %v", v, err)
 	}
 	if vv, err := WriteKey(inline(n), 6, 60, wait); err != nil || vv != (core.VersionedValue{Val: 60, SN: 6}) {
 		t.Fatalf("write = %v, %v", vv, err)
@@ -109,7 +105,7 @@ func TestValuesAndServerPassThrough(t *testing.T) {
 
 func TestInvocationErrorIsReturned(t *testing.T) {
 	n := &scriptedNode{refuse: core.ErrNotActive}
-	if _, _, err := ReadKeyServed(inline(n), 1, wait); err != core.ErrNotActive {
+	if _, err := ReadKey(inline(n), 1, wait); err != core.ErrNotActive {
 		t.Fatalf("read: %v", err)
 	}
 	if _, err := WriteKey(inline(n), 1, 1, wait); err != core.ErrNotActive {
@@ -137,8 +133,8 @@ func TestErrorDeliveredInDone(t *testing.T) {
 	if _, err := WriteKey(inline(n), 1, 1, wait); err != core.ErrUnacknowledged {
 		t.Fatalf("write: %v", err)
 	}
-	if _, from, err := ReadKeyServed(inline(n), 1, wait); err != core.ErrUnacknowledged || from != core.NoProcess {
-		t.Fatalf("read: from %v, %v", from, err)
+	if v, err := ReadKey(inline(n), 1, wait); err != core.ErrUnacknowledged || !v.IsBottom() {
+		t.Fatalf("read: %v, %v", v, err)
 	}
 	if kvs, err := WriteBatch(inline(n), []core.KeyedWrite{{Reg: 1}}, wait); err != core.ErrUnacknowledged || kvs != nil {
 		t.Fatalf("batch: %v, %v", kvs, err)

@@ -349,7 +349,7 @@ func (c *SimCluster) StartReadKeyAt(id ProcessID, k RegisterID) *PendingOp {
 }
 
 // Await drives the simulation until every given operation settles (or its
-// invoker leaves, or the cluster's op-timeout step budget runs out). It
+// invoker leaves, or the step budget of WithOperationTimeout runs out). It
 // returns the first error among the given handles — individual outcomes
 // stay readable per handle, so pipelined callers can await a whole burst
 // and then inspect each op.

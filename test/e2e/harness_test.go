@@ -1,8 +1,10 @@
 // Package e2e black-box tests the deployable system: it builds the real
-// cmd/regserve binary, runs clusters of separate OS processes wired over
-// real TCP sockets, and talks to them only through their HTTP client API
-// — nothing here imports the transport or the protocols. The register
-// semantics are judged from the outside, by recording every operation's
+// cmd/regserve binary and runs clusters of separate OS processes wired
+// over real TCP sockets. Every read and write goes through one
+// client.Client on the wire protocol, the only data path regserve
+// serves; HTTP is used for /health and /leave alone. Nothing here
+// imports the transport or the protocols. The register semantics are
+// judged from the outside, by recording every operation's
 // client-observed invocation/response interval into a spec.History and
 // checking per-key regularity post hoc (client intervals enclose the true
 // operation intervals, so the checker errs lenient, never strict: a
@@ -15,9 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
-	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -31,7 +31,7 @@ var chaosSeed = flag.Int64("chaos.seed", 0,
 	"run the chaos schedule with this single seed (0 = the regression seed list)")
 
 var chaosInflight = flag.Int("chaos.inflight", 1,
-	"concurrent writer clients per chaos run (1 = the historical sequential writer, keeping the regression seeds' schedules stable; >1 pipelines writes through the writer node)")
+	"concurrent writers in TestE2EChaos (1 = one sequential writer; >1 pipelines writes, several on one key at once)")
 
 // regressionSeeds pins schedules that exercised distinct interleavings;
 // add a seed here whenever a chaos failure is found and fixed.
@@ -105,7 +105,7 @@ type node struct {
 	id      int64
 	cmd     *exec.Cmd
 	listen  string // protocol TCP address
-	api     string // HTTP API address
+	api     string // HTTP admin address
 	logs    *logBuffer
 	exited  chan struct{} // closed once the process exited
 	waitErr error         // cmd.Wait's result; read only after exited
@@ -129,20 +129,21 @@ func (l *logBuffer) String() string {
 	return l.buf.String()
 }
 
-// startNode launches a regserve with ephemeral ports and waits for its
-// REGSERVE line announcing the bound addresses. It returns an error
-// rather than failing the test, so non-test goroutines (the chaos churn
-// schedule) can call it too; t is used only for cleanup and log capture,
-// both of which are safe off the test goroutine while the test runs.
-func startNode(t *testing.T, id int64, protocol string, n int, delta int64, tick string, bootstrap bool, peers []string, extraArgs ...string) (*node, error) {
+// startNode launches a regserve of cfg's system with ephemeral ports and
+// waits for its REGSERVE line announcing the bound addresses. It returns
+// an error rather than failing the test, so non-test goroutines (the
+// churn schedule) can call it too; t is used only for cleanup and log
+// capture, both of which are safe off the test goroutine while the test
+// runs.
+func startNode(t *testing.T, cfg chaosConfig, id int64, bootstrap bool, peers []string) (*node, error) {
 	args := []string{
 		"-id", fmt.Sprint(id),
 		"-listen", "127.0.0.1:0",
 		"-api", "127.0.0.1:0",
-		"-protocol", protocol,
-		"-n", fmt.Sprint(n),
-		"-delta", fmt.Sprint(delta),
-		"-tick", tick,
+		"-protocol", cfg.protocol,
+		"-n", fmt.Sprint(cfg.founders),
+		"-delta", fmt.Sprint(cfg.delta),
+		"-tick", "1ms",
 	}
 	if bootstrap {
 		args = append(args, "-bootstrap")
@@ -150,7 +151,12 @@ func startNode(t *testing.T, id int64, protocol string, n int, delta int64, tick
 	if len(peers) > 0 {
 		args = append(args, "-peers", strings.Join(peers, ","))
 	}
-	args = append(args, extraArgs...)
+	if cfg.sharded {
+		// Eviction tightened so placement heals within the run after a
+		// crash.
+		args = append(args, "-shards", fmt.Sprint(shards), "-replication", fmt.Sprint(replication),
+			"-evict-after", evictAfter)
+	}
 	cmd := exec.Command(binPath, args...)
 	logs := &logBuffer{}
 	stdout, err := cmd.StdoutPipe()
@@ -209,14 +215,27 @@ func startNode(t *testing.T, id int64, protocol string, n int, delta int64, tick
 	return nd, nil
 }
 
-// mustStartNode is startNode for the test goroutine: failures are fatal.
-func mustStartNode(t *testing.T, id int64, protocol string, n int, delta int64, tick string, bootstrap bool, peers []string, extraArgs ...string) *node {
+// startFounders boots cfg's bootstrap processes, ids 1 to cfg.founders,
+// each dialing those before it, and waits until every one is active and
+// sees all the others.
+func startFounders(t *testing.T, cfg chaosConfig) []*node {
 	t.Helper()
-	nd, err := startNode(t, id, protocol, n, delta, tick, bootstrap, peers, extraArgs...)
-	if err != nil {
-		t.Fatal(err)
+	var founders []*node
+	var peers []string
+	for id := int64(1); id <= int64(cfg.founders); id++ {
+		nd, err := startNode(t, cfg, id, true, peers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		founders = append(founders, nd)
+		peers = append(peers, nd.listen)
 	}
-	return nd
+	for _, nd := range founders {
+		if err := waitHealthy(nd, cfg.founders-1, 10*time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return founders
 }
 
 // kill force-terminates the process (SIGKILL), as a crash would.
@@ -253,97 +272,40 @@ func (n *node) awaitExit(t *testing.T, timeout time.Duration) {
 
 var httpClient = &http.Client{Timeout: 30 * time.Second}
 
-// apiError is a non-2xx API response.
-type apiError struct {
-	status int
-	body   string
+// healthReply is the part of a /health answer the tests read.
+type healthReply struct {
+	Active bool `json:"active"`
+	Peers  int  `json:"peers"`
 }
 
-func (e *apiError) Error() string { return fmt.Sprintf("http %d: %s", e.status, e.body) }
-
-func apiCall(method, rawURL string, out any) error {
-	req, err := http.NewRequest(method, rawURL, nil)
+func (n *node) health() (healthReply, error) {
+	var h healthReply
+	resp, err := httpClient.Get("http://" + n.api + "/health")
 	if err != nil {
-		return err
-	}
-	resp, err := httpClient.Do(req)
-	if err != nil {
-		return err
+		return h, err
 	}
 	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode/100 != 2 {
-		return &apiError{status: resp.StatusCode, body: strings.TrimSpace(string(body))}
+	if resp.StatusCode != http.StatusOK {
+		return h, fmt.Errorf("health: http %d", resp.StatusCode)
 	}
-	if out != nil {
-		return json.Unmarshal(body, out)
+	return h, json.NewDecoder(resp.Body).Decode(&h)
+}
+
+// leave asks the process to depart gracefully; it exits once it has.
+func (n *node) leave() error {
+	resp, err := httpClient.Post("http://"+n.api+"/leave", "", nil)
+	if err != nil {
+		return err
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("leave: http %d", resp.StatusCode)
 	}
 	return nil
 }
 
-type readResult struct {
-	Key int64 `json:"key"`
-	Val int64 `json:"val"`
-	SN  int64 `json:"sn"`
-	// ServedBy names the replica whose local copy produced the value —
-	// under sharding, not necessarily the node that was asked.
-	ServedBy int64 `json:"served_by"`
-}
-
-type writeResult struct {
-	OK  bool  `json:"ok"`
-	SN  int64 `json:"sn"`
-	Val int64 `json:"val"`
-}
-
-type batchResult struct {
-	OK   bool             `json:"ok"`
-	Keys int              `json:"keys"`
-	SNs  map[string]int64 `json:"sns"`
-}
-
-type healthResult struct {
-	ID     int64 `json:"id"`
-	Active bool  `json:"active"`
-	Peers  int   `json:"peers"`
-}
-
-func (n *node) read(key int64) (readResult, error) {
-	var r readResult
-	err := apiCall("GET", fmt.Sprintf("http://%s/read?key=%d", n.api, key), &r)
-	return r, err
-}
-
-func (n *node) write(key, val int64) (writeResult, error) {
-	var r writeResult
-	err := apiCall("POST", fmt.Sprintf("http://%s/write?key=%d&val=%d", n.api, key, val), &r)
-	return r, err
-}
-
-func (n *node) writeBatch(kvs map[int64]int64) (batchResult, error) {
-	parts := make([]string, 0, len(kvs))
-	for k, v := range kvs {
-		parts = append(parts, fmt.Sprintf("%d=%d", k, v))
-	}
-	var r batchResult
-	err := apiCall("POST", fmt.Sprintf("http://%s/writebatch?b=%s",
-		n.api, url.QueryEscape(strings.Join(parts, ","))), &r)
-	return r, err
-}
-
-func (n *node) health() (healthResult, error) {
-	var r healthResult
-	err := apiCall("GET", fmt.Sprintf("http://%s/health", n.api), &r)
-	return r, err
-}
-
-func (n *node) leave() error {
-	return apiCall("POST", fmt.Sprintf("http://%s/leave", n.api), nil)
-}
-
 // waitHealthy polls /health until the node is active with at least
-// wantPeers identified peers. Error-returning so non-test goroutines can
-// call it; test-goroutine callers use mustHealthy.
+// wantPeers identified peers.
 func waitHealthy(nd *node, wantPeers int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	var last string
@@ -357,11 +319,4 @@ func waitHealthy(nd *node, wantPeers int, timeout time.Duration) error {
 	}
 	return fmt.Errorf("node %d never became healthy (want >= %d peers): %s\n%s",
 		nd.id, wantPeers, last, nd.logs.String())
-}
-
-func mustHealthy(t *testing.T, nd *node, wantPeers int, timeout time.Duration) {
-	t.Helper()
-	if err := waitHealthy(nd, wantPeers, timeout); err != nil {
-		t.Fatal(err)
-	}
 }
