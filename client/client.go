@@ -119,8 +119,6 @@ type Config struct {
 	// RetryBackoff spaces attempts after an explicit refusal (default
 	// 10ms, doubling per attempt up to 250ms).
 	RetryBackoff time.Duration
-	// Logf, when set, receives client-level diagnostics.
-	Logf func(format string, args ...any)
 }
 
 func (c *Config) fillDefaults() error {
@@ -138,9 +136,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 10 * time.Millisecond
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
 	}
 	return nil
 }

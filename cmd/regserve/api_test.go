@@ -4,7 +4,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"churnreg/internal/core"
@@ -18,8 +21,13 @@ type fakeBackend struct {
 	// sharded, when set, makes ShardInfo report a sharded placement (the
 	// /metrics and /health shard-gauge tests use it).
 	sharded bool
+	// closed, when set, makes Invoke fail without running fn, as the real
+	// transport does once it has stopped.
+	closed atomic.Bool
 	// stats is what Stats() serves; tests may pre-load counters.
 	stats nettransport.Stats
+	// invokes counts Invoke calls: turns of the node's monitor.
+	invokes atomic.Int64
 }
 
 func newFakeBackend() *fakeBackend { return &fakeBackend{} }
@@ -27,6 +35,10 @@ func newFakeBackend() *fakeBackend { return &fakeBackend{} }
 // Invoke runs fn synchronously against a stub node (the real transport
 // schedules it on the loop goroutine; the api cannot tell the difference).
 func (f *fakeBackend) Invoke(fn func(core.Node)) error {
+	f.invokes.Add(1)
+	if f.closed.Load() {
+		return nettransport.ErrClosed
+	}
 	fn(stubNode{})
 	return nil
 }
@@ -217,6 +229,87 @@ func TestAPITransportAndReadPathMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(body, line) {
 			t.Fatalf("metrics output missing %q:\n%s", line, body)
+		}
+	}
+}
+
+// loadGoldenStats gives every transport counter /metrics renders a
+// distinct non-zero value. LoopTasks is large enough that %g would print
+// it as 1.2345678e+07, frames per write (1000/300) is not a round number,
+// and the timer lateness (15 µs) is small enough that %g prints 1.5e-05.
+func loadGoldenStats(s *nettransport.Stats) {
+	s.FlushWrites.Store(300)
+	s.FlushedFrames.Store(1000)
+	s.LastBatchFrames.Store(17)
+	s.MailboxStalls.Store(4)
+	s.QueueDrops.Store(3)
+	s.LoopTurns.Store(654321)
+	s.LoopTasks.Store(12345678)
+	s.SelfDeliveries.Store(4321)
+	s.InlineFlushes.Store(290)
+	s.FlushHandoffs.Store(6)
+	s.TimerFires.Store(88)
+	s.TimerLateNanos.Store(15000)
+	s.TimerOverruns.Store(2)
+}
+
+// TestAPIMetricsGolden pins /metrics byte for byte, unsharded and
+// sharded: every series name, HELP and TYPE line, label and number format
+// a scraper (bench/ among them) reads. A change that means to alter the
+// exposition rewrites the golden files and says why.
+func TestAPIMetricsGolden(t *testing.T) {
+	for _, name := range []string{"unsharded", "sharded"} {
+		t.Run(name, func(t *testing.T) {
+			b := newFakeBackend()
+			b.sharded = name == "sharded"
+			loadGoldenStats(&b.stats)
+			_, got := get(t, newTestAPI(t, b).URL+"/metrics")
+			want, err := os.ReadFile(filepath.Join("testdata", "metrics-"+name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got == string(want) {
+				return
+			}
+			gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+			for i := 0; i < len(gl) || i < len(wl); i++ {
+				var g, w string
+				if i < len(gl) {
+					g = gl[i]
+				}
+				if i < len(wl) {
+					w = wl[i]
+				}
+				if g != w {
+					t.Fatalf("/metrics line %d:\n got %q\nwant %q\nfull output:\n%s", i+1, g, w, got)
+				}
+			}
+		})
+	}
+}
+
+// TestAPIMetricsOneInvokePerScrape: the counters that live on the node
+// (the read-path split and the shard wrapper's relay counts) are read in
+// one turn of its monitor per scrape, and a node that does not answer —
+// here, a stopped transport — omits both families while the transport's
+// own counters still render.
+func TestAPIMetricsOneInvokePerScrape(t *testing.T) {
+	b := newFakeBackend()
+	srv := newTestAPI(t, b)
+	for i := int64(1); i <= 3; i++ {
+		get(t, srv.URL+"/metrics")
+		if got := b.invokes.Load(); got != i {
+			t.Fatalf("after %d scrapes the node's monitor was entered %d times, want %d", i, got, i)
+		}
+	}
+	b.closed.Store(true)
+	_, body := get(t, srv.URL+"/metrics")
+	if !strings.Contains(body, "regserve_transport_loop_turns_total") {
+		t.Fatalf("stopped node dropped the transport series:\n%s", body)
+	}
+	for _, name := range []string{"regserve_read_path_total", "regserve_forward_"} {
+		if strings.Contains(body, name) {
+			t.Fatalf("stopped node still renders %s:\n%s", name, body)
 		}
 	}
 }

@@ -48,6 +48,7 @@ import (
 	"churnreg/internal/abd"
 	"churnreg/internal/core"
 	"churnreg/internal/esyncreg"
+	"churnreg/internal/metrics"
 	"churnreg/internal/nettransport"
 	"churnreg/internal/placement"
 	"churnreg/internal/shard"
@@ -78,7 +79,6 @@ type serverConfig struct {
 	shards      int
 	replication int
 	evictAfter  time.Duration
-	queueLen    int
 	pprof       bool
 }
 
@@ -100,7 +100,6 @@ func parseFlags(args []string, errW io.Writer) (*serverConfig, error) {
 		shards      = fs.Int("shards", 0, "shard the keyspace into this many shards (0 = every node replicates every key); must match across the whole system")
 		replication = fs.Int("replication", 3, "replica group size per shard (with -shards; must match across the whole system)")
 		evictAfter  = fs.Duration("evict-after", 15*time.Second, "drop a peer whose dials have failed continuously for this long (sharded clusters under churn want this low — placement heals only after eviction)")
-		queueLen    = fs.Int("queue", 0, "per-peer outbound frame queue capacity (0 = transport default of 512); overflow drops the oldest frame")
 		pprofFlag   = fs.Bool("pprof", false, "serve net/http/pprof under /debug/pprof on the API address (profiling a live cluster)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -128,11 +127,7 @@ func parseFlags(args []string, errW io.Writer) (*serverConfig, error) {
 		id: *id, listen: *listen, api: *api, protocol: *protocol,
 		n: *n, delta: *delta, tick: *tick, bootstrap: *bootstrap,
 		initial: *initial, verbose: *verbose,
-		shards: *shards, replication: *replication, evictAfter: *evictAfter,
-		queueLen: *queueLen, pprof: *pprofFlag,
-	}
-	if cfg.queueLen < 0 {
-		return nil, fmt.Errorf("-queue must be >= 0 (got %d)", cfg.queueLen)
+		shards: *shards, replication: *replication, evictAfter: *evictAfter, pprof: *pprofFlag,
 	}
 	for _, p := range strings.Split(*peers, ",") {
 		if p = strings.TrimSpace(p); p != "" {
@@ -188,7 +183,6 @@ func run(args []string, out, errW io.Writer) error {
 		Bootstrap:  cfg.bootstrap,
 		Initial:    core.VersionedValue{Val: core.Value(cfg.initial), SN: 0},
 		EvictAfter: cfg.evictAfter,
-		QueueLen:   cfg.queueLen,
 		Placement:  placement.Config{Shards: cfg.shards, Replication: cfg.replication},
 		Logf:       logf,
 	})
@@ -276,168 +270,95 @@ func newAPI(cfg *serverConfig, tr backend, leavec chan<- struct{}) http.Handler 
 	return mux
 }
 
-// metrics serves the Prometheus text exposition: the transport's
-// counters, the read-path and forward-relay counters, and — when the
-// keyspace is sharded — the placement gauges (total shards, shards this
-// node replicates, configured replication factor).
+// metrics serves the Prometheus text exposition of series.
 func (a *api) metrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	a.writeTransportMetrics(w)
-	a.writeReadPathMetrics(w)
-	a.writeForwardMetrics(w)
-	shards, owned, repl := a.tr.ShardInfo()
-	if shards == 0 {
-		return
-	}
-	fmt.Fprintf(w, "# HELP regserve_shards_total Total shards the keyspace hashes onto.\n")
-	fmt.Fprintf(w, "# TYPE regserve_shards_total gauge\n")
-	fmt.Fprintf(w, "regserve_shards_total %d\n", shards)
-	fmt.Fprintf(w, "# HELP regserve_shards_owned Shards this node currently replicates.\n")
-	fmt.Fprintf(w, "# TYPE regserve_shards_owned gauge\n")
-	fmt.Fprintf(w, "regserve_shards_owned %d\n", owned)
-	fmt.Fprintf(w, "# HELP regserve_shard_replication Configured replica group size per shard.\n")
-	fmt.Fprintf(w, "# TYPE regserve_shard_replication gauge\n")
-	fmt.Fprintf(w, "regserve_shard_replication %d\n", repl)
+	w.Header().Set("Content-Type", metrics.ContentType)
+	metrics.WriteText(w, a.series())
 }
 
-// writeTransportMetrics renders the wire-level hot-path counters: the
-// coalescing factor (frames per frame-carrying write syscall), the latest
-// batch size, the backpressure counters, the monitor's turns and flushes,
-// and how late its timers fire.
-func (a *api) writeTransportMetrics(w http.ResponseWriter) {
+// series is every series /metrics exports, in the order it prints: the one
+// place their names, HELP texts and types are declared. bench/ scrapes
+// them, so a name or a number format changes only with its golden file.
+// The transport's counters come first; then the counters that live on the
+// node (the quorum-read split and the shard wrapper's relay hops), both
+// omitted when the node does not answer within 2 s; then, when the
+// keyspace is sharded, the placement gauges.
+func (a *api) series() []metrics.Series {
 	st := a.tr.Stats()
-	if st == nil {
-		return
+	out := []metrics.Series{
+		metrics.Gauge("regserve_transport_frames_per_write", "Average frames coalesced into one frame-carrying write syscall.", metrics.Float(st.FramesPerWrite())),
+		metrics.Gauge("regserve_transport_last_batch_frames", "Frame count of the most recently flushed batch.", metrics.Int(st.LastBatchFrames.Load())),
+		metrics.Counter("regserve_transport_flushed_frames_total", "Frames written to peers and client sessions by coalesced flushes.", metrics.Int(st.FlushedFrames.Load())),
+		metrics.Counter("regserve_transport_mailbox_stalls_total", "Producers (connection readers, timers, API calls) that found the node's monitor held and waited for it.", metrics.Int(st.MailboxStalls.Load())),
+		metrics.Counter("regserve_transport_queue_drops_total", "Frames dropped, oldest first, on full per-link queues.", metrics.Int(st.QueueDrops.Load())),
+		metrics.Counter("regserve_transport_loop_turns_total", "Turns of the node's monitor; each link that got frames in a turn is flushed once at its end.", metrics.Int(st.LoopTurns.Load())),
+		metrics.Counter("regserve_transport_loop_tasks_total", "Tasks (frames, timers, API calls) the monitor's turns ran; tasks per turn is the batching a turn achieves.", metrics.Int(st.LoopTasks.Load())),
+		metrics.Counter("regserve_transport_self_deliveries_total", "Messages the node addressed to itself, delivered within the turn that sent them.", metrics.Int(st.SelfDeliveries.Load())),
+		metrics.Counter("regserve_transport_inline_flushes_total", "Non-blocking writes made at the end of a turn by the goroutine that ran it.", metrics.Int(st.InlineFlushes.Load())),
+		metrics.Counter("regserve_transport_flush_handoffs_total", "Inline flushes the socket cut short or refused; the link's writer took the remainder.", metrics.Int(st.FlushHandoffs.Load())),
+		metrics.Counter("regserve_transport_timer_fires_total", "Protocol timer callbacks (wait(δ) and the like) run by the node.", metrics.Int(st.TimerFires.Load())),
+		metrics.Counter("regserve_transport_timer_late_seconds_total", "Summed lateness of timer callbacks: when each one's turn began, minus its deadline.", metrics.Float(float64(st.TimerLateNanos.Load())/1e9)),
+		metrics.Counter("regserve_transport_timer_overruns_total", "Timer callbacks that began more than delta past their deadline: this process stalled past delta.", metrics.Int(st.TimerOverruns.Load())),
 	}
-	fmt.Fprintf(w, "# HELP regserve_transport_frames_per_write Average frames coalesced into one frame-carrying write syscall.\n")
-	fmt.Fprintf(w, "# TYPE regserve_transport_frames_per_write gauge\n")
-	fmt.Fprintf(w, "regserve_transport_frames_per_write %g\n", st.FramesPerWrite())
-	fmt.Fprintf(w, "# HELP regserve_transport_last_batch_frames Frame count of the most recently flushed batch.\n")
-	fmt.Fprintf(w, "# TYPE regserve_transport_last_batch_frames gauge\n")
-	fmt.Fprintf(w, "regserve_transport_last_batch_frames %d\n", st.LastBatchFrames.Load())
-	fmt.Fprintf(w, "# HELP regserve_transport_flushed_frames_total Frames written to peers and client sessions by coalesced flushes.\n")
-	fmt.Fprintf(w, "# TYPE regserve_transport_flushed_frames_total counter\n")
-	fmt.Fprintf(w, "regserve_transport_flushed_frames_total %d\n", st.FlushedFrames.Load())
-	fmt.Fprintf(w, "# HELP regserve_transport_mailbox_stalls_total Producers (connection readers, timers, API calls) that found the node's monitor held and waited for it.\n")
-	fmt.Fprintf(w, "# TYPE regserve_transport_mailbox_stalls_total counter\n")
-	fmt.Fprintf(w, "regserve_transport_mailbox_stalls_total %d\n", st.MailboxStalls.Load())
-	fmt.Fprintf(w, "# HELP regserve_transport_queue_drops_total Frames dropped, oldest first, on full per-link queues.\n")
-	fmt.Fprintf(w, "# TYPE regserve_transport_queue_drops_total counter\n")
-	fmt.Fprintf(w, "regserve_transport_queue_drops_total %d\n", st.QueueDrops.Load())
-	fmt.Fprintf(w, "# HELP regserve_transport_loop_turns_total Turns of the node's monitor; each link that got frames in a turn is flushed once at its end.\n")
-	fmt.Fprintf(w, "# TYPE regserve_transport_loop_turns_total counter\n")
-	fmt.Fprintf(w, "regserve_transport_loop_turns_total %d\n", st.LoopTurns.Load())
-	fmt.Fprintf(w, "# HELP regserve_transport_loop_tasks_total Tasks (frames, timers, API calls) the monitor's turns ran; tasks per turn is the batching a turn achieves.\n")
-	fmt.Fprintf(w, "# TYPE regserve_transport_loop_tasks_total counter\n")
-	fmt.Fprintf(w, "regserve_transport_loop_tasks_total %d\n", st.LoopTasks.Load())
-	fmt.Fprintf(w, "# HELP regserve_transport_self_deliveries_total Messages the node addressed to itself, delivered within the turn that sent them.\n")
-	fmt.Fprintf(w, "# TYPE regserve_transport_self_deliveries_total counter\n")
-	fmt.Fprintf(w, "regserve_transport_self_deliveries_total %d\n", st.SelfDeliveries.Load())
-	fmt.Fprintf(w, "# HELP regserve_transport_inline_flushes_total Non-blocking writes made at the end of a turn by the goroutine that ran it.\n")
-	fmt.Fprintf(w, "# TYPE regserve_transport_inline_flushes_total counter\n")
-	fmt.Fprintf(w, "regserve_transport_inline_flushes_total %d\n", st.InlineFlushes.Load())
-	fmt.Fprintf(w, "# HELP regserve_transport_flush_handoffs_total Inline flushes the socket cut short or refused; the link's writer took the remainder.\n")
-	fmt.Fprintf(w, "# TYPE regserve_transport_flush_handoffs_total counter\n")
-	fmt.Fprintf(w, "regserve_transport_flush_handoffs_total %d\n", st.FlushHandoffs.Load())
-	fmt.Fprintf(w, "# HELP regserve_transport_timer_fires_total Protocol timer callbacks (wait(δ) and the like) run by the node.\n")
-	fmt.Fprintf(w, "# TYPE regserve_transport_timer_fires_total counter\n")
-	fmt.Fprintf(w, "regserve_transport_timer_fires_total %d\n", st.TimerFires.Load())
-	fmt.Fprintf(w, "# HELP regserve_transport_timer_late_seconds_total Summed lateness of timer callbacks: when each one's turn began, minus its deadline.\n")
-	fmt.Fprintf(w, "# TYPE regserve_transport_timer_late_seconds_total counter\n")
-	fmt.Fprintf(w, "regserve_transport_timer_late_seconds_total %g\n", float64(st.TimerLateNanos.Load())/1e9)
-	fmt.Fprintf(w, "# HELP regserve_transport_timer_overruns_total Timer callbacks that began more than delta past their deadline: this process stalled past delta.\n")
-	fmt.Fprintf(w, "# TYPE regserve_transport_timer_overruns_total counter\n")
-	fmt.Fprintf(w, "regserve_transport_timer_overruns_total %d\n", st.TimerOverruns.Load())
+	if c := a.readNodeCounts(); c != nil {
+		out = append(out,
+			metrics.Counter("regserve_read_path_total", "Completed quorum reads by path: fast is the one-round path (all phase-1 replies agreed, write-back skipped).", metrics.Int(c.fast, "path", "fast"), metrics.Int(c.slow, "path", "slow")),
+			// Under a placement-aware client, which routes every operation
+			// to a replica itself, regserve_forward_total stays ≈0.
+			metrics.Counter("regserve_forward_total", "Operations relayed to a replica instead of served from this node's local state.", metrics.Int(c.fwd.ForwardedReads, "op", "read"), metrics.Int(c.fwd.ForwardedWrites, "op", "write")),
+			metrics.Counter("regserve_forward_served_total", "Forwarded operations this node served from local state (relayed by a peer or submitted by a wire client).", metrics.Int(c.fwd.ForwardsServed)),
+			metrics.Counter("regserve_forward_refused_total", "Forwarded operations this node refused (wrong replica, not active, or busy).", metrics.Int(c.fwd.ForwardsRefused)),
+		)
+	}
+	if shards, owned, repl := a.tr.ShardInfo(); shards > 0 {
+		out = append(out,
+			metrics.Gauge("regserve_shards_total", "Total shards the keyspace hashes onto.", metrics.Int(uint64(shards))),
+			metrics.Gauge("regserve_shards_owned", "Shards this node currently replicates.", metrics.Int(uint64(owned))),
+			metrics.Gauge("regserve_shard_replication", "Configured replica group size per shard.", metrics.Int(uint64(repl))),
+		)
+	}
+	return out
 }
 
-// writeReadPathMetrics renders the quorum-read fast/slow split for
-// protocols that track it (abd's one-round fast path). The counts live on
-// the node, so they are fetched through one turn of its monitor; a node
-// too busy to answer promptly just omits the series this scrape.
-func (a *api) writeReadPathMetrics(w http.ResponseWriter) {
-	type counts struct {
-		fast, slow uint64
-		tracked    bool
-	}
-	done := make(chan counts, 1)
-	// The timeout must bound the WHOLE fetch, including Invoke's wait for
-	// the monitor, so Invoke runs on its own goroutine; its channel send
-	// is buffered and its wait ends when the transport stops, so the
-	// goroutine never outlives a busy node by more than that.
-	go func() {
-		err := a.tr.Invoke(func(n core.Node) {
-			c, ok := n.(core.ReadPathCounter)
-			if !ok {
-				done <- counts{}
-				return
-			}
-			fast, slow := c.ReadPathCounts()
-			done <- counts{fast: fast, slow: slow, tracked: true}
-		})
-		if err != nil {
-			done <- counts{}
-		}
-	}()
-	timer := time.NewTimer(2 * time.Second)
-	defer timer.Stop()
-	select {
-	case c := <-done:
-		if !c.tracked {
-			return
-		}
-		fmt.Fprintf(w, "# HELP regserve_read_path_total Completed quorum reads by path: fast is the one-round path (all phase-1 replies agreed, write-back skipped).\n")
-		fmt.Fprintf(w, "# TYPE regserve_read_path_total counter\n")
-		fmt.Fprintf(w, "regserve_read_path_total{path=\"fast\"} %d\n", c.fast)
-		fmt.Fprintf(w, "regserve_read_path_total{path=\"slow\"} %d\n", c.slow)
-	case <-timer.C:
-	}
-}
-
-// forwardCounter is the slice of the shard wrapper the forward-relay
-// series needs. *shard.Node implements it; handler tests stub it.
-type forwardCounter interface {
+// nodeCounters is the slice of the node that /metrics reads: the
+// quorum-read split and the shard wrapper's relay counters. *shard.Node,
+// the outermost layer of every regserve node, implements it; handler
+// tests stub it.
+type nodeCounters interface {
+	core.ReadPathCounter
 	Stats() shard.Stats
 }
 
-// writeForwardMetrics renders the relay-hop counters: operations this
-// node could not serve locally and forwarded to a replica (the cost a
-// placement-aware client avoids by routing direct — under a smart client
-// regserve_forward_total stays ≈0), plus the receiving side (forwards
-// this node served or refused). Fetched through one turn of the monitor
-// like the read-path series.
-func (a *api) writeForwardMetrics(w http.ResponseWriter) {
-	done := make(chan *shard.Stats, 1)
+// nodeCounts is what one scrape reads from the node.
+type nodeCounts struct {
+	fast, slow uint64
+	fwd        shard.Stats
+}
+
+// readNodeCounts reads the node's counters in one turn of its monitor. It
+// returns nil when the node did not answer within 2 s (or has stopped):
+// a node too busy to answer promptly omits those series this scrape.
+func (a *api) readNodeCounts() *nodeCounts {
+	done := make(chan *nodeCounts, 1)
+	// The timeout must bound the WHOLE fetch, including Invoke's wait for
+	// the monitor, so Invoke runs on its own goroutine; its send is
+	// buffered and its wait ends when the transport stops, so the
+	// goroutine never outlives a busy node by more than that.
 	go func() {
-		err := a.tr.Invoke(func(n core.Node) {
-			if fc, ok := n.(forwardCounter); ok {
-				s := fc.Stats()
-				done <- &s
-				return
+		var c *nodeCounts
+		a.tr.Invoke(func(n core.Node) {
+			if nc, ok := n.(nodeCounters); ok {
+				c = &nodeCounts{fwd: nc.Stats()}
+				c.fast, c.slow = nc.ReadPathCounts()
 			}
-			done <- nil
 		})
-		if err != nil {
-			done <- nil
-		}
+		done <- c
 	}()
-	timer := time.NewTimer(2 * time.Second)
-	defer timer.Stop()
 	select {
-	case s := <-done:
-		if s == nil {
-			return
-		}
-		fmt.Fprintf(w, "# HELP regserve_forward_total Operations relayed to a replica instead of served from this node's local state.\n")
-		fmt.Fprintf(w, "# TYPE regserve_forward_total counter\n")
-		fmt.Fprintf(w, "regserve_forward_total{op=\"read\"} %d\n", s.ForwardedReads)
-		fmt.Fprintf(w, "regserve_forward_total{op=\"write\"} %d\n", s.ForwardedWrites)
-		fmt.Fprintf(w, "# HELP regserve_forward_served_total Forwarded operations this node served from local state (relayed by a peer or submitted by a wire client).\n")
-		fmt.Fprintf(w, "# TYPE regserve_forward_served_total counter\n")
-		fmt.Fprintf(w, "regserve_forward_served_total %d\n", s.ForwardsServed)
-		fmt.Fprintf(w, "# HELP regserve_forward_refused_total Forwarded operations this node refused (wrong replica, not active, or busy).\n")
-		fmt.Fprintf(w, "# TYPE regserve_forward_refused_total counter\n")
-		fmt.Fprintf(w, "regserve_forward_refused_total %d\n", s.ForwardsRefused)
-	case <-timer.C:
+	case c := <-done:
+		return c
+	case <-time.After(2 * time.Second):
+		return nil
 	}
 }
 

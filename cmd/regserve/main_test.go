@@ -17,7 +17,7 @@ func TestParseFlagsValidates(t *testing.T) {
 		{"bad protocol", []string{"-id", "1", "-protocol", "paxos"}, "unknown protocol"},
 		{"bad n", []string{"-id", "1", "-n", "0"}, "-n must be > 0"},
 		{"bad delta", []string{"-id", "1", "-delta", "0"}, "-delta must be >= 1"},
-		{"bad queue", []string{"-id", "1", "-queue", "-1"}, "-queue must be >= 0"},
+		{"queue is undefined", []string{"-id", "1", "-queue", "64"}, "flag provided but not defined"},
 		{"the mailbox is gone, and its knob", []string{"-id", "1", "-mailbox", "64"}, "flag provided but not defined"},
 		{"ok sync", []string{"-id", "1", "-bootstrap"}, ""},
 		{"the HTTP data path is gone, and its deadline", []string{"-id", "1", "-op-timeout", "5s"}, "flag provided but not defined"},

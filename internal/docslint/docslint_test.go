@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -226,6 +227,47 @@ func TestDocsReferToFilesInTheTree(t *testing.T) {
 		for i, line := range strings.Split(string(b), "\n") {
 			for _, ref := range danglingRefs(root, filepath.Dir(path), line) {
 				t.Errorf("%s:%d: refers to %s, which is not in the tree", doc, i+1, ref)
+			}
+		}
+	}
+}
+
+// seriesRef is a /metrics series name as the documents write it.
+var seriesRef = regexp.MustCompile(`regserve_[a-z_]+`)
+
+// TestDocsNameExportedSeries: every regserve_* series the documents name
+// is one regserve exports, as pinned by its /metrics golden files, or the
+// prefix of one (a reader may grep for regserve_shards). A series renamed
+// or removed takes its mentions with it.
+func TestDocsNameExportedSeries(t *testing.T) {
+	root := moduleRoot(t)
+	goldens, err := filepath.Glob(filepath.Join(root, "cmd/regserve/testdata/metrics-*.golden"))
+	if err != nil || len(goldens) == 0 {
+		t.Fatalf("no /metrics golden files under cmd/regserve/testdata (%v)", err)
+	}
+	var exported []string
+	for _, g := range goldens {
+		b, err := os.ReadFile(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(b), "\n") {
+			if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+				exported = append(exported, f[2])
+			}
+		}
+	}
+	for _, doc := range []string{"README.md", "TESTING.md", "ARCHITECTURE.md", ".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"} {
+		b, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Errorf("%s: %v", doc, err)
+			continue
+		}
+		for i, line := range strings.Split(string(b), "\n") {
+			for _, ref := range seriesRef.FindAllString(line, -1) {
+				if !slices.ContainsFunc(exported, func(name string) bool { return strings.HasPrefix(name, ref) }) {
+					t.Errorf("%s:%d: names %s, which regserve does not export", doc, i+1, ref)
+				}
 			}
 		}
 	}

@@ -1,7 +1,9 @@
 // Package metrics provides the small statistics and table-rendering
 // toolkit every experiment uses: exact-quantile samples, counters, and
 // aligned plain-text tables (the repository's equivalent of the paper's
-// figures, rendered as rows).
+// figures, rendered as rows). It also renders the Prometheus text
+// exposition of counters and gauges (exposition.go) that a daemon's
+// /metrics endpoint serves.
 package metrics
 
 import (

@@ -110,6 +110,15 @@ import (
 // ErrClosed is returned once the transport has been shut down.
 var ErrClosed = errors.New("nettransport: transport closed")
 
+const (
+	// dialTimeout bounds one connection attempt.
+	dialTimeout = time.Second
+	// handshakeWait bounds how long Start waits for seed handshakes before
+	// starting the protocol anyway (dead seeds are expected: a replacement
+	// process is often handed the address of the process it replaces).
+	handshakeWait = 2 * time.Second
+)
+
 // Config assembles one TCP-backed process.
 type Config struct {
 	// ID is this process's identity. The operator (or NetCluster) must
@@ -137,16 +146,9 @@ type Config struct {
 	// InitialKeys optionally pre-provisions further registers (bootstrap
 	// only; ascending Reg order).
 	InitialKeys []core.KeyedValue
-	// DialTimeout bounds one connection attempt (default 1s).
-	DialTimeout time.Duration
-	// HandshakeWait bounds how long Start waits for seed handshakes before
-	// starting the protocol anyway (default 2s; dead seeds are expected —
-	// a replacement process is often handed the address of the process it
-	// replaces).
-	HandshakeWait time.Duration
 	// QueueLen is how many frames one link (a peer, or a client session)
-	// may hold queued (default 512; regserve -queue). Overflow drops the
-	// oldest-queued frame and counts it in Stats.QueueDrops.
+	// may hold queued (default 512). Overflow drops the oldest-queued
+	// frame and counts it in Stats.QueueDrops.
 	QueueLen int
 	// EvictAfter drops a peer whose dials have failed continuously for
 	// this long (default 15s). Graceful departures announce themselves
@@ -184,12 +186,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.Tick <= 0 {
 		c.Tick = time.Millisecond
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = time.Second
-	}
-	if c.HandshakeWait <= 0 {
-		c.HandshakeWait = 2 * time.Second
 	}
 	if c.QueueLen <= 0 {
 		c.QueueLen = 512
@@ -435,7 +431,7 @@ func (t *Transport) Start(seeds []string) {
 // awaitHandshakes polls until want peers have announced their identity or
 // the handshake window closes.
 func (t *Transport) awaitHandshakes(want int) {
-	deadline := time.Now().Add(t.cfg.HandshakeWait)
+	deadline := time.Now().Add(handshakeWait)
 	for time.Now().Before(deadline) {
 		t.mu.Lock()
 		got := len(t.byID)
@@ -1304,7 +1300,7 @@ type peer struct {
 // stops, or the peer proves dead (dials failing for EvictAfter).
 func (p *peer) run(t *Transport) {
 	defer t.wg.Done()
-	dialer := net.Dialer{Timeout: t.cfg.DialTimeout}
+	dialer := net.Dialer{Timeout: dialTimeout}
 	backoff := 25 * time.Millisecond
 	first := true
 	var failingSince time.Time
