@@ -4,6 +4,10 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"churnreg/internal/core"
+	"churnreg/internal/shard"
+	"churnreg/internal/syncreg"
 )
 
 // TestWriteBatchEveryCell runs one 3-key WriteBatch in every cell of
@@ -58,5 +62,57 @@ func TestWriteBatchEveryCell(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestShardedBatchSplitsAtPrimaries: under the synchronous protocol, a
+// batch whose keys live in two shards with different primaries enters
+// as one sub-batch at each primary. Each sub-batch is one WRITE_BATCH
+// broadcast to its shard's group; no per-key WRITE and no FORWARD is
+// sent. Every key reads back, and the history is regular.
+func TestShardedBatchSplitsAtPrimaries(t *testing.T) {
+	c, err := NewSimCluster(shardedOpts(Synchronous, 5, 4, 3, 1)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := c.sys.Placement()
+	other := 1
+	for v.Primary(other) == v.Primary(0) {
+		other++
+	}
+	batch := make(map[RegisterID]int64)
+	for _, s := range []int{0, other} {
+		n := 0
+		for k := RegisterID(1); n < 2; k++ {
+			if v.ShardOf(k) == s {
+				batch[k] = int64(100 + k)
+				n++
+			}
+		}
+	}
+	before := c.sys.Network().Stats().SentByKind
+	if err := c.WriteBatch(batch); err != nil {
+		t.Fatalf("write batch: %v", err)
+	}
+	sent := c.sys.Network().Stats().SentByKind
+	want := uint64(len(v.GroupFor(0)) + len(v.GroupFor(other)))
+	if got := sent[core.KindWriteBatch] - before[core.KindWriteBatch]; got != want ||
+		sent[core.KindWrite] != before[core.KindWrite] || sent[core.KindForward] != before[core.KindForward] {
+		t.Fatalf("sent %d WRITE_BATCH, %d WRITE, %d FORWARD; want %d WRITE_BATCH and nothing else", got,
+			sent[core.KindWrite]-before[core.KindWrite], sent[core.KindForward]-before[core.KindForward], want)
+	}
+	for _, s := range []int{0, other} {
+		inner := c.sys.Node(v.Primary(s)).(*shard.Node).Inner().(*syncreg.Node)
+		if got := inner.Stats().BatchWrites; got != 1 {
+			t.Fatalf("primary %v of shard %d ran %d batched broadcasts, want 1", v.Primary(s), s, got)
+		}
+	}
+	for k, want := range batch {
+		if got, err := c.ReadKey(k); err != nil || got != want {
+			t.Fatalf("read %v = %d, %v; want %d", k, got, err, want)
+		}
+	}
+	if rep := c.Check(); !rep.OK() || rep.Writes != len(batch) {
+		t.Fatalf("check: %v (want %d writes)", rep, len(batch))
 	}
 }

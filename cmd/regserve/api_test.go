@@ -63,7 +63,7 @@ func (stubNode) ReadPathCounts() (uint64, uint64)            { return 5, 2 }
 // Stats satisfies the api's forwardCounter slice with fixed relay
 // counts, so the regserve_forward_* series is observable.
 func (stubNode) Stats() shard.Stats {
-	return shard.Stats{ForwardedReads: 4, ForwardedWrites: 1, ForwardsServed: 7, ForwardsRefused: 2}
+	return shard.Stats{ForwardedReads: 4, ForwardsServed: 7, ForwardsRefused: 2}
 }
 
 func (f *fakeBackend) ShardInfo() (int, int, int) {
@@ -325,7 +325,6 @@ func TestAPIForwardMetrics(t *testing.T) {
 	}
 	for _, line := range []string{
 		`regserve_forward_total{op="read"} 4`,
-		`regserve_forward_total{op="write"} 1`,
 		"regserve_forward_served_total 7",
 		"regserve_forward_refused_total 2",
 	} {

@@ -305,7 +305,7 @@ func (a *api) series() []metrics.Series {
 			metrics.Counter("regserve_read_path_total", "Completed quorum reads by path: fast is the one-round path (all phase-1 replies agreed, write-back skipped).", metrics.Int(c.fast, "path", "fast"), metrics.Int(c.slow, "path", "slow")),
 			// Under a placement-aware client, which routes every operation
 			// to a replica itself, regserve_forward_total stays ≈0.
-			metrics.Counter("regserve_forward_total", "Operations relayed to a replica instead of served from this node's local state.", metrics.Int(c.fwd.ForwardedReads, "op", "read"), metrics.Int(c.fwd.ForwardedWrites, "op", "write")),
+			metrics.Counter("regserve_forward_total", "Operations relayed to a replica instead of served from this node's local state.", metrics.Int(c.fwd.ForwardedReads, "op", "read")),
 			metrics.Counter("regserve_forward_served_total", "Forwarded operations this node served from local state (relayed by a peer or submitted by a wire client).", metrics.Int(c.fwd.ForwardsServed)),
 			metrics.Counter("regserve_forward_refused_total", "Forwarded operations this node refused (wrong replica, not active, or busy).", metrics.Int(c.fwd.ForwardsRefused)),
 		)

@@ -262,7 +262,8 @@ type Ops interface {
 	// Write stores v in reg. done receives the exact ⟨v, sn⟩ this write
 	// stored — with several writes to one key in flight, a snapshot taken
 	// after completion may reflect a LATER write — or the error of a write
-	// that failed after invocation (ErrUnroutable, ErrUnacknowledged).
+	// that failed after invocation (a sharded write queued behind a
+	// handoff whose node stopped being the key's primary: ErrUnroutable).
 	Write(reg RegisterID, v Value, done func(VersionedValue, error)) error
 	// WriteBatch stores several registers' values. Entries must be sorted
 	// by Reg and name each key at most once. done receives the stored
@@ -274,14 +275,13 @@ type Ops interface {
 
 // WriteEach is WriteBatch as one Write per entry, all in flight at once:
 // the batch of every protocol without a batched broadcast, and of a
-// sharded batch whose keys span primaries. Every entry settles before done
+// sharded batch whose keys span shards. Every entry settles before done
 // runs, once. The first entry the node refuses stops the batch: it and
 // the entries after it are not invoked and carry ⊥, with the refusal as
 // the batch's error, while the entries before it run to completion. An
-// error delivered to a write's done marks that entry failed too. Where
-// errors differ, ErrUnacknowledged wins: the caller's safe reaction to
-// "maybe applied" covers "not applied", but not the reverse. An empty
-// batch is an error and done never runs.
+// error delivered to a write's done marks that entry failed too; the
+// batch reports the first error. An empty batch is an error and done
+// never runs.
 func WriteEach(o Ops, entries []KeyedWrite, done func([]KeyedValue, error)) error {
 	if len(entries) == 0 {
 		return errors.New("register: empty batch")
@@ -290,7 +290,7 @@ func WriteEach(o Ops, entries []KeyedWrite, done func([]KeyedValue, error)) erro
 	remaining := len(entries)
 	var failed error
 	settle := func(i int, vv VersionedValue, err error) {
-		if err != nil && (failed == nil || errors.Is(err, ErrUnacknowledged)) {
+		if err != nil && failed == nil {
 			failed = err
 		}
 		out[i] = KeyedValue{Reg: entries[i].Reg, Value: vv}

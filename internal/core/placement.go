@@ -2,22 +2,13 @@ package core
 
 import "errors"
 
-// Sharding errors, surfaced by the placement-aware node wrapper
-// (internal/shard) when an operation cannot be routed to — or answered
-// by — its key's replica group.
-var (
-	// ErrUnroutable is returned when no replica of the key's shard is
-	// reachable (the placement view is empty, or every forwarding attempt
-	// was explicitly refused). The operation was NOT applied.
-	ErrUnroutable = errors.New("register: no reachable replica for key's shard")
-	// ErrUnacknowledged is returned when a forwarded WRITE got no answer
-	// before the forwarding deadline. Unlike ErrUnroutable this is
-	// ambiguous: the serving replica may have applied the write and died
-	// (or been partitioned) before its FORWARDED reply arrived, so the
-	// write MAY OR MAY NOT have taken effect. Reads are never ambiguous —
-	// they are idempotent and simply retried against another replica.
-	ErrUnacknowledged = errors.New("register: forwarded write unacknowledged (may or may not have been applied)")
-)
+// ErrUnroutable is the sharding error, surfaced by the placement-aware
+// node wrapper (internal/shard): the operation reached a node that may
+// not serve it (a write or batch invoked away from its key's primary),
+// or no replica of the key's shard is reachable (the view is empty, or
+// every relay attempt of a read was refused). The operation was NOT
+// applied.
+var ErrUnroutable = errors.New("register: no reachable replica for key's shard")
 
 // HandoffReadSeq is the reserved read sequence number identifying a shard
 // handoff inquiry (see internal/shard): a node that GAINED shards under a

@@ -117,31 +117,33 @@ func TestWriteEachAllRefusedSettlesAtOnce(t *testing.T) {
 	}
 }
 
-func TestWriteEachUnacknowledgedDominates(t *testing.T) {
-	// Entry 1 is accepted and later reported unacknowledged; entry 2 is
-	// refused outright. "Maybe applied" is the answer the caller must see.
+func TestWriteEachFirstErrorWins(t *testing.T) {
+	// Entries 1 and 2 are accepted and fail later, 2 before 1; entry 3 is
+	// refused outright, before either. The batch reports the first error
+	// delivered, whichever entry it came from.
+	late, early := errors.New("late"), errors.New("early")
 	ops := &scriptedOps{
-		fail:   map[RegisterID]error{1: ErrUnacknowledged},
-		refuse: map[RegisterID]error{2: ErrUnroutable},
+		fail:   map[RegisterID]error{1: late, 2: early},
+		refuse: map[RegisterID]error{3: ErrUnroutable},
 	}
 	var r batchResult
-	if err := WriteEach(ops, batchOf(1, 2), r.done); err != nil {
+	if err := WriteEach(ops, batchOf(1, 2, 3), r.done); err != nil {
 		t.Fatal(err)
 	}
+	ops.pending[0], ops.pending[1] = ops.pending[1], ops.pending[0]
 	ops.finish()
-	if r.calls != 1 || !errors.Is(r.err, ErrUnacknowledged) {
-		t.Fatalf("done ran %d times with %v, want once with ErrUnacknowledged", r.calls, r.err)
+	if r.calls != 1 || r.err != ErrUnroutable {
+		t.Fatalf("done ran %d times with %v, want once with the refusal", r.calls, r.err)
 	}
-	// And the other way round: a clean refusal delivered after an
-	// unacknowledged write does not replace it.
-	ops = &scriptedOps{fail: map[RegisterID]error{1: ErrUnacknowledged, 2: ErrUnroutable}}
+	ops = &scriptedOps{fail: map[RegisterID]error{1: late, 2: early}}
 	r = batchResult{}
 	if err := WriteEach(ops, batchOf(1, 2), r.done); err != nil {
 		t.Fatal(err)
 	}
+	ops.pending[0], ops.pending[1] = ops.pending[1], ops.pending[0]
 	ops.finish()
-	if r.calls != 1 || !errors.Is(r.err, ErrUnacknowledged) {
-		t.Fatalf("done ran %d times with %v, want once with ErrUnacknowledged", r.calls, r.err)
+	if r.calls != 1 || r.err != early {
+		t.Fatalf("done ran %d times with %v, want once with %v", r.calls, r.err, early)
 	}
 }
 

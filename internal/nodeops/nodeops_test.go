@@ -129,14 +129,14 @@ func TestInvocationErrorIsReturned(t *testing.T) {
 }
 
 func TestErrorDeliveredInDone(t *testing.T) {
-	n := &scriptedNode{fail: core.ErrUnacknowledged}
-	if _, err := WriteKey(inline(n), 1, 1, wait); err != core.ErrUnacknowledged {
+	n := &scriptedNode{fail: core.ErrUnroutable}
+	if _, err := WriteKey(inline(n), 1, 1, wait); err != core.ErrUnroutable {
 		t.Fatalf("write: %v", err)
 	}
-	if v, err := ReadKey(inline(n), 1, wait); err != core.ErrUnacknowledged || !v.IsBottom() {
+	if v, err := ReadKey(inline(n), 1, wait); err != core.ErrUnroutable || !v.IsBottom() {
 		t.Fatalf("read: %v, %v", v, err)
 	}
-	if kvs, err := WriteBatch(inline(n), []core.KeyedWrite{{Reg: 1}}, wait); err != core.ErrUnacknowledged || kvs != nil {
+	if kvs, err := WriteBatch(inline(n), []core.KeyedWrite{{Reg: 1}}, wait); err != core.ErrUnroutable || kvs != nil {
 		t.Fatalf("batch: %v, %v", kvs, err)
 	}
 }

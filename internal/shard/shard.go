@@ -1,8 +1,9 @@
 // Package shard turns any register protocol into a SHARDED one: a
-// placement-aware wrapper node that routes client operations to the
-// replica group of each key's shard, answers operations forwarded from
-// non-replicas, and runs the shard handoff state exchange when membership
-// changes move shards between nodes.
+// placement-aware wrapper node that serves each key's operations only
+// where its shard's replica group says, relays reads entered at a
+// non-replica, answers operations forwarded to it, and runs the shard
+// handoff state exchange when membership changes move shards between
+// nodes.
 //
 // # Division of labor
 //
@@ -17,7 +18,7 @@
 //     per-register traffic and quorums to the replica group themselves
 //     (core.ScopedBroadcast / core.OpScope): a WRITE for a key reaches R
 //     nodes, not n, and its quorum is a majority of R.
-//   - This wrapper decides WHERE a client operation runs, keeps
+//   - This wrapper decides WHERE a client operation may run, keeps
 //     non-replicas from serving keys they do not hold, and moves shard
 //     state when placement changes.
 //
@@ -31,17 +32,16 @@
 // request/reply pair. Reads are idempotent, so a forward that goes
 // unanswered (its target died) retries against the next group member.
 //
-// A write of key k always runs at the shard's PRIMARY (the group's
-// first-priority member), because sequence-number assignment for a key
-// must stay in one process's hands at a time — the same per-key
-// single-writer discipline the paper's protocols assume, now enforced
-// per shard by routing. A node that is not the primary forwards, and a
-// node asked to serve a write it is no longer primary for refuses
-// (WRONG_REPLICA) rather than minting a conflicting sequence number. An
-// unanswered forwarded write is NOT retried: the serving primary may have
-// applied it before dying, so the wrapper surfaces core.ErrUnacknowledged
-// and lets the client decide — re-issuing blindly could write one value
-// under two sequence numbers.
+// A write of key k is never relayed: it enters at the shard's PRIMARY
+// (the group's first-priority member), because sequence-number
+// assignment for a key must stay in one process's hands at a time — the
+// same per-key single-writer discipline the paper's protocols assume,
+// now enforced per shard. Write at any other node fails at invocation
+// with core.ErrUnroutable (not applied, retry-safe), and a FORWARDed
+// write at a node that is no longer primary is refused (WRONG_REPLICA)
+// rather than minting a conflicting sequence number. Routing a write to
+// its primary is the caller's job: client.Client, SimCluster and
+// NetCluster each send it to Group(k)[0] under their own view.
 //
 // # Handoff
 //
@@ -79,13 +79,13 @@ import (
 // Tunables (in ticks of the runtime's clock, scaled by δ so one set of
 // constants serves both the synchronous and quorum protocols).
 const (
-	// fwdTimeoutDeltas: a forwarded operation unanswered for this many δ
-	// is presumed lost (reads retry, writes fail ErrUnacknowledged).
+	// fwdTimeoutDeltas: a relayed read unanswered for this many δ is
+	// presumed lost and retried at the next group member.
 	fwdTimeoutDeltas = 10
 	// fwdTimeoutSlack is added on top, covering quorum round-trips that
 	// are not δ-bounded (the eventually synchronous protocol).
 	fwdTimeoutSlack = 50
-	// maxFwdAttempts bounds read re-routing and explicit-refusal retries.
+	// maxFwdAttempts bounds a relayed read's attempts.
 	maxFwdAttempts = 6
 	// retryDelayTicks spaces retries after an explicit refusal.
 	retryDelayTicks = 2
@@ -97,16 +97,11 @@ const (
 	handoffRelaxAfter = 3
 )
 
-// fwdOp is one forwarded client operation awaiting its FORWARDED answer.
+// fwdOp is one relayed read awaiting its FORWARDED answer.
 type fwdOp struct {
 	reg      core.RegisterID
-	isWrite  bool
-	val      core.Value
 	attempts int
-	// sentTo is the replica the current attempt targets (diagnostics).
-	sentTo    core.ProcessID
-	readDone  func(core.VersionedValue, core.ProcessID, error)
-	writeDone func(core.VersionedValue, error)
+	done     func(core.VersionedValue, core.ProcessID, error)
 }
 
 // shardState tracks one owned shard: ready to serve, or pending handoff.
@@ -141,7 +136,7 @@ type Node struct {
 
 	// shards holds state for every owned shard.
 	shards map[int]*shardState
-	// fwd is the wrapper's own operation table for forwarded ops.
+	// fwd is the wrapper's own operation table for relayed reads.
 	fwd *core.OpTable[fwdOp]
 
 	stats Stats
@@ -152,7 +147,6 @@ type Stats struct {
 	LocalReads       uint64
 	ForwardedReads   uint64
 	LocalWrites      uint64
-	ForwardedWrites  uint64
 	ForwardsServed   uint64
 	ForwardsRefused  uint64
 	HandoffsStarted  uint64 // shards that entered pending state
@@ -313,7 +307,8 @@ func (n *Node) PlacementChanged(view core.PlacementView) {
 			owned[s] = true
 		}
 	}
-	// Lost shards: re-dispatch anything queued on them (it forwards now).
+	// Lost shards: re-dispatch anything queued on them (reads relay now;
+	// writes and FORWARDs check again and are refused).
 	for s, st := range n.shards {
 		if !owned[s] {
 			q := st.queue
@@ -576,34 +571,34 @@ func (n *Node) dispatchRead(reg core.RegisterID, attempt int, done func(core.Ver
 	}
 	// Rotate through the group so a dead primary does not blackhole
 	// reads while eviction catches up.
-	var target core.ProcessID
-	picked := false
-	for i := 0; i < len(g); i++ {
-		t := g[(attempt+i)%len(g)]
-		if t != self {
+	target := core.NoProcess
+	for i := 0; i < len(g) && target == core.NoProcess; i++ {
+		if t := g[(attempt+i)%len(g)]; t != self {
 			target = t
-			picked = true
-			break
 		}
 	}
-	if !picked {
+	if target == core.NoProcess {
 		done(core.Bottom(), core.NoProcess, core.ErrUnroutable)
 		return
 	}
 	n.stats.ForwardedReads++
-	n.forward(reg, attempt, target, fwdOp{reg: reg, readDone: done})
+	id, o := n.fwd.Begin()
+	*o = fwdOp{reg: reg, attempts: attempt, done: done}
+	n.env.Send(target, core.ForwardMsg{From: self, Op: id, Reg: reg})
+	n.armFwdTimer(id)
 }
 
-// Write implements core.Ops: serve locally when this node is the key's
-// shard primary, else forward to the primary.
+// Write implements core.Ops. Sharded, a write enters only at its key's
+// primary: at any other node the invocation fails with
+// core.ErrUnroutable, the write is not applied and done never runs.
 func (n *Node) Write(reg core.RegisterID, v core.Value, done func(core.VersionedValue, error)) error {
 	if n.view == nil {
 		return n.ops.Write(reg, v, done)
 	}
-	if n.fwd.Full() {
-		return core.ErrOpInProgress
+	if !n.isPrimary(reg) {
+		return core.ErrUnroutable
 	}
-	n.dispatchWrite(reg, v, 0, done)
+	n.dispatchWrite(reg, v, done)
 	return nil
 }
 
@@ -621,72 +616,53 @@ func (n *Node) WriteKeySN(reg core.RegisterID, v core.Value, done func(core.Vers
 	})
 }
 
-// dispatchWrite routes one write attempt to the key's primary.
-func (n *Node) dispatchWrite(reg core.RegisterID, v core.Value, attempt int, done func(core.VersionedValue, error)) {
-	view := n.view
-	if view == nil {
-		if err := n.ops.Write(reg, v, done); err != nil {
-			done(core.Bottom(), err)
-		}
-		return
-	}
-	g := view.Group(reg)
-	if len(g) == 0 {
+// dispatchWrite serves a write at the key's primary, queued behind a
+// pending handoff; a queued write checks again that it is at the primary.
+func (n *Node) dispatchWrite(reg core.RegisterID, v core.Value, done func(core.VersionedValue, error)) {
+	if !n.isPrimary(reg) {
 		done(core.Bottom(), core.ErrUnroutable)
 		return
 	}
-	self := n.env.ID()
-	shard := view.ShardOf(reg)
-	if g[0] == self {
-		if n.pendingShard(shard) {
-			n.queueOnShard(shard, func() { n.dispatchWrite(reg, v, attempt, done) })
-			return
-		}
-		n.stats.LocalWrites++
-		if err := n.ops.Write(reg, v, done); err != nil {
-			done(core.Bottom(), err)
-		}
+	if shard := n.view.ShardOf(reg); n.pendingShard(shard) {
+		n.queueOnShard(shard, func() { n.dispatchWrite(reg, v, done) })
 		return
 	}
-	if attempt >= maxFwdAttempts {
-		done(core.Bottom(), core.ErrUnroutable)
-		return
+	n.stats.LocalWrites++
+	if err := n.ops.Write(reg, v, done); err != nil {
+		done(core.Bottom(), err)
 	}
-	n.stats.ForwardedWrites++
-	n.forward(reg, attempt, g[0], fwdOp{reg: reg, isWrite: true, val: v, writeDone: done})
 }
 
-// WriteBatch implements core.Ops: a batch whose every key lives in ONE
-// shard this node is primary for (and ready) keeps the inner protocol's
-// batch — for the synchronous protocol one broadcast, reaching exactly
-// that shard's group; any other batch is core.WriteEach over this node,
-// each key routed independently. (Same-primary keys from DIFFERENT
-// shards also decompose: one batched broadcast to the union of their
-// groups would store every key on every union member, leaking the
-// per-shard capacity bound.)
+// isPrimary reports whether this node is reg's primary in its view.
+func (n *Node) isPrimary(reg core.RegisterID) bool {
+	if n.view == nil {
+		return false
+	}
+	g := n.view.Group(reg)
+	return len(g) > 0 && g[0] == n.env.ID()
+}
+
+// WriteBatch implements core.Ops. Sharded, a batch enters only where
+// this node is every key's primary, else it fails with ErrUnroutable like
+// Write. A batch within ONE ready shard keeps the inner protocol's batch
+// (for the synchronous protocol one broadcast to that shard's group);
+// any other is core.WriteEach, because one broadcast to the union of
+// several shards' groups would store every key on every union member.
 func (n *Node) WriteBatch(entries []core.KeyedWrite, done func([]core.KeyedValue, error)) error {
-	if n.view != nil && !n.primaryOfOneShard(entries) {
+	if n.view == nil {
+		return n.ops.WriteBatch(entries, done)
+	}
+	oneShard := len(entries) > 0
+	for _, e := range entries {
+		if !n.isPrimary(e.Reg) {
+			return core.ErrUnroutable
+		}
+		oneShard = oneShard && n.view.ShardOf(e.Reg) == n.view.ShardOf(entries[0].Reg)
+	}
+	if !oneShard || n.pendingShard(n.view.ShardOf(entries[0].Reg)) {
 		return core.WriteEach(n, entries, done)
 	}
 	return n.ops.WriteBatch(entries, done)
-}
-
-// primaryOfOneShard reports whether every entry's key lives in one ready
-// shard this node is the primary of.
-func (n *Node) primaryOfOneShard(entries []core.KeyedWrite) bool {
-	if len(entries) == 0 {
-		return false
-	}
-	s := n.view.ShardOf(entries[0].Reg)
-	if n.pendingShard(s) {
-		return false
-	}
-	for _, e := range entries {
-		if n.view.ShardOf(e.Reg) != s || n.view.Group(e.Reg)[0] != n.env.ID() {
-			return false
-		}
-	}
-	return true
 }
 
 // queueOnShard parks an operation until the shard's handoff completes.
@@ -701,21 +677,12 @@ func (n *Node) queueOnShard(s int, fn func()) {
 
 // ---- forwarding ----
 
-// forward registers op in the wrapper table and sends FORWARD to target,
-// arming the loss timer.
-func (n *Node) forward(reg core.RegisterID, attempt int, target core.ProcessID, op fwdOp) {
-	id, o := n.fwd.Begin()
-	*o = op
-	o.attempts = attempt
-	o.sentTo = target
-	n.env.Send(target, core.ForwardMsg{From: n.env.ID(), Op: id, Reg: reg, IsWrite: o.isWrite, Val: o.val})
-	n.armFwdTimer(id)
-}
-
 func (n *Node) fwdTimeout() sim.Duration {
 	return fwdTimeoutDeltas*n.env.Delta() + fwdTimeoutSlack
 }
 
+// armFwdTimer retries a relayed read that drew no answer at the next
+// group member: reads are idempotent.
 func (n *Node) armFwdTimer(id core.OpID) {
 	n.env.After(n.fwdTimeout(), func() {
 		o, ok := n.fwd.Get(id)
@@ -723,14 +690,7 @@ func (n *Node) armFwdTimer(id core.OpID) {
 			return
 		}
 		n.fwd.Finish(id)
-		if o.isWrite {
-			// The target may have applied the write and died before
-			// answering — ambiguous, so no blind retry.
-			o.writeDone(core.Bottom(), core.ErrUnacknowledged)
-			return
-		}
-		// Reads are idempotent: try the next replica.
-		n.dispatchRead(o.reg, o.attempts+1, o.readDone)
+		n.dispatchRead(o.reg, o.attempts+1, o.done)
 	})
 }
 
@@ -802,7 +762,7 @@ func (n *Node) handleForward(m core.ForwardMsg) {
 	}
 }
 
-// handleForwarded routes a forward's answer to its waiting operation.
+// handleForwarded routes a relayed read's answer to its waiting read.
 func (n *Node) handleForwarded(m core.ForwardedMsg) {
 	o, ok := n.fwd.Get(m.Op)
 	if !ok || o.reg != m.Reg {
@@ -810,24 +770,13 @@ func (n *Node) handleForwarded(m core.ForwardedMsg) {
 	}
 	n.fwd.Finish(m.Op)
 	if m.Code == core.ForwardOK {
-		if o.isWrite {
-			o.writeDone(m.Value, nil)
-		} else {
-			o.readDone(m.Value, m.From, nil)
-		}
+		o.done(m.Value, m.From, nil)
 		return
 	}
-	// Explicit refusal: the operation was NOT applied, so retrying is
-	// safe for writes too. Space the retry out and re-resolve routing
-	// (the refusal usually means our view lags the server's).
+	// Explicit refusal: space the retry out and re-resolve routing (the
+	// refusal usually means our view lags the server's).
 	attempt := o.attempts + 1
-	n.env.After(retryDelayTicks, func() {
-		if o.isWrite {
-			n.dispatchWrite(o.reg, o.val, attempt, o.writeDone)
-		} else {
-			n.dispatchRead(o.reg, attempt, o.readDone)
-		}
-	})
+	n.env.After(retryDelayTicks, func() { n.dispatchRead(o.reg, attempt, o.done) })
 }
 
 func containsID(ids []core.ProcessID, id core.ProcessID) bool {

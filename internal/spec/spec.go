@@ -181,9 +181,9 @@ func (h *History) CompleteRead(op *Op, now sim.Time, v core.VersionedValue) {
 
 // ResolveValue records the ⟨v, sn⟩ a still-PENDING write is later known
 // to have stored, without completing it. This is the post-hoc resolution
-// for AMBIGUOUS writes: a forwarded write whose serving replica died
-// before acknowledging may or may not have been applied
-// (core.ErrUnacknowledged), and the client learns the outcome only by
+// for AMBIGUOUS writes: a wire client's write that was sent and never
+// answered may or may not have been applied (client.ErrUnacknowledged),
+// and the client learns the outcome only by
 // observing the value in subsequent reads. Recording the observed
 // ⟨v, sn⟩ keeps the op incomplete — concurrent with everything after its
 // invocation, exactly a regular register's semantics for a write that

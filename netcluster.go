@@ -1,6 +1,7 @@
 package churnreg
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"churnreg/internal/core"
 	"churnreg/internal/nettransport"
+	"churnreg/internal/shard"
 	"churnreg/internal/sim"
 )
 
@@ -29,9 +31,10 @@ import (
 // NetCluster is safe for concurrent use, and concurrency is the point:
 // any number of goroutines may issue reads and writes at once; every call
 // pipelines as its own operation on its node, across keys and on one key.
-// Route one key's writes through one node (WriteKey uses the designated
-// writer for exactly this); a single node orders its own pipelined writes
-// by invocation.
+// One key's writes must enter at one node, which orders its own pipelined
+// writes by invocation: WriteKey and WriteBatch send them to the key's
+// shard primary when sharded (a write anywhere else is refused), else to
+// the designated writer.
 type NetCluster struct {
 	opts   options
 	mu     sync.Mutex
@@ -81,7 +84,43 @@ func NewNetCluster(opt ...Option) (*NetCluster, error) {
 	}
 	c.nextID = ProcessID(o.n)
 	c.writer = 1
+	if err := c.awaitViews(trs); err != nil {
+		c.Close()
+		return nil, err
+	}
 	return c, nil
+}
+
+// awaitViews waits, within opTimeout, until every process routes over
+// all n bootstrap processes: sharded, its shard wrapper has adopted a
+// view of n members; unsharded, its transport knows n-1 peers. Start
+// publishes views from a goroutine after the handshakes, so without this
+// wait the first operations would route on a partial system.
+func (c *NetCluster) awaitViews(trs []*nettransport.Transport) error {
+	deadline := time.Now().Add(c.opts.opTimeout)
+	for _, tr := range trs {
+		for !c.routesOverAll(tr) {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("churnreg: process %v has no view over all %d processes after %v", tr.ID(), c.opts.n, c.opts.opTimeout)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	return nil
+}
+
+// routesOverAll reports whether tr routes over all n bootstrap processes.
+func (c *NetCluster) routesOverAll(tr *nettransport.Transport) bool {
+	if !c.opts.placement.Enabled() {
+		return tr.PeerCount() == c.opts.n-1
+	}
+	members := 0
+	err := tr.Invoke(func(n core.Node) {
+		if v := n.(*shard.Node).Placement(); v != nil {
+			members = len(v.Members())
+		}
+	})
+	return err == nil && members == c.opts.n
 }
 
 func (c *NetCluster) transportConfig(id ProcessID, sc core.SpawnContext) nettransport.Config {
@@ -232,30 +271,26 @@ func (c *NetCluster) WriterID() ProcessID {
 // Write stores v in register 0 via the designated writer process.
 func (c *NetCluster) Write(v int64) error { return c.WriteKey(core.DefaultRegister, v) }
 
-// WriteKey stores v in one register via the designated writer process,
-// adopting a successor if the writer departed (see writerTransport).
-// Concurrent calls — same key or not — pipeline on the writer, which
-// assigns their sequence numbers in arrival order.
+// WriteKey stores v in one register at the process that mints its
+// sequence numbers (see write). Concurrent calls — same key or not —
+// pipeline there, and it assigns their sequence numbers in arrival order.
 func (c *NetCluster) WriteKey(k RegisterID, v int64) error {
-	tr, err := c.writerTransport()
-	if err != nil {
+	err := c.write([]core.KeyedWrite{{Reg: k, Val: core.Value(v)}}, func(tr *nettransport.Transport, es []core.KeyedWrite, timeout time.Duration) error {
+		_, err := tr.WriteKey(es[0].Reg, es[0].Val, timeout)
 		return err
-	}
-	if _, err := tr.WriteKey(k, core.Value(v), c.opts.opTimeout); err != nil {
+	})
+	if err != nil {
 		return fmt.Errorf("churnreg: net write %v: %w", k, err)
 	}
 	return nil
 }
 
-// WriteBatch stores several keys' values via the designated writer: one
-// broadcast for batching protocols, concurrent per-key writes otherwise.
+// WriteBatch stores several keys' values (see write): one broadcast per
+// sub-batch within one shard for batching protocols, concurrent per-key
+// writes otherwise.
 func (c *NetCluster) WriteBatch(kvs map[RegisterID]int64) error {
 	if len(kvs) == 0 {
 		return nil
-	}
-	tr, err := c.writerTransport()
-	if err != nil {
-		return err
 	}
 	ks := make([]RegisterID, 0, len(kvs))
 	for k := range kvs {
@@ -266,10 +301,74 @@ func (c *NetCluster) WriteBatch(kvs map[RegisterID]int64) error {
 	for i, k := range ks {
 		entries[i] = core.KeyedWrite{Reg: k, Val: core.Value(kvs[k])}
 	}
-	if _, err := tr.WriteBatch(entries, c.opts.opTimeout); err != nil {
+	err := c.write(entries, func(tr *nettransport.Transport, es []core.KeyedWrite, timeout time.Duration) error {
+		_, err := tr.WriteBatch(es, timeout)
+		return err
+	})
+	if err != nil {
 		return fmt.Errorf("churnreg: net write batch: %w", err)
 	}
 	return nil
+}
+
+// writeFunc runs sorted entries at one process.
+type writeFunc func(tr *nettransport.Transport, entries []core.KeyedWrite, timeout time.Duration) error
+
+// write runs entries where their keys' sequence numbers are minted:
+// unsharded, all at the designated writer (see writerTransport); sharded,
+// one part per key's primary (see atPrimaries).
+func (c *NetCluster) write(entries []core.KeyedWrite, w writeFunc) error {
+	if c.opts.placement.Enabled() {
+		return c.atPrimaries(entries, time.Now().Add(c.opts.opTimeout), w)
+	}
+	tr, err := c.writerTransport()
+	if err != nil {
+		return err
+	}
+	return w(tr, entries, c.opts.opTimeout)
+}
+
+// atPrimaries runs entries at their keys' shard primaries under the
+// lowest present process's view: one part per primary, all in flight at
+// once. Views lag, so the process that view names may not yet, or no
+// longer, be primary in its own, or may be gone; such a part was not
+// applied, and it is split and routed again until the deadline.
+func (c *NetCluster) atPrimaries(entries []core.KeyedWrite, deadline time.Time, w writeFunc) error {
+	var view core.PlacementView
+	if ids := c.IDs(); len(ids) > 0 {
+		if tr, err := c.get(ids[0]); err == nil {
+			view = tr.Placement()
+		}
+	}
+	if view == nil {
+		return ErrNoActiveProcess
+	}
+	parts := make(map[ProcessID][]core.KeyedWrite)
+	for _, e := range entries {
+		p := view.Group(e.Reg)[0]
+		parts[p] = append(parts[p], e)
+	}
+	errs := make(chan error, len(parts))
+	for p, part := range parts {
+		go func() {
+			tr, err := c.get(p)
+			if err == nil {
+				err = w(tr, part, time.Until(deadline))
+			}
+			if (errors.Is(err, core.ErrUnroutable) || errors.Is(err, ErrNoActiveProcess)) && time.Now().Before(deadline) {
+				time.Sleep(time.Duration(c.opts.delta) * c.opts.tick)
+				err = c.atPrimaries(part, deadline, w)
+			}
+			errs <- err
+		}()
+	}
+	var first error
+	for range parts {
+		if err := <-errs; first == nil {
+			first = err
+		}
+	}
+	return first
 }
 
 // writerTransport resolves the designated writer, adopting the lowest
@@ -308,7 +407,8 @@ func (c *NetCluster) WriteAt(id ProcessID, v int64) error {
 	return c.WriteKeyAt(id, core.DefaultRegister, v)
 }
 
-// WriteKeyAt stores v in one register via a specific process.
+// WriteKeyAt stores v in one register via a specific process. Sharded,
+// only the key's primary accepts it: anywhere else it fails unapplied.
 func (c *NetCluster) WriteKeyAt(id ProcessID, k RegisterID, v int64) error {
 	tr, err := c.get(id)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 
 	"churnreg/internal/core"
 	"churnreg/internal/esyncreg"
+	"churnreg/internal/shard"
 )
 
 // TestNetClusterEndToEnd drives the TCP-backed cluster through the same
@@ -80,6 +81,49 @@ func TestNetClusterEndToEnd(t *testing.T) {
 	}
 	if c.Size() != 2 {
 		t.Fatalf("size = %d, want 2", c.Size())
+	}
+}
+
+// TestNewNetClusterReturnsWithViews: the moment NewNetCluster returns,
+// every process routes over all n bootstrap processes — sharded, its
+// shard wrapper has adopted a view of n members; unsharded, its transport
+// knows n-1 peers — so the first write goes to the primary every process
+// agrees on. Ten constructions of each, because the views are published
+// from goroutines.
+func TestNewNetClusterReturnsWithViews(t *testing.T) {
+	const n = 4
+	for _, shards := range []int{0, 4} {
+		for i := 0; i < 10; i++ {
+			opts := []Option{WithN(n), WithProtocol(EventuallySynchronous), WithDelta(40), WithTick(time.Millisecond)}
+			if shards > 0 {
+				opts = append(opts, WithShards(shards, 3))
+			}
+			c, err := NewNetCluster(opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range c.IDs() {
+				tr, _ := c.get(id)
+				if shards == 0 {
+					if got := tr.PeerCount(); got != n-1 {
+						t.Fatalf("unsharded: process %v knows %d peers at return, want %d", id, got, n-1)
+					}
+					continue
+				}
+				members := -1
+				if err := tr.Invoke(func(node core.Node) {
+					if v := node.(*shard.Node).Placement(); v != nil {
+						members = len(v.Members())
+					}
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if members != n {
+					t.Fatalf("sharded: process %v's wrapper has a view of %d members at return, want %d", id, members, n)
+				}
+			}
+			c.Close()
+		}
 	}
 }
 
@@ -277,31 +321,6 @@ func TestNetClusterConcurrentReaders(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
-	}
-}
-
-// TestNetClusterStringRoundTrip writes an interned string through the
-// TCP cluster's register and resolves it on the read side.
-func TestNetClusterStringRoundTrip(t *testing.T) {
-	c, err := NewNetCluster(
-		WithN(5),
-		WithDelta(20),
-		WithProtocol(EventuallySynchronous),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	tab := NewStringTable()
-	if err := c.WriteString(tab, "online"); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.ReadString(tab)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != "online" {
-		t.Fatalf("ReadString = %q", got)
 	}
 }
 

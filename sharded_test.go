@@ -65,9 +65,8 @@ func TestShardedBasic(t *testing.T) {
 // TestShardedCapacity is the scaling claim in test form: with S shards
 // over R replicas, a write's dissemination reaches only the key's
 // replica group, so a non-replica's store never sees the key. Every key
-// must be held by AT MOST R+1 nodes (the R replicas, plus at most the
-// designated writer, whose sequence-number bookkeeping keeps a local
-// copy when it coordinates a key it does not own) — not by all N.
+// must be held by AT MOST R nodes — its replicas, since every write
+// enters at the key's primary — not by all N.
 func TestShardedCapacity(t *testing.T) {
 	const (
 		n = 8
@@ -111,8 +110,8 @@ func TestShardedCapacity(t *testing.T) {
 		if holders[k] == 0 {
 			t.Fatalf("key %v held by nobody", k)
 		}
-		if holders[k] > r+1 {
-			t.Fatalf("key %v held by %d nodes, want <= R+1 = %d (sharding is not scoping writes)", k, holders[k], r+1)
+		if holders[k] > r {
+			t.Fatalf("key %v held by %d nodes, want <= R = %d (sharding is not scoping writes)", k, holders[k], r)
 		}
 	}
 }

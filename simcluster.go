@@ -1,7 +1,6 @@
 package churnreg
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -36,22 +35,6 @@ type SimCluster struct {
 	// stepBudget bounds how long a single blocking operation may advance
 	// virtual time before reporting a liveness failure.
 	stepBudget sim.Duration
-	// ambiguous records sharded writes that failed ErrUnacknowledged:
-	// the forwarded write MAY have been applied by a primary that died
-	// before answering. Their history ops stay pending (a write that
-	// never returned is concurrent with everything after it — legal for
-	// a regular register) and Check resolves each against the reads the
-	// cluster actually served (spec.ResolveValue), mirroring the client
-	// contract the e2e chaos suite exercises.
-	ambiguous []ambiguousWrite
-}
-
-// ambiguousWrite is one unacknowledged sharded write awaiting post-hoc
-// resolution at Check time.
-type ambiguousWrite struct {
-	op  *spec.Op
-	key RegisterID
-	val int64
 }
 
 // NewSimCluster builds a simulated cluster: n bootstrap processes holding
@@ -150,7 +133,7 @@ func (c *SimCluster) Join() (ProcessID, error) {
 	defer c.unshield(id)
 	done := false
 	j.OnJoined(func() { done = true })
-	if err := c.await(&done, func() bool { return !c.sys.Present(id) }); err != nil {
+	if err := c.await(func() bool { return done }, func() bool { return !c.sys.Present(id) }); err != nil {
 		return id, fmt.Errorf("churnreg: join %v: %w", id, err)
 	}
 	return id, nil
@@ -164,9 +147,9 @@ func (c *SimCluster) Write(v int64) error {
 	return c.WriteKey(core.DefaultRegister, v)
 }
 
-// WriteKey stores v in one register of the namespace via an active
-// process (a stable designated writer when available) and runs the
-// simulation until the write returns ok. One blocking call at a time is
+// WriteKey stores v in one register of the namespace and runs the
+// simulation until the write returns ok. The write enters at the process
+// that mints the key's sequence numbers (see writerFor). One blocking call at a time is
 // the paper's sequential-process discipline; use StartWriteKey/Await to
 // pipeline several writes — the protocols serve them concurrently and
 // assign sequence numbers in invocation order per key.
@@ -239,18 +222,6 @@ func (p *PendingOp) fail(err error) {
 	p.release()
 }
 
-// failPending settles the handle with an error but leaves the HISTORY
-// op pending (not abandoned): used for ambiguous sharded writes whose
-// effect Check resolves post hoc.
-func (p *PendingOp) failPending(err error) {
-	if p.done {
-		return
-	}
-	p.done = true
-	p.err = err
-	p.release()
-}
-
 // release drops the op's churn shield (idempotent).
 func (p *PendingOp) release() {
 	if p.shielded {
@@ -268,12 +239,12 @@ func (c *SimCluster) unshield(id core.ProcessID) {
 
 // StartWriteKey issues a write without driving the simulation and returns
 // its handle. Any number of writes may be in flight — across keys and
-// pipelined on one key (all flow through the designated writer, so the
-// per-key cross-process discipline holds by construction). A failed
+// pipelined on one key (one key's writes all enter at one process, so
+// the per-key cross-process discipline holds by construction). A failed
 // invocation returns an already-settled handle.
 func (c *SimCluster) StartWriteKey(k RegisterID, v int64) *PendingOp {
 	p := &PendingOp{c: c, key: k}
-	id, err := c.pickWriter()
+	id, err := c.writerFor(k)
 	if err != nil {
 		p.op = c.history.BeginWriteKey(core.NoProcess, k, c.sys.Now())
 		p.done, p.err = true, err
@@ -286,19 +257,10 @@ func (c *SimCluster) StartWriteKey(k RegisterID, v int64) *PendingOp {
 	c.shield(id)
 	p.shielded = true
 	c.live = append(c.live, p)
-	// A write may fail after invocation on a sharded node (forward
-	// refused or unacknowledged); the handle settles either way. An
-	// UNACKNOWLEDGED write may still have been applied, so its history op
-	// stays pending for Check-time resolution instead of being abandoned —
-	// abandoning would turn a later read of the actually-applied value
-	// into a false violation.
+	// A write that fails after invocation (a sharded write queued behind
+	// a handoff that moved the key's primary) was not applied.
 	err = node.(core.Ops).Write(k, core.Value(v), func(vv core.VersionedValue, werr error) {
 		if werr != nil {
-			if errors.Is(werr, core.ErrUnacknowledged) {
-				c.ambiguous = append(c.ambiguous, ambiguousWrite{op: p.op, key: k, val: v})
-				p.failPending(fmt.Errorf("churnreg: write %v: %w", k, werr))
-				return
-			}
 			p.fail(fmt.Errorf("churnreg: write %v: %w", k, werr))
 			return
 		}
@@ -399,68 +361,88 @@ func (p *PendingOp) opName() string {
 	return "write"
 }
 
-// WriteBatch stores several keys' values via the designated writer,
-// running the simulation until every entry returns. The synchronous
-// protocol sends one broadcast and waits one δ for the whole batch; the
-// quorum protocols, and a sharded batch spanning primaries, run one write
-// per key, all in flight at once. The batch is recorded as one write per
-// key.
+// WriteBatch stores several keys' values, running the simulation until
+// every entry returns. Unsharded, the batch enters at the designated
+// writer; sharded, it splits into one sub-batch per key's primary, each
+// entering there. The synchronous protocol sends one broadcast per
+// sub-batch within one shard and waits one δ; the quorum protocols, and
+// a sub-batch spanning shards, run one write per key, all in flight at
+// once. The batch is recorded as one write per key, invoked by the
+// process it entered at.
 func (c *SimCluster) WriteBatch(kvs map[RegisterID]int64) error {
 	if len(kvs) == 0 {
 		return nil
 	}
-	id, err := c.pickWriter()
-	if err != nil {
-		return err
-	}
-	node := c.sys.Node(id)
 	ks := make([]RegisterID, 0, len(kvs))
 	for k := range kvs {
 		ks = append(ks, k)
 	}
 	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	entries := make([]core.KeyedWrite, len(ks))
-	ops := make([]*spec.Op, len(ks))
-	for i, k := range ks {
-		entries[i] = core.KeyedWrite{Reg: k, Val: core.Value(kvs[k])}
-		ops[i] = c.history.BeginWriteKey(id, k, c.sys.Now())
+	// One sub-batch per entering process, each sorted by key.
+	var procs []core.ProcessID
+	parts := make(map[core.ProcessID][]core.KeyedWrite)
+	for _, k := range ks {
+		id, err := c.writerFor(k)
+		if err != nil {
+			return err
+		}
+		if parts[id] == nil {
+			procs = append(procs, id)
+		}
+		parts[id] = append(parts[id], core.KeyedWrite{Reg: k, Val: core.Value(kvs[k])})
 	}
-	done := false
+	pending := len(procs)
 	var batchErr error
-	// The batch may fail after invocation — PARTIALLY: entries with a
-	// reported ⟨v, sn⟩ were applied and complete normally; the rest stay
-	// pending if the failure was ambiguous (a shard primary may have
-	// applied them before dying) or are abandoned on a clean refusal.
-	err = node.(core.Ops).WriteBatch(entries, func(stored []core.KeyedValue, werr error) {
-		for i, kv := range stored {
-			switch {
-			case !kv.Value.IsBottom():
-				c.history.CompleteWrite(ops[i], c.sys.Now(), kv.Value)
-			case errors.Is(werr, core.ErrUnacknowledged):
-				c.ambiguous = append(c.ambiguous, ambiguousWrite{
-					op: ops[i], key: entries[i].Reg, val: int64(entries[i].Val),
-				})
-			default:
-				c.history.Abandon(ops[i])
+	settle := func(err error) {
+		if batchErr == nil {
+			batchErr = err
+		}
+		pending--
+	}
+	var all []*spec.Op
+	for _, id := range procs {
+		entries := parts[id]
+		ops := make([]*spec.Op, len(entries))
+		for i, e := range entries {
+			ops[i] = c.history.BeginWriteKey(id, e.Reg, c.sys.Now())
+		}
+		all = append(all, ops...)
+		c.shield(id)
+		defer c.unshield(id)
+		// Entries with a reported ⟨v, sn⟩ were applied; a failed batch's
+		// other entries were not.
+		err := c.sys.Node(id).(core.Ops).WriteBatch(entries, func(stored []core.KeyedValue, werr error) {
+			for i, kv := range stored {
+				if kv.Value.IsBottom() {
+					c.history.Abandon(ops[i])
+				} else {
+					c.history.CompleteWrite(ops[i], c.sys.Now(), kv.Value)
+				}
+			}
+			settle(werr)
+		})
+		if err != nil {
+			for _, op := range ops {
+				c.history.Abandon(op)
+			}
+			settle(err)
+		}
+	}
+	gone := func() bool {
+		for _, id := range procs {
+			if !c.sys.Present(id) {
+				return true
 			}
 		}
-		batchErr = werr
-		done = true
-	})
-	if err != nil {
-		for _, op := range ops {
-			c.history.Abandon(op)
-		}
-		return fmt.Errorf("churnreg: write batch: %w", err)
+		return false
 	}
-	if err := c.await(&done, func() bool { return !c.sys.Present(id) }); err != nil {
-		for _, op := range ops {
+	if err := c.await(func() bool { return pending == 0 }, gone); err != nil {
+		for _, op := range all {
 			c.history.Abandon(op)
 		}
 		return fmt.Errorf("churnreg: write batch: %w", err)
 	}
 	if batchErr != nil {
-		// Per-entry disposition already happened in the callback.
 		return fmt.Errorf("churnreg: write batch: %w", batchErr)
 	}
 	return nil
@@ -509,17 +491,18 @@ func (c *SimCluster) PendingOps() int {
 	return total
 }
 
-// snClaimedByOther reports whether any write op on aw's key other than
-// aw's own carries sequence number sn (abandoned writes excluded — they
-// never entered the checker's write history).
-func (c *SimCluster) snClaimedByOther(aw ambiguousWrite, sn core.SeqNum) bool {
-	for _, op := range c.history.Ops() {
-		if op.Kind == spec.OpWrite && op != aw.op && !op.Abandoned &&
-			op.Reg == aw.key && op.Value.SN == sn {
-			return true
-		}
+// writerFor returns the process a write of k enters at: sharded, the
+// key's primary, the one process that mints its sequence numbers (it
+// refuses a write anywhere else); unsharded, the designated writer.
+func (c *SimCluster) writerFor(k RegisterID) (core.ProcessID, error) {
+	v := c.sys.Placement()
+	if v == nil {
+		return c.pickWriter()
 	}
-	return false
+	if g := v.Group(k); len(g) > 0 {
+		return g[0], nil
+	}
+	return core.NoProcess, ErrNoActiveProcess
 }
 
 // pickWriter returns a stable active writer, electing a new one when the
@@ -538,11 +521,11 @@ func (c *SimCluster) pickWriter() (core.ProcessID, error) {
 	return id, nil
 }
 
-// await advances the simulation until *done, the abort condition, or the
+// await advances the simulation until done, the abort condition, or the
 // step budget is exhausted.
-func (c *SimCluster) await(done *bool, aborted func() bool) error {
+func (c *SimCluster) await(done, aborted func() bool) error {
 	var spent sim.Duration
-	for !*done {
+	for !done() {
 		if aborted != nil && aborted() {
 			return fmt.Errorf("invoking process left the system")
 		}
@@ -586,33 +569,8 @@ func (r CheckReport) String() string {
 }
 
 // Check verifies every operation issued through this cluster against the
-// regular-register specification. Ambiguous sharded writes
-// (ErrUnacknowledged — applied-or-not unknowable at the client) are
-// first resolved against the reads the cluster served: a value some
-// read returned did happen, and its ⟨v, sn⟩ is recorded on the still-
-// pending write op; a value no read returned needs no resolution.
+// regular-register specification.
 func (c *SimCluster) Check() CheckReport {
-	for _, aw := range c.ambiguous {
-		if !aw.op.Value.IsBottom() {
-			continue // resolved by an earlier Check
-		}
-		for _, op := range c.history.Ops() {
-			if op.Kind != spec.OpRead || !op.Completed || op.Reg != aw.key ||
-				op.Value.Val != core.Value(aw.val) {
-				continue
-			}
-			// The observed ⟨v, sn⟩ identifies the ambiguous write only
-			// if no OTHER write on the key claims that sequence number
-			// — with repeated values, a read of an earlier same-valued
-			// write must not resolve this one (it is already allowed
-			// via that write, so skipping loses nothing).
-			if c.snClaimedByOther(aw, op.Value.SN) {
-				continue
-			}
-			c.history.ResolveValue(aw.op, op.Value)
-			break
-		}
-	}
 	counts := c.history.Counts()
 	rep := CheckReport{
 		Reads:      counts.ReadsCompleted,
