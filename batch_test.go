@@ -77,7 +77,7 @@ func TestShardedBatchSplitsAtPrimaries(t *testing.T) {
 	}
 	v := c.sys.Placement()
 	other := 1
-	for v.Primary(other) == v.Primary(0) {
+	for v.GroupFor(other)[0] == v.GroupFor(0)[0] {
 		other++
 	}
 	batch := make(map[RegisterID]int64)
@@ -102,9 +102,9 @@ func TestShardedBatchSplitsAtPrimaries(t *testing.T) {
 			sent[core.KindWrite]-before[core.KindWrite], sent[core.KindForward]-before[core.KindForward], want)
 	}
 	for _, s := range []int{0, other} {
-		inner := c.sys.Node(v.Primary(s)).(*shard.Node).Inner().(*syncreg.Node)
+		inner := c.sys.Node(v.GroupFor(s)[0]).(*shard.Node).Inner().(*syncreg.Node)
 		if got := inner.Stats().BatchWrites; got != 1 {
-			t.Fatalf("primary %v of shard %d ran %d batched broadcasts, want 1", v.Primary(s), s, got)
+			t.Fatalf("primary %v of shard %d ran %d batched broadcasts, want 1", v.GroupFor(s)[0], s, got)
 		}
 	}
 	for k, want := range batch {

@@ -3,9 +3,9 @@
 // keeping a cached placement view so every operation goes to a server
 // that can serve it locally — reads to any member of the key's replica
 // group, writes straight to the shard primary (to the lowest member id
-// when the system is unsharded) — instead of paying a server-side FORWARD
-// relay hop. It is the only way to read and write: regserve's HTTP
-// address serves administration alone.
+// when the system is unsharded), both by placement.View.Route — instead
+// of paying a server-side FORWARD relay hop. It is the only way to read
+// and write: regserve's HTTP address serves administration alone.
 //
 // # Sessions
 //
@@ -319,48 +319,11 @@ func (c *Client) Read(key int64) (Versioned, error) {
 // ReadServed is Read plus the id of the process whose local state served
 // the value — under direct routing, a member of the key's replica group.
 func (c *Client) ReadServed(key int64) (Versioned, int64, error) {
-	reg := core.RegisterID(key)
-	backoff := c.cfg.RetryBackoff
-	seed := int(c.rr.Add(1) - 1)
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			c.stats.retries.Add(1)
-		}
-		vs := c.currentView()
-		if vs == nil {
-			return Versioned{}, 0, ErrClosed
-		}
-		addr, _, ok := c.target(vs, reg, seed+attempt)
-		if !ok {
-			c.refreshAndWait(vs)
-			sleep(backoff)
-			backoff = nextBackoff(backoff)
-			continue
-		}
-		sc, err := c.getConn(addr)
-		if err != nil {
-			// Nothing was sent: clean, re-route (the member may be gone —
-			// refresh so the next attempt routes on fresher placement).
-			c.refreshAndWait(vs)
-			continue
-		}
-		reply, err := c.roundTrip(sc, core.ForwardMsg{Op: c.nextOp(), Reg: reg})
-		if err != nil {
-			// Timeout or broken connection: the read is idempotent, try
-			// the next replica.
-			continue
-		}
-		if reply.Code == core.ForwardOK {
-			c.stats.reads.Add(1)
-			return Versioned{Val: int64(reply.Value.Val), SN: int64(reply.Value.SN)}, int64(reply.From), nil
-		}
-		// Explicit refusal: not served; our placement likely lags the
-		// server's. Refresh, back off, re-route.
-		c.refreshAndWait(vs)
-		sleep(backoff)
-		backoff = nextBackoff(backoff)
+	r, err := c.do(core.ForwardMsg{Reg: core.RegisterID(key)})
+	if err != nil {
+		return Versioned{}, 0, err
 	}
-	return Versioned{}, 0, fmt.Errorf("%w: read key=%d after %d attempts", ErrUnroutable, key, c.cfg.MaxAttempts)
+	return Versioned{Val: int64(r.Value.Val), SN: int64(r.Value.SN)}, int64(r.From), nil
 }
 
 // Write stores val under key and returns the stored ⟨val, sn⟩. The write
@@ -370,59 +333,87 @@ func (c *Client) ReadServed(key int64) (Versioned, int64, error) {
 // after the frame was sent fails with AmbiguousWriteError — never a
 // blind retry.
 func (c *Client) Write(key, val int64) (Versioned, error) {
-	reg := core.RegisterID(key)
+	r, err := c.do(core.ForwardMsg{Reg: core.RegisterID(key), IsWrite: true, Val: core.Value(val)})
+	if err != nil {
+		return Versioned{}, err
+	}
+	return Versioned{Val: int64(r.Value.Val), SN: int64(r.Value.SN)}, nil
+}
+
+// do runs one operation's attempts. Reads rotate over the key's replicas;
+// writes always go to attempt 0, where the key's sequence numbers are
+// minted. Whatever was provably not applied — no route, a failed dial, a
+// refusal, a write frame that never left — refreshes the view and backs
+// off before the next attempt (a read whose dial failed retries at once).
+// A read sent without an answer tries the next replica; a write sent
+// without an answer is ambiguous and fails.
+func (c *Client) do(m core.ForwardMsg) (core.ForwardedMsg, error) {
+	seed := 0
+	if !m.IsWrite {
+		seed = int(c.rr.Add(1) - 1)
+	}
 	backoff := c.cfg.RetryBackoff
+	retry := func(vs *viewState) {
+		c.refreshAndWait(vs)
+		sleep(backoff)
+		backoff = nextBackoff(backoff)
+	}
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			c.stats.retries.Add(1)
 		}
 		vs := c.currentView()
 		if vs == nil {
-			return Versioned{}, ErrClosed
+			return core.ForwardedMsg{}, ErrClosed
 		}
-		addr, target, ok := c.target(vs, reg, 0)
+		i := seed + attempt
+		if m.IsWrite {
+			i = 0
+		}
+		addr, target, ok := c.target(vs, m.Reg, i)
 		if !ok {
-			c.refreshAndWait(vs)
-			sleep(backoff)
-			backoff = nextBackoff(backoff)
+			retry(vs)
 			continue
 		}
 		sc, err := c.getConn(addr)
 		if err != nil {
-			// Nothing was sent: clean. The primary may be dead; refresh so
-			// the next attempt routes to its successor.
-			c.refreshAndWait(vs)
-			sleep(backoff)
-			backoff = nextBackoff(backoff)
+			// Nothing was sent: clean. The member may be gone; refresh so
+			// the next attempt routes on fresher placement.
+			if m.IsWrite {
+				retry(vs)
+			} else {
+				c.refreshAndWait(vs)
+			}
 			continue
 		}
-		reply, err := c.roundTrip(sc, core.ForwardMsg{Op: c.nextOp(), Reg: reg, IsWrite: true, Val: core.Value(val)})
-		if errors.Is(err, errNotSent) {
-			// The frame provably never left: clean, re-route after a
-			// refresh (the connection just died — placement likely moved).
-			c.refreshAndWait(vs)
-			sleep(backoff)
-			backoff = nextBackoff(backoff)
-			continue
-		}
-		if err != nil {
+		m.Op = c.nextOp()
+		reply, err := c.roundTrip(sc, m)
+		switch {
+		case err == nil && reply.Code == core.ForwardOK:
+			if m.IsWrite {
+				c.stats.writes.Add(1)
+			} else {
+				c.stats.reads.Add(1)
+			}
+			return reply, nil
+		case err == nil, m.IsWrite && errors.Is(err, errNotSent):
+			// An explicit refusal, or a write frame that provably never
+			// left: not applied, retrying is safe. A refusal usually means
+			// our placement lags the server's.
+			retry(vs)
+		case m.IsWrite:
 			// The frame left for the target and no answer came back: the
 			// write may have been applied. Ambiguous, by contract.
 			c.stats.ambiguous.Add(1)
-			return Versioned{}, &AmbiguousWriteError{Key: key, Val: val, Server: int64(target)}
+			return core.ForwardedMsg{}, &AmbiguousWriteError{Key: int64(m.Reg), Val: int64(m.Val), Server: int64(target)}
 		}
-		if reply.Code == core.ForwardOK {
-			c.stats.writes.Add(1)
-			return Versioned{Val: int64(reply.Value.Val), SN: int64(reply.Value.SN)}, nil
-		}
-		// Explicit refusal: the server did NOT apply the write, retrying
-		// is safe. Refresh the view first — a refusal usually means the
-		// primary moved.
-		c.refreshAndWait(vs)
-		sleep(backoff)
-		backoff = nextBackoff(backoff)
+		// A read that drew no answer is idempotent: try the next replica.
 	}
-	return Versioned{}, fmt.Errorf("%w: write key=%d after %d attempts", ErrUnroutable, key, c.cfg.MaxAttempts)
+	op := "read"
+	if m.IsWrite {
+		op = "write"
+	}
+	return core.ForwardedMsg{}, fmt.Errorf("%w: %s key=%d after %d attempts", ErrUnroutable, op, m.Reg, c.cfg.MaxAttempts)
 }
 
 // nextOp mints a client-unique operation id.
@@ -438,21 +429,10 @@ func (c *Client) currentView() *viewState {
 	return c.view
 }
 
-// target picks the server for one attempt: the i-th member (modulo
-// their number) of the key's replica group, or of the whole membership
-// when the system is unsharded. Reads rotate i so retries spread and a
-// dead member does not blackhole the key; writes pass 0 — the shard
-// primary, or the lowest member id unsharded — because a key's sequence
-// numbers are minted by one process.
+// target resolves one attempt's server with placement.View.Route over
+// the adopted view (see do for how reads and writes pick i).
 func (c *Client) target(vs *viewState, reg core.RegisterID, i int) (string, core.ProcessID, bool) {
-	members := vs.order
-	if vs.view != nil {
-		members = vs.view.Group(reg)
-	}
-	if len(members) == 0 {
-		return "", 0, false
-	}
-	id := members[i%len(members)]
+	id := vs.view.Route(vs.order, reg, i)
 	addr, ok := vs.addrs[id]
 	return addr, id, ok
 }

@@ -174,8 +174,22 @@ func (v *View) IsReplica(reg core.RegisterID, id core.ProcessID) bool {
 // Members implements core.PlacementView.
 func (v *View) Members() []core.ProcessID { return v.members }
 
-// Primary returns the shard's first-priority replica.
-func (v *View) Primary(shard int) core.ProcessID { return v.groups[shard][0] }
+// Route is the one routing rule: the i-th member, modulo their number,
+// of reg's replica group, or of members (ascending) when v is nil — the
+// system is unsharded and any member serves any key. Attempt 0 is where
+// reg's writes enter: the shard primary, or the lowest member id, because
+// one process mints a key's sequence numbers. Reads rotate i, so retries
+// spread over the replicas and a dead one does not blackhole the key.
+// NoProcess when there is no member to route to.
+func (v *View) Route(members []core.ProcessID, reg core.RegisterID, i int) core.ProcessID {
+	if v != nil {
+		members = v.Group(reg)
+	}
+	if len(members) == 0 {
+		return core.NoProcess
+	}
+	return members[i%len(members)]
+}
 
 // OwnedCount returns how many shards id replicates under this view.
 func (v *View) OwnedCount(id core.ProcessID) int { return v.owned[id] }

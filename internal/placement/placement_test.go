@@ -187,3 +187,37 @@ func TestValidate(t *testing.T) {
 		t.Fatal("empty membership built a view")
 	}
 }
+
+// TestRoute pins the one routing rule the client and both facades share:
+// the i-th member of the key's group, modulo its size, or of the
+// ascending members when the view is nil; attempt 0 is the primary.
+func TestRoute(t *testing.T) {
+	cfg := Config{Shards: 8, Replication: 3}
+	v := Build(cfg, ids(1, 2, 3, 4, 5, 6))
+	members := ids(2, 5, 9)
+	const k = core.RegisterID(11)
+	g := v.GroupFor(v.ShardOf(k))
+	if len(g) != cfg.Replication {
+		t.Fatalf("group %v, want %d members", g, cfg.Replication)
+	}
+	for _, tc := range []struct {
+		name    string
+		view    *View
+		members []core.ProcessID
+		i       int
+		want    core.ProcessID
+	}{
+		{"nil view, attempt 0 is the lowest member", nil, members, 0, 2},
+		{"nil view rotates", nil, members, 1, 5},
+		{"nil view wraps", nil, members, 4, 5},
+		{"nil view, no members", nil, nil, 0, core.NoProcess},
+		{"attempt 0 is the primary", v, members, 0, g[0]},
+		{"sharded rotates over the group", v, members, 2, g[2]},
+		{"sharded wraps modulo the group size", v, members, 3, g[0]},
+		{"sharded ignores members", v, nil, 4, g[1]},
+	} {
+		if got := tc.view.Route(tc.members, k, tc.i); got != tc.want {
+			t.Errorf("%s: Route(%v, %v, %d) = %v, want %v", tc.name, tc.members, k, tc.i, got, tc.want)
+		}
+	}
+}

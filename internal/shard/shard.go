@@ -39,9 +39,12 @@
 // now enforced per shard. Write at any other node fails at invocation
 // with core.ErrUnroutable (not applied, retry-safe), and a FORWARDed
 // write at a node that is no longer primary is refused (WRONG_REPLICA)
-// rather than minting a conflicting sequence number. Routing a write to
-// its primary is the caller's job: client.Client, SimCluster and
-// NetCluster each send it to Group(k)[0] under their own view.
+// rather than minting a conflicting sequence number. Routing is the
+// caller's job, by one rule: client.Client, SimCluster and NetCluster
+// each call placement.View.Route under their own view, which sends a
+// write to Group(k)[0] and a read to a replica. The read relay above
+// serves only callers that pick a process themselves (ReadKeyAt at a
+// non-replica) and the benchmark that measures it.
 //
 // # Handoff
 //

@@ -184,7 +184,7 @@ func TestHandoffServesQueuedOpsInArrivalOrder(t *testing.T) {
 
 	// Store a value the joiner does not hold yet.
 	stored := false
-	if err := sys.Node(v.Primary(gained)).(core.Ops).Write(key, 77, func(_ core.VersionedValue, err error) { stored = err == nil }); err != nil {
+	if err := sys.Node(v.GroupFor(gained)[0]).(core.Ops).Write(key, 77, func(_ core.VersionedValue, err error) { stored = err == nil }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(20); err != nil || !stored {
@@ -212,7 +212,7 @@ func TestHandoffServesQueuedOpsInArrivalOrder(t *testing.T) {
 		}
 	}
 	read(1)
-	jn.Deliver(v.Primary(gained), core.ForwardMsg{From: v.Primary(gained), Op: 1, Reg: key})
+	jn.Deliver(v.GroupFor(gained)[0], core.ForwardMsg{From: v.GroupFor(gained)[0], Op: 1, Reg: key})
 	read(2)
 	if st := jn.Stats(); len(reads) != 0 || st.ForwardsServed != before.ForwardsServed || jn.PendingOps() != 3 {
 		t.Fatalf("served before the handoff completed: reads %v, stats %+v, %d pending", reads, st, jn.PendingOps())
@@ -304,7 +304,7 @@ func TestBatchInOneOwnedShardIsOneBroadcast(t *testing.T) {
 	sys := newSharded(t, 5, 4, 3)
 	v := sys.Placement()
 	keys := keysOf(v, 0, 3)
-	primary := v.Primary(0)
+	primary := v.GroupFor(0)[0]
 	sent := writeBatch(t, sys, primary, keys)
 	if sent[core.KindWriteBatch] != uint64(len(v.GroupFor(0))) || sent[core.KindWrite] != 0 || sent[core.KindForward] != 0 {
 		t.Fatalf("sent %v; want one WRITE_BATCH to each of the %d group members and nothing else", sent, len(v.GroupFor(0)))
@@ -325,7 +325,7 @@ func TestBatchAcrossShardsDecomposes(t *testing.T) {
 	var keys []core.RegisterID
 	for a := 0; a < v.NumShards() && keys == nil; a++ {
 		for b := a + 1; b < v.NumShards(); b++ {
-			if v.Primary(a) == v.Primary(b) {
+			if v.GroupFor(a)[0] == v.GroupFor(b)[0] {
 				keys = append(keysOf(v, a, 1), keysOf(v, b, 1)...)
 				break
 			}
@@ -334,7 +334,7 @@ func TestBatchAcrossShardsDecomposes(t *testing.T) {
 	if keys[0] > keys[1] {
 		keys[0], keys[1] = keys[1], keys[0]
 	}
-	sent := writeBatch(t, sys, v.Primary(v.ShardOf(keys[0])), keys)
+	sent := writeBatch(t, sys, v.GroupFor(v.ShardOf(keys[0]))[0], keys)
 	if sent[core.KindWriteBatch] != 0 || sent[core.KindWrite] == 0 || sent[core.KindForward] != 0 {
 		t.Fatalf("sent %v; want per-key WRITEs, no WRITE_BATCH and no FORWARD", sent)
 	}
@@ -399,7 +399,7 @@ func TestQueuedWriteChecksPrimacyAgain(t *testing.T) {
 				rest = append(rest, id)
 			}
 		}
-		if !slices.Contains(g, 1) && placement.Build(cfg, rest).Primary(s) == 1 {
+		if !slices.Contains(g, 1) && placement.Build(cfg, rest).GroupFor(s)[0] == 1 {
 			shardOf = s
 		}
 	}
@@ -410,7 +410,7 @@ func TestQueuedWriteChecksPrimacyAgain(t *testing.T) {
 	// A joiner that takes the primary role from p1 but leaves it a replica.
 	var view3 *placement.View
 	for j := core.ProcessID(6); view3 == nil && j < 100; j++ {
-		if v := placement.Build(cfg, append(slices.Clone(rest), j)); v.Primary(shardOf) == j && slices.Contains(v.GroupFor(shardOf), 1) {
+		if v := placement.Build(cfg, append(slices.Clone(rest), j)); v.GroupFor(shardOf)[0] == j && slices.Contains(v.GroupFor(shardOf), 1) {
 			view3 = v
 		}
 	}
@@ -489,7 +489,7 @@ func TestHandoffReadyOnDonorMajority(t *testing.T) {
 	}
 	key := keysOf(v, gained, 1)[0]
 	stored := false
-	if err := sys.Node(v.Primary(gained)).(core.Ops).Write(key, 77, func(_ core.VersionedValue, err error) { stored = err == nil }); err != nil {
+	if err := sys.Node(v.GroupFor(gained)[0]).(core.Ops).Write(key, 77, func(_ core.VersionedValue, err error) { stored = err == nil }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(20); err != nil || !stored {
@@ -562,7 +562,7 @@ func TestJoinerFirstViewHandsOffEveryOwnedShard(t *testing.T) {
 	v := sys.Placement()
 	for s := 0; s < v.NumShards(); s++ {
 		k := keysOf(v, s, 1)[0]
-		if err := sys.Node(v.Primary(s)).(core.Ops).Write(k, core.Value(100+k), func(core.VersionedValue, error) {}); err != nil {
+		if err := sys.Node(v.GroupFor(s)[0]).(core.Ops).Write(k, core.Value(100+k), func(core.VersionedValue, error) {}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,6 +3,8 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"churnreg/internal/core"
@@ -13,8 +15,8 @@ func v1be64(b []byte, v int64) []byte { return binary.BigEndian.AppendUint64(b, 
 // v1Msg hand-builds a FrameMsg payload in the version-1 layout: version
 // byte 1, frame type, envelope From, message kind, then the kind's v1
 // fields (which carried no OpID). The encoder for that layout is gone;
-// these bytes are the frozen history a v2 node may still receive from an
-// old peer.
+// these bytes are the frozen history a current node may still receive
+// from an old peer.
 func v1Msg(kind core.MsgKind, fields ...int64) []byte {
 	b := []byte{1, byte(FrameMsg)}
 	b = v1be64(b, 7) // envelope From
@@ -60,32 +62,115 @@ func v1Frames() map[string][]byte {
 	return frames
 }
 
-// TestDecodePreviousVersionFailsLoudly pins the compatibility contract:
-// a version-1 payload decodes to ErrVersion — a versioned, inspectable
-// error, never a panic and never a silently misparsed message. (A node
-// receiving it drops the connection; the old peer must upgrade.)
-func TestDecodePreviousVersionFailsLoudly(t *testing.T) {
-	for name, payload := range v1Frames() {
-		_, err := DecodeFrame(payload)
-		if err == nil {
-			t.Errorf("%s: DecodeFrame accepted a version-1 payload", name)
-			continue
+// staleFrame is one payload a current node must refuse.
+type staleFrame struct {
+	name    string
+	version byte
+	payload []byte
+}
+
+// staleFrames enumerates one payload per frame case of every version
+// other than Version:
+//   - v1: the hand-built frames above.
+//   - v2: every message kind but FORWARD/FORWARDED (v3 added them), and
+//     HELLO. Their bodies are identical to today's, so each is a current
+//     payload with its version byte rewound — exactly why the version
+//     byte must govern acceptance: the bytes would parse, but the sender's
+//     placement assumptions (every node replicates every key) no longer
+//     hold.
+//   - v3: every message kind, rewound the same way (v4 only widened HELLO
+//     with a role byte and added VIEW_REQ/VIEW), and a HELLO hand-built in
+//     the old role-less layout, which a current decoder fed without the
+//     version check would misread.
+//   - every other byte value, never issued, on a current WRITE.
+func staleFrames(t *testing.T) []staleFrame {
+	t.Helper()
+	var out []staleFrame
+	add := func(name string, payload []byte) {
+		out = append(out, staleFrame{fmt.Sprintf("v%d/%s", payload[0], name), payload[0], payload})
+	}
+	encode := func(f Frame, version byte) []byte {
+		payload, err := EncodeFrame(f)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !errors.Is(err, ErrVersion) {
-			t.Errorf("%s: DecodeFrame error = %v, want ErrVersion", name, err)
+		payload[0] = version
+		return payload
+	}
+	for name, payload := range v1Frames() {
+		add(name, payload)
+	}
+	for version, seed := range map[byte]int64{2: 11, 3: 17} {
+		rng := rand.New(rand.NewSource(seed))
+		for _, kind := range allKinds {
+			if version == 2 && (kind == core.KindForward || kind == core.KindForwarded) {
+				continue
+			}
+			add(kind.String(), encode(Frame{Type: FrameMsg, From: 7, Msg: randMessage(rng, kind)}, version))
 		}
 	}
+	add("hello", encode(Frame{Type: FrameHello, From: 9, Addr: "127.0.0.1:7777"}, 2))
+	// HELLO(from, addr) — v3 carried no role byte.
+	hello := []byte{3, byte(FrameHello)}
+	hello = binary.BigEndian.AppendUint64(hello, 9)
+	hello = binary.BigEndian.AppendUint16(hello, 14)
+	add("hello", append(hello, "127.0.0.1:7777"...))
+	write := Frame{Type: FrameMsg, From: 7, Msg: core.WriteMsg{From: 7, Op: 1, Reg: 1, Value: core.VersionedValue{Val: 42, SN: 5}}}
+	for v := 0; v < 256; v++ {
+		if v < 1 || v > Version {
+			add("write", encode(write, byte(v)))
+		}
+	}
+	return out
+}
+
+// rejectsStale pins the compatibility contract on the staleFrames rows
+// whose version satisfies keep: each decodes to ErrVersion — a versioned,
+// inspectable error, never a panic and never a silently misparsed
+// message. (A node receiving one drops the connection; the old peer must
+// upgrade.)
+func rejectsStale(t *testing.T, keep func(version byte) bool) {
+	t.Helper()
+	n := 0
+	for _, f := range staleFrames(t) {
+		if !keep(f.version) {
+			continue
+		}
+		n++
+		if _, err := DecodeFrame(f.payload); !errors.Is(err, ErrVersion) {
+			t.Errorf("%s: DecodeFrame error = %v, want ErrVersion", f.name, err)
+		}
+	}
+	if n == 0 {
+		t.Fatal("no stale frames for this version")
+	}
+}
+
+func onlyVersion(v byte) func(byte) bool { return func(got byte) bool { return got == v } }
+
+// TestDecodePreviousVersionFailsLoudly: every version-1 frame case.
+func TestDecodePreviousVersionFailsLoudly(t *testing.T) { rejectsStale(t, onlyVersion(1)) }
+
+// TestDecodeV2FailsLoudly: every version-2 frame case.
+func TestDecodeV2FailsLoudly(t *testing.T) { rejectsStale(t, onlyVersion(2)) }
+
+// TestDecodeV3FailsLoudly: every version-3 frame case.
+func TestDecodeV3FailsLoudly(t *testing.T) { rejectsStale(t, onlyVersion(3)) }
+
+// TestDecodeOtherVersionsFailLoudly: a WRITE stamped with every version
+// byte never issued (0, and everything above Version).
+func TestDecodeOtherVersionsFailLoudly(t *testing.T) {
+	rejectsStale(t, func(v byte) bool { return v < 1 || v > Version })
 }
 
 // TestVersionedErrorNamesTheVersion makes the failure actionable: the
 // error string carries the offending version so operators of a mixed
 // deployment can tell WHICH side is old.
 func TestVersionedErrorNamesTheVersion(t *testing.T) {
-	_, err := DecodeFrame(v1Frames()["write"])
-	if err == nil || !errors.Is(err, ErrVersion) {
-		t.Fatalf("err = %v", err)
-	}
-	if got := err.Error(); got != "wire: unsupported codec version: 1" {
-		t.Fatalf("error text = %q", got)
+	for _, f := range staleFrames(t) {
+		_, err := DecodeFrame(f.payload)
+		if want := fmt.Sprintf("wire: unsupported codec version: %d", f.version); err == nil || err.Error() != want {
+			t.Errorf("%s: error = %v, want %q", f.name, err, want)
+		}
 	}
 }

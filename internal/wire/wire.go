@@ -36,14 +36,15 @@ import (
 // Version is the codec version stamped on every payload. A node receiving
 // a different version drops the connection — the system has no mixed-
 // version story yet, and failing loudly beats corrupting register state.
+// One table in compat_test.go (staleFrames) pins that every other
+// version, each earlier one below included, decodes to ErrVersion.
 //
 // Version history:
 //
 //	1: the original layout, no operation tags.
 //	2: every request/reply message body carries the sender's (or echoed)
 //	   core.OpID — the pipelining tag that lets a node run many
-//	   concurrent operations. Version-1 payloads decode to ErrVersion
-//	   (see TestDecodePreviousVersionFailsLoudly).
+//	   concurrent operations. Version-1 payloads decode to ErrVersion.
 //	3: adds the sharding relay messages FORWARD and FORWARDED (a
 //	   non-replica node routing a client operation to its key's replica
 //	   group, OpID-routed like every other request/reply pair). Version-2
@@ -55,10 +56,10 @@ import (
 //	   client that must stay out of the address book and the placement;
 //	   the new VIEW_REQ and VIEW frames bootstrap and refresh a client's
 //	   cached placement (view version, shard/replication constants, and
-//	   the member address book). Version-3 payloads decode to ErrVersion
-//	   (TestDecodeV3FailsLoudly): a v3 node would misparse the widened
-//	   HELLO body, and a client routing on placement assumptions its
-//	   server never agreed to would write to the wrong primary.
+//	   the member address book). Version-3 payloads decode to ErrVersion:
+//	   a v3 node would misparse the widened HELLO body, and a client
+//	   routing on placement assumptions its server never agreed to would
+//	   write to the wrong primary.
 const Version = 4
 
 // MaxFrame bounds a payload's length. The largest legitimate frame is a

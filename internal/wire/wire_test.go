@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -222,5 +223,110 @@ func TestForgedCountNoHugeAlloc(t *testing.T) {
 	b[len(b)-3] = 0xff
 	if _, err := DecodeMessage(b); err == nil {
 		t.Fatal("decoder accepted forged entry count")
+	}
+}
+
+// TestForwardRoundTrip pins the FORWARD/FORWARDED layouts field by field
+// (the property/fuzz tests cover random values; this one is the readable
+// byte-layout contract).
+func TestForwardRoundTrip(t *testing.T) {
+	msgs := []core.Message{
+		core.ForwardMsg{From: 3, Op: 17, Reg: 5, IsWrite: true, Val: -42},
+		core.ForwardMsg{From: 1, Op: 1, Reg: 0, IsWrite: false, Val: 0},
+		core.ForwardedMsg{From: 9, Op: 17, Reg: 5,
+			Value: core.VersionedValue{Val: -42, SN: 12}, Code: core.ForwardOK},
+		core.ForwardedMsg{From: 2, Op: 99, Reg: 8, Code: core.ForwardWrongReplica},
+	}
+	for _, m := range msgs {
+		enc, err := EncodeMessage(m)
+		if err != nil {
+			t.Fatalf("%v: encode: %v", m.Kind(), err)
+		}
+		got, err := DecodeMessage(enc)
+		if err != nil {
+			t.Fatalf("%v: decode: %v", m.Kind(), err)
+		}
+		if got != m {
+			t.Fatalf("round trip mismatch:\n in: %#v\nout: %#v", m, got)
+		}
+	}
+}
+
+// TestForwardedRejectsBadCode: the codec stays canonical — an undefined
+// FORWARDED outcome byte is rejected, not smuggled through.
+func TestForwardedRejectsBadCode(t *testing.T) {
+	enc, err := EncodeMessage(core.ForwardedMsg{From: 1, Op: 2, Reg: 3, Code: core.ForwardOK})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc[len(enc)-1] = 200
+	if _, err := DecodeMessage(enc); err == nil {
+		t.Fatal("bad forward code accepted")
+	}
+}
+
+// TestViewRoundTrip pins the VIEW layout field by field (the property and
+// fuzz tests cover random values; this is the readable byte-layout
+// contract): version stamp, placement constants, then the member address
+// book in PEERS entry format.
+func TestViewRoundTrip(t *testing.T) {
+	f := Frame{Type: FrameView, ViewVersion: 42, Shards: 8, Replication: 3,
+		Peers: []Peer{{ID: 11, Addr: "10.1.2.3:4567"}}}
+	payload, err := EncodeFrame(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{Version, byte(FrameView)}
+	want = binary.BigEndian.AppendUint64(want, 42)
+	want = binary.BigEndian.AppendUint32(want, 8)
+	want = binary.BigEndian.AppendUint32(want, 3)
+	want = binary.BigEndian.AppendUint32(want, 1)
+	want = binary.BigEndian.AppendUint64(want, 11)
+	want = binary.BigEndian.AppendUint16(want, 13)
+	want = append(want, "10.1.2.3:4567"...)
+	if string(payload) != string(want) {
+		t.Fatalf("VIEW encoding:\n got % x\nwant % x", payload, want)
+	}
+}
+
+// TestHelloRoleRoundTrip pins the widened HELLO layout: the role byte
+// sits between the sender id and the address, zero for peers (so the
+// pre-v4 call sites that never set a role still announce processes) and
+// one for client sessions.
+func TestHelloRoleRoundTrip(t *testing.T) {
+	for _, f := range []Frame{
+		{Type: FrameHello, From: 9, Addr: "a:1", Role: RolePeer},
+		{Type: FrameHello, From: 0, Addr: "", Role: RoleClient},
+	} {
+		payload, err := EncodeFrame(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := Role(payload[10]); got != f.Role {
+			t.Fatalf("role byte = %v, want %v", got, f.Role)
+		}
+		back, err := DecodeFrame(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Role != f.Role || back.From != f.From || back.Addr != f.Addr {
+			t.Fatalf("round trip mismatch: %+v vs %+v", back, f)
+		}
+	}
+}
+
+// TestHelloRejectsBadRole: the codec stays canonical — an undefined role
+// byte is rejected on both sides, not smuggled through.
+func TestHelloRejectsBadRole(t *testing.T) {
+	if _, err := EncodeFrame(Frame{Type: FrameHello, From: 1, Role: 9}); err == nil {
+		t.Fatal("encoder accepted an undefined role")
+	}
+	payload, err := EncodeFrame(Frame{Type: FrameHello, From: 1, Addr: "a:1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload[10] = 9
+	if _, err := DecodeFrame(payload); err == nil {
+		t.Fatal("decoder accepted an undefined role byte")
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"churnreg/internal/core"
 	"churnreg/internal/nettransport"
+	"churnreg/internal/placement"
 	"churnreg/internal/shard"
 	"churnreg/internal/sim"
 )
@@ -32,14 +33,13 @@ import (
 // any number of goroutines may issue reads and writes at once; every call
 // pipelines as its own operation on its node, across keys and on one key.
 // One key's writes must enter at one node, which orders its own pipelined
-// writes by invocation: WriteKey and WriteBatch send them to the key's
-// shard primary when sharded (a write anywhere else is refused), else to
-// the designated writer.
+// writes by invocation: WriteKey and WriteBatch send them to
+// placement.View.Route's attempt 0 — the key's shard primary when sharded
+// (a write anywhere else is refused), else the lowest present id.
 type NetCluster struct {
 	opts   options
 	mu     sync.Mutex
 	nodes  map[ProcessID]*nettransport.Transport
-	writer ProcessID
 	nextID ProcessID
 }
 
@@ -83,7 +83,6 @@ func NewNetCluster(opt ...Option) (*NetCluster, error) {
 		tr.Start(seeds)
 	}
 	c.nextID = ProcessID(o.n)
-	c.writer = 1
 	if err := c.awaitViews(trs); err != nil {
 		c.Close()
 		return nil, err
@@ -222,33 +221,37 @@ const NoProcess = core.NoProcess
 // Leave removes the process gracefully: peers learn of the departure and
 // stop dialing it.
 func (c *NetCluster) Leave(id ProcessID) error {
-	tr, err := c.take(id)
-	if err != nil {
-		return err
-	}
-	tr.Leave()
-	return nil
+	return c.remove(id, (*nettransport.Transport).Leave)
 }
 
 // Kill removes the process abruptly (no LEAVE frame), as a crash would.
 func (c *NetCluster) Kill(id ProcessID) error {
-	tr, err := c.take(id)
+	return c.remove(id, (*nettransport.Transport).Close)
+}
+
+// remove stops the process, then forgets it. Unsharded, the writer is
+// forgotten only 5δ after it stopped. Its successor must hold the last
+// value it wrote before minting a sequence number, or it would reuse one
+// (two values under one sn — a permanent split); that write returned at
+// most δ after its broadcast, so in a timing-honest run it reaches
+// everyone within δ of the departure, and several δ absorb scheduler
+// slop. Meanwhile routing still picks the stopped writer, whose writes
+// are refused before invocation and routed again (see write), so no
+// write enters the successor early, concurrent writers included.
+func (c *NetCluster) remove(id ProcessID, stop func(*nettransport.Transport)) error {
+	tr, err := c.get(id)
 	if err != nil {
 		return err
 	}
-	tr.Close()
-	return nil
-}
-
-func (c *NetCluster) take(id ProcessID) (*nettransport.Transport, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	tr, ok := c.nodes[id]
-	if !ok {
-		return nil, ErrNoActiveProcess
+	writer := !c.opts.placement.Enabled() && id == c.WriterID()
+	stop(tr)
+	if writer {
+		time.Sleep(5 * time.Duration(c.opts.delta) * c.opts.tick)
 	}
+	c.mu.Lock()
 	delete(c.nodes, id)
-	return tr, nil
+	c.mu.Unlock()
+	return nil
 }
 
 func (c *NetCluster) get(id ProcessID) (*nettransport.Transport, error) {
@@ -261,21 +264,34 @@ func (c *NetCluster) get(id ProcessID) (*nettransport.Transport, error) {
 	return tr, nil
 }
 
-// WriterID returns the currently designated writer process.
+// WriterID returns the process register 0's writes enter at (see write).
 func (c *NetCluster) WriterID() ProcessID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.writer
+	ids := c.IDs()
+	return c.view(ids).Route(ids, core.DefaultRegister, 0)
 }
 
-// Write stores v in register 0 via the designated writer process.
+// view returns the placement of the lowest of ids, the present
+// processes, as write and ReadKey route by it: nil when unsharded.
+func (c *NetCluster) view(ids []ProcessID) *placement.View {
+	if len(ids) == 0 {
+		return nil
+	}
+	tr, err := c.get(ids[0])
+	if err != nil {
+		return nil
+	}
+	v, _ := tr.Placement().(*placement.View)
+	return v
+}
+
+// Write stores v in register 0 (see WriteKey).
 func (c *NetCluster) Write(v int64) error { return c.WriteKey(core.DefaultRegister, v) }
 
 // WriteKey stores v in one register at the process that mints its
 // sequence numbers (see write). Concurrent calls — same key or not —
 // pipeline there, and it assigns their sequence numbers in arrival order.
 func (c *NetCluster) WriteKey(k RegisterID, v int64) error {
-	err := c.write([]core.KeyedWrite{{Reg: k, Val: core.Value(v)}}, func(tr *nettransport.Transport, es []core.KeyedWrite, timeout time.Duration) error {
+	err := c.write([]core.KeyedWrite{{Reg: k, Val: core.Value(v)}}, time.Now().Add(c.opts.opTimeout), func(tr *nettransport.Transport, es []core.KeyedWrite, timeout time.Duration) error {
 		_, err := tr.WriteKey(es[0].Reg, es[0].Val, timeout)
 		return err
 	})
@@ -301,7 +317,7 @@ func (c *NetCluster) WriteBatch(kvs map[RegisterID]int64) error {
 	for i, k := range ks {
 		entries[i] = core.KeyedWrite{Reg: k, Val: core.Value(kvs[k])}
 	}
-	err := c.write(entries, func(tr *nettransport.Transport, es []core.KeyedWrite, timeout time.Duration) error {
+	err := c.write(entries, time.Now().Add(c.opts.opTimeout), func(tr *nettransport.Transport, es []core.KeyedWrite, timeout time.Duration) error {
 		_, err := tr.WriteBatch(es, timeout)
 		return err
 	})
@@ -315,37 +331,20 @@ func (c *NetCluster) WriteBatch(kvs map[RegisterID]int64) error {
 type writeFunc func(tr *nettransport.Transport, entries []core.KeyedWrite, timeout time.Duration) error
 
 // write runs entries where their keys' sequence numbers are minted:
-// unsharded, all at the designated writer (see writerTransport); sharded,
-// one part per key's primary (see atPrimaries).
-func (c *NetCluster) write(entries []core.KeyedWrite, w writeFunc) error {
-	if c.opts.placement.Enabled() {
-		return c.atPrimaries(entries, time.Now().Add(c.opts.opTimeout), w)
-	}
-	tr, err := c.writerTransport()
-	if err != nil {
-		return err
-	}
-	return w(tr, entries, c.opts.opTimeout)
-}
-
-// atPrimaries runs entries at their keys' shard primaries under the
-// lowest present process's view: one part per primary, all in flight at
-// once. Views lag, so the process that view names may not yet, or no
-// longer, be primary in its own, or may be gone; such a part was not
-// applied, and it is split and routed again until the deadline.
-func (c *NetCluster) atPrimaries(entries []core.KeyedWrite, deadline time.Time, w writeFunc) error {
-	var view core.PlacementView
-	if ids := c.IDs(); len(ids) > 0 {
-		if tr, err := c.get(ids[0]); err == nil {
-			view = tr.Placement()
-		}
-	}
-	if view == nil {
+// Route's attempt 0 under the lowest present process's view (the lowest
+// present id when unsharded), one part per target, all in flight at
+// once. Views lag, and a target may have stopped or left: a part refused
+// before invocation was not applied, so it is routed again, δ later,
+// until the deadline.
+func (c *NetCluster) write(entries []core.KeyedWrite, deadline time.Time, w writeFunc) error {
+	ids := c.IDs()
+	if len(ids) == 0 {
 		return ErrNoActiveProcess
 	}
+	view := c.view(ids)
 	parts := make(map[ProcessID][]core.KeyedWrite)
 	for _, e := range entries {
-		p := view.Group(e.Reg)[0]
+		p := view.Route(ids, e.Reg, 0)
 		parts[p] = append(parts[p], e)
 	}
 	errs := make(chan error, len(parts))
@@ -355,9 +354,9 @@ func (c *NetCluster) atPrimaries(entries []core.KeyedWrite, deadline time.Time, 
 			if err == nil {
 				err = w(tr, part, time.Until(deadline))
 			}
-			if (errors.Is(err, core.ErrUnroutable) || errors.Is(err, ErrNoActiveProcess)) && time.Now().Before(deadline) {
+			if refusedBeforeInvocation(err) && time.Now().Before(deadline) {
 				time.Sleep(time.Duration(c.opts.delta) * c.opts.tick)
-				err = c.atPrimaries(part, deadline, w)
+				err = c.write(part, deadline, w)
 			}
 			errs <- err
 		}()
@@ -371,35 +370,11 @@ func (c *NetCluster) atPrimaries(entries []core.KeyedWrite, deadline time.Time, 
 	return first
 }
 
-// writerTransport resolves the designated writer, adopting the lowest
-// present id after a propagation wait if the writer left.
-func (c *NetCluster) writerTransport() (*nettransport.Transport, error) {
-	c.mu.Lock()
-	tr, ok := c.nodes[c.writer]
-	c.mu.Unlock()
-	if ok {
-		return tr, nil
-	}
-	// The writer departed. Before the successor writes it must hold the
-	// departed writer's last value, or it would mint a new value under an
-	// already-used sequence number (two different values with one sn — a
-	// permanent split). The last write returned at most δ after its
-	// broadcast, so in a timing-honest run the value reaches everyone
-	// within δ of the departure; wait several δ of real time to also
-	// absorb scheduler slop.
-	time.Sleep(5 * time.Duration(c.opts.delta) * c.opts.tick)
-	ids := c.IDs()
-	if len(ids) == 0 {
-		return nil, ErrNoActiveProcess
-	}
-	c.mu.Lock()
-	c.writer = ids[0]
-	tr = c.nodes[c.writer]
-	c.mu.Unlock()
-	if tr == nil {
-		return nil, ErrNoActiveProcess
-	}
-	return tr, nil
+// refusedBeforeInvocation reports an error that proves the write never
+// ran: its target was not the key's primary in its own view, was gone,
+// or had stopped.
+func refusedBeforeInvocation(err error) bool {
+	return errors.Is(err, core.ErrUnroutable) || errors.Is(err, ErrNoActiveProcess) || errors.Is(err, nettransport.ErrClosed)
 }
 
 // WriteAt stores v in register 0 via a specific process.
@@ -425,7 +400,8 @@ func (c *NetCluster) ReadAt(id ProcessID) (int64, error) {
 	return c.ReadKeyAt(id, core.DefaultRegister)
 }
 
-// ReadKeyAt reads one register via a specific process.
+// ReadKeyAt reads one register via a specific process. Sharded, a process
+// that is no replica of k relays the read to one.
 func (c *NetCluster) ReadKeyAt(id ProcessID, k RegisterID) (int64, error) {
 	tr, err := c.get(id)
 	if err != nil {
@@ -441,23 +417,24 @@ func (c *NetCluster) ReadKeyAt(id ProcessID, k RegisterID) (int64, error) {
 	return int64(v.Val), nil
 }
 
-// Read reads register 0 via any present process.
+// Read reads register 0 (see ReadKey).
 func (c *NetCluster) Read() (int64, error) { return c.ReadKey(core.DefaultRegister) }
 
-// ReadKey reads one register via any present process, preferring one that
-// is not the writer.
+// ReadKey reads one register at Route's attempts 1..n over the present
+// processes, so the writer comes last: the key's replicas when sharded,
+// every present process otherwise.
 func (c *NetCluster) ReadKey(k RegisterID) (int64, error) {
 	ids := c.IDs()
 	if len(ids) == 0 {
 		return 0, ErrNoActiveProcess
 	}
-	writer := c.WriterID()
-	for _, id := range ids {
-		if id != writer {
-			if v, err := c.ReadKeyAt(id, k); err == nil {
-				return v, nil
-			}
+	view := c.view(ids)
+	var err error
+	for i := 1; i <= len(ids); i++ {
+		var v int64
+		if v, err = c.ReadKeyAt(view.Route(ids, k, i), k); err == nil {
+			return v, nil
 		}
 	}
-	return c.ReadKeyAt(writer, k)
+	return 0, err
 }

@@ -23,7 +23,6 @@ type SimCluster struct {
 	opts    options
 	sys     *dynsys.System
 	history *spec.History
-	writer  core.ProcessID
 	// shielded counts in-flight operations per invoking process; a process
 	// with a positive count is exempt from churn ("the invoking process
 	// does not leave" — the paper's liveness precondition).
@@ -62,7 +61,7 @@ func NewSimCluster(opt ...Option) (*SimCluster, error) {
 		ChurnRate:   o.churnRate,
 		ChurnPolicy: o.policy,
 		MinLifetime: sim.Duration(o.minLifetime),
-		Protect:     func(id core.ProcessID) bool { return id == c.writer || c.shielded[id] > 0 },
+		Protect:     c.protected,
 		Initial:     core.VersionedValue{Val: core.Value(o.initial), SN: 0},
 		Initials:    o.initialKeys,
 		Placement:   o.placement,
@@ -362,8 +361,8 @@ func (p *PendingOp) opName() string {
 }
 
 // WriteBatch stores several keys' values, running the simulation until
-// every entry returns. Unsharded, the batch enters at the designated
-// writer; sharded, it splits into one sub-batch per key's primary, each
+// every entry returns. Unsharded, the batch enters at the writer (see
+// writerFor); sharded, it splits into one sub-batch per key's primary, each
 // entering there. The synchronous protocol sends one broadcast per
 // sub-batch within one shard and waits one δ; the quorum protocols, and
 // a sub-batch spanning shards, run one write per key, all in flight at
@@ -448,20 +447,20 @@ func (c *SimCluster) WriteBatch(kvs map[RegisterID]int64) error {
 	return nil
 }
 
-// Read returns register 0's value as seen by a random active process,
-// running the simulation until the read returns.
+// Read returns register 0's value as seen by a random replica (see
+// ReadKey), running the simulation until the read returns.
 func (c *SimCluster) Read() (int64, error) {
 	return c.ReadKey(core.DefaultRegister)
 }
 
-// ReadKey returns one register's value as seen by a random active
-// process.
+// ReadKey returns one register's value as seen by a random replica of
+// it — any active process when unsharded (see placement.View.Route).
 func (c *SimCluster) ReadKey(k RegisterID) (int64, error) {
-	id, ok := c.sys.RandomActive()
-	if !ok {
+	active := c.sys.ActiveIDs()
+	if len(active) == 0 {
 		return 0, ErrNoActiveProcess
 	}
-	return c.ReadKeyAt(id, k)
+	return c.ReadKeyAt(c.sys.Placement().Route(active, k, c.sys.Rand().Intn(len(active))), k)
 }
 
 // ReadAt reads register 0 via a specific active process.
@@ -491,34 +490,29 @@ func (c *SimCluster) PendingOps() int {
 	return total
 }
 
-// writerFor returns the process a write of k enters at: sharded, the
-// key's primary, the one process that mints its sequence numbers (it
-// refuses a write anywhere else); unsharded, the designated writer.
+// writerFor returns the process a write of k enters at, Route's attempt 0
+// over the active processes: sharded, the key's primary, the one process
+// that mints its sequence numbers (it refuses a write anywhere else);
+// unsharded, the lowest active id, which churn never removes.
 func (c *SimCluster) writerFor(k RegisterID) (core.ProcessID, error) {
-	v := c.sys.Placement()
-	if v == nil {
-		return c.pickWriter()
-	}
-	if g := v.Group(k); len(g) > 0 {
-		return g[0], nil
+	if id := c.sys.Placement().Route(c.sys.ActiveIDs(), k, 0); id != core.NoProcess {
+		return id, nil
 	}
 	return core.NoProcess, ErrNoActiveProcess
 }
 
-// pickWriter returns a stable active writer, electing a new one when the
-// previous writer left. The elected writer is protected from churn.
-func (c *SimCluster) pickWriter() (core.ProcessID, error) {
-	if c.writer != core.NoProcess && c.sys.Present(c.writer) {
-		if n := c.sys.Node(c.writer); n != nil && n.Active() {
-			return c.writer, nil
-		}
+// protected exempts from churn every process with an operation in flight
+// ("the invoking process does not leave") and, unsharded, the writer, so
+// every key's sequence numbers stay in one process's hands.
+func (c *SimCluster) protected(id core.ProcessID) bool {
+	if c.shielded[id] > 0 {
+		return true
 	}
-	id, ok := c.sys.RandomActive()
-	if !ok {
-		return core.NoProcess, ErrNoActiveProcess
+	if c.opts.placement.Enabled() {
+		return false
 	}
-	c.writer = id
-	return id, nil
+	w, _ := c.writerFor(core.DefaultRegister)
+	return id == w
 }
 
 // await advances the simulation until done, the abort condition, or the
