@@ -43,11 +43,9 @@ package churnreg
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"churnreg/internal/abd"
-	"churnreg/internal/churn"
 	"churnreg/internal/core"
 	"churnreg/internal/esyncreg"
 	"churnreg/internal/netsim"
@@ -103,11 +101,9 @@ type options struct {
 	seed        uint64
 	protocol    Protocol
 	initial     int64
-	initialKeys []core.KeyedValue
 	gst         int64
 	preGSTMax   int64
 	minLifetime int64
-	policy      churn.RemovePolicy
 	tick        time.Duration
 	opTimeout   time.Duration
 	placement   placement.Config
@@ -120,7 +116,6 @@ func defaults() options {
 		seed:      1,
 		protocol:  Synchronous,
 		gst:       -1, // synchronous timing throughout
-		policy:    churn.RemoveRandom,
 		tick:      time.Millisecond,
 		opTimeout: 30 * time.Second,
 	}
@@ -148,25 +143,6 @@ func WithProtocol(p Protocol) Option { return func(o *options) { o.protocol = p 
 
 // WithInitialValue sets register 0's initial value (default 0).
 func WithInitialValue(v int64) Option { return func(o *options) { o.initial = v } }
-
-// WithInitialKeys pre-provisions registers beyond key 0 on the bootstrap
-// population: each named key starts holding its value with sequence
-// number 0, known to every bootstrap process. Keys outside the map (and
-// outside key 0) still work — they spring up lazily on first use with
-// initial value 0. Must not name DefaultRegister (use WithInitialValue).
-func WithInitialKeys(init map[RegisterID]int64) Option {
-	return func(o *options) {
-		ks := make([]RegisterID, 0, len(init))
-		for k := range init {
-			ks = append(ks, k)
-		}
-		sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-		o.initialKeys = make([]core.KeyedValue, len(ks))
-		for i, k := range ks {
-			o.initialKeys[i] = core.KeyedValue{Reg: k, Value: core.VersionedValue{Val: core.Value(init[k])}}
-		}
-	}
-}
 
 // WithGST makes the simulated network eventually synchronous: before tick
 // gst, message delays are unbounded (up to preGSTMax); from gst on they
@@ -218,11 +194,6 @@ func (o options) validate() error {
 	case Synchronous, EventuallySynchronous, StaticABD:
 	default:
 		return fmt.Errorf("churnreg: unknown protocol %d", int(o.protocol))
-	}
-	for _, kv := range o.initialKeys {
-		if kv.Reg == core.DefaultRegister {
-			return fmt.Errorf("churnreg: WithInitialKeys must not name register 0 (use WithInitialValue)")
-		}
 	}
 	if err := o.placement.Validate(); err != nil {
 		return fmt.Errorf("churnreg: %w", err)

@@ -220,13 +220,6 @@ func (t *Tracker) WindowScan(from, to sim.Time, w sim.Duration) (minA, maxA int)
 	return minA, maxA
 }
 
-// MinActiveAt computes the minimum of |A(τ)| over τ ∈ [from, to]; it is
-// WindowScan with a zero-width window.
-func (t *Tracker) MinActiveAt(from, to sim.Time) int {
-	minA, _ := t.WindowScan(from, to, 0)
-	return minA
-}
-
 // JoinLatencies returns, for every non-bootstrap process that activated,
 // the duration from entry to activation. Bootstrap processes are active by
 // definition and would skew the distribution with zeros.

@@ -226,11 +226,6 @@ type SpawnContext struct {
 	Bootstrap bool
 	// Initial is register 0's initial value (valid when Bootstrap).
 	Initial VersionedValue
-	// InitialKeys optionally pre-provisions further registers on bootstrap
-	// processes (valid when Bootstrap; must not contain DefaultRegister —
-	// that is what Initial is for). Entries must be sorted by Reg and are
-	// shared, not copied: treat as immutable.
-	InitialKeys []KeyedValue
 }
 
 // NodeFactory builds a protocol instance for a freshly spawned process.

@@ -54,21 +54,19 @@ func (k MsgKind) String() string {
 	}
 }
 
-// Message is a protocol wire message. Concrete types are small value
-// structs; the network layer copies them by value, so nodes can never share
-// mutable state through a message. The batch-carrying messages (ReplyMsg,
-// WriteBatchMsg) hold a slice whose backing array IS shared between sender
-// and receivers: senders build a fresh slice per message and receivers
-// must treat it as immutable.
+// Message is a protocol wire message; internal/wire encodes every concrete
+// type. Both runtimes hand every other process a decoded copy, so nodes
+// can never share mutable state through a message. The one exception is
+// nettransport's self-delivery, which hands the sender its own value: the
+// batch-carrying messages (ReplyMsg, WriteBatchMsg) hold a slice whose
+// backing array is then shared, so senders build a fresh slice per
+// message and receivers must treat it as immutable.
 //
 // Per-register messages carry a Reg field whose zero value addresses
 // DefaultRegister, so single-register constructions predating the keyed
 // namespace keep their meaning unchanged.
 type Message interface {
 	Kind() MsgKind
-	// WireSize returns an abstract on-wire size in bytes, used by the
-	// metrics layer for bandwidth accounting.
-	WireSize() int
 }
 
 // InquiryMsg is INQUIRY(i) in the synchronous protocol (Figure 1 line 05)
@@ -84,9 +82,6 @@ type InquiryMsg struct {
 
 // Kind implements Message.
 func (InquiryMsg) Kind() MsgKind { return KindInquiry }
-
-// WireSize implements Message.
-func (InquiryMsg) WireSize() int { return 24 }
 
 // ReplyMsg is REPLY(⟨i, register, sn⟩) (Figure 1 line 11/14) or
 // REPLY(⟨i, register, sn⟩, r_sn) (Figure 4 lines 09/13). RSN identifies
@@ -117,9 +112,6 @@ type ReplyMsg struct {
 // Kind implements Message.
 func (ReplyMsg) Kind() MsgKind { return KindReply }
 
-// WireSize implements Message.
-func (m ReplyMsg) WireSize() int { return 48 + 32*len(m.Rest) }
-
 // Entries visits every (reg, value) pair the reply carries, primary entry
 // first, without materializing a slice on the single-key fast path.
 func (m ReplyMsg) Entries(visit func(RegisterID, VersionedValue)) {
@@ -145,9 +137,6 @@ type WriteMsg struct {
 // Kind implements Message.
 func (WriteMsg) Kind() MsgKind { return KindWrite }
 
-// WireSize implements Message.
-func (WriteMsg) WireSize() int { return 40 }
-
 // WriteBatchMsg disseminates updates to several registers in one
 // broadcast (synchronous protocol only): each entry is applied exactly as
 // a lone WRITE for its key would be. Entries are in ascending Reg order;
@@ -160,9 +149,6 @@ type WriteBatchMsg struct {
 
 // Kind implements Message.
 func (WriteBatchMsg) Kind() MsgKind { return KindWriteBatch }
-
-// WireSize implements Message.
-func (m WriteBatchMsg) WireSize() int { return 16 + 32*len(m.Entries) }
 
 // AckMsg is ACK(i, sn) (Figure 6 line 08, Figure 4 line 20). SN carries the
 // register sequence number being acknowledged (ARCHITECTURE.md §1 says
@@ -182,9 +168,6 @@ type AckMsg struct {
 // Kind implements Message.
 func (AckMsg) Kind() MsgKind { return KindAck }
 
-// WireSize implements Message.
-func (AckMsg) WireSize() int { return 32 }
-
 // ReadMsg is READ(i, read_sn) (Figure 5 line 03) for one register. Op is
 // the reading operation's id — numerically equal to RSN (both are drawn
 // from the node's one operation counter); a write's embedded read phase
@@ -198,9 +181,6 @@ type ReadMsg struct {
 
 // Kind implements Message.
 func (ReadMsg) Kind() MsgKind { return KindRead }
-
-// WireSize implements Message.
-func (ReadMsg) WireSize() int { return 32 }
 
 // DLPrevMsg is DL_PREV(i, r_sn) (Figure 4 lines 14/16): "I saw your
 // request while not yet able to answer it; I will answer when active" —
@@ -219,9 +199,6 @@ type DLPrevMsg struct {
 // Kind implements Message.
 func (DLPrevMsg) Kind() MsgKind { return KindDLPrev }
 
-// WireSize implements Message.
-func (DLPrevMsg) WireSize() int { return 32 }
-
 // ClaimMsg is the multi-writer extension's CLAIM(i, stamp): process i bids
 // for the write token with its invocation timestamp; lower (stamp, id)
 // wins a contention burst.
@@ -232,9 +209,6 @@ type ClaimMsg struct {
 
 // Kind implements Message.
 func (ClaimMsg) Kind() MsgKind { return KindClaim }
-
-// WireSize implements Message.
-func (ClaimMsg) WireSize() int { return 16 }
 
 // BeatMsg is the token holder's heartbeat. Free announces a voluntary
 // release: holders broadcast it so claimants need not wait out the
@@ -251,9 +225,6 @@ type BeatMsg struct {
 // Kind implements Message.
 func (BeatMsg) Kind() MsgKind { return KindBeat }
 
-// WireSize implements Message.
-func (BeatMsg) WireSize() int { return 12 }
-
 // TokenMsg transfers the write token directly to a chosen successor.
 type TokenMsg struct {
 	From ProcessID
@@ -261,9 +232,6 @@ type TokenMsg struct {
 
 // Kind implements Message.
 func (TokenMsg) Kind() MsgKind { return KindToken }
-
-// WireSize implements Message.
-func (TokenMsg) WireSize() int { return 12 }
 
 // ForwardCode classifies a FORWARDED outcome.
 type ForwardCode byte
@@ -318,9 +286,6 @@ type ForwardMsg struct {
 // Kind implements Message.
 func (ForwardMsg) Kind() MsgKind { return KindForward }
 
-// WireSize implements Message.
-func (ForwardMsg) WireSize() int { return 33 }
-
 // ForwardedMsg answers a ForwardMsg: Op echoes the requester's tag,
 // Value carries the operation's result (the value read, or the exact
 // ⟨v, sn⟩ a write stored), and Code reports refusals. From identifies
@@ -335,9 +300,6 @@ type ForwardedMsg struct {
 
 // Kind implements Message.
 func (ForwardedMsg) Kind() MsgKind { return KindForwarded }
-
-// WireSize implements Message.
-func (ForwardedMsg) WireSize() int { return 41 }
 
 // Compile-time interface checks.
 var (

@@ -21,17 +21,13 @@ type RegStore struct {
 	snapKeysDirty bool
 }
 
-// NewRegStore builds the store, pre-provisioning a bootstrap node's
-// initial keys (non-bootstrap nodes start empty and learn everything
-// through their join and the writes they observe).
+// NewRegStore builds the store. A bootstrap node starts holding register
+// 0's initial value; every other node starts empty and learns everything
+// through its join and the writes it observes.
 func NewRegStore(sc SpawnContext) *RegStore {
 	s := &RegStore{vals: make(map[RegisterID]VersionedValue)}
 	if sc.Bootstrap {
 		s.vals[DefaultRegister] = sc.Initial
-		for _, kv := range sc.InitialKeys {
-			s.vals[kv.Reg] = kv.Value
-			s.snapKeysDirty = true
-		}
 	}
 	return s
 }

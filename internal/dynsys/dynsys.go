@@ -47,12 +47,6 @@ type Config struct {
 	// population. The zero value (value 0, sn 0) matches the paper's
 	// "register_k contains the initial value, sn_k = 0".
 	Initial core.VersionedValue
-	// Initials optionally pre-provisions further registers of the keyed
-	// namespace on the bootstrap population (ascending Reg order, no
-	// DefaultRegister entry — that is what Initial is for). Keys outside
-	// this set still work: they spring up lazily on first use with the
-	// implicit initial value.
-	Initials []core.KeyedValue
 	// Placement, when enabled, shards the keyspace: the system rebuilds
 	// the placement view over the present processes on every membership
 	// change, exposes it to protocol nodes via core.Placed on their Env,
@@ -75,14 +69,6 @@ func (c Config) Validate() error {
 	}
 	if c.ChurnRate < 0 || c.ChurnRate >= 1 {
 		return fmt.Errorf("dynsys: churn rate = %v, want [0, 1)", c.ChurnRate)
-	}
-	for i, kv := range c.Initials {
-		if kv.Reg == core.DefaultRegister {
-			return fmt.Errorf("dynsys: Initials must not name register 0 (use Initial)")
-		}
-		if i > 0 && c.Initials[i-1].Reg >= kv.Reg {
-			return fmt.Errorf("dynsys: Initials not sorted/unique at %v", kv.Reg)
-		}
 	}
 	if err := c.Placement.Validate(); err != nil {
 		return fmt.Errorf("dynsys: %w", err)
@@ -141,7 +127,7 @@ func New(cfg Config) (*System, error) {
 	}
 	s.booting = true
 	for i := 0; i < cfg.N; i++ {
-		s.spawn(core.SpawnContext{Bootstrap: true, Initial: cfg.Initial, InitialKeys: cfg.Initials})
+		s.spawn(core.SpawnContext{Bootstrap: true, Initial: cfg.Initial})
 	}
 	s.booting = false
 	s.refreshPlacement()

@@ -470,7 +470,6 @@ func TestDeliverUnknownKindPanics(t *testing.T) {
 type fakeMsg struct{}
 
 func (fakeMsg) Kind() core.MsgKind { return core.MsgKind(42) }
-func (fakeMsg) WireSize() int      { return 1 }
 
 // ignoreWrite is a write's done callback for a test that does not look
 // at the outcome.

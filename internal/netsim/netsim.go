@@ -19,6 +19,12 @@
 //     GST and bound δ such that messages sent at or after GST are delivered
 //     within δ; earlier messages are delivered after a finite but
 //     unbounded delay.
+//
+// Every message crosses the daemon's codec, internal/wire: Send and
+// Broadcast encode it once, as the frame nettransport writes, and each
+// delivery decodes its own copy. Receivers therefore never share memory
+// with the sender, Stats.BytesSent counts encoded frames (length prefix
+// included), and a message the codec cannot carry panics at send.
 package netsim
 
 import (
@@ -27,6 +33,7 @@ import (
 
 	"churnreg/internal/core"
 	"churnreg/internal/sim"
+	"churnreg/internal/wire"
 )
 
 // Endpoint receives messages on behalf of one process.
@@ -74,7 +81,7 @@ type Stats struct {
 	Delivered        uint64
 	DroppedDeparted  uint64
 	DroppedInjected  uint64
-	BytesSent        uint64
+	BytesSent        uint64 // encoded frame bytes, length prefixes included
 	Broadcasts       uint64
 	SentByKind       map[core.MsgKind]uint64
 	DeliveredByKind  map[core.MsgKind]uint64
@@ -107,10 +114,6 @@ func New(sched *sim.Scheduler, rng *sim.RNG, model DelayModel) *Network {
 		},
 	}
 }
-
-// SetModel swaps the delay model (used by adversarial schedules that change
-// behaviour mid-run). Takes effect for subsequently sent messages.
-func (n *Network) SetModel(model DelayModel) { n.model = model }
 
 // SetDropRule installs a fault-injection rule (tests only; nil clears).
 func (n *Network) SetDropRule(r DropRule) { n.drop = r }
@@ -172,7 +175,7 @@ func (n *Network) Send(from, to core.ProcessID, m core.Message) {
 		return
 	}
 	d := n.model.Delay(n.rng, from, to, n.sched.Now(), m.Kind())
-	n.transmit(from, to, m, d)
+	n.transmit(from, to, m, encode(from, m), d)
 }
 
 // Broadcast disseminates m to every process present at the send instant,
@@ -184,6 +187,7 @@ func (n *Network) Broadcast(from core.ProcessID, m core.Message) {
 		return
 	}
 	n.stats.Broadcasts++
+	frame := encode(from, m)
 	// Deterministic iteration: deliveries are scheduled in ID order so the
 	// run is independent of map iteration order.
 	for _, id := range n.PresentIDs() {
@@ -193,28 +197,43 @@ func (n *Network) Broadcast(from core.ProcessID, m core.Message) {
 		} else {
 			d = n.model.Delay(n.rng, from, id, n.sched.Now(), m.Kind())
 		}
-		n.transmit(from, id, m, d)
+		n.transmit(from, id, m, frame, d)
 	}
 }
 
-func (n *Network) transmit(from, to core.ProcessID, m core.Message, d sim.Duration) {
+// encode renders m as the frame nettransport would write for it, length
+// prefix included. A message the codec cannot carry is a bug in the
+// sender, so it panics here rather than at some later delivery.
+func encode(from core.ProcessID, m core.Message) []byte {
+	// 96 bytes hold every frame but a snapshot REPLY of three or more keys.
+	b, err := wire.AppendFrameBytes(make([]byte, 0, 96), wire.Frame{Type: wire.FrameMsg, From: from, Msg: m})
+	if err != nil {
+		panic(fmt.Sprintf("netsim: cannot encode %T: %v", m, err))
+	}
+	return b
+}
+
+// transmit schedules one delivery of frame, the encoding of m. Drop rules
+// and trace observers see m; the destination receives its own decoded
+// copy, so no two processes ever share a message's memory.
+func (n *Network) transmit(from, to core.ProcessID, m core.Message, frame []byte, d sim.Duration) {
 	if d < 1 {
 		d = 1
 	}
-	at := n.sched.Now()
+	at, kind := n.sched.Now(), m.Kind()
 	n.stats.Sent++
-	n.stats.BytesSent += uint64(m.WireSize())
-	n.stats.SentByKind[m.Kind()]++
+	n.stats.BytesSent += uint64(len(frame))
+	n.stats.SentByKind[kind]++
 	if d > n.stats.MaxObservedDelay {
 		n.stats.MaxObservedDelay = d
 	}
 	if n.trace != nil {
-		n.trace(TraceEvent{At: at, From: from, To: to, Kind: m.Kind()})
+		n.trace(TraceEvent{At: at, From: from, To: to, Kind: kind})
 	}
 	if n.drop != nil && n.drop(from, to, m, at) {
 		n.stats.DroppedInjected++
 		if n.trace != nil {
-			n.trace(TraceEvent{At: at, From: from, To: to, Kind: m.Kind(), Delivered: true, Dropped: true})
+			n.trace(TraceEvent{At: at, From: from, To: to, Kind: kind, Delivered: true, Dropped: true})
 		}
 		return
 	}
@@ -224,16 +243,20 @@ func (n *Network) transmit(from, to core.ProcessID, m core.Message, d sim.Durati
 			// Destination left the system before delivery.
 			n.stats.DroppedDeparted++
 			if n.trace != nil {
-				n.trace(TraceEvent{At: n.sched.Now(), From: from, To: to, Kind: m.Kind(), Delivered: true, Dropped: true})
+				n.trace(TraceEvent{At: n.sched.Now(), From: from, To: to, Kind: kind, Delivered: true, Dropped: true})
 			}
 			return
 		}
 		n.stats.Delivered++
-		n.stats.DeliveredByKind[m.Kind()]++
+		n.stats.DeliveredByKind[kind]++
 		if n.trace != nil {
-			n.trace(TraceEvent{At: n.sched.Now(), From: from, To: to, Kind: m.Kind(), Delivered: true})
+			n.trace(TraceEvent{At: n.sched.Now(), From: from, To: to, Kind: kind, Delivered: true})
 		}
-		ep.Deliver(from, m)
+		f, err := wire.DecodeFrame(frame[4:])
+		if err != nil {
+			panic(fmt.Sprintf("netsim: cannot decode %v: %v", kind, err))
+		}
+		ep.Deliver(f.From, f.Msg)
 	})
 }
 

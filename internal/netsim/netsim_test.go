@@ -1,11 +1,14 @@
 package netsim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"churnreg/internal/core"
 	"churnreg/internal/sim"
+	"churnreg/internal/wire"
 )
 
 // recorder is a test Endpoint that records deliveries.
@@ -217,6 +220,97 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	if st.BytesSent == 0 {
 		t.Fatal("BytesSent = 0")
+	}
+}
+
+// unknownMsg is a message type internal/wire has no encoding for.
+type unknownMsg struct{}
+
+func (unknownMsg) Kind() core.MsgKind { return core.MsgKind(99) }
+
+// TestMessagesCrossTheCodec pins that every message travels as the bytes
+// nettransport would write: receivers get decoded copies, the byte count
+// is the encoded frames', and what the codec cannot carry fails at send.
+func TestMessagesCrossTheCodec(t *testing.T) {
+	frameLen := func(t *testing.T, from core.ProcessID, m core.Message) uint64 {
+		b, err := wire.AppendFrameBytes(nil, wire.Frame{Type: wire.FrameMsg, From: from, Msg: m})
+		if err != nil {
+			t.Fatalf("encode %T: %v", m, err)
+		}
+		return uint64(len(b))
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, sched *sim.Scheduler, net *Network, eps []*recorder)
+	}{
+		{"receivers own their copy", func(t *testing.T, sched *sim.Scheduler, net *Network, eps []*recorder) {
+			rest := []core.KeyedValue{{Reg: 7, Value: core.VersionedValue{Val: 70, SN: 3}}, {Reg: 9, Value: core.VersionedValue{Val: 90, SN: 4}}}
+			sent := append([]core.KeyedValue(nil), rest...)
+			net.Broadcast(1, core.ReplyMsg{From: 1, Rest: rest})
+			rest[0] = core.KeyedValue{Reg: 7, Value: core.VersionedValue{Val: -1, SN: 99}}
+			if err := sched.RunUntil(100); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			arrays := map[*core.KeyedValue]core.ProcessID{&rest[0]: 1}
+			for _, ep := range eps {
+				if len(ep.got) != 1 {
+					t.Fatalf("%v deliveries = %d, want 1", ep.id, len(ep.got))
+				}
+				got := ep.got[0].msg.(core.ReplyMsg).Rest
+				if len(got) != len(sent) || got[0] != sent[0] || got[1] != sent[1] {
+					t.Fatalf("%v Rest = %v, want the sent %v", ep.id, got, sent)
+				}
+				if other, dup := arrays[&got[0]]; dup {
+					t.Fatalf("%v shares Rest's backing array with %v", ep.id, other)
+				}
+				arrays[&got[0]] = ep.id
+			}
+		}},
+		{"bytes are the encoded frames", func(t *testing.T, sched *sim.Scheduler, net *Network, eps []*recorder) {
+			inq := core.InquiryMsg{From: 1, RSN: core.JoinReadSeq}
+			rep := core.ReplyMsg{From: 2, Reg: 5, Rest: []core.KeyedValue{{Reg: 6}, {Reg: 8}}}
+			batch := core.WriteBatchMsg{From: 3, Op: 4, Entries: []core.KeyedValue{{Reg: 1}, {Reg: 2}, {Reg: 3}}}
+			net.Send(1, 2, inq)
+			net.Send(2, 1, rep)
+			net.Broadcast(3, batch)
+			want := frameLen(t, 1, inq) + frameLen(t, 2, rep) + uint64(len(eps))*frameLen(t, 3, batch)
+			if got := net.Stats().BytesSent; got != want {
+				t.Fatalf("BytesSent = %d, want %d", got, want)
+			}
+		}},
+		{"what the codec cannot carry panics at send", func(t *testing.T, sched *sim.Scheduler, net *Network, eps []*recorder) {
+			huge := core.ReplyMsg{From: 1, Rest: make([]core.KeyedValue, wire.MaxFrame/24+1)}
+			for name, m := range map[string]core.Message{"netsim.unknownMsg": unknownMsg{}, "core.ReplyMsg": huge} {
+				func() {
+					defer func() {
+						r := recover()
+						if r == nil {
+							t.Fatalf("Send of %s did not panic", name)
+						}
+						if msg := fmt.Sprint(r); !strings.Contains(msg, name) {
+							t.Fatalf("panic %q does not name %s", msg, name)
+						}
+					}()
+					net.Send(1, 2, m)
+				}()
+			}
+			if err := sched.RunUntil(100); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if n := len(eps[1].got); n != 0 {
+				t.Fatalf("p2 deliveries = %d, want 0", n)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sched, net := newNet(SynchronousModel{Delta: 5})
+			eps := []*recorder{{id: 1}, {id: 2}, {id: 3}}
+			for _, ep := range eps {
+				net.Attach(ep)
+			}
+			tc.run(t, sched, net, eps)
+		})
 	}
 }
 

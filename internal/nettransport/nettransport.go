@@ -143,9 +143,6 @@ type Config struct {
 	Bootstrap bool
 	// Initial is register 0's initial value (bootstrap only).
 	Initial core.VersionedValue
-	// InitialKeys optionally pre-provisions further registers (bootstrap
-	// only; ascending Reg order).
-	InitialKeys []core.KeyedValue
 	// QueueLen is how many frames one link (a peer, or a client session)
 	// may hold queued (default 512). Overflow drops the oldest-queued
 	// frame and counts it in Stats.QueueDrops.
@@ -377,11 +374,7 @@ func New(cfg Config) (*Transport, error) {
 		clock:    clk,
 	}
 	t.links.Store(&linkTable{})
-	t.node = cfg.Factory(loopEnv{t}, core.SpawnContext{
-		Bootstrap:   cfg.Bootstrap,
-		Initial:     cfg.Initial,
-		InitialKeys: cfg.InitialKeys,
-	})
+	t.node = cfg.Factory(loopEnv{t}, core.SpawnContext{Bootstrap: cfg.Bootstrap, Initial: cfg.Initial})
 	return t, nil
 }
 

@@ -1,4 +1,5 @@
-// Package wire is the binary codec the TCP transport speaks: every
+// Package wire is the binary codec the TCP transport speaks, and the one
+// internal/netsim runs every simulated message through: every
 // protocol message of internal/core (the paper's INQUIRY/REPLY/WRITE/ACK/
 // READ/DL_PREV plus the multi-writer CLAIM/BEAT/TOKEN and the batched
 // WRITE_BATCH) round-trips through a compact fixed-layout encoding, carried

@@ -59,9 +59,8 @@ func NewNetCluster(opt ...Option) (*NetCluster, error) {
 	for i := 0; i < o.n; i++ {
 		id := ProcessID(i + 1)
 		tr, err := nettransport.New(c.transportConfig(id, core.SpawnContext{
-			Bootstrap:   true,
-			Initial:     core.VersionedValue{Val: core.Value(o.initial), SN: 0},
-			InitialKeys: o.initialKeys,
+			Bootstrap: true,
+			Initial:   core.VersionedValue{Val: core.Value(o.initial), SN: 0},
 		}))
 		if err != nil {
 			for _, prev := range trs {
@@ -124,16 +123,15 @@ func (c *NetCluster) routesOverAll(tr *nettransport.Transport) bool {
 
 func (c *NetCluster) transportConfig(id ProcessID, sc core.SpawnContext) nettransport.Config {
 	return nettransport.Config{
-		ID:          id,
-		ListenAddr:  "127.0.0.1:0",
-		N:           c.opts.n,
-		Delta:       sim.Duration(c.opts.delta),
-		Tick:        c.opts.tick,
-		Factory:     c.opts.factory(),
-		Bootstrap:   sc.Bootstrap,
-		Initial:     sc.Initial,
-		InitialKeys: sc.InitialKeys,
-		Placement:   c.opts.placement,
+		ID:         id,
+		ListenAddr: "127.0.0.1:0",
+		N:          c.opts.n,
+		Delta:      sim.Duration(c.opts.delta),
+		Tick:       c.opts.tick,
+		Factory:    c.opts.factory(),
+		Bootstrap:  sc.Bootstrap,
+		Initial:    sc.Initial,
+		Placement:  c.opts.placement,
 	}
 }
 
@@ -167,18 +165,6 @@ func (c *NetCluster) IDs() []ProcessID {
 		out = append(out, id)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Addrs returns the present processes' TCP listen addresses, keyed by id
-// — handy for pointing an external regserve at an in-process cluster.
-func (c *NetCluster) Addrs() map[ProcessID]string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[ProcessID]string, len(c.nodes))
-	for id, tr := range c.nodes {
-		out[id] = tr.Addr()
-	}
 	return out
 }
 
@@ -375,11 +361,6 @@ func (c *NetCluster) write(entries []core.KeyedWrite, deadline time.Time, w writ
 // or had stopped.
 func refusedBeforeInvocation(err error) bool {
 	return errors.Is(err, core.ErrUnroutable) || errors.Is(err, ErrNoActiveProcess) || errors.Is(err, nettransport.ErrClosed)
-}
-
-// WriteAt stores v in register 0 via a specific process.
-func (c *NetCluster) WriteAt(id ProcessID, v int64) error {
-	return c.WriteKeyAt(id, core.DefaultRegister, v)
 }
 
 // WriteKeyAt stores v in one register via a specific process. Sharded,

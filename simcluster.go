@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"churnreg/internal/churn"
 	"churnreg/internal/core"
 	"churnreg/internal/dynsys"
 	"churnreg/internal/sim"
@@ -59,11 +60,10 @@ func NewSimCluster(opt ...Option) (*SimCluster, error) {
 		Factory:     o.factory(),
 		Seed:        o.seed,
 		ChurnRate:   o.churnRate,
-		ChurnPolicy: o.policy,
+		ChurnPolicy: churn.RemoveRandom,
 		MinLifetime: sim.Duration(o.minLifetime),
 		Protect:     c.protected,
 		Initial:     core.VersionedValue{Val: core.Value(o.initial), SN: 0},
-		Initials:    o.initialKeys,
 		Placement:   o.placement,
 	})
 	if err != nil {
@@ -71,9 +71,6 @@ func NewSimCluster(opt ...Option) (*SimCluster, error) {
 	}
 	c.sys = sys
 	c.history = spec.NewHistory(core.VersionedValue{Val: core.Value(o.initial), SN: 0})
-	for _, kv := range o.initialKeys {
-		c.history.SetInitialKey(kv.Reg, kv.Value)
-	}
 	return c, nil
 }
 
