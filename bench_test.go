@@ -1,121 +1,23 @@
 package churnreg_test
 
-// One benchmark per experiment table (E1-E12, internal/harness.All): running
-// `go test -bench=.` regenerates every figure/claim of the paper and
-// reports the experiment's headline quantity as a custom metric. Use
-// -v to also see the rendered tables (b.Logf). The micro-benchmarks at
-// the bottom characterize the simulator and protocol hot paths.
+// Micro-benchmarks of the simulator and protocol hot paths, through the
+// public facade where one exists. The experiment benchmarks (E1-E12) are
+// internal/harness's.
 
 import (
 	"fmt"
-	"strconv"
 	"testing"
 
 	"churnreg"
 	"churnreg/internal/core"
 	"churnreg/internal/dynsys"
 	"churnreg/internal/esyncreg"
-	"churnreg/internal/harness"
-	"churnreg/internal/metrics"
 	"churnreg/internal/netsim"
 	"churnreg/internal/sim"
 	"churnreg/internal/syncreg"
 )
 
 const benchSeed = 42
-
-// benchTable runs one experiment per iteration and logs its table.
-func benchTable(b *testing.B, f func(uint64) *metrics.Table) *metrics.Table {
-	b.Helper()
-	var last *metrics.Table
-	for i := 0; i < b.N; i++ {
-		last = f(benchSeed + uint64(i))
-	}
-	b.Logf("\n%s", last.Render())
-	return last
-}
-
-func BenchmarkE1Fig3WhyWait(b *testing.B) {
-	tb := benchTable(b, harness.Fig3WhyWait)
-	// Headline: the no-wait variant must violate, the wait variant not.
-	if len(tb.Rows) == 2 && tb.Rows[1][4] == "OK" {
-		b.ReportMetric(1, "fig3b-ok")
-	}
-}
-
-func BenchmarkE2NewOldInversion(b *testing.B) {
-	benchTable(b, harness.NewOldInversion)
-}
-
-func BenchmarkE3Lemma2ActiveSet(b *testing.B) {
-	tb := benchTable(b, harness.Lemma2ActiveSet)
-	holds := 0.0
-	for _, row := range tb.Rows {
-		if row[4] == "true" && row[7] == "true" {
-			holds++
-		}
-	}
-	b.ReportMetric(holds/float64(len(tb.Rows)), "bounds-hold-ratio")
-}
-
-func BenchmarkE4Theorem1SafetySweep(b *testing.B) {
-	tb := benchTable(b, harness.Theorem1SafetySweep)
-	below := 0.0
-	for _, row := range tb.Rows[:3] {
-		v, _ := strconv.Atoi(row[5])
-		below += float64(v)
-	}
-	b.ReportMetric(below, "violations-below-bound")
-}
-
-func BenchmarkE5Theorem2Impossibility(b *testing.B) {
-	tb := benchTable(b, harness.Theorem2Impossibility)
-	v, _ := strconv.Atoi(tb.Rows[0][4])
-	b.ReportMetric(float64(v), "async-safety-violations")
-}
-
-func BenchmarkE6ESyncGSTSweep(b *testing.B) {
-	tb := benchTable(b, harness.ESyncGSTSweep)
-	viol := 0.0
-	for _, row := range tb.Rows {
-		v, _ := strconv.Atoi(row[6])
-		viol += float64(v)
-	}
-	b.ReportMetric(viol, "violations-any-GST")
-}
-
-func BenchmarkE7ChurnBoundScaling(b *testing.B) {
-	benchTable(b, harness.ChurnBoundScaling)
-}
-
-func BenchmarkE8ProtocolComparison(b *testing.B) {
-	tb := benchTable(b, harness.ProtocolComparison)
-	// Headline: sync read cost (messages) is zero.
-	v, _ := strconv.ParseFloat(tb.Rows[0][4], 64)
-	b.ReportMetric(v, "sync-msgs-per-read")
-}
-
-func BenchmarkE9DLPrevAblation(b *testing.B) {
-	benchTable(b, harness.DLPrevAblation)
-}
-
-func BenchmarkE10LatencyScaling(b *testing.B) {
-	benchTable(b, harness.LatencyScaling)
-}
-
-func BenchmarkE11AtomicUpgrade(b *testing.B) {
-	tb := benchTable(b, harness.AtomicUpgrade)
-	inv, _ := strconv.Atoi(tb.Rows[1][4])
-	b.ReportMetric(float64(inv), "atomic-inversions")
-}
-
-func BenchmarkE12BurstyChurn(b *testing.B) {
-	tb := benchTable(b, harness.BurstyChurn)
-	v, _ := strconv.Atoi(tb.Rows[1][5])
-	b.ReportMetric(float64(v), "bursty-violations")
-}
-
-// --- micro-benchmarks ---
 
 // BenchmarkSimulatedOpsSync measures end-to-end simulated write+read pairs
 // per second through the public API (synchronous protocol).
@@ -249,28 +151,6 @@ func BenchmarkQuorumJoin(b *testing.B) {
 		}
 		c.Leave(id) // keep the population from growing unboundedly
 	}
-}
-
-// BenchmarkCheckerRegular measures the regularity checker on a recorded
-// 2000-tick history.
-func BenchmarkCheckerRegular(b *testing.B) {
-	res, err := harness.Run(harness.Trial{
-		N: 30, Delta: 5, Churn: 0.02,
-		Factory:  syncreg.Factory(syncreg.Options{}),
-		Duration: 2000,
-		Seed:     benchSeed,
-		Workload: harness.WorkloadMix(20, 5, 2, true),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if v := res.History.CheckRegular(); len(v) != 0 {
-			b.Fatal("unexpected violation")
-		}
-	}
-	b.ReportMetric(float64(res.History.Len()), "ops-checked")
 }
 
 // BenchmarkESyncMessagePath measures the esync node's message handling hot

@@ -169,12 +169,13 @@ func WithOperationTimeout(d time.Duration) Option { return func(o *options) { o.
 // membership. Each process then holds — and each write's broadcast and
 // quorum reaches — only the R replicas of the key's shard instead of the
 // whole membership, so adding processes adds CAPACITY, not just fault
-// tolerance. Operations invoked on a non-replica are forwarded to the
-// group (reads to any member, writes to the shard primary), and
-// membership changes move exactly the shards whose groups changed
-// (snapshot handoff; see internal/shard). With r < n the per-key quorum
-// shrinks from ⌊n/2⌋+1 to ⌊r/2⌋+1 — the quorum-intersection argument
-// holds per shard. s = 0 (the default) disables sharding: every process
+// tolerance. The facade routes a read to one of the key's replicas and a
+// write to its shard primary; a write enters only there and fails,
+// unapplied, anywhere else, and only ReadKeyAt at a non-replica relays
+// its read to a replica. Membership changes move exactly the shards whose
+// groups changed (snapshot handoff; see internal/shard). With r < n the
+// per-key quorum shrinks from ⌊n/2⌋+1 to ⌊r/2⌋+1 — the
+// quorum-intersection argument holds per shard. s = 0 (the default) disables sharding: every process
 // replicates every key, the pre-sharding behavior, bit for bit.
 func WithShards(s, r int) Option {
 	return func(o *options) { o.placement = placement.Config{Shards: s, Replication: r} }

@@ -1,35 +1,23 @@
-// Command experiments regenerates every experiment table: one experiment
-// per figure, lemma, or theorem of the paper (internal/harness.All is the
-// index). Runs are deterministic in the seed.
-//
-// Usage:
-//
-//	experiments [-seed N] [-only E4]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"churnreg/internal/harness"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+// experiments regenerates the experiment tables, one experiment per
+// figure, lemma, or theorem of the paper (internal/harness.All is the
+// index), deterministically in the seed.
+func experiments(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("regsim experiments", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 42, "deterministic seed for every experiment")
 	only := fs.String("only", "", "run a single experiment by id (e.g. E4)")
 	list := fs.Bool("list", false, "list experiments and exit")
 	markdown := fs.Bool("markdown", false, "render tables as GitHub markdown")
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
 	exps := harness.All()

@@ -9,7 +9,7 @@ import (
 
 func TestListExperiments(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-list"}, &buf); err != nil {
+	if err := run([]string{"experiments", "-list"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -22,7 +22,7 @@ func TestListExperiments(t *testing.T) {
 
 func TestRunSingleExperiment(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-only", "E1", "-seed", "7"}, &buf); err != nil {
+	if err := run([]string{"experiments", "-only", "E1", "-seed", "7"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -33,7 +33,7 @@ func TestRunSingleExperiment(t *testing.T) {
 
 func TestRunSingleExperimentMarkdown(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-only", "E2", "-markdown"}, &buf); err != nil {
+	if err := run([]string{"experiments", "-only", "E2", "-markdown"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "|---|") {
@@ -53,7 +53,7 @@ func TestSeed42Golden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := run([]string{"-seed", "42"}, &buf); err != nil {
+	if err := run([]string{"experiments", "-seed", "42"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	if got := buf.Bytes(); !bytes.Equal(got, want) {
@@ -71,14 +71,14 @@ func TestSeed42Golden(t *testing.T) {
 		}
 		t.Fatalf("output differs from testdata/seed42.txt at line %d:\n got %q\nwant %q\n"+
 			"if the change is intended, regenerate the file with\n"+
-			"  go run ./cmd/experiments -seed 42 > cmd/experiments/testdata/seed42.txt",
+			"  go run ./cmd/regsim experiments -seed 42 > cmd/regsim/testdata/seed42.txt",
 			line+1, g, w)
 	}
 }
 
 func TestUnknownExperimentErrors(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-only", "E99"}, &buf); err == nil {
+	if err := run([]string{"experiments", "-only", "E99"}, &buf); err == nil {
 		t.Fatal("unknown experiment id accepted")
 	}
 }
@@ -86,7 +86,7 @@ func TestUnknownExperimentErrors(t *testing.T) {
 func TestBadFlagErrors(t *testing.T) {
 	var buf bytes.Buffer
 	fsOut := &buf
-	if err := run([]string{"-definitely-not-a-flag"}, fsOut); err == nil {
+	if err := run([]string{"experiments", "-definitely-not-a-flag"}, fsOut); err == nil {
 		t.Fatal("bad flag accepted")
 	}
 }

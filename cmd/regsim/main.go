@@ -1,12 +1,16 @@
-// Command regsim runs one configured simulation of a regular register in
-// a dynamic system and reports liveness, safety, latency, and message-cost
-// metrics.
+// Command regsim is the simulator of a regular register in a dynamic
+// system. With flags only it runs one configured simulation and reports
+// liveness, safety, latency, and message-cost metrics; `regsim scan`
+// sweeps the churn rate and emits CSV; `regsim experiments` regenerates
+// the paper's experiment tables. Every run is deterministic in its seed.
 //
 // Usage:
 //
 //	regsim -protocol sync -n 30 -delta 5 -churn 0.02 -duration 2000
 //	regsim -protocol esync -n 10 -delta 5 -churn 0.002 -gst 500
 //	regsim -protocol abd -n 10 -churn 0.02     # watch the baseline erode
+//	regsim scan -protocol sync -n 30 -delta 5 -steps 12 -max-mult 4 > sync.csv
+//	regsim experiments [-seed N] [-only E4] [-list] [-markdown]
 package main
 
 import (
@@ -34,7 +38,46 @@ func main() {
 	}
 }
 
+// run dispatches on the subcommand named by the first argument, if any.
 func run(args []string, w io.Writer) error {
+	if len(args) > 0 {
+		switch args[0] {
+		case "scan":
+			return scan(args[1:], w)
+		case "experiments":
+			return experiments(args[1:], w)
+		}
+	}
+	return simulate(args, w)
+}
+
+// parse parses args into fs and refuses what is left: a subcommand comes
+// before every flag, and nothing else is positional.
+func parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q (subcommands, before any flag: scan, experiments)", fs.Arg(0))
+	}
+	return nil
+}
+
+// factory returns the node factory of the named protocol.
+func factory(protocol string) (core.NodeFactory, error) {
+	switch protocol {
+	case "sync":
+		return syncreg.Factory(syncreg.Options{}), nil
+	case "esync":
+		return esyncreg.Factory(esyncreg.Options{}), nil
+	case "abd":
+		return abd.Factory(), nil
+	}
+	return nil, fmt.Errorf("unknown protocol %q (want sync, esync, or abd)", protocol)
+}
+
+// simulate runs one configured simulation and prints its metrics table.
+func simulate(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("regsim", flag.ContinueOnError)
 	var (
 		protocol   = fs.String("protocol", "sync", "protocol: sync, esync, or abd")
@@ -52,20 +95,12 @@ func run(args []string, w io.Writer) error {
 		minLife    = fs.Int64("min-lifetime", 0, "churn cannot remove processes younger than this")
 		traceCap   = fs.Int("trace", 0, "print the first N timeline events (0 = no trace)")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
-
-	var factory core.NodeFactory
-	switch *protocol {
-	case "sync":
-		factory = syncreg.Factory(syncreg.Options{})
-	case "esync":
-		factory = esyncreg.Factory(esyncreg.Options{})
-	case "abd":
-		factory = abd.Factory()
-	default:
-		return fmt.Errorf("unknown protocol %q (want sync, esync, or abd)", *protocol)
+	nodes, err := factory(*protocol)
+	if err != nil {
+		return err
 	}
 	var model netsim.DelayModel
 	if *gst >= 0 {
@@ -88,7 +123,7 @@ func run(args []string, w io.Writer) error {
 		Churn:       *churnRate,
 		MinLifetime: sim.Duration(*minLife),
 		Model:       model,
-		Factory:     factory,
+		Factory:     nodes,
 		Duration:    sim.Duration(*duration),
 		Seed:        *seed,
 		Workload: harness.WorkloadMix(

@@ -60,3 +60,22 @@ func TestUnknownProtocolErrors(t *testing.T) {
 		t.Fatal("unknown protocol accepted")
 	}
 }
+
+// TestStrayArgumentErrors: a positional argument left after the flags —
+// a subcommand named after a flag, an unknown subcommand, an experiment id
+// without -only — is an error, not an argument silently ignored.
+func TestStrayArgumentErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-n", "5", "scan"},
+		{"bogus", "-n", "5"},
+		{"experiments", "E4"},
+	} {
+		var buf bytes.Buffer
+		err := run(args, &buf)
+		if err == nil {
+			t.Errorf("run(%q) = nil, want an error", args)
+		} else if !strings.Contains(err.Error(), "scan, experiments") {
+			t.Errorf("run(%q) = %v, want an error naming the subcommands", args, err)
+		}
+	}
+}

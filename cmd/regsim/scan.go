@@ -1,35 +1,19 @@
-// Command churnscan sweeps the churn rate for one protocol and emits CSV
-// (one row per churn value, several seeds aggregated) for plotting the
-// degradation curves around the paper's bounds.
-//
-// Usage:
-//
-//	churnscan -protocol sync -n 30 -delta 5 -steps 12 -max-mult 4 > sync.csv
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
-	"churnreg/internal/abd"
-	"churnreg/internal/core"
-	"churnreg/internal/esyncreg"
 	"churnreg/internal/harness"
 	"churnreg/internal/sim"
-	"churnreg/internal/syncreg"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "churnscan:", err)
-		os.Exit(1)
-	}
-}
-
-func run(args []string, w io.Writer) error {
-	fs := flag.NewFlagSet("churnscan", flag.ContinueOnError)
+// scan sweeps the churn rate for one protocol and emits CSV (one row per
+// churn value and seed) for plotting the degradation curves around the
+// paper's bounds.
+func scan(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("regsim scan", flag.ContinueOnError)
 	var (
 		protocol = fs.String("protocol", "sync", "protocol: sync, esync, or abd")
 		n        = fs.Int("n", 30, "constant system size")
@@ -39,23 +23,16 @@ func run(args []string, w io.Writer) error {
 		maxMult  = fs.Float64("max-mult", 2.0, "sweep up to this multiple of the protocol's churn bound")
 		seeds    = fs.Int("seeds", 3, "seeds per churn value")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parse(fs, args); err != nil {
 		return err
 	}
-	var factory core.NodeFactory
-	var bound float64
-	switch *protocol {
-	case "sync":
-		factory = syncreg.Factory(syncreg.Options{})
-		bound = harness.SyncChurnBound(sim.Duration(*delta))
-	case "esync":
-		factory = esyncreg.Factory(esyncreg.Options{})
+	nodes, err := factory(*protocol)
+	if err != nil {
+		return err
+	}
+	bound := harness.SyncChurnBound(sim.Duration(*delta)) // abd has none: sync's, for scale
+	if *protocol == "esync" {
 		bound = harness.ESyncChurnBound(sim.Duration(*delta), *n)
-	case "abd":
-		factory = abd.Factory()
-		bound = harness.SyncChurnBound(sim.Duration(*delta)) // for scale
-	default:
-		return fmt.Errorf("unknown protocol %q", *protocol)
 	}
 
 	fmt.Fprintln(w, "protocol,c,c_over_bound,seed,joins_completed,joins_pending,reads_completed,writes_completed,violations,inversions,min_active,join_p50,join_p99")
@@ -68,7 +45,7 @@ func run(args []string, w io.Writer) error {
 			res, err := harness.Run(harness.Trial{
 				N: *n, Delta: sim.Duration(*delta), Churn: c,
 				MinLifetime: 3 * sim.Duration(*delta),
-				Factory:     factory,
+				Factory:     nodes,
 				Duration:    sim.Duration(*duration),
 				Seed:        uint64(seed),
 				Workload:    harness.WorkloadMix(4*sim.Duration(*delta), sim.Duration(*delta), 2, true),

@@ -8,7 +8,7 @@ import (
 
 func TestScanEmitsCSV(t *testing.T) {
 	var buf bytes.Buffer
-	err := run([]string{"-protocol", "sync", "-n", "10", "-duration", "200",
+	err := run([]string{"scan", "-protocol", "sync", "-n", "10", "-duration", "200",
 		"-steps", "2", "-seeds", "1", "-max-mult", "0.5"}, &buf)
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +32,7 @@ func TestScanEmitsCSV(t *testing.T) {
 
 func TestScanESync(t *testing.T) {
 	var buf bytes.Buffer
-	err := run([]string{"-protocol", "esync", "-n", "8", "-duration", "200",
+	err := run([]string{"scan", "-protocol", "esync", "-n", "8", "-duration", "200",
 		"-steps", "1", "-seeds", "1", "-max-mult", "1"}, &buf)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestScanESync(t *testing.T) {
 
 func TestScanUnknownProtocol(t *testing.T) {
 	var buf bytes.Buffer
-	if err := run([]string{"-protocol", "nope"}, &buf); err == nil {
+	if err := run([]string{"scan", "-protocol", "nope"}, &buf); err == nil {
 		t.Fatal("unknown protocol accepted")
 	}
 }

@@ -3,8 +3,8 @@
 // reproduces). Each experiment builds a simulated dynamic system, drives a
 // workload, checks the recorded history against the register
 // specification, and renders a metrics.Table — the repository's equivalent
-// of regenerating the paper's figures. cmd/experiments prints them;
-// bench_test.go wraps them as benchmarks.
+// of regenerating the paper's figures. `regsim experiments` (cmd/regsim)
+// prints them; this package's bench_test.go wraps them as benchmarks.
 package harness
 
 import (
@@ -174,7 +174,7 @@ func ESyncChurnBound(delta sim.Duration, n int) float64 {
 	return 1.0 / (3.0 * float64(delta) * float64(n))
 }
 
-// Experiment couples an id/title with a table generator, for cmd/experiments.
+// Experiment couples an id/title with a table generator, for `regsim experiments`.
 type Experiment struct {
 	ID    string
 	Title string

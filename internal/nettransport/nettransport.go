@@ -310,7 +310,7 @@ type Transport struct {
 	steps     int
 	chasing   bool
 	halted    bool
-	deadlines timerHeap
+	deadlines sim.Deadlines[time.Duration]
 	timerSeq  uint64
 	ticking   bool
 	clock     clock

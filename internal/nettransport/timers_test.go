@@ -1,13 +1,12 @@
 package nettransport
 
-// Tests for the timer heap and its clock: a callback never runs early,
+// Tests for the timers and their clock: a callback never runs early,
 // runs once, in deadline order and in call order on a tie; none starts
 // after Close; callbacks due together are one turn; arming and firing
 // allocate nothing; and on Linux a deadline is met well inside a
 // millisecond.
 
 import (
-	"cmp"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -19,31 +18,6 @@ import (
 	"churnreg/internal/core"
 	"churnreg/internal/sim"
 )
-
-func TestTimerHeapPopsByDeadlineThenCallOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	var h timerHeap
-	var want []timer // what h holds, kept sorted
-	pop := func() {
-		t.Helper()
-		if got := h.pop(); got.at != want[0].at || got.seq != want[0].seq {
-			t.Fatalf("pop = (%v, %d), want (%v, %d)", got.at, got.seq, want[0].at, want[0].seq)
-		}
-		want = want[1:]
-	}
-	for seq := uint64(1); seq <= 500; seq++ {
-		e := timer{at: time.Duration(rng.Intn(40)), seq: seq} // many ties
-		h.push(e)
-		want = append(want, e)
-		slices.SortStableFunc(want, func(a, b timer) int { return cmp.Compare(a.at, b.at) })
-		if rng.Intn(3) == 0 { // pops between pushes, as a turn does
-			pop()
-		}
-	}
-	for len(h) > 0 {
-		pop()
-	}
-}
 
 // TestAfterNeverEarlyOnceInOrder arms 500 callbacks at random delays, ten
 // per turn with pauses between turns, so that later calls land both
@@ -143,7 +117,7 @@ func TestDueTimersShareOneTurnAndOneWrite(t *testing.T) {
 			p.env.After(5, func() { p.env.Send(2, label(i)) })
 		}
 		// The three deadlines are nanoseconds apart; make them one.
-		tr.deadlines[1].at, tr.deadlines[2].at = tr.deadlines[0].at, tr.deadlines[0].at
+		tr.deadlines[1].At, tr.deadlines[2].At = tr.deadlines[0].At, tr.deadlines[0].At
 	})
 	turns := st.LoopTurns.Load()
 	waitFor(t, "the three frames", func() bool { return len(scanAll(t, conn.bytesWritten())) == 3 })

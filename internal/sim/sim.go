@@ -10,7 +10,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 )
@@ -34,37 +33,59 @@ func (t Time) String() string { return fmt.Sprintf("t=%d", int64(t)) }
 // ErrStopped is returned by Run variants when StopNow interrupted the run.
 var ErrStopped = errors.New("sim: stopped")
 
-// event is a scheduled callback. seq breaks ties between events scheduled
-// for the same instant so execution order is the scheduling order.
-type event struct {
-	at  Time
-	seq uint64
-	fn  func()
+// Deadline is one pending callback in a Deadlines heap: due at At; Seq
+// breaks ties between callbacks due at the same instant, in call order.
+type Deadline[K ~int64] struct {
+	At  K
+	Seq uint64
+	Fn  func()
 }
 
-// eventQueue implements heap.Interface ordered by (at, seq).
-type eventQueue []*event
+// Deadlines is a binary min-heap on (At, Seq), a typed slice so that no
+// entry is boxed. Seq is unique per heap, so pop order is a total order.
+// The simulator's Scheduler and the TCP transport's timers both use it.
+type Deadlines[K ~int64] []Deadline[K]
 
-func (q eventQueue) Len() int { return len(q) }
+func (h Deadlines[K]) less(i, j int) bool {
+	return h[i].At < h[j].At || h[i].At == h[j].At && h[i].Seq < h[j].Seq
+}
 
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// Push adds e to the heap.
+func (h *Deadlines[K]) Push(e Deadline[K]) {
+	*h = append(*h, e)
+	s := *h
+	for i := len(s) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !s.less(i, up) {
+			break
+		}
+		s[i], s[up] = s[up], s[i]
+		i = up
 	}
-	return q[i].seq < q[j].seq
 }
 
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+// Pop removes and returns the earliest entry; the heap must not be empty.
+func (h *Deadlines[K]) Pop() Deadline[K] {
+	s := *h
+	top, n := s[0], len(s)-1
+	s[0], s[n] = s[n], Deadline[K]{}
+	s = s[:n]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s.less(c+1, c) {
+			c++
+		}
+		if !s.less(c, i) {
+			break
+		}
+		s[i], s[c] = s[c], s[i]
+		i = c
+	}
+	*h = s
+	return top
 }
 
 // Scheduler is a single-threaded discrete-event scheduler. It is not safe
@@ -72,7 +93,7 @@ func (q *eventQueue) Pop() any {
 // which is what makes simulated runs deterministic.
 type Scheduler struct {
 	now      Time
-	queue    eventQueue
+	queue    Deadlines[Time]
 	seq      uint64
 	executed uint64
 	stopped  bool
@@ -103,7 +124,7 @@ func (s *Scheduler) At(t Time, fn func()) {
 		t = s.now
 	}
 	s.seq++
-	heap.Push(&s.queue, &event{at: t, seq: s.seq, fn: fn})
+	s.queue.Push(Deadline[Time]{At: t, Seq: s.seq, Fn: fn})
 }
 
 // After schedules fn to run d time units from now. Negative durations are
@@ -124,10 +145,10 @@ func (s *Scheduler) Step() bool {
 	if len(s.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&s.queue).(*event)
-	s.now = ev.at
+	ev := s.queue.Pop()
+	s.now = ev.At
 	s.executed++
-	ev.fn()
+	ev.Fn()
 	return true
 }
 
@@ -137,7 +158,7 @@ func (s *Scheduler) Step() bool {
 // It returns ErrStopped if StopNow was called during execution.
 func (s *Scheduler) RunUntil(deadline Time) error {
 	s.stopped = false
-	for len(s.queue) > 0 && s.queue[0].at <= deadline {
+	for len(s.queue) > 0 && s.queue[0].At <= deadline {
 		s.Step()
 		if s.stopped {
 			return ErrStopped
@@ -179,5 +200,5 @@ func (s *Scheduler) NextEventTime() (t Time, ok bool) {
 	if len(s.queue) == 0 {
 		return 0, false
 	}
-	return s.queue[0].at, true
+	return s.queue[0].At, true
 }

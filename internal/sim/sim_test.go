@@ -1,9 +1,38 @@
 package sim
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 )
+
+func TestTimerHeapPopsByDeadlineThenCallOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var h Deadlines[time.Duration]
+	var want []Deadline[time.Duration] // what h holds, kept sorted
+	pop := func() {
+		t.Helper()
+		if got := h.Pop(); got.At != want[0].At || got.Seq != want[0].Seq {
+			t.Fatalf("pop = (%v, %d), want (%v, %d)", got.At, got.Seq, want[0].At, want[0].Seq)
+		}
+		want = want[1:]
+	}
+	for seq := uint64(1); seq <= 500; seq++ {
+		e := Deadline[time.Duration]{At: time.Duration(rng.Intn(40)), Seq: seq} // many ties
+		h.Push(e)
+		want = append(want, e)
+		slices.SortStableFunc(want, func(a, b Deadline[time.Duration]) int { return cmp.Compare(a.At, b.At) })
+		if rng.Intn(3) == 0 { // pops between pushes, as a turn does
+			pop()
+		}
+	}
+	for len(h) > 0 {
+		pop()
+	}
+}
 
 func TestSchedulerRunsInTimestampOrder(t *testing.T) {
 	s := NewScheduler()

@@ -1,8 +1,8 @@
 // Package trace records structured timelines of simulated runs: message
 // sends/deliveries, process lifecycle transitions, and protocol-level
 // annotations, rendered as a per-tick text timeline. It exists for humans
-// debugging protocol behaviour (cmd/regsim -trace) and for tests that
-// assert on event sequences.
+// debugging protocol behaviour (a single cmd/regsim run with -trace N) and
+// for tests that assert on event sequences.
 package trace
 
 import (
