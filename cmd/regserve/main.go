@@ -120,9 +120,6 @@ func parseFlags(args []string, errW io.Writer) (*serverConfig, error) {
 	if *shards > 0 && *replication < 1 {
 		return nil, fmt.Errorf("-replication must be >= 1 (got %d)", *replication)
 	}
-	if *protocol == "multiwriter" {
-		return nil, fmt.Errorf("-protocol multiwriter is not served: nothing on the wire protocol acquires its §7 write token, so every write would be refused")
-	}
 	cfg := &serverConfig{
 		id: *id, listen: *listen, api: *api, protocol: *protocol,
 		n: *n, delta: *delta, tick: *tick, bootstrap: *bootstrap,

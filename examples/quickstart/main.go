@@ -74,7 +74,7 @@ func main() {
 	report := c.Check()
 	fmt.Printf("\ncorrectness: %s\n", report)
 	if !report.OK() {
-		log.Fatal("regularity violated — this should be impossible below the churn bound")
+		log.Fatal("check failed — this should be impossible below the churn bound")
 	}
 	fmt.Println("every read was a legal regular-register result ✓")
 }

@@ -79,7 +79,7 @@ func main() {
 	report := zone.Check()
 	fmt.Printf("\ncorrectness over the whole run: %s\n", report)
 	if !report.OK() {
-		log.Fatal("regularity violated")
+		log.Fatal("check failed")
 	}
 	fmt.Println("every dashboard alert showed a legal register state ✓")
 }

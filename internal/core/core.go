@@ -37,8 +37,8 @@ var (
 	// ErrOpInProgress is returned when a node cannot admit another
 	// in-flight operation: its operation table has MaxInFlightOps entries
 	// (backpressure — retry once earlier operations complete). The
-	// multi-writer token claim and the atomic read wrapper also return it
-	// for their genuinely one-at-a-time operations (claiming, write-back).
+	// atomic read wrapper also returns it for its genuinely one-at-a-time
+	// operation, the write-back read.
 	ErrOpInProgress = errors.New("register: operation table full (too many operations in progress)")
 )
 
@@ -234,7 +234,7 @@ type NodeFactory func(env Env, sc SpawnContext) Node
 // Ops is the one operation contract every register node serves: the
 // paper's read() and write(v), addressed to any register of the keyed
 // namespace, plus a batch of writes. Every engine (syncreg, esyncreg, abd,
-// multiwriter, atomicreg) and the sharding wrapper (internal/shard)
+// atomicreg) and the sharding wrapper (internal/shard)
 // implement it, so a caller invokes an operation the same way whatever
 // protocol runs underneath.
 //

@@ -5,8 +5,8 @@ import "fmt"
 // MsgKind discriminates the wire messages used by the paper's protocols.
 type MsgKind int
 
-// Message kinds: one per message named in Figures 1–6, plus the write-
-// token messages of the multi-writer extension (internal/multiwriter).
+// Message kinds: one per message named in Figures 1–6, plus the batch and
+// relay messages. Each value is the kind's byte on the wire.
 const (
 	KindInquiry MsgKind = iota + 1
 	KindReply
@@ -14,9 +14,12 @@ const (
 	KindAck
 	KindRead
 	KindDLPrev
-	KindClaim
-	KindBeat
-	KindToken
+	// 7–9 carried a retired write-token lease (CLAIM, BEAT, TOKEN); they
+	// stay unassigned so every later kind keeps its byte, and the codec
+	// refuses them.
+	_
+	_
+	_
 	KindWriteBatch
 	KindForward
 	KindForwarded
@@ -37,12 +40,6 @@ func (k MsgKind) String() string {
 		return "READ"
 	case KindDLPrev:
 		return "DL_PREV"
-	case KindClaim:
-		return "CLAIM"
-	case KindBeat:
-		return "BEAT"
-	case KindToken:
-		return "TOKEN"
 	case KindWriteBatch:
 		return "WRITE_BATCH"
 	case KindForward:
@@ -199,40 +196,6 @@ type DLPrevMsg struct {
 // Kind implements Message.
 func (DLPrevMsg) Kind() MsgKind { return KindDLPrev }
 
-// ClaimMsg is the multi-writer extension's CLAIM(i, stamp): process i bids
-// for the write token with its invocation timestamp; lower (stamp, id)
-// wins a contention burst.
-type ClaimMsg struct {
-	From  ProcessID
-	Stamp int64
-}
-
-// Kind implements Message.
-func (ClaimMsg) Kind() MsgKind { return KindClaim }
-
-// BeatMsg is the token holder's heartbeat. Free announces a voluntary
-// release: holders broadcast it so claimants need not wait out the
-// staleness timeout. Seq orders beats from one holder — channels are not
-// FIFO, so a pre-release beat can overtake the release's free-beat;
-// recipients drop beats whose Seq is not beyond the last Free they saw
-// from that process.
-type BeatMsg struct {
-	From ProcessID
-	Free bool
-	Seq  uint64
-}
-
-// Kind implements Message.
-func (BeatMsg) Kind() MsgKind { return KindBeat }
-
-// TokenMsg transfers the write token directly to a chosen successor.
-type TokenMsg struct {
-	From ProcessID
-}
-
-// Kind implements Message.
-func (TokenMsg) Kind() MsgKind { return KindToken }
-
 // ForwardCode classifies a FORWARDED outcome.
 type ForwardCode byte
 
@@ -309,9 +272,6 @@ var (
 	_ Message = AckMsg{}
 	_ Message = ReadMsg{}
 	_ Message = DLPrevMsg{}
-	_ Message = ClaimMsg{}
-	_ Message = BeatMsg{}
-	_ Message = TokenMsg{}
 	_ Message = WriteBatchMsg{}
 	_ Message = ForwardMsg{}
 	_ Message = ForwardedMsg{}

@@ -1,9 +1,9 @@
 // Package nettransport runs one register-protocol process over real TCP.
 // It implements the same core.Env contract as internal/dynsys, the
 // deterministic simulator, so the protocol state machines of
-// internal/syncreg, internal/esyncreg, internal/abd and
-// internal/multiwriter run over actual sockets unmodified — this is the
-// transport behind cmd/regserve and the public NetCluster.
+// internal/syncreg, internal/esyncreg and internal/abd run over actual
+// sockets unmodified — this is the transport behind cmd/regserve and the
+// public NetCluster.
 //
 // # Topology
 //

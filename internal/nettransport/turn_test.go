@@ -238,14 +238,14 @@ func TestSelfChatterCannotWedgeOrStarveTheNode(t *testing.T) {
 		if from != 1 {
 			served[from].Add(1)
 		}
-		p.env.Send(1, core.TokenMsg{From: 1})
+		p.env.Send(1, core.AckMsg{From: 1})
 	}, nil)
 	tr.Start(nil)
 	var chain sync.WaitGroup
 	chain.Add(1)
 	go func() {
 		defer chain.Done()
-		tr.Send(1, core.TokenMsg{From: 1}) // returns when the chain ends: at Close
+		tr.Send(1, core.AckMsg{From: 1}) // returns when the chain ends: at Close
 	}()
 	waitFor(t, "the self-addressed chain to advance", func() bool { return p.delivers.Load() > 10*turnTasks })
 	for round := int64(1); round <= 3; round++ {
@@ -398,12 +398,12 @@ func TestCloseStopsTrackedTimers(t *testing.T) {
 	})
 	var pending int
 	tr.Invoke(func(core.Node) {
-		p.env.Send(1, core.TokenMsg{From: 1})    // self-send: no timer
-		p.env.Broadcast(core.TokenMsg{From: 1})  // loopback: no timer
+		p.env.Send(1, core.AckMsg{From: 1})      // self-send: no timer
+		p.env.Broadcast(core.AckMsg{From: 1})    // loopback: no timer
 		p.env.After(sim.Duration(10), func() {}) // protocol timer: the only one
 		pending = len(tr.deadlines)
 	})
-	tr.Send(1, core.TokenMsg{From: 1}) // outside the monitor: a turn, no timer
+	tr.Send(1, core.AckMsg{From: 1}) // outside the monitor: a turn, no timer
 	if pending != 1 || len(tr.deadlines) != 1 {
 		t.Fatalf("pending timers = %d, then %d, want 1 (After only)", pending, len(tr.deadlines))
 	}

@@ -209,9 +209,10 @@ func (v *View) OwnedShards(id core.ProcessID) []int {
 }
 
 // Gained returns the shards id replicates under v but did not under old
-// (all of id's shards when old is nil). This is the handoff work list a
-// view change hands the internal/shard wrapper. Interface-typed so the
-// wrapper's production path and these tests share one implementation.
+// (all of id's shards when old is nil): the handoff work list a view
+// change gives id. It is the tests' oracle for that list;
+// internal/shard's PlacementChanged does not call it, and compares the
+// new view's groups with the shards the node already holds instead.
 func Gained(old, v core.PlacementView, id core.ProcessID) []int {
 	if v == nil {
 		return nil

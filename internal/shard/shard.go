@@ -14,7 +14,7 @@
 //     membership change and hand it to both the protocols, via
 //     core.Placed on their Env, and to this wrapper, via
 //     core.PlacementAware).
-//   - The protocol engines (syncreg/esyncreg/abd/multiwriter) scope their
+//   - The protocol engines (syncreg/esyncreg/abd) scope their
 //     per-register traffic and quorums to the replica group themselves
 //     (core.ScopedBroadcast / core.OpScope): a WRITE for a key reaches R
 //     nodes, not n, and its quorum is a majority of R.

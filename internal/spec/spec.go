@@ -252,10 +252,6 @@ type Counts struct {
 	ReadsBegun, ReadsCompleted, ReadsAbandoned    int
 }
 
-// WritesPending returns writes neither completed nor abandoned — the
-// number the liveness theorems say must be 0 at quiescence.
-func (c Counts) WritesPending() int { return c.WritesBegun - c.WritesCompleted - c.WritesAbandoned }
-
 // ReadsPending returns reads neither completed nor abandoned.
 func (c Counts) ReadsPending() int { return c.ReadsBegun - c.ReadsCompleted - c.ReadsAbandoned }
 

@@ -22,7 +22,7 @@
 // (the local copy advances immediately), so pipelined writes to one key
 // from this node carry strictly increasing sequence numbers in invocation
 // order; the no-concurrent-writes discipline the paper needs survives per
-// key ACROSS nodes, which is the workload's (or the §7 token's) concern.
+// key ACROSS nodes, which is the workload's concern.
 //
 // Membership vs. register state: the join, the active flag, and the
 // deferred-inquiry bookkeeping are maintained once per process; everything

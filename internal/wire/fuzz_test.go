@@ -45,6 +45,9 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, payload := range v1Frames() {
 		f.Add(payload)
 	}
+	for _, payload := range reservedKindFrames() {
+		f.Add(payload)
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, err := DecodeFrame(b)
@@ -92,12 +95,6 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			m = core.ReadMsg{From: core.ProcessID(a), RSN: core.ReadSeq(b), Reg: core.RegisterID(c), Op: core.OpID(b)}
 		case core.KindDLPrev:
 			m = core.DLPrevMsg{From: core.ProcessID(a), RSN: core.ReadSeq(b), Reg: core.RegisterID(c), Op: core.OpID(b)}
-		case core.KindClaim:
-			m = core.ClaimMsg{From: core.ProcessID(a), Stamp: b}
-		case core.KindBeat:
-			m = core.BeatMsg{From: core.ProcessID(a), Free: b&1 == 0, Seq: uint64(c)}
-		case core.KindToken:
-			m = core.TokenMsg{From: core.ProcessID(a)}
 		case core.KindWriteBatch:
 			m = core.WriteBatchMsg{From: core.ProcessID(a), Op: core.OpID(d),
 				Entries: []core.KeyedValue{{Reg: core.RegisterID(b), Value: vv}}}

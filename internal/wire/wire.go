@@ -1,8 +1,8 @@
 // Package wire is the binary codec the TCP transport speaks, and the one
 // internal/netsim runs every simulated message through: every
 // protocol message of internal/core (the paper's INQUIRY/REPLY/WRITE/ACK/
-// READ/DL_PREV plus the multi-writer CLAIM/BEAT/TOKEN and the batched
-// WRITE_BATCH) round-trips through a compact fixed-layout encoding, carried
+// READ/DL_PREV, the batched WRITE_BATCH and the FORWARD/FORWARDED relay)
+// round-trips through a compact fixed-layout encoding, carried
 // in length-prefixed frames alongside the transport's own control frames
 // (HELLO/PEERS/LEAVE).
 //
@@ -407,22 +407,6 @@ func AppendMessage(b []byte, m core.Message) ([]byte, error) {
 		b = be64(b, int64(msg.RSN))
 		b = be64(b, int64(msg.Reg))
 		b = binary.BigEndian.AppendUint64(b, uint64(msg.Op))
-	case core.ClaimMsg:
-		b = append(b, byte(core.KindClaim))
-		b = be64(b, int64(msg.From))
-		b = be64(b, msg.Stamp)
-	case core.BeatMsg:
-		b = append(b, byte(core.KindBeat))
-		b = be64(b, int64(msg.From))
-		if msg.Free {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-		b = binary.BigEndian.AppendUint64(b, msg.Seq)
-	case core.TokenMsg:
-		b = append(b, byte(core.KindToken))
-		b = be64(b, int64(msg.From))
 	case core.WriteBatchMsg:
 		b = append(b, byte(core.KindWriteBatch))
 		b = be64(b, int64(msg.From))
@@ -722,19 +706,6 @@ func (d *decoder) message() core.Message {
 			Reg:  core.RegisterID(d.i64()),
 			Op:   core.OpID(d.u64()),
 		}
-	case core.KindClaim:
-		return core.ClaimMsg{
-			From:  core.ProcessID(d.i64()),
-			Stamp: d.i64(),
-		}
-	case core.KindBeat:
-		return core.BeatMsg{
-			From: core.ProcessID(d.i64()),
-			Free: d.bool(),
-			Seq:  d.u64(),
-		}
-	case core.KindToken:
-		return core.TokenMsg{From: core.ProcessID(d.i64())}
 	case core.KindWriteBatch:
 		return core.WriteBatchMsg{
 			From:    core.ProcessID(d.i64()),

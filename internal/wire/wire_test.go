@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -42,12 +43,6 @@ func randMessage(rng *rand.Rand, kind core.MsgKind) core.Message {
 		return core.ReadMsg{From: from, RSN: core.ReadSeq(rng.Int63n(1 << 30)), Reg: core.RegisterID(rng.Int63n(1 << 20)), Op: op()}
 	case core.KindDLPrev:
 		return core.DLPrevMsg{From: from, RSN: core.ReadSeq(rng.Int63n(1 << 30)), Reg: core.RegisterID(rng.Int63n(1 << 20)), Op: op()}
-	case core.KindClaim:
-		return core.ClaimMsg{From: from, Stamp: rng.Int63()}
-	case core.KindBeat:
-		return core.BeatMsg{From: from, Free: rng.Intn(2) == 0, Seq: rng.Uint64()}
-	case core.KindToken:
-		return core.TokenMsg{From: from}
 	case core.KindWriteBatch:
 		return core.WriteBatchMsg{From: from, Op: op(), Entries: kvs(1 + rng.Intn(32))}
 	case core.KindForward:
@@ -63,8 +58,25 @@ func randMessage(rng *rand.Rand, kind core.MsgKind) core.Message {
 
 var allKinds = []core.MsgKind{
 	core.KindInquiry, core.KindReply, core.KindWrite, core.KindAck,
-	core.KindRead, core.KindDLPrev, core.KindClaim, core.KindBeat,
-	core.KindToken, core.KindWriteBatch, core.KindForward, core.KindForwarded,
+	core.KindRead, core.KindDLPrev, core.KindWriteBatch, core.KindForward,
+	core.KindForwarded,
+}
+
+// TestKindBytesArePinned pins each kind's byte to ARCHITECTURE.md's wire
+// table: 7–9 are reserved, so no later kind moves.
+func TestKindBytesArePinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var got []byte
+	for _, kind := range allKinds {
+		b, err := EncodeMessage(randMessage(rng, kind))
+		if err != nil {
+			t.Fatalf("%v: encode: %v", kind, err)
+		}
+		got = append(got, b[0])
+	}
+	if want := []byte{1, 2, 3, 4, 5, 6, 10, 11, 12}; !bytes.Equal(got, want) {
+		t.Fatalf("kind bytes = %v, want %v", got, want)
+	}
 }
 
 func TestMessageRoundTripEveryKind(t *testing.T) {
@@ -88,8 +100,8 @@ func TestMessageRoundTripEveryKind(t *testing.T) {
 }
 
 func TestMessageRoundTripBoundaryValues(t *testing.T) {
-	// Extremes: negative sentinels (BottomSN, neverBeat-era stamps), zero
-	// values, max int64.
+	// Extremes: negative sentinels (BottomSN, JoinReadSeq), zero values,
+	// max int64.
 	msgs := []core.Message{
 		core.InquiryMsg{From: core.NoProcess, RSN: core.JoinReadSeq},
 		core.ReplyMsg{From: 1, Value: core.Bottom(), RSN: -1, Reg: core.DefaultRegister},
@@ -98,9 +110,6 @@ func TestMessageRoundTripBoundaryValues(t *testing.T) {
 			Rest: []core.KeyedValue{{Reg: -5, Value: core.Bottom()}}},
 		core.WriteMsg{From: 3, Value: core.VersionedValue{Val: -9, SN: 0}, Reg: 0, Op: 1<<64 - 1},
 		core.AckMsg{From: 2, SN: core.BottomSN, Reg: -1, Op: core.NoOp},
-		core.BeatMsg{From: 4, Free: true, Seq: 1<<64 - 1},
-		core.ClaimMsg{From: 5, Stamp: -1 << 40},
-		core.TokenMsg{From: 6},
 		core.WriteBatchMsg{From: 7, Entries: []core.KeyedValue{{Reg: 1, Value: core.VersionedValue{Val: 2, SN: 3}}}},
 	}
 	for _, m := range msgs {
@@ -175,8 +184,22 @@ func TestWriteReadFrameStream(t *testing.T) {
 	}
 }
 
+// reservedKindFrames returns MSG frames of kinds 7, 8 and 9, which a
+// retired write-token lease used, each with the body it once decoded:
+// CLAIM(from, stamp), BEAT(from, free, seq) and TOKEN(from).
+func reservedKindFrames() [][]byte {
+	head := func(kind byte) []byte {
+		return []byte{Version, byte(FrameMsg), 0, 0, 0, 0, 0, 0, 0, 1, kind, 0, 0, 0, 0, 0, 0, 0, 1}
+	}
+	return [][]byte{
+		append(head(7), 0, 0, 0, 0, 0, 0, 0, 2),
+		append(head(8), 1, 0, 0, 0, 0, 0, 0, 0, 3),
+		head(9),
+	}
+}
+
 func TestDecodeRejectsMalformed(t *testing.T) {
-	valid, err := EncodeFrame(Frame{Type: FrameMsg, From: 1, Msg: core.TokenMsg{From: 1}})
+	valid, err := EncodeFrame(Frame{Type: FrameMsg, From: 1, Msg: core.AckMsg{From: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +216,9 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"peers count lies": {Version, byte(FramePeers), 0, 0, 4, 0},
 		"viewreq trailing": {Version, byte(FrameViewReq), 0},
 		"view truncated":   {Version, byte(FrameView), 0, 0, 0, 0, 0, 0, 0, 9, 0, 0},
+	}
+	for i, b := range reservedKindFrames() {
+		cases[fmt.Sprintf("kind %d reserved", 7+i)] = b
 	}
 	for name, b := range cases {
 		if _, err := DecodeFrame(b); err == nil {

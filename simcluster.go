@@ -543,16 +543,25 @@ type CheckReport struct {
 	// Inversions counts new/old inversions — legal for a regular
 	// register, but the reason this register is not atomic.
 	Inversions int
+	// WriteOrder reports the first write that breaks the per-key write
+	// discipline: cross-process writes to one key overlapping, or a write
+	// whose sequence number is not above one that completed before it
+	// started (a lost write regularity cannot see, since it orders writes
+	// by sequence number).
+	WriteOrder error
 }
 
 // OK reports whether the execution is a legal regular-register behaviour.
-func (r CheckReport) OK() bool { return len(r.RegularViolations) == 0 }
+func (r CheckReport) OK() bool { return len(r.RegularViolations) == 0 && r.WriteOrder == nil }
 
 // String renders the report.
 func (r CheckReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "reads=%d writes=%d inversions=%d violations=%d",
 		r.Reads, r.Writes, r.Inversions, len(r.RegularViolations))
+	if r.WriteOrder != nil {
+		fmt.Fprintf(&b, "\n  write order: %v", r.WriteOrder)
+	}
 	for _, v := range r.RegularViolations {
 		fmt.Fprintf(&b, "\n  %s", v)
 	}
@@ -560,13 +569,14 @@ func (r CheckReport) String() string {
 }
 
 // Check verifies every operation issued through this cluster against the
-// regular-register specification.
+// regular-register specification and the per-key write order.
 func (c *SimCluster) Check() CheckReport {
 	counts := c.history.Counts()
 	rep := CheckReport{
 		Reads:      counts.ReadsCompleted,
 		Writes:     counts.WritesCompleted,
 		Inversions: len(c.history.FindInversions()),
+		WriteOrder: c.history.ValidateWrites(),
 	}
 	for _, v := range c.history.CheckRegular() {
 		rep.RegularViolations = append(rep.RegularViolations, v.String())
