@@ -66,10 +66,10 @@ func TestWriteBatchEveryCell(t *testing.T) {
 }
 
 // TestShardedBatchSplitsAtPrimaries: under the synchronous protocol, a
-// batch whose keys live in two shards with different primaries enters
-// as one sub-batch at each primary. Each sub-batch is one WRITE_BATCH
-// broadcast to its shard's group; no per-key WRITE and no FORWARD is
-// sent. Every key reads back, and the history is regular.
+// batch whose keys live in two shards with different primaries is one
+// write per key, each entering at its shard's primary: every key's
+// WRITE goes to its shard's group, and no other message — no FORWARD —
+// is sent. Every key reads back, and the history is regular.
 func TestShardedBatchSplitsAtPrimaries(t *testing.T) {
 	c, err := NewSimCluster(shardedOpts(Synchronous, 5, 4, 3, 1)...)
 	if err != nil {
@@ -95,16 +95,16 @@ func TestShardedBatchSplitsAtPrimaries(t *testing.T) {
 		t.Fatalf("write batch: %v", err)
 	}
 	sent := c.sys.Network().Stats().SentByKind
-	want := uint64(len(v.GroupFor(0)) + len(v.GroupFor(other)))
-	if got := sent[core.KindWriteBatch] - before[core.KindWriteBatch]; got != want ||
-		sent[core.KindWrite] != before[core.KindWrite] || sent[core.KindForward] != before[core.KindForward] {
-		t.Fatalf("sent %d WRITE_BATCH, %d WRITE, %d FORWARD; want %d WRITE_BATCH and nothing else", got,
-			sent[core.KindWrite]-before[core.KindWrite], sent[core.KindForward]-before[core.KindForward], want)
+	want := uint64(2 * (len(v.GroupFor(0)) + len(v.GroupFor(other))))
+	for kind, n := range sent {
+		if got := n - before[kind]; kind == core.KindWrite && got != want || kind != core.KindWrite && got != 0 {
+			t.Fatalf("sent %d %v, want %d WRITE and nothing else", got, kind, want)
+		}
 	}
 	for _, s := range []int{0, other} {
 		inner := c.sys.Node(v.GroupFor(s)[0]).(*shard.Node).Inner().(*syncreg.Node)
-		if got := inner.Stats().BatchWrites; got != 1 {
-			t.Fatalf("primary %v of shard %d ran %d batched broadcasts, want 1", v.GroupFor(s)[0], s, got)
+		if got := inner.Stats().Writes; got != 2 {
+			t.Fatalf("primary %v of shard %d ran %d writes, want 2", v.GroupFor(s)[0], s, got)
 		}
 	}
 	for k, want := range batch {

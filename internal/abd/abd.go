@@ -286,12 +286,6 @@ func (n *Node) checkWrite(id core.OpID, o *op) {
 	o.writeDone(o.writeVal, nil)
 }
 
-// WriteBatch implements core.Ops as one write per entry (core.WriteEach):
-// a quorum write costs a round trip per key whether batched or not.
-func (n *Node) WriteBatch(entries []core.KeyedWrite, done func([]core.KeyedValue, error)) error {
-	return core.WriteEach(n, entries, done)
-}
-
 // writeFor resolves the in-flight write an ACK feeds: by the OpID the
 // replica echoed when present, else by the ⟨reg, sn⟩ index.
 func (n *Node) writeFor(m core.AckMsg) (core.OpID, *op, bool) {

@@ -113,12 +113,6 @@ func (n *Node) Write(reg core.RegisterID, v core.Value, done func(core.Versioned
 	return n.inner.Write(reg, v, done)
 }
 
-// WriteBatch implements core.Ops as one write per entry (core.WriteEach);
-// a batch naming any key but 0 is refused at that entry.
-func (n *Node) WriteBatch(entries []core.KeyedWrite, done func([]core.KeyedValue, error)) error {
-	return core.WriteEach(n, entries, done)
-}
-
 // Stats returns write-back counters.
 func (n *Node) Stats() Stats { return n.stats }
 

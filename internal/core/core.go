@@ -9,10 +9,9 @@
 // (internal/nettransport) both implement Env, so identical protocol code runs
 // in virtual time and in real time.
 //
-// Every node serves its operations through one interface, Ops: Read,
-// Write and WriteBatch on any key, each completing through a done
-// callback (WriteEach is the batch of a protocol without a batched
-// broadcast). The other interfaces a node may implement only look at it:
+// Every node serves its operations through one interface, Ops: the
+// paper's Read and Write on any key, each completing through a done
+// callback. The other interfaces a node may implement only look at it:
 // Joiner, KeyedSnapshotter, OpAccountant and ReadPathCounter.
 package core
 
@@ -110,8 +109,8 @@ func (v VersionedValue) String() string {
 }
 
 // KeyedValue pairs a versioned value with the register it belongs to —
-// the unit of batch dissemination: join snapshot replies and batched
-// writes carry one KeyedValue per key.
+// the unit of batch dissemination: a join snapshot reply carries one
+// KeyedValue per key.
 type KeyedValue struct {
 	Reg   RegisterID
 	Value VersionedValue
@@ -233,10 +232,9 @@ type NodeFactory func(env Env, sc SpawnContext) Node
 
 // Ops is the one operation contract every register node serves: the
 // paper's read() and write(v), addressed to any register of the keyed
-// namespace, plus a batch of writes. Every engine (syncreg, esyncreg, abd,
-// atomicreg) and the sharding wrapper (internal/shard)
-// implement it, so a caller invokes an operation the same way whatever
-// protocol runs underneath.
+// namespace. Every engine (syncreg, esyncreg, abd, atomicreg) and the
+// sharding wrapper (internal/shard) implement it, so a caller invokes an
+// operation the same way whatever protocol runs underneath.
 //
 // The contract has one rule: if a call returns an error, done never runs
 // (the operation was not invoked); otherwise done runs exactly once, on
@@ -260,48 +258,6 @@ type Ops interface {
 	// that failed after invocation (a sharded write queued behind a
 	// handoff whose node stopped being the key's primary: ErrUnroutable).
 	Write(reg RegisterID, v Value, done func(VersionedValue, error)) error
-	// WriteBatch stores several registers' values. Entries must be sorted
-	// by Reg and name each key at most once. done receives the stored
-	// ⟨v, sn⟩ per entry, in entry order; on a failure the entries that
-	// were not applied carry ⊥. A protocol with a batched broadcast sends
-	// one message for the whole batch; every other one is WriteEach.
-	WriteBatch(entries []KeyedWrite, done func([]KeyedValue, error)) error
-}
-
-// WriteEach is WriteBatch as one Write per entry, all in flight at once:
-// the batch of every protocol without a batched broadcast, and of a
-// sharded batch whose keys span shards. Every entry settles before done
-// runs, once. The first entry the node refuses stops the batch: it and
-// the entries after it are not invoked and carry ⊥, with the refusal as
-// the batch's error, while the entries before it run to completion. An
-// error delivered to a write's done marks that entry failed too; the
-// batch reports the first error. An empty batch is an error and done
-// never runs.
-func WriteEach(o Ops, entries []KeyedWrite, done func([]KeyedValue, error)) error {
-	if len(entries) == 0 {
-		return errors.New("register: empty batch")
-	}
-	out := make([]KeyedValue, len(entries))
-	remaining := len(entries)
-	var failed error
-	settle := func(i int, vv VersionedValue, err error) {
-		if err != nil && failed == nil {
-			failed = err
-		}
-		out[i] = KeyedValue{Reg: entries[i].Reg, Value: vv}
-		if remaining--; remaining == 0 {
-			done(out, failed)
-		}
-	}
-	for i, e := range entries {
-		if err := o.Write(e.Reg, e.Val, func(vv VersionedValue, err error) { settle(i, vv, err) }); err != nil {
-			for j := i; j < len(entries); j++ {
-				settle(j, Bottom(), err)
-			}
-			break
-		}
-	}
-	return nil
 }
 
 // OpAccountant exposes the size of a node's operation table, for leak
@@ -319,13 +275,6 @@ type OpAccountant interface {
 // can see what fraction of reads the fast path serves.
 type ReadPathCounter interface {
 	ReadPathCounts() (fast, slow uint64)
-}
-
-// KeyedWrite is one entry of a batched write: the key and the raw value
-// to store (the protocol assigns the sequence number).
-type KeyedWrite struct {
-	Reg RegisterID
-	Val Value
 }
 
 // KeyedSnapshotter exposes per-key local copies for checking and metrics.

@@ -5,8 +5,8 @@ import "fmt"
 // MsgKind discriminates the wire messages used by the paper's protocols.
 type MsgKind int
 
-// Message kinds: one per message named in Figures 1–6, plus the batch and
-// relay messages. Each value is the kind's byte on the wire.
+// Message kinds: one per message named in Figures 1–6, plus the relay
+// messages. Each value is the kind's byte on the wire.
 const (
 	KindInquiry MsgKind = iota + 1
 	KindReply
@@ -20,7 +20,10 @@ const (
 	_
 	_
 	_
-	KindWriteBatch
+	// 10 carried a retired batched write (WRITE_BATCH); it stays
+	// unassigned so FORWARD and FORWARDED keep bytes 11 and 12, and the
+	// codec refuses it.
+	_
 	KindForward
 	KindForwarded
 )
@@ -40,8 +43,6 @@ func (k MsgKind) String() string {
 		return "READ"
 	case KindDLPrev:
 		return "DL_PREV"
-	case KindWriteBatch:
-		return "WRITE_BATCH"
 	case KindForward:
 		return "FORWARD"
 	case KindForwarded:
@@ -54,10 +55,10 @@ func (k MsgKind) String() string {
 // Message is a protocol wire message; internal/wire encodes every concrete
 // type. Both runtimes hand every other process a decoded copy, so nodes
 // can never share mutable state through a message. The one exception is
-// nettransport's self-delivery, which hands the sender its own value: the
-// batch-carrying messages (ReplyMsg, WriteBatchMsg) hold a slice whose
-// backing array is then shared, so senders build a fresh slice per
-// message and receivers must treat it as immutable.
+// nettransport's self-delivery, which hands the sender its own value: a
+// snapshot ReplyMsg holds a slice whose backing array is then shared, so
+// senders build a fresh slice per message and receivers must treat it as
+// immutable.
 //
 // Per-register messages carry a Reg field whose zero value addresses
 // DefaultRegister, so single-register constructions predating the keyed
@@ -133,19 +134,6 @@ type WriteMsg struct {
 
 // Kind implements Message.
 func (WriteMsg) Kind() MsgKind { return KindWrite }
-
-// WriteBatchMsg disseminates updates to several registers in one
-// broadcast (synchronous protocol only): each entry is applied exactly as
-// a lone WRITE for its key would be. Entries are in ascending Reg order;
-// receivers must not mutate the slice. Op tags the batch operation.
-type WriteBatchMsg struct {
-	From    ProcessID
-	Op      OpID
-	Entries []KeyedValue
-}
-
-// Kind implements Message.
-func (WriteBatchMsg) Kind() MsgKind { return KindWriteBatch }
 
 // AckMsg is ACK(i, sn) (Figure 6 line 08, Figure 4 line 20). SN carries the
 // register sequence number being acknowledged (ARCHITECTURE.md §1 says
@@ -272,7 +260,6 @@ var (
 	_ Message = AckMsg{}
 	_ Message = ReadMsg{}
 	_ Message = DLPrevMsg{}
-	_ Message = WriteBatchMsg{}
 	_ Message = ForwardMsg{}
 	_ Message = ForwardedMsg{}
 )

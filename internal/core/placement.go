@@ -4,7 +4,7 @@ import "errors"
 
 // ErrUnroutable is the sharding error, surfaced by the placement-aware
 // node wrapper (internal/shard): the operation reached a node that may
-// not serve it (a write or batch invoked away from its key's primary),
+// not serve it (a write invoked away from its key's primary),
 // or no replica of the key's shard is reachable (the view is empty, or
 // every relay attempt of a read was refused). The operation was NOT
 // applied.
@@ -101,21 +101,10 @@ type GroupSender interface {
 	SendGroup(to []ProcessID, m Message)
 }
 
-// sendGroup sends m to every process in to, as one group send where the
-// runtime offers it.
-func sendGroup(env Env, to []ProcessID, m Message) {
-	if gs, ok := env.(GroupSender); ok {
-		gs.SendGroup(to, m)
-		return
-	}
-	for _, id := range to {
-		env.Send(id, m)
-	}
-}
-
 // ScopedBroadcast disseminates a per-register message to reg's replica
 // group — point-to-point sends to each member, self included via the
-// runtime's loopback — or to the full membership when env is unsharded.
+// runtime's loopback, as one group send where the runtime offers it — or
+// to the full membership when env is unsharded.
 // This is what turns "every node replicates every key" into "R nodes
 // replicate each shard": WRITE/READ traffic for a key only ever reaches
 // its group.
@@ -130,31 +119,11 @@ func ScopedBroadcast(env Env, reg RegisterID, m Message) {
 		env.Broadcast(m)
 		return
 	}
-	sendGroup(env, g, m)
-}
-
-// ScopedBroadcastMulti disseminates one message addressing several
-// registers (a batched write) to the union of their replica groups,
-// each member once.
-func ScopedBroadcastMulti(env Env, regs []RegisterID, m Message) {
-	v := PlacementOf(env)
-	if v == nil {
-		env.Broadcast(m)
+	if gs, ok := env.(GroupSender); ok {
+		gs.SendGroup(g, m)
 		return
 	}
-	seen := make(map[ProcessID]bool)
-	var order []ProcessID
-	for _, reg := range regs {
-		for _, id := range v.Group(reg) {
-			if !seen[id] {
-				seen[id] = true
-				order = append(order, id)
-			}
-		}
+	for _, id := range g {
+		env.Send(id, m)
 	}
-	if len(order) == 0 {
-		env.Broadcast(m)
-		return
-	}
-	sendGroup(env, order, m)
 }

@@ -2,10 +2,12 @@
 // an ordinary test so CI needs no external linter binary: every package
 // must carry a package doc comment; the foundational API surfaces —
 // internal/core, internal/wire, and the public churnreg package — must
-// document every exported symbol; and a Go comment or a document that
-// sends the reader to a Markdown file, a package directory or a root JSON
-// file must name one that exists. It uses only go/parser, so the rules it
-// enforces and the code enforcing them version together.
+// document every exported symbol; a Go comment or a document that sends
+// the reader to a Markdown file, a package directory or a root JSON file
+// must name one that exists; and a package-qualified name a document puts
+// in a code span must be one that package declares. It uses only
+// go/parser, so the rules it enforces and the code enforcing them version
+// together.
 package docslint
 
 import (
@@ -271,6 +273,110 @@ func TestDocsNameExportedSeries(t *testing.T) {
 			}
 		}
 	}
+}
+
+// An inline code span of a Markdown line, and a package-qualified name
+// inside one: "placement.View.Route" names placement.View. A name preceded
+// by a path or another name ("internal/core/core.go", "tr.Placement") is
+// not package-qualified, and a snake_case one ("client.rtt_p50_ms") is a
+// metric of BENCHMARK.json, not a Go identifier.
+var (
+	codeSpan = regexp.MustCompile("`[^`]+`")
+	qualRef  = regexp.MustCompile(`(?:^|[^\w./])([a-z]\w*)\.([A-Za-z_]\w*)`)
+)
+
+// TestDocsNameDeclaredSymbols: a pkg.Name the documents put in an inline
+// code span, where pkg is client or a package directory under internal/,
+// names something that package declares — a func, method, type, var or
+// const, its test files included. A deleted or renamed identifier takes
+// its mentions with it. bench/README.md belongs to the benchmark and is
+// not checked.
+func TestDocsNameDeclaredSymbols(t *testing.T) {
+	root := moduleRoot(t)
+	dirs := map[string]string{"client": filepath.Join(root, "client")}
+	entries, err := os.ReadDir(filepath.Join(root, "internal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.IsDir() {
+			dirs[e.Name()] = filepath.Join(root, "internal", e.Name())
+		}
+	}
+	declared := make(map[string]map[string]bool)
+	checked := 0
+	for _, doc := range []string{"README.md", "ARCHITECTURE.md", "TESTING.md", ".claude/skills/verify/SKILL.md"} {
+		b, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Errorf("%s: %v", doc, err)
+			continue
+		}
+		fenced := false
+		for i, line := range strings.Split(string(b), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+			}
+			if fenced {
+				continue
+			}
+			for _, span := range codeSpan.FindAllString(line, -1) {
+				for _, m := range qualRef.FindAllStringSubmatch(span, -1) {
+					pkg, name := m[1], m[2]
+					dir, ok := dirs[pkg]
+					if !ok || strings.Contains(name, "_") {
+						continue
+					}
+					if declared[pkg] == nil {
+						declared[pkg] = declaredNames(t, dir)
+					}
+					checked++
+					if !declared[pkg][name] {
+						t.Errorf("%s:%d: names %s.%s, which package %s does not declare", doc, i+1, pkg, name, pkg)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no package-qualified name found in the documents' code spans")
+	}
+	t.Logf("%d package-qualified names checked", checked)
+}
+
+// declaredNames returns every top-level func, method, type, var and const
+// name the Go files in dir declare, test files included.
+func declaredNames(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make(map[string]bool)
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("parse %s: %v", path, err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				names[d.Name.Name] = true
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						names[s.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							names[n.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
 }
 
 func exists(path string) bool {

@@ -461,13 +461,6 @@ func (n *Node) checkWrite(id core.OpID, o *op) {
 	o.writeDone(core.VersionedValue{Val: o.writeVal, SN: o.writeSN}, nil)
 }
 
-// WriteBatch implements core.Ops as one write per entry (core.WriteEach):
-// every write runs its own embedded read and ACK quorum, so a batch saves
-// no round trip.
-func (n *Node) WriteBatch(entries []core.KeyedWrite, done func([]core.KeyedValue, error)) error {
-	return core.WriteEach(n, entries, done)
-}
-
 // Deliver implements core.Node, dispatching the handlers of Figures 4-6.
 func (n *Node) Deliver(from core.ProcessID, m core.Message) {
 	switch msg := m.(type) {

@@ -269,11 +269,11 @@ func TestMessagesCrossTheCodec(t *testing.T) {
 		{"bytes are the encoded frames", func(t *testing.T, sched *sim.Scheduler, net *Network, eps []*recorder) {
 			inq := core.InquiryMsg{From: 1, RSN: core.JoinReadSeq}
 			rep := core.ReplyMsg{From: 2, Reg: 5, Rest: []core.KeyedValue{{Reg: 6}, {Reg: 8}}}
-			batch := core.WriteBatchMsg{From: 3, Op: 4, Entries: []core.KeyedValue{{Reg: 1}, {Reg: 2}, {Reg: 3}}}
+			snap := core.ReplyMsg{From: 3, Op: 4, Rest: []core.KeyedValue{{Reg: 1}, {Reg: 2}, {Reg: 3}}}
 			net.Send(1, 2, inq)
 			net.Send(2, 1, rep)
-			net.Broadcast(3, batch)
-			want := frameLen(t, 1, inq) + frameLen(t, 2, rep) + uint64(len(eps))*frameLen(t, 3, batch)
+			net.Broadcast(3, snap)
+			want := frameLen(t, 1, inq) + frameLen(t, 2, rep) + uint64(len(eps))*frameLen(t, 3, snap)
 			if got := net.Stats().BytesSent; got != want {
 				t.Fatalf("BytesSent = %d, want %d", got, want)
 			}

@@ -163,7 +163,7 @@ func TestDrainFlushesWholeQueueInOneWrite(t *testing.T) {
 // buffer a flush is done with is kept for the next swap only while it is
 // small, so a backlog does not stay allocated on every link it crossed.
 func TestLinkKeepsNoBurstSizedBuffer(t *testing.T) {
-	big := wire.Frame{Type: wire.FrameMsg, From: 1, Msg: core.WriteBatchMsg{From: 1, Op: 1, Entries: make([]core.KeyedValue, maxSpare/24+1)}}
+	big := wire.Frame{Type: wire.FrameMsg, From: 1, Msg: core.ReplyMsg{From: 1, Op: 1, Rest: make([]core.KeyedValue, maxSpare/24+1)}}
 	tr, p, _ := newDrainHarness(t, 3, nil)
 	drainUntilIdle(t, tr, p, &scriptConn{failAfter: -1})
 	if p.spare == nil || cap(p.spare) > maxSpare {

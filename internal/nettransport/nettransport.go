@@ -557,17 +557,6 @@ func (t *Transport) WriteKey(reg core.RegisterID, v core.Value, timeout time.Dur
 	return nodeops.WriteKey(t.invoker(), reg, v, timeout)
 }
 
-// WriteBatch stores several keys' values, waits for all of them, and
-// reports the stored ⟨v, sn⟩ per entry.
-func (t *Transport) WriteBatch(entries []core.KeyedWrite, timeout time.Duration) ([]core.KeyedValue, error) {
-	return nodeops.WriteBatch(t.invoker(), entries, timeout)
-}
-
-// SnapshotKey returns the node's local copy of one register.
-func (t *Transport) SnapshotKey(reg core.RegisterID, timeout time.Duration) (core.VersionedValue, error) {
-	return nodeops.SnapshotKey(t.invoker(), reg, timeout)
-}
-
 // ---- core.Env ----
 
 // ID implements core.Env.

@@ -214,27 +214,6 @@ func TestCrashedPeerIsEvicted(t *testing.T) {
 	t.Fatalf("crashed peer never evicted: %d peers", a.PeerCount())
 }
 
-// TestWriteBatchOverTCP drives the batched write path end to end.
-func TestWriteBatchOverTCP(t *testing.T) {
-	ts := startCluster(t, 3, syncreg.Factory(syncreg.Options{}), 40)
-	for _, tr := range ts {
-		waitPeerCount(t, tr, 2)
-	}
-	entries := []core.KeyedWrite{{Reg: 1, Val: 11}, {Reg: 2, Val: 22}, {Reg: 3, Val: 33}}
-	if _, err := ts[0].WriteBatch(entries, opTimeout); err != nil {
-		t.Fatalf("write batch: %v", err)
-	}
-	for _, e := range entries {
-		v, err := ts[1].ReadKey(e.Reg, opTimeout)
-		if err != nil {
-			t.Fatalf("read %v: %v", e.Reg, err)
-		}
-		if v.Val != e.Val {
-			t.Fatalf("read %v = %v, want %d", e.Reg, v, e.Val)
-		}
-	}
-}
-
 // TestSendToSelfLoopsBack pins the loopback contract the quorum protocols
 // depend on (a node counts its own reply).
 func TestSendToSelfLoopsBack(t *testing.T) {

@@ -79,9 +79,9 @@ func (sp *stalledPeer) readOps(conn net.Conn, sc *wire.Scanner, last core.OpID) 
 		if err != nil {
 			sp.t.Fatalf("after %d frames: %v", len(ops), err)
 		}
-		m, ok := f.Msg.(core.WriteBatchMsg)
-		if !ok || f.From != 1 || len(m.Entries) != stallEntries {
-			sp.t.Fatalf("frame %d = %+v, want one of p1's batches", len(ops), f)
+		m, ok := f.Msg.(core.ReplyMsg)
+		if !ok || f.From != 1 || len(m.Rest) != stallEntries {
+			sp.t.Fatalf("frame %d = %+v, want one of p1's snapshot replies", len(ops), f)
 		}
 		ops = append(ops, m.Op)
 	}
@@ -102,7 +102,7 @@ func pushUntilRefused(t *testing.T, tr *Transport, p *probe) (sent, firstRefused
 		firstRefused = sent
 		tr.do(func() {
 			for i := 0; i < stallTurnFrames; i++ {
-				p.env.Send(2, core.WriteBatchMsg{From: 1, Op: core.OpID(sent), Entries: entries})
+				p.env.Send(2, core.ReplyMsg{From: 1, Op: core.OpID(sent), Rest: entries})
 				sent++
 			}
 		})
@@ -137,7 +137,7 @@ func TestShortWriteKeepsTheStreamWholeAndTheNodeRunning(t *testing.T) {
 		for i := 0; i < more; i++ {
 			tr.do(func() {
 				p.env.Send(3, label(i))
-				p.env.Send(2, core.WriteBatchMsg{From: 1, Op: core.OpID(sent + i), Entries: entries})
+				p.env.Send(2, core.ReplyMsg{From: 1, Op: core.OpID(sent + i), Rest: entries})
 				p.env.Send(1, label(i))
 			})
 		}
@@ -177,7 +177,7 @@ func TestConnectionDeathMidRemainderResendsTheBatchFromItsFirstByte(t *testing.T
 	// The writer holds the remainder of the refused batch — its offset most
 	// likely inside a frame — and frames sent since wait behind it.
 	entries := make([]core.KeyedValue, stallEntries)
-	tr.do(func() { p.env.Send(2, core.WriteBatchMsg{From: 1, Op: core.OpID(sent), Entries: entries}) })
+	tr.do(func() { p.env.Send(2, core.ReplyMsg{From: 1, Op: core.OpID(sent), Rest: entries}) })
 	sent++
 	conn.Close() // unread data: the kernel resets the connection
 

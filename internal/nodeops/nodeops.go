@@ -64,31 +64,9 @@ func WriteKey(inv Invoke, reg core.RegisterID, v core.Value, timeout time.Durati
 	return r.v, nil
 }
 
-// WriteBatch stores several keys' values, waits for all of them to
-// return ok, and reports the exact ⟨v, sn⟩ stored per entry, in entry
-// order. Entries must be sorted by Reg with no duplicates.
-func WriteBatch(inv Invoke, entries []core.KeyedWrite, timeout time.Duration) ([]core.KeyedValue, error) {
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("nodeops: empty batch")
-	}
-	for i := 1; i < len(entries); i++ {
-		if entries[i-1].Reg >= entries[i].Reg {
-			return nil, fmt.Errorf("nodeops: batch entries not sorted/unique at %v", entries[i].Reg)
-		}
-	}
-	r, err := run(inv, timeout, func(o core.Ops, res chan<- result) error {
-		return o.WriteBatch(entries, func(kvs []core.KeyedValue, err error) { res <- result{kvs: kvs, err: err} })
-	})
-	if err != nil {
-		return nil, err
-	}
-	return r.kvs, nil
-}
-
 // result is one operation's outcome, as its done callback reports it.
 type result struct {
 	v   core.VersionedValue
-	kvs []core.KeyedValue
 	err error
 }
 
@@ -118,33 +96,6 @@ func run(inv Invoke, timeout time.Duration, op func(core.Ops, chan<- result) err
 		return r, r.err
 	case <-timer.C:
 		return result{}, ErrTimeout
-	}
-}
-
-// SnapshotKey returns the node's local copy of one register (for checking
-// and metrics; not a protocol read).
-func SnapshotKey(inv Invoke, reg core.RegisterID, timeout time.Duration) (core.VersionedValue, error) {
-	res := make(chan core.VersionedValue, 1)
-	if err := inv(func(n core.Node) {
-		if s, ok := n.(core.KeyedSnapshotter); ok {
-			res <- s.SnapshotKey(reg)
-			return
-		}
-		if reg == core.DefaultRegister {
-			res <- n.Snapshot()
-			return
-		}
-		res <- core.Bottom()
-	}); err != nil {
-		return core.Bottom(), err
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case v := <-res:
-		return v, nil
-	case <-timer.C:
-		return core.Bottom(), ErrTimeout
 	}
 }
 

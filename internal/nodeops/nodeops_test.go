@@ -14,7 +14,7 @@ type plainNode struct{ activeAfter int }
 
 func (*plainNode) Start()                               {}
 func (*plainNode) Deliver(core.ProcessID, core.Message) {}
-func (*plainNode) Snapshot() core.VersionedValue        { return core.VersionedValue{Val: 5} }
+func (*plainNode) Snapshot() core.VersionedValue        { return core.VersionedValue{} }
 
 // Active reports true from its activeAfter-th call on.
 func (n *plainNode) Active() bool {
@@ -31,8 +31,6 @@ type scriptedNode struct {
 	fail   error
 	hold   bool
 	held   func()
-	// seen is the batch WriteBatch was invoked with.
-	seen []core.KeyedWrite
 }
 
 func (s *scriptedNode) complete(f func()) {
@@ -59,25 +57,6 @@ func (s *scriptedNode) Write(reg core.RegisterID, v core.Value, done func(core.V
 	return nil
 }
 
-func (s *scriptedNode) WriteBatch(entries []core.KeyedWrite, done func([]core.KeyedValue, error)) error {
-	s.seen = entries
-	if s.refuse != nil {
-		return s.refuse
-	}
-	out := make([]core.KeyedValue, len(entries))
-	for i, e := range entries {
-		out[i] = core.KeyedValue{Reg: e.Reg, Value: core.VersionedValue{Val: e.Val, SN: 1}}
-	}
-	s.complete(func() { done(out, s.fail) })
-	return nil
-}
-
-func (s *scriptedNode) SnapshotKey(reg core.RegisterID) core.VersionedValue {
-	return core.VersionedValue{Val: core.Value(reg), SN: 7}
-}
-
-func (s *scriptedNode) Keys() []core.RegisterID { return nil }
-
 // inline is the Invoke of a node only the calling goroutine touches.
 func inline(n core.Node) Invoke {
 	return func(fn func(core.Node)) error {
@@ -96,11 +75,6 @@ func TestValuesAndServerPassThrough(t *testing.T) {
 	if vv, err := WriteKey(inline(n), 6, 60, wait); err != nil || vv != (core.VersionedValue{Val: 60, SN: 6}) {
 		t.Fatalf("write = %v, %v", vv, err)
 	}
-	batch := []core.KeyedWrite{{Reg: 1, Val: 10}, {Reg: 2, Val: 20}}
-	kvs, err := WriteBatch(inline(n), batch, wait)
-	if err != nil || len(kvs) != 2 || kvs[1] != (core.KeyedValue{Reg: 2, Value: core.VersionedValue{Val: 20, SN: 1}}) {
-		t.Fatalf("batch = %v, %v", kvs, err)
-	}
 }
 
 func TestInvocationErrorIsReturned(t *testing.T) {
@@ -111,17 +85,11 @@ func TestInvocationErrorIsReturned(t *testing.T) {
 	if _, err := WriteKey(inline(n), 1, 1, wait); err != core.ErrNotActive {
 		t.Fatalf("write: %v", err)
 	}
-	if _, err := WriteBatch(inline(n), []core.KeyedWrite{{Reg: 1}}, wait); err != core.ErrNotActive {
-		t.Fatalf("batch: %v", err)
-	}
 	// A node that is gone fails the Invoke itself.
 	gone := errors.New("gone")
 	dead := func(func(core.Node)) error { return gone }
 	if _, err := WriteKey(dead, 1, 1, wait); err != gone {
 		t.Fatalf("write on a gone node: %v", err)
-	}
-	if _, err := SnapshotKey(dead, 1, wait); err != gone {
-		t.Fatalf("snapshot on a gone node: %v", err)
 	}
 	if err := WaitActive(dead, time.Millisecond, wait); err != gone {
 		t.Fatalf("wait on a gone node: %v", err)
@@ -136,9 +104,6 @@ func TestErrorDeliveredInDone(t *testing.T) {
 	if v, err := ReadKey(inline(n), 1, wait); err != core.ErrUnroutable || !v.IsBottom() {
 		t.Fatalf("read: %v, %v", v, err)
 	}
-	if kvs, err := WriteBatch(inline(n), []core.KeyedWrite{{Reg: 1}}, wait); err != core.ErrUnroutable || kvs != nil {
-		t.Fatalf("batch: %v, %v", kvs, err)
-	}
 }
 
 func TestNodeWithoutOps(t *testing.T) {
@@ -148,17 +113,6 @@ func TestNodeWithoutOps(t *testing.T) {
 	}
 	if _, err := WriteKey(inline(n), 1, 1, wait); err == nil {
 		t.Fatal("write accepted")
-	}
-	// Snapshots need no core.Ops: key 0 falls back to Snapshot, other
-	// keys of a node without KeyedSnapshotter are ⊥.
-	if v, err := SnapshotKey(inline(n), 0, wait); err != nil || v.Val != 5 {
-		t.Fatalf("snapshot of key 0 = %v, %v", v, err)
-	}
-	if v, err := SnapshotKey(inline(n), 1, wait); err != nil || !v.IsBottom() {
-		t.Fatalf("snapshot of key 1 = %v, %v", v, err)
-	}
-	if v, err := SnapshotKey(inline(&scriptedNode{}), 2, wait); err != nil || v != (core.VersionedValue{Val: 2, SN: 7}) {
-		t.Fatalf("keyed snapshot = %v, %v", v, err)
 	}
 }
 
@@ -181,24 +135,6 @@ func TestTimeoutAndLateDone(t *testing.T) {
 	}
 	if _, err := ReadKey(inline(n), 1, 10*time.Millisecond); err != ErrTimeout {
 		t.Fatalf("read: %v, want ErrTimeout", err)
-	}
-}
-
-func TestBatchValidation(t *testing.T) {
-	n := &scriptedNode{}
-	if _, err := WriteBatch(inline(n), nil, wait); err == nil {
-		t.Fatal("empty batch accepted")
-	}
-	unsorted := []core.KeyedWrite{{Reg: 2}, {Reg: 1}}
-	if _, err := WriteBatch(inline(n), unsorted, wait); err == nil {
-		t.Fatal("unsorted batch accepted")
-	}
-	dup := []core.KeyedWrite{{Reg: 1}, {Reg: 1}}
-	if _, err := WriteBatch(inline(n), dup, wait); err == nil {
-		t.Fatal("batch naming a key twice accepted")
-	}
-	if n.seen != nil {
-		t.Fatalf("an invalid batch reached the node: %v", n.seen)
 	}
 }
 

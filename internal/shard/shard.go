@@ -645,29 +645,6 @@ func (n *Node) isPrimary(reg core.RegisterID) bool {
 	return len(g) > 0 && g[0] == n.env.ID()
 }
 
-// WriteBatch implements core.Ops. Sharded, a batch enters only where
-// this node is every key's primary, else it fails with ErrUnroutable like
-// Write. A batch within ONE ready shard keeps the inner protocol's batch
-// (for the synchronous protocol one broadcast to that shard's group);
-// any other is core.WriteEach, because one broadcast to the union of
-// several shards' groups would store every key on every union member.
-func (n *Node) WriteBatch(entries []core.KeyedWrite, done func([]core.KeyedValue, error)) error {
-	if n.view == nil {
-		return n.ops.WriteBatch(entries, done)
-	}
-	oneShard := len(entries) > 0
-	for _, e := range entries {
-		if !n.isPrimary(e.Reg) {
-			return core.ErrUnroutable
-		}
-		oneShard = oneShard && n.view.ShardOf(e.Reg) == n.view.ShardOf(entries[0].Reg)
-	}
-	if !oneShard || n.pendingShard(n.view.ShardOf(entries[0].Reg)) {
-		return core.WriteEach(n, entries, done)
-	}
-	return n.ops.WriteBatch(entries, done)
-}
-
 // queueOnShard parks an operation until the shard's handoff completes.
 func (n *Node) queueOnShard(s int, fn func()) {
 	st := n.shards[s]

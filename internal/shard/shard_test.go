@@ -42,11 +42,14 @@ func newStubNode(f core.NodeFactory) (*shard.Node, *stubEnv) {
 
 // TestServeForwardAllocs pins what serving one FORWARD costs in
 // allocations on an unsharded node: the FORWARD in, the inner protocol's
-// operation (for abd, the two quorum answers it waits for), the FORWARDED
-// out. The FORWARD is boxed in advance; the abd answers name the
-// operation's id, so the test boxes each per run, and the abd ceilings
-// count those two allocations. The wrapper hands the caller's done to the
-// engine unwrapped; a wrapping closure would cost each abd case one more.
+// operation (for abd, the two quorum answers it waits for; for a sync
+// write, its wait(δ) timer, which the test fires, since syncreg takes no
+// ACKs), the FORWARDED out. The FORWARD is boxed in advance; the abd
+// answers name the operation's id, so the test boxes each per run, and
+// the abd ceilings count those two allocations. The wrapper hands the
+// caller's done to the engine unwrapped; a wrapping closure would cost
+// each abd case one more, and syncreg stores that done in its write's
+// table entry as it is.
 func TestServeForwardAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector perturbs allocation counts")
@@ -66,6 +69,7 @@ func TestServeForwardAllocs(t *testing.T) {
 		max     float64
 	}{
 		{"sync read", syncreg.Factory(syncreg.Options{}), read, 4},
+		{"sync write", syncreg.Factory(syncreg.Options{}), write, 7},
 		{"abd read", abd.Factory(), read, 10},
 		{"abd write", abd.Factory(), write, 10},
 	}
@@ -80,6 +84,11 @@ func TestServeForwardAllocs(t *testing.T) {
 						n.Deliver(from, core.ReplyMsg{From: from, Value: core.ImplicitInitial(), RSN: m.RSN, Reg: reg, Op: m.Op})
 					}
 				case core.WriteMsg:
+					if fire := env.timer; fire != nil {
+						env.timer = nil
+						fire()
+						break
+					}
 					for _, from := range []core.ProcessID{2, 3} {
 						n.Deliver(from, core.AckMsg{From: from, SN: m.Value.SN, Reg: reg, Op: m.Op})
 					}
@@ -261,89 +270,10 @@ func keysOf(v *placement.View, s, count int) []core.RegisterID {
 	return ks
 }
 
-// writeBatch runs one batch at id to completion and returns what the
-// messages it sent were, by kind.
-func writeBatch(t *testing.T, sys *dynsys.System, id core.ProcessID, keys []core.RegisterID) map[core.MsgKind]uint64 {
-	t.Helper()
-	entries := make([]core.KeyedWrite, len(keys))
-	for i, k := range keys {
-		entries[i] = core.KeyedWrite{Reg: k, Val: core.Value(100 + k)}
-	}
-	before := sys.Network().Stats().SentByKind
-	var got []core.KeyedValue
-	calls := 0
-	err := sys.Node(id).(*shard.Node).WriteBatch(entries, func(kvs []core.KeyedValue, err error) {
-		if err != nil {
-			t.Errorf("batch failed: %v", err)
-		}
-		got = kvs
-		calls++
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.RunFor(100); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("done ran %d times, want once", calls)
-	}
-	for i, kv := range got {
-		if kv.Reg != keys[i] || kv.Value.Val != core.Value(100+keys[i]) || kv.Value.SN != 1 {
-			t.Fatalf("entry %d stored %v, want %v=⟨%d,#1⟩", i, kv, keys[i], 100+keys[i])
-		}
-	}
-	sent := sys.Network().Stats().SentByKind
-	for k := range sent {
-		sent[k] -= before[k]
-	}
-	return sent
-}
-
-func TestBatchInOneOwnedShardIsOneBroadcast(t *testing.T) {
-	sys := newSharded(t, 5, 4, 3)
-	v := sys.Placement()
-	keys := keysOf(v, 0, 3)
-	primary := v.GroupFor(0)[0]
-	sent := writeBatch(t, sys, primary, keys)
-	if sent[core.KindWriteBatch] != uint64(len(v.GroupFor(0))) || sent[core.KindWrite] != 0 || sent[core.KindForward] != 0 {
-		t.Fatalf("sent %v; want one WRITE_BATCH to each of the %d group members and nothing else", sent, len(v.GroupFor(0)))
-	}
-	if got := sys.Node(primary).(*shard.Node).Inner().(*syncreg.Node).Stats().BatchWrites; got != 1 {
-		t.Fatalf("primary ran %d batched broadcasts, want 1", got)
-	}
-}
-
-// TestBatchAcrossShardsDecomposes: a batch over two shards with one
-// primary, entered there, runs as one WRITE per key — one broadcast to
-// the union of both groups would store each key outside its group — and
-// relays nothing.
-func TestBatchAcrossShardsDecomposes(t *testing.T) {
-	sys := newSharded(t, 5, 8, 3)
-	v := sys.Placement()
-	// Eight shards over five processes: two of them share a primary.
-	var keys []core.RegisterID
-	for a := 0; a < v.NumShards() && keys == nil; a++ {
-		for b := a + 1; b < v.NumShards(); b++ {
-			if v.GroupFor(a)[0] == v.GroupFor(b)[0] {
-				keys = append(keysOf(v, a, 1), keysOf(v, b, 1)...)
-				break
-			}
-		}
-	}
-	if keys[0] > keys[1] {
-		keys[0], keys[1] = keys[1], keys[0]
-	}
-	sent := writeBatch(t, sys, v.GroupFor(v.ShardOf(keys[0]))[0], keys)
-	if sent[core.KindWriteBatch] != 0 || sent[core.KindWrite] == 0 || sent[core.KindForward] != 0 {
-		t.Fatalf("sent %v; want per-key WRITEs, no WRITE_BATCH and no FORWARD", sent)
-	}
-}
-
-// TestWriteAtNonPrimaryRefused: a write, and a one-key batch, invoked at
-// any process but the key's primary — a replica or not — fail at
-// invocation with ErrUnroutable. done never runs, nothing is sent, and no
-// process stores the value.
+// TestWriteAtNonPrimaryRefused: a write invoked at any process but the
+// key's primary — a replica or not — fails at invocation with
+// ErrUnroutable. done never runs, nothing is sent, and no process
+// stores the value.
 func TestWriteAtNonPrimaryRefused(t *testing.T) {
 	sys := newSharded(t, 5, 4, 3)
 	v := sys.Placement()
@@ -357,10 +287,6 @@ func TestWriteAtNonPrimaryRefused(t *testing.T) {
 		n := sys.Node(id).(*shard.Node)
 		if err := n.Write(key, val, func(core.VersionedValue, error) { calls++ }); !errors.Is(err, core.ErrUnroutable) {
 			t.Fatalf("write at %v (group %v): err = %v, want ErrUnroutable", id, v.Group(key), err)
-		}
-		err := n.WriteBatch([]core.KeyedWrite{{Reg: key, Val: val}}, func([]core.KeyedValue, error) { calls++ })
-		if !errors.Is(err, core.ErrUnroutable) {
-			t.Fatalf("batch at %v (group %v): err = %v, want ErrUnroutable", id, v.Group(key), err)
 		}
 	}
 	if err := sys.RunFor(50); err != nil {

@@ -12,8 +12,7 @@
 //     This is the protocol's "fast reads" design point.
 //   - write (Figure 2): increment the key's sequence number, update the
 //     local copy, broadcast WRITE, wait δ so the broadcast's timely
-//     delivery property has taken effect everywhere, then return. A batch
-//     write updates several keys with the same single broadcast and δ wait.
+//     delivery property has taken effect everywhere, then return.
 //
 // Concurrency: the paper's processes are sequential; this node is not.
 // Every write is an entry in an operation table (core.OpTable) with its
@@ -43,11 +42,7 @@
 // does not enforce the bound — experiments explore both sides of it.
 package syncreg
 
-import (
-	"fmt"
-
-	"churnreg/internal/core"
-)
+import "churnreg/internal/core"
 
 // Options tune the protocol for experiments.
 type Options struct {
@@ -74,8 +69,8 @@ type Node struct {
 	replyTo []core.ProcessID
 	// replyToSeen dedupes replyTo.
 	replyToSeen map[core.ProcessID]bool
-	// ops tracks in-flight writes (lone and batched), one entry per client
-	// operation, each completed by its own δ timer.
+	// ops tracks in-flight writes, one entry per client operation, each
+	// completed by its own δ timer.
 	ops *core.OpTable[writeOp]
 
 	joining  bool
@@ -88,7 +83,6 @@ type Node struct {
 type Stats struct {
 	Reads            uint64
 	Writes           uint64
-	BatchWrites      uint64 // batched broadcasts (each covering >= 1 key)
 	JoinInquiries    uint64 // INQUIRY broadcasts sent by this node's join (0 or 1)
 	InquiriesServed  uint64
 	InquiriesDelayed uint64
@@ -117,11 +111,11 @@ func Factory(opts Options) core.NodeFactory {
 	}
 }
 
-// writeOp is one in-flight write operation: the values it stored (one for
-// a lone write, several for a batch) and the callback its δ timer runs.
+// writeOp is one in-flight write operation: the ⟨v, sn⟩ it stored and the
+// caller's callback, which its δ timer runs.
 type writeOp struct {
-	entries []core.KeyedValue
-	done    func([]core.KeyedValue, error)
+	stored core.VersionedValue
+	done   func(core.VersionedValue, error)
 }
 
 // Compile-time interface checks.
@@ -267,8 +261,7 @@ func (n *Node) Write(k core.RegisterID, v core.Value, done func(core.VersionedVa
 	// key builds on this sequence number: invocation order = sn order.
 	next := core.VersionedValue{Val: v, SN: n.value(k).SN + 1}
 	n.regs.Store(k, next)
-	o.entries = []core.KeyedValue{{Reg: k, Value: next}}
-	o.done = func(kvs []core.KeyedValue, err error) { done(kvs[0].Value, err) }
+	o.stored, o.done = next, done
 	// Sharded runtimes scope the dissemination to the key's replica
 	// group (R sends instead of a full broadcast — the capacity dividend);
 	// unsharded ones broadcast exactly as Figure 2 prescribes.
@@ -287,50 +280,7 @@ func (n *Node) finishWrite(id core.OpID) {
 		return
 	}
 	n.ops.Finish(id)
-	o.done(o.entries, nil)
-}
-
-// WriteBatch implements core.Ops: one broadcast carries updates for
-// every named key, and the single δ wait covers them all — the
-// synchronous model's batching dividend. done receives the stored ⟨v, sn⟩
-// per entry, in entry order. Entries must be sorted by Reg with no
-// duplicates. The whole batch is ONE op-table entry.
-func (n *Node) WriteBatch(entries []core.KeyedWrite, done func([]core.KeyedValue, error)) error {
-	if !n.active {
-		return core.ErrNotActive
-	}
-	if len(entries) == 0 {
-		return fmt.Errorf("syncreg: empty batch")
-	}
-	for i, e := range entries {
-		if i > 0 && entries[i-1].Reg >= e.Reg {
-			return fmt.Errorf("syncreg: batch entries not sorted/unique at %v", e.Reg)
-		}
-	}
-	if n.ops.Full() {
-		return core.ErrOpInProgress
-	}
-	id, o := n.ops.Begin()
-	n.stats.BatchWrites++
-	n.stats.Writes += uint64(len(entries))
-	out := make([]core.KeyedValue, len(entries))
-	for i, e := range entries {
-		next := core.VersionedValue{Val: e.Val, SN: n.value(e.Reg).SN + 1}
-		n.regs.Store(e.Reg, next)
-		out[i] = core.KeyedValue{Reg: e.Reg, Value: next}
-	}
-	o.entries = out
-	o.done = done
-	regs := make([]core.RegisterID, len(out))
-	for i, kv := range out {
-		regs[i] = kv.Reg
-	}
-	// One message to the union of the entries' replica groups (the whole
-	// membership when unsharded) — the batching dividend survives sharding
-	// whenever a batch stays within one group.
-	core.ScopedBroadcastMulti(n.env, regs, core.WriteBatchMsg{From: n.env.ID(), Op: id, Entries: out})
-	n.env.After(n.env.Delta(), func() { n.finishWrite(id) })
-	return nil
+	o.done(o.stored, nil)
 }
 
 // PendingOps implements core.OpAccountant.
@@ -346,8 +296,6 @@ func (n *Node) Deliver(from core.ProcessID, m core.Message) {
 		n.handleReply(msg)
 	case core.WriteMsg:
 		n.handleWrite(msg)
-	case core.WriteBatchMsg:
-		n.handleWriteBatch(msg)
 	default:
 		// Other kinds belong to the eventually synchronous protocol; a
 		// mixed deployment is a configuration bug we surface loudly in
@@ -392,14 +340,5 @@ func (n *Node) handleReply(m core.ReplyMsg) {
 func (n *Node) handleWrite(m core.WriteMsg) {
 	if !n.merge(m.Reg, m.Value) {
 		n.stats.StaleWritesSeen++
-	}
-}
-
-// handleWriteBatch applies each entry exactly as a lone WRITE would be.
-func (n *Node) handleWriteBatch(m core.WriteBatchMsg) {
-	for _, kv := range m.Entries {
-		if !n.merge(kv.Reg, kv.Value) {
-			n.stats.StaleWritesSeen++
-		}
 	}
 }

@@ -46,8 +46,9 @@ func v1Frames() map[string][]byte {
 	// REPLY(from, val, sn, rsn, reg, count=0) — no Op before the count.
 	reply := v1Msg(core.KindReply, 7, 42, 5, 3, 1)
 	frames["reply"] = binary.BigEndian.AppendUint32(reply, 0)
-	// WRITE_BATCH(from, count=1, entry) — no Op before the count.
-	batch := v1Msg(core.KindWriteBatch, 7)
+	// WRITE_BATCH(from, count=1, entry) — no Op before the count. Kind
+	// 10 is retired, so its byte is written as a number.
+	batch := v1Msg(10, 7)
 	batch = binary.BigEndian.AppendUint32(batch, 1)
 	for _, f := range []int64{1, 42, 5} {
 		batch = v1be64(batch, f)

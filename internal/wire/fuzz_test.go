@@ -95,9 +95,6 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			m = core.ReadMsg{From: core.ProcessID(a), RSN: core.ReadSeq(b), Reg: core.RegisterID(c), Op: core.OpID(b)}
 		case core.KindDLPrev:
 			m = core.DLPrevMsg{From: core.ProcessID(a), RSN: core.ReadSeq(b), Reg: core.RegisterID(c), Op: core.OpID(b)}
-		case core.KindWriteBatch:
-			m = core.WriteBatchMsg{From: core.ProcessID(a), Op: core.OpID(d),
-				Entries: []core.KeyedValue{{Reg: core.RegisterID(b), Value: vv}}}
 		case core.KindForward:
 			m = core.ForwardMsg{From: core.ProcessID(a), Op: core.OpID(d),
 				Reg: core.RegisterID(e), IsWrite: b&1 == 0, Val: core.Value(c)}

@@ -1,8 +1,8 @@
 // Package wire is the binary codec the TCP transport speaks, and the one
 // internal/netsim runs every simulated message through: every
 // protocol message of internal/core (the paper's INQUIRY/REPLY/WRITE/ACK/
-// READ/DL_PREV, the batched WRITE_BATCH and the FORWARD/FORWARDED relay)
-// round-trips through a compact fixed-layout encoding, carried
+// READ/DL_PREV and the FORWARD/FORWARDED relay) round-trips through a
+// compact fixed-layout encoding, carried
 // in length-prefixed frames alongside the transport's own control frames
 // (HELLO/PEERS/LEAVE).
 //
@@ -407,14 +407,6 @@ func AppendMessage(b []byte, m core.Message) ([]byte, error) {
 		b = be64(b, int64(msg.RSN))
 		b = be64(b, int64(msg.Reg))
 		b = binary.BigEndian.AppendUint64(b, uint64(msg.Op))
-	case core.WriteBatchMsg:
-		b = append(b, byte(core.KindWriteBatch))
-		b = be64(b, int64(msg.From))
-		b = binary.BigEndian.AppendUint64(b, uint64(msg.Op))
-		b = binary.BigEndian.AppendUint32(b, uint32(len(msg.Entries)))
-		for _, kv := range msg.Entries {
-			b = appendKeyedValue(b, kv)
-		}
 	case core.ForwardMsg:
 		b = append(b, byte(core.KindForward))
 		b = be64(b, int64(msg.From))
@@ -705,12 +697,6 @@ func (d *decoder) message() core.Message {
 			RSN:  core.ReadSeq(d.i64()),
 			Reg:  core.RegisterID(d.i64()),
 			Op:   core.OpID(d.u64()),
-		}
-	case core.KindWriteBatch:
-		return core.WriteBatchMsg{
-			From:    core.ProcessID(d.i64()),
-			Op:      core.OpID(d.u64()),
-			Entries: d.keyedValues(),
 		}
 	case core.KindForward:
 		return core.ForwardMsg{

@@ -12,7 +12,7 @@ import (
 )
 
 // randMessage draws one message of each kind in rotation with randomized
-// fields, including batched join snapshots and multi-key write batches.
+// fields, including batched join snapshots.
 func randMessage(rng *rand.Rand, kind core.MsgKind) core.Message {
 	vv := func() core.VersionedValue {
 		return core.VersionedValue{Val: core.Value(rng.Int63() - rng.Int63()), SN: core.SeqNum(rng.Int63n(1 << 40))}
@@ -43,8 +43,6 @@ func randMessage(rng *rand.Rand, kind core.MsgKind) core.Message {
 		return core.ReadMsg{From: from, RSN: core.ReadSeq(rng.Int63n(1 << 30)), Reg: core.RegisterID(rng.Int63n(1 << 20)), Op: op()}
 	case core.KindDLPrev:
 		return core.DLPrevMsg{From: from, RSN: core.ReadSeq(rng.Int63n(1 << 30)), Reg: core.RegisterID(rng.Int63n(1 << 20)), Op: op()}
-	case core.KindWriteBatch:
-		return core.WriteBatchMsg{From: from, Op: op(), Entries: kvs(1 + rng.Intn(32))}
 	case core.KindForward:
 		return core.ForwardMsg{From: from, Op: op(), Reg: core.RegisterID(rng.Int63n(1 << 20)),
 			IsWrite: rng.Intn(2) == 0, Val: core.Value(rng.Int63() - rng.Int63())}
@@ -58,12 +56,11 @@ func randMessage(rng *rand.Rand, kind core.MsgKind) core.Message {
 
 var allKinds = []core.MsgKind{
 	core.KindInquiry, core.KindReply, core.KindWrite, core.KindAck,
-	core.KindRead, core.KindDLPrev, core.KindWriteBatch, core.KindForward,
-	core.KindForwarded,
+	core.KindRead, core.KindDLPrev, core.KindForward, core.KindForwarded,
 }
 
 // TestKindBytesArePinned pins each kind's byte to ARCHITECTURE.md's wire
-// table: 7–9 are reserved, so no later kind moves.
+// table: 7–10 are reserved, so no later kind moves.
 func TestKindBytesArePinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var got []byte
@@ -74,7 +71,7 @@ func TestKindBytesArePinned(t *testing.T) {
 		}
 		got = append(got, b[0])
 	}
-	if want := []byte{1, 2, 3, 4, 5, 6, 10, 11, 12}; !bytes.Equal(got, want) {
+	if want := []byte{1, 2, 3, 4, 5, 6, 11, 12}; !bytes.Equal(got, want) {
 		t.Fatalf("kind bytes = %v, want %v", got, want)
 	}
 }
@@ -110,7 +107,6 @@ func TestMessageRoundTripBoundaryValues(t *testing.T) {
 			Rest: []core.KeyedValue{{Reg: -5, Value: core.Bottom()}}},
 		core.WriteMsg{From: 3, Value: core.VersionedValue{Val: -9, SN: 0}, Reg: 0, Op: 1<<64 - 1},
 		core.AckMsg{From: 2, SN: core.BottomSN, Reg: -1, Op: core.NoOp},
-		core.WriteBatchMsg{From: 7, Entries: []core.KeyedValue{{Reg: 1, Value: core.VersionedValue{Val: 2, SN: 3}}}},
 	}
 	for _, m := range msgs {
 		b, err := EncodeMessage(m)
@@ -184,9 +180,10 @@ func TestWriteReadFrameStream(t *testing.T) {
 	}
 }
 
-// reservedKindFrames returns MSG frames of kinds 7, 8 and 9, which a
-// retired write-token lease used, each with the body it once decoded:
-// CLAIM(from, stamp), BEAT(from, free, seq) and TOKEN(from).
+// reservedKindFrames returns MSG frames of kinds 7 to 10, each with the
+// body it once decoded: a retired write-token lease's CLAIM(from, stamp),
+// BEAT(from, free, seq) and TOKEN(from), and a retired batched write's
+// WRITE_BATCH(from, op, count, ⟨reg, val, sn⟩…).
 func reservedKindFrames() [][]byte {
 	head := func(kind byte) []byte {
 		return []byte{Version, byte(FrameMsg), 0, 0, 0, 0, 0, 0, 0, 1, kind, 0, 0, 0, 0, 0, 0, 0, 1}
@@ -195,6 +192,8 @@ func reservedKindFrames() [][]byte {
 		append(head(7), 0, 0, 0, 0, 0, 0, 0, 2),
 		append(head(8), 1, 0, 0, 0, 0, 0, 0, 0, 3),
 		head(9),
+		append(head(10), 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 1,
+			0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 3),
 	}
 }
 

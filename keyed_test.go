@@ -145,33 +145,3 @@ func TestSimKeyedNamespaceUnderChurnEventuallySynchronous(t *testing.T) {
 	}
 	assertOneJoinPerProcess(t, c, 10)
 }
-
-func TestSimWriteBatchOneBroadcastManyKeys(t *testing.T) {
-	c, err := NewSimCluster(WithN(10), WithDelta(5), WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := make(map[RegisterID]int64, keyedTestKeys)
-	for k := 0; k < keyedTestKeys; k++ {
-		batch[RegisterID(k)] = int64(1000 + k)
-	}
-	broadcastsBefore := c.sys.Network().Stats().Broadcasts
-	if err := c.WriteBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.sys.Network().Stats().Broadcasts - broadcastsBefore; got != 1 {
-		t.Fatalf("batch of %d keys used %d broadcasts, want 1", keyedTestKeys, got)
-	}
-	for k := 0; k < keyedTestKeys; k++ {
-		v, err := c.ReadKey(RegisterID(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v != int64(1000+k) {
-			t.Fatalf("key %d = %d after batch, want %d", k, v, 1000+k)
-		}
-	}
-	if rep := c.Check(); !rep.OK() {
-		t.Fatalf("batch write broke regularity:\n%s", rep)
-	}
-}

@@ -277,83 +277,64 @@ func (c *NetCluster) Write(v int64) error { return c.WriteKey(core.DefaultRegist
 // sequence numbers (see write). Concurrent calls — same key or not —
 // pipeline there, and it assigns their sequence numbers in arrival order.
 func (c *NetCluster) WriteKey(k RegisterID, v int64) error {
-	err := c.write([]core.KeyedWrite{{Reg: k, Val: core.Value(v)}}, time.Now().Add(c.opts.opTimeout), func(tr *nettransport.Transport, es []core.KeyedWrite, timeout time.Duration) error {
-		_, err := tr.WriteKey(es[0].Reg, es[0].Val, timeout)
-		return err
-	})
-	if err != nil {
+	if err := c.write(k, core.Value(v), time.Now().Add(c.opts.opTimeout), writeAt); err != nil {
 		return fmt.Errorf("churnreg: net write %v: %w", k, err)
 	}
 	return nil
 }
 
-// WriteBatch stores several keys' values (see write): one broadcast per
-// sub-batch within one shard for batching protocols, concurrent per-key
-// writes otherwise.
+// WriteBatch stores several keys' values: one WriteKey per key, all in
+// flight at once up to a node's operation table (core.MaxInFlightOps).
+// It returns the first failure to arrive. A batch is not atomic: each
+// key's write succeeds or fails on its own.
 func (c *NetCluster) WriteBatch(kvs map[RegisterID]int64) error {
-	if len(kvs) == 0 {
-		return nil
-	}
-	ks := make([]RegisterID, 0, len(kvs))
-	for k := range kvs {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	entries := make([]core.KeyedWrite, len(ks))
-	for i, k := range ks {
-		entries[i] = core.KeyedWrite{Reg: k, Val: core.Value(kvs[k])}
-	}
-	err := c.write(entries, time.Now().Add(c.opts.opTimeout), func(tr *nettransport.Transport, es []core.KeyedWrite, timeout time.Duration) error {
-		_, err := tr.WriteBatch(es, timeout)
-		return err
-	})
-	if err != nil {
-		return fmt.Errorf("churnreg: net write batch: %w", err)
-	}
-	return nil
-}
-
-// writeFunc runs sorted entries at one process.
-type writeFunc func(tr *nettransport.Transport, entries []core.KeyedWrite, timeout time.Duration) error
-
-// write runs entries where their keys' sequence numbers are minted:
-// Route's attempt 0 under the lowest present process's view (the lowest
-// present id when unsharded), one part per target, all in flight at
-// once. Views lag, and a target may have stopped or left: a part refused
-// before invocation was not applied, so it is routed again, δ later,
-// until the deadline.
-func (c *NetCluster) write(entries []core.KeyedWrite, deadline time.Time, w writeFunc) error {
-	ids := c.IDs()
-	if len(ids) == 0 {
-		return ErrNoActiveProcess
-	}
-	view := c.view(ids)
-	parts := make(map[ProcessID][]core.KeyedWrite)
-	for _, e := range entries {
-		p := view.Route(ids, e.Reg, 0)
-		parts[p] = append(parts[p], e)
-	}
-	errs := make(chan error, len(parts))
-	for p, part := range parts {
+	errs := make(chan error, len(kvs))
+	sem := make(chan struct{}, core.MaxInFlightOps)
+	for k, v := range kvs {
+		sem <- struct{}{}
 		go func() {
-			tr, err := c.get(p)
-			if err == nil {
-				err = w(tr, part, time.Until(deadline))
-			}
-			if refusedBeforeInvocation(err) && time.Now().Before(deadline) {
-				time.Sleep(time.Duration(c.opts.delta) * c.opts.tick)
-				err = c.write(part, deadline, w)
-			}
-			errs <- err
+			errs <- c.WriteKey(k, v)
+			<-sem
 		}()
 	}
 	var first error
-	for range parts {
+	for range kvs {
 		if err := <-errs; first == nil {
 			first = err
 		}
 	}
 	return first
+}
+
+// writeFunc runs one write at one process.
+type writeFunc func(tr *nettransport.Transport, k core.RegisterID, v core.Value, timeout time.Duration) error
+
+// writeAt is the writeFunc every caller but a test uses.
+func writeAt(tr *nettransport.Transport, k core.RegisterID, v core.Value, timeout time.Duration) error {
+	_, err := tr.WriteKey(k, v, timeout)
+	return err
+}
+
+// write runs one write where its key's sequence numbers are minted:
+// Route's attempt 0 under the lowest present process's view (the lowest
+// present id when unsharded). Views lag, and the target may have stopped
+// or left: a write refused before invocation was not applied, so it is
+// routed again, δ later, until the deadline.
+func (c *NetCluster) write(k core.RegisterID, v core.Value, deadline time.Time, w writeFunc) error {
+	for {
+		ids := c.IDs()
+		if len(ids) == 0 {
+			return ErrNoActiveProcess
+		}
+		tr, err := c.get(c.view(ids).Route(ids, k, 0))
+		if err == nil {
+			err = w(tr, k, v, time.Until(deadline))
+		}
+		if !refusedBeforeInvocation(err) || !time.Now().Before(deadline) {
+			return err
+		}
+		time.Sleep(time.Duration(c.opts.delta) * c.opts.tick)
+	}
 }
 
 // refusedBeforeInvocation reports an error that proves the write never

@@ -150,7 +150,7 @@ func TestNetClusterWriterSuccessorUnderConcurrentWrites(t *testing.T) {
 		acks  []acked
 		moved time.Time // when the first write entered another process
 	)
-	record := func(tr *nettransport.Transport, es []core.KeyedWrite, timeout time.Duration) error {
+	record := func(tr *nettransport.Transport, k core.RegisterID, v core.Value, timeout time.Duration) error {
 		if tr.ID() != killed {
 			mu.Lock()
 			if moved.IsZero() {
@@ -158,7 +158,7 @@ func TestNetClusterWriterSuccessorUnderConcurrentWrites(t *testing.T) {
 			}
 			mu.Unlock()
 		}
-		vv, err := tr.WriteKey(es[0].Reg, es[0].Val, timeout)
+		vv, err := tr.WriteKey(k, v, timeout)
 		if err == nil {
 			mu.Lock()
 			acks = append(acks, acked{tr.ID(), int64(vv.SN)})
@@ -178,7 +178,7 @@ func TestNetClusterWriterSuccessorUnderConcurrentWrites(t *testing.T) {
 					return
 				default:
 				}
-				err := c.write([]core.KeyedWrite{{Reg: core.DefaultRegister, Val: core.Value(v)}}, time.Now().Add(c.opts.opTimeout), record)
+				err := c.write(core.DefaultRegister, core.Value(v), time.Now().Add(c.opts.opTimeout), record)
 				if err != nil && !errors.Is(err, nettransport.ErrClosed) && !errors.Is(err, nodeops.ErrTimeout) {
 					t.Errorf("write: %v", err)
 					return

@@ -358,90 +358,23 @@ func (p *PendingOp) opName() string {
 }
 
 // WriteBatch stores several keys' values, running the simulation until
-// every entry returns. Unsharded, the batch enters at the writer (see
-// writerFor); sharded, it splits into one sub-batch per key's primary, each
-// entering there. The synchronous protocol sends one broadcast per
-// sub-batch within one shard and waits one δ; the quorum protocols, and
-// a sub-batch spanning shards, run one write per key, all in flight at
-// once. The batch is recorded as one write per key, invoked by the
-// process it entered at.
+// every write returns: one StartWriteKey per key, in key order, all in
+// flight at once, each entering where its key's sequence numbers are
+// minted (see writerFor). It returns the first failure in key order; a
+// batch with more keys at one process than its operation table holds
+// (core.MaxInFlightOps) fails there with backpressure. A batch is not
+// atomic; the history records one write per key.
 func (c *SimCluster) WriteBatch(kvs map[RegisterID]int64) error {
-	if len(kvs) == 0 {
-		return nil
-	}
 	ks := make([]RegisterID, 0, len(kvs))
 	for k := range kvs {
 		ks = append(ks, k)
 	}
 	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	// One sub-batch per entering process, each sorted by key.
-	var procs []core.ProcessID
-	parts := make(map[core.ProcessID][]core.KeyedWrite)
-	for _, k := range ks {
-		id, err := c.writerFor(k)
-		if err != nil {
-			return err
-		}
-		if parts[id] == nil {
-			procs = append(procs, id)
-		}
-		parts[id] = append(parts[id], core.KeyedWrite{Reg: k, Val: core.Value(kvs[k])})
+	pops := make([]*PendingOp, len(ks))
+	for i, k := range ks {
+		pops[i] = c.StartWriteKey(k, kvs[k])
 	}
-	pending := len(procs)
-	var batchErr error
-	settle := func(err error) {
-		if batchErr == nil {
-			batchErr = err
-		}
-		pending--
-	}
-	var all []*spec.Op
-	for _, id := range procs {
-		entries := parts[id]
-		ops := make([]*spec.Op, len(entries))
-		for i, e := range entries {
-			ops[i] = c.history.BeginWriteKey(id, e.Reg, c.sys.Now())
-		}
-		all = append(all, ops...)
-		c.shield(id)
-		defer c.unshield(id)
-		// Entries with a reported ⟨v, sn⟩ were applied; a failed batch's
-		// other entries were not.
-		err := c.sys.Node(id).(core.Ops).WriteBatch(entries, func(stored []core.KeyedValue, werr error) {
-			for i, kv := range stored {
-				if kv.Value.IsBottom() {
-					c.history.Abandon(ops[i])
-				} else {
-					c.history.CompleteWrite(ops[i], c.sys.Now(), kv.Value)
-				}
-			}
-			settle(werr)
-		})
-		if err != nil {
-			for _, op := range ops {
-				c.history.Abandon(op)
-			}
-			settle(err)
-		}
-	}
-	gone := func() bool {
-		for _, id := range procs {
-			if !c.sys.Present(id) {
-				return true
-			}
-		}
-		return false
-	}
-	if err := c.await(func() bool { return pending == 0 }, gone); err != nil {
-		for _, op := range all {
-			c.history.Abandon(op)
-		}
-		return fmt.Errorf("churnreg: write batch: %w", err)
-	}
-	if batchErr != nil {
-		return fmt.Errorf("churnreg: write batch: %w", batchErr)
-	}
-	return nil
+	return c.Await(pops...)
 }
 
 // Read returns register 0's value as seen by a random replica (see
