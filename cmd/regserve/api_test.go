@@ -243,6 +243,9 @@ func loadGoldenStats(s *nettransport.Stats) {
 	s.LastBatchFrames.Store(17)
 	s.MailboxStalls.Store(4)
 	s.QueueDrops.Store(3)
+	s.SendUnknown.Store(5)
+	s.Reconnects.Store(9)
+	s.DecodeErrors.Store(11)
 	s.LoopTurns.Store(654321)
 	s.LoopTasks.Store(12345678)
 	s.SelfDeliveries.Store(4321)

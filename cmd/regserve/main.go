@@ -288,6 +288,9 @@ func (a *api) series() []metrics.Series {
 		metrics.Counter("regserve_transport_flushed_frames_total", "Frames written to peers and client sessions by coalesced flushes.", metrics.Int(st.FlushedFrames.Load())),
 		metrics.Counter("regserve_transport_mailbox_stalls_total", "Producers (connection readers, timers, API calls) that found the node's monitor held and waited for it.", metrics.Int(st.MailboxStalls.Load())),
 		metrics.Counter("regserve_transport_queue_drops_total", "Frames dropped, oldest first, on full per-link queues.", metrics.Int(st.QueueDrops.Load())),
+		metrics.Counter("regserve_transport_send_unknown_total", "Messages addressed to a process with no address-book entry, dropped.", metrics.Int(st.SendUnknown.Load())),
+		metrics.Counter("regserve_transport_reconnects_total", "Successful dials to a peer beyond the first.", metrics.Int(st.Reconnects.Load())),
+		metrics.Counter("regserve_transport_decode_errors_total", "Connections dropped on a frame that failed to decode (a malformed frame, or a kind this build refuses).", metrics.Int(st.DecodeErrors.Load())),
 		metrics.Counter("regserve_transport_loop_turns_total", "Turns of the node's monitor; each link that got frames in a turn is flushed once at its end.", metrics.Int(st.LoopTurns.Load())),
 		metrics.Counter("regserve_transport_loop_tasks_total", "Tasks (frames, timers, API calls) the monitor's turns ran; tasks per turn is the batching a turn achieves.", metrics.Int(st.LoopTasks.Load())),
 		metrics.Counter("regserve_transport_self_deliveries_total", "Messages the node addressed to itself, delivered within the turn that sent them.", metrics.Int(st.SelfDeliveries.Load())),

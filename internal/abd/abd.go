@@ -36,8 +36,10 @@
 // Concurrency mirrors the dynamic protocols: every client operation is an
 // entry in one operation table keyed by core.OpID, so reads and writes may
 // be in flight concurrently on one node — across keys and pipelined on a
-// key. REPLYs route by the OpID they echo; ACKs route by OpID when the
-// replica echoed one, else by the ⟨key, sequence number⟩ they name.
+// key. REPLYs and ACKs route by the OpID they echo: every WRITE an abd
+// process receives is tagged (a client write's, or a slow read's
+// write-back), and a shard handoff merges into the store without one, so
+// an ACK that carries no OpID answers nothing and counts for nothing.
 // Sequence numbers are assigned at invocation, so pipelined writes to one
 // key carry increasing numbers in invocation order.
 package abd
@@ -53,7 +55,7 @@ type op struct {
 	// scope/quorum pin the quorum population at invocation: nil scope +
 	// ⌊n/2⌋+1 unsharded, the key's replica group + a majority of it
 	// sharded (core.OpScope).
-	scope  map[core.ProcessID]bool
+	scope  []core.ProcessID
 	quorum int
 
 	reading     bool
@@ -73,13 +75,6 @@ type op struct {
 	writeDone func(core.VersionedValue, error)
 }
 
-// ackKey routes acknowledgments that carry no OpID: an in-flight write is
-// also indexed by the ⟨register, sequence number⟩ its ACKs name.
-type ackKey struct {
-	reg core.RegisterID
-	sn  core.SeqNum
-}
-
 // Node is one process running the static ABD-style protocol.
 type Node struct {
 	env core.Env
@@ -87,10 +82,7 @@ type Node struct {
 	vals   *core.RegStore
 	active bool // bootstrap processes only; replacements stay passive
 
-	// ops is the operation table; ackRoute indexes in-flight writes by the
-	// ⟨reg, sn⟩ their acknowledgments carry.
-	ops      *core.OpTable[op]
-	ackRoute map[ackKey]core.OpID
+	ops *core.OpTable[op]
 
 	stats Stats
 }
@@ -114,10 +106,9 @@ type Stats struct {
 // processes are passive replicas (see the package comment).
 func New(env core.Env, sc core.SpawnContext) *Node {
 	n := &Node{
-		env:      env,
-		vals:     core.NewRegStore(sc),
-		ops:      core.NewOpTable[op](0),
-		ackRoute: make(map[ackKey]core.OpID),
+		env:  env,
+		vals: core.NewRegStore(sc),
+		ops:  core.NewOpTable[op](0),
 	}
 	n.active = sc.Bootstrap
 	return n
@@ -132,11 +123,11 @@ func Factory() core.NodeFactory {
 
 // Compile-time interface checks.
 var (
-	_ core.Node             = (*Node)(nil)
-	_ core.Ops              = (*Node)(nil)
-	_ core.KeyedSnapshotter = (*Node)(nil)
-	_ core.OpAccountant     = (*Node)(nil)
-	_ core.ReadPathCounter  = (*Node)(nil)
+	_ core.Node            = (*Node)(nil)
+	_ core.Ops             = (*Node)(nil)
+	_ core.Stored          = (*Node)(nil)
+	_ core.OpAccountant    = (*Node)(nil)
+	_ core.ReadPathCounter = (*Node)(nil)
 )
 
 func (n *Node) majority() int { return n.env.SystemSize()/2 + 1 }
@@ -164,11 +155,8 @@ func (n *Node) Active() bool { return n.active }
 // Snapshot implements core.Node (key 0's local copy).
 func (n *Node) Snapshot() core.VersionedValue { return n.value(core.DefaultRegister) }
 
-// SnapshotKey implements core.KeyedSnapshotter.
-func (n *Node) SnapshotKey(k core.RegisterID) core.VersionedValue { return n.value(k) }
-
-// Keys implements core.KeyedSnapshotter.
-func (n *Node) Keys() []core.RegisterID { return n.vals.Keys() }
+// Store implements core.Stored.
+func (n *Node) Store() *core.RegStore { return n.vals }
 
 // PendingOps implements core.OpAccountant.
 func (n *Node) PendingOps() int { return n.ops.Len() }
@@ -272,7 +260,6 @@ func (n *Node) Write(k core.RegisterID, v core.Value, done func(core.VersionedVa
 	o.writeVal = next
 	o.writeAck = make(map[core.ProcessID]bool)
 	o.writeDone = done
-	n.ackRoute[ackKey{reg: k, sn: next.SN}] = id
 	core.ScopedBroadcast(n.env, k, core.WriteMsg{From: n.env.ID(), Value: next, Reg: k, Op: id})
 	return nil
 }
@@ -281,27 +268,8 @@ func (n *Node) checkWrite(id core.OpID, o *op) {
 	if !o.writing || len(o.writeAck) < o.quorum {
 		return
 	}
-	delete(n.ackRoute, ackKey{reg: o.reg, sn: o.writeVal.SN})
 	n.ops.Finish(id)
 	o.writeDone(o.writeVal, nil)
-}
-
-// writeFor resolves the in-flight write an ACK feeds: by the OpID the
-// replica echoed when present, else by the ⟨reg, sn⟩ index.
-func (n *Node) writeFor(m core.AckMsg) (core.OpID, *op, bool) {
-	id := m.Op
-	if id == core.NoOp {
-		var ok bool
-		id, ok = n.ackRoute[ackKey{reg: m.Reg, sn: m.SN}]
-		if !ok {
-			return core.NoOp, nil, false
-		}
-	}
-	o, ok := n.ops.Get(id)
-	if !ok || !o.writing || o.reg != m.Reg || o.writeVal.SN != m.SN {
-		return core.NoOp, nil, false
-	}
-	return id, o, true
 }
 
 // Deliver implements core.Node.
@@ -334,20 +302,21 @@ func (n *Node) Deliver(from core.ProcessID, m core.Message) {
 		n.stats.AcksSent++
 		n.env.Send(msg.From, core.AckMsg{From: n.env.ID(), SN: msg.Value.SN, Reg: msg.Reg, Op: msg.Op})
 	case core.AckMsg:
-		if id, o, ok := n.writeFor(msg); ok {
-			if !core.InScope(o.scope, msg.From) {
-				return // sharded: only replica-group acks feed the quorum
-			}
-			o.writeAck[msg.From] = true
-			n.checkWrite(id, o)
+		// An ACK feeds the operation whose OpID it echoes: a write, or a
+		// slow-path read's write-back round. One that names no open
+		// operation (NoOp included) is stale.
+		o, ok := n.ops.Get(msg.Op)
+		if !ok || o.reg != msg.Reg {
 			return
 		}
-		// Not a write's ACK: maybe a slow-path read's write-back round
-		// (the replica echoed the read's OpID).
-		if o, ok := n.ops.Get(msg.Op); ok && o.wb && o.reg == msg.Reg && o.wbVal.SN == msg.SN {
-			if !core.InScope(o.scope, msg.From) {
-				return
-			}
+		if !core.InScope(o.scope, msg.From) {
+			return // sharded: only replica-group acks feed the quorum
+		}
+		switch {
+		case o.writing && o.writeVal.SN == msg.SN:
+			o.writeAck[msg.From] = true
+			n.checkWrite(msg.Op, o)
+		case o.wb && o.wbVal.SN == msg.SN:
 			o.wbAcks[msg.From] = true
 			n.checkWriteBack(msg.Op, o)
 		}

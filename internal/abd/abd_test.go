@@ -182,3 +182,46 @@ func ignoreWrite(core.VersionedValue, error) {}
 // ignoreRead is a read's done callback for a test that does not look at
 // the outcome.
 func ignoreRead(core.VersionedValue, core.ProcessID, error) {}
+
+// stubEnv is process 1 of three with no network behind it: it keeps the
+// last message the node broadcast.
+type stubEnv struct{ last core.Message }
+
+func (e *stubEnv) ID() core.ProcessID                { return 1 }
+func (e *stubEnv) Now() sim.Time                     { return 0 }
+func (e *stubEnv) Send(core.ProcessID, core.Message) {}
+func (e *stubEnv) Broadcast(m core.Message)          { e.last = m }
+func (e *stubEnv) After(sim.Duration, func())        {}
+func (e *stubEnv) Delta() sim.Duration               { return delta }
+func (e *stubEnv) SystemSize() int                   { return 3 }
+func (e *stubEnv) MarkActive()                       {}
+
+// TestUntaggedAcksDoNotCount: an ACK that names a write's ⟨reg, sn⟩ but
+// carries no OpID answers no WRITE this process sent, so it does not
+// count toward the write's quorum; the tagged ACKs of the same replicas
+// do.
+func TestUntaggedAcksDoNotCount(t *testing.T) {
+	env := &stubEnv{}
+	n := abd.New(env, core.SpawnContext{Bootstrap: true})
+	n.Start()
+	const reg = 4
+	done := false
+	if err := n.Write(reg, 7, func(core.VersionedValue, error) { done = true }); err != nil {
+		t.Fatal(err)
+	}
+	w, ok := env.last.(core.WriteMsg)
+	if !ok {
+		t.Fatalf("write broadcast %v, want a WRITE", env.last)
+	}
+	for _, op := range []core.OpID{core.NoOp, w.Op} {
+		for _, from := range []core.ProcessID{2, 3} {
+			n.Deliver(from, core.AckMsg{From: from, SN: w.Value.SN, Reg: reg, Op: op})
+		}
+		if want := op == w.Op; done != want {
+			t.Fatalf("after two ACKs with op %v: write done = %v, want %v", op, done, want)
+		}
+	}
+	if p := n.PendingOps(); p != 0 {
+		t.Fatalf("%d operations pending after the write completed", p)
+	}
+}

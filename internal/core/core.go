@@ -11,8 +11,9 @@
 //
 // Every node serves its operations through one interface, Ops: the
 // paper's Read and Write on any key, each completing through a done
-// callback. The other interfaces a node may implement only look at it:
-// Joiner, KeyedSnapshotter, OpAccountant and ReadPathCounter.
+// callback. Stored hands out its register store, which the shard handoff
+// reads and merges into; Joiner, OpAccountant and ReadPathCounter only
+// look at it.
 package core
 
 import (
@@ -277,15 +278,12 @@ type ReadPathCounter interface {
 	ReadPathCounts() (fast, slow uint64)
 }
 
-// KeyedSnapshotter exposes per-key local copies for checking and metrics.
-type KeyedSnapshotter interface {
-	// SnapshotKey returns the node's local copy of one register; for keys
-	// the node has never seen it returns the key's initial state (Bottom
-	// while joining or for key 0 before its value is learned).
-	SnapshotKey(reg RegisterID) VersionedValue
-	// Keys returns the registers this node holds explicit state for, in
-	// ascending order.
-	Keys() []RegisterID
+// Stored exposes a node's register store: the one way register state
+// leaves and enters a replica outside the protocol's own messages. The
+// shard handoff builds its donor REPLY from it and merges what it
+// receives into it; tests read per-key copies through it.
+type Stored interface {
+	Store() *RegStore
 }
 
 // Joiner exposes the completion of the join operation. done runs when join

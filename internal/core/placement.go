@@ -1,6 +1,9 @@
 package core
 
-import "errors"
+import (
+	"errors"
+	"slices"
+)
 
 // ErrUnroutable is the sharding error, surfaced by the placement-aware
 // node wrapper (internal/shard): the operation reached a node that may
@@ -63,15 +66,16 @@ func PlacementOf(env Env) PlacementView {
 }
 
 // OpScope resolves the quorum scope of one operation on reg at
-// invocation time: the set of processes whose replies/acks may count
-// (nil = everyone) and the quorum size. Unsharded, that is the paper's
+// invocation time: the processes whose replies/acks may count (nil =
+// everyone) and the quorum size. Unsharded, that is the paper's
 // ⌊n/2⌋+1 over the constant system size; sharded, it is a majority of
 // the key's replica group — the per-shard quorum whose pairwise
 // intersection preserves the Imbs/Mostéfaoui/Perrin/Raynal argument
-// register by register. The scope is snapshotted per operation so a view
-// change mid-operation cannot make an already-counted quorum retroactively
-// inconsistent.
-func OpScope(env Env, reg RegisterID) (map[ProcessID]bool, int) {
+// register by register. The scope is the invocation view's group slice:
+// views are immutable, so holding it pins the scope for the whole
+// operation, and a view change mid-operation cannot make an
+// already-counted quorum retroactively inconsistent.
+func OpScope(env Env, reg RegisterID) ([]ProcessID, int) {
 	v := PlacementOf(env)
 	if v == nil {
 		return nil, env.SystemSize()/2 + 1
@@ -80,17 +84,13 @@ func OpScope(env Env, reg RegisterID) (map[ProcessID]bool, int) {
 	if len(g) == 0 {
 		return nil, env.SystemSize()/2 + 1
 	}
-	scope := make(map[ProcessID]bool, len(g))
-	for _, id := range g {
-		scope[id] = true
-	}
-	return scope, len(g)/2 + 1
+	return g, len(g)/2 + 1
 }
 
 // InScope reports whether a reply/ack from id may count toward a quorum
 // with the given scope (nil scope = unsharded, everyone counts).
-func InScope(scope map[ProcessID]bool, id ProcessID) bool {
-	return scope == nil || scope[id]
+func InScope(scope []ProcessID, id ProcessID) bool {
+	return scope == nil || slices.Contains(scope, id)
 }
 
 // GroupSender is implemented by runtimes that can send one message to

@@ -92,26 +92,29 @@ func (s *RegStore) sortedNonZeroKeys() []RegisterID {
 	return s.snapKeys
 }
 
-// SnapshotKey reads a node's local copy of one key, falling back to the
-// single-register Snapshot for a node without KeyedSnapshotter (the
-// atomicreg wrapper) — how the shard wrapper reads its inner node.
-func SnapshotKey(node Node, k RegisterID) VersionedValue {
-	if s, ok := node.(KeyedSnapshotter); ok {
-		return s.SnapshotKey(k)
-	}
-	return node.Snapshot()
-}
-
-// SnapshotReply builds a REPLY carrying the node's entire register space:
-// key 0 in the primary slot (⊥ if not yet learned, exactly as the
-// original single-register reply), every other key in Rest in ascending
-// order. One unicast disseminates every key — the batch dissemination
-// that lets a process join once and serve any key.
-func (s *RegStore) SnapshotReply(from ProcessID, rsn ReadSeq, active bool) ReplyMsg {
+// SnapshotReply builds a REPLY carrying the node's register space: key
+// 0 in the primary slot (⊥ if not yet learned, exactly as the original
+// single-register reply), every other key in Rest in ascending order. One
+// unicast disseminates every key — the batch dissemination that lets a
+// process join once and serve any key. keep, when non-nil, restricts the
+// reply to the keys it accepts (key 0 not kept reads ⊥): a shard
+// handoff's donor answers with the requested shard only.
+func (s *RegStore) SnapshotReply(from ProcessID, rsn ReadSeq, active bool, keep func(RegisterID) bool) ReplyMsg {
 	// Op echoes the request's operation id, which for read-type requests
 	// is numerically its read_sn (one counter feeds both tags).
-	m := ReplyMsg{From: from, Value: s.Value(DefaultRegister, active), RSN: rsn, Op: OpID(rsn)}
+	m := ReplyMsg{From: from, Value: Bottom(), RSN: rsn, Op: OpID(rsn)}
+	if keep == nil || keep(DefaultRegister) {
+		m.Value = s.Value(DefaultRegister, active)
+	}
 	ks := s.sortedNonZeroKeys()
+	if keep != nil {
+		for _, k := range ks {
+			if keep(k) {
+				m.Rest = append(m.Rest, KeyedValue{Reg: k, Value: s.vals[k]})
+			}
+		}
+		return m
+	}
 	if len(ks) == 0 {
 		return m
 	}

@@ -4,8 +4,9 @@
 // internal/core, internal/wire, and the public churnreg package — must
 // document every exported symbol; a Go comment or a document that sends
 // the reader to a Markdown file, a package directory or a root JSON file
-// must name one that exists; and a package-qualified name a document puts
-// in a code span must be one that package declares. It uses only
+// must name one that exists; a package-qualified name a document puts in
+// a code span must be one that package declares, and a bare camelCase
+// identifier in one must occur in the module's Go source. It uses only
 // go/parser, so the rules it enforces and the code enforcing them version
 // together.
 package docslint
@@ -285,27 +286,15 @@ var (
 	qualRef  = regexp.MustCompile(`(?:^|[^\w./])([a-z]\w*)\.([A-Za-z_]\w*)`)
 )
 
-// TestDocsNameDeclaredSymbols: a pkg.Name the documents put in an inline
-// code span, where pkg is client or a package directory under internal/,
-// names something that package declares — a func, method, type, var or
-// const, its test files included. A deleted or renamed identifier takes
-// its mentions with it. bench/README.md belongs to the benchmark and is
-// not checked.
-func TestDocsNameDeclaredSymbols(t *testing.T) {
-	root := moduleRoot(t)
-	dirs := map[string]string{"client": filepath.Join(root, "client")}
-	entries, err := os.ReadDir(filepath.Join(root, "internal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			dirs[e.Name()] = filepath.Join(root, "internal", e.Name())
-		}
-	}
-	declared := make(map[string]map[string]bool)
-	checked := 0
-	for _, doc := range []string{"README.md", "ARCHITECTURE.md", "TESTING.md", ".claude/skills/verify/SKILL.md"} {
+// checkedDocs are the documents whose code spans the name checks read.
+// bench/README.md belongs to the benchmark and is not checked.
+var checkedDocs = []string{"README.md", "ARCHITECTURE.md", "TESTING.md", ".claude/skills/verify/SKILL.md"}
+
+// eachCodeSpan calls fn with every inline code span of checkedDocs that
+// sits outside a fenced block, and the document and line it is on.
+func eachCodeSpan(t *testing.T, root string, fn func(doc string, line int, span string)) {
+	t.Helper()
+	for _, doc := range checkedDocs {
 		b, err := os.ReadFile(filepath.Join(root, doc))
 		if err != nil {
 			t.Errorf("%s: %v", doc, err)
@@ -320,27 +309,110 @@ func TestDocsNameDeclaredSymbols(t *testing.T) {
 				continue
 			}
 			for _, span := range codeSpan.FindAllString(line, -1) {
-				for _, m := range qualRef.FindAllStringSubmatch(span, -1) {
-					pkg, name := m[1], m[2]
-					dir, ok := dirs[pkg]
-					if !ok || strings.Contains(name, "_") {
-						continue
-					}
-					if declared[pkg] == nil {
-						declared[pkg] = declaredNames(t, dir)
-					}
-					checked++
-					if !declared[pkg][name] {
-						t.Errorf("%s:%d: names %s.%s, which package %s does not declare", doc, i+1, pkg, name, pkg)
-					}
-				}
+				fn(doc, i+1, span)
 			}
 		}
 	}
+}
+
+// TestDocsNameDeclaredSymbols: a pkg.Name the documents put in an inline
+// code span, where pkg is client or a package directory under internal/,
+// names something that package declares — a func, method, type, var or
+// const, its test files included. A deleted or renamed identifier takes
+// its mentions with it.
+func TestDocsNameDeclaredSymbols(t *testing.T) {
+	root := moduleRoot(t)
+	dirs := map[string]string{"client": filepath.Join(root, "client")}
+	entries, err := os.ReadDir(filepath.Join(root, "internal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.IsDir() {
+			dirs[e.Name()] = filepath.Join(root, "internal", e.Name())
+		}
+	}
+	declared := make(map[string]map[string]bool)
+	checked := 0
+	eachCodeSpan(t, root, func(doc string, line int, span string) {
+		for _, m := range qualRef.FindAllStringSubmatch(span, -1) {
+			pkg, name := m[1], m[2]
+			dir, ok := dirs[pkg]
+			if !ok || strings.Contains(name, "_") {
+				continue
+			}
+			if declared[pkg] == nil {
+				declared[pkg] = declaredNames(t, dir)
+			}
+			checked++
+			if !declared[pkg][name] {
+				t.Errorf("%s:%d: names %s.%s, which package %s does not declare", doc, line, pkg, name, pkg)
+			}
+		}
+	})
 	if checked == 0 {
 		t.Fatal("no package-qualified name found in the documents' code spans")
 	}
 	t.Logf("%d package-qualified names checked", checked)
+}
+
+// camelSpan is a code span holding one camelCase identifier — a lower-case
+// letter followed by an upper-case one somewhere in it — optionally called:
+// `SimCluster`, `writeQ`, `PendingOps()`. One-word spans (`abd`, `Read`)
+// are protocol names and plain words as often as identifiers.
+var camelSpan = regexp.MustCompile("^`((?:[A-Za-z][A-Za-z0-9]*)?[a-z][A-Z][A-Za-z0-9]*)(?:\\(\\))?`$")
+
+// TestDocsNameKnownIdentifiers: a bare camelCase identifier the documents
+// put in a code span occurs somewhere in the module's Go source, tests
+// included — as any identifier: a type, func, field, method or local. A
+// name whose last use is deleted takes its mentions with it.
+func TestDocsNameKnownIdentifiers(t *testing.T) {
+	root := moduleRoot(t)
+	idents := make(map[string]bool)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				idents[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	eachCodeSpan(t, root, func(doc string, line int, span string) {
+		m := camelSpan.FindStringSubmatch(span)
+		if m == nil {
+			return
+		}
+		checked++
+		if !idents[m[1]] {
+			t.Errorf("%s:%d: names %s, which no Go file in the module uses", doc, line, m[1])
+		}
+	})
+	if checked == 0 {
+		t.Fatal("no camelCase identifier found in the documents' code spans")
+	}
+	t.Logf("%d identifiers checked", checked)
 }
 
 // declaredNames returns every top-level func, method, type, var and const

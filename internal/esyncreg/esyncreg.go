@@ -94,7 +94,7 @@ type op struct {
 	// acks from outside the scope (DL_PREV answerers that joined after
 	// the broadcast, say) never count, preserving the per-shard quorum
 	// intersection (core.OpScope).
-	scope  map[core.ProcessID]bool
+	scope  []core.ProcessID
 	quorum int
 
 	// Read phase: Figure 5's reading_i / replies_i for a client read, or
@@ -117,10 +117,10 @@ type op struct {
 	writeDone      func(core.VersionedValue, error)
 }
 
-// ackKey routes acknowledgments that carry no OpID — the Lemma-7 reply
-// acks, whose sender cannot know the writer's OpID — to the in-flight
-// write whose ⟨register, sequence number⟩ they name.
-type ackKey struct {
+// ackName is the ⟨register, sequence number⟩ an acknowledgment names. The
+// Lemma-7 reply acks carry no OpID, because their sender cannot know the
+// writer's; ackRoute finds their in-flight write by this name instead.
+type ackName struct {
 	reg core.RegisterID
 	sn  core.SeqNum
 }
@@ -149,7 +149,7 @@ type Node struct {
 	// order, popped as their embedded reads complete (head first).
 	writeQ map[core.RegisterID][]core.OpID
 	// ackRoute indexes broadcast writes by the ⟨reg, sn⟩ their acks name.
-	ackRoute map[ackKey]core.OpID
+	ackRoute map[ackName]core.OpID
 	// replyTo is reply_to_i; insertion-ordered for determinism.
 	replyTo     map[reqKey]bool
 	replyToList []reqKey
@@ -185,7 +185,7 @@ func New(env core.Env, sc core.SpawnContext, opts Options) *Node {
 		joinReplies: make(map[core.ProcessID]bool),
 		ops:         core.NewOpTable[op](0),
 		writeQ:      make(map[core.RegisterID][]core.OpID),
-		ackRoute:    make(map[ackKey]core.OpID),
+		ackRoute:    make(map[ackName]core.OpID),
 		replyTo:     make(map[reqKey]bool),
 		dlPrev:      make(map[reqKey]bool),
 	}
@@ -202,11 +202,11 @@ func Factory(opts Options) core.NodeFactory {
 
 // Compile-time interface checks.
 var (
-	_ core.Node             = (*Node)(nil)
-	_ core.Ops              = (*Node)(nil)
-	_ core.Joiner           = (*Node)(nil)
-	_ core.KeyedSnapshotter = (*Node)(nil)
-	_ core.OpAccountant     = (*Node)(nil)
+	_ core.Node         = (*Node)(nil)
+	_ core.Ops          = (*Node)(nil)
+	_ core.Joiner       = (*Node)(nil)
+	_ core.Stored       = (*Node)(nil)
+	_ core.OpAccountant = (*Node)(nil)
 )
 
 // majority returns ⌊n/2⌋+1, the quorum size backed by the §5.2 assumption
@@ -290,7 +290,7 @@ func (n *Node) replyFor(k reqKey) core.ReplyMsg {
 // snapshotReply builds a REPLY carrying this node's entire register space
 // (see core.RegStore.SnapshotReply).
 func (n *Node) snapshotReply(rsn core.ReadSeq) core.ReplyMsg {
-	return n.vals.SnapshotReply(n.env.ID(), rsn, n.active)
+	return n.vals.SnapshotReply(n.env.ID(), rsn, n.active, nil)
 }
 
 // OnJoined implements core.Joiner.
@@ -311,11 +311,8 @@ func (n *Node) Active() bool { return n.active }
 // Snapshot implements core.Node (key 0's local copy).
 func (n *Node) Snapshot() core.VersionedValue { return n.value(core.DefaultRegister) }
 
-// SnapshotKey implements core.KeyedSnapshotter.
-func (n *Node) SnapshotKey(k core.RegisterID) core.VersionedValue { return n.value(k) }
-
-// Keys implements core.KeyedSnapshotter.
-func (n *Node) Keys() []core.RegisterID { return n.vals.Keys() }
+// Store implements core.Stored.
+func (n *Node) Store() *core.RegStore { return n.vals }
 
 // PendingOps implements core.OpAccountant.
 func (n *Node) PendingOps() int { return n.ops.Len() }
@@ -437,7 +434,7 @@ func (n *Node) pumpWrites(k core.RegisterID) {
 		// Line 03: write_ack := ∅.
 		o.writeAck = make(map[core.ProcessID]bool)
 		o.writeBroadcast = true
-		n.ackRoute[ackKey{reg: k, sn: next.SN}] = id
+		n.ackRoute[ackName{reg: k, sn: next.SN}] = id
 		// Line 04: broadcast WRITE(i, ⟨v, sn⟩) — scoped to the key's
 		// replica group when sharded.
 		core.ScopedBroadcast(n.env, k, core.WriteMsg{From: n.env.ID(), Value: next, Reg: k, Op: id})
@@ -456,7 +453,7 @@ func (n *Node) checkWrite(id core.OpID, o *op) {
 	if !o.writeBroadcast || len(o.writeAck) < o.quorum {
 		return
 	}
-	delete(n.ackRoute, ackKey{reg: o.reg, sn: o.writeSN})
+	delete(n.ackRoute, ackName{reg: o.reg, sn: o.writeSN})
 	n.ops.Finish(id)
 	o.writeDone(core.VersionedValue{Val: o.writeVal, SN: o.writeSN}, nil)
 }
@@ -624,7 +621,7 @@ func (n *Node) handleAck(m core.AckMsg) {
 	id := m.Op
 	if id == core.NoOp {
 		var ok bool
-		id, ok = n.ackRoute[ackKey{reg: m.Reg, sn: m.SN}]
+		id, ok = n.ackRoute[ackName{reg: m.Reg, sn: m.SN}]
 		if !ok {
 			return
 		}

@@ -46,9 +46,6 @@ type Trial struct {
 	Seed uint64
 	// Workload drives operations.
 	Workload workload.Config
-	// UnprotectedWriter exposes the designated writer to churn (default:
-	// protected, matching the paper's "the invoker does not leave").
-	UnprotectedWriter bool
 	// Configure, when non-nil, runs on the assembled system before the
 	// workload starts (tracing, fault injection).
 	Configure func(*dynsys.System)
@@ -85,11 +82,9 @@ func Run(tr Trial) (*TrialResult, error) {
 	if tr.Model == nil {
 		tr.Model = netsim.SynchronousModel{Delta: tr.Delta}
 	}
+	// The designated writer is shielded from churn: the paper's "the
+	// invoker does not leave".
 	guard := &workload.Guard{}
-	var protect func(core.ProcessID) bool
-	if !tr.UnprotectedWriter {
-		protect = guard.Protects
-	}
 	initial := core.VersionedValue{Val: 0, SN: 0}
 	sys, err := dynsys.New(dynsys.Config{
 		N:           tr.N,
@@ -101,7 +96,7 @@ func Run(tr Trial) (*TrialResult, error) {
 		ChurnRateAt: tr.ChurnAt,
 		ChurnPolicy: tr.Policy,
 		MinLifetime: tr.MinLifetime,
-		Protect:     protect,
+		Protect:     guard.Protects,
 		Initial:     initial,
 	})
 	if err != nil {

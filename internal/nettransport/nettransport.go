@@ -202,12 +202,11 @@ func (c *Config) fillDefaults() error {
 // Stats counts transport activity (read under no lock; all fields are
 // atomics).
 type Stats struct {
-	FramesSent     atomic.Uint64
-	FramesReceived atomic.Uint64
-	QueueDrops     atomic.Uint64 // frames dropped on a full link
-	SendUnknown    atomic.Uint64 // sends to ids with no address-book entry
-	Reconnects     atomic.Uint64 // successful dials beyond a peer's first
-	DecodeErrors   atomic.Uint64
+	FramesSent   atomic.Uint64
+	QueueDrops   atomic.Uint64 // frames dropped on a full link
+	SendUnknown  atomic.Uint64 // sends to ids with no address-book entry
+	Reconnects   atomic.Uint64 // successful dials beyond a peer's first
+	DecodeErrors atomic.Uint64 // connections dropped on an undecodable frame
 	// FlushWrites counts the writes that carried frames to a connection,
 	// from a turn's end or from a link's writer; FlushedFrames counts the
 	// frames they carried. Their ratio (FramesPerWrite) is the coalescing
@@ -1126,7 +1125,6 @@ func (t *Transport) readConn(conn net.Conn, own *peer, accepted bool, onDead fun
 			}
 			return
 		}
-		t.stats.FramesReceived.Add(1)
 		if f.Type != wire.FrameMsg {
 			endTurn()
 		}

@@ -331,6 +331,29 @@ func TestTurnIsBoundedAndReleasesTheMonitor(t *testing.T) {
 	}
 }
 
+// TestReservedKindDropsTheConnection: a peer built before the batched
+// write was retired may still send WRITE_BATCH (kind byte 10). This build
+// refuses the kind, so the frame fails to decode: the connection is
+// dropped at it, nothing after it is delivered, and DecodeErrors counts
+// it once.
+func TestReservedKindDropsTheConnection(t *testing.T) {
+	tr, p := newProbeTransport(t, nil, nil)
+	writeBatch := wire.AppendPayloadBytes(nil, []byte{
+		wire.Version, byte(wire.FrameMsg), 0, 0, 0, 0, 0, 0, 0, 2, 10, // from p2, kind 10
+		0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, // from, op, one entry
+		0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 1, // ⟨reg 4, val 7, sn 1⟩
+	})
+	conn := &feedConn{chunks: [][]byte{append(append(batch(t, 2, label(1)), writeBatch...), batch(t, 2, label(2))...)}}
+	tr.wg.Add(1)
+	tr.readConn(conn, nil, true, nil)
+	if got := tr.Stats().DecodeErrors.Load(); got != 1 {
+		t.Fatalf("DecodeErrors = %d, want 1", got)
+	}
+	if !conn.closed || p.delivers.Load() != 1 {
+		t.Fatalf("closed = %v, delivered = %d; want the connection closed after the one frame before kind 10", conn.closed, p.delivers.Load())
+	}
+}
+
 func TestForeignSendFlushesWithoutATurn(t *testing.T) {
 	tr, p := newProbeTransport(t, nil, nil)
 	conn := &scriptConn{failAfter: -1}

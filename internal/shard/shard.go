@@ -51,11 +51,15 @@
 // When a view change makes this node a replica of a shard it did not
 // hold, the shard is PENDING: operations on it queue while the wrapper
 // asks the shard's previous and current replicas (the donors) for their
-// state — INQUIRY(HandoffReadSeq, shard) answered by a full snapshot
-// REPLY, the same batched-snapshot machinery a join uses, intercepted by
-// the donor's wrapper so it works identically over every protocol. The
-// snapshot's entries for pending shards are replayed into the inner node
-// as synthetic WRITE deliveries (monotone per-key merge — always safe).
+// state — INQUIRY(HandoffReadSeq, shard) answered by the shard's slice
+// of the donor's snapshot REPLY (core.RegStore.SnapshotReply, the
+// builder a join's replies use), intercepted by the donor's wrapper so it
+// works identically over every protocol. The snapshot's entries for
+// pending shards are merged into the inner node's store
+// (core.RegStore.Merge, monotone per key — always safe), and nothing is
+// sent back: state moves, the protocol sees no messages. An inner node
+// must therefore expose its store (core.Stored); New panics on one that
+// does not.
 // The shard becomes ready once a majority of its donors answered: any
 // completed write on the shard reached a majority of the old group, and
 // majorities intersect, so the freshest value is in the merged state.
@@ -124,8 +128,10 @@ type shardState struct {
 type Node struct {
 	env   core.Env
 	inner core.Node
-	// ops is inner's operations: every protocol node implements core.Ops.
-	ops core.Ops
+	// ops and store are inner's operations and register store: every
+	// protocol node the wrapper takes implements core.Ops and core.Stored.
+	ops   core.Ops
+	store *core.RegStore
 
 	// view is the latest placement this node was told about; nil until
 	// the runtime pushes one (the wrapper delegates everything until
@@ -165,13 +171,16 @@ func Factory(inner core.NodeFactory) core.NodeFactory {
 	}
 }
 
-// New builds a wrapper around inner's node for this process.
+// New builds a wrapper around inner's node for this process. The inner
+// node must implement core.Stored: the handoff moves state through its
+// store.
 func New(env core.Env, sc core.SpawnContext, inner core.NodeFactory) *Node {
 	in := inner(env, sc)
 	return &Node{
 		env:       env,
 		inner:     in,
 		ops:       in.(core.Ops),
+		store:     in.(core.Stored).Store(),
 		bootstrap: sc.Bootstrap,
 		shards:    make(map[int]*shardState),
 		fwd:       core.NewOpTable[fwdOp](0),
@@ -186,12 +195,12 @@ func (n *Node) Stats() Stats { return n.stats }
 
 // Compile-time interface checks.
 var (
-	_ core.Node             = (*Node)(nil)
-	_ core.Ops              = (*Node)(nil)
-	_ core.KeyedSnapshotter = (*Node)(nil)
-	_ core.OpAccountant     = (*Node)(nil)
-	_ core.Joiner           = (*Node)(nil)
-	_ core.PlacementAware   = (*Node)(nil)
+	_ core.Node           = (*Node)(nil)
+	_ core.Ops            = (*Node)(nil)
+	_ core.Stored         = (*Node)(nil)
+	_ core.OpAccountant   = (*Node)(nil)
+	_ core.Joiner         = (*Node)(nil)
+	_ core.PlacementAware = (*Node)(nil)
 )
 
 // ---- core.Node ----
@@ -243,18 +252,8 @@ func (n *Node) OnJoined(done func()) {
 	}
 }
 
-// SnapshotKey implements core.KeyedSnapshotter.
-func (n *Node) SnapshotKey(k core.RegisterID) core.VersionedValue {
-	return core.SnapshotKey(n.inner, k)
-}
-
-// Keys implements core.KeyedSnapshotter.
-func (n *Node) Keys() []core.RegisterID {
-	if s, ok := n.inner.(core.KeyedSnapshotter); ok {
-		return s.Keys()
-	}
-	return nil
-}
+// Store implements core.Stored: the inner node's store.
+func (n *Node) Store() *core.RegStore { return n.store }
 
 // ReadPathCounts implements core.ReadPathCounter by delegation: the
 // wrapper adds no read round-trips of its own, so the inner protocol's
@@ -436,47 +435,31 @@ func (n *Node) checkHandoffReady(s int, st *shardState) bool {
 }
 
 // handleHandoffInquiry answers a gaining node's state request with a
-// snapshot of the inner node's copies for the REQUESTED shard (m.Op is
+// snapshot of the inner node's store for the REQUESTED shard (m.Op is
 // the shard tag; shard counts are deployment constants, so the donor's
-// own view computes the same ShardOf) — only when active (a joining
-// donor's state is partial; the requester's retry rounds cover the
-// silence). Filtering at the donor keeps handoff traffic proportional
-// to the keys that moved, not to the whole keyspace; without a view
-// yet, the full snapshot goes out and the requester filters instead.
+// own view computes the same ShardOf) — the join's snapshot REPLY,
+// filtered — only when active (a joining donor's state is partial; the
+// requester's retry rounds cover the silence). Filtering at the donor
+// keeps handoff traffic proportional to the keys that moved, not to the
+// whole keyspace; without a view yet, the full snapshot goes out and the
+// requester filters instead.
 func (n *Node) handleHandoffInquiry(m core.InquiryMsg) {
 	if !n.inner.Active() {
 		return
 	}
-	s, ok := n.inner.(core.KeyedSnapshotter)
-	if !ok {
-		return
+	var inShard func(core.RegisterID) bool
+	if n.view != nil {
+		shard := int(m.Op)
+		inShard = func(k core.RegisterID) bool { return n.view.ShardOf(k) == shard }
 	}
-	shard := int(m.Op)
-	inShard := func(k core.RegisterID) bool {
-		return n.view == nil || n.view.ShardOf(k) == shard
-	}
-	reply := core.ReplyMsg{
-		From:  n.env.ID(),
-		Value: core.Bottom(),
-		RSN:   core.HandoffReadSeq,
-		Reg:   core.DefaultRegister,
-		Op:    m.Op, // echoes the requester's shard tag
-	}
-	if inShard(core.DefaultRegister) {
-		reply.Value = core.SnapshotKey(n.inner, core.DefaultRegister)
-	}
-	for _, k := range s.Keys() {
-		if k == core.DefaultRegister || !inShard(k) {
-			continue
-		}
-		reply.Rest = append(reply.Rest, core.KeyedValue{Reg: k, Value: s.SnapshotKey(k)})
-	}
+	reply := n.store.SnapshotReply(n.env.ID(), core.HandoffReadSeq, true, inShard)
+	reply.Op = m.Op // echoes the requester's shard tag
 	n.env.Send(m.From, reply)
 }
 
-// handleHandoffReply merges a donor's snapshot into the inner node —
-// synthetic WRITE deliveries, a monotone per-key merge every protocol
-// already implements — and advances the shard's readiness.
+// handleHandoffReply merges a donor's snapshot into the inner node's
+// store — the monotone per-key merge the join's replies use, and nothing
+// is sent back — and advances the shard's readiness.
 func (n *Node) handleHandoffReply(m core.ReplyMsg) {
 	s := int(m.Op)
 	st := n.shards[s]
@@ -484,6 +467,7 @@ func (n *Node) handleHandoffReply(m core.ReplyMsg) {
 		return
 	}
 	n.stats.HandoffSnapshots++
+	active := n.inner.Active()
 	m.Entries(func(k core.RegisterID, v core.VersionedValue) {
 		if v.IsBottom() {
 			return
@@ -493,7 +477,7 @@ func (n *Node) handleHandoffReply(m core.ReplyMsg) {
 			// replica of — storage hygiene, not correctness.
 			return
 		}
-		n.inner.Deliver(m.From, core.WriteMsg{From: m.From, Value: v, Reg: k, Op: core.NoOp})
+		n.store.Merge(k, v, active)
 	})
 	st.got[m.From] = true
 	n.checkHandoffReady(s, st)

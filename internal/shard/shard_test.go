@@ -131,7 +131,7 @@ func TestServeForwardRefusesOnStaleView(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			n, env := newStubNode(tc.factory)
 			n.PlacementChanged(view)
-			before := []core.VersionedValue{n.SnapshotKey(member), n.SnapshotKey(outsider)}
+			before := []core.VersionedValue{n.Store().Value(member, n.Active()), n.Store().Value(outsider, n.Active())}
 			for _, m := range []core.ForwardMsg{
 				{From: 9, Op: 1, Reg: member, IsWrite: true, Val: 7},
 				{From: 9, Op: 2, Reg: outsider},
@@ -142,7 +142,7 @@ func TestServeForwardRefusesOnStaleView(t *testing.T) {
 					t.Fatalf("FORWARD %+v answered with %v, want FORWARDED(WRONG_REPLICA)", m, env.last)
 				}
 			}
-			after := []core.VersionedValue{n.SnapshotKey(member), n.SnapshotKey(outsider)}
+			after := []core.VersionedValue{n.Store().Value(member, n.Active()), n.Store().Value(outsider, n.Active())}
 			if before[0] != after[0] || before[1] != after[1] {
 				t.Fatalf("refused FORWARDs changed the store: %v -> %v", before, after)
 			}
@@ -296,7 +296,7 @@ func TestWriteAtNonPrimaryRefused(t *testing.T) {
 		t.Fatalf("refused writes ran done %d times and sent %d messages", calls, sys.Network().Stats().Sent-sent)
 	}
 	sys.ForEachNode(func(id core.ProcessID, n core.Node) {
-		if got := n.(*shard.Node).SnapshotKey(key); got.Val == val {
+		if got := n.(*shard.Node).Store().Value(key, n.Active()); got.Val == val {
 			t.Fatalf("%v stores %v after refused writes", id, got)
 		}
 		if p := n.(*shard.Node).PendingOps(); p != 0 {
@@ -365,7 +365,7 @@ func TestQueuedWriteChecksPrimacyAgain(t *testing.T) {
 	if len(got) != 1 || !errors.Is(got[0], core.ErrUnroutable) || n.PendingOps() != 0 {
 		t.Fatalf("queued write ended with %v, %d pending; want ErrUnroutable once", got, n.PendingOps())
 	}
-	if v := n.SnapshotKey(key); v.Val == 7 {
+	if v := n.Store().Value(key, n.Active()); v.Val == 7 {
 		t.Fatalf("the refused write was stored: %v", v)
 	}
 }
@@ -522,6 +522,66 @@ func TestJoinerFirstViewHandsOffEveryOwnedShard(t *testing.T) {
 		}
 		if got.Val != core.Value(100+k) || from != joiner {
 			t.Fatalf("joiner read %v = %v served by %v, want %d served locally", k, got, from, 100+k)
+		}
+	}
+}
+
+// TestHandoffSendsNoAcks: a process that gains shards adopts the donors'
+// snapshots into its store and answers them with nothing. Under abd, n =
+// 6, S = 8, R = 3: with 64 keys written, no ACK frame is sent between
+// the spawn and the last handoff's completion — an ACK only completes a
+// WRITE's quorum, and the handoff sends no WRITE.
+func TestHandoffSendsNoAcks(t *testing.T) {
+	sys, err := dynsys.New(dynsys.Config{
+		N: 6, Delta: 5, Model: netsim.SynchronousModel{Delta: 5}, Seed: 9,
+		Factory:   shard.Factory(abd.Factory()),
+		Placement: placement.Config{Shards: 8, Replication: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := sys.Placement()
+	written := 0
+	for s := 0; s < v.NumShards(); s++ {
+		for _, k := range keysOf(v, s, 8) {
+			if err := sys.Node(v.GroupFor(s)[0]).(core.Ops).Write(k, core.Value(100+k), func(_ core.VersionedValue, err error) {
+				if err == nil {
+					written++
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := sys.RunFor(50); err != nil {
+		t.Fatal(err)
+	}
+	if written != 64 {
+		t.Fatalf("%d of 64 writes completed", written)
+	}
+
+	acks := sys.Network().Stats().SentByKind[core.KindAck]
+	joiner, node := sys.Spawn()
+	jn := node.(*shard.Node)
+	for i := 0; ; i++ {
+		if st := jn.Stats(); st.HandoffsStarted > 0 && st.HandoffsComplete == st.HandoffsStarted {
+			break
+		}
+		if i == 200 {
+			t.Fatalf("joiner %v: %d of %d handoffs complete after 200 ticks", joiner, jn.Stats().HandoffsComplete, jn.Stats().HandoffsStarted)
+		}
+		if err := sys.RunFor(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sent := sys.Network().Stats().SentByKind[core.KindAck] - acks; sent != 0 {
+		t.Fatalf("the handoff sent %d ACK frames, want 0", sent)
+	}
+	for _, s := range sys.Placement().OwnedShards(joiner) {
+		for _, k := range keysOf(v, s, 8) {
+			if got := jn.Store().Value(k, jn.Active()); got.Val != core.Value(100+k) {
+				t.Fatalf("joiner holds %v = %v after the handoff, want %d", k, got, 100+k)
+			}
 		}
 	}
 }

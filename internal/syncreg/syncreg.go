@@ -120,11 +120,11 @@ type writeOp struct {
 
 // Compile-time interface checks.
 var (
-	_ core.Node             = (*Node)(nil)
-	_ core.Ops              = (*Node)(nil)
-	_ core.Joiner           = (*Node)(nil)
-	_ core.KeyedSnapshotter = (*Node)(nil)
-	_ core.OpAccountant     = (*Node)(nil)
+	_ core.Node         = (*Node)(nil)
+	_ core.Ops          = (*Node)(nil)
+	_ core.Joiner       = (*Node)(nil)
+	_ core.Stored       = (*Node)(nil)
+	_ core.OpAccountant = (*Node)(nil)
 )
 
 // value and merge are per-key store accessors threading the node's
@@ -198,7 +198,7 @@ func (n *Node) completeJoin() {
 // (see core.RegStore.SnapshotReply). The synchronous protocol leaves RSN
 // at its zero value.
 func (n *Node) snapshotReply() core.ReplyMsg {
-	return n.regs.SnapshotReply(n.env.ID(), core.JoinReadSeq, n.active)
+	return n.regs.SnapshotReply(n.env.ID(), core.JoinReadSeq, n.active, nil)
 }
 
 // OnJoined implements core.Joiner: done runs when the join returns ok (or
@@ -220,11 +220,8 @@ func (n *Node) Active() bool { return n.active }
 // Snapshot implements core.Node (key 0's local copy).
 func (n *Node) Snapshot() core.VersionedValue { return n.value(core.DefaultRegister) }
 
-// SnapshotKey implements core.KeyedSnapshotter.
-func (n *Node) SnapshotKey(k core.RegisterID) core.VersionedValue { return n.value(k) }
-
-// Keys implements core.KeyedSnapshotter.
-func (n *Node) Keys() []core.RegisterID { return n.regs.Keys() }
+// Store implements core.Stored.
+func (n *Node) Store() *core.RegStore { return n.regs }
 
 // Stats returns a copy of this node's counters.
 func (n *Node) Stats() Stats { return n.stats }

@@ -98,11 +98,11 @@ func TestShardedCapacity(t *testing.T) {
 	c.Run(20)
 	holders := make(map[RegisterID]int)
 	c.sys.ForEachNode(func(_ ProcessID, node core.Node) {
-		sn, ok := node.(core.KeyedSnapshotter)
+		st, ok := node.(core.Stored)
 		if !ok {
-			t.Fatal("node is not a KeyedSnapshotter")
+			t.Fatal("node is not a core.Stored")
 		}
-		for _, k := range sn.Keys() {
+		for _, k := range st.Store().Keys() {
 			holders[k]++
 		}
 	})
