@@ -75,8 +75,9 @@ func (fs *fakeServer) serve(conn net.Conn) {
 		wire.WriteFrame(conn, f)
 		wmu.Unlock()
 	}
+	scn := wire.NewScanner(conn)
 	for {
-		f, err := wire.ReadFrame(conn)
+		f, err := scn.Next()
 		if err != nil {
 			return
 		}

@@ -240,6 +240,7 @@ func TestAPITransportAndReadPathMetrics(t *testing.T) {
 func loadGoldenStats(s *nettransport.Stats) {
 	s.FlushWrites.Store(300)
 	s.FlushedFrames.Store(1000)
+	s.FlushedBytes.Store(43210)
 	s.LastBatchFrames.Store(17)
 	s.MailboxStalls.Store(4)
 	s.QueueDrops.Store(3)

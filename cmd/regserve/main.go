@@ -286,6 +286,7 @@ func (a *api) series() []metrics.Series {
 		metrics.Gauge("regserve_transport_frames_per_write", "Average frames coalesced into one frame-carrying write syscall.", metrics.Float(st.FramesPerWrite())),
 		metrics.Gauge("regserve_transport_last_batch_frames", "Frame count of the most recently flushed batch.", metrics.Int(st.LastBatchFrames.Load())),
 		metrics.Counter("regserve_transport_flushed_frames_total", "Frames written to peers and client sessions by coalesced flushes.", metrics.Int(st.FlushedFrames.Load())),
+		metrics.Counter("regserve_transport_flushed_bytes_total", "Bytes written to peers and client sessions by coalesced flushes; over flushed frames, the mean frame size.", metrics.Int(st.FlushedBytes.Load())),
 		metrics.Counter("regserve_transport_mailbox_stalls_total", "Producers (connection readers, timers, API calls) that found the node's monitor held and waited for it.", metrics.Int(st.MailboxStalls.Load())),
 		metrics.Counter("regserve_transport_queue_drops_total", "Frames dropped, oldest first, on full per-link queues.", metrics.Int(st.QueueDrops.Load())),
 		metrics.Counter("regserve_transport_send_unknown_total", "Messages addressed to a process with no address-book entry, dropped.", metrics.Int(st.SendUnknown.Load())),

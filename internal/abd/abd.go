@@ -186,7 +186,7 @@ func (n *Node) Read(k core.RegisterID, done func(core.VersionedValue, core.Proce
 	o.reading = true
 	o.readReplies = make(map[core.ProcessID]core.VersionedValue)
 	o.readDone = done
-	core.ScopedBroadcast(n.env, k, core.ReadMsg{From: n.env.ID(), RSN: core.ReadSeq(id), Reg: k, Op: id})
+	core.ScopedBroadcast(n.env, k, core.ReadMsg{From: n.env.ID(), Reg: k, Op: id})
 	return nil
 }
 
@@ -284,7 +284,7 @@ func (n *Node) Deliver(from core.ProcessID, m core.Message) {
 			n.stats.BottomSent++
 		}
 		n.stats.RepliesSent++
-		n.env.Send(msg.From, core.ReplyMsg{From: n.env.ID(), Value: v, RSN: msg.RSN, Reg: msg.Reg, Op: msg.Op})
+		n.env.Send(msg.From, core.ReplyMsg{From: n.env.ID(), Value: v, Reg: msg.Reg, Op: msg.Op})
 	case core.ReplyMsg:
 		o, ok := n.ops.Get(msg.Op)
 		if !ok || !o.reading || o.reg != msg.Reg {

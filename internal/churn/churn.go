@@ -22,9 +22,6 @@ const (
 	// the worst case Lemma 2 reasons about ("the nc processes that left
 	// were present at time τ").
 	RemoveOldestActive
-	// RemoveNewest removes the most recently entered eligible process,
-	// starving joins (adversarial for liveness).
-	RemoveNewest
 )
 
 // String names the policy.
@@ -34,8 +31,6 @@ func (p RemovePolicy) String() string {
 		return "random"
 	case RemoveOldestActive:
 		return "oldest-active"
-	case RemoveNewest:
-		return "newest"
 	default:
 		return fmt.Sprintf("RemovePolicy(%d)", int(p))
 	}
@@ -195,14 +190,6 @@ func (e *Engine) pickVictim() (core.ProcessID, bool) {
 		// No active process is eligible; fall back to random so churn
 		// keeps flowing (the paper's model always finds leavers).
 		return eligible[e.rng.Intn(len(eligible))].ID, true
-	case RemoveNewest:
-		best := 0
-		for i, r := range eligible {
-			if r.Entered > eligible[best].Entered {
-				best = i
-			}
-		}
-		return eligible[best].ID, true
 	default:
 		return eligible[e.rng.Intn(len(eligible))].ID, true
 	}

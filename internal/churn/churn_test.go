@@ -277,38 +277,8 @@ func TestRemoveOldestActivePolicy(t *testing.T) {
 	}
 }
 
-func TestRemoveNewestPolicy(t *testing.T) {
-	sched := sim.NewScheduler()
-	tr := NewTracker()
-	bootstrapped(tr, 4)
-	host := &fakeHost{t: tr, sched: sched, joinLag: 100} // joiners never activate in window
-	eng, err := NewEngine(Config{N: 4, Rate: 0.25, Policy: RemoveNewest}, sched, sim.NewRNG(1), host, tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Check the invariant at kill time: the victim is the newest entrant
-	// among the processes present at that instant.
-	host.killHook = func(victim core.ProcessID) {
-		v := tr.Record(victim)
-		for _, r := range tr.presentFiltered(func(*Record) bool { return true }) {
-			if r.Entered > v.Entered {
-				t.Errorf("newest policy removed %v (entered %v) while %v (entered %v) was present",
-					v.ID, v.Entered, r.ID, r.Entered)
-			}
-		}
-	}
-	eng.Start()
-	if err := sched.RunUntil(20); err != nil {
-		t.Fatal(err)
-	}
-	if host.killed == 0 {
-		t.Fatal("no churn events occurred")
-	}
-}
-
 func TestPolicyString(t *testing.T) {
-	if RemoveRandom.String() != "random" || RemoveOldestActive.String() != "oldest-active" ||
-		RemoveNewest.String() != "newest" {
+	if RemoveRandom.String() != "random" || RemoveOldestActive.String() != "oldest-active" {
 		t.Fatal("policy names wrong")
 	}
 	if RemovePolicy(9).String() != "RemovePolicy(9)" {

@@ -128,22 +128,14 @@ func (kv KeyedValue) String() string { return fmt.Sprintf("%v=%v", kv.Reg, kv.Va
 // nobody ever wrote is well-defined and regular.
 func ImplicitInitial() VersionedValue { return VersionedValue{} }
 
-// ReadSeq identifies a read request issued by a process. The paper tags
-// each read with (i, read_sn); read_sn = 0 identifies the join inquiry.
-type ReadSeq int64
-
-// JoinReadSeq is the reserved read sequence number identifying the join
-// operation's inquiry in the eventually synchronous protocol.
-const JoinReadSeq ReadSeq = 0
-
 // OpID identifies one client operation (a read or a write) at its invoking
 // node. Every protocol draws OpIDs from a single per-node counter — the
 // generalization of the paper's read_sn to ALL operations — and tags its
 // request broadcasts with them, so replies and acknowledgments route to
 // the exact in-flight operation they answer even when many operations on
 // the same key are pipelined. The pair (ProcessID, OpID) is globally
-// unique. For read-type requests the wire also carries the paper's
-// read_sn, which is numerically this OpID (one counter feeds both tags).
+// unique. The paper tags each read with (i, read_sn); here read_sn IS
+// the OpID, the one tag a request carries.
 type OpID uint64
 
 // NoOp is the reserved zero OpID. It identifies the join operation (the

@@ -69,12 +69,10 @@ type Message interface {
 
 // InquiryMsg is INQUIRY(i) in the synchronous protocol (Figure 1 line 05)
 // and INQUIRY(i, read_sn) in the eventually synchronous one (Figure 4 line
-// 03). The synchronous protocol leaves RSN at JoinReadSeq. Op is the
-// inquiring operation's id — NoOp for the join, which is the only
-// operation that inquires.
+// 03). Op is the read_sn: NoOp for the join, which is the only operation
+// that inquires, or a shard handoff's HandoffOp tag.
 type InquiryMsg struct {
 	From ProcessID
-	RSN  ReadSeq
 	Op   OpID
 }
 
@@ -82,8 +80,7 @@ type InquiryMsg struct {
 func (InquiryMsg) Kind() MsgKind { return KindInquiry }
 
 // ReplyMsg is REPLY(⟨i, register, sn⟩) (Figure 1 line 11/14) or
-// REPLY(⟨i, register, sn⟩, r_sn) (Figure 4 lines 09/13). RSN identifies
-// the request being answered in the eventually synchronous protocol.
+// REPLY(⟨i, register, sn⟩, r_sn) (Figure 4 lines 09/13); r_sn is Op.
 //
 // In the keyed namespace a reply answers either a per-key READ — Reg and
 // Value carry that key's copy, Rest is nil — or a join INQUIRY, in which
@@ -95,12 +92,10 @@ func (InquiryMsg) Kind() MsgKind { return KindInquiry }
 type ReplyMsg struct {
 	From  ProcessID
 	Value VersionedValue
-	RSN   ReadSeq
 	Reg   RegisterID
 	// Op echoes the request's OpID, so the requester routes the reply to
 	// the exact in-flight operation it answers — the pipelining tag that
-	// replaces "the node's one pending read". For read-type requests it is
-	// numerically RSN (one counter feeds both); NoOp marks a join reply.
+	// replaces "the node's one pending read". NoOp marks a join reply.
 	Op OpID
 	// Rest holds the snapshot's remaining keys (join replies only).
 	// Receivers must not mutate it.
@@ -154,12 +149,10 @@ type AckMsg struct {
 func (AckMsg) Kind() MsgKind { return KindAck }
 
 // ReadMsg is READ(i, read_sn) (Figure 5 line 03) for one register. Op is
-// the reading operation's id — numerically equal to RSN (both are drawn
-// from the node's one operation counter); a write's embedded read phase
+// the read_sn: the reading operation's id. A write's embedded read phase
 // carries the WRITE operation's id, so its replies route to the write.
 type ReadMsg struct {
 	From ProcessID
-	RSN  ReadSeq
 	Reg  RegisterID
 	Op   OpID
 }
@@ -169,14 +162,12 @@ func (ReadMsg) Kind() MsgKind { return KindRead }
 
 // DLPrevMsg is DL_PREV(i, r_sn) (Figure 4 lines 14/16): "I saw your
 // request while not yet able to answer it; I will answer when active" —
-// the sender asks the receiver to remember it in dl_prev. RSN =
-// JoinReadSeq marks the pending request as the sender's join (answered
-// with a full snapshot reply); any other RSN is a read of register Reg.
-// Op is the sender's pending operation id the receiver must echo in its
-// eventual REPLY (numerically RSN; NoOp for a join).
+// the sender asks the receiver to remember it in dl_prev. Op is r_sn, the
+// sender's pending operation id the receiver must echo in its eventual
+// REPLY: NoOp marks the sender's join (answered with a full snapshot
+// reply); any other Op is a read of register Reg.
 type DLPrevMsg struct {
 	From ProcessID
-	RSN  ReadSeq
 	Reg  RegisterID
 	Op   OpID
 }

@@ -13,12 +13,21 @@ import (
 // applied.
 var ErrUnroutable = errors.New("register: no reachable replica for key's shard")
 
-// HandoffReadSeq is the reserved read sequence number identifying a shard
-// handoff inquiry (see internal/shard): a node that GAINED shards under a
-// new placement view asks the shards' previous/current replicas for a
-// snapshot before serving them. It is negative so it can never collide
-// with JoinReadSeq (0) or a real read_sn (positive — OpIDs start at 1).
-const HandoffReadSeq ReadSeq = -1
+// handoffBit marks a shard handoff's request tag. Operation tables count
+// up from 1, so no operation's id ever has the top bit set.
+const handoffBit OpID = 1 << 63
+
+// HandoffOp is the request tag of a shard handoff inquiry (see
+// internal/shard): a node that GAINED shard s under a new placement view
+// asks the shard's previous/current replicas for a snapshot before
+// serving it, and the donor's REPLY echoes the tag.
+func HandoffOp(s int) OpID { return handoffBit | OpID(s) }
+
+// HandoffShard reports the shard a handoff tag names, and whether op is
+// a handoff tag at all.
+func HandoffShard(op OpID) (int, bool) {
+	return int(op &^ handoffBit), op&handoffBit != 0
+}
 
 // PlacementView is one consistent snapshot of the keyspace→replica
 // mapping: RegisterID → shard → replica group of size ≤ R over the

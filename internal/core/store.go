@@ -98,11 +98,10 @@ func (s *RegStore) sortedNonZeroKeys() []RegisterID {
 // unicast disseminates every key — the batch dissemination that lets a
 // process join once and serve any key. keep, when non-nil, restricts the
 // reply to the keys it accepts (key 0 not kept reads ⊥): a shard
-// handoff's donor answers with the requested shard only.
-func (s *RegStore) SnapshotReply(from ProcessID, rsn ReadSeq, active bool, keep func(RegisterID) bool) ReplyMsg {
-	// Op echoes the request's operation id, which for read-type requests
-	// is numerically its read_sn (one counter feeds both tags).
-	m := ReplyMsg{From: from, Value: Bottom(), RSN: rsn, Op: OpID(rsn)}
+// handoff's donor answers with the requested shard only. op is the
+// request's tag, which the reply echoes.
+func (s *RegStore) SnapshotReply(from ProcessID, op OpID, active bool, keep func(RegisterID) bool) ReplyMsg {
+	m := ReplyMsg{From: from, Value: Bottom(), Op: op}
 	if keep == nil || keep(DefaultRegister) {
 		m.Value = s.Value(DefaultRegister, active)
 	}

@@ -6,9 +6,10 @@
 // the reader to a Markdown file, a package directory or a root JSON file
 // must name one that exists; a package-qualified name a document puts in
 // a code span must be one that package declares, and a bare camelCase
-// identifier in one must occur in the module's Go source. It uses only
-// go/parser, so the rules it enforces and the code enforcing them version
-// together.
+// identifier in one must occur in the module's Go source; and the wire
+// tables of ARCHITECTURE.md must add up to what internal/wire encodes. It
+// uses only go/parser and the codec itself, so the rules it enforces and
+// the code enforcing them version together.
 package docslint
 
 import (

@@ -64,20 +64,19 @@ type Options struct {
 	// ablation demonstrates it.
 	DisableDLPrev bool
 	// LiteralAckRSN makes the REPLY-triggered ACK carry the request's
-	// read sequence number, the literal text of Figure 4 line 20, instead
+	// r_sn (its OpID), the literal text of Figure 4 line 20, instead
 	// of the register sequence number Lemma 7 needs (ARCHITECTURE.md §1,
 	// "The REPLY-triggered ACK"). With it, writers can starve (tested).
 	LiteralAckRSN bool
 }
 
 // reqKey identifies a pending remote request: who asked, which of their
-// requests (read_sn, numerically the requester's OpID; 0 is the join),
-// and — for reads — which register. A join request (rsn == JoinReadSeq)
-// is answered with a full snapshot, so its reg is irrelevant and left
-// zero.
+// requests (the requester's OpID, the paper's read_sn; NoOp is the join),
+// and — for reads — which register. A join request is answered with a
+// full snapshot, so its reg is irrelevant and left zero.
 type reqKey struct {
 	id  core.ProcessID
-	rsn core.ReadSeq
+	op  core.OpID
 	reg core.RegisterID
 }
 
@@ -234,7 +233,7 @@ func (n *Node) Start() {
 	// Line 03: broadcast INQUIRY(i, read_sn_i) — the process's one and
 	// only join inquiry, whatever number of registers the namespace holds.
 	n.stats.JoinInquiries++
-	n.env.Broadcast(core.InquiryMsg{From: n.env.ID(), RSN: core.JoinReadSeq, Op: core.NoOp})
+	n.env.Broadcast(core.InquiryMsg{From: n.env.ID(), Op: core.NoOp})
 	// Line 04 ("wait until |replies_i| ≥ n/2+1") is event-driven: the
 	// check runs on every REPLY arrival (checkJoin).
 }
@@ -279,18 +278,18 @@ func (n *Node) flushDeferred() {
 }
 
 // replyFor builds the REPLY answering one deferred request, echoing the
-// requester's operation id (numerically its read_sn).
+// requester's operation id (its read_sn).
 func (n *Node) replyFor(k reqKey) core.ReplyMsg {
-	if k.rsn == core.JoinReadSeq {
-		return n.snapshotReply(k.rsn)
+	if k.op == core.NoOp {
+		return n.snapshotReply(k.op)
 	}
-	return core.ReplyMsg{From: n.env.ID(), Value: n.value(k.reg), RSN: k.rsn, Reg: k.reg, Op: core.OpID(k.rsn)}
+	return core.ReplyMsg{From: n.env.ID(), Value: n.value(k.reg), Reg: k.reg, Op: k.op}
 }
 
 // snapshotReply builds a REPLY carrying this node's entire register space
 // (see core.RegStore.SnapshotReply).
-func (n *Node) snapshotReply(rsn core.ReadSeq) core.ReplyMsg {
-	return n.vals.SnapshotReply(n.env.ID(), rsn, n.active, nil)
+func (n *Node) snapshotReply(op core.OpID) core.ReplyMsg {
+	return n.vals.SnapshotReply(n.env.ID(), op, n.active, nil)
 }
 
 // OnJoined implements core.Joiner.
@@ -350,7 +349,7 @@ func (n *Node) startReadPhase(id core.OpID, o *op) {
 	o.readReplies = make(map[core.ProcessID]core.VersionedValue)
 	// Line 03: broadcast READ(i, read_sn_i) — to the key's replica group
 	// when sharded, the full membership otherwise.
-	core.ScopedBroadcast(n.env, o.reg, core.ReadMsg{From: n.env.ID(), RSN: core.ReadSeq(id), Reg: o.reg, Op: id})
+	core.ScopedBroadcast(n.env, o.reg, core.ReadMsg{From: n.env.ID(), Reg: o.reg, Op: id})
 	// Line 04 is event-driven (checkRead on every REPLY).
 }
 
@@ -483,7 +482,7 @@ func (n *Node) handleInquiry(m core.InquiryMsg) {
 	if n.active {
 		// Line 13: answer immediately — with the whole register space.
 		n.stats.RepliesSent++
-		n.env.Send(m.From, n.snapshotReply(m.RSN))
+		n.env.Send(m.From, n.snapshotReply(m.Op))
 		// Line 14: a reading process also asks the newcomer to answer its
 		// in-flight reads once active — the newcomer was not in those READ
 		// broadcasts' snapshots and would otherwise never reply. One
@@ -499,19 +498,19 @@ func (n *Node) handleInquiry(m core.InquiryMsg) {
 					continue
 				}
 				n.stats.DLPrevSent++
-				n.env.Send(m.From, core.DLPrevMsg{From: n.env.ID(), RSN: core.ReadSeq(id), Reg: o.reg, Op: id})
+				n.env.Send(m.From, core.DLPrevMsg{From: n.env.ID(), Reg: o.reg, Op: id})
 			}
 		}
 		return
 	}
 	// Line 15: we cannot answer yet; remember the request.
-	n.defer_(reqKey{id: m.From, rsn: m.RSN})
+	n.defer_(reqKey{id: m.From, op: m.Op})
 	// Line 16: and ask the inquirer to answer OUR join (pending request 0)
 	// when it becomes active — two concurrent joiners promise each other
 	// replies, which is what makes join live (Lemma 5).
 	if !n.opts.DisableDLPrev {
 		n.stats.DLPrevSent++
-		n.env.Send(m.From, core.DLPrevMsg{From: n.env.ID(), RSN: core.JoinReadSeq, Op: core.NoOp})
+		n.env.Send(m.From, core.DLPrevMsg{From: n.env.ID(), Op: core.NoOp})
 	}
 }
 
@@ -520,11 +519,11 @@ func (n *Node) handleRead(m core.ReadMsg) {
 	if n.active {
 		// Line 09.
 		n.stats.RepliesSent++
-		n.env.Send(m.From, core.ReplyMsg{From: n.env.ID(), Value: n.value(m.Reg), RSN: m.RSN, Reg: m.Reg, Op: m.Op})
+		n.env.Send(m.From, core.ReplyMsg{From: n.env.ID(), Value: n.value(m.Reg), Reg: m.Reg, Op: m.Op})
 		return
 	}
 	// Line 10: answer at join completion.
-	n.defer_(reqKey{id: m.From, rsn: m.RSN, reg: m.Reg})
+	n.defer_(reqKey{id: m.From, op: m.Op, reg: m.Reg})
 }
 
 // handleReply is Figure 4 lines 18-21, routing the reply to the open
@@ -556,7 +555,7 @@ func (n *Node) handleReply(m core.ReplyMsg) {
 	if cur, ok := o.readReplies[m.From]; !ok || m.Value.MoreRecent(cur) {
 		o.readReplies[m.From] = m.Value
 	}
-	n.ack(m.From, m.Reg, m.Value.SN, m.RSN)
+	n.ack(m.From, m.Reg, m.Value.SN, m.Op)
 	// Line 04 of Figure 5: re-check the quorum.
 	n.checkRead(m.Op, o)
 }
@@ -580,7 +579,7 @@ func (n *Node) handleJoinReply(m core.ReplyMsg) {
 	}
 	if n.opts.LiteralAckRSN {
 		n.stats.AcksSent++
-		n.env.Send(m.From, core.AckMsg{From: n.env.ID(), SN: core.SeqNum(m.RSN), Reg: m.Reg})
+		n.env.Send(m.From, core.AckMsg{From: n.env.ID(), SN: core.SeqNum(m.Op), Reg: m.Reg})
 	} else {
 		m.Entries(func(k core.RegisterID, v core.VersionedValue) {
 			n.stats.AcksSent++
@@ -593,7 +592,7 @@ func (n *Node) handleJoinReply(m core.ReplyMsg) {
 // ack acknowledges one reply entry (see handleReply's Lemma 7 note). It
 // carries no OpID: the sender cannot know which of the replier's writes —
 // if any — it feeds; the writer routes it by ⟨Reg, SN⟩.
-func (n *Node) ack(to core.ProcessID, reg core.RegisterID, sn core.SeqNum, rsn core.ReadSeq) {
+func (n *Node) ack(to core.ProcessID, reg core.RegisterID, sn core.SeqNum, rsn core.OpID) {
 	if n.opts.LiteralAckRSN {
 		sn = core.SeqNum(rsn)
 	}
@@ -642,8 +641,8 @@ func (n *Node) handleDLPrev(m core.DLPrevMsg) {
 	if n.opts.DisableDLPrev {
 		return
 	}
-	k := reqKey{id: m.From, rsn: m.RSN, reg: m.Reg}
-	if k.rsn == core.JoinReadSeq {
+	k := reqKey{id: m.From, op: m.Op, reg: m.Reg}
+	if k.op == core.NoOp {
 		k.reg = core.DefaultRegister
 	}
 	if n.active {
@@ -664,7 +663,7 @@ func (n *Node) handleDLPrev(m core.DLPrevMsg) {
 
 // defer_ records a request to answer at join completion (reply_to_i).
 func (n *Node) defer_(k reqKey) {
-	if k.rsn == core.JoinReadSeq {
+	if k.op == core.NoOp {
 		k.reg = core.DefaultRegister
 	}
 	if !n.replyTo[k] {

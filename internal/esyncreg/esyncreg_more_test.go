@@ -82,9 +82,9 @@ func TestWriteAckQuorumCountsDistinctProcesses(t *testing.T) {
 
 func TestDLPrevDedup(t *testing.T) {
 	n, _ := newJoining(5, Options{})
-	n.Deliver(7, core.DLPrevMsg{From: 7, RSN: 2})
-	n.Deliver(7, core.DLPrevMsg{From: 7, RSN: 2})
-	n.Deliver(7, core.DLPrevMsg{From: 7, RSN: 3})
+	n.Deliver(7, core.DLPrevMsg{From: 7, Op: 2})
+	n.Deliver(7, core.DLPrevMsg{From: 7, Op: 2})
+	n.Deliver(7, core.DLPrevMsg{From: 7, Op: 3})
 	if len(n.dlPrevList) != 2 {
 		t.Fatalf("dl_prev entries = %d, want 2 (distinct rsn)", len(n.dlPrevList))
 	}
@@ -92,8 +92,8 @@ func TestDLPrevDedup(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	n, _ := newActive(5, Options{})
-	n.Deliver(7, core.InquiryMsg{From: 7, RSN: 0})
-	n.Deliver(8, core.ReadMsg{From: 8, RSN: 1})
+	n.Deliver(7, core.InquiryMsg{From: 7, Op: 0})
+	n.Deliver(8, core.ReadMsg{From: 8, Op: 1})
 	n.Deliver(9, core.WriteMsg{From: 9, Value: core.VersionedValue{Val: 1, SN: 1}})
 	s := n.Stats()
 	if s.RepliesSent != 2 {

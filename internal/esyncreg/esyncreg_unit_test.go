@@ -68,10 +68,9 @@ func lastSent(t *testing.T, env *fakeEnv) sent {
 	return env.sent[len(env.sent)-1]
 }
 
-func reply(from core.ProcessID, val core.Value, sn core.SeqNum, rsn core.ReadSeq) core.ReplyMsg {
-	// Op mirrors RSN, exactly as the wire codec carries it (one counter
-	// feeds both tags).
-	return core.ReplyMsg{From: from, Value: core.VersionedValue{Val: val, SN: sn}, RSN: rsn, Op: core.OpID(rsn)}
+// reply is REPLY(⟨from, ⟨val, sn⟩⟩, r_sn); r_sn is the Op it echoes.
+func reply(from core.ProcessID, val core.Value, sn core.SeqNum, rsn core.OpID) core.ReplyMsg {
+	return core.ReplyMsg{From: from, Value: core.VersionedValue{Val: val, SN: sn}, Op: rsn}
 }
 
 // opOn returns the newest in-flight operation on key k (nil if none) —
@@ -92,7 +91,7 @@ func TestJoinBroadcastsInquiryZero(t *testing.T) {
 		t.Fatalf("broadcasts = %d, want 1", len(env.bcasts))
 	}
 	inq, ok := env.bcasts[0].(core.InquiryMsg)
-	if !ok || inq.RSN != core.JoinReadSeq || inq.From != 100 {
+	if !ok || inq.Op != core.NoOp || inq.From != 100 {
 		t.Fatalf("join broadcast = %#v, want INQUIRY(p100, 0)", env.bcasts[0])
 	}
 }
@@ -156,7 +155,7 @@ func TestReplyAckLiteralVariantCarriesRSN(t *testing.T) {
 	n, env := newJoining(5, Options{LiteralAckRSN: true})
 	n.Deliver(1, reply(1, 9, 4, 0))
 	ack := lastSent(t, env).msg.(core.AckMsg)
-	if ack.SN != core.SeqNum(core.JoinReadSeq) {
+	if ack.SN != core.SeqNum(core.NoOp) {
 		t.Fatalf("literal ACK.SN = %d, want r_sn 0", ack.SN)
 	}
 	_ = n
@@ -165,13 +164,13 @@ func TestReplyAckLiteralVariantCarriesRSN(t *testing.T) {
 func TestInquiryWhileActiveRepliesImmediately(t *testing.T) {
 	n, env := newActive(5, Options{})
 	n.vals.Store(core.DefaultRegister, core.VersionedValue{Val: 3, SN: 2})
-	n.Deliver(7, core.InquiryMsg{From: 7, RSN: 0})
+	n.Deliver(7, core.InquiryMsg{From: 7, Op: 0})
 	s := lastSent(t, env)
 	r, ok := s.msg.(core.ReplyMsg)
 	if !ok || s.to != 7 {
 		t.Fatalf("no reply to inquiry: %#v", s)
 	}
-	if r.Value.SN != 2 || r.RSN != 0 {
+	if r.Value.SN != 2 || r.Op != 0 {
 		t.Fatalf("reply = %#v, want register ⟨3,#2⟩ echoing rsn 0", r)
 	}
 }
@@ -182,7 +181,7 @@ func TestInquiryWhileActiveAndReadingAddsDLPrev(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.sent = nil
-	n.Deliver(7, core.InquiryMsg{From: 7, RSN: 0})
+	n.Deliver(7, core.InquiryMsg{From: 7, Op: 0})
 	if len(env.sent) != 2 {
 		t.Fatalf("sent %d messages, want REPLY + DL_PREV", len(env.sent))
 	}
@@ -190,20 +189,20 @@ func TestInquiryWhileActiveAndReadingAddsDLPrev(t *testing.T) {
 	if !ok {
 		t.Fatalf("second message = %#v, want DL_PREV", env.sent[1].msg)
 	}
-	if dl.RSN != 1 {
-		t.Fatalf("DL_PREV.RSN = %d, want our pending read_sn 1", dl.RSN)
+	if dl.Op != 1 {
+		t.Fatalf("DL_PREV.Op = %d, want our pending read_sn 1", dl.Op)
 	}
 }
 
 func TestInquiryWhileJoiningDefersAndSendsDLPrev(t *testing.T) {
 	n, env := newJoining(5, Options{})
 	env.sent = nil
-	n.Deliver(7, core.InquiryMsg{From: 7, RSN: 0})
-	if len(n.replyToList) != 1 || n.replyToList[0] != (reqKey{id: 7, rsn: 0}) {
+	n.Deliver(7, core.InquiryMsg{From: 7, Op: 0})
+	if len(n.replyToList) != 1 || n.replyToList[0] != (reqKey{id: 7, op: 0}) {
 		t.Fatalf("reply_to = %v, want [(p7,0)]", n.replyToList)
 	}
 	dl, ok := lastSent(t, env).msg.(core.DLPrevMsg)
-	if !ok || dl.RSN != 0 {
+	if !ok || dl.Op != 0 {
 		t.Fatalf("DL_PREV = %#v, want rsn 0 (our pending join)", lastSent(t, env).msg)
 	}
 }
@@ -211,7 +210,7 @@ func TestInquiryWhileJoiningDefersAndSendsDLPrev(t *testing.T) {
 func TestInquiryDLPrevDisabled(t *testing.T) {
 	n, env := newJoining(5, Options{DisableDLPrev: true})
 	env.sent = nil
-	n.Deliver(7, core.InquiryMsg{From: 7, RSN: 0})
+	n.Deliver(7, core.InquiryMsg{From: 7, Op: 0})
 	if len(env.sent) != 0 {
 		t.Fatalf("ablated node sent %v, want nothing", env.sent)
 	}
@@ -224,9 +223,9 @@ func TestJoinCompletionFlushesDeferredOnce(t *testing.T) {
 	n, env := newJoining(5, Options{})
 	// Same requester lands in both reply_to (via INQUIRY) and dl_prev
 	// (via DL_PREV): the flush must reply once.
-	n.Deliver(7, core.InquiryMsg{From: 7, RSN: 0})
-	n.Deliver(7, core.DLPrevMsg{From: 7, RSN: 0})
-	n.Deliver(8, core.ReadMsg{From: 8, RSN: 3})
+	n.Deliver(7, core.InquiryMsg{From: 7, Op: 0})
+	n.Deliver(7, core.DLPrevMsg{From: 7, Op: 0})
+	n.Deliver(8, core.ReadMsg{From: 8, Op: 3})
 	env.sent = nil
 	n.Deliver(1, reply(1, 1, 1, 0))
 	n.Deliver(2, reply(2, 1, 1, 0))
@@ -243,9 +242,9 @@ func TestJoinCompletionFlushesDeferredOnce(t *testing.T) {
 	if len(replies) != 2 {
 		t.Fatalf("deferred replies = %d (%v), want 2 (p7 once, p8 once)", len(replies), replies)
 	}
-	seen := map[core.ProcessID]core.ReadSeq{}
+	seen := map[core.ProcessID]core.OpID{}
 	for _, s := range replies {
-		seen[s.to] = s.msg.(core.ReplyMsg).RSN
+		seen[s.to] = s.msg.(core.ReplyMsg).Op
 	}
 	if seen[7] != 0 || seen[8] != 3 {
 		t.Fatalf("deferred replies carry wrong rsn: %v", seen)
@@ -260,7 +259,7 @@ func TestReadBroadcastsAndCompletesOnMajority(t *testing.T) {
 		t.Fatal(err)
 	}
 	rd, ok := env.bcasts[len(env.bcasts)-1].(core.ReadMsg)
-	if !ok || rd.RSN != 1 {
+	if !ok || rd.Op != 1 {
 		t.Fatalf("read broadcast = %#v, want READ(_, 1)", env.bcasts[len(env.bcasts)-1])
 	}
 	n.Deliver(1, reply(1, 50, 5, 1))
@@ -384,8 +383,8 @@ func TestJoiningProcessAppliesWrites(t *testing.T) {
 func TestReadWhileJoiningDefersWithoutDLPrev(t *testing.T) {
 	n, env := newJoining(5, Options{})
 	env.sent = nil
-	n.Deliver(7, core.ReadMsg{From: 7, RSN: 2})
-	if len(n.replyToList) != 1 || n.replyToList[0] != (reqKey{id: 7, rsn: 2}) {
+	n.Deliver(7, core.ReadMsg{From: 7, Op: 2})
+	if len(n.replyToList) != 1 || n.replyToList[0] != (reqKey{id: 7, op: 2}) {
 		t.Fatalf("READ not deferred: %v", n.replyToList)
 	}
 	// Figure 5's READ handler sends no DL_PREV (unlike INQUIRY's).
@@ -397,9 +396,9 @@ func TestReadWhileJoiningDefersWithoutDLPrev(t *testing.T) {
 func TestDLPrevAtActiveNodeAnswersImmediately(t *testing.T) {
 	n, env := newActive(5, Options{})
 	env.sent = nil
-	n.Deliver(7, core.DLPrevMsg{From: 7, RSN: 4})
+	n.Deliver(7, core.DLPrevMsg{From: 7, Op: 4})
 	r, ok := lastSent(t, env).msg.(core.ReplyMsg)
-	if !ok || r.RSN != 4 {
+	if !ok || r.Op != 4 {
 		t.Fatalf("late DL_PREV not answered: %#v", lastSent(t, env).msg)
 	}
 }

@@ -175,7 +175,7 @@ func (n *Network) Send(from, to core.ProcessID, m core.Message) {
 		return
 	}
 	d := n.model.Delay(n.rng, from, to, n.sched.Now(), m.Kind())
-	n.transmit(from, to, m, encode(from, m), d)
+	n.transmit(from, to, m, encode(m), d)
 }
 
 // Broadcast disseminates m to every process present at the send instant,
@@ -187,7 +187,7 @@ func (n *Network) Broadcast(from core.ProcessID, m core.Message) {
 		return
 	}
 	n.stats.Broadcasts++
-	frame := encode(from, m)
+	frame := encode(m)
 	// Deterministic iteration: deliveries are scheduled in ID order so the
 	// run is independent of map iteration order.
 	for _, id := range n.PresentIDs() {
@@ -204,9 +204,9 @@ func (n *Network) Broadcast(from core.ProcessID, m core.Message) {
 // encode renders m as the frame nettransport would write for it, length
 // prefix included. A message the codec cannot carry is a bug in the
 // sender, so it panics here rather than at some later delivery.
-func encode(from core.ProcessID, m core.Message) []byte {
+func encode(m core.Message) []byte {
 	// 96 bytes hold every frame but a snapshot REPLY of three or more keys.
-	b, err := wire.AppendFrameBytes(make([]byte, 0, 96), wire.Frame{Type: wire.FrameMsg, From: from, Msg: m})
+	b, err := wire.AppendFrameBytes(make([]byte, 0, 96), wire.Frame{Type: wire.FrameMsg, Msg: m})
 	if err != nil {
 		panic(fmt.Sprintf("netsim: cannot encode %T: %v", m, err))
 	}
@@ -256,7 +256,7 @@ func (n *Network) transmit(from, to core.ProcessID, m core.Message, frame []byte
 		if err != nil {
 			panic(fmt.Sprintf("netsim: cannot decode %v: %v", kind, err))
 		}
-		ep.Deliver(f.From, f.Msg)
+		ep.Deliver(from, f.Msg)
 	})
 }
 

@@ -232,8 +232,8 @@ func (unknownMsg) Kind() core.MsgKind { return core.MsgKind(99) }
 // nettransport would write: receivers get decoded copies, the byte count
 // is the encoded frames', and what the codec cannot carry fails at send.
 func TestMessagesCrossTheCodec(t *testing.T) {
-	frameLen := func(t *testing.T, from core.ProcessID, m core.Message) uint64 {
-		b, err := wire.AppendFrameBytes(nil, wire.Frame{Type: wire.FrameMsg, From: from, Msg: m})
+	frameLen := func(t *testing.T, m core.Message) uint64 {
+		b, err := wire.AppendFrameBytes(nil, wire.Frame{Type: wire.FrameMsg, Msg: m})
 		if err != nil {
 			t.Fatalf("encode %T: %v", m, err)
 		}
@@ -267,13 +267,13 @@ func TestMessagesCrossTheCodec(t *testing.T) {
 			}
 		}},
 		{"bytes are the encoded frames", func(t *testing.T, sched *sim.Scheduler, net *Network, eps []*recorder) {
-			inq := core.InquiryMsg{From: 1, RSN: core.JoinReadSeq}
+			inq := core.InquiryMsg{From: 1, Op: core.NoOp}
 			rep := core.ReplyMsg{From: 2, Reg: 5, Rest: []core.KeyedValue{{Reg: 6}, {Reg: 8}}}
 			snap := core.ReplyMsg{From: 3, Op: 4, Rest: []core.KeyedValue{{Reg: 1}, {Reg: 2}, {Reg: 3}}}
 			net.Send(1, 2, inq)
 			net.Send(2, 1, rep)
 			net.Broadcast(3, snap)
-			want := frameLen(t, 1, inq) + frameLen(t, 2, rep) + uint64(len(eps))*frameLen(t, 3, snap)
+			want := frameLen(t, inq) + frameLen(t, rep) + uint64(len(eps))*frameLen(t, snap)
 			if got := net.Stats().BytesSent; got != want {
 				t.Fatalf("BytesSent = %d, want %d", got, want)
 			}

@@ -188,6 +188,7 @@ func (l *link) flush(t *Transport, conn net.Conn) bool {
 	}
 	if n > 0 {
 		t.stats.FlushWrites.Add(1)
+		t.stats.FlushedBytes.Add(uint64(n))
 	}
 	if l.off += n; l.off < len(l.batch) {
 		if conn != nil {

@@ -209,11 +209,13 @@ type Stats struct {
 	DecodeErrors atomic.Uint64 // connections dropped on an undecodable frame
 	// FlushWrites counts the writes that carried frames to a connection,
 	// from a turn's end or from a link's writer; FlushedFrames counts the
-	// frames they carried. Their ratio (FramesPerWrite) is the coalescing
-	// factor: 1.0 means every frame paid its own syscall, higher means the
-	// turn is amortizing.
+	// frames they carried and FlushedBytes their bytes. FlushedFrames over
+	// FlushWrites (FramesPerWrite) is the coalescing factor: 1.0 means
+	// every frame paid its own syscall, higher means the turn is
+	// amortizing. FlushedBytes over FlushedFrames is the mean frame size.
 	FlushWrites   atomic.Uint64
 	FlushedFrames atomic.Uint64
+	FlushedBytes  atomic.Uint64
 	// InlineFlushes counts the non-blocking writes that ended turns, made
 	// by the goroutine that ran the turn; FlushHandoffs those the socket cut
 	// short or refused, leaving the rest of the batch to the link's writer.
@@ -601,7 +603,7 @@ func (t *Transport) send(inTurn bool, m core.Message, to ...core.ProcessID) {
 			t.stats.SendUnknown.Add(1)
 		}
 	}
-	t.transmit(inTurn, wire.Frame{Type: wire.FrameMsg, From: t.cfg.ID, Msg: m}, ls...)
+	t.transmit(inTurn, wire.Frame{Type: wire.FrameMsg, Msg: m}, ls...)
 }
 
 // broadcast queues m on every outbound peer and delivers it to self. A
@@ -613,8 +615,8 @@ func (t *Transport) broadcast(inTurn bool, m core.Message) {
 		return
 	default:
 	}
-	f := wire.Frame{Type: wire.FrameMsg, From: t.cfg.ID, Msg: m}
-	if inq, ok := m.(core.InquiryMsg); ok && inq.RSN == core.JoinReadSeq && !t.active.Load() {
+	f := wire.Frame{Type: wire.FrameMsg, Msg: m}
+	if inq, ok := m.(core.InquiryMsg); ok && inq.Op == core.NoOp && !t.active.Load() {
 		if b, err := wire.AppendFrameBytes(nil, f); err == nil {
 			t.mu.Lock()
 			t.pendingInquiry = b

@@ -7,6 +7,7 @@ package nettransport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -52,8 +53,13 @@ func (p *probe) Deliver(from core.ProcessID, m core.Message) {
 	p.depth--
 }
 
-// label is a message told apart by its Op.
-func label(op int) core.Message { return core.ReadMsg{From: 1, Op: core.OpID(op)} }
+// label is a message from this node (p1) told apart by its Op.
+func label(op int) core.Message { return labelFrom(1, op) }
+
+// labelFrom is a message from process from told apart by its Op.
+func labelFrom(from core.ProcessID, op int) core.Message {
+	return core.ReadMsg{From: from, Op: core.OpID(op)}
+}
 
 // goid names the calling goroutine, from the first line of its stack
 // ("goroutine 12 [running]:"): the tests' half of Transport.goid.
@@ -105,13 +111,14 @@ func (c *feedConn) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// batch encodes msgs as the frames process from would flush together.
-func batch(t *testing.T, from core.ProcessID, msgs ...core.Message) []byte {
+// batch encodes process from's labels ops as the frames it would flush
+// together.
+func batch(t *testing.T, from core.ProcessID, ops ...int) []byte {
 	t.Helper()
 	var b []byte
-	for _, m := range msgs {
+	for _, op := range ops {
 		var err error
-		if b, err = wire.AppendFrameBytes(b, wire.Frame{Type: wire.FrameMsg, From: from, Msg: m}); err != nil {
+		if b, err = wire.AppendFrameBytes(b, wire.Frame{Type: wire.FrameMsg, Msg: labelFrom(from, op)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,7 +205,7 @@ func TestSelfDeliveryIsFIFOAfterHandlerBeforeNextTask(t *testing.T) {
 	}, nil)
 	// Two frames the peer flushed together: one turn, and the second frame
 	// waits for everything the first one's handler sent to self.
-	serve(tr, batch(t, 2, label(100), label(200)))
+	serve(tr, batch(t, 2, 100, 200))
 	want := []string{
 		"deliver 100 from p2",
 		"handler 100 returns",
@@ -253,7 +260,7 @@ func TestSelfChatterCannotWedgeOrStarveTheNode(t *testing.T) {
 			remote, local := net.Pipe()
 			tr.wg.Add(1)
 			go tr.readConn(local, nil, true, nil)
-			if _, err := remote.Write(batch(t, from, label(int(round)))); err != nil {
+			if _, err := remote.Write(batch(t, from, int(round))); err != nil {
 				t.Fatal(err)
 			}
 			waitFor(t, "a connection's frame to be served beside the chain", func() bool { return served[from].Load() == round })
@@ -288,15 +295,16 @@ func TestReaderBatchIsOneTurnAndOneWritePerLink(t *testing.T) {
 	}, nil)
 	conn := &scriptConn{failAfter: -1}
 	attachPeer(tr, 2, conn)
-	msgs := make([]core.Message, frames)
-	for i := range msgs {
-		msgs[i] = label(i)
+	ops := make([]int, frames)
+	for i := range ops {
+		ops[i] = i
 	}
-	serve(tr, batch(t, 3, msgs...))
+	serve(tr, batch(t, 3, ops...))
 	waitFor(t, "the turn's frames", func() bool { return len(scanAll(t, conn.bytesWritten())) == frames })
+	// Relayed unchanged, each message still names its sender, p3.
 	for i, f := range scanAll(t, conn.bytesWritten()) {
-		if f.Msg != label(i) {
-			t.Fatalf("frame %d = %+v, want %+v", i, f.Msg, label(i))
+		if f.Msg != labelFrom(3, i) || f.From != 3 {
+			t.Fatalf("frame %d = %+v from %v, want %+v from p3", i, f.Msg, f.From, labelFrom(3, i))
 		}
 	}
 	// The reader found every frame in its buffer at once, so they made one
@@ -309,7 +317,7 @@ func TestReaderBatchIsOneTurnAndOneWritePerLink(t *testing.T) {
 		t.Fatalf("tasks = %d, frames per write = %v, want %d", st.LoopTasks.Load(), st.FramesPerWrite(), frames)
 	}
 	// The same frames arriving one read at a time are a turn each.
-	serve(tr, batch(t, 3, msgs[0]), batch(t, 3, msgs[1]), batch(t, 3, msgs[2]))
+	serve(tr, batch(t, 3, 0), batch(t, 3, 1), batch(t, 3, 2))
 	if turns := st.LoopTurns.Load(); turns != 4 {
 		t.Fatalf("turns = %d after three more frames in three reads, want 4", turns)
 	}
@@ -321,11 +329,11 @@ func TestReaderBatchIsOneTurnAndOneWritePerLink(t *testing.T) {
 func TestTurnIsBoundedAndReleasesTheMonitor(t *testing.T) {
 	const frames = turnTasks + 10
 	tr, p := newProbeTransport(t, nil, nil)
-	msgs := make([]core.Message, frames)
-	for i := range msgs {
-		msgs[i] = label(i)
+	ops := make([]int, frames)
+	for i := range ops {
+		ops[i] = i
 	}
-	serve(tr, batch(t, 2, msgs...))
+	serve(tr, batch(t, 2, ops...))
 	if p.delivers.Load() != frames || tr.Stats().LoopTurns.Load() != 2 {
 		t.Fatalf("delivered %d in %d turns, want %d in 2", p.delivers.Load(), tr.Stats().LoopTurns.Load(), frames)
 	}
@@ -338,12 +346,13 @@ func TestTurnIsBoundedAndReleasesTheMonitor(t *testing.T) {
 // it once.
 func TestReservedKindDropsTheConnection(t *testing.T) {
 	tr, p := newProbeTransport(t, nil, nil)
-	writeBatch := wire.AppendPayloadBytes(nil, []byte{
-		wire.Version, byte(wire.FrameMsg), 0, 0, 0, 0, 0, 0, 0, 2, 10, // from p2, kind 10
-		0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, // from, op, one entry
+	payload := []byte{
+		wire.Version, byte(wire.FrameMsg), 10, // kind 10
+		0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, // from p2, op, one entry
 		0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 1, // ⟨reg 4, val 7, sn 1⟩
-	})
-	conn := &feedConn{chunks: [][]byte{append(append(batch(t, 2, label(1)), writeBatch...), batch(t, 2, label(2))...)}}
+	}
+	writeBatch := append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
+	conn := &feedConn{chunks: [][]byte{append(append(batch(t, 2, 1), writeBatch...), batch(t, 2, 2)...)}}
 	tr.wg.Add(1)
 	tr.readConn(conn, nil, true, nil)
 	if got := tr.Stats().DecodeErrors.Load(); got != 1 {
@@ -377,6 +386,34 @@ func TestForeignSendFlushesWithoutATurn(t *testing.T) {
 	}
 }
 
+// TestFlushedBytesCountsWhatFlushesWrite: after known frames to a
+// connected peer, FlushedBytes is the sum of their encoded lengths — the
+// bytes the peer received.
+func TestFlushedBytesCountsWhatFlushesWrite(t *testing.T) {
+	tr, _ := newProbeTransport(t, nil, nil)
+	conn := &scriptConn{failAfter: -1}
+	attachPeer(tr, 2, conn)
+	msgs := []core.Message{
+		label(1),
+		core.WriteMsg{From: 1, Value: core.VersionedValue{Val: 7, SN: 3}, Reg: 4, Op: 2},
+		core.ReplyMsg{From: 1, Op: 3, Rest: []core.KeyedValue{{Reg: 5}, {Reg: 6}}},
+	}
+	var want uint64
+	for _, m := range msgs {
+		b, err := wire.AppendFrameBytes(nil, wire.Frame{Type: wire.FrameMsg, Msg: m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += uint64(len(b))
+		tr.Send(2, m)
+	}
+	st := tr.Stats()
+	waitFor(t, "the flushes", func() bool { return st.FlushedFrames.Load() == uint64(len(msgs)) })
+	if got, wrote := st.FlushedBytes.Load(), len(conn.bytesWritten()); got != want || got != uint64(wrote) {
+		t.Fatalf("FlushedBytes = %d, want %d, the %d bytes the peer received", got, want, wrote)
+	}
+}
+
 // TestInvokeFromAHandlerIsCaught pins the rule the monitor adds: a handler
 // that calls Invoke (or an exported Send to self) waits for the monitor
 // its own goroutine holds. Production code would hang; under test it
@@ -391,7 +428,7 @@ func TestInvokeFromAHandlerIsCaught(t *testing.T) {
 		}()
 		tr.Invoke(func(core.Node) {})
 	}, nil)
-	serve(tr, batch(t, 2, label(1)))
+	serve(tr, batch(t, 2, 1))
 }
 
 func TestLeaveWaitsForClientSessionLinks(t *testing.T) {

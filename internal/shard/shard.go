@@ -51,8 +51,8 @@
 // When a view change makes this node a replica of a shard it did not
 // hold, the shard is PENDING: operations on it queue while the wrapper
 // asks the shard's previous and current replicas (the donors) for their
-// state — INQUIRY(HandoffReadSeq, shard) answered by the shard's slice
-// of the donor's snapshot REPLY (core.RegStore.SnapshotReply, the
+// state — INQUIRY tagged core.HandoffOp(shard), answered by the shard's
+// slice of the donor's snapshot REPLY (core.RegStore.SnapshotReply, the
 // builder a join's replies use), intercepted by the donor's wrapper so it
 // works identically over every protocol. The snapshot's entries for
 // pending shards are merged into the inner node's store
@@ -225,13 +225,13 @@ func (n *Node) Deliver(from core.ProcessID, m core.Message) {
 		n.handleForwarded(msg)
 		return
 	case core.InquiryMsg:
-		if msg.RSN == core.HandoffReadSeq {
-			n.handleHandoffInquiry(msg)
+		if s, ok := core.HandoffShard(msg.Op); ok {
+			n.handleHandoffInquiry(msg, s)
 			return
 		}
 	case core.ReplyMsg:
-		if msg.RSN == core.HandoffReadSeq {
-			n.handleHandoffReply(msg)
+		if s, ok := core.HandoffShard(msg.Op); ok {
+			n.handleHandoffReply(msg, s)
 			return
 		}
 	}
@@ -367,7 +367,7 @@ func donorsFor(old, v core.PlacementView, s int, self core.ProcessID) []core.Pro
 func (n *Node) sendHandoffInquiries(s int, st *shardState) {
 	for _, d := range st.donors {
 		if !st.got[d] {
-			n.env.Send(d, core.InquiryMsg{From: n.env.ID(), RSN: core.HandoffReadSeq, Op: core.OpID(s)})
+			n.env.Send(d, core.InquiryMsg{From: n.env.ID(), Op: core.HandoffOp(s)})
 		}
 	}
 }
@@ -435,33 +435,29 @@ func (n *Node) checkHandoffReady(s int, st *shardState) bool {
 }
 
 // handleHandoffInquiry answers a gaining node's state request with a
-// snapshot of the inner node's store for the REQUESTED shard (m.Op is
-// the shard tag; shard counts are deployment constants, so the donor's
-// own view computes the same ShardOf) — the join's snapshot REPLY,
+// snapshot of the inner node's store for the REQUESTED shard (m.Op's
+// shard; shard counts are deployment constants, so the donor's own view
+// computes the same ShardOf) — the join's snapshot REPLY, echoing m.Op,
 // filtered — only when active (a joining donor's state is partial; the
 // requester's retry rounds cover the silence). Filtering at the donor
 // keeps handoff traffic proportional to the keys that moved, not to the
 // whole keyspace; without a view yet, the full snapshot goes out and the
 // requester filters instead.
-func (n *Node) handleHandoffInquiry(m core.InquiryMsg) {
+func (n *Node) handleHandoffInquiry(m core.InquiryMsg, shard int) {
 	if !n.inner.Active() {
 		return
 	}
 	var inShard func(core.RegisterID) bool
 	if n.view != nil {
-		shard := int(m.Op)
 		inShard = func(k core.RegisterID) bool { return n.view.ShardOf(k) == shard }
 	}
-	reply := n.store.SnapshotReply(n.env.ID(), core.HandoffReadSeq, true, inShard)
-	reply.Op = m.Op // echoes the requester's shard tag
-	n.env.Send(m.From, reply)
+	n.env.Send(m.From, n.store.SnapshotReply(n.env.ID(), m.Op, true, inShard))
 }
 
 // handleHandoffReply merges a donor's snapshot into the inner node's
 // store — the monotone per-key merge the join's replies use, and nothing
 // is sent back — and advances the shard's readiness.
-func (n *Node) handleHandoffReply(m core.ReplyMsg) {
-	s := int(m.Op)
+func (n *Node) handleHandoffReply(m core.ReplyMsg, s int) {
 	st := n.shards[s]
 	if st == nil || st.ready {
 		return

@@ -81,7 +81,7 @@ func TestServeForwardAllocs(t *testing.T) {
 				switch m := env.last.(type) {
 				case core.ReadMsg:
 					for _, from := range []core.ProcessID{2, 3} {
-						n.Deliver(from, core.ReplyMsg{From: from, Value: core.ImplicitInitial(), RSN: m.RSN, Reg: reg, Op: m.Op})
+						n.Deliver(from, core.ReplyMsg{From: from, Value: core.ImplicitInitial(), Reg: reg, Op: m.Op})
 					}
 				case core.WriteMsg:
 					if fire := env.timer; fire != nil {
@@ -357,7 +357,7 @@ func TestQueuedWriteChecksPrimacyAgain(t *testing.T) {
 	}
 	n.PlacementChanged(view3)
 	for _, d := range placement.Donors(view2, view3, shardOf, 1) {
-		n.Deliver(d, core.ReplyMsg{From: d, Value: core.Bottom(), RSN: core.HandoffReadSeq, Reg: core.DefaultRegister, Op: core.OpID(shardOf)})
+		n.Deliver(d, core.ReplyMsg{From: d, Value: core.Bottom(), Reg: core.DefaultRegister, Op: core.HandoffOp(shardOf)})
 	}
 	if st := n.Stats(); st.HandoffsComplete != 1 || st.LocalWrites != 0 {
 		t.Fatalf("stats %+v, want the handoff complete and no write served", st)

@@ -164,7 +164,7 @@ func (n *Node) startJoin() {
 		// is the process's one and only join inquiry, whatever number of
 		// registers the namespace holds.
 		n.stats.JoinInquiries++
-		n.env.Broadcast(core.InquiryMsg{From: n.env.ID(), RSN: core.JoinReadSeq})
+		n.env.Broadcast(core.InquiryMsg{From: n.env.ID(), Op: core.NoOp})
 		n.env.After(2*n.env.Delta(), n.completeJoin)
 	})
 }
@@ -195,10 +195,9 @@ func (n *Node) completeJoin() {
 }
 
 // snapshotReply builds a REPLY carrying this node's entire register space
-// (see core.RegStore.SnapshotReply). The synchronous protocol leaves RSN
-// at its zero value.
+// (see core.RegStore.SnapshotReply), answering a join inquiry.
 func (n *Node) snapshotReply() core.ReplyMsg {
-	return n.regs.SnapshotReply(n.env.ID(), core.JoinReadSeq, n.active, nil)
+	return n.regs.SnapshotReply(n.env.ID(), core.NoOp, n.active, nil)
 }
 
 // OnJoined implements core.Joiner: done runs when the join returns ok (or

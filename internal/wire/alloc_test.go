@@ -2,8 +2,8 @@ package wire_test
 
 // The allocation-ceiling regression tests behind the zero-alloc codec:
 // steady-state encoding into a recycled buffer and the frame-scanning
-// machinery must not touch the heap, and decoding an enveloped protocol
-// message may allocate exactly the one core.Message interface box (a
+// machinery must not touch the heap, and decoding a protocol message may
+// allocate exactly the one core.Message interface box (a
 // value-typed message moving into an interface is a heap cell; everything
 // else — payload buffers, headers, cursors — is reused). CI runs these in
 // the main test job; they skip under -race, whose instrumentation
@@ -39,22 +39,6 @@ func skipIfRace(t *testing.T) {
 	}
 }
 
-func TestAppendFrameZeroAllocs(t *testing.T) {
-	skipIfRace(t)
-	f := hotMsgFrame()
-	buf := make([]byte, 0, 256)
-	allocs := testing.AllocsPerRun(1000, func() {
-		var err error
-		buf, err = wire.AppendFrame(buf[:0], f)
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("AppendFrame allocs/op = %v, want 0", allocs)
-	}
-}
-
 func TestAppendFrameBytesZeroAllocs(t *testing.T) {
 	skipIfRace(t)
 	f := hotMsgFrame()
@@ -68,21 +52,6 @@ func TestAppendFrameBytesZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("AppendFrameBytes allocs/op = %v, want 0", allocs)
-	}
-}
-
-func TestAppendPayloadBytesZeroAllocs(t *testing.T) {
-	skipIfRace(t)
-	payload, err := wire.EncodeFrame(hotMsgFrame())
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 0, 256)
-	allocs := testing.AllocsPerRun(1000, func() {
-		buf = wire.AppendPayloadBytes(buf[:0], payload)
-	})
-	if allocs != 0 {
-		t.Fatalf("AppendPayloadBytes allocs/op = %v, want 0", allocs)
 	}
 }
 
@@ -115,7 +84,7 @@ func TestScannerZeroAllocsControlFrames(t *testing.T) {
 	}
 }
 
-// TestScannerMsgDecodeSingleBox pins enveloped-message decode at its
+// TestScannerMsgDecodeSingleBox pins message decode at its
 // theoretical floor: exactly one allocation per frame, the core.Message
 // interface box. A regression (payload copies, per-frame buffers) pushes
 // the count above 1 and fails here.
@@ -165,10 +134,10 @@ func TestBufferPoolRoundTrip(t *testing.T) {
 	wire.PutBuffer(nil)   // nil is a no-op
 }
 
-// TestAppendFrameBytesMatchesFrameBytes pins the coalescing append path to
-// the canonical one-frame encoding: byte-for-byte identical, so a remote
-// cannot tell batched frames from per-frame writes.
-func TestAppendFrameBytesMatchesFrameBytes(t *testing.T) {
+// TestAppendFrameBytesMatchesWriteFrame pins the coalescing append path
+// to the one-frame write: byte-for-byte identical, so a remote cannot
+// tell batched frames from per-frame writes.
+func TestAppendFrameBytesMatchesWriteFrame(t *testing.T) {
 	frames := []wire.Frame{
 		hotMsgFrame(),
 		{Type: wire.FrameHello, From: 2, Addr: "127.0.0.1:9999"},
@@ -176,21 +145,19 @@ func TestAppendFrameBytesMatchesFrameBytes(t *testing.T) {
 		{Type: wire.FrameLeave, From: 11},
 	}
 	var batched []byte
-	var canonical []byte
+	var canonical bytes.Buffer
 	for _, f := range frames {
 		var err error
 		batched, err = wire.AppendFrameBytes(batched, f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, err := wire.EncodeFrame(f)
-		if err != nil {
+		if err := wire.WriteFrame(&canonical, f); err != nil {
 			t.Fatal(err)
 		}
-		canonical = append(canonical, wire.FrameBytes(payload)...)
 	}
-	if !bytes.Equal(batched, canonical) {
-		t.Fatalf("AppendFrameBytes stream differs from FrameBytes stream\n got %x\nwant %x", batched, canonical)
+	if !bytes.Equal(batched, canonical.Bytes()) {
+		t.Fatalf("AppendFrameBytes stream differs from WriteFrame stream\n got %x\nwant %x", batched, canonical.Bytes())
 	}
 	// And the canonical reader must scan the batched stream unchanged.
 	s := wire.NewScanner(bytes.NewReader(batched))

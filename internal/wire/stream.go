@@ -74,9 +74,10 @@ func (s *Scanner) HasFrame() bool {
 	return uint32(have) >= binary.BigEndian.Uint32(hdr)
 }
 
-// Next reads and decodes one frame. It returns exactly ReadFrame's errors:
-// io errors from the connection, ErrTooLarge for a hostile length prefix,
-// and DecodeFrame's errors for malformed payloads.
+// Next reads and decodes one frame. Its errors are io errors from the
+// connection, ErrTooLarge for a length prefix of 0 or above MaxFrame
+// (refused before any buffer grows to the claimed size), and DecodeFrame's
+// errors for malformed payloads.
 func (s *Scanner) Next() (Frame, error) {
 	// The header reads into the reusable payload buffer (not a local
 	// array, which would escape through io.ReadFull and cost one heap

@@ -14,6 +14,9 @@
 //
 //	byte version | byte frame type | body
 //
+// A MSG body is the message alone: its kind byte, its sender, then its
+// fields.
+//
 // Integers inside bodies are fixed-width big-endian (no varints: the
 // messages are small and a fixed layout keeps the decoder branch-free and
 // fuzz-simple). Strings (peer addresses) are uint16 length + bytes.
@@ -61,7 +64,13 @@ import (
 //	   a v3 node would misparse the widened HELLO body, and a client
 //	   routing on placement assumptions its server never agreed to would
 //	   write to the wrong primary.
-const Version = 4
+//	5: each fact once. A MSG body is the message alone — no envelope
+//	   sender beside the message's own — and INQUIRY, REPLY, READ and
+//	   DL_PREV lose their read_sn, which was always the OpID they carry
+//	   (a shard handoff's tag moved into the OpID: core.HandoffOp).
+//	   Version-4 payloads decode to ErrVersion: a v4 body would misparse
+//	   field for field.
+const Version = 5
 
 // MaxFrame bounds a payload's length. The largest legitimate frame is a
 // join snapshot reply, 24 bytes per key; 1 MiB allows ~43k keys per
@@ -75,7 +84,7 @@ const MaxAddr = 4096
 // FrameType discriminates payloads.
 type FrameType byte
 
-// Frame types: Msg envelops one core.Message; Hello/Peers/Leave are
+// Frame types: Msg carries one core.Message; Hello/Peers/Leave are
 // transport control traffic (connection handshake, address-book gossip,
 // graceful departure); ViewReq/View are the client-session placement
 // bootstrap (a client asks, the server answers — and pushes unasked
@@ -143,7 +152,8 @@ type Peer struct {
 // Frame is the decoded form of one wire payload.
 type Frame struct {
 	Type FrameType
-	// From identifies the sender (Msg, Hello, Leave).
+	// From identifies the sender (Msg, Hello, Leave). A Msg frame's sender
+	// is its message's: encoding ignores From, and decoding sets it.
 	From core.ProcessID
 	// Addr is the sender's listen address (Hello): the receiver records it
 	// so replies can be dialed.
@@ -153,7 +163,7 @@ type Frame struct {
 	// Peers is the gossiped address book (Peers) or the placement's member
 	// list (View).
 	Peers []Peer
-	// Msg is the enveloped protocol message (Msg).
+	// Msg is the carried protocol message (Msg).
 	Msg core.Message
 	// ViewVersion is the monotone stamp of the sender's placement view
 	// (View); a client discards pushes older than what it holds.
@@ -176,54 +186,30 @@ var (
 	ErrAddrLength = errors.New("wire: address exceeds size bound")
 )
 
-// EncodeFrame renders f as a payload (without the length prefix) into a
-// fresh buffer. Hot paths that reuse buffers call AppendFrame instead;
-// this wrapper exists for the cold paths and the tests.
-func EncodeFrame(f Frame) ([]byte, error) {
-	b, err := AppendFrame(make([]byte, 0, 64), f)
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// AppendFrame appends f's payload (version byte, frame type byte, body) to
-// dst and returns the extended slice. It allocates only when dst lacks
+// AppendFrameBytes appends f's complete wire form — length prefix plus
+// payload — to dst and returns the extended slice. This is the coalescing
+// transport's workhorse: many frames append into one flush buffer, and the
+// whole buffer leaves in a single write. It allocates only when dst lacks
 // capacity, so steady-state encoding into a recycled buffer performs zero
-// heap allocations (TestAppendFrameZeroAllocs enforces this). On error dst
-// is returned unchanged.
-func AppendFrame(dst []byte, f Frame) ([]byte, error) {
+// heap allocations (TestAppendFrameBytesZeroAllocs enforces this). A MSG
+// frame's sender is its message's: f.From is ignored. On error dst is
+// returned unchanged.
+func AppendFrameBytes(dst []byte, f Frame) ([]byte, error) {
 	start := len(dst)
-	b := append(dst, Version, byte(f.Type))
+	b := append(dst, 0, 0, 0, 0, Version, byte(f.Type)) // length backfilled below
+	var err error
 	switch f.Type {
 	case FrameMsg:
-		b = be64(b, int64(f.From))
-		var err error
-		b, err = AppendMessage(b, f.Msg)
-		if err != nil {
-			return dst[:start], err
-		}
+		b, err = appendMessage(b, f.Msg)
 	case FrameHello:
-		if len(f.Addr) > MaxAddr {
-			return dst[:start], ErrAddrLength
-		}
 		if f.Role > RoleClient {
 			return dst[:start], fmt.Errorf("wire: bad hello role %d", byte(f.Role))
 		}
 		b = be64(b, int64(f.From))
 		b = append(b, byte(f.Role))
-		b = binary.BigEndian.AppendUint16(b, uint16(len(f.Addr)))
-		b = append(b, f.Addr...)
+		b, err = appendStr(b, f.Addr)
 	case FramePeers:
-		b = binary.BigEndian.AppendUint32(b, uint32(len(f.Peers)))
-		for _, p := range f.Peers {
-			if len(p.Addr) > MaxAddr {
-				return dst[:start], ErrAddrLength
-			}
-			b = be64(b, int64(p.ID))
-			b = binary.BigEndian.AppendUint16(b, uint16(len(p.Addr)))
-			b = append(b, p.Addr...)
-		}
+		b, err = appendPeers(b, f.Peers)
 	case FrameLeave:
 		b = be64(b, int64(f.From))
 	case FrameViewReq:
@@ -232,50 +218,36 @@ func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 		b = binary.BigEndian.AppendUint64(b, f.ViewVersion)
 		b = binary.BigEndian.AppendUint32(b, f.Shards)
 		b = binary.BigEndian.AppendUint32(b, f.Replication)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(f.Peers)))
-		for _, p := range f.Peers {
-			if len(p.Addr) > MaxAddr {
-				return dst[:start], ErrAddrLength
-			}
-			b = be64(b, int64(p.ID))
-			b = binary.BigEndian.AppendUint16(b, uint16(len(p.Addr)))
-			b = append(b, p.Addr...)
-		}
+		b, err = appendPeers(b, f.Peers)
 	default:
-		return dst[:start], fmt.Errorf("%w: %d", ErrFrameType, byte(f.Type))
+		err = fmt.Errorf("%w: %d", ErrFrameType, byte(f.Type))
 	}
-	if len(b)-start > MaxFrame {
-		return dst[:start], ErrTooLarge
-	}
-	return b, nil
-}
-
-// AppendFrameBytes appends f's complete wire form — length prefix plus
-// payload — to dst and returns the extended slice. This is the coalescing
-// transport's workhorse: many frames append into one flush buffer, and the
-// whole buffer leaves in a single write. On error dst is returned
-// unchanged.
-func AppendFrameBytes(dst []byte, f Frame) ([]byte, error) {
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // length backfilled below
-	out, err := AppendFrame(dst, f)
 	if err != nil {
 		return dst[:start], err
 	}
-	binary.BigEndian.PutUint32(out[start:], uint32(len(out)-start-4))
-	return out, nil
+	n := len(b) - start - 4
+	if n > MaxFrame {
+		return dst[:start], ErrTooLarge
+	}
+	binary.BigEndian.PutUint32(b[start:], uint32(n))
+	return b, nil
 }
 
-// AppendPayloadBytes appends an already-encoded payload with its length
-// prefix to dst: the coalescing path for pre-encoded frames (the
-// transport's per-peer queues carry payloads, not Frames).
-func AppendPayloadBytes(dst, payload []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
-	return append(dst, payload...)
+// WriteFrame encodes f and writes it with its length prefix in one Write
+// call, so concurrent writers interleave whole frames at worst never
+// partial ones (callers still serialize per connection).
+func WriteFrame(w io.Writer, f Frame) error {
+	b, err := AppendFrameBytes(make([]byte, 0, 64), f)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
 }
 
 // DecodeFrame parses one payload. It returns an error — never panics — on
-// malformed input, and rejects payloads with trailing garbage.
+// malformed input, and rejects payloads with trailing garbage. A MSG
+// frame's From is its message's sender.
 func DecodeFrame(b []byte) (Frame, error) {
 	d := decoder{b: b}
 	ver := d.u8()
@@ -289,8 +261,7 @@ func DecodeFrame(b []byte) (Frame, error) {
 	f := Frame{Type: typ}
 	switch typ {
 	case FrameMsg:
-		f.From = core.ProcessID(d.i64())
-		f.Msg = d.message()
+		f.From, f.Msg = d.message()
 	case FrameHello:
 		f.From = core.ProcessID(d.i64())
 		f.Role = d.role()
@@ -318,14 +289,6 @@ func DecodeFrame(b []byte) (Frame, error) {
 	return f, nil
 }
 
-// FrameBytes prepends the length prefix to an encoded payload, yielding
-// the exact bytes a connection carries. The prefix format has one owner:
-// callers that pre-encode payloads (the transport's per-peer queues) use
-// this rather than re-deriving the framing.
-func FrameBytes(payload []byte) []byte {
-	return AppendPayloadBytes(make([]byte, 0, 4+len(payload)), payload)
-}
-
 // FrameSize reports how many bytes the first frame in b occupies, length
 // prefix included. b must start at a frame boundary and hold the prefix:
 // this is how a queue of rendered frames finds where its oldest one ends.
@@ -333,84 +296,44 @@ func FrameSize(b []byte) int {
 	return 4 + int(binary.BigEndian.Uint32(b))
 }
 
-// WriteFrame encodes f and writes it with its length prefix in one Write
-// call, so concurrent writers interleave whole frames at worst never
-// partial ones (callers still serialize per connection).
-func WriteFrame(w io.Writer, f Frame) error {
-	payload, err := EncodeFrame(f)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(FrameBytes(payload))
-	return err
-}
-
-// ReadFrame reads one length-prefixed frame from r and decodes it.
-func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n == 0 || n > MaxFrame {
-		return Frame{}, ErrTooLarge
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Frame{}, err
-	}
-	return DecodeFrame(payload)
-}
-
-// AppendMessage appends m's encoding (kind byte + body) to b.
-func AppendMessage(b []byte, m core.Message) ([]byte, error) {
+// appendMessage appends m's encoding to b: the kind byte, the sender, then
+// the kind's fields.
+func appendMessage(b []byte, m core.Message) ([]byte, error) {
 	switch msg := m.(type) {
 	case core.InquiryMsg:
-		b = append(b, byte(core.KindInquiry))
-		b = be64(b, int64(msg.From))
-		b = be64(b, int64(msg.RSN))
-		b = binary.BigEndian.AppendUint64(b, uint64(msg.Op))
+		b = appendHead(b, core.KindInquiry, msg.From)
+		b = appendOp(b, msg.Op)
 	case core.ReplyMsg:
-		b = append(b, byte(core.KindReply))
-		b = be64(b, int64(msg.From))
-		b = be64(b, int64(msg.Value.Val))
-		b = be64(b, int64(msg.Value.SN))
-		b = be64(b, int64(msg.RSN))
+		b = appendHead(b, core.KindReply, msg.From)
+		b = appendValue(b, msg.Value)
 		b = be64(b, int64(msg.Reg))
-		b = binary.BigEndian.AppendUint64(b, uint64(msg.Op))
+		b = appendOp(b, msg.Op)
 		b = binary.BigEndian.AppendUint32(b, uint32(len(msg.Rest)))
 		for _, kv := range msg.Rest {
-			b = appendKeyedValue(b, kv)
+			b = be64(b, int64(kv.Reg))
+			b = appendValue(b, kv.Value)
 		}
 	case core.WriteMsg:
-		b = append(b, byte(core.KindWrite))
-		b = be64(b, int64(msg.From))
-		b = be64(b, int64(msg.Value.Val))
-		b = be64(b, int64(msg.Value.SN))
+		b = appendHead(b, core.KindWrite, msg.From)
+		b = appendValue(b, msg.Value)
 		b = be64(b, int64(msg.Reg))
-		b = binary.BigEndian.AppendUint64(b, uint64(msg.Op))
+		b = appendOp(b, msg.Op)
 	case core.AckMsg:
-		b = append(b, byte(core.KindAck))
-		b = be64(b, int64(msg.From))
+		b = appendHead(b, core.KindAck, msg.From)
 		b = be64(b, int64(msg.SN))
 		b = be64(b, int64(msg.Reg))
-		b = binary.BigEndian.AppendUint64(b, uint64(msg.Op))
+		b = appendOp(b, msg.Op)
 	case core.ReadMsg:
-		b = append(b, byte(core.KindRead))
-		b = be64(b, int64(msg.From))
-		b = be64(b, int64(msg.RSN))
+		b = appendHead(b, core.KindRead, msg.From)
 		b = be64(b, int64(msg.Reg))
-		b = binary.BigEndian.AppendUint64(b, uint64(msg.Op))
+		b = appendOp(b, msg.Op)
 	case core.DLPrevMsg:
-		b = append(b, byte(core.KindDLPrev))
-		b = be64(b, int64(msg.From))
-		b = be64(b, int64(msg.RSN))
+		b = appendHead(b, core.KindDLPrev, msg.From)
 		b = be64(b, int64(msg.Reg))
-		b = binary.BigEndian.AppendUint64(b, uint64(msg.Op))
+		b = appendOp(b, msg.Op)
 	case core.ForwardMsg:
-		b = append(b, byte(core.KindForward))
-		b = be64(b, int64(msg.From))
-		b = binary.BigEndian.AppendUint64(b, uint64(msg.Op))
+		b = appendHead(b, core.KindForward, msg.From)
+		b = appendOp(b, msg.Op)
 		b = be64(b, int64(msg.Reg))
 		if msg.IsWrite {
 			b = append(b, 1)
@@ -419,12 +342,10 @@ func AppendMessage(b []byte, m core.Message) ([]byte, error) {
 		}
 		b = be64(b, int64(msg.Val))
 	case core.ForwardedMsg:
-		b = append(b, byte(core.KindForwarded))
-		b = be64(b, int64(msg.From))
-		b = binary.BigEndian.AppendUint64(b, uint64(msg.Op))
+		b = appendHead(b, core.KindForwarded, msg.From)
+		b = appendOp(b, msg.Op)
 		b = be64(b, int64(msg.Reg))
-		b = be64(b, int64(msg.Value.Val))
-		b = be64(b, int64(msg.Value.SN))
+		b = appendValue(b, msg.Value)
 		b = append(b, byte(msg.Code))
 	default:
 		return nil, fmt.Errorf("%w: %T", ErrMsgKind, m)
@@ -432,28 +353,38 @@ func AppendMessage(b []byte, m core.Message) ([]byte, error) {
 	return b, nil
 }
 
-// EncodeMessage renders m alone (kind byte + body), for tests and tools.
-func EncodeMessage(m core.Message) ([]byte, error) {
-	return AppendMessage(nil, m)
+func appendHead(b []byte, kind core.MsgKind, from core.ProcessID) []byte {
+	return be64(append(b, byte(kind)), int64(from))
 }
 
-// DecodeMessage parses one message occupying the whole of b.
-func DecodeMessage(b []byte) (core.Message, error) {
-	d := decoder{b: b}
-	m := d.message()
-	if d.err != nil {
-		return nil, d.err
-	}
-	if len(d.b) != d.off {
-		return nil, ErrTrailing
-	}
-	return m, nil
+func appendOp(b []byte, op core.OpID) []byte {
+	return binary.BigEndian.AppendUint64(b, uint64(op))
 }
 
-func appendKeyedValue(b []byte, kv core.KeyedValue) []byte {
-	b = be64(b, int64(kv.Reg))
-	b = be64(b, int64(kv.Value.Val))
-	return be64(b, int64(kv.Value.SN))
+func appendValue(b []byte, v core.VersionedValue) []byte {
+	return be64(be64(b, int64(v.Val)), int64(v.SN))
+}
+
+// appendStr appends a peer address: uint16 length, then the bytes.
+func appendStr(b []byte, s string) ([]byte, error) {
+	if len(s) > MaxAddr {
+		return nil, ErrAddrLength
+	}
+	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
+	return append(b, s...), nil
+}
+
+// appendPeers appends one address-book section (uint32 count, then id+addr
+// entries), shared by PEERS and VIEW.
+func appendPeers(b []byte, peers []Peer) ([]byte, error) {
+	b = binary.BigEndian.AppendUint32(b, uint32(len(peers)))
+	for _, p := range peers {
+		var err error
+		if b, err = appendStr(be64(b, int64(p.ID)), p.Addr); err != nil {
+			return nil, err
+		}
+	}
+	return b, nil
 }
 
 func be64(b []byte, v int64) []byte {
@@ -621,6 +552,14 @@ func (d *decoder) peerList() []Peer {
 	return out
 }
 
+func (d *decoder) op() core.OpID { return core.OpID(d.u64()) }
+
+func (d *decoder) reg() core.RegisterID { return core.RegisterID(d.i64()) }
+
+func (d *decoder) value() core.VersionedValue {
+	return core.VersionedValue{Val: core.Value(d.i64()), SN: core.SeqNum(d.i64())}
+}
+
 func (d *decoder) keyedValues() []core.KeyedValue {
 	n := d.count(24)
 	if d.err != nil || n == 0 {
@@ -628,13 +567,7 @@ func (d *decoder) keyedValues() []core.KeyedValue {
 	}
 	out := make([]core.KeyedValue, 0, n)
 	for i := 0; i < n; i++ {
-		kv := core.KeyedValue{
-			Reg: core.RegisterID(d.i64()),
-			Value: core.VersionedValue{
-				Val: core.Value(d.i64()),
-				SN:  core.SeqNum(d.i64()),
-			},
-		}
+		kv := core.KeyedValue{Reg: d.reg(), Value: d.value()}
 		if d.err != nil {
 			return nil
 		}
@@ -643,82 +576,52 @@ func (d *decoder) keyedValues() []core.KeyedValue {
 	return out
 }
 
-func (d *decoder) message() core.Message {
+// message reads one MSG body: the kind byte, the sender, then the kind's
+// fields. It returns the sender beside the message so DecodeFrame can set
+// Frame.From without a type switch.
+func (d *decoder) message() (core.ProcessID, core.Message) {
 	kind := core.MsgKind(d.u8())
+	from := core.ProcessID(d.i64())
 	if d.err != nil {
-		return nil
+		return 0, nil
 	}
 	switch kind {
 	case core.KindInquiry:
-		return core.InquiryMsg{
-			From: core.ProcessID(d.i64()),
-			RSN:  core.ReadSeq(d.i64()),
-			Op:   core.OpID(d.u64()),
-		}
+		return from, core.InquiryMsg{From: from, Op: d.op()}
 	case core.KindReply:
-		return core.ReplyMsg{
-			From: core.ProcessID(d.i64()),
-			Value: core.VersionedValue{
-				Val: core.Value(d.i64()),
-				SN:  core.SeqNum(d.i64()),
-			},
-			RSN:  core.ReadSeq(d.i64()),
-			Reg:  core.RegisterID(d.i64()),
-			Op:   core.OpID(d.u64()),
-			Rest: d.keyedValues(),
+		return from, core.ReplyMsg{
+			From:  from,
+			Value: d.value(),
+			Reg:   d.reg(),
+			Op:    d.op(),
+			Rest:  d.keyedValues(),
 		}
 	case core.KindWrite:
-		return core.WriteMsg{
-			From: core.ProcessID(d.i64()),
-			Value: core.VersionedValue{
-				Val: core.Value(d.i64()),
-				SN:  core.SeqNum(d.i64()),
-			},
-			Reg: core.RegisterID(d.i64()),
-			Op:  core.OpID(d.u64()),
-		}
+		return from, core.WriteMsg{From: from, Value: d.value(), Reg: d.reg(), Op: d.op()}
 	case core.KindAck:
-		return core.AckMsg{
-			From: core.ProcessID(d.i64()),
-			SN:   core.SeqNum(d.i64()),
-			Reg:  core.RegisterID(d.i64()),
-			Op:   core.OpID(d.u64()),
-		}
+		return from, core.AckMsg{From: from, SN: core.SeqNum(d.i64()), Reg: d.reg(), Op: d.op()}
 	case core.KindRead:
-		return core.ReadMsg{
-			From: core.ProcessID(d.i64()),
-			RSN:  core.ReadSeq(d.i64()),
-			Reg:  core.RegisterID(d.i64()),
-			Op:   core.OpID(d.u64()),
-		}
+		return from, core.ReadMsg{From: from, Reg: d.reg(), Op: d.op()}
 	case core.KindDLPrev:
-		return core.DLPrevMsg{
-			From: core.ProcessID(d.i64()),
-			RSN:  core.ReadSeq(d.i64()),
-			Reg:  core.RegisterID(d.i64()),
-			Op:   core.OpID(d.u64()),
-		}
+		return from, core.DLPrevMsg{From: from, Reg: d.reg(), Op: d.op()}
 	case core.KindForward:
-		return core.ForwardMsg{
-			From:    core.ProcessID(d.i64()),
-			Op:      core.OpID(d.u64()),
-			Reg:     core.RegisterID(d.i64()),
+		return from, core.ForwardMsg{
+			From:    from,
+			Op:      d.op(),
+			Reg:     d.reg(),
 			IsWrite: d.bool(),
 			Val:     core.Value(d.i64()),
 		}
 	case core.KindForwarded:
-		return core.ForwardedMsg{
-			From: core.ProcessID(d.i64()),
-			Op:   core.OpID(d.u64()),
-			Reg:  core.RegisterID(d.i64()),
-			Value: core.VersionedValue{
-				Val: core.Value(d.i64()),
-				SN:  core.SeqNum(d.i64()),
-			},
-			Code: d.forwardCode(),
+		return from, core.ForwardedMsg{
+			From:  from,
+			Op:    d.op(),
+			Reg:   d.reg(),
+			Value: d.value(),
+			Code:  d.forwardCode(),
 		}
 	default:
 		d.fail(fmt.Errorf("%w: %d", ErrMsgKind, int(kind)))
-		return nil
+		return 0, nil
 	}
 }

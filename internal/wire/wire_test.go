@@ -3,13 +3,46 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"churnreg/internal/core"
 )
+
+// encode renders f as DecodeFrame reads it: AppendFrameBytes's output
+// without the length prefix.
+func encode(t testing.TB, f Frame) []byte {
+	t.Helper()
+	b, err := AppendFrameBytes(nil, f)
+	if err != nil {
+		t.Fatalf("encode %+v: %v", f, err)
+	}
+	return b[4:]
+}
+
+// sender is the From field every message kind carries.
+func sender(m core.Message) core.ProcessID {
+	return reflect.ValueOf(m).FieldByName("From").Interface().(core.ProcessID)
+}
+
+// roundTrip carries m through one MSG frame and back, and checks that the
+// decoded frame names the message's sender.
+func roundTrip(t testing.TB, m core.Message) core.Message {
+	t.Helper()
+	f, err := DecodeFrame(encode(t, Frame{Type: FrameMsg, Msg: m}))
+	if err != nil {
+		t.Fatalf("%v: decode: %v", m.Kind(), err)
+	}
+	if f.From != sender(m) {
+		t.Fatalf("%v: frame From = %v, want the message's sender %v", m.Kind(), f.From, sender(m))
+	}
+	return f.Msg
+}
 
 // randMessage draws one message of each kind in rotation with randomized
 // fields, including batched join snapshots.
@@ -31,18 +64,18 @@ func randMessage(rng *rand.Rand, kind core.MsgKind) core.Message {
 	op := func() core.OpID { return core.OpID(rng.Uint64() >> rng.Intn(64)) }
 	switch kind {
 	case core.KindInquiry:
-		return core.InquiryMsg{From: from, RSN: core.ReadSeq(rng.Int63n(1 << 30)), Op: op()}
+		return core.InquiryMsg{From: from, Op: op()}
 	case core.KindReply:
-		return core.ReplyMsg{From: from, Value: vv(), RSN: core.ReadSeq(rng.Int63n(1 << 30)),
+		return core.ReplyMsg{From: from, Value: vv(),
 			Reg: core.RegisterID(rng.Int63n(1 << 20)), Op: op(), Rest: kvs(rng.Intn(64))}
 	case core.KindWrite:
 		return core.WriteMsg{From: from, Value: vv(), Reg: core.RegisterID(rng.Int63n(1 << 20)), Op: op()}
 	case core.KindAck:
 		return core.AckMsg{From: from, SN: core.SeqNum(rng.Int63n(1 << 40)), Reg: core.RegisterID(rng.Int63n(1 << 20)), Op: op()}
 	case core.KindRead:
-		return core.ReadMsg{From: from, RSN: core.ReadSeq(rng.Int63n(1 << 30)), Reg: core.RegisterID(rng.Int63n(1 << 20)), Op: op()}
+		return core.ReadMsg{From: from, Reg: core.RegisterID(rng.Int63n(1 << 20)), Op: op()}
 	case core.KindDLPrev:
-		return core.DLPrevMsg{From: from, RSN: core.ReadSeq(rng.Int63n(1 << 30)), Reg: core.RegisterID(rng.Int63n(1 << 20)), Op: op()}
+		return core.DLPrevMsg{From: from, Reg: core.RegisterID(rng.Int63n(1 << 20)), Op: op()}
 	case core.KindForward:
 		return core.ForwardMsg{From: from, Op: op(), Reg: core.RegisterID(rng.Int63n(1 << 20)),
 			IsWrite: rng.Intn(2) == 0, Val: core.Value(rng.Int63() - rng.Int63())}
@@ -65,11 +98,7 @@ func TestKindBytesArePinned(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var got []byte
 	for _, kind := range allKinds {
-		b, err := EncodeMessage(randMessage(rng, kind))
-		if err != nil {
-			t.Fatalf("%v: encode: %v", kind, err)
-		}
-		got = append(got, b[0])
+		got = append(got, encode(t, Frame{Type: FrameMsg, Msg: randMessage(rng, kind)})[2])
 	}
 	if want := []byte{1, 2, 3, 4, 5, 6, 11, 12}; !bytes.Equal(got, want) {
 		t.Fatalf("kind bytes = %v, want %v", got, want)
@@ -81,15 +110,7 @@ func TestMessageRoundTripEveryKind(t *testing.T) {
 	for _, kind := range allKinds {
 		for trial := 0; trial < 200; trial++ {
 			m := randMessage(rng, kind)
-			b, err := EncodeMessage(m)
-			if err != nil {
-				t.Fatalf("%v: encode: %v", kind, err)
-			}
-			got, err := DecodeMessage(b)
-			if err != nil {
-				t.Fatalf("%v: decode: %v", kind, err)
-			}
-			if !reflect.DeepEqual(got, m) {
+			if got := roundTrip(t, m); !reflect.DeepEqual(got, m) {
 				t.Fatalf("%v: round trip mismatch:\n in: %#v\nout: %#v", kind, m, got)
 			}
 		}
@@ -97,27 +118,20 @@ func TestMessageRoundTripEveryKind(t *testing.T) {
 }
 
 func TestMessageRoundTripBoundaryValues(t *testing.T) {
-	// Extremes: negative sentinels (BottomSN, JoinReadSeq), zero values,
-	// max int64.
+	// Extremes: negative sentinels (BottomSN, NoProcess), zero values,
+	// max int64, a handoff tag.
 	msgs := []core.Message{
-		core.InquiryMsg{From: core.NoProcess, RSN: core.JoinReadSeq},
-		core.ReplyMsg{From: 1, Value: core.Bottom(), RSN: -1, Reg: core.DefaultRegister},
+		core.InquiryMsg{From: core.NoProcess, Op: core.NoOp},
+		core.InquiryMsg{From: 4, Op: core.HandoffOp(7)},
+		core.ReplyMsg{From: 1, Value: core.Bottom(), Op: core.HandoffOp(0), Reg: core.DefaultRegister},
 		core.ReplyMsg{From: 1<<62 - 1, Value: core.VersionedValue{Val: -1 << 62, SN: 1<<62 - 1},
-			RSN: 1<<62 - 1, Reg: 1<<62 - 1,
+			Op: 1<<62 - 1, Reg: 1<<62 - 1,
 			Rest: []core.KeyedValue{{Reg: -5, Value: core.Bottom()}}},
 		core.WriteMsg{From: 3, Value: core.VersionedValue{Val: -9, SN: 0}, Reg: 0, Op: 1<<64 - 1},
 		core.AckMsg{From: 2, SN: core.BottomSN, Reg: -1, Op: core.NoOp},
 	}
 	for _, m := range msgs {
-		b, err := EncodeMessage(m)
-		if err != nil {
-			t.Fatalf("encode %#v: %v", m, err)
-		}
-		got, err := DecodeMessage(b)
-		if err != nil {
-			t.Fatalf("decode %#v: %v", m, err)
-		}
-		if !reflect.DeepEqual(got, m) {
+		if got := roundTrip(t, m); !reflect.DeepEqual(got, m) {
 			t.Fatalf("round trip mismatch:\n in: %#v\nout: %#v", m, got)
 		}
 	}
@@ -138,14 +152,11 @@ func TestFrameRoundTrip(t *testing.T) {
 			Peers: []Peer{{ID: 1, Addr: "10.0.0.1:9"}, {ID: 2, Addr: "[::1]:80"}, {ID: 3, Addr: "c:3"}}},
 	}
 	for _, kind := range allKinds {
-		frames = append(frames, Frame{Type: FrameMsg, From: core.ProcessID(rng.Int63n(1 << 30)), Msg: randMessage(rng, kind)})
+		m := randMessage(rng, kind)
+		frames = append(frames, Frame{Type: FrameMsg, From: sender(m), Msg: m})
 	}
 	for _, f := range frames {
-		payload, err := EncodeFrame(f)
-		if err != nil {
-			t.Fatalf("encode %+v: %v", f, err)
-		}
-		got, err := DecodeFrame(payload)
+		got, err := DecodeFrame(encode(t, f))
 		if err != nil {
 			t.Fatalf("decode %+v: %v", f, err)
 		}
@@ -160,14 +171,16 @@ func TestWriteReadFrameStream(t *testing.T) {
 	var buf bytes.Buffer
 	var sent []Frame
 	for i := 0; i < 100; i++ {
-		f := Frame{Type: FrameMsg, From: core.ProcessID(i + 1), Msg: randMessage(rng, allKinds[i%len(allKinds)])}
+		m := randMessage(rng, allKinds[i%len(allKinds)])
+		f := Frame{Type: FrameMsg, From: sender(m), Msg: m}
 		sent = append(sent, f)
 		if err := WriteFrame(&buf, f); err != nil {
 			t.Fatalf("write frame %d: %v", i, err)
 		}
 	}
+	s := NewScanner(&buf)
 	for i, want := range sent {
-		got, err := ReadFrame(&buf)
+		got, err := s.Next()
 		if err != nil {
 			t.Fatalf("read frame %d: %v", i, err)
 		}
@@ -175,8 +188,34 @@ func TestWriteReadFrameStream(t *testing.T) {
 			t.Fatalf("frame %d mismatch:\n in: %#v\nout: %#v", i, want, got)
 		}
 	}
-	if buf.Len() != 0 {
-		t.Fatalf("stream has %d trailing bytes", buf.Len())
+	if _, err := s.Next(); err != io.EOF {
+		t.Fatalf("after the last frame: %v, want io.EOF", err)
+	}
+}
+
+// TestMsgFrameNamesItsSenderOnce pins v5's MSG layout: the body is the
+// message alone, so a READ frame is its 4-byte length, version and frame
+// type, kind, sender, register and op — 31 bytes. An encoder ignores
+// Frame.From; a decoder sets it from the message's sender.
+func TestMsgFrameNamesItsSenderOnce(t *testing.T) {
+	read := core.ReadMsg{From: 3, Reg: 5, Op: 9}
+	b, err := AppendFrameBytes(nil, Frame{Type: FrameMsg, From: 77, Msg: read})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{0, 0, 0, 27, Version, byte(FrameMsg), byte(core.KindRead)}
+	want = binary.BigEndian.AppendUint64(want, 3)
+	want = binary.BigEndian.AppendUint64(want, 5)
+	want = binary.BigEndian.AppendUint64(want, 9)
+	if !bytes.Equal(b, want) {
+		t.Fatalf("READ frame (%d B):\n got % x\nwant % x (%d B)", len(b), b, want, len(want))
+	}
+	f, err := DecodeFrame(b[4:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.From != read.From || f.Msg != read {
+		t.Fatalf("decoded From %v, Msg %#v; want From %v, Msg %#v", f.From, f.Msg, read.From, read)
 	}
 }
 
@@ -186,7 +225,7 @@ func TestWriteReadFrameStream(t *testing.T) {
 // WRITE_BATCH(from, op, count, ⟨reg, val, sn⟩…).
 func reservedKindFrames() [][]byte {
 	head := func(kind byte) []byte {
-		return []byte{Version, byte(FrameMsg), 0, 0, 0, 0, 0, 0, 0, 1, kind, 0, 0, 0, 0, 0, 0, 0, 1}
+		return []byte{Version, byte(FrameMsg), kind, 0, 0, 0, 0, 0, 0, 0, 1}
 	}
 	return [][]byte{
 		append(head(7), 0, 0, 0, 0, 0, 0, 0, 2),
@@ -198,10 +237,7 @@ func reservedKindFrames() [][]byte {
 }
 
 func TestDecodeRejectsMalformed(t *testing.T) {
-	valid, err := EncodeFrame(Frame{Type: FrameMsg, From: 1, Msg: core.AckMsg{From: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	valid := encode(t, Frame{Type: FrameMsg, Msg: core.AckMsg{From: 1}})
 	cases := map[string][]byte{
 		"empty":            {},
 		"version only":     {Version},
@@ -209,7 +245,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"bad frame type":   {Version, 99},
 		"truncated msg":    valid[:len(valid)-1],
 		"trailing bytes":   append(append([]byte{}, valid...), 0),
-		"bad msg kind":     {Version, byte(FrameMsg), 0, 0, 0, 0, 0, 0, 0, 1, 99},
+		"bad msg kind":     {Version, byte(FrameMsg), 99, 0, 0, 0, 0, 0, 0, 0, 1},
 		"hello addr short": {Version, byte(FrameHello), 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 50, 'x'},
 		"hello bad role":   {Version, byte(FrameHello), 0, 0, 0, 0, 0, 0, 0, 1, 7, 0, 0},
 		"peers count lies": {Version, byte(FramePeers), 0, 0, 4, 0},
@@ -226,11 +262,35 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestReadFrameRejectsOversizedPrefix(t *testing.T) {
-	var buf bytes.Buffer
-	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	if _, err := ReadFrame(&buf); err == nil {
-		t.Fatal("ReadFrame accepted a 4 GiB length prefix")
+// allocated reports the bytes the heap handed out while f ran.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestScannerRejectsBadLength pins the bound every connection relies on:
+// a length prefix of 0 or above MaxFrame is ErrTooLarge, refused before
+// the payload buffer grows to the claimed size, and MaxFrame itself passes
+// the bound (the payload then fails to decode on its own merits).
+func TestScannerRejectsBadLength(t *testing.T) {
+	for _, n := range []uint32{0, MaxFrame + 1} {
+		s := NewScanner(bytes.NewReader(binary.BigEndian.AppendUint32(nil, n)))
+		var err error
+		if got := allocated(func() { _, err = s.Next() }); got >= MaxFrame/2 {
+			t.Errorf("length %d: Next allocated %d B", n, got)
+		}
+		if !errors.Is(err, ErrTooLarge) {
+			t.Errorf("length %d: Next error = %v, want ErrTooLarge", n, err)
+		}
+	}
+	stream := binary.BigEndian.AppendUint32(nil, MaxFrame)
+	stream = append(stream, Version, byte(FrameViewReq))
+	stream = append(stream, make([]byte, MaxFrame-2)...)
+	if _, err := NewScanner(bytes.NewReader(stream)).Next(); !errors.Is(err, ErrTrailing) {
+		t.Fatalf("length MaxFrame: Next error = %v, want the decode error ErrTrailing", err)
 	}
 }
 
@@ -238,15 +298,16 @@ func TestReadFrameRejectsOversizedPrefix(t *testing.T) {
 // claims far more entries than the payload holds; the decoder must reject
 // it without allocating for the claimed count.
 func TestForgedCountNoHugeAlloc(t *testing.T) {
-	b, err := EncodeMessage(core.ReplyMsg{From: 1, Reg: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := encode(t, Frame{Type: FrameMsg, Msg: core.ReplyMsg{From: 1, Reg: 2}})
 	// The last 4 bytes are the Rest count; forge it huge.
 	b[len(b)-1] = 0xff
 	b[len(b)-2] = 0xff
 	b[len(b)-3] = 0xff
-	if _, err := DecodeMessage(b); err == nil {
+	var err error
+	if got := allocated(func() { _, err = DecodeFrame(b) }); got >= 1<<20 {
+		t.Errorf("forged count: DecodeFrame allocated %d B", got)
+	}
+	if err == nil {
 		t.Fatal("decoder accepted forged entry count")
 	}
 }
@@ -263,15 +324,7 @@ func TestForwardRoundTrip(t *testing.T) {
 		core.ForwardedMsg{From: 2, Op: 99, Reg: 8, Code: core.ForwardWrongReplica},
 	}
 	for _, m := range msgs {
-		enc, err := EncodeMessage(m)
-		if err != nil {
-			t.Fatalf("%v: encode: %v", m.Kind(), err)
-		}
-		got, err := DecodeMessage(enc)
-		if err != nil {
-			t.Fatalf("%v: decode: %v", m.Kind(), err)
-		}
-		if got != m {
+		if got := roundTrip(t, m); got != m {
 			t.Fatalf("round trip mismatch:\n in: %#v\nout: %#v", m, got)
 		}
 	}
@@ -280,12 +333,9 @@ func TestForwardRoundTrip(t *testing.T) {
 // TestForwardedRejectsBadCode: the codec stays canonical — an undefined
 // FORWARDED outcome byte is rejected, not smuggled through.
 func TestForwardedRejectsBadCode(t *testing.T) {
-	enc, err := EncodeMessage(core.ForwardedMsg{From: 1, Op: 2, Reg: 3, Code: core.ForwardOK})
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := encode(t, Frame{Type: FrameMsg, Msg: core.ForwardedMsg{From: 1, Op: 2, Reg: 3, Code: core.ForwardOK}})
 	enc[len(enc)-1] = 200
-	if _, err := DecodeMessage(enc); err == nil {
+	if _, err := DecodeFrame(enc); err == nil {
 		t.Fatal("bad forward code accepted")
 	}
 }
@@ -297,10 +347,7 @@ func TestForwardedRejectsBadCode(t *testing.T) {
 func TestViewRoundTrip(t *testing.T) {
 	f := Frame{Type: FrameView, ViewVersion: 42, Shards: 8, Replication: 3,
 		Peers: []Peer{{ID: 11, Addr: "10.1.2.3:4567"}}}
-	payload, err := EncodeFrame(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := encode(t, f)
 	want := []byte{Version, byte(FrameView)}
 	want = binary.BigEndian.AppendUint64(want, 42)
 	want = binary.BigEndian.AppendUint32(want, 8)
@@ -323,10 +370,7 @@ func TestHelloRoleRoundTrip(t *testing.T) {
 		{Type: FrameHello, From: 9, Addr: "a:1", Role: RolePeer},
 		{Type: FrameHello, From: 0, Addr: "", Role: RoleClient},
 	} {
-		payload, err := EncodeFrame(f)
-		if err != nil {
-			t.Fatal(err)
-		}
+		payload := encode(t, f)
 		if got := Role(payload[10]); got != f.Role {
 			t.Fatalf("role byte = %v, want %v", got, f.Role)
 		}
@@ -343,13 +387,10 @@ func TestHelloRoleRoundTrip(t *testing.T) {
 // TestHelloRejectsBadRole: the codec stays canonical — an undefined role
 // byte is rejected on both sides, not smuggled through.
 func TestHelloRejectsBadRole(t *testing.T) {
-	if _, err := EncodeFrame(Frame{Type: FrameHello, From: 1, Role: 9}); err == nil {
+	if _, err := AppendFrameBytes(nil, Frame{Type: FrameHello, From: 1, Role: 9}); err == nil {
 		t.Fatal("encoder accepted an undefined role")
 	}
-	payload, err := EncodeFrame(Frame{Type: FrameHello, From: 1, Addr: "a:1"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := encode(t, Frame{Type: FrameHello, From: 1, Addr: "a:1"})
 	payload[10] = 9
 	if _, err := DecodeFrame(payload); err == nil {
 		t.Fatal("decoder accepted an undefined role byte")

@@ -3,18 +3,10 @@
 // periodic writes (the paper's one-writer discipline, per key), random
 // active readers, and optional read probes fired the moment a join
 // completes — the access pattern that makes Figure 3a-style staleness
-// observable.
-//
-// Multi-key workloads: Config.Keys spreads the same op stream over a
-// keyed register namespace, with each op's key drawn from a Zipf rank
-// distribution (Config.ZipfS; 0 = uniform) — the canonical skew of
-// production key-value traffic, where a few hot keys absorb most ops and
-// a long tail stays cold.
+// observable. Every operation addresses core.DefaultRegister.
 package workload
 
 import (
-	"math"
-
 	"churnreg/internal/core"
 	"churnreg/internal/dynsys"
 	"churnreg/internal/sim"
@@ -34,15 +26,6 @@ type Config struct {
 	JoinReadProbe bool
 	// FirstValue seeds the written value sequence (values increment).
 	FirstValue core.Value
-	// Keys is the number of registers the workload spreads over (keys
-	// 0..Keys-1). 0 or 1 keeps the seed's single-register behaviour —
-	// and, crucially, an identical RNG draw sequence, so single-key runs
-	// replay byte-for-byte.
-	Keys int
-	// ZipfS is the Zipf exponent of the key popularity distribution:
-	// P(rank r) ∝ 1/(r+1)^s. 0 selects keys uniformly. Only meaningful
-	// when Keys > 1.
-	ZipfS float64
 }
 
 // Stats counts workload outcomes.
@@ -78,7 +61,6 @@ type Runner struct {
 
 	writerID core.ProcessID
 	nextVal  core.Value
-	keyCum   []float64
 	stats    Stats
 
 	// pending maps a process to its in-flight recorded op, so departures
@@ -93,7 +75,7 @@ func New(sys *dynsys.System, history *spec.History, guard *Guard, cfg Config) *R
 	if cfg.ReadFanout <= 0 {
 		cfg.ReadFanout = 1
 	}
-	r := &Runner{
+	return &Runner{
 		sys:     sys,
 		history: history,
 		cfg:     cfg,
@@ -101,36 +83,6 @@ func New(sys *dynsys.System, history *spec.History, guard *Guard, cfg Config) *R
 		nextVal: cfg.FirstValue,
 		pending: make(map[core.ProcessID]*spec.Op),
 	}
-	if cfg.Keys > 1 {
-		// Precompute the cumulative Zipf weights once; sampling is a
-		// single uniform draw plus a scan.
-		r.keyCum = make([]float64, cfg.Keys)
-		total := 0.0
-		for i := 0; i < cfg.Keys; i++ {
-			w := 1.0
-			if cfg.ZipfS > 0 {
-				w = 1.0 / math.Pow(float64(i+1), cfg.ZipfS)
-			}
-			total += w
-			r.keyCum[i] = total
-		}
-	}
-	return r
-}
-
-// pickKey draws the next op's register. Single-key configurations return
-// key 0 without consuming randomness (seed-replay compatibility).
-func (r *Runner) pickKey() core.RegisterID {
-	if len(r.keyCum) == 0 {
-		return core.DefaultRegister
-	}
-	u := r.sys.Rand().Float64() * r.keyCum[len(r.keyCum)-1]
-	for i, c := range r.keyCum {
-		if u < c {
-			return core.RegisterID(i)
-		}
-	}
-	return core.RegisterID(len(r.keyCum) - 1)
 }
 
 // Stats returns workload counters.
@@ -152,7 +104,7 @@ func (r *Runner) Start() {
 			}
 			j.OnJoined(func() {
 				r.stats.JoinProbes++
-				r.readOn(id, r.pickKey())
+				r.readOn(id)
 			})
 		})
 	}
@@ -203,20 +155,17 @@ func (r *Runner) writeTick() {
 		}
 	}
 	if _, busy := r.pending[r.writerID]; busy {
-		// The previous write (possibly on another key, where the node's
-		// per-key discipline would admit a second one) has not returned:
-		// issuing now would clobber its pending record, leaving an op
-		// neither completed nor abandoned. The runner records one op per
-		// process at a time.
+		// The previous write has not returned: issuing now would clobber
+		// its pending record, leaving an op neither completed nor
+		// abandoned. The runner records one op per process at a time.
 		r.stats.WriteBusy++
 		return
 	}
-	k := r.pickKey()
 	v := r.nextVal
-	op := r.history.BeginWriteKey(r.writerID, k, r.sys.Now())
+	op := r.history.BeginWrite(r.writerID, r.sys.Now())
 	id := r.writerID
 	r.pending[id] = op
-	err := r.sys.Node(id).(core.Ops).Write(k, v, func(vv core.VersionedValue, werr error) {
+	err := r.sys.Node(id).(core.Ops).Write(core.DefaultRegister, v, func(vv core.VersionedValue, werr error) {
 		delete(r.pending, id)
 		if werr != nil {
 			r.history.Abandon(op)
@@ -247,14 +196,14 @@ func (r *Runner) readTick() {
 			r.stats.NoActiveReaders++
 			return
 		}
-		r.readOn(id, r.pickKey())
+		r.readOn(id)
 	}
 }
 
-// readOn issues one read of register k on process id, recording it in the
-// history. Protocols with local reads complete before Read returns;
-// quorum protocols complete via callback.
-func (r *Runner) readOn(id core.ProcessID, k core.RegisterID) {
+// readOn issues one read on process id, recording it in the history.
+// Protocols with local reads complete before Read returns; quorum
+// protocols complete via callback.
+func (r *Runner) readOn(id core.ProcessID) {
 	node := r.sys.Node(id)
 	if node == nil {
 		return
@@ -263,9 +212,9 @@ func (r *Runner) readOn(id core.ProcessID, k core.RegisterID) {
 		r.stats.ReadBusy++
 		return
 	}
-	op := r.history.BeginReadKey(id, k, r.sys.Now())
+	op := r.history.BeginRead(id, r.sys.Now())
 	r.pending[id] = op
-	err := node.(core.Ops).Read(k, func(v core.VersionedValue, _ core.ProcessID, rerr error) {
+	err := node.(core.Ops).Read(core.DefaultRegister, func(v core.VersionedValue, _ core.ProcessID, rerr error) {
 		delete(r.pending, id)
 		if rerr != nil {
 			r.history.Abandon(op)

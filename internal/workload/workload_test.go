@@ -184,3 +184,22 @@ func TestNoActiveReadersCounted(t *testing.T) {
 		t.Fatal("empty reader pool not counted")
 	}
 }
+
+func TestSingleKeyConfigKeepsSeedBehaviour(t *testing.T) {
+	// Every operation addresses key 0, the paper's one register.
+	sys, h, _ := build(t, syncreg.Factory(syncreg.Options{}), 0.01, workload.Config{
+		WritePeriod: 10,
+		ReadPeriod:  5,
+	})
+	if err := sys.RunFor(500); err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range h.Ops() {
+		if op.Reg != core.DefaultRegister {
+			t.Fatalf("workload issued op on %v", op.Reg)
+		}
+	}
+	if h.Counts().WritesCompleted == 0 {
+		t.Fatal("no writes completed")
+	}
+}
