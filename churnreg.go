@@ -72,6 +72,11 @@ const (
 	StaticABD
 )
 
+// joins reports whether a process entering under p runs a join before
+// it serves: StaticABD's replacements start passive and never become
+// active.
+func (p Protocol) joins() bool { return p != StaticABD }
+
 // String names the protocol.
 func (p Protocol) String() string {
 	switch p {

@@ -46,6 +46,7 @@ package abd
 
 import (
 	"churnreg/internal/core"
+	"churnreg/internal/placement"
 )
 
 // op is one in-flight quorum operation.
@@ -54,7 +55,7 @@ type op struct {
 
 	// scope/quorum pin the quorum population at invocation: nil scope +
 	// ⌊n/2⌋+1 unsharded, the key's replica group + a majority of it
-	// sharded (core.OpScope).
+	// sharded (placement.OpScope).
 	scope  []core.ProcessID
 	quorum int
 
@@ -182,11 +183,11 @@ func (n *Node) Read(k core.RegisterID, done func(core.VersionedValue, core.Proce
 	id, o := n.ops.Begin()
 	n.stats.Reads++
 	o.reg = k
-	o.scope, o.quorum = core.OpScope(n.env, k)
+	o.scope, o.quorum = placement.OpScope(n.env, k)
 	o.reading = true
 	o.readReplies = make(map[core.ProcessID]core.VersionedValue)
 	o.readDone = done
-	core.ScopedBroadcast(n.env, k, core.ReadMsg{From: n.env.ID(), Reg: k, Op: id})
+	placement.ScopedBroadcast(n.env, k, core.ReadMsg{From: n.env.ID(), Reg: k, Op: id})
 	return nil
 }
 
@@ -227,7 +228,7 @@ func (n *Node) checkRead(id core.OpID, o *op) {
 	o.wb = true
 	o.wbVal = freshest
 	o.wbAcks = make(map[core.ProcessID]bool)
-	core.ScopedBroadcast(n.env, o.reg, core.WriteMsg{From: n.env.ID(), Value: freshest, Reg: o.reg, Op: id})
+	placement.ScopedBroadcast(n.env, o.reg, core.WriteMsg{From: n.env.ID(), Value: freshest, Reg: o.reg, Op: id})
 }
 
 func (n *Node) checkWriteBack(id core.OpID, o *op) {
@@ -255,12 +256,12 @@ func (n *Node) Write(k core.RegisterID, v core.Value, done func(core.VersionedVa
 	next := core.VersionedValue{Val: v, SN: n.value(k).SN + 1}
 	n.vals.Store(k, next)
 	o.reg = k
-	o.scope, o.quorum = core.OpScope(n.env, k)
+	o.scope, o.quorum = placement.OpScope(n.env, k)
 	o.writing = true
 	o.writeVal = next
 	o.writeAck = make(map[core.ProcessID]bool)
 	o.writeDone = done
-	core.ScopedBroadcast(n.env, k, core.WriteMsg{From: n.env.ID(), Value: next, Reg: k, Op: id})
+	placement.ScopedBroadcast(n.env, k, core.WriteMsg{From: n.env.ID(), Value: next, Reg: k, Op: id})
 	return nil
 }
 
@@ -290,7 +291,7 @@ func (n *Node) Deliver(from core.ProcessID, m core.Message) {
 		if !ok || !o.reading || o.reg != msg.Reg {
 			return // stale: the read completed (or never was)
 		}
-		if !core.InScope(o.scope, msg.From) {
+		if !placement.InScope(o.scope, msg.From) {
 			return // sharded: only replica-group replies feed the quorum
 		}
 		if cur, ok := o.readReplies[msg.From]; !ok || msg.Value.MoreRecent(cur) {
@@ -309,7 +310,7 @@ func (n *Node) Deliver(from core.ProcessID, m core.Message) {
 		if !ok || o.reg != msg.Reg {
 			return
 		}
-		if !core.InScope(o.scope, msg.From) {
+		if !placement.InScope(o.scope, msg.From) {
 			return // sharded: only replica-group acks feed the quorum
 		}
 		switch {

@@ -63,16 +63,3 @@ func BrokenDeltaDelays(delta sim.Duration, stretch float64) netsim.DelayModel {
 		},
 	}
 }
-
-// TargetedStarvation returns a model that isolates one victim process: all
-// messages addressed to it are delayed by delay while the rest of the
-// system runs synchronously. Used to show that an asynchronous adversary
-// needs to pick on only one process to deny it the register's liveness.
-func TargetedStarvation(victim core.ProcessID, delta, delay sim.Duration) netsim.DelayModel {
-	return netsim.ScriptedDelayModel{
-		Base: netsim.SynchronousModel{Delta: delta},
-		Overrides: map[netsim.Route]sim.Duration{
-			{To: victim}: delay,
-		},
-	}
-}

@@ -7,6 +7,7 @@ import (
 	"churnreg/internal/core"
 	"churnreg/internal/dynsys"
 	"churnreg/internal/esyncreg"
+	"churnreg/internal/netsim"
 	"churnreg/internal/sim"
 	"churnreg/internal/syncreg"
 )
@@ -45,27 +46,21 @@ func TestBrokenDeltaDelaysStretchOnlyWrites(t *testing.T) {
 	}
 }
 
-func TestTargetedStarvationIsolatesVictim(t *testing.T) {
-	m := adversary.TargetedStarvation(7, 5, 1000)
-	rng := sim.NewRNG(3)
-	if d := m.Delay(rng, 1, 7, 0, core.KindReply); d != 1000 {
-		t.Fatalf("victim delay = %d, want 1000", d)
-	}
-	if d := m.Delay(rng, 1, 8, 0, core.KindReply); d > 5 {
-		t.Fatalf("bystander delay = %d, want within δ", d)
-	}
-}
-
 // TestTargetedStarvationDeniesJoin shows the adversary needs only one
 // victim: a joiner whose inbound traffic is delayed indefinitely never
 // completes, while the rest of the system runs normally.
 func TestTargetedStarvationDeniesJoin(t *testing.T) {
 	const delta = 5
-	// The victim will be p6 (5 bootstrap processes).
+	// The victim will be p6 (5 bootstrap processes): everything addressed
+	// to it is held back 2^20 ticks.
+	starve := netsim.ScriptedDelayModel{
+		Base:      netsim.SynchronousModel{Delta: delta},
+		Overrides: map[netsim.Route]sim.Duration{{To: 6}: 1 << 20},
+	}
 	sys, err := dynsys.New(dynsys.Config{
 		N:       5,
 		Delta:   delta,
-		Model:   adversary.TargetedStarvation(6, delta, 1<<20),
+		Model:   starve,
 		Factory: esyncreg.Factory(esyncreg.Options{}),
 		Seed:    1,
 		Initial: core.VersionedValue{Val: 0, SN: 0},

@@ -76,9 +76,8 @@ func Factory(opts esyncreg.Options) core.NodeFactory {
 
 // Compile-time interface checks.
 var (
-	_ core.Node   = (*Node)(nil)
-	_ core.Ops    = (*Node)(nil)
-	_ core.Joiner = (*Node)(nil)
+	_ core.Node = (*Node)(nil)
+	_ core.Ops  = (*Node)(nil)
 )
 
 // keyZeroOnly refuses an operation on any register but the default one:
@@ -100,9 +99,6 @@ func (n *Node) Active() bool { return n.inner.Active() }
 
 // Snapshot implements core.Node.
 func (n *Node) Snapshot() core.VersionedValue { return n.inner.Snapshot() }
-
-// OnJoined implements core.Joiner.
-func (n *Node) OnJoined(done func()) { n.inner.OnJoined(done) }
 
 // Write implements core.Ops (unchanged from the regular protocol —
 // writes already install their value at a majority), on key 0 only.

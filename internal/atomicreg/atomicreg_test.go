@@ -143,9 +143,9 @@ func TestAtomicReadGuards(t *testing.T) {
 
 func TestJoinDelegates(t *testing.T) {
 	sys := newSystem(t, 5, nil, 0)
-	_, node := sys.Spawn()
+	id, node := sys.Spawn()
 	joined := false
-	node.(*atomicreg.Node).OnJoined(func() { joined = true })
+	sys.OnActivate(func(p core.ProcessID) { joined = joined || p == id })
 	if err := sys.RunFor(10 * delta); err != nil {
 		t.Fatal(err)
 	}

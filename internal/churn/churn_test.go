@@ -86,7 +86,7 @@ func TestEnginePreservesPopulation(t *testing.T) {
 	if err := sched.RunUntil(500); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.PresentCount(); got != n {
+	if got := len(tr.present); got != n {
 		t.Fatalf("population = %d, want %d", got, n)
 	}
 	// 0.04 * 50 = 2 churn events per tick over 500 ticks.
@@ -302,7 +302,7 @@ func TestTrackerLifecycle(t *testing.T) {
 		t.Fatalf("ActiveCount = %d, want 1", tr.ActiveCount())
 	}
 	tr.Departed(id, 20)
-	if r.IsActive() || tr.ActiveCount() != 0 || tr.PresentCount() != 0 {
+	if r.IsActive() || tr.ActiveCount() != 0 || len(tr.present) != 0 {
 		t.Fatal("departed process still counted")
 	}
 	completed, pending, abandoned := tr.JoinStats()
@@ -342,11 +342,12 @@ func TestActiveAtAndWindow(t *testing.T) {
 	tr.Entered(c, 8)
 	tr.Departed(c, 60)
 
-	if got := tr.ActiveAt(20); got != 2 {
-		t.Fatalf("ActiveAt(20) = %d, want 2", got)
+	// A zero-length window is an instant: |A(τ)|.
+	if got := tr.ActiveWindow(20, 0); got != 2 {
+		t.Fatalf("ActiveWindow(20,0) = %d, want 2", got)
 	}
-	if got := tr.ActiveAt(40); got != 1 {
-		t.Fatalf("ActiveAt(40) = %d, want 1", got)
+	if got := tr.ActiveWindow(40, 0); got != 1 {
+		t.Fatalf("ActiveWindow(40,0) = %d, want 1", got)
 	}
 	// Window [20, 35]: p2 leaves at 30, so only p1 covers it.
 	if got := tr.ActiveWindow(20, 15); got != 1 {
@@ -440,7 +441,7 @@ func TestPopulationInvariantProperty(t *testing.T) {
 			if err := sched.RunFor(1); err != nil {
 				return false
 			}
-			if tr.PresentCount() != n {
+			if len(tr.present) != n {
 				return false
 			}
 		}

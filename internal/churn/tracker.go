@@ -103,9 +103,6 @@ func (t *Tracker) Records() []*Record {
 	return out
 }
 
-// PresentCount returns the number of processes currently in the system.
-func (t *Tracker) PresentCount() int { return len(t.present) }
-
 // ActiveCount returns |A(now)| for the current instant.
 func (t *Tracker) ActiveCount() int {
 	n := 0
@@ -142,19 +139,6 @@ func (t *Tracker) presentFiltered(keep func(*Record) bool) []*Record {
 		}
 	}
 	return out
-}
-
-// ActiveAt returns |A(τ)|: processes whose join had returned by τ and that
-// had not left at τ.
-func (t *Tracker) ActiveAt(tau sim.Time) int {
-	n := 0
-	for _, id := range t.order {
-		r := t.records[id]
-		if r.Activated != NeverActivated && r.Activated <= tau && r.Departed > tau {
-			n++
-		}
-	}
-	return n
 }
 
 // ActiveWindow returns |A(τ, τ+w)|: processes active during the whole

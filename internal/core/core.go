@@ -12,8 +12,8 @@
 // Every node serves its operations through one interface, Ops: the
 // paper's Read and Write on any key, each completing through a done
 // callback. Stored hands out its register store, which the shard handoff
-// reads and merges into; Joiner, OpAccountant and ReadPathCounter only
-// look at it.
+// reads and merges into; OpAccountant and ReadPathCounter only look at
+// it. A join's end reaches the runtime through one call, Env.MarkActive.
 package core
 
 import (
@@ -190,8 +190,10 @@ type Env interface {
 	// SystemSize returns n, the constant number of processes, known to
 	// every process in both models.
 	SystemSize() int
-	// MarkActive records that this node's join operation completed; the
-	// membership layer uses it to maintain A(τ) accounting.
+	// MarkActive records that this node's join operation returned ok
+	// (a bootstrap node calls it from Start). It is the one signal of a
+	// join's end: the membership layer keeps its A(τ) accounting with
+	// it, and the runtimes wake whoever waits for the join.
 	MarkActive()
 }
 
@@ -276,10 +278,4 @@ type ReadPathCounter interface {
 // receives into it; tests read per-key copies through it.
 type Stored interface {
 	Store() *RegStore
-}
-
-// Joiner exposes the completion of the join operation. done runs when join
-// returns ok. Implementations invoke it at most once.
-type Joiner interface {
-	OnJoined(done func())
 }

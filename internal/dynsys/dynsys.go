@@ -49,9 +49,9 @@ type Config struct {
 	Initial core.VersionedValue
 	// Placement, when enabled, shards the keyspace: the system rebuilds
 	// the placement view over the present processes on every membership
-	// change, exposes it to protocol nodes via core.Placed on their Env,
-	// and notifies placement-aware nodes (the internal/shard wrapper) so
-	// they run shard handoff. The Factory should wrap its protocol with
+	// change, exposes it to protocol nodes via placement.Placed on their
+	// Env, and notifies placement.Aware nodes (the internal/shard
+	// wrapper) so they run shard handoff. The Factory should wrap its protocol with
 	// shard.Factory when this is enabled.
 	Placement placement.Config
 }
@@ -151,7 +151,7 @@ func (s *System) refreshPlacement() {
 	}
 	s.view = placement.Build(s.cfg.Placement, members)
 	s.ForEachNode(func(_ core.ProcessID, n core.Node) {
-		if pa, ok := n.(core.PlacementAware); ok {
+		if pa, ok := n.(placement.Aware); ok {
 			pa.PlacementChanged(s.view)
 		}
 	})
@@ -317,19 +317,14 @@ type process struct {
 }
 
 var (
-	_ core.Env        = (*process)(nil)
-	_ core.Placed     = (*process)(nil)
-	_ netsim.Endpoint = (*process)(nil)
+	_ core.Env         = (*process)(nil)
+	_ placement.Placed = (*process)(nil)
+	_ netsim.Endpoint  = (*process)(nil)
 )
 
-// Placement implements core.Placed: the system's current view, nil when
-// sharding is disabled.
-func (p *process) Placement() core.PlacementView {
-	if v := p.sys.view; v != nil {
-		return v
-	}
-	return nil
-}
+// Placement implements placement.Placed: the system's current view, nil
+// when sharding is disabled.
+func (p *process) Placement() *placement.View { return p.sys.view }
 
 // ID implements core.Env and netsim.Endpoint.
 func (p *process) ID() core.ProcessID { return p.id }

@@ -54,6 +54,7 @@ package esyncreg
 
 import (
 	"churnreg/internal/core"
+	"churnreg/internal/placement"
 )
 
 // Options tune the protocol for experiments.
@@ -92,7 +93,7 @@ type op struct {
 	// the key's replica group and quorum a majority of it — replies and
 	// acks from outside the scope (DL_PREV answerers that joined after
 	// the broadcast, say) never count, preserving the per-shard quorum
-	// intersection (core.OpScope).
+	// intersection (placement.OpScope).
 	scope  []core.ProcessID
 	quorum int
 
@@ -156,8 +157,6 @@ type Node struct {
 	dlPrev     map[reqKey]bool
 	dlPrevList []reqKey
 
-	joinDone []func()
-
 	stats Stats
 }
 
@@ -203,7 +202,6 @@ func Factory(opts Options) core.NodeFactory {
 var (
 	_ core.Node         = (*Node)(nil)
 	_ core.Ops          = (*Node)(nil)
-	_ core.Joiner       = (*Node)(nil)
 	_ core.Stored       = (*Node)(nil)
 	_ core.OpAccountant = (*Node)(nil)
 )
@@ -247,15 +245,10 @@ func (n *Node) checkJoin() {
 	n.joining = false
 	// Line 07: become active.
 	n.active = true
-	n.env.MarkActive()
 	// Lines 08-10: answer everything deferred in reply_to ∪ dl_prev.
 	n.flushDeferred()
 	// Line 11: return ok.
-	done := n.joinDone
-	n.joinDone = nil
-	for _, f := range done {
-		f()
-	}
+	n.env.MarkActive()
 }
 
 // flushDeferred sends the deferred REPLYs of Figure 4 lines 08-10 and
@@ -292,18 +285,6 @@ func (n *Node) snapshotReply(op core.OpID) core.ReplyMsg {
 	return n.vals.SnapshotReply(n.env.ID(), op, n.active, nil)
 }
 
-// OnJoined implements core.Joiner.
-func (n *Node) OnJoined(done func()) {
-	if done == nil {
-		return
-	}
-	if n.active {
-		done()
-		return
-	}
-	n.joinDone = append(n.joinDone, done)
-}
-
 // Active implements core.Node.
 func (n *Node) Active() bool { return n.active }
 
@@ -335,7 +316,7 @@ func (n *Node) Read(k core.RegisterID, done func(core.VersionedValue, core.Proce
 	id, o := n.ops.Begin()
 	n.stats.Reads++
 	o.reg = k
-	o.scope, o.quorum = core.OpScope(n.env, k)
+	o.scope, o.quorum = placement.OpScope(n.env, k)
 	o.readDone = done
 	n.startReadPhase(id, o)
 	return nil
@@ -349,7 +330,7 @@ func (n *Node) startReadPhase(id core.OpID, o *op) {
 	o.readReplies = make(map[core.ProcessID]core.VersionedValue)
 	// Line 03: broadcast READ(i, read_sn_i) — to the key's replica group
 	// when sharded, the full membership otherwise.
-	core.ScopedBroadcast(n.env, o.reg, core.ReadMsg{From: n.env.ID(), Reg: o.reg, Op: id})
+	placement.ScopedBroadcast(n.env, o.reg, core.ReadMsg{From: n.env.ID(), Reg: o.reg, Op: id})
 	// Line 04 is event-driven (checkRead on every REPLY).
 }
 
@@ -392,7 +373,7 @@ func (n *Node) Write(k core.RegisterID, v core.Value, done func(core.VersionedVa
 	id, o := n.ops.Begin()
 	n.stats.Writes++
 	o.reg = k
-	o.scope, o.quorum = core.OpScope(n.env, k)
+	o.scope, o.quorum = placement.OpScope(n.env, k)
 	o.isWrite = true
 	o.writeVal = v
 	o.writeDone = done
@@ -436,7 +417,7 @@ func (n *Node) pumpWrites(k core.RegisterID) {
 		n.ackRoute[ackName{reg: k, sn: next.SN}] = id
 		// Line 04: broadcast WRITE(i, ⟨v, sn⟩) — scoped to the key's
 		// replica group when sharded.
-		core.ScopedBroadcast(n.env, k, core.WriteMsg{From: n.env.ID(), Value: next, Reg: k, Op: id})
+		placement.ScopedBroadcast(n.env, k, core.WriteMsg{From: n.env.ID(), Value: next, Reg: k, Op: id})
 		q = q[1:]
 	}
 	if len(q) == 0 {
@@ -540,7 +521,7 @@ func (n *Node) handleReply(m core.ReplyMsg) {
 		n.stats.StaleRepliesSeen++
 		return
 	}
-	if !core.InScope(o.scope, m.From) {
+	if !placement.InScope(o.scope, m.From) {
 		// Sharded: a replier outside the key's replica group (a DL_PREV
 		// answerer that joined after the broadcast) must not dilute the
 		// per-shard quorum.
@@ -629,7 +610,7 @@ func (n *Node) handleAck(m core.AckMsg) {
 	if !ok || !o.isWrite || !o.writeBroadcast || o.reg != m.Reg || o.writeSN != m.SN {
 		return
 	}
-	if !core.InScope(o.scope, m.From) {
+	if !placement.InScope(o.scope, m.From) {
 		return // sharded: only replica-group acks feed the quorum
 	}
 	o.writeAck[m.From] = true

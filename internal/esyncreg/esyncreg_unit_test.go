@@ -22,6 +22,8 @@ type fakeEnv struct {
 	sent   []sent
 	bcasts []core.Message
 	active bool
+	// sentAtActive is len(sent) when MarkActive ran.
+	sentAtActive int
 }
 
 func (e *fakeEnv) ID() core.ProcessID { return e.id }
@@ -42,7 +44,10 @@ func (e *fakeEnv) Delta() sim.Duration {
 }
 
 func (e *fakeEnv) SystemSize() int { return e.n }
-func (e *fakeEnv) MarkActive()     { e.active = true }
+func (e *fakeEnv) MarkActive() {
+	e.active = true
+	e.sentAtActive = len(e.sent)
+}
 
 var _ core.Env = (*fakeEnv)(nil)
 
@@ -439,20 +444,27 @@ func TestOperationGuards(t *testing.T) {
 	}
 }
 
-func TestOnJoinedCallbackOrdering(t *testing.T) {
-	n, _ := newJoining(3, Options{}) // majority = 2
-	var order []int
-	n.OnJoined(func() { order = append(order, 1) })
-	n.OnJoined(func() { order = append(order, 2) })
+// TestDeferredRepliesPrecedeMarkActive pins Figure 4's order at the end
+// of a join: the REPLY deferred to a concurrent joiner's INQUIRY (lines
+// 08-10) is queued before the join returns ok and MarkActive runs (line
+// 11).
+func TestDeferredRepliesPrecedeMarkActive(t *testing.T) {
+	n, env := newJoining(3, Options{}) // majority = 2
+	n.Deliver(7, core.InquiryMsg{From: 7, Op: core.NoOp})
+	if _, ok := lastSent(t, env).msg.(core.DLPrevMsg); !ok || len(env.sent) != 1 {
+		t.Fatalf("a joining node answered an INQUIRY with %v, want one DL_PREV", env.sent)
+	}
 	n.Deliver(1, reply(1, 0, 0, 0))
 	n.Deliver(2, reply(2, 0, 0, 0))
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("join callbacks ran %v, want [1 2]", order)
+	if !env.active {
+		t.Fatal("join with a majority of replies did not call MarkActive")
 	}
-	ran := false
-	n.OnJoined(func() { ran = true })
-	if !ran {
-		t.Fatal("OnJoined after activation did not fire immediately")
+	last := lastSent(t, env)
+	if r, ok := last.msg.(core.ReplyMsg); !ok || last.to != 7 || r.Op != core.NoOp {
+		t.Fatalf("last send = %v to %v, want the deferred join REPLY to p7", last.msg, last.to)
+	}
+	if env.sentAtActive != len(env.sent) {
+		t.Fatalf("MarkActive ran after %d of %d sends, want after the deferred REPLY", env.sentAtActive, len(env.sent))
 	}
 }
 

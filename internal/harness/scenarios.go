@@ -231,12 +231,16 @@ func DLPrevAblation(seed uint64) *metrics.Table {
 		sys.Network().SetDropRule(func(from, to core.ProcessID, m core.Message, _ sim.Time) bool {
 			return from == 6 && m.Kind() == core.KindInquiry && to >= 1 && to <= 3
 		})
-		_, starved := sys.Spawn()
+		id, starved := sys.Spawn()
 		_ = sys.RunFor(10 * delta)
 		sys.Network().SetDropRule(nil)
 		sys.Spawn() // the rescuer
 		var at sim.Time
-		starved.(*esyncreg.Node).OnJoined(func() { at = sys.Now() })
+		sys.OnActivate(func(p core.ProcessID) {
+			if p == id {
+				at = sys.Now()
+			}
+		})
 		_ = sys.RunFor(20 * delta)
 		return starved.Active(), at
 	}

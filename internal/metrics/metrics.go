@@ -87,21 +87,6 @@ func (s *Sample) Quantile(q float64) float64 {
 	return s.values[idx]
 }
 
-// Stddev returns the population standard deviation (0 when < 2 samples).
-func (s *Sample) Stddev() float64 {
-	n := len(s.values)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, v := range s.values {
-		d := v - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 func (s *Sample) ensureSorted() {
 	if !s.sorted {
 		sort.Float64s(s.values)
@@ -233,11 +218,3 @@ func F(v float64, prec int) string {
 
 // D formats an integer.
 func D(v int64) string { return fmt.Sprintf("%d", v) }
-
-// Pct formats a ratio as a percentage with one decimal.
-func Pct(num, den float64) string {
-	if den == 0 {
-		return "n/a"
-	}
-	return fmt.Sprintf("%.1f%%", 100*num/den)
-}

@@ -41,18 +41,6 @@ func TestSampleAddAfterQuantile(t *testing.T) {
 	}
 }
 
-func TestSampleStddev(t *testing.T) {
-	var s Sample
-	s.Add(2)
-	if s.Stddev() != 0 {
-		t.Fatal("stddev of one sample must be 0")
-	}
-	s.Add(4)
-	if got := s.Stddev(); got != 1 {
-		t.Fatalf("stddev = %v, want 1", got)
-	}
-}
-
 // Property: quantile is monotone in q and bounded by [Min, Max].
 func TestQuantileMonotoneProperty(t *testing.T) {
 	f := func(vals []float64) bool {
@@ -142,11 +130,5 @@ func TestFormatters(t *testing.T) {
 	}
 	if D(42) != "42" {
 		t.Fatal("D wrong")
-	}
-	if Pct(1, 4) != "25.0%" {
-		t.Fatal("Pct wrong")
-	}
-	if Pct(1, 0) != "n/a" {
-		t.Fatal("Pct zero-div wrong")
 	}
 }

@@ -161,10 +161,11 @@ type Config struct {
 	// Placement, when enabled, shards the keyspace: the transport
 	// rebuilds the placement view from its identified address book (plus
 	// itself) whenever a peer is learned, leaves, or is evicted, exposes
-	// it to the protocol via core.Placed, and notifies the node (the
-	// internal/shard wrapper) under the monitor. Pair with a shard.Factory-
-	// wrapped Factory; every process of one system must agree on the
-	// Shards/Replication numbers (like N, they are deployment constants).
+	// it to the protocol via placement.Placed, and notifies the node (the
+	// internal/shard wrapper, a placement.Aware) under the monitor. Pair
+	// with a shard.Factory-wrapped Factory; every process of one system
+	// must agree on the Shards/Replication numbers (like N, they are
+	// deployment constants).
 	Placement placement.Config
 }
 
@@ -320,7 +321,9 @@ type Transport struct {
 	goid   func() int64
 	holder atomic.Int64
 
+	// active is set, and joined closed, by the first MarkActive.
 	active atomic.Bool
+	joined chan struct{}
 	stats  Stats
 }
 
@@ -366,6 +369,7 @@ func New(cfg Config) (*Transport, error) {
 		ln:       ln,
 		start:    time.Now(),
 		quit:     make(chan struct{}),
+		joined:   make(chan struct{}),
 		ctx:      ctx,
 		cancel:   cancel,
 		byAddr:   make(map[string]*peer),
@@ -541,9 +545,20 @@ func (t *Transport) Invoke(fn func(core.Node)) error {
 
 func (t *Transport) invoker() nodeops.Invoke { return t.Invoke }
 
-// WaitActive blocks until the join has returned, or until timeout.
+// WaitActive blocks until the node marks its join returned, the transport
+// closes (ErrClosed), or timeout passes (nodeops.ErrTimeout). It waits on
+// MarkActive's signal, not on the node: it enters no monitor turn.
 func (t *Transport) WaitActive(timeout time.Duration) error {
-	return nodeops.WaitActive(t.invoker(), t.cfg.Tick, timeout)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	select {
+	case <-t.joined:
+		return nil
+	case <-t.quit:
+		return ErrClosed
+	case <-timer.C:
+		return nodeops.ErrTimeout
+	}
 }
 
 // ReadKey runs a read of one register and waits for its result.
@@ -681,23 +696,20 @@ func (t *Transport) Delta() sim.Duration { return t.cfg.Delta }
 // SystemSize implements core.Env.
 func (t *Transport) SystemSize() int { return t.cfg.N }
 
-// MarkActive implements core.Env: records join completion for Health and
-// retires the pending-INQUIRY replay.
+// MarkActive implements core.Env: records join completion for Health,
+// wakes WaitActive and retires the pending-INQUIRY replay.
 func (t *Transport) MarkActive() {
-	t.active.Store(true)
+	if !t.active.Swap(true) {
+		close(t.joined)
+	}
 	t.mu.Lock()
 	t.pendingInquiry = nil
 	t.mu.Unlock()
 }
 
-// Placement implements core.Placed: the current view over the
+// Placement implements placement.Placed: the current view over the
 // identified peers plus self, nil when sharding is disabled.
-func (t *Transport) Placement() core.PlacementView {
-	if v := t.view.Load(); v != nil {
-		return v
-	}
-	return nil
-}
+func (t *Transport) Placement() *placement.View { return t.view.Load() }
 
 // ShardInfo reports the placement configuration and this node's share of
 // it under the current view: total shards (0 when unsharded), shards
@@ -743,7 +755,7 @@ func (t *Transport) refreshPlacement() {
 	if !sharded {
 		return
 	}
-	if pa, ok := t.node.(core.PlacementAware); ok {
+	if pa, ok := t.node.(placement.Aware); ok {
 		t.do(func() { pa.PlacementChanged(t.Placement()) })
 	}
 }

@@ -20,6 +20,8 @@ import (
 	"time"
 
 	"churnreg/internal/core"
+	"churnreg/internal/nodeops"
+	"churnreg/internal/placement"
 	"churnreg/internal/sim"
 	"churnreg/internal/wire"
 )
@@ -195,7 +197,7 @@ func TestSelfDeliveryIsFIFOAfterHandlerBeforeNextTask(t *testing.T) {
 		case 100: // the trigger, from a peer
 			p.env.Send(1, label(1))
 			p.env.Broadcast(label(2))
-			core.ScopedBroadcast(p.env, 0, label(3)) // unsharded: a broadcast
+			placement.ScopedBroadcast(p.env, 0, label(3)) // unsharded: a broadcast
 			p.env.Send(1, label(4))
 			p.events = append(p.events, "handler 100 returns")
 		case 1: // a self-delivery that itself broadcasts
@@ -518,3 +520,42 @@ func TestSendPathZeroAllocs(t *testing.T) {
 		t.Logf("writer fell behind: %d drops", drops)
 	}
 }
+
+// TestWaitActive: WaitActive returns when the node calls MarkActive, when
+// the transport closes, or at its deadline — and it waits on MarkActive's
+// signal, entering no monitor turn while the node has not joined.
+func TestWaitActive(t *testing.T) {
+	joining := func(c *Config) {
+		probe := c.Factory
+		c.Factory = func(env core.Env, sc core.SpawnContext) core.Node { return joiningNode{probe(env, sc)} }
+	}
+	tr, p := newProbeTransport(t, nil, joining)
+	before := tr.Stats().LoopTurns.Load()
+	if err := tr.WaitActive(50 * time.Millisecond); err != nodeops.ErrTimeout {
+		t.Fatalf("wait on a node that never joins = %v, want ErrTimeout", err)
+	}
+	if after := tr.Stats().LoopTurns.Load(); after != before {
+		t.Fatalf("a 50 ms wait ran %d monitor turns, want 0", after-before)
+	}
+	go func() {
+		time.Sleep(5 * time.Millisecond)
+		_ = tr.Invoke(func(core.Node) { p.env.MarkActive() })
+	}()
+	if err := tr.WaitActive(10 * time.Second); err != nil {
+		t.Fatalf("wait across MarkActive = %v, want nil", err)
+	}
+
+	closed, _ := newProbeTransport(t, nil, joining)
+	go func() {
+		time.Sleep(5 * time.Millisecond)
+		closed.Close()
+	}()
+	if err := closed.WaitActive(10 * time.Second); err != ErrClosed {
+		t.Fatalf("wait across Close = %v, want ErrClosed", err)
+	}
+}
+
+// joiningNode is a node whose join has not returned.
+type joiningNode struct{ core.Node }
+
+func (joiningNode) Active() bool { return false }

@@ -98,34 +98,3 @@ func run(inv Invoke, timeout time.Duration, op func(core.Ops, chan<- result) err
 		return result{}, ErrTimeout
 	}
 }
-
-// WaitActive blocks until the node's join has returned, polling on its
-// loop goroutine every poll interval, or until timeout.
-func WaitActive(inv Invoke, poll, timeout time.Duration) error {
-	if poll <= 0 {
-		poll = time.Millisecond
-	}
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	ticker := time.NewTicker(poll)
-	defer ticker.Stop()
-	for {
-		done := make(chan bool, 1)
-		if err := inv(func(n core.Node) { done <- n.Active() }); err != nil {
-			return err
-		}
-		select {
-		case active := <-done:
-			if active {
-				return nil
-			}
-		case <-deadline.C:
-			return ErrTimeout
-		}
-		select {
-		case <-ticker.C:
-		case <-deadline.C:
-			return ErrTimeout
-		}
-	}
-}

@@ -10,17 +10,12 @@ import (
 )
 
 // plainNode is a core.Node that serves no operations.
-type plainNode struct{ activeAfter int }
+type plainNode struct{}
 
 func (*plainNode) Start()                               {}
+func (*plainNode) Active() bool                         { return true }
 func (*plainNode) Deliver(core.ProcessID, core.Message) {}
 func (*plainNode) Snapshot() core.VersionedValue        { return core.VersionedValue{} }
-
-// Active reports true from its activeAfter-th call on.
-func (n *plainNode) Active() bool {
-	n.activeAfter--
-	return n.activeAfter < 0
-}
 
 // scriptedNode is a core.Node with core.Ops doing what the test scripts:
 // refuse returns from the invocation; otherwise done runs at once with
@@ -91,9 +86,6 @@ func TestInvocationErrorIsReturned(t *testing.T) {
 	if _, err := WriteKey(dead, 1, 1, wait); err != gone {
 		t.Fatalf("write on a gone node: %v", err)
 	}
-	if err := WaitActive(dead, time.Millisecond, wait); err != gone {
-		t.Fatalf("wait on a gone node: %v", err)
-	}
 }
 
 func TestErrorDeliveredInDone(t *testing.T) {
@@ -135,14 +127,5 @@ func TestTimeoutAndLateDone(t *testing.T) {
 	}
 	if _, err := ReadKey(inline(n), 1, 10*time.Millisecond); err != ErrTimeout {
 		t.Fatalf("read: %v, want ErrTimeout", err)
-	}
-}
-
-func TestWaitActive(t *testing.T) {
-	if err := WaitActive(inline(&plainNode{activeAfter: 3}), 0, wait); err != nil {
-		t.Fatalf("wait: %v", err)
-	}
-	if err := WaitActive(inline(&plainNode{activeAfter: 1 << 30}), time.Millisecond, 20*time.Millisecond); err != ErrTimeout {
-		t.Fatalf("wait on a node that never joins: %v, want ErrTimeout", err)
 	}
 }

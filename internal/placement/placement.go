@@ -13,10 +13,17 @@
 // identified address book plus itself) — eventual agreement on membership
 // yields eventual agreement on placement, and the internal/shard handoff
 // machinery covers the disagreement window.
+//
+// A runtime hands its current view to the protocols through their Env
+// (Placed) and to the node wrapper (Aware). The engines stay
+// placement-correct through three helpers, OpScope, InScope and
+// ScopedBroadcast, which fall back to the whole membership when the Env
+// carries no view.
 package placement
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"churnreg/internal/core"
@@ -69,8 +76,10 @@ func score(shard int, id core.ProcessID) uint64 {
 	return mix64(mix64(uint64(shard)+0x9e3779b97f4a7c15) ^ mix64(uint64(id)))
 }
 
-// View is one immutable placement over a member set. It implements
-// core.PlacementView.
+// View is one consistent snapshot of the keyspace→replica mapping:
+// RegisterID → shard → replica group of size ≤ R over one member set.
+// Views are immutable; the runtime swaps in a fresh view on every
+// membership change. A nil *View means the runtime is unsharded.
 type View struct {
 	cfg     Config
 	members []core.ProcessID       // ascending
@@ -78,8 +87,6 @@ type View struct {
 	owned   map[core.ProcessID]int // shards owned per member (for gauges)
 	version uint64
 }
-
-var _ core.PlacementView = (*View)(nil)
 
 // Build computes the placement of every shard over members. The member
 // slice is copied and sorted; duplicate ids are tolerated (deduped).
@@ -142,36 +149,31 @@ func (v *View) SetVersion(ver uint64) { v.version = ver }
 // ViewVersion returns the stamp set by SetVersion.
 func (v *View) ViewVersion() uint64 { return v.version }
 
-// NumShards implements core.PlacementView.
+// NumShards returns S, the fixed shard count.
 func (v *View) NumShards() int { return v.cfg.Shards }
 
 // Replication returns the configured R (groups are smaller only while
 // the membership is).
 func (v *View) Replication() int { return v.cfg.Replication }
 
-// ShardOf implements core.PlacementView.
+// ShardOf maps a register to its shard in [0, S).
 func (v *View) ShardOf(reg core.RegisterID) int { return ShardOf(reg, v.cfg.Shards) }
 
-// GroupFor implements core.PlacementView: the shard's replica group in
-// priority order, primary first. Callers must not mutate the slice.
+// GroupFor returns one shard's replica group in priority order, the
+// primary first. Callers must not mutate the slice.
 func (v *View) GroupFor(shard int) []core.ProcessID { return v.groups[shard] }
 
-// Group implements core.PlacementView.
+// Group returns reg's replica group (GroupFor of its shard).
 func (v *View) Group(reg core.RegisterID) []core.ProcessID {
 	return v.groups[v.ShardOf(reg)]
 }
 
-// IsReplica implements core.PlacementView.
+// IsReplica reports whether id is in reg's replica group.
 func (v *View) IsReplica(reg core.RegisterID, id core.ProcessID) bool {
-	for _, m := range v.Group(reg) {
-		if m == id {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(v.Group(reg), id)
 }
 
-// Members implements core.PlacementView.
+// Members returns every process the view was built over, ascending.
 func (v *View) Members() []core.ProcessID { return v.members }
 
 // Route is the one routing rule: the i-th member, modulo their number,
@@ -198,11 +200,8 @@ func (v *View) OwnedCount(id core.ProcessID) int { return v.owned[id] }
 func (v *View) OwnedShards(id core.ProcessID) []int {
 	var out []int
 	for s, g := range v.groups {
-		for _, m := range g {
-			if m == id {
-				out = append(out, s)
-				break
-			}
+		if slices.Contains(g, id) {
+			out = append(out, s)
 		}
 	}
 	return out
@@ -213,16 +212,16 @@ func (v *View) OwnedShards(id core.ProcessID) []int {
 // change gives id. It is the tests' oracle for that list;
 // internal/shard's PlacementChanged does not call it, and compares the
 // new view's groups with the shards the node already holds instead.
-func Gained(old, v core.PlacementView, id core.ProcessID) []int {
+func Gained(old, v *View, id core.ProcessID) []int {
 	if v == nil {
 		return nil
 	}
 	var out []int
 	for s := 0; s < v.NumShards(); s++ {
-		if !contains(v.GroupFor(s), id) {
+		if !slices.Contains(v.GroupFor(s), id) {
 			continue
 		}
-		if old == nil || !contains(old.GroupFor(s), id) {
+		if old == nil || !slices.Contains(old.GroupFor(s), id) {
 			out = append(out, s)
 		}
 	}
@@ -234,7 +233,7 @@ func Gained(old, v core.PlacementView, id core.ProcessID) []int {
 // groups, intersected with the new view's membership, excluding self.
 // Ascending, deduped. This is the production donor set the
 // internal/shard handoff uses.
-func Donors(old, v core.PlacementView, shard int, self core.ProcessID) []core.ProcessID {
+func Donors(old, v *View, shard int, self core.ProcessID) []core.ProcessID {
 	members := v.Members()
 	present := make(map[core.ProcessID]bool, len(members))
 	for _, id := range members {
@@ -256,13 +255,4 @@ func Donors(old, v core.PlacementView, shard int, self core.ProcessID) []core.Pr
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-func contains(ids []core.ProcessID, id core.ProcessID) bool {
-	for _, m := range ids {
-		if m == id {
-			return true
-		}
-	}
-	return false
 }

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"slices"
 	"testing"
 
 	"churnreg/internal/core"
@@ -61,7 +62,7 @@ func TestGroupSizeAndMembership(t *testing.T) {
 	for reg := core.RegisterID(0); reg < 50; reg++ {
 		g := v.Group(reg)
 		for _, id := range ids(1, 2, 3, 4) {
-			if v.IsReplica(reg, id) != contains(g, id) {
+			if v.IsReplica(reg, id) != slices.Contains(g, id) {
 				t.Fatalf("reg %v: IsReplica(%v) disagrees with group %v", reg, id, g)
 			}
 		}
@@ -128,7 +129,7 @@ func TestGainedAndDonors(t *testing.T) {
 		t.Fatal("joiner gained nothing over 32 shards")
 	}
 	for _, s := range gained {
-		if !contains(now.GroupFor(s), 4) {
+		if !slices.Contains(now.GroupFor(s), 4) {
 			t.Fatalf("gained shard %d not owned by 4 in new view", s)
 		}
 		donors := Donors(old, now, s, 4)
@@ -138,7 +139,7 @@ func TestGainedAndDonors(t *testing.T) {
 		oldHolders := old.GroupFor(s)
 		found := false
 		for _, d := range donors {
-			if contains(oldHolders, d) {
+			if slices.Contains(oldHolders, d) {
 				found = true
 			}
 			if d == 4 {

@@ -12,12 +12,12 @@
 //   - internal/placement computes WHO replicates each shard (consistent
 //     hashing over the membership; runtimes rebuild the view on every
 //     membership change and hand it to both the protocols, via
-//     core.Placed on their Env, and to this wrapper, via
-//     core.PlacementAware).
+//     placement.Placed on their Env, and to this wrapper, via
+//     placement.Aware).
 //   - The protocol engines (syncreg/esyncreg/abd) scope their
 //     per-register traffic and quorums to the replica group themselves
-//     (core.ScopedBroadcast / core.OpScope): a WRITE for a key reaches R
-//     nodes, not n, and its quorum is a majority of R.
+//     (placement.ScopedBroadcast / placement.OpScope): a WRITE for a key
+//     reaches R nodes, not n, and its quorum is a majority of R.
 //   - This wrapper decides WHERE a client operation may run, keeps
 //     non-replicas from serving keys they do not hold, and moves shard
 //     state when placement changes.
@@ -78,6 +78,8 @@
 package shard
 
 import (
+	"slices"
+
 	"churnreg/internal/core"
 	"churnreg/internal/placement"
 	"churnreg/internal/sim"
@@ -136,7 +138,7 @@ type Node struct {
 	// view is the latest placement this node was told about; nil until
 	// the runtime pushes one (the wrapper delegates everything until
 	// then, so an unsharded runtime pays nothing).
-	view        core.PlacementView
+	view        *placement.View
 	sawView     bool
 	viewVersion uint64
 	// bootstrap marks one of the initial processes: its first view needs
@@ -195,12 +197,11 @@ func (n *Node) Stats() Stats { return n.stats }
 
 // Compile-time interface checks.
 var (
-	_ core.Node           = (*Node)(nil)
-	_ core.Ops            = (*Node)(nil)
-	_ core.Stored         = (*Node)(nil)
-	_ core.OpAccountant   = (*Node)(nil)
-	_ core.Joiner         = (*Node)(nil)
-	_ core.PlacementAware = (*Node)(nil)
+	_ core.Node         = (*Node)(nil)
+	_ core.Ops          = (*Node)(nil)
+	_ core.Stored       = (*Node)(nil)
+	_ core.OpAccountant = (*Node)(nil)
+	_ placement.Aware   = (*Node)(nil)
 )
 
 // ---- core.Node ----
@@ -240,18 +241,6 @@ func (n *Node) Deliver(from core.ProcessID, m core.Message) {
 
 // ---- delegation ----
 
-// OnJoined implements core.Joiner, also flushing shard queues blocked on
-// the join (operations gated only on activation, not handoff).
-func (n *Node) OnJoined(done func()) {
-	if j, ok := n.inner.(core.Joiner); ok {
-		j.OnJoined(done)
-		return
-	}
-	if done != nil && n.inner.Active() {
-		done()
-	}
-}
-
 // Store implements core.Stored: the inner node's store.
 func (n *Node) Store() *core.RegStore { return n.store }
 
@@ -280,20 +269,17 @@ func (n *Node) PendingOps() int {
 
 // ---- placement ----
 
-// PlacementChanged implements core.PlacementAware: adopt the new view,
+// PlacementChanged implements placement.Aware: adopt the new view,
 // start handoff for gained shards, drop state for lost ones. Views
 // stamped with a version (placement.View.SetVersion) are applied in
 // stamp order; a stale one — possible when a concurrent runtime posts
 // views to the node loop asynchronously — is dropped.
-func (n *Node) PlacementChanged(view core.PlacementView) {
-	if vv, ok := view.(interface{ ViewVersion() uint64 }); ok {
-		ver := vv.ViewVersion()
-		if ver != 0 {
-			if ver <= n.viewVersion {
-				return
-			}
-			n.viewVersion = ver
+func (n *Node) PlacementChanged(view *placement.View) {
+	if view != nil && view.ViewVersion() != 0 {
+		if view.ViewVersion() <= n.viewVersion {
+			return
 		}
+		n.viewVersion = view.ViewVersion()
 	}
 	old := n.view
 	first := !n.sawView
@@ -305,7 +291,7 @@ func (n *Node) PlacementChanged(view core.PlacementView) {
 	self := n.env.ID()
 	owned := make(map[int]bool)
 	for s := 0; s < view.NumShards(); s++ {
-		if containsID(view.GroupFor(s), self) {
+		if slices.Contains(view.GroupFor(s), self) {
 			owned[s] = true
 		}
 	}
@@ -328,7 +314,7 @@ func (n *Node) PlacementChanged(view core.PlacementView) {
 				// Pending handoff continues; refresh the donor set
 				// against the new view so dead donors stop being
 				// required.
-				st.donors = donorsFor(old, view, s, self)
+				st.donors = placement.Donors(old, view, s, self)
 				n.checkHandoffReady(s, st)
 			}
 			continue
@@ -340,7 +326,7 @@ func (n *Node) PlacementChanged(view core.PlacementView) {
 			st.ready = true
 			continue
 		}
-		st.donors = donorsFor(old, view, s, self)
+		st.donors = placement.Donors(old, view, s, self)
 		st.got = make(map[core.ProcessID]bool)
 		if len(st.donors) == 0 {
 			// Nobody to ask (first process in, or every holder gone):
@@ -355,14 +341,7 @@ func (n *Node) PlacementChanged(view core.PlacementView) {
 }
 
 // Placement returns the wrapper's current view (tests).
-func (n *Node) Placement() core.PlacementView { return n.view }
-
-// donorsFor computes the processes able to seed shard s: the union of
-// the shard's groups under the old and new views, restricted to the new
-// view's members, excluding self (placement.Donors).
-func donorsFor(old, v core.PlacementView, s int, self core.ProcessID) []core.ProcessID {
-	return placement.Donors(old, v, s, self)
-}
+func (n *Node) Placement() *placement.View { return n.view }
 
 func (n *Node) sendHandoffInquiries(s int, st *shardState) {
 	for _, d := range st.donors {
@@ -384,7 +363,7 @@ func (n *Node) scheduleHandoffRetry(s int, st *shardState) {
 		}
 		st.rounds++
 		if n.view != nil {
-			st.donors = donorsFor(nil, n.view, s, n.env.ID())
+			st.donors = placement.Donors(nil, n.view, s, n.env.ID())
 		}
 		if n.checkHandoffReady(s, st) {
 			return
@@ -533,7 +512,7 @@ func (n *Node) dispatchRead(reg core.RegisterID, attempt int, done func(core.Ver
 	}
 	self := n.env.ID()
 	shard := v.ShardOf(reg)
-	if containsID(g, self) {
+	if slices.Contains(g, self) {
 		if n.pendingShard(shard) {
 			n.queueOnShard(shard, func() { n.dispatchRead(reg, attempt, done) })
 			return
@@ -737,13 +716,4 @@ func (n *Node) handleForwarded(m core.ForwardedMsg) {
 	// refusal usually means our view lags the server's).
 	attempt := o.attempts + 1
 	n.env.After(retryDelayTicks, func() { n.dispatchRead(o.reg, attempt, o.done) })
-}
-
-func containsID(ids []core.ProcessID, id core.ProcessID) bool {
-	for _, m := range ids {
-		if m == id {
-			return true
-		}
-	}
-	return false
 }

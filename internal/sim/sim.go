@@ -92,11 +92,10 @@ func (h *Deadlines[K]) Pop() Deadline[K] {
 // for concurrent use; protocol code driven by it therefore needs no locks,
 // which is what makes simulated runs deterministic.
 type Scheduler struct {
-	now      Time
-	queue    Deadlines[Time]
-	seq      uint64
-	executed uint64
-	stopped  bool
+	now     Time
+	queue   Deadlines[Time]
+	seq     uint64
+	stopped bool
 }
 
 // NewScheduler returns a scheduler positioned at time 0 with an empty queue.
@@ -109,9 +108,6 @@ func (s *Scheduler) Now() Time { return s.now }
 
 // Len returns the number of pending events.
 func (s *Scheduler) Len() int { return len(s.queue) }
-
-// Executed returns the total number of events executed so far.
-func (s *Scheduler) Executed() uint64 { return s.executed }
 
 // At schedules fn to run at time t. Scheduling in the past (before Now) is
 // clamped to Now: the event runs as soon as the scheduler resumes, which is
@@ -147,7 +143,6 @@ func (s *Scheduler) Step() bool {
 	}
 	ev := s.queue.Pop()
 	s.now = ev.At
-	s.executed++
 	ev.Fn()
 	return true
 }
@@ -192,13 +187,4 @@ func (s *Scheduler) Drain(maxEvents uint64) (uint64, error) {
 		}
 	}
 	return ran, nil
-}
-
-// NextEventTime returns the timestamp of the earliest pending event.
-// ok is false when the queue is empty.
-func (s *Scheduler) NextEventTime() (t Time, ok bool) {
-	if len(s.queue) == 0 {
-		return 0, false
-	}
-	return s.queue[0].At, true
 }

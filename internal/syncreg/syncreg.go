@@ -42,7 +42,10 @@
 // does not enforce the bound — experiments explore both sides of it.
 package syncreg
 
-import "churnreg/internal/core"
+import (
+	"churnreg/internal/core"
+	"churnreg/internal/placement"
+)
 
 // Options tune the protocol for experiments.
 type Options struct {
@@ -73,8 +76,7 @@ type Node struct {
 	// completed by its own δ timer.
 	ops *core.OpTable[writeOp]
 
-	joining  bool
-	joinDone []func()
+	joining bool
 
 	stats Stats
 }
@@ -122,7 +124,6 @@ type writeOp struct {
 var (
 	_ core.Node         = (*Node)(nil)
 	_ core.Ops          = (*Node)(nil)
-	_ core.Joiner       = (*Node)(nil)
 	_ core.Stored       = (*Node)(nil)
 	_ core.OpAccountant = (*Node)(nil)
 )
@@ -178,7 +179,6 @@ func (n *Node) completeJoin() {
 	n.joining = false
 	// Line 10: become active.
 	n.active = true
-	n.env.MarkActive()
 	// Line 11: answer inquiries deferred while we were joining — each
 	// answer carries our full register space.
 	for _, j := range n.replyTo {
@@ -187,30 +187,13 @@ func (n *Node) completeJoin() {
 	n.replyTo = nil
 	n.replyToSeen = make(map[core.ProcessID]bool)
 	// Line 12: return ok.
-	done := n.joinDone
-	n.joinDone = nil
-	for _, f := range done {
-		f()
-	}
+	n.env.MarkActive()
 }
 
 // snapshotReply builds a REPLY carrying this node's entire register space
 // (see core.RegStore.SnapshotReply), answering a join inquiry.
 func (n *Node) snapshotReply() core.ReplyMsg {
 	return n.regs.SnapshotReply(n.env.ID(), core.NoOp, n.active, nil)
-}
-
-// OnJoined implements core.Joiner: done runs when the join returns ok (or
-// immediately if it already has).
-func (n *Node) OnJoined(done func()) {
-	if done == nil {
-		return
-	}
-	if n.active {
-		done()
-		return
-	}
-	n.joinDone = append(n.joinDone, done)
 }
 
 // Active implements core.Node.
@@ -261,7 +244,7 @@ func (n *Node) Write(k core.RegisterID, v core.Value, done func(core.VersionedVa
 	// Sharded runtimes scope the dissemination to the key's replica
 	// group (R sends instead of a full broadcast — the capacity dividend);
 	// unsharded ones broadcast exactly as Figure 2 prescribes.
-	core.ScopedBroadcast(n.env, k, core.WriteMsg{From: n.env.ID(), Value: next, Reg: k, Op: id})
+	placement.ScopedBroadcast(n.env, k, core.WriteMsg{From: n.env.ID(), Value: next, Reg: k, Op: id})
 	// Line 02: wait(δ); return ok. After δ every process present at the
 	// broadcast that has not left holds the value. Each write waits on its
 	// OWN timer: the waits overlap, which is the pipelining dividend.

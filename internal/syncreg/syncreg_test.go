@@ -61,9 +61,9 @@ func TestBootstrapNodesActiveWithInitialValue(t *testing.T) {
 
 func TestJoinWithoutConcurrentWriteAdoptsCurrentValue(t *testing.T) {
 	sys := newSystem(t, 3, netsim.SynchronousModel{Delta: delta}, syncreg.Options{}, 0)
-	id, node := sys.Spawn()
+	id, _ := sys.Spawn()
 	joined := false
-	node.(*syncreg.Node).OnJoined(func() { joined = true })
+	sys.OnActivate(func(p core.ProcessID) { joined = joined || p == id })
 
 	// Join takes at most 3δ: δ pre-wait + 2δ inquiry round.
 	if err := sys.RunFor(3*delta + 1); err != nil {
@@ -394,17 +394,6 @@ func TestDeliverUnknownKindPanics(t *testing.T) {
 		}
 	}()
 	n.Deliver(99, core.ReadMsg{From: 99})
-}
-
-func TestOnJoinedImmediateWhenActive(t *testing.T) {
-	sys := newSystem(t, 1, netsim.SynchronousModel{Delta: delta}, syncreg.Options{}, 0)
-	n := syncNode(t, sys, sys.ActiveIDs()[0])
-	called := false
-	n.OnJoined(func() { called = true })
-	if !called {
-		t.Fatal("OnJoined on active node did not fire immediately")
-	}
-	n.OnJoined(nil) // must not panic
 }
 
 func TestChurnRunAllJoinsCompleteUnderBound(t *testing.T) {

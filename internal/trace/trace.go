@@ -8,7 +8,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"churnreg/internal/core"
 	"churnreg/internal/netsim"
@@ -26,7 +25,6 @@ const (
 	KindEnter
 	KindActive
 	KindLeave
-	KindNote
 )
 
 // String names the kind.
@@ -44,8 +42,6 @@ func (k EventKind) String() string {
 		return "active"
 	case KindLeave:
 		return "leave"
-	case KindNote:
-		return "note"
 	default:
 		return fmt.Sprintf("EventKind(%d)", int(k))
 	}
@@ -68,8 +64,6 @@ func (e Event) String() string {
 		return fmt.Sprintf("%-6s %s %s → %s", e.At, e.Kind, e.Proc, e.Peer) + msgSuffix(e)
 	case KindDeliver, KindDrop:
 		return fmt.Sprintf("%-6s %s %s ← %s", e.At, e.Kind, e.Peer, e.Proc) + msgSuffix(e)
-	case KindNote:
-		return fmt.Sprintf("%-6s note  %s: %s", e.At, e.Proc, e.Detail)
 	default:
 		s := fmt.Sprintf("%-6s %s %s", e.At, e.Kind, e.Proc)
 		if e.Detail != "" {
@@ -108,41 +102,11 @@ func (l *Log) Append(e Event) {
 	l.events = append(l.events, e)
 }
 
-// Note records a free-form annotation for a process.
-func (l *Log) Note(at sim.Time, proc core.ProcessID, format string, args ...any) {
-	l.Append(Event{At: at, Kind: KindNote, Proc: proc, Detail: fmt.Sprintf(format, args...)})
-}
-
 // Len returns the number of stored events.
 func (l *Log) Len() int { return len(l.events) }
 
-// Truncated returns how many events were dropped by the cap.
-func (l *Log) Truncated() uint64 { return l.truncated }
-
 // Events returns the stored events (live slice; do not mutate).
 func (l *Log) Events() []Event { return l.events }
-
-// Filter returns stored events satisfying keep.
-func (l *Log) Filter(keep func(Event) bool) []Event {
-	var out []Event
-	for _, e := range l.events {
-		if keep(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// CountKind tallies events of one kind.
-func (l *Log) CountKind(k EventKind) int {
-	n := 0
-	for _, e := range l.events {
-		if e.Kind == k {
-			n++
-		}
-	}
-	return n
-}
 
 // Render writes the timeline to w, one event per line, in recorded order
 // (which is timestamp order — the simulator appends monotonically).
@@ -158,13 +122,6 @@ func (l *Log) Render(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// RenderString renders the timeline into a string.
-func (l *Log) RenderString() string {
-	var b strings.Builder
-	_ = l.Render(&b)
-	return b.String()
 }
 
 // NetTap adapts the log to netsim's trace hook: install with

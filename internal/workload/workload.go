@@ -97,15 +97,9 @@ func (r *Runner) Start() {
 	r.electWriter()
 	r.sys.OnKill(r.onKill)
 	if r.cfg.JoinReadProbe {
-		r.sys.OnSpawn(func(id core.ProcessID, node core.Node) {
-			j, ok := node.(core.Joiner)
-			if !ok {
-				return
-			}
-			j.OnJoined(func() {
-				r.stats.JoinProbes++
-				r.readOn(id)
-			})
+		r.sys.OnActivate(func(id core.ProcessID) {
+			r.stats.JoinProbes++
+			r.readOn(id)
 		})
 	}
 	if r.cfg.WritePeriod > 0 {

@@ -170,7 +170,8 @@ func (c *NetCluster) IDs() []ProcessID {
 
 // Join adds a fresh process: it dials the present membership as seeds,
 // runs the paper's join protocol over TCP, and blocks until the join
-// returns.
+// returns. StaticABD has no join: Join returns once the passive replica
+// has started.
 func (c *NetCluster) Join() (ProcessID, error) {
 	c.mu.Lock()
 	c.nextID++
@@ -191,6 +192,9 @@ func (c *NetCluster) Join() (ProcessID, error) {
 	c.nodes[id] = tr
 	c.mu.Unlock()
 	tr.Start(seeds)
+	if !c.opts.protocol.joins() {
+		return id, nil
+	}
 	if err := tr.WaitActive(c.opts.opTimeout); err != nil {
 		c.mu.Lock()
 		delete(c.nodes, id)
@@ -266,8 +270,7 @@ func (c *NetCluster) view(ids []ProcessID) *placement.View {
 	if err != nil {
 		return nil
 	}
-	v, _ := tr.Placement().(*placement.View)
-	return v
+	return tr.Placement()
 }
 
 // Write stores v in register 0 (see WriteKey).

@@ -117,19 +117,17 @@ func (c *SimCluster) ActiveIDs() []ProcessID { return c.sys.ActiveIDs() }
 // Join makes a fresh process enter the system, then runs the simulation
 // until its join operation returns. The paper's liveness theorems say this
 // terminates as long as the process stays; the cluster protects it from
-// churn while it waits.
+// churn while it waits. StaticABD has no join: Join returns at once, the
+// passive replica started.
 func (c *SimCluster) Join() (ProcessID, error) {
 	id, node := c.sys.Spawn()
-	j, ok := node.(core.Joiner)
-	if !ok {
+	if !c.opts.protocol.joins() {
 		return id, nil
 	}
 	// Shield the joiner so "the invoking process does not leave".
 	c.shield(id)
 	defer c.unshield(id)
-	done := false
-	j.OnJoined(func() { done = true })
-	if err := c.await(func() bool { return done }, func() bool { return !c.sys.Present(id) }); err != nil {
+	if err := c.await(node.Active, func() bool { return !c.sys.Present(id) }); err != nil {
 		return id, fmt.Errorf("churnreg: join %v: %w", id, err)
 	}
 	return id, nil
