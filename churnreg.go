@@ -176,9 +176,11 @@ func WithOperationTimeout(d time.Duration) Option { return func(o *options) { o.
 // whole membership, so adding processes adds CAPACITY, not just fault
 // tolerance. The facade routes a read to one of the key's replicas and a
 // write to its shard primary; a write enters only there and fails,
-// unapplied, anywhere else, and only ReadKeyAt at a non-replica relays
-// its read to a replica. Membership changes move exactly the shards whose
-// groups changed (snapshot handoff; see internal/shard). With r < n the
+// unapplied, anywhere else. ReadKeyAt at a non-replica runs a quorum read
+// over the key's group, or fails unserved under the synchronous protocol
+// (its local copy never sees the key's writes). Membership changes move
+// exactly the shards whose groups changed (snapshot handoff; see
+// internal/shard). With r < n the
 // per-key quorum shrinks from ⌊n/2⌋+1 to ⌊r/2⌋+1 — the
 // quorum-intersection argument holds per shard. s = 0 (the default) disables sharding: every process
 // replicates every key, the pre-sharding behavior, bit for bit.

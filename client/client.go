@@ -3,9 +3,9 @@
 // keeping a cached placement view so every operation goes to a server
 // that can serve it locally — reads to any member of the key's replica
 // group, writes straight to the shard primary (to the lowest member id
-// when the system is unsharded), both by placement.View.Route — instead
-// of paying a server-side FORWARD relay hop. It is the only way to read
-// and write: regserve's HTTP address serves administration alone.
+// when the system is unsharded), both by placement.View.Route. It is the
+// only way to read and write: regserve's HTTP address serves
+// administration alone.
 //
 // # Sessions
 //

@@ -60,10 +60,10 @@ func (stubNode) Deliver(from core.ProcessID, m core.Message) {}
 func (stubNode) Snapshot() core.VersionedValue               { return core.VersionedValue{} }
 func (stubNode) ReadPathCounts() (uint64, uint64)            { return 5, 2 }
 
-// Stats satisfies the api's forwardCounter slice with fixed relay
+// Stats satisfies the api's nodeCounters slice with fixed FORWARD
 // counts, so the regserve_forward_* series is observable.
 func (stubNode) Stats() shard.Stats {
-	return shard.Stats{ForwardedReads: 4, ForwardsServed: 7, ForwardsRefused: 2}
+	return shard.Stats{ForwardsServed: 7, ForwardsRefused: 2}
 }
 
 func (f *fakeBackend) ShardInfo() (int, int, int) {
@@ -293,7 +293,7 @@ func TestAPIMetricsGolden(t *testing.T) {
 }
 
 // TestAPIMetricsOneInvokePerScrape: the counters that live on the node
-// (the read-path split and the shard wrapper's relay counts) are read in
+// (the read-path split and the shard wrapper's FORWARD counts) are read in
 // one turn of its monitor per scrape, and a node that does not answer —
 // here, a stopped transport — omits both families while the transport's
 // own counters still render.
@@ -318,9 +318,8 @@ func TestAPIMetricsOneInvokePerScrape(t *testing.T) {
 	}
 }
 
-// TestAPIForwardMetrics: the relay-hop counters from the shard wrapper
-// render on /metrics — the series the direct-routing benchmark scrapes
-// to prove the smart client eliminated the FORWARD hop.
+// TestAPIForwardMetrics: the shard wrapper's counts of the FORWARDs it
+// served and refused render on /metrics.
 func TestAPIForwardMetrics(t *testing.T) {
 	srv := newTestAPI(t, newFakeBackend())
 	status, body := get(t, srv.URL+"/metrics")
@@ -328,7 +327,6 @@ func TestAPIForwardMetrics(t *testing.T) {
 		t.Fatalf("metrics status %d", status)
 	}
 	for _, line := range []string{
-		`regserve_forward_total{op="read"} 4`,
 		"regserve_forward_served_total 7",
 		"regserve_forward_refused_total 2",
 	} {

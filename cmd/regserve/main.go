@@ -277,7 +277,7 @@ func (a *api) metrics(w http.ResponseWriter, r *http.Request) {
 // place their names, HELP texts and types are declared. bench/ scrapes
 // them, so a name or a number format changes only with its golden file.
 // The transport's counters come first; then the counters that live on the
-// node (the quorum-read split and the shard wrapper's relay hops), both
+// node (the quorum-read split and the shard wrapper's FORWARD counts), both
 // omitted when the node does not answer within 2 s; then, when the
 // keyspace is sharded, the placement gauges.
 func (a *api) series() []metrics.Series {
@@ -304,10 +304,7 @@ func (a *api) series() []metrics.Series {
 	if c := a.readNodeCounts(); c != nil {
 		out = append(out,
 			metrics.Counter("regserve_read_path_total", "Completed quorum reads by path: fast is the one-round path (all phase-1 replies agreed, write-back skipped).", metrics.Int(c.fast, "path", "fast"), metrics.Int(c.slow, "path", "slow")),
-			// Under a placement-aware client, which routes every operation
-			// to a replica itself, regserve_forward_total stays ≈0.
-			metrics.Counter("regserve_forward_total", "Operations relayed to a replica instead of served from this node's local state.", metrics.Int(c.fwd.ForwardedReads, "op", "read")),
-			metrics.Counter("regserve_forward_served_total", "Forwarded operations this node served from local state (relayed by a peer or submitted by a wire client).", metrics.Int(c.fwd.ForwardsServed)),
+			metrics.Counter("regserve_forward_served_total", "Forwarded operations (a wire client's reads and writes) this node served.", metrics.Int(c.fwd.ForwardsServed)),
 			metrics.Counter("regserve_forward_refused_total", "Forwarded operations this node refused (wrong replica, not active, or busy).", metrics.Int(c.fwd.ForwardsRefused)),
 		)
 	}
@@ -322,7 +319,7 @@ func (a *api) series() []metrics.Series {
 }
 
 // nodeCounters is the slice of the node that /metrics reads: the
-// quorum-read split and the shard wrapper's relay counters. *shard.Node,
+// quorum-read split and the shard wrapper's FORWARD counters. *shard.Node,
 // the outermost layer of every regserve node, implements it; handler
 // tests stub it.
 type nodeCounters interface {

@@ -5,8 +5,8 @@ import "fmt"
 // MsgKind discriminates the wire messages used by the paper's protocols.
 type MsgKind int
 
-// Message kinds: one per message named in Figures 1–6, plus the relay
-// messages. Each value is the kind's byte on the wire.
+// Message kinds: one per message named in Figures 1–6, plus the wire
+// client's operation messages. Each value is the kind's byte on the wire.
 const (
 	KindInquiry MsgKind = iota + 1
 	KindReply
@@ -209,13 +209,12 @@ func (c ForwardCode) String() string {
 	}
 }
 
-// ForwardMsg is FORWARD(i, op, k[, v]): a node that is not a replica of
-// key k's shard relays a client operation to a node that is (reads go to
-// any group member, writes to the primary so one process keeps assigning
-// the key's sequence numbers). Op is the REQUESTER's forwarding-table id
-// — a tag in the internal/shard wrapper's own table, disjoint from the
-// inner protocol's operation table — which the answering FORWARDED
-// echoes, exactly the OpID-routed reply discipline every other
+// ForwardMsg is FORWARD(i, op, k[, v]): a wire client's operation on key
+// k, sent to a node that serves it (reads to any member of k's replica
+// group, writes to the primary so one process keeps assigning the key's
+// sequence numbers). Op is the REQUESTER's tag — the client session's,
+// disjoint from the serving node's operation table — which the answering
+// FORWARDED echoes, exactly the OpID-routed reply discipline every other
 // request/reply pair uses.
 type ForwardMsg struct {
 	From    ProcessID

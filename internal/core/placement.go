@@ -2,12 +2,11 @@ package core
 
 import "errors"
 
-// ErrUnroutable is the sharding error, surfaced by the placement-aware
-// node wrapper (internal/shard): the operation reached a node that may
-// not serve it (a write invoked away from its key's primary),
-// or no replica of the key's shard is reachable (the view is empty, or
-// every relay attempt of a read was refused). The operation was NOT
-// applied.
+// ErrUnroutable is the sharding error: the operation reached a node that
+// may not serve it — a write invoked away from its key's primary
+// (internal/shard), or a synchronous read, which returns the local copy,
+// invoked outside the key's replica group (internal/syncreg). The
+// operation was NOT applied.
 var ErrUnroutable = errors.New("register: no reachable replica for key's shard")
 
 // handoffBit marks a shard handoff's request tag. Operation tables count

@@ -260,6 +260,43 @@ func TestDrainHelloPrecedesRequeuedFrames(t *testing.T) {
 	wantMsgs(t, got[1:], msgs)
 }
 
+// TestFramesBehindABatchKeepTheirWake: a turn's end that finds the
+// writer's wake token already pending adds none, so one token covers both
+// the cut-short batch the writer is woken to finish and the frames queued
+// behind it. Finishing the batch must not spend that token: the frames
+// behind it go out in the writer's next write, not at the link's next
+// send, however long that is.
+func TestFramesBehindABatchKeepTheirWake(t *testing.T) {
+	tr, p, msgs := newDrainHarness(t, 2, nil)
+	p.mu.Lock()
+	queued := p.buf
+	p.buf, p.frames = nil, 0
+	p.mu.Unlock()
+	<-p.wake
+	// The writer starts on an empty link and parks on its wake.
+	conn := &scriptConn{failAfter: -1}
+	go p.drain(tr, conn, false, nil)
+	defer p.stop()
+	waitFor(t, "the writer to attach", func() bool {
+		p.wmu.Lock()
+		defer p.wmu.Unlock()
+		return p.tryWrite != nil
+	})
+	time.Sleep(10 * time.Millisecond)
+	// The first frame is the batch an inline write left for the writer; the
+	// second was queued behind it, its kick swallowed by the pending token.
+	n := wire.FrameSize(queued)
+	p.wmu.Lock()
+	p.mu.Lock()
+	p.batch, p.batchFrames = queued[:n], 1
+	p.buf, p.frames = queued[n:], 1
+	p.mu.Unlock()
+	p.wmu.Unlock()
+	p.kick()
+	waitFor(t, "both frames on the connection", func() bool { return len(scanAll(t, conn.bytesWritten())) == 2 })
+	wantMsgs(t, scanAll(t, conn.bytesWritten()), msgs)
+}
+
 // TestMonitorStallCounted: a producer that finds the node's monitor held
 // waits for it, and is counted — the question MailboxStalls always asked,
 // "did work wait for the node".

@@ -166,7 +166,10 @@ func (l *link) flush(t *Transport, conn net.Conn) bool {
 		l.kick()
 		return true
 	}
-	if l.batchFrames == 0 {
+	// resumed: the batch was left by an earlier write the socket cut
+	// short, so frames queued since may have had their wake spent on it.
+	resumed := l.batchFrames != 0
+	if !resumed {
 		l.mu.Lock()
 		if l.frames > 0 {
 			l.batch, l.batchFrames = l.buf, l.frames
@@ -205,7 +208,11 @@ func (l *link) flush(t *Transport, conn net.Conn) bool {
 	}
 	l.mu.Lock()
 	l.batch, l.batchFrames, l.off = nil, 0, 0
+	queued := l.frames > 0
 	l.mu.Unlock()
+	if resumed && queued {
+		l.kick()
+	}
 	return true
 }
 

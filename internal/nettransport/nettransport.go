@@ -1098,8 +1098,8 @@ func (t *Transport) forgetPeer(id core.ProcessID) {
 // HELLO declaring wire.RoleClient turns the connection into a client
 // session instead: all later writes to it flow through the session's own
 // writer goroutine, and its operations are delivered under the session's
-// pseudo-id (so the shard wrapper's FORWARD machinery serves or refuses
-// them exactly as it would a relaying peer's). onDead, when set, runs
+// pseudo-id, where the shard wrapper serves or refuses each FORWARD.
+// onDead, when set, runs
 // once the connection stops being readable, so an idle writer learns its
 // link died without having to write into it.
 func (t *Transport) readConn(conn net.Conn, own *peer, accepted bool, onDead func()) {

@@ -91,14 +91,29 @@ func (sp *stalledPeer) readOps(conn net.Conn, sc *wire.Scanner, last core.OpID) 
 // pushUntilRefused runs turns that each send the stalled peer
 // stallTurnFrames frames, numbered from 0, until the socket cuts an inline
 // write short or refuses it. It returns how many frames went and the first
-// one of the refused batch.
+// one of the refused batch. Before each turn it waits for the link's
+// writer to be parked — no wake pending, wmu free — so the turn's end
+// writes inline: a writer woken by an earlier kick would otherwise take
+// the batch and block in the full socket holding wmu, and every later
+// turn would hand its frames to it without an inline write to refuse.
 func pushUntilRefused(t *testing.T, tr *Transport, p *probe) (sent, firstRefused int) {
 	t.Helper()
+	tr.mu.Lock()
+	l := &tr.byID[2].link
+	tr.mu.Unlock()
+	parked := func() bool {
+		if len(l.wake) > 0 || !l.wmu.TryLock() {
+			return false
+		}
+		l.wmu.Unlock()
+		return true
+	}
 	entries := make([]core.KeyedValue, stallEntries)
 	for tr.stats.FlushHandoffs.Load() == 0 {
 		if sent > 1<<14 {
 			t.Fatalf("%d frames (≈ %d MB) and the socket never refused a write", sent, sent*stallEntries*24>>20)
 		}
+		waitFor(t, "the stalled peer's writer to park", parked)
 		firstRefused = sent
 		tr.do(func() {
 			for i := 0; i < stallTurnFrames; i++ {

@@ -1,9 +1,8 @@
 // Package shard turns any register protocol into a SHARDED one: a
 // placement-aware wrapper node that serves each key's operations only
-// where its shard's replica group says, relays reads entered at a
-// non-replica, answers operations forwarded to it, and runs the shard
-// handoff state exchange when membership changes move shards between
-// nodes.
+// where its shard's replica group says, answers operations a client
+// submits to it, and runs the shard handoff state exchange when
+// membership changes move shards between nodes.
 //
 // # Division of labor
 //
@@ -18,33 +17,30 @@
 //     per-register traffic and quorums to the replica group themselves
 //     (placement.ScopedBroadcast / placement.OpScope): a WRITE for a key
 //     reaches R nodes, not n, and its quorum is a majority of R.
-//   - This wrapper decides WHERE a client operation may run, keeps
-//     non-replicas from serving keys they do not hold, and moves shard
-//     state when placement changes.
+//   - This wrapper decides WHERE a client write may run, holds operations
+//     back while their shard's state is moving, and moves shard state
+//     when placement changes.
 //
 // # Routing
 //
-// A read of key k is served locally when this node is in k's replica
-// group (the synchronous protocol's fast local read stays fast, now on
-// 1/S of the keyspace per shard owned); otherwise it is forwarded —
-// FORWARD(op, k) to a group member, FORWARDED(op, value) back, routed by
-// the wrapper's own operation table exactly like every other
-// request/reply pair. Reads are idempotent, so a forward that goes
-// unanswered (its target died) retries against the next group member.
+// A read of key k runs the inner engine's own read where it is entered,
+// queued behind a pending handoff of k's shard. The engines scope it to
+// k's group: a quorum read (esyncreg, abd) at a non-replica asks the
+// group, and the synchronous protocol's local read, valid only where k's
+// WRITEs land, fails there with core.ErrUnroutable.
 //
-// A write of key k is never relayed: it enters at the shard's PRIMARY
-// (the group's first-priority member), because sequence-number
-// assignment for a key must stay in one process's hands at a time — the
-// same per-key single-writer discipline the paper's protocols assume,
-// now enforced per shard. Write at any other node fails at invocation
-// with core.ErrUnroutable (not applied, retry-safe), and a FORWARDed
-// write at a node that is no longer primary is refused (WRONG_REPLICA)
-// rather than minting a conflicting sequence number. Routing is the
-// caller's job, by one rule: client.Client, SimCluster and NetCluster
-// each call placement.View.Route under their own view, which sends a
-// write to Group(k)[0] and a read to a replica. The read relay above
-// serves only callers that pick a process themselves (ReadKeyAt at a
-// non-replica) and the benchmark that measures it.
+// A write of key k enters at the shard's PRIMARY (the group's
+// first-priority member), because sequence-number assignment for a key
+// must stay in one process's hands at a time — the same per-key
+// single-writer discipline the paper's protocols assume, now enforced per
+// shard. Write at any other node fails at invocation with
+// core.ErrUnroutable (not applied, retry-safe), and a FORWARDed write at
+// a node that is no longer primary is refused (WRONG_REPLICA) rather than
+// minting a conflicting sequence number. Routing is the caller's job, by
+// one rule: client.Client, SimCluster and NetCluster each call
+// placement.View.Route under their own view, which sends a write to
+// Group(k)[0] and a read to a replica. FORWARD/FORWARDED are the wire
+// client's frames: a node serves or refuses a FORWARD, never sends one.
 //
 // # Handoff
 //
@@ -78,26 +74,16 @@
 package shard
 
 import (
+	"maps"
 	"slices"
 
 	"churnreg/internal/core"
 	"churnreg/internal/placement"
-	"churnreg/internal/sim"
 )
 
-// Tunables (in ticks of the runtime's clock, scaled by δ so one set of
-// constants serves both the synchronous and quorum protocols).
+// Handoff tunables (retry rounds are in δ, so one set of constants serves
+// both the synchronous and quorum protocols).
 const (
-	// fwdTimeoutDeltas: a relayed read unanswered for this many δ is
-	// presumed lost and retried at the next group member.
-	fwdTimeoutDeltas = 10
-	// fwdTimeoutSlack is added on top, covering quorum round-trips that
-	// are not δ-bounded (the eventually synchronous protocol).
-	fwdTimeoutSlack = 50
-	// maxFwdAttempts bounds a relayed read's attempts.
-	maxFwdAttempts = 6
-	// retryDelayTicks spaces retries after an explicit refusal.
-	retryDelayTicks = 2
 	// handoffRetryDeltas spaces handoff re-inquiry rounds.
 	handoffRetryDeltas = 3
 	// handoffRelaxAfter is the number of silent retry rounds after which
@@ -106,20 +92,13 @@ const (
 	handoffRelaxAfter = 3
 )
 
-// fwdOp is one relayed read awaiting its FORWARDED answer.
-type fwdOp struct {
-	reg      core.RegisterID
-	attempts int
-	done     func(core.VersionedValue, core.ProcessID, error)
-}
-
 // shardState tracks one owned shard: ready to serve, or pending handoff.
 type shardState struct {
 	ready  bool
 	donors []core.ProcessID
 	got    map[core.ProcessID]bool
 	rounds int
-	// queue holds operations (local client ops and forwarded serves)
+	// queue holds operations (local client ops and FORWARDs served)
 	// blocked on this shard becoming ready; flushed in arrival order.
 	queue []func()
 }
@@ -147,16 +126,12 @@ type Node struct {
 
 	// shards holds state for every owned shard.
 	shards map[int]*shardState
-	// fwd is the wrapper's own operation table for relayed reads.
-	fwd *core.OpTable[fwdOp]
 
 	stats Stats
 }
 
 // Stats counts wrapper activity at this node.
 type Stats struct {
-	LocalReads       uint64
-	ForwardedReads   uint64
 	LocalWrites      uint64
 	ForwardsServed   uint64
 	ForwardsRefused  uint64
@@ -185,7 +160,6 @@ func New(env core.Env, sc core.SpawnContext, inner core.NodeFactory) *Node {
 		store:     in.(core.Stored).Store(),
 		bootstrap: sc.Bootstrap,
 		shards:    make(map[int]*shardState),
-		fwd:       core.NewOpTable[fwdOp](0),
 	}
 }
 
@@ -216,14 +190,15 @@ func (n *Node) Active() bool { return n.inner.Active() }
 func (n *Node) Snapshot() core.VersionedValue { return n.inner.Snapshot() }
 
 // Deliver implements core.Node: wrapper traffic (forwards, handoff) is
-// consumed here; everything else flows to the inner protocol.
+// consumed here; everything else flows to the inner protocol. A
+// FORWARDED answers no request of a node's, and can arrive from outside
+// the program: it is dropped, not handed to an engine that panics on it.
 func (n *Node) Deliver(from core.ProcessID, m core.Message) {
 	switch msg := m.(type) {
 	case core.ForwardMsg:
 		n.handleForward(msg)
 		return
 	case core.ForwardedMsg:
-		n.handleForwarded(msg)
 		return
 	case core.InquiryMsg:
 		if s, ok := core.HandoffShard(msg.Op); ok {
@@ -254,12 +229,12 @@ func (n *Node) ReadPathCounts() (fast, slow uint64) {
 	return 0, 0
 }
 
-// PendingOps implements core.OpAccountant: the inner table plus the
-// wrapper's forwarding table plus queued (shard-blocked) operations.
+// PendingOps implements core.OpAccountant: the inner table plus queued
+// (shard-blocked) operations.
 func (n *Node) PendingOps() int {
-	total := n.fwd.Len()
+	total := 0
 	if a, ok := n.inner.(core.OpAccountant); ok {
-		total += a.PendingOps()
+		total = a.PendingOps()
 	}
 	for _, st := range n.shards {
 		total += len(st.queue)
@@ -288,17 +263,15 @@ func (n *Node) PlacementChanged(view *placement.View) {
 	if view == nil {
 		return
 	}
+	// Shards are visited in ascending order, so the messages this sends
+	// leave in the same order on every run of a seeded simulation.
 	self := n.env.ID()
-	owned := make(map[int]bool)
-	for s := 0; s < view.NumShards(); s++ {
-		if slices.Contains(view.GroupFor(s), self) {
-			owned[s] = true
-		}
-	}
-	// Lost shards: re-dispatch anything queued on them (reads relay now;
-	// writes and FORWARDs check again and are refused).
-	for s, st := range n.shards {
-		if !owned[s] {
+	owned := view.OwnedShards(self)
+	// Lost shards: re-dispatch anything queued on them (reads run the
+	// engine's read as at any non-replica; writes and FORWARDs check
+	// again and are refused).
+	for _, s := range slices.Sorted(maps.Keys(n.shards)) {
+		if st := n.shards[s]; !slices.Contains(owned, s) {
 			q := st.queue
 			st.queue = nil
 			delete(n.shards, s)
@@ -307,7 +280,7 @@ func (n *Node) PlacementChanged(view *placement.View) {
 			}
 		}
 	}
-	for s := range owned {
+	for _, s := range owned {
 		st := n.shards[s]
 		if st != nil {
 			if !st.ready {
@@ -466,19 +439,21 @@ func (n *Node) pendingShard(s int) bool {
 
 // ---- client operations ----
 
-// Read implements core.Ops: serve locally when this node replicates the
-// key's shard, else forward to a group member. Sharded, the invocation
-// only fails on backpressure (full forwarding table); every later
-// outcome — including routing failure — arrives through done.
+// Read implements core.Ops: the inner engine's read, queued behind a
+// pending handoff of the key's shard (see Routing in the package
+// comment). A queued read's invocation error arrives through done.
 func (n *Node) Read(reg core.RegisterID, done func(core.VersionedValue, core.ProcessID, error)) error {
-	if n.view == nil {
-		return n.ops.Read(reg, done)
+	if n.view != nil {
+		if shard := n.view.ShardOf(reg); n.pendingShard(shard) {
+			n.queueOnShard(shard, func() {
+				if err := n.Read(reg, done); err != nil {
+					done(core.Bottom(), core.NoProcess, err)
+				}
+			})
+			return nil
+		}
 	}
-	if n.fwd.Full() {
-		return core.ErrOpInProgress
-	}
-	n.dispatchRead(reg, 0, done)
-	return nil
+	return n.ops.Read(reg, done)
 }
 
 // ReadKey is Read with a routing failure reported as ⊥. It is kept only
@@ -493,61 +468,6 @@ func (n *Node) ReadKey(reg core.RegisterID, done func(core.VersionedValue)) erro
 			done(v)
 		}
 	})
-}
-
-// dispatchRead routes one read attempt. Runs on the node loop; never
-// returns an error — outcomes flow through done.
-func (n *Node) dispatchRead(reg core.RegisterID, attempt int, done func(core.VersionedValue, core.ProcessID, error)) {
-	v := n.view
-	if v == nil {
-		if err := n.ops.Read(reg, done); err != nil {
-			done(core.Bottom(), core.NoProcess, err)
-		}
-		return
-	}
-	g := v.Group(reg)
-	if len(g) == 0 {
-		done(core.Bottom(), core.NoProcess, core.ErrUnroutable)
-		return
-	}
-	self := n.env.ID()
-	shard := v.ShardOf(reg)
-	if slices.Contains(g, self) {
-		if n.pendingShard(shard) {
-			n.queueOnShard(shard, func() { n.dispatchRead(reg, attempt, done) })
-			return
-		}
-		if n.inner.Active() {
-			n.stats.LocalReads++
-			if err := n.ops.Read(reg, done); err != nil {
-				done(core.Bottom(), core.NoProcess, err)
-			}
-			return
-		}
-		// Not active yet: fall through and forward to another replica
-		// (the joiner's clients should not wait out the whole join).
-	}
-	if attempt >= maxFwdAttempts {
-		done(core.Bottom(), core.NoProcess, core.ErrUnroutable)
-		return
-	}
-	// Rotate through the group so a dead primary does not blackhole
-	// reads while eviction catches up.
-	target := core.NoProcess
-	for i := 0; i < len(g) && target == core.NoProcess; i++ {
-		if t := g[(attempt+i)%len(g)]; t != self {
-			target = t
-		}
-	}
-	if target == core.NoProcess {
-		done(core.Bottom(), core.NoProcess, core.ErrUnroutable)
-		return
-	}
-	n.stats.ForwardedReads++
-	id, o := n.fwd.Begin()
-	*o = fwdOp{reg: reg, attempts: attempt, done: done}
-	n.env.Send(target, core.ForwardMsg{From: self, Op: id, Reg: reg})
-	n.armFwdTimer(id)
 }
 
 // Write implements core.Ops. Sharded, a write enters only at its key's
@@ -616,27 +536,10 @@ func (n *Node) queueOnShard(s int, fn func()) {
 
 // ---- forwarding ----
 
-func (n *Node) fwdTimeout() sim.Duration {
-	return fwdTimeoutDeltas*n.env.Delta() + fwdTimeoutSlack
-}
-
-// armFwdTimer retries a relayed read that drew no answer at the next
-// group member: reads are idempotent.
-func (n *Node) armFwdTimer(id core.OpID) {
-	n.env.After(n.fwdTimeout(), func() {
-		o, ok := n.fwd.Get(id)
-		if !ok {
-			return
-		}
-		n.fwd.Finish(id)
-		n.dispatchRead(o.reg, o.attempts+1, o.done)
-	})
-}
-
 // handleForward serves (or refuses) an operation forwarded to this node
-// — by a relaying peer with a staler view, or by an external client
-// session routing directly (the wire client's operations arrive as
-// FORWARDs from the transport's session pseudo-ids). With no view yet
+// — by an external client session routing under its own, possibly
+// staler, view (the wire client's operations arrive as FORWARDs from the
+// transport's session pseudo-ids). With no view yet
 // the node serves unconditionally: an unsharded system replicates every
 // key everywhere, so there is no wrong replica to refuse from.
 func (n *Node) handleForward(m core.ForwardMsg) {
@@ -699,21 +602,4 @@ func (n *Node) handleForward(m core.ForwardMsg) {
 			refuse(core.ForwardWrongReplica)
 		}
 	}
-}
-
-// handleForwarded routes a relayed read's answer to its waiting read.
-func (n *Node) handleForwarded(m core.ForwardedMsg) {
-	o, ok := n.fwd.Get(m.Op)
-	if !ok || o.reg != m.Reg {
-		return // stale: timed out, retried, or never existed
-	}
-	n.fwd.Finish(m.Op)
-	if m.Code == core.ForwardOK {
-		o.done(m.Value, m.From, nil)
-		return
-	}
-	// Explicit refusal: space the retry out and re-resolve routing (the
-	// refusal usually means our view lags the server's).
-	attempt := o.attempts + 1
-	n.env.After(retryDelayTicks, func() { n.dispatchRead(o.reg, attempt, o.done) })
 }

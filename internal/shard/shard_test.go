@@ -8,6 +8,7 @@ import (
 	"churnreg/internal/abd"
 	"churnreg/internal/core"
 	"churnreg/internal/dynsys"
+	"churnreg/internal/esyncreg"
 	"churnreg/internal/netsim"
 	"churnreg/internal/placement"
 	"churnreg/internal/shard"
@@ -583,5 +584,90 @@ func TestHandoffSendsNoAcks(t *testing.T) {
 				t.Fatalf("joiner holds %v = %v after the handoff, want %d", k, got, 100+k)
 			}
 		}
+	}
+}
+
+// TestSyncReadAtNonReplicaRefused: the synchronous protocol's read
+// returns the local copy, which only the key's replicas keep current. At
+// any process outside the key's group the read fails at invocation with
+// ErrUnroutable: done never runs and nothing is sent.
+func TestSyncReadAtNonReplicaRefused(t *testing.T) {
+	sys := newSharded(t, 5, 4, 3)
+	v := sys.Placement()
+	const key = 7
+	sent := sys.Network().Stats().Sent
+	calls, refused := 0, 0
+	for _, id := range v.Members() {
+		if v.IsReplica(key, id) {
+			continue
+		}
+		err := sys.Node(id).(*shard.Node).Read(key, func(core.VersionedValue, core.ProcessID, error) { calls++ })
+		if !errors.Is(err, core.ErrUnroutable) {
+			t.Fatalf("read at %v (group %v): err = %v, want ErrUnroutable", id, v.Group(key), err)
+		}
+		refused++
+	}
+	if err := sys.RunFor(50); err != nil {
+		t.Fatal(err)
+	}
+	if refused == 0 || calls != 0 || sys.Network().Stats().Sent != sent {
+		t.Fatalf("%d refused reads ran done %d times and sent %d messages", refused, calls, sys.Network().Stats().Sent-sent)
+	}
+}
+
+// TestForwardedDropped: a node sends no FORWARD, so a FORWARDED delivered
+// to one answers nothing. The wrapper drops it, over every engine, before
+// the engine (which panics on a kind it does not know) can see it.
+func TestForwardedDropped(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		factory core.NodeFactory
+	}{
+		{"sync", syncreg.Factory(syncreg.Options{})},
+		{"esync", esyncreg.Factory(esyncreg.Options{})},
+		{"abd", abd.Factory()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, env := newStubNode(tc.factory)
+			before := n.Store().Value(5, n.Active())
+			n.Deliver(2, core.ForwardedMsg{From: 2, Op: 1, Reg: 5, Value: core.VersionedValue{Val: 9, SN: 3}})
+			if env.last != nil || env.timer != nil || n.PendingOps() != 0 {
+				t.Fatalf("a FORWARDED sent %v, armed a timer (%v) or left %d operations pending", env.last, env.timer != nil, n.PendingOps())
+			}
+			if after := n.Store().Value(5, n.Active()); after != before {
+				t.Fatalf("a FORWARDED changed the store: %v -> %v", before, after)
+			}
+		})
+	}
+}
+
+// TestJoiningReplicaReadNotActive: a read at a replica that has not
+// finished joining runs nowhere else. It fails with ErrNotActive, at
+// invocation or, queued behind the joiner's handoff, through done, and
+// sends nothing of its own.
+func TestJoiningReplicaReadNotActive(t *testing.T) {
+	sys := newSharded(t, 4, 8, 3)
+	joiner, node := sys.Spawn()
+	jn := node.(*shard.Node)
+	owned := sys.Placement().OwnedShards(joiner)
+	if jn.Active() || len(owned) == 0 {
+		t.Fatalf("joiner active=%v, owns %v; want a joining replica", jn.Active(), owned)
+	}
+	key := keysOf(sys.Placement(), owned[0], 1)[0]
+	var errs []error
+	if err := jn.Read(key, func(_ core.VersionedValue, _ core.ProcessID, err error) { errs = append(errs, err) }); err != nil {
+		errs = append(errs, err)
+	}
+	if err := sys.RunFor(100); err != nil {
+		t.Fatal(err)
+	}
+	if !jn.Active() {
+		t.Fatal("joiner never finished its join")
+	}
+	if len(errs) != 1 || !errors.Is(errs[0], core.ErrNotActive) {
+		t.Fatalf("read at the joining replica ended with %v, want ErrNotActive once", errs)
+	}
+	if sys.Network().Stats().SentByKind[core.KindForward] != 0 {
+		t.Fatal("a FORWARD was sent")
 	}
 }

@@ -51,10 +51,10 @@ type Op struct {
 	Kind OpKind
 	Proc core.ProcessID
 	// Server is the process that actually SERVED the operation when it
-	// differs from the invoking Proc — a sharded cluster forwards an
-	// operation invoked at a non-replica to a replica of the key's
-	// shard, and attribution must name the replica that produced the
-	// value, not the relay. NoProcess means "served by Proc itself".
+	// differs from the invoking Proc — a wire client's operation is
+	// served by the replica it was sent to, and attribution must name
+	// the replica that produced the value, not the client. NoProcess
+	// means "served by Proc itself".
 	// Recorded via History.SetServer.
 	Server core.ProcessID
 	// Reg is the register the operation addressed (DefaultRegister for
@@ -199,11 +199,11 @@ func (h *History) ResolveValue(op *Op, v core.VersionedValue) {
 }
 
 // SetServer records the replica that actually served op (see Op.Server).
-// Under forwarding, attributing the result to the relay would make the
+// Attributing a client's result to the client would make the
 // per-process monotone-reads check unsound: one client's successive
 // reads may legally be served by different replicas whose local copies
 // advance independently, so "reads never go backwards" is a property of
-// the SERVING replica's copy, not of the relay.
+// the SERVING replica's copy, not of the client.
 func (h *History) SetServer(op *Op, server core.ProcessID) {
 	if op == nil || server == op.Proc {
 		return

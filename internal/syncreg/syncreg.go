@@ -210,10 +210,14 @@ func (n *Node) Stats() Stats { return n.stats }
 
 // Read implements core.Ops — operation read(), Figure 2: the read is
 // fast, returning the local copy of the key with no communication and no
-// wait, so done runs before Read returns.
+// wait, so done runs before Read returns. Sharded, a process outside the
+// key's group, where its WRITEs never land, refuses with ErrUnroutable.
 func (n *Node) Read(k core.RegisterID, done func(core.VersionedValue, core.ProcessID, error)) error {
 	if !n.active {
 		return core.ErrNotActive
+	}
+	if v := placement.Of(n.env); v != nil && !v.IsReplica(k, n.env.ID()) {
+		return core.ErrUnroutable
 	}
 	n.stats.Reads++
 	done(n.value(k), n.env.ID(), nil)

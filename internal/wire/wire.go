@@ -1,7 +1,7 @@
 // Package wire is the binary codec the TCP transport speaks, and the one
 // internal/netsim runs every simulated message through: every
 // protocol message of internal/core (the paper's INQUIRY/REPLY/WRITE/ACK/
-// READ/DL_PREV and the FORWARD/FORWARDED relay) round-trips through a
+// READ/DL_PREV and the client's FORWARD/FORWARDED) round-trips through a
 // compact fixed-layout encoding, carried
 // in length-prefixed frames alongside the transport's own control frames
 // (HELLO/PEERS/LEAVE).

@@ -365,8 +365,9 @@ func (c *NetCluster) ReadAt(id ProcessID) (int64, error) {
 	return c.ReadKeyAt(id, core.DefaultRegister)
 }
 
-// ReadKeyAt reads one register via a specific process. Sharded, a process
-// that is no replica of k relays the read to one.
+// ReadKeyAt reads one register via a specific process. Sharded, a
+// synchronous read at a process outside k's replica group fails
+// unserved; a quorum read there asks the group.
 func (c *NetCluster) ReadKeyAt(id ProcessID, k RegisterID) (int64, error) {
 	tr, err := c.get(id)
 	if err != nil {

@@ -156,9 +156,10 @@ func TestNetClusterSyncProtocol(t *testing.T) {
 }
 
 // TestNetClusterSharded drives the sharded keyspace over real TCP: R=2
-// of N=4, many keys, reads from every node (non-replicas forward over
-// the FORWARD/FORWARDED frames), a join that triggers shard handoff, and
-// a graceful leave that reshuffles placement.
+// of N=4, many keys, reads at every node (a replica returns the value;
+// under the synchronous protocol a non-replica refuses with
+// ErrUnroutable), a join that triggers shard handoff, and a graceful
+// leave that reshuffles placement.
 func TestNetClusterSharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real TCP cluster; skipped in -short")
@@ -183,20 +184,35 @@ func TestNetClusterSharded(t *testing.T) {
 		}
 	}
 	time.Sleep(200 * time.Millisecond) // > δ: scoped broadcasts settled
-	for _, id := range c.IDs() {
-		for k := RegisterID(0); k < nKeys; k++ {
-			v, err := c.ReadKeyAt(id, k)
-			if err != nil {
-				t.Fatalf("read %v at %v: %v", k, id, err)
-			}
-			if v != int64(500+k) {
-				t.Fatalf("read %v at %v = %d, want %d", k, id, v, 500+k)
+	// readEverywhere reads every key at every node: its replicas return
+	// want(k), every other node refuses.
+	readEverywhere := func(phase string, want func(RegisterID) int64) {
+		t.Helper()
+		view, refused := c.view(c.IDs()), 0
+		for _, id := range c.IDs() {
+			for k := RegisterID(0); k < nKeys; k++ {
+				v, err := c.ReadKeyAt(id, k)
+				switch {
+				case !view.IsReplica(k, id):
+					if !errors.Is(err, core.ErrUnroutable) {
+						t.Fatalf("%s read %v at non-replica %v = %d, %v; want ErrUnroutable", phase, k, id, v, err)
+					}
+					refused++
+				case err != nil:
+					t.Fatalf("%s read %v at %v: %v", phase, k, id, err)
+				case v != want(k):
+					t.Fatalf("%s read %v at %v = %d, want %d", phase, k, id, v, want(k))
+				}
 			}
 		}
+		if refused == 0 {
+			t.Fatalf("%s: no node was outside any key's group", phase)
+		}
 	}
+	readEverywhere("first", func(k RegisterID) int64 { return int64(500 + k) })
 
 	// Join: the newcomer gains shards, hands off state, and must then
-	// serve every key (owned ones locally, the rest by forwarding).
+	// serve every key it replicates and refuse the rest.
 	joined, err := c.Join()
 	if err != nil {
 		t.Fatalf("join: %v", err)
@@ -204,12 +220,13 @@ func TestNetClusterSharded(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for k := RegisterID(0); k < nKeys; k++ {
 		for {
+			replica := c.view(c.IDs()).IsReplica(k, joined)
 			v, err := c.ReadKeyAt(joined, k)
-			if err == nil && v == int64(500+k) {
+			if replica && err == nil && v == int64(500+k) || !replica && errors.Is(err, core.ErrUnroutable) {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("joiner never served key %v: v=%d err=%v", k, v, err)
+				t.Fatalf("joiner (replica: %v) never settled on key %v: v=%d err=%v", replica, k, v, err)
 			}
 			time.Sleep(20 * time.Millisecond)
 		}
@@ -230,17 +247,7 @@ func TestNetClusterSharded(t *testing.T) {
 		}
 	}
 	time.Sleep(200 * time.Millisecond)
-	for _, id := range c.IDs() {
-		for k := RegisterID(0); k < nKeys; k++ {
-			v, err := c.ReadKeyAt(id, k)
-			if err != nil {
-				t.Fatalf("post-leave read %v at %v: %v", k, id, err)
-			}
-			if v != int64(900+k) {
-				t.Fatalf("post-leave read %v at %v = %d, want %d", k, id, v, 900+k)
-			}
-		}
-	}
+	readEverywhere("post-leave", func(k RegisterID) int64 { return int64(900 + k) })
 }
 
 // TestNetClusterWriterFailover crashes the designated writer under the

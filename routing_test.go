@@ -10,15 +10,17 @@ import (
 	"churnreg/internal/nettransport"
 	"churnreg/internal/nodeops"
 	"churnreg/internal/placement"
-	"churnreg/internal/shard"
 	"churnreg/internal/spec"
 )
 
 // TestFacadeOpsNeverRelay: both facades route every default operation
 // with placement.View.Route, so on a quiet sharded cluster (abd, n=6,
 // S=8, R=3) 64 WriteKey/ReadKey pairs and a WriteBatch that spans
-// primaries all enter at processes that serve them — no shard wrapper
-// relays a single read.
+// primaries all enter at replicas of their keys. An abd read entered
+// anywhere else would merge the quorum's answer into that process's
+// store, so no process may end up holding a written value of a key
+// outside its groups; the simulator's history also names a replica as
+// every read's invoker.
 func TestFacadeOpsNeverRelay(t *testing.T) {
 	opts := []Option{WithN(6), WithProtocol(StaticABD), WithShards(8, 3), WithOperationTimeout(10 * time.Second)}
 	type facade interface {
@@ -26,7 +28,7 @@ func TestFacadeOpsNeverRelay(t *testing.T) {
 		ReadKey(RegisterID) (int64, error)
 		WriteBatch(map[RegisterID]int64) error
 	}
-	run := func(t *testing.T, c facade, view *placement.View, forwarded func() uint64) {
+	run := func(t *testing.T, c facade, view *placement.View, held func(func(core.ProcessID, core.Node))) {
 		for k := RegisterID(0); k < 64; k++ {
 			if err := c.WriteKey(k, int64(100+k)); err != nil {
 				t.Fatalf("write %v: %v", k, err)
@@ -44,8 +46,21 @@ func TestFacadeOpsNeverRelay(t *testing.T) {
 		if err := c.WriteBatch(batch); err != nil {
 			t.Fatalf("write batch: %v", err)
 		}
-		if n := forwarded(); n != 0 {
-			t.Fatalf("shard wrappers relayed %d reads, want 0", n)
+		keys := 0
+		held(func(id core.ProcessID, nd core.Node) {
+			st := nd.(core.Stored).Store()
+			for _, k := range st.Keys() {
+				if st.Value(k, true).SN == 0 {
+					continue // the initial value every process holds
+				}
+				keys++
+				if !view.IsReplica(k, id) {
+					t.Errorf("%v holds key %v = %v outside its group %v: a read entered there", id, k, st.Value(k, true), view.Group(k))
+				}
+			}
+		})
+		if keys == 0 {
+			t.Fatal("no process holds any key")
 		}
 	}
 	t.Run("sim", func(t *testing.T) {
@@ -53,12 +68,12 @@ func TestFacadeOpsNeverRelay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run(t, c, c.sys.Placement(), func() (n uint64) {
-			c.sys.ForEachNode(func(_ core.ProcessID, nd core.Node) {
-				n += nd.(*shard.Node).Stats().ForwardedReads
-			})
-			return n
-		})
+		run(t, c, c.sys.Placement(), c.sys.ForEachNode)
+		for _, op := range c.history.Ops() {
+			if op.Kind == spec.OpRead && !c.sys.Placement().IsReplica(op.Reg, op.Proc) {
+				t.Fatalf("read of %v entered at %v, outside its group %v", op.Reg, op.Proc, c.sys.Placement().Group(op.Reg))
+			}
+		}
 	})
 	t.Run("net", func(t *testing.T) {
 		c, err := NewNetCluster(append(opts, WithDelta(10), WithTick(time.Millisecond))...)
@@ -66,17 +81,16 @@ func TestFacadeOpsNeverRelay(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		run(t, c, c.view(c.IDs()), func() (n uint64) {
+		run(t, c, c.view(c.IDs()), func(fn func(core.ProcessID, core.Node)) {
 			for _, id := range c.IDs() {
 				tr, err := c.get(id)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := tr.Invoke(func(nd core.Node) { n += nd.(*shard.Node).Stats().ForwardedReads }); err != nil {
+				if err := tr.Invoke(func(nd core.Node) { fn(id, nd) }); err != nil {
 					t.Fatal(err)
 				}
 			}
-			return n
 		})
 	})
 }

@@ -1,6 +1,7 @@
 package churnreg
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -23,9 +24,17 @@ func shardedOpts(p Protocol, n int, s, r int, seed uint64, extra ...Option) []Op
 	return append(opts, extra...)
 }
 
+// refusesRead reports whether a read of k at id must fail with
+// ErrUnroutable: the synchronous protocol reads the local copy, which is
+// valid only at a replica of k; a quorum read runs anywhere.
+func refusesRead(c *SimCluster, p Protocol, id ProcessID, k RegisterID) bool {
+	return p == Synchronous && !c.sys.Placement().IsReplica(k, id)
+}
+
 // TestShardedBasic: reads and writes on many keys through a sharded
 // cluster return the written values and pass the regularity checker,
-// for both dynamic protocols.
+// for both dynamic protocols. Every active process reads every key; a
+// synchronous read outside the key's group must refuse.
 func TestShardedBasic(t *testing.T) {
 	for _, p := range []Protocol{Synchronous, EventuallySynchronous} {
 		t.Run(p.String(), func(t *testing.T) {
@@ -40,9 +49,17 @@ func TestShardedBasic(t *testing.T) {
 				}
 			}
 			c.Run(20) // let the last writes settle everywhere
+			refused := 0
 			for k := RegisterID(0); k < nKeys; k++ {
 				for _, id := range c.ActiveIDs() {
 					v, err := c.ReadKeyAt(id, k)
+					if refusesRead(c, p, id, k) {
+						if !errors.Is(err, core.ErrUnroutable) {
+							t.Fatalf("read %v at non-replica %v = %d, %v; want ErrUnroutable", k, id, v, err)
+						}
+						refused++
+						continue
+					}
 					if err != nil {
 						t.Fatalf("read %v at %v: %v", k, id, err)
 					}
@@ -50,6 +67,9 @@ func TestShardedBasic(t *testing.T) {
 						t.Fatalf("read %v at %v = %d, want %d", k, id, v, 1000+k)
 					}
 				}
+			}
+			if (p == Synchronous) != (refused > 0) {
+				t.Fatalf("%d reads refused under %v", refused, p)
 			}
 			rep := c.Check()
 			if !rep.OK() {
@@ -142,11 +162,20 @@ func TestShardedHandoffChurn(t *testing.T) {
 						}
 					}
 				}
+				// A synchronous read at a non-replica refuses at once; every
+				// other read is returned for the caller to await.
 				readBurst := func() []*PendingOp {
 					var pops []*PendingOp
 					for _, id := range c.ActiveIDs() {
 						for k := RegisterID(0); k < nKeys; k += 3 {
-							pops = append(pops, c.StartReadKeyAt(id, k))
+							op := c.StartReadKeyAt(id, k)
+							if refusesRead(c, p, id, k) {
+								if !errors.Is(op.Err(), core.ErrUnroutable) {
+									t.Fatalf("read %v at non-replica %v: %v, want ErrUnroutable", k, id, op.Err())
+								}
+								continue
+							}
+							pops = append(pops, op)
 						}
 					}
 					return pops
@@ -207,12 +236,19 @@ func TestShardedHandoffChurn(t *testing.T) {
 				writeAll()
 				c.Run(50)
 
-				// Convergence: every active node serves every key's last
+				// Convergence: every active node that may read a key (every
+				// one under esync, its replicas under sync) serves its last
 				// written value.
 				for k := RegisterID(0); k < nKeys; k++ {
 					want, seen := int64(0), false
 					for _, id := range c.ActiveIDs() {
 						v, err := c.ReadKeyAt(id, k)
+						if refusesRead(c, p, id, k) {
+							if !errors.Is(err, core.ErrUnroutable) {
+								t.Fatalf("final read %v at non-replica %v = %d, %v; want ErrUnroutable", k, id, v, err)
+							}
+							continue
+						}
 						if err != nil {
 							t.Fatalf("final read %v at %v: %v", k, id, err)
 						}
@@ -337,5 +373,87 @@ func TestUnshardedUnchanged(t *testing.T) {
 	v, err := c.Read()
 	if err != nil || v != 42 {
 		t.Fatalf("read = %d, %v", v, err)
+	}
+}
+
+// TestReadKeyAtNonReplicaRunsQuorumRead: under a quorum protocol a read
+// entered at a process outside the key's group runs the engine's own
+// read, scoped to the group. It returns the latest write, no FORWARD
+// crosses the network, and the verdict is clean.
+func TestReadKeyAtNonReplicaRunsQuorumRead(t *testing.T) {
+	for _, p := range []Protocol{EventuallySynchronous, StaticABD} {
+		t.Run(p.String(), func(t *testing.T) {
+			c, err := NewSimCluster(shardedOpts(p, 6, 8, 3, 1)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const k = RegisterID(7)
+			reads := 0
+			for i := int64(1); i <= 3; i++ {
+				if err := c.WriteKey(k, 100*i); err != nil {
+					t.Fatalf("write %d: %v", i, err)
+				}
+				for _, id := range c.ActiveIDs() {
+					if c.sys.Placement().IsReplica(k, id) {
+						continue
+					}
+					if v, err := c.ReadKeyAt(id, k); err != nil || v != 100*i {
+						t.Fatalf("read at non-replica %v = %d, %v; want %d", id, v, err, 100*i)
+					}
+					reads++
+				}
+			}
+			if reads == 0 {
+				t.Fatal("every process replicates the key")
+			}
+			if n := c.sys.Network().Stats().SentByKind[core.KindForward]; n != 0 {
+				t.Fatalf("%d FORWARDs sent", n)
+			}
+			if rep := c.Check(); !rep.OK() || rep.Reads != reads {
+				t.Fatalf("%d reads checked, want %d:\n%v", rep.Reads, reads, rep)
+			}
+		})
+	}
+}
+
+// TestSimReadKeySkipsJoiningReplicas: under churn a key's group often
+// holds a replica that has not finished joining, which would refuse a
+// read with ErrNotActive. ReadKey picks among the group's active members
+// only, and asks again when a replica loses the shard while the read
+// waits on its handoff, so no read fails. The rate keeps one active
+// replica in every group: at 0.02 all three replicas of a key were
+// joining at once by the 224th read, and nothing could serve it. A write enters at the key's primary whoever it
+// is, so one may find it joining, or lose it to a view change while
+// queued behind a handoff, and fail unapplied.
+func TestSimReadKeySkipsJoiningReplicas(t *testing.T) {
+	c, err := NewSimCluster(shardedOpts(Synchronous, 8, 8, 3, 3, WithChurnRate(0.015))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nKeys = 16
+	joining, refusedWrites := 0, 0
+	for i := 0; i < 300; i++ {
+		k := RegisterID(i % nKeys)
+		if err := c.WriteKey(k, int64(i)); errors.Is(err, core.ErrNotActive) || errors.Is(err, core.ErrUnroutable) {
+			refusedWrites++
+		} else if err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+		for _, id := range c.sys.Placement().Group(k) {
+			if !c.sys.Node(id).Active() {
+				joining++
+				break
+			}
+		}
+		if _, err := c.ReadKey(k); err != nil {
+			t.Fatalf("read %d of %v (group %v): %v", i, k, c.sys.Placement().Group(k), err)
+		}
+		c.Run(3)
+	}
+	if joining < 100 || refusedWrites > 100 {
+		t.Fatalf("%d reads met a joining replica and %d writes failed unapplied; want churn that shows in most reads' groups and spares most writes", joining, refusedWrites)
+	}
+	if rep := c.Check(); !rep.OK() {
+		t.Fatalf("check: %v", rep)
 	}
 }

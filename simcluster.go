@@ -1,7 +1,9 @@
 package churnreg
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -272,7 +274,8 @@ func (c *SimCluster) StartWriteKey(k RegisterID, v int64) *PendingOp {
 // StartReadKeyAt issues a read via a specific active process without
 // driving the simulation. Local-read protocols settle immediately; quorum
 // reads settle during Await/Run. Any number may be in flight, on any mix
-// of keys and processes.
+// of keys and processes. Sharded, a synchronous read outside k's replica
+// group fails at once, unserved; a quorum read there asks the group.
 func (c *SimCluster) StartReadKeyAt(id ProcessID, k RegisterID) *PendingOp {
 	p := &PendingOp{c: c, proc: id, key: k, read: true}
 	node := c.sys.Node(id)
@@ -285,14 +288,11 @@ func (c *SimCluster) StartReadKeyAt(id ProcessID, k RegisterID) *PendingOp {
 	c.shield(id)
 	p.shielded = true
 	c.live = append(c.live, p)
-	// A sharded node may forward the read; record the replica that
-	// actually served it, so per-key attribution stays sound.
-	err := node.(core.Ops).Read(k, func(v core.VersionedValue, server core.ProcessID, rerr error) {
+	err := node.(core.Ops).Read(k, func(v core.VersionedValue, _ core.ProcessID, rerr error) {
 		if rerr != nil {
 			p.fail(fmt.Errorf("churnreg: read %v: %w", k, rerr))
 			return
 		}
-		c.history.SetServer(p.op, server)
 		if !p.done {
 			c.history.CompleteRead(p.op, c.sys.Now(), v)
 			p.done, p.val = true, v
@@ -381,14 +381,26 @@ func (c *SimCluster) Read() (int64, error) {
 	return c.ReadKey(core.DefaultRegister)
 }
 
-// ReadKey returns one register's value as seen by a random replica of
-// it — any active process when unsharded (see placement.View.Route).
-func (c *SimCluster) ReadKey(k RegisterID) (int64, error) {
-	active := c.sys.ActiveIDs()
-	if len(active) == 0 {
-		return 0, ErrNoActiveProcess
+// ReadKey returns one register's value as seen by a random active
+// replica of it (a joining one would refuse) — any active process when
+// unsharded. A synchronous read refused because its replica lost the
+// shard while the read waited on a handoff is asked again, at most once
+// per active process.
+func (c *SimCluster) ReadKey(k RegisterID) (v int64, err error) {
+	err = ErrNoActiveProcess
+	for range c.sys.ActiveIDs() {
+		ids := c.sys.ActiveIDs()
+		if view := c.sys.Placement(); view != nil {
+			ids = slices.DeleteFunc(slices.Clone(view.Group(k)), func(id ProcessID) bool { return !c.sys.Node(id).Active() })
+		}
+		if len(ids) == 0 {
+			return 0, ErrNoActiveProcess
+		}
+		if v, err = c.ReadKeyAt(ids[c.sys.Rand().Intn(len(ids))], k); !errors.Is(err, core.ErrUnroutable) {
+			return v, err
+		}
 	}
-	return c.ReadKeyAt(c.sys.Placement().Route(active, k, c.sys.Rand().Intn(len(active))), k)
+	return 0, err
 }
 
 // ReadAt reads register 0 via a specific active process.
@@ -397,7 +409,8 @@ func (c *SimCluster) ReadAt(id ProcessID) (int64, error) {
 }
 
 // ReadKeyAt reads one register via a specific active process, blocking
-// until the read returns. Use StartReadKeyAt/Await to pipeline reads.
+// until the read returns, by StartReadKeyAt's rules. Use
+// StartReadKeyAt/Await to pipeline reads.
 func (c *SimCluster) ReadKeyAt(id ProcessID, k RegisterID) (int64, error) {
 	p := c.StartReadKeyAt(id, k)
 	if err := c.Await(p); err != nil {
