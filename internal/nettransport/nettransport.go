@@ -726,28 +726,24 @@ func (t *Transport) ShardInfo() (shards, owned, replication int) {
 }
 
 // refreshPlacement rebuilds the placement view from the identified
-// address book plus self, publishes it for the protocol's lock-free
-// reads, and runs the node's PlacementChanged. Called whenever
-// a peer is learned, leaves, or is evicted. Even with sharding disabled
-// the membership change is versioned and pushed to the connected client
-// sessions, so an SDK client's server list tracks the live system.
+// address book plus self and, in one turn, publishes it for the protocol
+// and runs the node's PlacementChanged (see placement.Aware). Called
+// whenever a peer is learned, leaves, or is evicted. Even with sharding
+// disabled the membership change is versioned and pushed to the connected
+// client sessions, so an SDK client's server list tracks the live system.
 func (t *Transport) refreshPlacement() {
 	sharded := t.cfg.Placement.Enabled()
 	t.mu.Lock()
+	t.viewSeq++
+	var view *placement.View
 	if sharded {
 		members := make([]core.ProcessID, 0, len(t.byID)+1)
 		members = append(members, t.cfg.ID)
 		for id := range t.byID {
 			members = append(members, id)
 		}
-		view := placement.Build(t.cfg.Placement, members)
-		t.viewSeq++
-		if view != nil {
-			view.SetVersion(t.viewSeq)
-		}
-		t.view.Store(view)
-	} else {
-		t.viewSeq++
+		view = placement.Build(t.cfg.Placement, members)
+		view.SetVersion(t.viewSeq)
 	}
 	vf := t.viewFrameLocked()
 	t.mu.Unlock()
@@ -755,9 +751,15 @@ func (t *Transport) refreshPlacement() {
 	if !sharded {
 		return
 	}
-	if pa, ok := t.node.(placement.Aware); ok {
-		t.do(func() { pa.PlacementChanged(t.Placement()) })
-	}
+	t.do(func() {
+		// A later refresh's turn may have run first.
+		if cur := t.view.Load(); cur == nil || cur.ViewVersion() < view.ViewVersion() {
+			t.view.Store(view)
+			if pa, ok := t.node.(placement.Aware); ok {
+				pa.PlacementChanged(view)
+			}
+		}
+	})
 }
 
 // viewFrameLocked snapshots the placement bootstrap a client session

@@ -1,11 +1,13 @@
 package nettransport
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"churnreg/internal/core"
 	"churnreg/internal/esyncreg"
+	"churnreg/internal/placement"
 	"churnreg/internal/sim"
 	"churnreg/internal/syncreg"
 )
@@ -229,5 +231,93 @@ func TestSendToSelfLoopsBack(t *testing.T) {
 	}
 	if v.Val != 5 {
 		t.Fatalf("read %v, want 5", v)
+	}
+}
+
+// viewProbe is a node that keeps the view its last PlacementChanged
+// handed it, as the shard wrapper does, and counts the turns in which
+// Env.Placement, which the protocol engines read, returns another, and
+// the views handed to it older than the one it holds.
+type viewProbe struct {
+	env        core.Env
+	seen       *placement.View
+	torn, back int
+}
+
+func (p *viewProbe) Start()                               {}
+func (p *viewProbe) Deliver(core.ProcessID, core.Message) {}
+func (p *viewProbe) Active() bool                         { return true }
+func (p *viewProbe) Snapshot() core.VersionedValue        { return core.Bottom() }
+func (p *viewProbe) PlacementChanged(v *placement.View) {
+	if p.seen != nil && v.ViewVersion() < p.seen.ViewVersion() {
+		p.back++
+	}
+	p.seen = v
+}
+func (p *viewProbe) check() {
+	if placement.Of(p.env) != p.seen {
+		p.torn++
+	}
+}
+
+// TestPlacementPublishedInTheTurnThatAdoptsIt: a new view reaches
+// Env.Placement in the same turn as the node's PlacementChanged. Were it
+// published first, an operation entering in between would find the
+// engine and the shard wrapper on different views: a synchronous read at
+// a node that has just gained a shard would pass the wrapper, which does
+// not yet hold the shard as pending, and serve the engine's local copy,
+// which never received the key's earlier writes. Two goroutines rebuild
+// the view at once, so a turn may find a newer view already adopted; it
+// must not go back to its own.
+func TestPlacementPublishedInTheTurnThatAdoptsIt(t *testing.T) {
+	var probe *viewProbe
+	tr, err := New(Config{
+		ID:         1,
+		ListenAddr: "127.0.0.1:0",
+		N:          3,
+		Delta:      5,
+		Tick:       time.Millisecond,
+		Factory: func(env core.Env, _ core.SpawnContext) core.Node {
+			probe = &viewProbe{env: env}
+			return probe
+		},
+		Bootstrap: true,
+		Placement: placement.Config{Shards: 4, Replication: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	const refreshers, refreshes = 2, 1000
+	var wg sync.WaitGroup
+	for range refreshers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range refreshes {
+				tr.refreshPlacement()
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	check := func(core.Node) { probe.check() }
+	turns := 0
+	for running := true; running; turns++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		tr.Invoke(check)
+	}
+	var torn, back int
+	var last uint64
+	tr.Invoke(func(core.Node) { torn, back, last = probe.torn, probe.back, probe.seen.ViewVersion() })
+	if torn != 0 {
+		t.Fatalf("%d of %d turns saw Env.Placement differ from the view PlacementChanged adopted", torn, turns)
+	}
+	if back != 0 || last != refreshers*refreshes {
+		t.Fatalf("%d views adopted out of order, and the last is %d; want none, and %d", back, last, refreshers*refreshes)
 	}
 }

@@ -176,13 +176,14 @@ func (v *View) IsReplica(reg core.RegisterID, id core.ProcessID) bool {
 // Members returns every process the view was built over, ascending.
 func (v *View) Members() []core.ProcessID { return v.members }
 
-// Route is the one routing rule: the i-th member, modulo their number,
-// of reg's replica group, or of members (ascending) when v is nil — the
-// system is unsharded and any member serves any key. Attempt 0 is where
-// reg's writes enter: the shard primary, or the lowest member id, because
-// one process mints a key's sequence numbers. Reads rotate i, so retries
-// spread over the replicas and a dead one does not blackhole the key.
-// NoProcess when there is no member to route to.
+// Route is the routing rule of every facade but SimCluster.ReadKey, which
+// picks a random active group member: the i-th member, modulo their
+// number, of reg's replica group, or of members (ascending) when v is nil
+// — the system is unsharded and any member serves any key. Attempt 0 is
+// where reg's writes enter: the shard primary, or the lowest member id,
+// because one process mints a key's sequence numbers. Reads rotate i, so
+// retries spread over the replicas and a dead one does not blackhole the
+// key. NoProcess when there is no member to route to.
 func (v *View) Route(members []core.ProcessID, reg core.RegisterID, i int) core.ProcessID {
 	if v != nil {
 		members = v.Group(reg)

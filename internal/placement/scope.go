@@ -16,7 +16,8 @@ type Placed interface {
 // Aware is implemented by nodes that react to placement changes — the
 // internal/shard wrapper, which computes which shards this node gained
 // and runs the handoff state exchange for them. Runtimes invoke it on the
-// node's event loop after every membership change.
+// node's event loop after every membership change, in the turn in which
+// Placed starts returning the view, so wrapper and engines agree on it.
 type Aware interface {
 	PlacementChanged(view *View)
 }

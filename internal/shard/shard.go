@@ -36,11 +36,10 @@
 // shard. Write at any other node fails at invocation with
 // core.ErrUnroutable (not applied, retry-safe), and a FORWARDed write at
 // a node that is no longer primary is refused (WRONG_REPLICA) rather than
-// minting a conflicting sequence number. Routing is the caller's job, by
-// one rule: client.Client, SimCluster and NetCluster each call
-// placement.View.Route under their own view, which sends a write to
-// Group(k)[0] and a read to a replica. FORWARD/FORWARDED are the wire
-// client's frames: a node serves or refuses a FORWARD, never sends one.
+// minting a conflicting sequence number. Routing is the caller's job (see
+// placement.View.Route for the rule and the one facade read that departs
+// from it). FORWARD/FORWARDED are the wire client's frames: a node serves
+// or refuses a FORWARD, never sends one.
 //
 // # Handoff
 //
@@ -456,9 +455,8 @@ func (n *Node) Read(reg core.RegisterID, done func(core.VersionedValue, core.Pro
 	return n.ops.Read(reg, done)
 }
 
-// ReadKey is Read with a routing failure reported as ⊥. It is kept only
-// because bench/layers calls it and the benchmark's directory is frozen;
-// everything else calls Read.
+// ReadKey is Read with a routing failure reported as ⊥; only bench/layers
+// calls it, until it moves to Read.
 func (n *Node) ReadKey(reg core.RegisterID, done func(core.VersionedValue)) error {
 	return n.Read(reg, func(v core.VersionedValue, _ core.ProcessID, err error) {
 		if err != nil {
@@ -485,8 +483,7 @@ func (n *Node) Write(reg core.RegisterID, v core.Value, done func(core.Versioned
 }
 
 // WriteKeySN is Write with a routing failure reported as ⊥ and done
-// optional. It is kept only because bench/layers calls it and the
-// benchmark's directory is frozen; everything else calls Write.
+// optional; only bench/layers calls it, until it moves to Write.
 func (n *Node) WriteKeySN(reg core.RegisterID, v core.Value, done func(core.VersionedValue)) error {
 	return n.Write(reg, v, func(vv core.VersionedValue, err error) {
 		if err != nil {
