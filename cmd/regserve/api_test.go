@@ -12,7 +12,6 @@ import (
 
 	"churnreg/internal/core"
 	"churnreg/internal/nettransport"
-	"churnreg/internal/shard"
 )
 
 // fakeBackend implements the api's backend interface in memory: the
@@ -24,6 +23,9 @@ type fakeBackend struct {
 	// closed, when set, makes Invoke fail without running fn, as the real
 	// transport does once it has stopped.
 	closed atomic.Bool
+	// uncounted, when set, makes Invoke serve a node without a read-path
+	// split, as an unsharded sync or esync daemon's is.
+	uncounted bool
 	// stats is what Stats() serves; tests may pre-load counters.
 	stats nettransport.Stats
 	// invokes counts Invoke calls: turns of the node's monitor.
@@ -39,7 +41,11 @@ func (f *fakeBackend) Invoke(fn func(core.Node)) error {
 	if f.closed.Load() {
 		return nettransport.ErrClosed
 	}
-	fn(stubNode{})
+	if f.uncounted {
+		fn(plainNode{})
+	} else {
+		fn(stubNode{})
+	}
 	return nil
 }
 func (f *fakeBackend) Active() bool   { return true }
@@ -50,21 +56,19 @@ func (f *fakeBackend) Addr() string   { return "fake:0" }
 // transport would.
 func (f *fakeBackend) Stats() *nettransport.Stats { return &f.stats }
 
-// stubNode is the minimal core.Node the fake's Invoke serves, with a
-// fixed read-path split so the /metrics fast/slow series is observable.
-type stubNode struct{}
+// plainNode is the minimal core.Node: it counts no read paths.
+type plainNode struct{}
 
-func (stubNode) Start()                                      {}
-func (stubNode) Active() bool                                { return true }
-func (stubNode) Deliver(from core.ProcessID, m core.Message) {}
-func (stubNode) Snapshot() core.VersionedValue               { return core.VersionedValue{} }
-func (stubNode) ReadPathCounts() (uint64, uint64)            { return 5, 2 }
+func (plainNode) Start()                                      {}
+func (plainNode) Active() bool                                { return true }
+func (plainNode) Deliver(from core.ProcessID, m core.Message) {}
+func (plainNode) Snapshot() core.VersionedValue               { return core.VersionedValue{} }
 
-// Stats satisfies the api's nodeCounters slice with fixed FORWARD
-// counts, so the regserve_forward_* series is observable.
-func (stubNode) Stats() shard.Stats {
-	return shard.Stats{ForwardsServed: 7, ForwardsRefused: 2}
-}
+// stubNode is the node the fake's Invoke serves by default, with a fixed
+// read-path split so the /metrics fast/slow series is observable.
+type stubNode struct{ plainNode }
+
+func (stubNode) ReadPathCounts() (uint64, uint64) { return 5, 2 }
 
 func (f *fakeBackend) ShardInfo() (int, int, int) {
 	if f.sharded {
@@ -255,6 +259,8 @@ func loadGoldenStats(s *nettransport.Stats) {
 	s.TimerFires.Store(88)
 	s.TimerLateNanos.Store(15000)
 	s.TimerOverruns.Store(2)
+	s.ForwardsServed.Store(7)
+	s.ForwardsRefused.Store(2)
 }
 
 // TestAPIMetricsGolden pins /metrics byte for byte, unsharded and
@@ -292,11 +298,11 @@ func TestAPIMetricsGolden(t *testing.T) {
 	}
 }
 
-// TestAPIMetricsOneInvokePerScrape: the counters that live on the node
-// (the read-path split and the shard wrapper's FORWARD counts) are read in
-// one turn of its monitor per scrape, and a node that does not answer —
-// here, a stopped transport — omits both families while the transport's
-// own counters still render.
+// TestAPIMetricsOneInvokePerScrape: the read-path split, which lives on
+// the node, is read in one turn of its monitor per scrape, and a node
+// that does not answer — here, a stopped transport — omits it while the
+// transport's own counters, the client operations it served and refused
+// among them, still render.
 func TestAPIMetricsOneInvokePerScrape(t *testing.T) {
 	b := newFakeBackend()
 	srv := newTestAPI(t, b)
@@ -308,20 +314,40 @@ func TestAPIMetricsOneInvokePerScrape(t *testing.T) {
 	}
 	b.closed.Store(true)
 	_, body := get(t, srv.URL+"/metrics")
-	if !strings.Contains(body, "regserve_transport_loop_turns_total") {
-		t.Fatalf("stopped node dropped the transport series:\n%s", body)
+	for _, name := range []string{"regserve_transport_loop_turns_total", "regserve_forward_served_total", "regserve_forward_refused_total"} {
+		if !strings.Contains(body, name) {
+			t.Fatalf("stopped node dropped %s:\n%s", name, body)
+		}
 	}
-	for _, name := range []string{"regserve_read_path_total", "regserve_forward_"} {
-		if strings.Contains(body, name) {
-			t.Fatalf("stopped node still renders %s:\n%s", name, body)
+	if strings.Contains(body, "regserve_read_path_total") {
+		t.Fatalf("stopped node still renders regserve_read_path_total:\n%s", body)
+	}
+}
+
+// TestAPIReadPathZeroWithoutCounter: a node without a read-path split
+// (an unsharded sync or esync daemon's engine) reports 0 fast and 0 slow
+// reads, rather than omitting the series.
+func TestAPIReadPathZeroWithoutCounter(t *testing.T) {
+	b := newFakeBackend()
+	b.uncounted = true
+	_, body := get(t, newTestAPI(t, b).URL+"/metrics")
+	for _, line := range []string{
+		`regserve_read_path_total{path="fast"} 0`,
+		`regserve_read_path_total{path="slow"} 0`,
+	} {
+		if !strings.Contains(body, line) {
+			t.Fatalf("metrics output missing %q:\n%s", line, body)
 		}
 	}
 }
 
-// TestAPIForwardMetrics: the shard wrapper's counts of the FORWARDs it
-// served and refused render on /metrics.
+// TestAPIForwardMetrics: the transport's counts of the client operations
+// (FORWARDs) it served and refused render on /metrics.
 func TestAPIForwardMetrics(t *testing.T) {
-	srv := newTestAPI(t, newFakeBackend())
+	b := newFakeBackend()
+	b.stats.ForwardsServed.Store(7)
+	b.stats.ForwardsRefused.Store(2)
+	srv := newTestAPI(t, b)
 	status, body := get(t, srv.URL+"/metrics")
 	if status != 200 {
 		t.Fatalf("metrics status %d", status)

@@ -131,18 +131,16 @@ func parseFlags(args []string, errW io.Writer) (*serverConfig, error) {
 			cfg.peers = append(cfg.peers, p)
 		}
 	}
-	if _, err := factoryFor(cfg.protocol); err != nil {
+	if _, err := factoryFor(cfg.protocol, cfg.shards); err != nil {
 		return nil, err
 	}
 	return cfg, nil
 }
 
-// factoryFor resolves the protocol factory, always wrapped in the
-// sharding layer: the wrapper is what understands FORWARD operations, and
-// wire clients submit every operation as a FORWARD — so even an unsharded
-// node needs it (with no placement the wrapper serves every key locally,
-// adding nothing but the client-serving path).
-func factoryFor(protocol string) (core.NodeFactory, error) {
+// factoryFor resolves the protocol factory, wrapped in the sharding layer
+// when the keyspace is sharded (shards > 0). The transport serves a wire
+// client's operations through core.Ops, which every engine implements.
+func factoryFor(protocol string, shards int) (core.NodeFactory, error) {
 	var f core.NodeFactory
 	switch protocol {
 	case "sync":
@@ -154,7 +152,10 @@ func factoryFor(protocol string) (core.NodeFactory, error) {
 	default:
 		return nil, fmt.Errorf("unknown protocol %q (want sync, esync, or abd)", protocol)
 	}
-	return shard.Factory(f), nil
+	if shards > 0 {
+		f = shard.Factory(f)
+	}
+	return f, nil
 }
 
 func run(args []string, out, errW io.Writer) error {
@@ -162,7 +163,7 @@ func run(args []string, out, errW io.Writer) error {
 	if err != nil {
 		return err
 	}
-	factory, err := factoryFor(cfg.protocol)
+	factory, err := factoryFor(cfg.protocol, cfg.shards)
 	if err != nil {
 		return err
 	}
@@ -234,8 +235,9 @@ type backend interface {
 	// ShardInfo reports (total shards, shards this node replicates,
 	// replication factor); total is 0 when the keyspace is unsharded.
 	ShardInfo() (shards, owned, replication int)
-	// Stats exposes the transport's wire-level counters (coalescing
-	// factor, batch gauge, queue drops, monitor stalls) for /metrics.
+	// Stats exposes the transport's counters (coalescing factor, batch
+	// gauge, queue drops, monitor stalls, client operations served and
+	// refused) for /metrics.
 	Stats() *nettransport.Stats
 }
 
@@ -276,10 +278,10 @@ func (a *api) metrics(w http.ResponseWriter, r *http.Request) {
 // series is every series /metrics exports, in the order it prints: the one
 // place their names, HELP texts and types are declared. bench/ scrapes
 // them, so a name or a number format changes only with its golden file.
-// The transport's counters come first; then the counters that live on the
-// node (the quorum-read split and the shard wrapper's FORWARD counts), both
-// omitted when the node does not answer within 2 s; then, when the
-// keyspace is sharded, the placement gauges.
+// The transport's counters come first; then the quorum-read split, which
+// lives on the node and is omitted when the node does not answer within
+// 2 s; then the transport's counts of client operations served and
+// refused; then, when the keyspace is sharded, the placement gauges.
 func (a *api) series() []metrics.Series {
 	st := a.tr.Stats()
 	out := []metrics.Series{
@@ -302,12 +304,12 @@ func (a *api) series() []metrics.Series {
 		metrics.Counter("regserve_transport_timer_overruns_total", "Timer callbacks that began more than delta past their deadline: this process stalled past delta.", metrics.Int(st.TimerOverruns.Load())),
 	}
 	if c := a.readNodeCounts(); c != nil {
-		out = append(out,
-			metrics.Counter("regserve_read_path_total", "Completed quorum reads by path: fast is the one-round path (all phase-1 replies agreed, write-back skipped).", metrics.Int(c.fast, "path", "fast"), metrics.Int(c.slow, "path", "slow")),
-			metrics.Counter("regserve_forward_served_total", "Forwarded operations (a wire client's reads and writes) this node served.", metrics.Int(c.fwd.ForwardsServed)),
-			metrics.Counter("regserve_forward_refused_total", "Forwarded operations this node refused (wrong replica, not active, or busy).", metrics.Int(c.fwd.ForwardsRefused)),
-		)
+		out = append(out, metrics.Counter("regserve_read_path_total", "Completed quorum reads by path: fast is the one-round path (all phase-1 replies agreed, write-back skipped).", metrics.Int(c.fast, "path", "fast"), metrics.Int(c.slow, "path", "slow")))
 	}
+	out = append(out,
+		metrics.Counter("regserve_forward_served_total", "Forwarded operations (a wire client's reads and writes) this node served.", metrics.Int(st.ForwardsServed.Load())),
+		metrics.Counter("regserve_forward_refused_total", "Forwarded operations this node refused (wrong replica, not active, or busy).", metrics.Int(st.ForwardsRefused.Load())),
+	)
 	if shards, owned, repl := a.tr.ShardInfo(); shards > 0 {
 		out = append(out,
 			metrics.Gauge("regserve_shards_total", "Total shards the keyspace hashes onto.", metrics.Int(uint64(shards))),
@@ -318,24 +320,13 @@ func (a *api) series() []metrics.Series {
 	return out
 }
 
-// nodeCounters is the slice of the node that /metrics reads: the
-// quorum-read split and the shard wrapper's FORWARD counters. *shard.Node,
-// the outermost layer of every regserve node, implements it; handler
-// tests stub it.
-type nodeCounters interface {
-	core.ReadPathCounter
-	Stats() shard.Stats
-}
-
-// nodeCounts is what one scrape reads from the node.
-type nodeCounts struct {
-	fast, slow uint64
-	fwd        shard.Stats
-}
+// nodeCounts is what one scrape reads from the node: its quorum-read
+// split, 0 and 0 for a node without core.ReadPathCounter.
+type nodeCounts struct{ fast, slow uint64 }
 
 // readNodeCounts reads the node's counters in one turn of its monitor. It
 // returns nil when the node did not answer within 2 s (or has stopped):
-// a node too busy to answer promptly omits those series this scrape.
+// a node too busy to answer promptly omits that series this scrape.
 func (a *api) readNodeCounts() *nodeCounts {
 	done := make(chan *nodeCounts, 1)
 	// The timeout must bound the WHOLE fetch, including Invoke's wait for
@@ -345,9 +336,9 @@ func (a *api) readNodeCounts() *nodeCounts {
 	go func() {
 		var c *nodeCounts
 		a.tr.Invoke(func(n core.Node) {
-			if nc, ok := n.(nodeCounters); ok {
-				c = &nodeCounts{fwd: nc.Stats()}
-				c.fast, c.slow = nc.ReadPathCounts()
+			c = &nodeCounts{}
+			if rc, ok := n.(core.ReadPathCounter); ok {
+				c.fast, c.slow = rc.ReadPathCounts()
 			}
 		})
 		done <- c

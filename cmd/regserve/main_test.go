@@ -4,6 +4,10 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"churnreg/internal/core"
+	"churnreg/internal/shard"
+	"churnreg/internal/sim"
 )
 
 func TestParseFlagsValidates(t *testing.T) {
@@ -53,14 +57,37 @@ func TestParseFlagsPeersList(t *testing.T) {
 	}
 }
 
+// TestFactoryForCoversEveryProtocol: every protocol resolves, and its node
+// is wrapped in the sharding layer exactly when -shards > 0.
 func TestFactoryForCoversEveryProtocol(t *testing.T) {
 	for _, p := range []string{"sync", "esync", "abd"} {
-		f, err := factoryFor(p)
-		if err != nil || f == nil {
-			t.Fatalf("factoryFor(%q): %v", p, err)
+		for _, shards := range []int{0, 8} {
+			f, err := factoryFor(p, shards)
+			if err != nil || f == nil {
+				t.Fatalf("factoryFor(%q, %d): %v", p, shards, err)
+			}
+			n := f(envStub{}, core.SpawnContext{Bootstrap: true})
+			if _, wrapped := n.(*shard.Node); wrapped != (shards > 0) {
+				t.Fatalf("factoryFor(%q, %d) built a %T", p, shards, n)
+			}
+			if _, ok := n.(core.Ops); !ok {
+				t.Fatalf("factoryFor(%q, %d) built a %T, which serves no operations", p, shards, n)
+			}
 		}
 	}
-	if _, err := factoryFor("nope"); err == nil {
+	if _, err := factoryFor("nope", 0); err == nil {
 		t.Fatal("factoryFor accepted protocol \"nope\"")
 	}
 }
+
+// envStub is a core.Env that goes nowhere: enough to build a node.
+type envStub struct{}
+
+func (envStub) ID() core.ProcessID                { return 1 }
+func (envStub) Now() sim.Time                     { return 0 }
+func (envStub) Send(core.ProcessID, core.Message) {}
+func (envStub) Broadcast(core.Message)            {}
+func (envStub) After(sim.Duration, func())        {}
+func (envStub) Delta() sim.Duration               { return 1 }
+func (envStub) SystemSize() int                   { return 3 }
+func (envStub) MarkActive()                       {}

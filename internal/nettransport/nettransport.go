@@ -243,6 +243,11 @@ type Stats struct {
 	TimerFires     atomic.Uint64
 	TimerLateNanos atomic.Uint64
 	TimerOverruns  atomic.Uint64
+	// ForwardsServed and ForwardsRefused count the client sessions'
+	// operations (FORWARDs) this process answered with a result, and with
+	// a refusal (wrong replica, not active, or busy).
+	ForwardsServed  atomic.Uint64
+	ForwardsRefused atomic.Uint64
 }
 
 // FramesPerWrite reports the average coalescing factor — frames flushed
@@ -273,14 +278,11 @@ type Transport struct {
 	byID   map[core.ProcessID]*peer
 	conns  map[net.Conn]struct{}
 	// sessions holds the live client sessions (accepted connections whose
-	// HELLO declared wire.RoleClient), keyed by the negative pseudo-id the
-	// transport minted for each. Client sessions are served, never meshed:
-	// they are absent from the address book, the gossip, and the placement.
-	sessions map[core.ProcessID]*clientSession
-	// sessionSeq mints session pseudo-ids (negated, so they can never
-	// collide with real process ids, which are positive by construction).
-	sessionSeq int64
-	closed     bool
+	// HELLO declared wire.RoleClient). Client sessions are served, never
+	// meshed: they are absent from the address book, the gossip, and the
+	// placement.
+	sessions map[*clientSession]struct{}
+	closed   bool
 	// pendingInquiry is the join INQUIRY, in wire form, to replay to
 	// peers learned while this process's join is still running (see
 	// package comment); nil once active.
@@ -375,7 +377,7 @@ func New(cfg Config) (*Transport, error) {
 		byAddr:   make(map[string]*peer),
 		byID:     make(map[core.ProcessID]*peer),
 		conns:    make(map[net.Conn]struct{}),
-		sessions: make(map[core.ProcessID]*clientSession),
+		sessions: make(map[*clientSession]struct{}),
 		clock:    clk,
 	}
 	t.links.Store(&linkTable{})
@@ -595,11 +597,9 @@ func (t *Transport) Send(to core.ProcessID, m core.Message) { t.send(false, m, t
 func (t *Transport) Broadcast(m core.Message) { t.broadcast(false, m) }
 
 // send is the one point-to-point path: m is encoded once and queued on
-// the link of every remote process in to — a peer, or for a negative id
-// the client session whose pseudo-id it is (the reply rides the session's
-// own connection; a session is never dialed back). An entry naming this
-// process is delivered locally: the quorum protocols count their own
-// replies, exactly as in the simulator.
+// the link of every remote peer in to. An entry naming this process is
+// delivered locally: the quorum protocols count their own replies,
+// exactly as in the simulator.
 func (t *Transport) send(inTurn bool, m core.Message, to ...core.ProcessID) {
 	select {
 	case <-t.quit:
@@ -951,7 +951,7 @@ func (t *Transport) untrackConn(conn net.Conn) {
 type linkTable struct {
 	peers    []*link                  // every outbound peer, identified or not: Broadcast's audience
 	sessions []*link                  // every client session
-	byID     map[core.ProcessID]*link // identified peers, and sessions under their pseudo-ids
+	byID     map[core.ProcessID]*link // identified peers
 }
 
 // drained reports whether no link holds an unwritten frame.
@@ -962,16 +962,15 @@ func (tab *linkTable) drained() bool {
 // publishLinksLocked rebuilds the table from the address book and the
 // session set (t.mu held).
 func (t *Transport) publishLinksLocked() {
-	tab := &linkTable{byID: make(map[core.ProcessID]*link, len(t.byID)+len(t.sessions))}
+	tab := &linkTable{byID: make(map[core.ProcessID]*link, len(t.byID))}
 	for _, p := range t.byAddr {
 		tab.peers = append(tab.peers, &p.link)
 	}
 	for id, p := range t.byID {
 		tab.byID[id] = &p.link
 	}
-	for id, s := range t.sessions {
+	for s := range t.sessions {
 		tab.sessions = append(tab.sessions, &s.link)
-		tab.byID[id] = &s.link
 	}
 	t.links.Store(tab)
 }
@@ -1098,10 +1097,10 @@ func (t *Transport) forgetPeer(id core.ProcessID) {
 // the remote's HELLO with our HELLO + address book — the only writes ever
 // issued on an inbound connection, all from this goroutine. An accepted
 // HELLO declaring wire.RoleClient turns the connection into a client
-// session instead: all later writes to it flow through the session's own
-// writer goroutine, and its operations are delivered under the session's
-// pseudo-id, where the shard wrapper serves or refuses each FORWARD.
-// onDead, when set, runs
+// session instead: all later writes to it go through the session's link,
+// and each FORWARD it sends is served (see serve) in the reader's turn.
+// No process sends a FORWARD or a FORWARDED, so either arriving from a
+// peer is dropped, never handed to an engine. onDead, when set, runs
 // once the connection stops being readable, so an idle writer learns its
 // link died without having to write into it.
 func (t *Transport) readConn(conn net.Conn, own *peer, accepted bool, onDead func()) {
@@ -1112,6 +1111,10 @@ func (t *Transport) readConn(conn net.Conn, own *peer, accepted bool, onDead fun
 		defer onDead()
 	}
 	var sess *clientSession
+	// op is the session's operation in hand, and serveOp, made once per
+	// connection, the task that serves it.
+	var op core.ForwardMsg
+	serveOp := func() { t.serve(sess, op) }
 	defer func() {
 		if sess != nil {
 			t.dropSession(sess)
@@ -1182,24 +1185,24 @@ func (t *Transport) readConn(conn net.Conn, own *peer, accepted bool, onDead fun
 				t.learnPeer(p.ID, p.Addr)
 			}
 		case wire.FrameMsg:
-			if sess != nil {
-				// A session may only submit FORWARDs (client operations).
-				// Its From is overwritten with the session pseudo-id: the
-				// shard wrapper's reply then routes back here via Send's
-				// negative-id path, whatever id the client claimed.
-				fm, ok := f.Msg.(core.ForwardMsg)
-				if !ok {
-					continue
-				}
-				fm.From = sess.pid
-				f.From, f.Msg = sess.pid, fm
+			// A session sends client operations (FORWARDs) only, a peer
+			// protocol messages only: no process sends a FORWARD or a
+			// FORWARDED.
+			fm, isOp := f.Msg.(core.ForwardMsg)
+			if _, isAnswer := f.Msg.(core.ForwardedMsg); isAnswer || isOp != (sess != nil) {
+				continue
 			}
 			if !inTurn {
 				if inTurn = t.enter(); !inTurn {
 					return
 				}
 			}
-			t.run(f.From, f.Msg, nil)
+			if sess != nil {
+				op = fm
+				t.run(core.NoProcess, nil, serveOp)
+			} else {
+				t.run(f.From, f.Msg, nil)
+			}
 		case wire.FrameLeave:
 			if sess != nil {
 				continue
@@ -1216,18 +1219,16 @@ func (t *Transport) readConn(conn net.Conn, own *peer, accepted bool, onDead fun
 	}
 }
 
-// newClientSession registers a client session for an accepted connection,
-// minting its pseudo-id and starting its writer. Returns nil when the
-// transport is closing.
+// newClientSession registers a client session for an accepted connection
+// and starts its writer. Returns nil when the transport is closing.
 func (t *Transport) newClientSession(conn net.Conn) *clientSession {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
 		return nil
 	}
-	t.sessionSeq++
-	s := &clientSession{link: newLink(), pid: core.ProcessID(-t.sessionSeq)}
-	t.sessions[s.pid] = s
+	s := &clientSession{link: newLink()}
+	t.sessions[s] = struct{}{}
 	t.publishLinksLocked()
 	// The session's writer lives exactly as long as its accepted
 	// connection; closing that on the way out also unblocks the reader.
@@ -1252,8 +1253,8 @@ func (t *Transport) sessionHello(s *clientSession) {
 // dropSession unregisters a finished client session and stops its writer.
 func (t *Transport) dropSession(s *clientSession) {
 	t.mu.Lock()
-	if t.sessions[s.pid] == s {
-		delete(t.sessions, s.pid)
+	if _, ok := t.sessions[s]; ok {
+		delete(t.sessions, s)
 		t.publishLinksLocked()
 	}
 	t.mu.Unlock()
@@ -1275,11 +1276,55 @@ func isClosedErr(err error) bool {
 // link written to the accepted connection, with no dialing (a session
 // lives exactly as long as its connection — reconnecting is the client's
 // job, and a reconnect is a new session).
-type clientSession struct {
-	link
-	// pid is the negative pseudo-id this session's operations are
-	// delivered under; replies Sent to it route back here.
-	pid core.ProcessID
+type clientSession struct{ link }
+
+// errNoOps refuses a client operation at a node that serves none.
+var errNoOps = errors.New("nettransport: node serves no operations")
+
+// serve runs a client session's operation as the node's own Read or
+// Write — the call an in-process caller makes through core.Ops, so a
+// sharded node applies its write primacy and handoff queueing — and
+// answers FORWARDED on the session's link, from done or from the
+// invocation error. It runs in a turn: so does done.
+func (t *Transport) serve(s *clientSession, m core.ForwardMsg) {
+	answer := func(v core.VersionedValue, err error) {
+		code := core.ForwardOK
+		if err != nil {
+			code = forwardCode(err)
+			t.stats.ForwardsRefused.Add(1)
+		} else {
+			t.stats.ForwardsServed.Add(1)
+		}
+		t.transmit(true, wire.Frame{Type: wire.FrameMsg,
+			Msg: core.ForwardedMsg{From: t.cfg.ID, Op: m.Op, Reg: m.Reg, Value: v, Code: code}}, &s.link)
+	}
+	ops, ok := t.node.(core.Ops)
+	var err error
+	switch {
+	case !ok:
+		err = errNoOps
+	case m.IsWrite:
+		err = ops.Write(m.Reg, m.Val, answer)
+	default:
+		err = ops.Read(m.Reg, func(v core.VersionedValue, _ core.ProcessID, err error) { answer(v, err) })
+	}
+	if err != nil {
+		answer(core.Bottom(), err)
+	}
+}
+
+// forwardCode is the refusal a client gets for an operation that failed.
+// Every failure leaves the operation unapplied, so the client may retry
+// it, at another process for WRONG_REPLICA.
+func forwardCode(err error) core.ForwardCode {
+	switch {
+	case errors.Is(err, core.ErrNotActive):
+		return core.ForwardNotActive
+	case errors.Is(err, core.ErrUnroutable):
+		return core.ForwardWrongReplica
+	default:
+		return core.ForwardBusy
+	}
 }
 
 // peer is one outbound link plus where to dial it.

@@ -443,8 +443,8 @@ func TestLeaveWaitsForClientSessionLinks(t *testing.T) {
 	}
 	// net.Pipe is unbuffered: with nobody reading, the replies stay queued
 	// or in the writer's hands, and the session's link must say so.
-	tr.Send(sess.pid, core.ForwardedMsg{From: 1, Op: 1})
-	tr.Send(sess.pid, core.ForwardedMsg{From: 1, Op: 2})
+	tr.transmit(false, wire.Frame{Type: wire.FrameMsg, Msg: core.ForwardedMsg{From: 1, Op: 1}}, &sess.link)
+	tr.transmit(false, wire.Frame{Type: wire.FrameMsg, Msg: core.ForwardedMsg{From: 1, Op: 2}}, &sess.link)
 	time.Sleep(10 * time.Millisecond) // let the writer take what it will
 	if sess.depth() != 2 || tr.links.Load().drained() {
 		t.Fatalf("depth = %d, drained = %v with two replies unwritten for a client session", sess.depth(), tr.links.Load().drained())

@@ -141,9 +141,9 @@ func Build(cfg Config, members []core.ProcessID) *View {
 }
 
 // SetVersion stamps the view with a runtime-monotone sequence number,
-// letting receivers discard a view delivered out of order (concurrent
-// runtimes post views to node loops asynchronously). Call before
-// publishing the view; 0 means unversioned.
+// letting a concurrent runtime, whose view refreshes may reach the node's
+// loop out of order, adopt only a view newer than the one it holds. Call
+// before publishing the view; 0 means unversioned.
 func (v *View) SetVersion(ver uint64) { v.version = ver }
 
 // ViewVersion returns the stamp set by SetVersion.

@@ -17,7 +17,8 @@ type Placed interface {
 // internal/shard wrapper, which computes which shards this node gained
 // and runs the handoff state exchange for them. Runtimes invoke it on the
 // node's event loop after every membership change, in the turn in which
-// Placed starts returning the view, so wrapper and engines agree on it.
+// Placed starts returning the view, so wrapper and engines agree on it,
+// and in order: no view a runtime hands over is older than the last.
 type Aware interface {
 	PlacementChanged(view *View)
 }

@@ -1,8 +1,8 @@
 // Package shard turns any register protocol into a SHARDED one: a
-// placement-aware wrapper node that serves each key's operations only
-// where its shard's replica group says, answers operations a client
-// submits to it, and runs the shard handoff state exchange when
-// membership changes move shards between nodes.
+// placement-aware wrapper node that admits each key's writes only at its
+// shard's primary, holds operations back while their shard's state is
+// moving, and runs the shard handoff state exchange when membership
+// changes move shards between nodes.
 //
 // # Division of labor
 //
@@ -34,12 +34,12 @@
 // must stay in one process's hands at a time — the same per-key
 // single-writer discipline the paper's protocols assume, now enforced per
 // shard. Write at any other node fails at invocation with
-// core.ErrUnroutable (not applied, retry-safe), and a FORWARDed write at
-// a node that is no longer primary is refused (WRONG_REPLICA) rather than
+// core.ErrUnroutable (not applied, retry-safe), and so does a queued
+// write at a node that is no longer primary when it runs, rather than
 // minting a conflicting sequence number. Routing is the caller's job (see
 // placement.View.Route for the rule and the one facade read that departs
-// from it). FORWARD/FORWARDED are the wire client's frames: a node serves
-// or refuses a FORWARD, never sends one.
+// from it). A wire client's operation reaches the wrapper as the same
+// Read or Write: the transport invokes it and answers the client.
 //
 // # Handoff
 //
@@ -97,8 +97,8 @@ type shardState struct {
 	donors []core.ProcessID
 	got    map[core.ProcessID]bool
 	rounds int
-	// queue holds operations (local client ops and FORWARDs served)
-	// blocked on this shard becoming ready; flushed in arrival order.
+	// queue holds operations blocked on this shard becoming ready;
+	// flushed in arrival order.
 	queue []func()
 }
 
@@ -115,10 +115,9 @@ type Node struct {
 
 	// view is the latest placement this node was told about; nil until
 	// the runtime pushes one (the wrapper delegates everything until
-	// then, so an unsharded runtime pays nothing).
-	view        *placement.View
-	sawView     bool
-	viewVersion uint64
+	// then, so an unsharded runtime pays nothing). Runtimes hand views
+	// over in order (placement.Aware), so the latest is the newest.
+	view *placement.View
 	// bootstrap marks one of the initial processes: its first view needs
 	// no handoff (it holds the initial state by definition).
 	bootstrap bool
@@ -132,8 +131,6 @@ type Node struct {
 // Stats counts wrapper activity at this node.
 type Stats struct {
 	LocalWrites      uint64
-	ForwardsServed   uint64
-	ForwardsRefused  uint64
 	HandoffsStarted  uint64 // shards that entered pending state
 	HandoffsComplete uint64
 	HandoffSnapshots uint64 // donor snapshots merged
@@ -188,17 +185,10 @@ func (n *Node) Active() bool { return n.inner.Active() }
 // Snapshot implements core.Node.
 func (n *Node) Snapshot() core.VersionedValue { return n.inner.Snapshot() }
 
-// Deliver implements core.Node: wrapper traffic (forwards, handoff) is
-// consumed here; everything else flows to the inner protocol. A
-// FORWARDED answers no request of a node's, and can arrive from outside
-// the program: it is dropped, not handed to an engine that panics on it.
+// Deliver implements core.Node: handoff traffic is consumed here;
+// everything else flows to the inner protocol.
 func (n *Node) Deliver(from core.ProcessID, m core.Message) {
 	switch msg := m.(type) {
-	case core.ForwardMsg:
-		n.handleForward(msg)
-		return
-	case core.ForwardedMsg:
-		return
 	case core.InquiryMsg:
 		if s, ok := core.HandoffShard(msg.Op); ok {
 			n.handleHandoffInquiry(msg, s)
@@ -244,31 +234,18 @@ func (n *Node) PendingOps() int {
 // ---- placement ----
 
 // PlacementChanged implements placement.Aware: adopt the new view,
-// start handoff for gained shards, drop state for lost ones. Views
-// stamped with a version (placement.View.SetVersion) are applied in
-// stamp order; a stale one — possible when a concurrent runtime posts
-// views to the node loop asynchronously — is dropped.
+// start handoff for gained shards, drop state for lost ones.
 func (n *Node) PlacementChanged(view *placement.View) {
-	if view != nil && view.ViewVersion() != 0 {
-		if view.ViewVersion() <= n.viewVersion {
-			return
-		}
-		n.viewVersion = view.ViewVersion()
-	}
 	old := n.view
-	first := !n.sawView
+	first := old == nil
 	n.view = view
-	n.sawView = true
-	if view == nil {
-		return
-	}
 	// Shards are visited in ascending order, so the messages this sends
 	// leave in the same order on every run of a seeded simulation.
 	self := n.env.ID()
 	owned := view.OwnedShards(self)
 	// Lost shards: re-dispatch anything queued on them (reads run the
-	// engine's read as at any non-replica; writes and FORWARDs check
-	// again and are refused).
+	// engine's read as at any non-replica; writes check again and are
+	// refused).
 	for _, s := range slices.Sorted(maps.Keys(n.shards)) {
 		if st := n.shards[s]; !slices.Contains(owned, s) {
 			q := st.queue
@@ -529,74 +506,4 @@ func (n *Node) queueOnShard(s int, fn func()) {
 		return
 	}
 	st.queue = append(st.queue, fn)
-}
-
-// ---- forwarding ----
-
-// handleForward serves (or refuses) an operation forwarded to this node
-// — by an external client session routing under its own, possibly
-// staler, view (the wire client's operations arrive as FORWARDs from the
-// transport's session pseudo-ids). With no view yet
-// the node serves unconditionally: an unsharded system replicates every
-// key everywhere, so there is no wrong replica to refuse from.
-func (n *Node) handleForward(m core.ForwardMsg) {
-	refuse := func(code core.ForwardCode) {
-		n.stats.ForwardsRefused++
-		n.env.Send(m.From, core.ForwardedMsg{From: n.env.ID(), Op: m.Op, Reg: m.Reg, Code: code})
-	}
-	v := n.view
-	if v != nil {
-		if !v.IsReplica(m.Reg, n.env.ID()) {
-			refuse(core.ForwardWrongReplica)
-			return
-		}
-		if m.IsWrite && v.Group(m.Reg)[0] != n.env.ID() {
-			// Only the CURRENT primary assigns a key's sequence numbers; a
-			// requester with a stale view must re-route, not split the
-			// write stream across two nodes.
-			refuse(core.ForwardWrongReplica)
-			return
-		}
-		shard := v.ShardOf(m.Reg)
-		if n.pendingShard(shard) {
-			n.queueOnShard(shard, func() { n.handleForward(m) })
-			return
-		}
-	}
-	if !n.inner.Active() {
-		refuse(core.ForwardNotActive)
-		return
-	}
-	reply := func(vv core.VersionedValue) {
-		n.stats.ForwardsServed++
-		n.env.Send(m.From, core.ForwardedMsg{From: n.env.ID(), Op: m.Op, Reg: m.Reg, Value: vv})
-	}
-	var err error
-	if m.IsWrite {
-		err = n.ops.Write(m.Reg, m.Val, func(vv core.VersionedValue, serr error) {
-			if serr != nil {
-				refuse(core.ForwardBusy)
-				return
-			}
-			reply(vv)
-		})
-	} else {
-		err = n.ops.Read(m.Reg, func(vv core.VersionedValue, _ core.ProcessID, serr error) {
-			if serr != nil {
-				refuse(core.ForwardBusy)
-				return
-			}
-			reply(vv)
-		})
-	}
-	if err != nil {
-		switch err {
-		case core.ErrNotActive:
-			refuse(core.ForwardNotActive)
-		case core.ErrOpInProgress:
-			refuse(core.ForwardBusy)
-		default:
-			refuse(core.ForwardWrongReplica)
-		}
-	}
 }

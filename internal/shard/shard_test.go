@@ -8,7 +8,6 @@ import (
 	"churnreg/internal/abd"
 	"churnreg/internal/core"
 	"churnreg/internal/dynsys"
-	"churnreg/internal/esyncreg"
 	"churnreg/internal/netsim"
 	"churnreg/internal/placement"
 	"churnreg/internal/shard"
@@ -16,150 +15,31 @@ import (
 	"churnreg/internal/syncreg"
 )
 
-// stubEnv is the Env of one unsharded node with no network behind it: it
-// keeps the last message the node sent and the last timer it armed, and
-// allocates nothing itself, so AllocsPerRun counts the node's own work.
-type stubEnv struct {
-	last  core.Message
-	timer func()
-}
+// stubEnv is the Env of one node with no network behind it: what the
+// node sends goes nowhere and its timers never fire.
+type stubEnv struct{}
 
-func (e *stubEnv) ID() core.ProcessID                    { return 1 }
-func (e *stubEnv) Now() sim.Time                         { return 0 }
-func (e *stubEnv) Send(_ core.ProcessID, m core.Message) { e.last = m }
-func (e *stubEnv) Broadcast(m core.Message)              { e.last = m }
-func (e *stubEnv) After(_ sim.Duration, fn func())       { e.timer = fn }
-func (e *stubEnv) Delta() sim.Duration                   { return 5 }
-func (e *stubEnv) SystemSize() int                       { return 3 }
-func (e *stubEnv) MarkActive()                           {}
+func (stubEnv) ID() core.ProcessID                { return 1 }
+func (stubEnv) Now() sim.Time                     { return 0 }
+func (stubEnv) Send(core.ProcessID, core.Message) {}
+func (stubEnv) Broadcast(core.Message)            {}
+func (stubEnv) After(sim.Duration, func())        {}
+func (stubEnv) Delta() sim.Duration               { return 5 }
+func (stubEnv) SystemSize() int                   { return 3 }
+func (stubEnv) MarkActive()                       {}
 
 // newStubNode builds a bootstrap wrapper around f's node on a stubEnv.
-func newStubNode(f core.NodeFactory) (*shard.Node, *stubEnv) {
-	env := &stubEnv{}
-	n := shard.New(env, core.SpawnContext{Bootstrap: true}, f)
+func newStubNode(f core.NodeFactory) *shard.Node {
+	n := shard.New(stubEnv{}, core.SpawnContext{Bootstrap: true}, f)
 	n.Start()
-	return n, env
-}
-
-// TestServeForwardAllocs pins what serving one FORWARD costs in
-// allocations on an unsharded node: the FORWARD in, the inner protocol's
-// operation (for abd, the two quorum answers it waits for; for a sync
-// write, its wait(δ) timer, which the test fires, since syncreg takes no
-// ACKs), the FORWARDED out. The FORWARD is boxed in advance; the abd
-// answers name the operation's id, so the test boxes each per run, and
-// the abd ceilings count those two allocations. The wrapper hands the
-// caller's done to the engine unwrapped; a wrapping closure would cost
-// each abd case one more, and syncreg stores that done in its write's
-// table entry as it is.
-func TestServeForwardAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector perturbs allocation counts")
-	}
-	const reg = 4
-	served := func(t *testing.T, env *stubEnv) {
-		if m, ok := env.last.(core.ForwardedMsg); !ok || m.Code != core.ForwardOK {
-			t.Fatalf("node answered %v, want a served FORWARDED", env.last)
-		}
-	}
-	var read, write core.Message = core.ForwardMsg{From: 9, Op: 1, Reg: reg},
-		core.ForwardMsg{From: 9, Op: 1, Reg: reg, IsWrite: true, Val: 7}
-	cases := []struct {
-		name    string
-		factory core.NodeFactory
-		fwd     core.Message
-		max     float64
-	}{
-		{"sync read", syncreg.Factory(syncreg.Options{}), read, 4},
-		{"sync write", syncreg.Factory(syncreg.Options{}), write, 7},
-		{"abd read", abd.Factory(), read, 10},
-		{"abd write", abd.Factory(), write, 10},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			n, env := newStubNode(tc.factory)
-			serve := func() {
-				n.Deliver(9, tc.fwd)
-				switch m := env.last.(type) {
-				case core.ReadMsg:
-					for _, from := range []core.ProcessID{2, 3} {
-						n.Deliver(from, core.ReplyMsg{From: from, Value: core.ImplicitInitial(), Reg: reg, Op: m.Op})
-					}
-				case core.WriteMsg:
-					if fire := env.timer; fire != nil {
-						env.timer = nil
-						fire()
-						break
-					}
-					for _, from := range []core.ProcessID{2, 3} {
-						n.Deliver(from, core.AckMsg{From: from, SN: m.Value.SN, Reg: reg, Op: m.Op})
-					}
-				}
-			}
-			serve()
-			served(t, env)
-			if got := testing.AllocsPerRun(200, serve); got > tc.max {
-				t.Fatalf("serving a FORWARD allocates %v times, want <= %v", got, tc.max)
-			}
-			served(t, env)
-		})
-	}
-}
-
-// TestServeForwardRefusesOnStaleView: a FORWARD reaches a node whose view
-// disagrees with the sender's. A write at a group member that is not the
-// key's primary, and a read at a node outside the key's group, are each
-// refused with ForwardWrongReplica — only the current primary mints a
-// key's sequence numbers, and a non-replica holds nothing to read — and
-// neither reaches the inner protocol.
-func TestServeForwardRefusesOnStaleView(t *testing.T) {
-	view := placement.Build(placement.Config{Shards: 8, Replication: 3}, []core.ProcessID{1, 2, 3, 4, 5})
-	var member, outsider core.RegisterID // member: 1 replicates it, not as primary
-	for k := core.RegisterID(1); member == 0 || outsider == 0; k++ {
-		switch g := view.Group(k); {
-		case member == 0 && view.IsReplica(k, 1) && g[0] != 1:
-			member = k
-		case outsider == 0 && !view.IsReplica(k, 1):
-			outsider = k
-		}
-	}
-	for _, tc := range []struct {
-		name    string
-		factory core.NodeFactory
-	}{
-		{"sync", syncreg.Factory(syncreg.Options{})},
-		{"abd", abd.Factory()},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			n, env := newStubNode(tc.factory)
-			n.PlacementChanged(view)
-			before := []core.VersionedValue{n.Store().Value(member, n.Active()), n.Store().Value(outsider, n.Active())}
-			for _, m := range []core.ForwardMsg{
-				{From: 9, Op: 1, Reg: member, IsWrite: true, Val: 7},
-				{From: 9, Op: 2, Reg: outsider},
-			} {
-				env.last = nil
-				n.Deliver(9, m)
-				if r, ok := env.last.(core.ForwardedMsg); !ok || r.Code != core.ForwardWrongReplica || r.Op != m.Op {
-					t.Fatalf("FORWARD %+v answered with %v, want FORWARDED(WRONG_REPLICA)", m, env.last)
-				}
-			}
-			after := []core.VersionedValue{n.Store().Value(member, n.Active()), n.Store().Value(outsider, n.Active())}
-			if before[0] != after[0] || before[1] != after[1] {
-				t.Fatalf("refused FORWARDs changed the store: %v -> %v", before, after)
-			}
-			if st := n.Stats(); st.ForwardsRefused != 2 || st.ForwardsServed != 0 {
-				t.Fatalf("stats %+v, want 2 refused and none served", st)
-			}
-		})
-	}
+	return n
 }
 
 // TestHandoffServesQueuedOpsInArrivalOrder: a process that joined the
 // system gains a shard when a member departs, and the shard is pending
-// until a majority of its donors answer. A local read, a FORWARD and a
-// second local read arrive during the handoff; none is served before the
-// shard is ready, and then all three are served in arrival order, against
-// the state the donors handed over.
+// until a majority of its donors answer. Three reads arrive during the
+// handoff; none is served before the shard is ready, and then all three
+// are served in arrival order, against the state the donors handed over.
 func TestHandoffServesQueuedOpsInArrivalOrder(t *testing.T) {
 	const shards, repl = 8, 3
 	sys := newSharded(t, 4, shards, repl)
@@ -205,27 +85,23 @@ func TestHandoffServesQueuedOpsInArrivalOrder(t *testing.T) {
 	sys.KillProcess(victim)
 	started := jn.Stats().HandoffsStarted - before.HandoffsStarted
 	type served struct {
-		read     int
-		val      core.Value
-		forwards uint64 // FORWARDs the joiner had served when the read ran
+		read int
+		val  core.Value
 	}
 	var reads []served
-	read := func(i int) {
+	for i := 1; i <= 3; i++ {
 		err := jn.Read(key, func(vv core.VersionedValue, _ core.ProcessID, err error) {
 			if err != nil {
 				t.Errorf("read failed: %v", err)
 			}
-			reads = append(reads, served{i, vv.Val, jn.Stats().ForwardsServed - before.ForwardsServed})
+			reads = append(reads, served{i, vv.Val})
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	read(1)
-	jn.Deliver(v.GroupFor(gained)[0], core.ForwardMsg{From: v.GroupFor(gained)[0], Op: 1, Reg: key})
-	read(2)
-	if st := jn.Stats(); len(reads) != 0 || st.ForwardsServed != before.ForwardsServed || jn.PendingOps() != 3 {
-		t.Fatalf("served before the handoff completed: reads %v, stats %+v, %d pending", reads, st, jn.PendingOps())
+	if len(reads) != 0 || jn.PendingOps() != 3 {
+		t.Fatalf("served before the handoff completed: reads %v, %d pending", reads, jn.PendingOps())
 	}
 
 	if err := sys.RunFor(3 * 5); err != nil {
@@ -235,10 +111,8 @@ func TestHandoffServesQueuedOpsInArrivalOrder(t *testing.T) {
 	if started == 0 || st.HandoffsComplete-before.HandoffsComplete != started {
 		t.Fatalf("%d handoffs started, %d completed", started, st.HandoffsComplete-before.HandoffsComplete)
 	}
-	want := []served{{1, 77, 0}, {2, 77, 1}}
-	if len(reads) != 2 || reads[0] != want[0] || reads[1] != want[1] || st.ForwardsServed != before.ForwardsServed+1 {
-		t.Fatalf("reads %v, forwards served %d; want %v and one FORWARD served between them",
-			reads, st.ForwardsServed-before.ForwardsServed, want)
+	if want := []served{{1, 77}, {2, 77}, {3, 77}}; !slices.Equal(reads, want) {
+		t.Fatalf("reads %v, want %v", reads, want)
 	}
 	if jn.PendingOps() != 0 {
 		t.Fatalf("%d operations still pending", jn.PendingOps())
@@ -346,7 +220,7 @@ func TestQueuedWriteChecksPrimacyAgain(t *testing.T) {
 	}
 	key := keysOf(view1, shardOf, 1)[0]
 
-	n, _ := newStubNode(syncreg.Factory(syncreg.Options{}))
+	n := newStubNode(syncreg.Factory(syncreg.Options{}))
 	n.PlacementChanged(view1)
 	n.PlacementChanged(view2)
 	var got []error
@@ -615,36 +489,9 @@ func TestSyncReadAtNonReplicaRefused(t *testing.T) {
 	}
 }
 
-// TestForwardedDropped: a node sends no FORWARD, so a FORWARDED delivered
-// to one answers nothing. The wrapper drops it, over every engine, before
-// the engine (which panics on a kind it does not know) can see it.
-func TestForwardedDropped(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		factory core.NodeFactory
-	}{
-		{"sync", syncreg.Factory(syncreg.Options{})},
-		{"esync", esyncreg.Factory(esyncreg.Options{})},
-		{"abd", abd.Factory()},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			n, env := newStubNode(tc.factory)
-			before := n.Store().Value(5, n.Active())
-			n.Deliver(2, core.ForwardedMsg{From: 2, Op: 1, Reg: 5, Value: core.VersionedValue{Val: 9, SN: 3}})
-			if env.last != nil || env.timer != nil || n.PendingOps() != 0 {
-				t.Fatalf("a FORWARDED sent %v, armed a timer (%v) or left %d operations pending", env.last, env.timer != nil, n.PendingOps())
-			}
-			if after := n.Store().Value(5, n.Active()); after != before {
-				t.Fatalf("a FORWARDED changed the store: %v -> %v", before, after)
-			}
-		})
-	}
-}
-
 // TestJoiningReplicaReadNotActive: a read at a replica that has not
 // finished joining runs nowhere else. It fails with ErrNotActive, at
-// invocation or, queued behind the joiner's handoff, through done, and
-// sends nothing of its own.
+// invocation or, queued behind the joiner's handoff, through done.
 func TestJoiningReplicaReadNotActive(t *testing.T) {
 	sys := newSharded(t, 4, 8, 3)
 	joiner, node := sys.Spawn()
@@ -666,8 +513,5 @@ func TestJoiningReplicaReadNotActive(t *testing.T) {
 	}
 	if len(errs) != 1 || !errors.Is(errs[0], core.ErrNotActive) {
 		t.Fatalf("read at the joining replica ended with %v, want ErrNotActive once", errs)
-	}
-	if sys.Network().Stats().SentByKind[core.KindForward] != 0 {
-		t.Fatal("a FORWARD was sent")
 	}
 }
