@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"churnreg/client"
+	"churnreg/internal/core"
 )
 
 // daemon is one regserve started by run, with the addresses it bound.
@@ -181,22 +182,30 @@ func TestAPIErrorStatuses(t *testing.T) {
 		check func(t *testing.T)
 	}{
 		{"unroutable write", func(t *testing.T) {
-			// Process 1 is still joining (its join takes 3δ = 6 s), and an
-			// unsharded write goes to the lowest id: every attempt is
-			// refused. Process 2 serves reads meanwhile.
-			boot := startDaemon(t, "-id", "2", "-bootstrap", "-n", "2", "-delta", "2000", "-initial", "7")
-			joiner := startDaemon(t, "-id", "1", "-n", "2", "-delta", "2000", "-peers", boot.listen)
-			c := dialMembers(t, client.Config{Seeds: []string{joiner.listen, boot.listen}, MaxAttempts: 3}, 2)
+			// A client routes only to active processes, so what refuses
+			// the write here is backpressure: process 1's operation table
+			// (core.MaxInFlightOps) is full of synchronous writes to key 1,
+			// each held δ = 3 s, and every attempt at key 0 behind them on
+			// the connection is refused BUSY.
+			d := startDaemon(t, "-id", "1", "-bootstrap", "-n", "1", "-delta", "3000", "-initial", "7")
+			c := dialMembers(t, client.Config{Seeds: []string{d.listen}, MaxAttempts: 3}, 1)
+			before := c.Stats().FramesSent
+			var fill sync.WaitGroup
+			for i := range core.MaxInFlightOps {
+				fill.Add(1)
+				go func() {
+					defer fill.Done()
+					_, _ = c.Write(1, int64(i))
+				}()
+			}
+			waitUntil(t, "the table's writes to leave", func() bool { return c.Stats().FramesSent-before >= core.MaxInFlightOps })
 			_, err := c.Write(0, 99)
 			if !errors.Is(err, client.ErrUnroutable) || errors.Is(err, client.ErrUnacknowledged) {
-				t.Fatalf("write to a joining process: err = %v, want ErrUnroutable alone", err)
+				t.Fatalf("write to a process with a full table: err = %v, want ErrUnroutable alone", err)
 			}
-			v, from, err := c.ReadServed(0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if from != 2 || v != (client.Versioned{Val: 7, SN: 0}) {
-				t.Fatalf("read served by %d = %+v, want the initial value from 2: the refused write was applied", from, v)
+			fill.Wait()
+			if v, err := c.Read(0); err != nil || v != (client.Versioned{Val: 7, SN: 0}) {
+				t.Fatalf("read = %+v, %v; want the initial value: the refused write was applied", v, err)
 			}
 		}},
 		{"unacknowledged write", func(t *testing.T) {

@@ -61,7 +61,7 @@ type op struct {
 
 	reading     bool
 	readReplies map[core.ProcessID]core.VersionedValue
-	readDone    func(core.VersionedValue, core.ProcessID, error)
+	readDone    func(core.VersionedValue, error)
 
 	// Write-back round of a slow-path read (quorum replies disagreed):
 	// wbVal is the adopted value being propagated; its ACKs route here by
@@ -173,7 +173,7 @@ func (n *Node) Stats() Stats { return n.stats }
 
 // Read implements core.Ops: query all, adopt the majority's freshest
 // value for the key. Any number of reads may be in flight.
-func (n *Node) Read(k core.RegisterID, done func(core.VersionedValue, core.ProcessID, error)) error {
+func (n *Node) Read(k core.RegisterID, done func(core.VersionedValue, error)) error {
 	if !n.active {
 		return core.ErrNotActive
 	}
@@ -218,7 +218,7 @@ func (n *Node) checkRead(id core.OpID, o *op) {
 		// with no write-back (arXiv:1601.04820).
 		n.stats.FastReads++
 		n.ops.Finish(id)
-		o.readDone(freshest, n.env.ID(), nil)
+		o.readDone(freshest, nil)
 		return
 	}
 	// Slow path: before returning the freshest value, propagate it to a
@@ -236,7 +236,7 @@ func (n *Node) checkWriteBack(id core.OpID, o *op) {
 		return
 	}
 	n.ops.Finish(id)
-	o.readDone(o.wbVal, n.env.ID(), nil)
+	o.readDone(o.wbVal, nil)
 }
 
 // Write implements core.Ops. Single-writer: the writer's own sequence

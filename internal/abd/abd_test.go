@@ -55,7 +55,7 @@ func TestWriteThenRead(t *testing.T) {
 		t.Fatal("write did not complete")
 	}
 	var got core.VersionedValue
-	if err := r.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { got = v }); err != nil {
+	if err := r.Read(0, func(v core.VersionedValue, _ error) { got = v }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(4 * delta); err != nil {
@@ -85,7 +85,7 @@ func TestReadQuorumIntersectsWriteQuorum(t *testing.T) {
 	}
 	r := abdNode(t, sys, ids[4])
 	var got core.VersionedValue
-	if err := r.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { got = v }); err != nil {
+	if err := r.Read(0, func(v core.VersionedValue, _ error) { got = v }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(4 * delta); err != nil {
@@ -123,7 +123,7 @@ func TestPassiveReplicaServesQuorums(t *testing.T) {
 	ids := sys.ActiveIDs()
 	r := abdNode(t, sys, ids[0])
 	read := false
-	if err := r.Read(0, func(core.VersionedValue, core.ProcessID, error) { read = true }); err != nil {
+	if err := r.Read(0, func(core.VersionedValue, error) { read = true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(4 * delta); err != nil {
@@ -181,7 +181,7 @@ func ignoreWrite(core.VersionedValue, error) {}
 
 // ignoreRead is a read's done callback for a test that does not look at
 // the outcome.
-func ignoreRead(core.VersionedValue, core.ProcessID, error) {}
+func ignoreRead(core.VersionedValue, error) {}
 
 // stubEnv is process 1 of three with no network behind it: it keeps the
 // last message the node broadcast.

@@ -27,7 +27,7 @@ func TestReadFastPathWhenQuorumAgrees(t *testing.T) {
 	}
 	r := abdNode(t, sys, ids[3])
 	var got core.VersionedValue
-	if err := r.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { got = v }); err != nil {
+	if err := r.Read(0, func(v core.VersionedValue, _ error) { got = v }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(4 * delta); err != nil {
@@ -57,7 +57,7 @@ func TestReadHeavyWorkloadIsAllFastPath(t *testing.T) {
 	completed := 0
 	for i := 0; i < reads; i++ {
 		r := abdNode(t, sys, ids[i%len(ids)])
-		if err := r.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) {
+		if err := r.Read(0, func(v core.VersionedValue, _ error) {
 			completed++
 			if v.Val != 99 {
 				t.Errorf("read %d: %v, want 99", i, v)
@@ -102,7 +102,7 @@ func TestReadDisagreementPaysWriteBack(t *testing.T) {
 	}
 	r := abdNode(t, sys, ids[4])
 	var got core.VersionedValue
-	if err := r.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { got = v }); err != nil {
+	if err := r.Read(0, func(v core.VersionedValue, _ error) { got = v }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(6 * delta); err != nil {
@@ -160,7 +160,7 @@ func TestNoNewOldInversionWithIncompleteWrite(t *testing.T) {
 	a := abdNode(t, sys, readerA)
 	var gotA core.VersionedValue
 	doneA := false
-	if err := a.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { gotA, doneA = v, true }); err != nil {
+	if err := a.Read(0, func(v core.VersionedValue, _ error) { gotA, doneA = v, true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(6 * delta); err != nil {
@@ -180,7 +180,7 @@ func TestNoNewOldInversionWithIncompleteWrite(t *testing.T) {
 	b := abdNode(t, sys, readerB)
 	var gotB core.VersionedValue
 	doneB := false
-	if err := b.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { gotB, doneB = v, true }); err != nil {
+	if err := b.Read(0, func(v core.VersionedValue, _ error) { gotB, doneB = v, true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(6 * delta); err != nil {
@@ -217,7 +217,7 @@ func TestReadMonotonicityUnderChurnAndConcurrentWrites(t *testing.T) {
 		}
 		var gotA core.VersionedValue
 		doneA := false
-		_ = abdNode(t, sys, ra).Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { gotA, doneA = v, true })
+		_ = abdNode(t, sys, ra).Read(0, func(v core.VersionedValue, _ error) { gotA, doneA = v, true })
 		if err := sys.RunFor(6 * delta); err != nil {
 			t.Fatal(err)
 		}
@@ -230,7 +230,7 @@ func TestReadMonotonicityUnderChurnAndConcurrentWrites(t *testing.T) {
 		lastReturned = gotA
 		var gotB core.VersionedValue
 		doneB := false
-		_ = abdNode(t, sys, rb).Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { gotB, doneB = v, true })
+		_ = abdNode(t, sys, rb).Read(0, func(v core.VersionedValue, _ error) { gotB, doneB = v, true })
 		if err := sys.RunFor(6 * delta); err != nil {
 			t.Fatal(err)
 		}

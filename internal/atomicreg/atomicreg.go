@@ -46,7 +46,7 @@ type Node struct {
 	wbSN     core.SeqNum
 	wbAcks   map[core.ProcessID]bool
 	wbValue  core.VersionedValue
-	wbDone   func(core.VersionedValue, core.ProcessID, error)
+	wbDone   func(core.VersionedValue, error)
 
 	stats Stats
 }
@@ -114,14 +114,14 @@ func (n *Node) Stats() Stats { return n.stats }
 
 // Read implements core.Ops with atomic semantics, on key 0 only: quorum
 // read, then write the result back to a majority, then return.
-func (n *Node) Read(reg core.RegisterID, done func(core.VersionedValue, core.ProcessID, error)) error {
+func (n *Node) Read(reg core.RegisterID, done func(core.VersionedValue, error)) error {
 	if err := keyZeroOnly(reg); err != nil {
 		return err
 	}
 	if n.reading || n.wbActive {
 		return core.ErrOpInProgress
 	}
-	err := n.inner.Read(reg, func(v core.VersionedValue, _ core.ProcessID, _ error) {
+	err := n.inner.Read(reg, func(v core.VersionedValue, _ error) {
 		n.reading = false
 		n.startWriteBack(v, done)
 	})
@@ -135,7 +135,7 @@ func (n *Node) Read(reg core.RegisterID, done func(core.VersionedValue, core.Pro
 
 // startWriteBack broadcasts the read value and waits for a majority of
 // ACKs before reporting the read complete.
-func (n *Node) startWriteBack(v core.VersionedValue, done func(core.VersionedValue, core.ProcessID, error)) {
+func (n *Node) startWriteBack(v core.VersionedValue, done func(core.VersionedValue, error)) {
 	n.stats.WriteBacks++
 	n.wbActive = true
 	n.wbSN = v.SN
@@ -156,7 +156,7 @@ func (n *Node) checkWriteBack() {
 	n.wbActive = false
 	done := n.wbDone
 	n.wbDone = nil
-	done(n.wbValue, n.env.ID(), nil)
+	done(n.wbValue, nil)
 }
 
 // Deliver implements core.Node: write-back ACKs are consumed here; all

@@ -59,7 +59,7 @@ func TestWriteThenAtomicRead(t *testing.T) {
 		t.Fatal("write incomplete")
 	}
 	var got core.VersionedValue
-	if err := r.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { got = v }); err != nil {
+	if err := r.Read(0, func(v core.VersionedValue, _ error) { got = v }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(20 * delta); err != nil {
@@ -97,7 +97,7 @@ func TestReadInstallsValueAtMajority(t *testing.T) {
 	sys.Network().SetDropRule(nil)
 	r := atNode(t, sys, ids[1])
 	var got core.VersionedValue
-	if err := r.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { got = v }); err != nil {
+	if err := r.Read(0, func(v core.VersionedValue, _ error) { got = v }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(20 * delta); err != nil {
@@ -224,7 +224,7 @@ func runScriptedReaders(t *testing.T, factory core.NodeFactory) (*spec.History, 
 	read := func(id core.ProcessID) {
 		op := history.BeginRead(id, sys.Now())
 		r := sys.Node(id).(core.Ops)
-		if err := r.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) {
+		if err := r.Read(0, func(v core.VersionedValue, _ error) {
 			history.CompleteRead(op, sys.Now(), v)
 		}); err != nil {
 			t.Fatal(err)
@@ -254,4 +254,4 @@ func runScriptedReaders(t *testing.T, factory core.NodeFactory) (*spec.History, 
 
 // ignoreRead is a read's done callback for a test that does not look at
 // the outcome.
-func ignoreRead(core.VersionedValue, core.ProcessID, error) {}
+func ignoreRead(core.VersionedValue, error) {}

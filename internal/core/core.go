@@ -242,11 +242,10 @@ type NodeFactory func(env Env, sc SpawnContext) Node
 // signals a full table. The paper's no-concurrent-writes discipline still
 // applies per key ACROSS nodes: two nodes must not write one key at once.
 type Ops interface {
-	// Read returns reg's value. from names the process that served the
-	// read: the node itself, or the replica that answered a forwarded
-	// read. err reports a read that failed after invocation (a sharded
-	// node's routing failure).
-	Read(reg RegisterID, done func(v VersionedValue, from ProcessID, err error)) error
+	// Read returns reg's value, as the node it is invoked at serves it.
+	// err reports a read that failed after invocation (a sharded node's
+	// routing failure).
+	Read(reg RegisterID, done func(v VersionedValue, err error)) error
 	// Write stores v in reg. done receives the exact ⟨v, sn⟩ this write
 	// stored — with several writes to one key in flight, a snapshot taken
 	// after completion may reflect a LATER write — or the error of a write

@@ -8,6 +8,7 @@ package dynsys
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"churnreg/internal/churn"
@@ -48,8 +49,8 @@ type Config struct {
 	// "register_k contains the initial value, sn_k = 0".
 	Initial core.VersionedValue
 	// Placement, when enabled, shards the keyspace: the system rebuilds
-	// the placement view over the present processes on every membership
-	// change, exposes it to protocol nodes via placement.Placed on their
+	// the placement view over the active processes whenever that set
+	// changes, exposes it to protocol nodes via placement.Placed on their
 	// Env, and notifies placement.Aware nodes (the internal/shard
 	// wrapper) so they run shard handoff. The Factory should wrap its protocol with
 	// shard.Factory when this is enabled.
@@ -88,9 +89,9 @@ type System struct {
 	onSpawn    []func(core.ProcessID, core.Node)
 	onKill     []func(core.ProcessID)
 	onActivate []func(core.ProcessID)
-	// view is the current placement over the present processes (nil when
-	// sharding is disabled); booting suppresses per-spawn rebuilds while
-	// the bootstrap population is constructed.
+	// view is the current placement over the active processes (nil when
+	// sharding is disabled); booting suppresses rebuilds while the
+	// bootstrap population is constructed.
 	view    *placement.View
 	booting bool
 }
@@ -137,19 +138,16 @@ func New(cfg Config) (*System, error) {
 	return s, nil
 }
 
-// refreshPlacement rebuilds the placement view over the present
-// processes and notifies every placement-aware node. Runs after each
-// membership change (and once after bootstrap), inside the simulation's
-// single thread, so nodes observe a consistent sequence of views.
+// refreshPlacement rebuilds the placement view over the active processes
+// when that set changed (a join returned, an active process left; once
+// after bootstrap) and notifies every placement-aware node, inside the
+// simulation's single thread: every node adopts each view at one instant.
 func (s *System) refreshPlacement() {
-	if !s.cfg.Placement.Enabled() || s.booting {
+	active := s.tracker.ActiveIDs()
+	if !s.cfg.Placement.Enabled() || s.booting || (s.view != nil && slices.Equal(active, s.view.Members())) {
 		return
 	}
-	members := make([]core.ProcessID, 0, len(s.procs))
-	for id := range s.procs {
-		members = append(members, id)
-	}
-	s.view = placement.Build(s.cfg.Placement, members)
+	s.view = placement.Build(s.cfg.Placement, active)
 	s.ForEachNode(func(_ core.ProcessID, n core.Node) {
 		if pa, ok := n.(placement.Aware); ok {
 			pa.PlacementChanged(s.view)
@@ -223,8 +221,7 @@ func (s *System) spawn(sc core.SpawnContext) *process {
 		s.tracker.MarkBootstrap(id)
 		s.tracker.Activated(id, s.sched.Now())
 	}
-	p.node.Start()
-	s.refreshPlacement()
+	p.node.Start() // a joiner changes no view until its join returns
 	for _, f := range s.onSpawn {
 		f(id, p.node)
 	}
@@ -365,12 +362,16 @@ func (p *process) Delta() sim.Duration { return p.sys.cfg.Delta }
 // SystemSize implements core.Env.
 func (p *process) SystemSize() int { return p.sys.cfg.N }
 
-// MarkActive implements core.Env.
+// MarkActive implements core.Env. Every node adopts the view that counts
+// the process inline, at once, so no write is invoked under the old view
+// afterwards (the shard activation wait relies on it). Safe mid-handler:
+// owning no shard until now, the wrapper flushes nothing into the engine.
 func (p *process) MarkActive() {
 	if p.departed {
 		return
 	}
 	p.sys.tracker.Activated(p.id, p.sys.sched.Now())
+	p.sys.refreshPlacement()
 	for _, f := range p.sys.onActivate {
 		f(p.id)
 	}

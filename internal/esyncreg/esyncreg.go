@@ -101,7 +101,7 @@ type op struct {
 	// Figure 6 line 01's embedded read for a write.
 	reading     bool
 	readReplies map[core.ProcessID]core.VersionedValue
-	readDone    func(core.VersionedValue, core.ProcessID, error)
+	readDone    func(core.VersionedValue, error)
 
 	// Write phase (Figure 6). writeReadDone marks the embedded read
 	// complete while the op waits its turn in the key's SN-assignment
@@ -304,7 +304,7 @@ func (n *Node) Stats() Stats { return n.stats }
 // one key. done receives the value the read returns. Any number of reads
 // may be in flight concurrently, on this key or others; ErrOpInProgress
 // only signals a full operation table.
-func (n *Node) Read(k core.RegisterID, done func(core.VersionedValue, core.ProcessID, error)) error {
+func (n *Node) Read(k core.RegisterID, done func(core.VersionedValue, error)) error {
 	if !n.active {
 		return core.ErrNotActive
 	}
@@ -354,7 +354,7 @@ func (n *Node) checkRead(id core.OpID, o *op) {
 		return
 	}
 	n.ops.Finish(id)
-	o.readDone(n.value(o.reg), n.env.ID(), nil)
+	o.readDone(n.value(o.reg), nil)
 }
 
 // Write implements core.Ops — operation write(v), Figure 6 lines 01-05,

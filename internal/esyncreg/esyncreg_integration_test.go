@@ -92,7 +92,7 @@ func TestWriteThenReadEndToEnd(t *testing.T) {
 	}
 	var got core.VersionedValue
 	read := false
-	if err := reader.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { got = v; read = true }); err != nil {
+	if err := reader.Read(0, func(v core.VersionedValue, _ error) { got = v; read = true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(10 * delta); err != nil {
@@ -128,7 +128,7 @@ func TestReadMergesFreshValueFromQuorum(t *testing.T) {
 		t.Fatal("join incomplete")
 	}
 	var got core.VersionedValue
-	if err := joiner.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { got = v }); err != nil {
+	if err := joiner.Read(0, func(v core.VersionedValue, _ error) { got = v }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(10 * delta); err != nil {
@@ -251,7 +251,7 @@ func TestChurnRunValuePersists(t *testing.T) {
 	reader := esNode(t, sys, actives[len(actives)-1])
 	var got core.VersionedValue
 	read := false
-	if err := reader.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { got = v; read = true }); err != nil {
+	if err := reader.Read(0, func(v core.VersionedValue, _ error) { got = v; read = true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(200); err != nil {

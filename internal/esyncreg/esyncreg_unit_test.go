@@ -260,7 +260,7 @@ func TestReadBroadcastsAndCompletesOnMajority(t *testing.T) {
 	n, env := newActive(5, Options{})
 	var got core.VersionedValue
 	doneRan := false
-	if err := n.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { got = v; doneRan = true }); err != nil {
+	if err := n.Read(0, func(v core.VersionedValue, _ error) { got = v; doneRan = true }); err != nil {
 		t.Fatal(err)
 	}
 	rd, ok := env.bcasts[len(env.bcasts)-1].(core.ReadMsg)
@@ -488,4 +488,4 @@ func ignoreWrite(core.VersionedValue, error) {}
 
 // ignoreRead is a read's done callback for a test that does not look at
 // the outcome.
-func ignoreRead(core.VersionedValue, core.ProcessID, error) {}
+func ignoreRead(core.VersionedValue, error) {}

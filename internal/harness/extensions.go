@@ -104,7 +104,7 @@ func scriptedInversionSchedule(seed uint64, factory core.NodeFactory) (*spec.His
 	read := func(id core.ProcessID) {
 		op := history.BeginRead(id, sys.Now())
 		r := sys.Node(id).(core.Ops)
-		if err := r.Read(core.DefaultRegister, func(v core.VersionedValue, _ core.ProcessID, _ error) {
+		if err := r.Read(core.DefaultRegister, func(v core.VersionedValue, _ error) {
 			history.CompleteRead(op, sys.Now(), v)
 		}); err != nil {
 			panic(err)

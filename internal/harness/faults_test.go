@@ -104,7 +104,7 @@ func TestMinorityPartitionStallsButStaysSafe(t *testing.T) {
 	// Minority-side read hangs.
 	min3 := sys.Node(1).(*esyncreg.Node)
 	minRead := false
-	if err := min3.Read(0, func(core.VersionedValue, core.ProcessID, error) { minRead = true }); err != nil {
+	if err := min3.Read(0, func(core.VersionedValue, error) { minRead = true }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(100 * delta); err != nil {
@@ -127,7 +127,7 @@ func TestMinorityPartitionStallsButStaysSafe(t *testing.T) {
 	// What must still work: NEW operations after the heal.
 	min2 := sys.Node(2).(*esyncreg.Node)
 	var healed core.VersionedValue
-	if err := min2.Read(0, func(v core.VersionedValue, _ core.ProcessID, _ error) { healed = v }); err != nil {
+	if err := min2.Read(0, func(v core.VersionedValue, _ error) { healed = v }); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.RunFor(20 * delta); err != nil {

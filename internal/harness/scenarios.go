@@ -75,7 +75,7 @@ func fig3Run(seed uint64, withWait bool) (readSN core.SeqNum, writeReturned, joi
 // completes before Read returns; ⊥ if the node is not active.
 func readLocal(n *syncreg.Node) core.VersionedValue {
 	v := core.Bottom()
-	_ = n.Read(core.DefaultRegister, func(got core.VersionedValue, _ core.ProcessID, _ error) { v = got })
+	_ = n.Read(core.DefaultRegister, func(got core.VersionedValue, _ error) { v = got })
 	return v
 }
 

@@ -19,6 +19,8 @@
 //     PEERS frame carrying its whole address book, then gossips the
 //     newcomer's entry to every peer it already knows.
 //   - Receivers of PEERS entries dial any process they did not yet know.
+//   - HELLO and PEERS entries carry an active bit, ORed in on receipt;
+//     MarkActive sends every peer a PEERS naming this process active.
 //
 // A fresh process therefore joins by dialing any live subset of the
 // system ("seeds"): within a round-trip it knows — and is known by —
@@ -159,8 +161,7 @@ type Config struct {
 	// Logf, when set, receives transport-level diagnostics.
 	Logf func(format string, args ...any)
 	// Placement, when enabled, shards the keyspace: the transport
-	// rebuilds the placement view from its identified address book (plus
-	// itself) whenever a peer is learned, leaves, or is evicted, exposes
+	// rebuilds the placement view (see refreshPlacement), exposes
 	// it to the protocol via placement.Placed, and notifies the node (the
 	// internal/shard wrapper, a placement.Aware) under the monitor. Pair
 	// with a shard.Factory-wrapped Factory; every process of one system
@@ -323,7 +324,7 @@ type Transport struct {
 	goid   func() int64
 	holder atomic.Int64
 
-	// active is set, and joined closed, by the first MarkActive.
+	// active is set, and joined closed, by New (bootstrap) or MarkActive.
 	active atomic.Bool
 	joined chan struct{}
 	stats  Stats
@@ -381,6 +382,10 @@ func New(cfg Config) (*Transport, error) {
 		clock:    clk,
 	}
 	t.links.Store(&linkTable{})
+	if cfg.Bootstrap {
+		t.active.Store(true)
+		close(t.joined)
+	}
 	t.node = cfg.Factory(loopEnv{t}, core.SpawnContext{Bootstrap: cfg.Bootstrap, Initial: cfg.Initial})
 	return t, nil
 }
@@ -423,7 +428,7 @@ func (t *Transport) Start(seeds []string) {
 		// Publish the placement over whatever membership the handshakes
 		// discovered (just self for a seedless bootstrap) before the
 		// protocol starts.
-		t.refreshPlacement()
+		t.refreshPlacement(false)
 		t.do(t.node.Start)
 	}()
 }
@@ -514,17 +519,6 @@ func (t *Transport) PeerCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.byID)
-}
-
-// Peers returns the identified address book (for health endpoints).
-func (t *Transport) Peers() []wire.Peer {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]wire.Peer, 0, len(t.byID))
-	for id, p := range t.byID {
-		out = append(out, wire.Peer{ID: id, Addr: p.addr})
-	}
-	return out
 }
 
 // Stats exposes the transport counters.
@@ -697,18 +691,23 @@ func (t *Transport) Delta() sim.Duration { return t.cfg.Delta }
 func (t *Transport) SystemSize() int { return t.cfg.N }
 
 // MarkActive implements core.Env: records join completion for Health,
-// wakes WaitActive and retires the pending-INQUIRY replay.
+// wakes WaitActive, retires the pending-INQUIRY replay, tells every peer,
+// and adopts the view that counts this process in the engine's turn (the
+// wrapper, owning no shard until now, flushes nothing into the engine).
 func (t *Transport) MarkActive() {
-	if !t.active.Swap(true) {
-		close(t.joined)
+	if t.active.Swap(true) {
+		return
 	}
+	close(t.joined)
 	t.mu.Lock()
 	t.pendingInquiry = nil
 	t.mu.Unlock()
+	t.transmit(true, wire.Frame{Type: wire.FramePeers, Peers: []wire.Peer{{ID: t.cfg.ID, Addr: t.Addr(), Active: true}}}, t.links.Load().peers...)
+	t.refreshPlacement(true)
 }
 
-// Placement implements placement.Placed: the current view over the
-// identified peers plus self, nil when sharding is disabled.
+// Placement implements placement.Placed: the current view, nil when
+// sharding is disabled.
 func (t *Transport) Placement() *placement.View { return t.view.Load() }
 
 // ShardInfo reports the placement configuration and this node's share of
@@ -725,33 +724,29 @@ func (t *Transport) ShardInfo() (shards, owned, replication int) {
 	return v.NumShards(), v.OwnedCount(t.cfg.ID), t.cfg.Placement.Replication
 }
 
-// refreshPlacement rebuilds the placement view from the identified
-// address book plus self and, in one turn, publishes it for the protocol
-// and runs the node's PlacementChanged (see placement.Aware). Called
-// whenever a peer is learned, leaves, or is evicted. Even with sharding
-// disabled the membership change is versioned and pushed to the connected
-// client sessions, so an SDK client's server list tracks the live system.
-func (t *Transport) refreshPlacement() {
-	sharded := t.cfg.Placement.Enabled()
+// refreshPlacement rebuilds the placement view over the active members
+// of the address book, self included (empty, never nil, when none is),
+// and in one turn — the caller's when inTurn — publishes it for the
+// protocol and runs the node's PlacementChanged (see placement.Aware).
+// Called whenever a peer is learned, learned active, leaves, or is
+// evicted. Even unsharded the change is versioned and pushed to the
+// client sessions, so an SDK client's server list tracks it.
+func (t *Transport) refreshPlacement(inTurn bool) {
 	t.mu.Lock()
 	t.viewSeq++
-	var view *placement.View
-	if sharded {
-		members := make([]core.ProcessID, 0, len(t.byID)+1)
-		members = append(members, t.cfg.ID)
-		for id := range t.byID {
-			members = append(members, id)
-		}
-		view = placement.Build(t.cfg.Placement, members)
-		view.SetVersion(t.viewSeq)
-	}
 	vf := t.viewFrameLocked()
 	t.mu.Unlock()
 	t.transmit(false, vf, t.links.Load().sessions...)
-	if !sharded {
+	if !t.cfg.Placement.Enabled() {
 		return
 	}
-	t.do(func() {
+	members := make([]core.ProcessID, len(vf.Peers))
+	for i, p := range vf.Peers {
+		members[i] = p.ID
+	}
+	view := placement.Build(t.cfg.Placement, members)
+	view.SetVersion(vf.ViewVersion)
+	adopt := func() {
 		// A later refresh's turn may have run first.
 		if cur := t.view.Load(); cur == nil || cur.ViewVersion() < view.ViewVersion() {
 			t.view.Store(view)
@@ -759,13 +754,18 @@ func (t *Transport) refreshPlacement() {
 				pa.PlacementChanged(view)
 			}
 		}
-	})
+	}
+	if inTurn {
+		adopt()
+	} else {
+		t.do(adopt)
+	}
 }
 
 // viewFrameLocked snapshots the placement bootstrap a client session
 // needs: the current view version, the deployment's placement constants
-// (zero when unsharded), and the member address book including self.
-// The client rebuilds the same placement.View locally — Build is
+// (zero when unsharded), and the active members' address book. The
+// client rebuilds the same placement.View locally — Build is
 // deterministic in the member ids — so the frame need not carry the
 // group tables. t.mu held.
 func (t *Transport) viewFrameLocked() wire.Frame {
@@ -774,9 +774,10 @@ func (t *Transport) viewFrameLocked() wire.Frame {
 		f.Shards = uint32(t.cfg.Placement.Shards)
 		f.Replication = uint32(t.cfg.Placement.Replication)
 	}
-	f.Peers = append(f.Peers, wire.Peer{ID: t.cfg.ID, Addr: t.Addr()})
-	for id, p := range t.byID {
-		f.Peers = append(f.Peers, wire.Peer{ID: id, Addr: p.addr})
+	for _, p := range t.addressBookLocked() {
+		if p.Active {
+			f.Peers = append(f.Peers, p)
+		}
 	}
 	return f
 }
@@ -977,19 +978,24 @@ func (t *Transport) publishLinksLocked() {
 
 // helloFrame is the first frame on every dialed connection.
 func (t *Transport) helloFrame() wire.Frame {
-	return wire.Frame{Type: wire.FrameHello, From: t.cfg.ID, Addr: t.Addr()}
+	return wire.Frame{Type: wire.FrameHello, From: t.cfg.ID, Addr: t.Addr(), Active: t.active.Load()}
 }
 
 // peersFrame snapshots the identified address book, including self.
 func (t *Transport) peersFrame() wire.Frame {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return wire.Frame{Type: wire.FramePeers, Peers: t.addressBookLocked()}
+}
+
+// addressBookLocked lists self, then every identified peer. t.mu held.
+func (t *Transport) addressBookLocked() []wire.Peer {
 	peers := make([]wire.Peer, 0, len(t.byID)+1)
-	peers = append(peers, wire.Peer{ID: t.cfg.ID, Addr: t.Addr()})
+	peers = append(peers, wire.Peer{ID: t.cfg.ID, Addr: t.Addr(), Active: t.active.Load()})
 	for id, p := range t.byID {
-		peers = append(peers, wire.Peer{ID: id, Addr: p.addr})
+		peers = append(peers, wire.Peer{ID: id, Addr: p.addr, Active: p.active})
 	}
-	return wire.Frame{Type: wire.FramePeers, Peers: peers}
+	return peers
 }
 
 // ensurePeerLocked returns the outbound peer for addr, creating (and
@@ -1015,22 +1021,26 @@ func (t *Transport) ensurePeerLocked(id core.ProcessID, addr string) *peer {
 	return p
 }
 
-// learnPeer records that process id listens at addr, dialing it and
+// learnPeer records that process id listens at addr, and is active if
+// active (a join takes a fresh id: activity never reverts), dialing it and
 // gossiping its existence if it is new. Safe from any goroutine.
-func (t *Transport) learnPeer(id core.ProcessID, addr string) {
+func (t *Transport) learnPeer(id core.ProcessID, addr string, active bool) {
 	if id == t.cfg.ID || id == core.NoProcess || addr == "" || addr == t.Addr() {
 		return
 	}
 	t.mu.Lock()
-	if _, known := t.byID[id]; known {
-		// Possibly the seed peer just got its identity bound; make sure
-		// the addr index exists, then nothing to announce.
-		t.ensurePeerLocked(id, addr)
+	_, known := t.byID[id]
+	p := t.ensurePeerLocked(id, addr)
+	if q := t.byID[id]; q != nil {
+		q.active = q.active || active
+	}
+	if known {
+		// Perhaps a seed's identity got bound or a peer's activity
+		// learned; either way, nothing to announce.
 		t.mu.Unlock()
-		t.refreshPlacement()
+		t.refreshPlacement(false)
 		return
 	}
-	p := t.ensurePeerLocked(id, addr)
 	pending := t.pendingInquiry
 	t.mu.Unlock()
 	if p == nil {
@@ -1044,13 +1054,13 @@ func (t *Transport) learnPeer(id core.ProcessID, addr string) {
 			others = append(others, q)
 		}
 	}
-	t.transmit(false, wire.Frame{Type: wire.FramePeers, Peers: []wire.Peer{{ID: id, Addr: addr}}}, others...)
+	t.transmit(false, wire.Frame{Type: wire.FramePeers, Peers: []wire.Peer{{ID: id, Addr: addr, Active: active}}}, others...)
 	// Replay our in-flight join INQUIRY so the paper's "broadcast reaches
 	// every present process" holds across the discovery race.
 	if pending != nil && !t.active.Load() {
 		t.queue(false, pending, &p.link)
 	}
-	t.refreshPlacement()
+	t.refreshPlacement(false)
 }
 
 // evictPeer removes a peer its own writer has proven unreachable for
@@ -1067,7 +1077,7 @@ func (t *Transport) evictPeer(p *peer) {
 	t.mu.Unlock()
 	t.cfg.Logf("nettransport %v: evicted unreachable peer %v at %s", t.cfg.ID, p.id, p.addr)
 	p.stop()
-	t.refreshPlacement()
+	t.refreshPlacement(false)
 }
 
 // forgetPeer removes a departed process: its writer stops redialing.
@@ -1083,7 +1093,7 @@ func (t *Transport) forgetPeer(id core.ProcessID) {
 	if p != nil {
 		t.cfg.Logf("nettransport %v: peer %v left", t.cfg.ID, id)
 		p.stop()
-		t.refreshPlacement()
+		t.refreshPlacement(false)
 	}
 }
 
@@ -1168,7 +1178,7 @@ func (t *Transport) readConn(conn net.Conn, own *peer, accepted bool, onDead fun
 				t.ensurePeerLocked(f.From, own.addr)
 				t.mu.Unlock()
 			}
-			t.learnPeer(f.From, f.Addr)
+			t.learnPeer(f.From, f.Addr, f.Active)
 			if accepted {
 				conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
 				if err := wire.WriteFrame(conn, t.helloFrame()); err != nil {
@@ -1182,7 +1192,7 @@ func (t *Transport) readConn(conn net.Conn, own *peer, accepted bool, onDead fun
 			}
 		case wire.FramePeers:
 			for _, p := range f.Peers {
-				t.learnPeer(p.ID, p.Addr)
+				t.learnPeer(p.ID, p.Addr, p.Active)
 			}
 		case wire.FrameMsg:
 			// A session sends client operations (FORWARDs) only, a peer
@@ -1306,7 +1316,7 @@ func (t *Transport) serve(s *clientSession, m core.ForwardMsg) {
 	case m.IsWrite:
 		err = ops.Write(m.Reg, m.Val, answer)
 	default:
-		err = ops.Read(m.Reg, func(v core.VersionedValue, _ core.ProcessID, err error) { answer(v, err) })
+		err = ops.Read(m.Reg, answer)
 	}
 	if err != nil {
 		answer(core.Bottom(), err)
@@ -1331,9 +1341,10 @@ func forwardCode(err error) core.ForwardCode {
 type peer struct {
 	link
 	addr string
-	// id is the peer's identity once learned (guarded by the transport's
-	// mutex; NoProcess until the peer's HELLO arrives).
-	id core.ProcessID
+	// id is the peer's identity once learned (NoProcess until its HELLO
+	// arrives), active that its join returned; t.mu guards both.
+	id     core.ProcessID
+	active bool
 }
 
 // run is the peer's writer goroutine: dial (with backoff), handshake,

@@ -1,6 +1,7 @@
 package nettransport
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"churnreg/internal/placement"
 	"churnreg/internal/sim"
 	"churnreg/internal/syncreg"
+	"churnreg/internal/wire"
 )
 
 const opTimeout = 10 * time.Second
@@ -295,7 +297,7 @@ func TestPlacementPublishedInTheTurnThatAdoptsIt(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for range refreshes {
-				tr.refreshPlacement()
+				tr.refreshPlacement(false)
 			}
 		}()
 	}
@@ -319,5 +321,59 @@ func TestPlacementPublishedInTheTurnThatAdoptsIt(t *testing.T) {
 	}
 	if back != 0 || last != refreshers*refreshes {
 		t.Fatalf("%d views adopted out of order, and the last is %d; want none, and %d", back, last, refreshers*refreshes)
+	}
+}
+
+// TestViewCountsActiveProcessesOnly: a sharded transport builds its view
+// over the processes it knows to be active. A joiner that knows no active
+// process has an empty view, never nil, that routes nowhere; a peer enters
+// the view once an entry says it is active, and a later entry saying
+// otherwise does not take it out; the transport counts itself once its own
+// MarkActive has run, which also queues a PEERS frame naming it active on
+// every peer link.
+func TestViewCountsActiveProcessesOnly(t *testing.T) {
+	var probe *viewProbe
+	tr, err := New(Config{
+		ID: 1, ListenAddr: "127.0.0.1:0", N: 3, Delta: 5, Tick: time.Millisecond,
+		Factory: func(env core.Env, _ core.SpawnContext) core.Node {
+			probe = &viewProbe{env: env}
+			return probe
+		},
+		Placement: placement.Config{Shards: 4, Replication: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	members := func(step string, want ...core.ProcessID) {
+		t.Helper()
+		var got []core.ProcessID
+		tr.Invoke(func(core.Node) { got = probe.seen.Members() })
+		if !slices.Equal(got, want) || !slices.Equal(tr.Placement().Members(), want) {
+			t.Fatalf("%s: members %v, want %v", step, got, want)
+		}
+	}
+	tr.refreshPlacement(false)
+	members("no active process")
+	if id := tr.Placement().Route(nil, 3, 0); id != core.NoProcess {
+		t.Fatalf("the empty view routes to %v", id)
+	}
+	const addr = "127.0.0.1:1" // nothing listens: frames stay queued
+	tr.learnPeer(2, addr, false)
+	members("a joining peer")
+	tr.learnPeer(2, addr, true)
+	members("the peer active", 2)
+	tr.learnPeer(2, addr, false)
+	members("a stale entry", 2)
+	if err := tr.Invoke(func(core.Node) { probe.env.MarkActive() }); err != nil {
+		t.Fatal(err)
+	}
+	members("after MarkActive", 1, 2)
+	l := tr.links.Load().byID[2]
+	l.mu.Lock()
+	frames := scanAll(t, l.buf)
+	l.mu.Unlock()
+	if len(frames) != 1 || frames[0].Type != wire.FramePeers || !slices.Equal(frames[0].Peers, []wire.Peer{{ID: 1, Addr: tr.Addr(), Active: true}}) {
+		t.Fatalf("queued for peer 2: %+v; want one PEERS naming process 1 active", frames)
 	}
 }

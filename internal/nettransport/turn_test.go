@@ -526,6 +526,8 @@ func TestSendPathZeroAllocs(t *testing.T) {
 // signal, entering no monitor turn while the node has not joined.
 func TestWaitActive(t *testing.T) {
 	joining := func(c *Config) {
+		// A bootstrap process is active from the start: a joiner is not.
+		c.Bootstrap = false
 		probe := c.Factory
 		c.Factory = func(env core.Env, sc core.SpawnContext) core.Node { return joiningNode{probe(env, sc)} }
 	}

@@ -40,7 +40,7 @@ type Invoke func(fn func(core.Node)) error
 // ReadKey runs a read of one register and waits for its result.
 func ReadKey(inv Invoke, reg core.RegisterID, timeout time.Duration) (core.VersionedValue, error) {
 	r, err := run(inv, timeout, func(o core.Ops, res chan<- result) error {
-		return o.Read(reg, func(v core.VersionedValue, _ core.ProcessID, err error) {
+		return o.Read(reg, func(v core.VersionedValue, err error) {
 			res <- result{v: v, err: err}
 		})
 	})

@@ -36,11 +36,11 @@ func (s *scriptedNode) complete(f func()) {
 	f()
 }
 
-func (s *scriptedNode) Read(reg core.RegisterID, done func(core.VersionedValue, core.ProcessID, error)) error {
+func (s *scriptedNode) Read(reg core.RegisterID, done func(core.VersionedValue, error)) error {
 	if s.refuse != nil {
 		return s.refuse
 	}
-	s.complete(func() { done(core.VersionedValue{Val: core.Value(reg), SN: 3}, 9, s.fail) })
+	s.complete(func() { done(core.VersionedValue{Val: core.Value(reg), SN: 3}, s.fail) })
 	return nil
 }
 

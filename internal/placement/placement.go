@@ -8,9 +8,9 @@
 //
 // The View is immutable: runtimes build a fresh one per membership change
 // and swap it in, so protocol code can snapshot a consistent mapping per
-// operation. Which processes count as "members" is the runtime's choice
-// (the simulator uses present processes; the TCP transport uses its
-// identified address book plus itself) — eventual agreement on membership
+// operation. The members are the ACTIVE processes, whose join returned
+// (the TCP transport gossips activity): a joiner, or a StaticABD
+// replacement, is no key's replica. Eventual agreement on activity
 // yields eventual agreement on placement, and the internal/shard handoff
 // machinery covers the disagreement window.
 //
@@ -90,10 +90,10 @@ type View struct {
 
 // Build computes the placement of every shard over members. The member
 // slice is copied and sorted; duplicate ids are tolerated (deduped).
-// Returns nil when the config disables sharding or members is empty —
-// callers treat a nil view as "unsharded".
+// Returns nil when the config disables sharding — callers treat a nil
+// view as "unsharded"; no members make an empty view, never nil.
 func Build(cfg Config, members []core.ProcessID) *View {
-	if !cfg.Enabled() || len(members) == 0 {
+	if !cfg.Enabled() {
 		return nil
 	}
 	ms := append([]core.ProcessID(nil), members...)
@@ -176,10 +176,10 @@ func (v *View) IsReplica(reg core.RegisterID, id core.ProcessID) bool {
 // Members returns every process the view was built over, ascending.
 func (v *View) Members() []core.ProcessID { return v.members }
 
-// Route is the routing rule of every facade but SimCluster.ReadKey, which
-// picks a random active group member: the i-th member, modulo their
-// number, of reg's replica group, or of members (ascending) when v is nil
-// — the system is unsharded and any member serves any key. Attempt 0 is
+// Route is the routing rule of every facade and the client: the i-th
+// member, modulo their number, of reg's replica group, or of members
+// (ascending) when v is nil — the system is unsharded and any member
+// serves any key. Attempt 0 is
 // where reg's writes enter: the shard primary, or the lowest member id,
 // because one process mints a key's sequence numbers. Reads rotate i, so
 // retries spread over the replicas and a dead one does not blackhole the

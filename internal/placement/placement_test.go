@@ -170,7 +170,8 @@ func TestShardOfSpread(t *testing.T) {
 	}
 }
 
-// TestValidate rejects bad configs and Build returns nil when disabled.
+// TestValidate rejects bad configs; Build returns nil when disabled, and
+// an empty sharded view, never nil, over no members.
 func TestValidate(t *testing.T) {
 	if err := (Config{Shards: -1}).Validate(); err == nil {
 		t.Fatal("negative shards accepted")
@@ -184,8 +185,8 @@ func TestValidate(t *testing.T) {
 	if v := Build(Config{}, ids(1, 2)); v != nil {
 		t.Fatal("disabled config built a view")
 	}
-	if v := Build(Config{Shards: 4, Replication: 2}, nil); v != nil {
-		t.Fatal("empty membership built a view")
+	if v := Build(Config{Shards: 4, Replication: 2}, nil); v == nil || len(v.Members()) != 0 || v.Route(ids(1), 3, 0) != core.NoProcess {
+		t.Fatalf("empty membership built %v; want a sharded view that routes nowhere", v)
 	}
 }
 

@@ -37,9 +37,8 @@
 // core.ErrUnroutable (not applied, retry-safe), and so does a queued
 // write at a node that is no longer primary when it runs, rather than
 // minting a conflicting sequence number. Routing is the caller's job (see
-// placement.View.Route for the rule and the one facade read that departs
-// from it). A wire client's operation reaches the wrapper as the same
-// Read or Write: the transport invokes it and answers the client.
+// placement.View.Route). A wire client's operation reaches the wrapper as
+// the same Read or Write: the transport invokes it and answers the client.
 //
 // # Handoff
 //
@@ -64,12 +63,13 @@
 // accepts any single answer rather than stalling forever — a liveness/
 // completeness trade documented in ARCHITECTURE.md).
 //
-// Nodes entering the system fresh (a join) run the same handoff for every
-// shard they own on their first view: the paper's join INQUIRY collects a
-// majority of the WHOLE system, which no longer necessarily intersects a
-// per-shard write quorum once R < n — the per-shard handoff restores
-// exactly that intersection. Bootstrap processes skip it (they hold the
-// initial state by definition).
+// A joiner owns nothing until its join returns (views count active
+// processes); then it runs the same handoff for every shard it owns, after
+// activationWaitDeltas: the paper's join INQUIRY collects a majority of
+// the WHOLE system, which no longer necessarily intersects a per-shard
+// write quorum once R < n — the per-shard handoff restores exactly that
+// intersection. Bootstrap processes skip it (they hold the initial state
+// by definition).
 package shard
 
 import (
@@ -89,6 +89,10 @@ const (
 	// a single donor answer marks the shard ready (donors presumed dead
 	// but not yet evicted from the membership view).
 	handoffRelaxAfter = 3
+	// activationWaitDeltas delays the first handoff round of a shard gained
+	// at activation until WRITEs sent under the previous view have landed:
+	// δ in the simulator, 2δ over TCP (ARCHITECTURE.md §4).
+	activationWaitDeltas = 2
 )
 
 // shardState tracks one owned shard: ready to serve, or pending handoff.
@@ -243,6 +247,10 @@ func (n *Node) PlacementChanged(view *placement.View) {
 	// leave in the same order on every run of a seeded simulation.
 	self := n.env.ID()
 	owned := view.OwnedShards(self)
+	wait := activationWaitDeltas * n.env.Delta() // gains on the first view that counts a joiner
+	if !first && slices.Contains(old.Members(), self) {
+		wait = 0
+	}
 	// Lost shards: re-dispatch anything queued on them (reads run the
 	// engine's read as at any non-replica; writes check again and are
 	// refused).
@@ -284,8 +292,12 @@ func (n *Node) PlacementChanged(view *placement.View) {
 			continue
 		}
 		n.stats.HandoffsStarted++
-		n.sendHandoffInquiries(s, st)
-		n.scheduleHandoffRetry(s, st)
+		n.env.After(wait, func() {
+			if n.shards[s] == st && !st.ready { // not lost or ready meanwhile
+				n.sendHandoffInquiries(s, st)
+				n.scheduleHandoffRetry(s, st)
+			}
+		})
 	}
 }
 
@@ -330,9 +342,6 @@ func (st *shardState) handoffNeed() int {
 	if st.rounds >= handoffRelaxAfter && need > 1 {
 		need = 1
 	}
-	if need > len(st.donors) {
-		need = len(st.donors)
-	}
 	return need
 }
 
@@ -366,15 +375,11 @@ func (n *Node) checkHandoffReady(s int, st *shardState) bool {
 // snapshot of the inner node's store for the REQUESTED shard (m.Op's
 // shard; shard counts are deployment constants, so the donor's own view
 // computes the same ShardOf) — the join's snapshot REPLY, echoing m.Op,
-// filtered — only when active (a joining donor's state is partial; the
-// requester's retry rounds cover the silence). Filtering at the donor
-// keeps handoff traffic proportional to the keys that moved, not to the
-// whole keyspace; without a view yet, the full snapshot goes out and the
-// requester filters instead.
+// filtered; a donor is in the requester's view, so active. Filtering at
+// the donor keeps handoff traffic proportional to the keys that moved,
+// not to the whole keyspace; without a view yet, the full snapshot goes
+// out and the requester filters instead.
 func (n *Node) handleHandoffInquiry(m core.InquiryMsg, shard int) {
-	if !n.inner.Active() {
-		return
-	}
 	var inShard func(core.RegisterID) bool
 	if n.view != nil {
 		inShard = func(k core.RegisterID) bool { return n.view.ShardOf(k) == shard }
@@ -383,15 +388,15 @@ func (n *Node) handleHandoffInquiry(m core.InquiryMsg, shard int) {
 }
 
 // handleHandoffReply merges a donor's snapshot into the inner node's
-// store — the monotone per-key merge the join's replies use, and nothing
-// is sent back — and advances the shard's readiness.
+// store — the monotone per-key merge the join's replies use, as an active
+// node's (only those own shards), and nothing is sent back — and
+// advances the shard's readiness.
 func (n *Node) handleHandoffReply(m core.ReplyMsg, s int) {
 	st := n.shards[s]
 	if st == nil || st.ready {
 		return
 	}
 	n.stats.HandoffSnapshots++
-	active := n.inner.Active()
 	m.Entries(func(k core.RegisterID, v core.VersionedValue) {
 		if v.IsBottom() {
 			return
@@ -401,7 +406,7 @@ func (n *Node) handleHandoffReply(m core.ReplyMsg, s int) {
 			// replica of — storage hygiene, not correctness.
 			return
 		}
-		n.store.Merge(k, v, active)
+		n.store.Merge(k, v, true)
 	})
 	st.got[m.From] = true
 	n.checkHandoffReady(s, st)
@@ -418,12 +423,12 @@ func (n *Node) pendingShard(s int) bool {
 // Read implements core.Ops: the inner engine's read, queued behind a
 // pending handoff of the key's shard (see Routing in the package
 // comment). A queued read's invocation error arrives through done.
-func (n *Node) Read(reg core.RegisterID, done func(core.VersionedValue, core.ProcessID, error)) error {
+func (n *Node) Read(reg core.RegisterID, done func(core.VersionedValue, error)) error {
 	if n.view != nil {
 		if shard := n.view.ShardOf(reg); n.pendingShard(shard) {
 			n.queueOnShard(shard, func() {
 				if err := n.Read(reg, done); err != nil {
-					done(core.Bottom(), core.NoProcess, err)
+					done(core.Bottom(), err)
 				}
 			})
 			return nil
@@ -435,7 +440,7 @@ func (n *Node) Read(reg core.RegisterID, done func(core.VersionedValue, core.Pro
 // ReadKey is Read with a routing failure reported as ⊥; only bench/layers
 // calls it, until it moves to Read.
 func (n *Node) ReadKey(reg core.RegisterID, done func(core.VersionedValue)) error {
-	return n.Read(reg, func(v core.VersionedValue, _ core.ProcessID, err error) {
+	return n.Read(reg, func(v core.VersionedValue, err error) {
 		if err != nil {
 			v = core.Bottom()
 		}

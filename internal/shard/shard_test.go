@@ -90,7 +90,7 @@ func TestHandoffServesQueuedOpsInArrivalOrder(t *testing.T) {
 	}
 	var reads []served
 	for i := 1; i <= 3; i++ {
-		err := jn.Read(key, func(vv core.VersionedValue, _ core.ProcessID, err error) {
+		err := jn.Read(key, func(vv core.VersionedValue, err error) {
 			if err != nil {
 				t.Errorf("read failed: %v", err)
 			}
@@ -312,7 +312,7 @@ func TestHandoffReadyOnDonorMajority(t *testing.T) {
 		t.Fatalf("%d handoffs started, want 1", st.HandoffsStarted-before.HandoffsStarted)
 	}
 	var got []core.VersionedValue
-	if err := gn.Read(key, func(vv core.VersionedValue, _ core.ProcessID, err error) {
+	if err := gn.Read(key, func(vv core.VersionedValue, err error) {
 		if err != nil {
 			t.Errorf("read failed: %v", err)
 		}
@@ -355,9 +355,10 @@ func TestHandoffReadyOnDonorMajority(t *testing.T) {
 	}
 }
 
-// TestJoinerFirstViewHandsOffEveryOwnedShard: a fresh joiner's first view
-// starts one handoff per shard it owns, and once they complete it serves
-// locally the values written before it entered.
+// TestJoinerFirstViewHandsOffEveryOwnedShard: a joiner owns no shard
+// while it joins; the view adopted when its join returns is the first
+// that counts it, and it starts one handoff per shard it owns there. Once
+// they complete it serves locally the values written before it entered.
 func TestJoinerFirstViewHandsOffEveryOwnedShard(t *testing.T) {
 	sys := newSharded(t, 4, 8, 3)
 	v := sys.Placement()
@@ -371,14 +372,23 @@ func TestJoinerFirstViewHandsOffEveryOwnedShard(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	joiner, _ := sys.Spawn()
-	jn := sys.Node(joiner).(*shard.Node)
-	owned := sys.Placement().OwnedShards(joiner)
-	if st := jn.Stats(); len(owned) == 0 || st.HandoffsStarted != uint64(len(owned)) {
-		t.Fatalf("joiner owns %d shards and started %d handoffs, want one per shard", len(owned), st.HandoffsStarted)
+	var owned []int
+	var started uint64
+	joiner, node := sys.Spawn()
+	jn := node.(*shard.Node)
+	sys.OnActivate(func(id core.ProcessID) {
+		if id == joiner {
+			owned, started = sys.Placement().OwnedShards(joiner), jn.Stats().HandoffsStarted
+		}
+	})
+	if o := sys.Placement().OwnedShards(joiner); len(o) != 0 || jn.Stats().HandoffsStarted != 0 {
+		t.Fatalf("joining process owns %v and started %d handoffs, want none", o, jn.Stats().HandoffsStarted)
 	}
 	if err := sys.RunFor(100); err != nil {
 		t.Fatal(err)
+	}
+	if len(owned) == 0 || started != uint64(len(owned)) {
+		t.Fatalf("joiner owns %d shards at activation and started %d handoffs, want one per shard", len(owned), started)
 	}
 	if st := jn.Stats(); !jn.Active() || st.HandoffsComplete != st.HandoffsStarted {
 		t.Fatalf("joiner active=%v, %d of %d handoffs complete", jn.Active(), st.HandoffsComplete, st.HandoffsStarted)
@@ -386,26 +396,98 @@ func TestJoinerFirstViewHandsOffEveryOwnedShard(t *testing.T) {
 	for _, s := range owned {
 		k := keysOf(v, s, 1)[0]
 		var got core.VersionedValue
-		from := core.NoProcess
-		if err := jn.Read(k, func(vv core.VersionedValue, p core.ProcessID, err error) {
+		if err := jn.Read(k, func(vv core.VersionedValue, err error) {
 			if err != nil {
 				t.Errorf("read %v: %v", k, err)
 			}
-			got, from = vv, p
+			got = vv
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if got.Val != core.Value(100+k) || from != joiner {
-			t.Fatalf("joiner read %v = %v served by %v, want %d served locally", k, got, from, 100+k)
+		if got.Val != core.Value(100+k) {
+			t.Fatalf("joiner read %v = %v, want %d", k, got, 100+k)
 		}
+	}
+}
+
+// TestActivationWaitsOutOldViewWrites: a write its primary invokes just
+// before a joiner activates goes to the old group only, and its WRITEs to
+// the other donors are held for just under δ. The joiner, which gains
+// the shard at activation, must not complete its handoff from donors the
+// WRITE has not reached yet: a read at the joiner after the write returned
+// returns the write. (n = 4, S = 1, R = 4, synchronous: the group goes
+// from {4, 1, 2, 3} to {4, 1, 2, 5} when the joiner, process 5,
+// activates, and the primary's handoff reply is slow, so donors 1 and 2,
+// a majority, could answer first without the write.)
+func TestActivationWaitsOutOldViewWrites(t *testing.T) {
+	const delta = 5
+	model := netsim.ScriptedDelayModel{
+		Base:      netsim.SynchronousModel{Delta: delta},
+		Overrides: map[netsim.Route]sim.Duration{},
+	}
+	sys, err := dynsys.New(dynsys.Config{
+		N: 4, Delta: delta, Model: model, Seed: 1,
+		Factory:   shard.Factory(syncreg.Factory(syncreg.Options{})),
+		Placement: placement.Config{Shards: 1, Replication: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary := sys.Placement().GroupFor(0)[0]
+	joiner, node := sys.Spawn()
+	jn := node.(*shard.Node)
+	model.Overrides[netsim.Route{From: primary, Kind: core.KindWrite}] = delta - 1
+	model.Overrides[netsim.Route{From: joiner, Kind: core.KindInquiry}] = 1
+	model.Overrides[netsim.Route{To: joiner, Kind: core.KindReply}] = 1
+	model.Overrides[netsim.Route{From: primary, To: joiner, Kind: core.KindReply}] = 4 * delta
+
+	// The join returns 3δ after the spawn (Figure 1: wait δ, then 2δ).
+	if err := sys.RunFor(3*delta - 1); err != nil {
+		t.Fatal(err)
+	}
+	if jn.Active() {
+		t.Fatal("joiner active before 3δ")
+	}
+	const key = core.RegisterID(1)
+	returned := false
+	if err := sys.Node(primary).(core.Ops).Write(key, 77, func(_ core.VersionedValue, err error) { returned = err == nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RunFor(1); err != nil {
+		t.Fatal(err)
+	}
+	if g := sys.Placement().GroupFor(0); !jn.Active() || !slices.Equal(g, []core.ProcessID{primary, 1, 2, joiner}) {
+		t.Fatalf("one tick later: joiner active=%v, group %v; want it active and in [%v 1 2 %v]", jn.Active(), g, primary, joiner)
+	}
+	for !returned {
+		if err := sys.RunFor(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []core.VersionedValue
+	if err := jn.Read(key, func(v core.VersionedValue, err error) {
+		if err != nil {
+			t.Errorf("read at the joiner: %v", err)
+		}
+		got = append(got, v)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RunFor(10 * delta); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].Val != 77 {
+		t.Fatalf("read at the joiner after the write returned: %v, want 77", got)
 	}
 }
 
 // TestHandoffSendsNoAcks: a process that gains shards adopts the donors'
 // snapshots into its store and answers them with nothing. Under abd, n =
-// 6, S = 8, R = 3: with 64 keys written, no ACK frame is sent between
-// the spawn and the last handoff's completion — an ACK only completes a
-// WRITE's quorum, and the handoff sends no WRITE.
+// 6, S = 8, R = 3: with 64 keys written, a member departs, and no ACK
+// frame is sent between the departure and the last handoff's completion
+// — an ACK only completes a WRITE's quorum, and the handoff sends no
+// WRITE. (An abd replacement never becomes active, so under abd shards
+// move only at departures.)
 func TestHandoffSendsNoAcks(t *testing.T) {
 	sys, err := dynsys.New(dynsys.Config{
 		N: 6, Delta: 5, Model: netsim.SynchronousModel{Delta: 5}, Seed: 9,
@@ -436,14 +518,21 @@ func TestHandoffSendsNoAcks(t *testing.T) {
 	}
 
 	acks := sys.Network().Stats().SentByKind[core.KindAck]
-	joiner, node := sys.Spawn()
-	jn := node.(*shard.Node)
+	sys.KillProcess(v.Members()[0])
+	handoffs := func() (started, complete uint64) {
+		sys.ForEachNode(func(_ core.ProcessID, n core.Node) {
+			st := n.(*shard.Node).Stats()
+			started, complete = started+st.HandoffsStarted, complete+st.HandoffsComplete
+		})
+		return started, complete
+	}
 	for i := 0; ; i++ {
-		if st := jn.Stats(); st.HandoffsStarted > 0 && st.HandoffsComplete == st.HandoffsStarted {
+		if started, complete := handoffs(); started > 0 && complete == started {
 			break
 		}
 		if i == 200 {
-			t.Fatalf("joiner %v: %d of %d handoffs complete after 200 ticks", joiner, jn.Stats().HandoffsComplete, jn.Stats().HandoffsStarted)
+			started, complete := handoffs()
+			t.Fatalf("%d of %d handoffs complete after 200 ticks", complete, started)
 		}
 		if err := sys.RunFor(1); err != nil {
 			t.Fatal(err)
@@ -452,13 +541,15 @@ func TestHandoffSendsNoAcks(t *testing.T) {
 	if sent := sys.Network().Stats().SentByKind[core.KindAck] - acks; sent != 0 {
 		t.Fatalf("the handoff sent %d ACK frames, want 0", sent)
 	}
-	for _, s := range sys.Placement().OwnedShards(joiner) {
-		for _, k := range keysOf(v, s, 8) {
-			if got := jn.Store().Value(k, jn.Active()); got.Val != core.Value(100+k) {
-				t.Fatalf("joiner holds %v = %v after the handoff, want %d", k, got, 100+k)
+	sys.ForEachNode(func(id core.ProcessID, n core.Node) {
+		for _, s := range sys.Placement().OwnedShards(id) {
+			for _, k := range keysOf(v, s, 8) {
+				if got := n.(*shard.Node).Store().Value(k, true); got.Val != core.Value(100+k) {
+					t.Fatalf("%v holds %v = %v after the handoff, want %d", id, k, got, 100+k)
+				}
 			}
 		}
-	}
+	})
 }
 
 // TestSyncReadAtNonReplicaRefused: the synchronous protocol's read
@@ -475,7 +566,7 @@ func TestSyncReadAtNonReplicaRefused(t *testing.T) {
 		if v.IsReplica(key, id) {
 			continue
 		}
-		err := sys.Node(id).(*shard.Node).Read(key, func(core.VersionedValue, core.ProcessID, error) { calls++ })
+		err := sys.Node(id).(*shard.Node).Read(key, func(core.VersionedValue, error) { calls++ })
 		if !errors.Is(err, core.ErrUnroutable) {
 			t.Fatalf("read at %v (group %v): err = %v, want ErrUnroutable", id, v.Group(key), err)
 		}
@@ -489,29 +580,30 @@ func TestSyncReadAtNonReplicaRefused(t *testing.T) {
 	}
 }
 
-// TestJoiningReplicaReadNotActive: a read at a replica that has not
-// finished joining runs nowhere else. It fails with ErrNotActive, at
-// invocation or, queued behind the joiner's handoff, through done.
+// TestJoiningReplicaReadNotActive: a process that has not finished
+// joining replicates nothing, so no read of a key it will replicate runs
+// there on state it lacks: the read fails at invocation with
+// ErrNotActive, and done never runs.
 func TestJoiningReplicaReadNotActive(t *testing.T) {
 	sys := newSharded(t, 4, 8, 3)
 	joiner, node := sys.Spawn()
 	jn := node.(*shard.Node)
-	owned := sys.Placement().OwnedShards(joiner)
-	if jn.Active() || len(owned) == 0 {
-		t.Fatalf("joiner active=%v, owns %v; want a joining replica", jn.Active(), owned)
+	if owned := sys.Placement().OwnedShards(joiner); jn.Active() || len(owned) != 0 {
+		t.Fatalf("joiner active=%v, owns %v; want a joining process that owns nothing", jn.Active(), owned)
 	}
-	key := keysOf(sys.Placement(), owned[0], 1)[0]
-	var errs []error
-	if err := jn.Read(key, func(_ core.VersionedValue, _ core.ProcessID, err error) { errs = append(errs, err) }); err != nil {
-		errs = append(errs, err)
+	calls := 0
+	for k := core.RegisterID(0); k < 16; k++ {
+		if err := jn.Read(k, func(core.VersionedValue, error) { calls++ }); !errors.Is(err, core.ErrNotActive) {
+			t.Fatalf("read of %v at the joining process: %v, want ErrNotActive", k, err)
+		}
 	}
 	if err := sys.RunFor(100); err != nil {
 		t.Fatal(err)
 	}
-	if !jn.Active() {
-		t.Fatal("joiner never finished its join")
+	if !jn.Active() || calls != 0 {
+		t.Fatalf("joiner active=%v, done ran %d times; want active and never", jn.Active(), calls)
 	}
-	if len(errs) != 1 || !errors.Is(errs[0], core.ErrNotActive) {
-		t.Fatalf("read at the joining replica ended with %v, want ErrNotActive once", errs)
+	if owned := sys.Placement().OwnedShards(joiner); len(owned) == 0 {
+		t.Fatal("the active joiner owns no shard")
 	}
 }

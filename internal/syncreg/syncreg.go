@@ -212,7 +212,7 @@ func (n *Node) Stats() Stats { return n.stats }
 // fast, returning the local copy of the key with no communication and no
 // wait, so done runs before Read returns. Sharded, a process outside the
 // key's group, where its WRITEs never land, refuses with ErrUnroutable.
-func (n *Node) Read(k core.RegisterID, done func(core.VersionedValue, core.ProcessID, error)) error {
+func (n *Node) Read(k core.RegisterID, done func(core.VersionedValue, error)) error {
 	if !n.active {
 		return core.ErrNotActive
 	}
@@ -220,7 +220,7 @@ func (n *Node) Read(k core.RegisterID, done func(core.VersionedValue, core.Proce
 		return core.ErrUnroutable
 	}
 	n.stats.Reads++
-	done(n.value(k), n.env.ID(), nil)
+	done(n.value(k), nil)
 	return nil
 }
 

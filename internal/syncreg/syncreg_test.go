@@ -458,7 +458,7 @@ func TestWriterValueSurvivesTotalTurnover(t *testing.T) {
 // returns; ⊥ with the error when the node refuses it.
 func readLocal(n core.Ops) (core.VersionedValue, error) {
 	v := core.Bottom()
-	err := n.Read(0, func(got core.VersionedValue, _ core.ProcessID, _ error) { v = got })
+	err := n.Read(0, func(got core.VersionedValue, _ error) { v = got })
 	return v, err
 }
 

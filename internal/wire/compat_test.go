@@ -84,6 +84,16 @@ func v4Frames() map[string][]byte {
 	}
 }
 
+// v5Peers hand-builds a version-5 PEERS payload with one entry, in the
+// layout v5 used: uint32 count, then id and address, no active byte.
+func v5Peers() []byte {
+	b := []byte{5, byte(FramePeers)}
+	b = binary.BigEndian.AppendUint32(b, 1)
+	b = v1be64(b, 9)
+	b = binary.BigEndian.AppendUint16(b, 14)
+	return append(b, "127.0.0.1:7777"...)
+}
+
 // staleFrame is one payload a current node must refuse.
 type staleFrame struct {
 	name    string
@@ -106,6 +116,11 @@ type staleFrame struct {
 //   - v4: every message kind, rewound the same way, and the hand-built
 //     v4Frames, whose envelope sender and rsn a current decoder fed
 //     without the version check would misread.
+//   - v5: every message kind, rewound the same way (v6 changed only
+//     HELLO and the address-book entries), and a PEERS frame hand-built
+//     in the old entry layout, id then address, whose address length a
+//     current decoder fed without the version check would read as the
+//     entry's active byte.
 //   - every other byte value, never issued, on a current WRITE.
 func staleFrames(t *testing.T) []staleFrame {
 	t.Helper()
@@ -124,7 +139,7 @@ func staleFrames(t *testing.T) []staleFrame {
 	for name, payload := range v4Frames() {
 		add(name, payload)
 	}
-	for version, seed := range map[byte]int64{2: 11, 3: 17, 4: 23} {
+	for version, seed := range map[byte]int64{2: 11, 3: 17, 4: 23, 5: 29} {
 		rng := rand.New(rand.NewSource(seed))
 		for _, kind := range allKinds {
 			if version == 2 && (kind == core.KindForward || kind == core.KindForwarded) {
@@ -139,6 +154,7 @@ func staleFrames(t *testing.T) []staleFrame {
 	hello = binary.BigEndian.AppendUint64(hello, 9)
 	hello = binary.BigEndian.AppendUint16(hello, 14)
 	add("hello", append(hello, "127.0.0.1:7777"...))
+	add("peers", v5Peers())
 	write := Frame{Type: FrameMsg, Msg: core.WriteMsg{From: 7, Op: 1, Reg: 1, Value: core.VersionedValue{Val: 42, SN: 5}}}
 	for v := 0; v < 256; v++ {
 		if v < 1 || v > Version {
@@ -183,6 +199,9 @@ func TestDecodeV3FailsLoudly(t *testing.T) { rejectsStale(t, onlyVersion(3)) }
 
 // TestDecodeV4FailsLoudly: every version-4 frame case.
 func TestDecodeV4FailsLoudly(t *testing.T) { rejectsStale(t, onlyVersion(4)) }
+
+// TestDecodeV5FailsLoudly: every version-5 frame case.
+func TestDecodeV5FailsLoudly(t *testing.T) { rejectsStale(t, onlyVersion(5)) }
 
 // TestDecodeOtherVersionsFailLoudly: a WRITE stamped with every version
 // byte never issued (0, and everything above Version).

@@ -22,6 +22,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		{Type: FrameHello, From: 3, Addr: "127.0.0.1:9999"},
 		{Type: FrameHello, From: 0, Role: RoleClient},
 		{Type: FramePeers, Peers: []Peer{{ID: 1, Addr: "a:1"}, {ID: 2, Addr: "b:2"}}},
+		{Type: FramePeers, Peers: []Peer{{ID: 3, Addr: "c:3", Active: true}}},
+		{Type: FrameHello, From: 4, Addr: "d:4", Active: true},
 		{Type: FrameLeave, From: 12},
 		{Type: FrameViewReq},
 		{Type: FrameView, ViewVersion: 5, Shards: 8, Replication: 3,
@@ -40,6 +42,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	for _, payload := range v4Frames() {
 		f.Add(payload)
 	}
+	f.Add(v5Peers())
 	for _, payload := range reservedKindFrames() {
 		f.Add(payload)
 	}

@@ -70,7 +70,12 @@ import (
 //	   (a shard handoff's tag moved into the OpID: core.HandoffOp).
 //	   Version-4 payloads decode to ErrVersion: a v4 body would misparse
 //	   field for field.
-const Version = 5
+//	6: HELLO gains an active byte after its role, and every address-book
+//	   entry (PEERS, VIEW) one after its id: whether that process's join
+//	   has returned, which puts it in placement views. Version-5 payloads
+//	   decode to ErrVersion: a v5 entry's address length would be read as
+//	   its active byte.
+const Version = 6
 
 // MaxFrame bounds a payload's length. The largest legitimate frame is a
 // join snapshot reply, 24 bytes per key; 1 MiB allows ~43k keys per
@@ -143,10 +148,11 @@ func (r Role) String() string {
 	}
 }
 
-// Peer is one address-book entry carried by HELLO and PEERS frames.
+// Peer is one PEERS or VIEW address-book entry (Active: its join returned).
 type Peer struct {
-	ID   core.ProcessID
-	Addr string
+	ID     core.ProcessID
+	Addr   string
+	Active bool
 }
 
 // Frame is the decoded form of one wire payload.
@@ -158,8 +164,10 @@ type Frame struct {
 	// Addr is the sender's listen address (Hello): the receiver records it
 	// so replies can be dialed.
 	Addr string
-	// Role distinguishes a meshing process from a client session (Hello).
-	Role Role
+	// Role distinguishes a meshing process from a client session, and
+	// Active a process whose join has returned (Hello).
+	Role   Role
+	Active bool
 	// Peers is the gossiped address book (Peers) or the placement's member
 	// list (View).
 	Peers []Peer
@@ -206,7 +214,7 @@ func AppendFrameBytes(dst []byte, f Frame) ([]byte, error) {
 			return dst[:start], fmt.Errorf("wire: bad hello role %d", byte(f.Role))
 		}
 		b = be64(b, int64(f.From))
-		b = append(b, byte(f.Role))
+		b = append(b, byte(f.Role), boolByte(f.Active))
 		b, err = appendStr(b, f.Addr)
 	case FramePeers:
 		b, err = appendPeers(b, f.Peers)
@@ -265,6 +273,7 @@ func DecodeFrame(b []byte) (Frame, error) {
 	case FrameHello:
 		f.From = core.ProcessID(d.i64())
 		f.Role = d.role()
+		f.Active = d.bool()
 		f.Addr = d.str()
 	case FramePeers:
 		f.Peers = d.peerList()
@@ -335,11 +344,7 @@ func appendMessage(b []byte, m core.Message) ([]byte, error) {
 		b = appendHead(b, core.KindForward, msg.From)
 		b = appendOp(b, msg.Op)
 		b = be64(b, int64(msg.Reg))
-		if msg.IsWrite {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
+		b = append(b, boolByte(msg.IsWrite))
 		b = be64(b, int64(msg.Val))
 	case core.ForwardedMsg:
 		b = appendHead(b, core.KindForwarded, msg.From)
@@ -374,17 +379,25 @@ func appendStr(b []byte, s string) ([]byte, error) {
 	return append(b, s...), nil
 }
 
-// appendPeers appends one address-book section (uint32 count, then id+addr
-// entries), shared by PEERS and VIEW.
+// appendPeers appends one address-book section (uint32 count, then
+// id+active+addr entries), shared by PEERS and VIEW.
 func appendPeers(b []byte, peers []Peer) ([]byte, error) {
 	b = binary.BigEndian.AppendUint32(b, uint32(len(peers)))
 	for _, p := range peers {
 		var err error
-		if b, err = appendStr(be64(b, int64(p.ID)), p.Addr); err != nil {
+		if b, err = appendStr(append(be64(b, int64(p.ID)), boolByte(p.Active)), p.Addr); err != nil {
 			return nil, err
 		}
 	}
 	return b, nil
+}
+
+// boolByte is a boolean's wire byte (see decoder.bool).
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
 }
 
 func be64(b []byte, v int64) []byte {
@@ -533,21 +546,22 @@ func (d *decoder) str() string {
 	return s
 }
 
-// peerList reads one address-book section (uint32 count, then id+addr
-// entries), shared by PEERS and VIEW.
+// peerList reads one address-book section (uint32 count, then
+// id+active+addr entries), shared by PEERS and VIEW.
 func (d *decoder) peerList() []Peer {
-	n := d.count(10) // 8-byte id + 2-byte length minimum per entry
+	n := d.count(11) // 8-byte id + active byte + 2-byte length minimum per entry
 	if d.err != nil || n == 0 {
 		return nil
 	}
 	out := make([]Peer, 0, n)
 	for i := 0; i < n; i++ {
 		id := core.ProcessID(d.i64())
+		active := d.bool()
 		addr := d.str()
 		if d.err != nil {
 			return nil
 		}
-		out = append(out, Peer{ID: id, Addr: addr})
+		out = append(out, Peer{ID: id, Addr: addr, Active: active})
 	}
 	return out
 }

@@ -141,11 +141,12 @@ func TestFrameRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	frames := []Frame{
 		{Type: FrameHello, From: 42, Addr: "127.0.0.1:7001"},
+		{Type: FrameHello, From: 43, Addr: "127.0.0.1:7002", Active: true},
 		{Type: FrameHello, From: 1, Addr: ""},
 		{Type: FrameHello, From: 0, Role: RoleClient},
 		{Type: FrameLeave, From: 9},
 		{Type: FramePeers},
-		{Type: FramePeers, Peers: []Peer{{ID: 1, Addr: "10.0.0.1:9"}, {ID: 2, Addr: "[::1]:80"}}},
+		{Type: FramePeers, Peers: []Peer{{ID: 1, Addr: "10.0.0.1:9"}, {ID: 2, Addr: "[::1]:80", Active: true}}},
 		{Type: FrameViewReq},
 		{Type: FrameView, ViewVersion: 0, Shards: 0, Replication: 0},
 		{Type: FrameView, ViewVersion: 17, Shards: 8, Replication: 3,
@@ -247,7 +248,9 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"trailing bytes":   append(append([]byte{}, valid...), 0),
 		"bad msg kind":     {Version, byte(FrameMsg), 99, 0, 0, 0, 0, 0, 0, 0, 1},
 		"hello addr short": {Version, byte(FrameHello), 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 50, 'x'},
-		"hello bad role":   {Version, byte(FrameHello), 0, 0, 0, 0, 0, 0, 0, 1, 7, 0, 0},
+		"hello bad role":   {Version, byte(FrameHello), 0, 0, 0, 0, 0, 0, 0, 1, 7, 0, 0, 0},
+		"hello bad active": {Version, byte(FrameHello), 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 0},
+		"peer bad active":  {Version, byte(FramePeers), 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0},
 		"peers count lies": {Version, byte(FramePeers), 0, 0, 4, 0},
 		"viewreq trailing": {Version, byte(FrameViewReq), 0},
 		"view truncated":   {Version, byte(FrameView), 0, 0, 0, 0, 0, 0, 0, 9, 0, 0},
@@ -343,10 +346,10 @@ func TestForwardedRejectsBadCode(t *testing.T) {
 // TestViewRoundTrip pins the VIEW layout field by field (the property and
 // fuzz tests cover random values; this is the readable byte-layout
 // contract): version stamp, placement constants, then the member address
-// book in PEERS entry format.
+// book in PEERS entry format: id, active byte, address.
 func TestViewRoundTrip(t *testing.T) {
 	f := Frame{Type: FrameView, ViewVersion: 42, Shards: 8, Replication: 3,
-		Peers: []Peer{{ID: 11, Addr: "10.1.2.3:4567"}}}
+		Peers: []Peer{{ID: 11, Addr: "10.1.2.3:4567", Active: true}}}
 	payload := encode(t, f)
 	want := []byte{Version, byte(FrameView)}
 	want = binary.BigEndian.AppendUint64(want, 42)
@@ -354,6 +357,7 @@ func TestViewRoundTrip(t *testing.T) {
 	want = binary.BigEndian.AppendUint32(want, 3)
 	want = binary.BigEndian.AppendUint32(want, 1)
 	want = binary.BigEndian.AppendUint64(want, 11)
+	want = append(want, 1)
 	want = binary.BigEndian.AppendUint16(want, 13)
 	want = append(want, "10.1.2.3:4567"...)
 	if string(payload) != string(want) {

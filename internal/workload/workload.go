@@ -208,7 +208,7 @@ func (r *Runner) readOn(id core.ProcessID) {
 	}
 	op := r.history.BeginRead(id, r.sys.Now())
 	r.pending[id] = op
-	err := node.(core.Ops).Read(core.DefaultRegister, func(v core.VersionedValue, _ core.ProcessID, rerr error) {
+	err := node.(core.Ops).Read(core.DefaultRegister, func(v core.VersionedValue, rerr error) {
 		delete(r.pending, id)
 		if rerr != nil {
 			r.history.Abandon(op)

@@ -2,13 +2,17 @@ package churnreg
 
 import (
 	"errors"
+	"maps"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"churnreg/client"
 	"churnreg/internal/core"
 	"churnreg/internal/esyncreg"
+	"churnreg/internal/nettransport"
 	"churnreg/internal/shard"
 )
 
@@ -248,6 +252,158 @@ func TestNetClusterSharded(t *testing.T) {
 	}
 	time.Sleep(200 * time.Millisecond)
 	readEverywhere("post-leave", func(k RegisterID) int64 { return int64(900 + k) })
+}
+
+// TestNetClusterJoinEntersViewsWhenActive: under a sharded sync
+// NetCluster, a joiner enters the placement views, and a wire client's
+// view, when its join returns, not before. While it joins it is absent
+// from every transport's Placement().Members() and from the client's
+// Members(), so the client, reading and writing throughout, never sends
+// it an operation it would refuse NOT_ACTIVE; within one handoff retry
+// round (3δ) of WaitActive returning it is in all of them.
+func TestNetClusterJoinEntersViewsWhenActive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real TCP cluster; skipped in -short")
+	}
+	const delta = 40
+	c, err := NewNetCluster(
+		WithN(3),
+		WithProtocol(Synchronous),
+		WithDelta(delta),
+		WithTick(time.Millisecond),
+		WithShards(8, 2),
+		WithOperationTimeout(20*time.Second),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	transports := func() map[ProcessID]*nettransport.Transport {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return maps.Clone(c.nodes)
+	}
+	var seeds []string
+	for _, tr := range transports() {
+		seeds = append(seeds, tr.Addr())
+	}
+	cl, err := client.Dial(client.Config{Seeds: seeds})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	stop := make(chan struct{})
+	var load sync.WaitGroup
+	load.Add(1)
+	go func() {
+		defer load.Done()
+		for i := int64(0); ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := cl.Write(i%16, i); err != nil {
+				t.Errorf("client write %d: %v", i, err)
+			}
+			if _, err := cl.Read(i % 16); err != nil {
+				t.Errorf("client read %d: %v", i, err)
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		load.Wait()
+	}()
+
+	type joined struct {
+		id  ProcessID
+		err error
+	}
+	done := make(chan joined, 1)
+	go func() {
+		id, err := c.Join()
+		done <- joined{id, err}
+	}()
+	const j = ProcessID(4)
+	holds := func(ids []ProcessID) bool { return slices.Contains(ids, j) }
+	var j4 *nettransport.Transport
+	samples := 0
+	var result joined
+	for result.id == NoProcess {
+		select {
+		case result = <-done:
+			continue
+		default:
+		}
+		trs := transports()
+		if j4 == nil {
+			j4 = trs[j]
+		}
+		// Read the views first and J's activity after: activity never
+		// reverts, so a J still joining now was joining when they were read.
+		var views [][]ProcessID
+		for _, tr := range trs {
+			views = append(views, members(tr))
+		}
+		views = append(views, toIDs(cl.Members()))
+		var refused uint64
+		if j4 != nil {
+			refused = j4.Stats().ForwardsRefused.Load()
+		}
+		if j4 == nil || j4.Active() {
+			time.Sleep(time.Millisecond)
+			continue
+		}
+		samples++
+		if slices.ContainsFunc(views, holds) {
+			t.Fatalf("joining process %v is in a view: %v", j, views)
+		}
+		if refused != 0 {
+			t.Fatalf("joining process %v refused %d client operations", j, refused)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if result.err != nil || result.id != j {
+		t.Fatalf("join = %v, %v; want %v", result.id, result.err, j)
+	}
+	if samples == 0 {
+		t.Fatal("no sample taken while the process joined")
+	}
+	deadline := time.Now().Add(3 * delta * time.Millisecond)
+	for {
+		var views [][]ProcessID
+		for _, tr := range transports() {
+			views = append(views, members(tr))
+		}
+		views = append(views, toIDs(cl.Members()))
+		if !slices.ContainsFunc(views, func(ids []ProcessID) bool { return !holds(ids) }) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("3δ after the join returned, %v is missing from a view: %v", j, views)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Logf("%d samples while joining", samples)
+}
+
+// members lists tr's placement members, none before its first view.
+func members(tr *nettransport.Transport) []ProcessID {
+	if v := tr.Placement(); v != nil {
+		return v.Members()
+	}
+	return nil
+}
+
+// toIDs converts a client's member list to process ids.
+func toIDs(ids []int64) []ProcessID {
+	out := make([]ProcessID, len(ids))
+	for i, id := range ids {
+		out[i] = ProcessID(id)
+	}
+	return out
 }
 
 // TestNetClusterWriterFailover crashes the designated writer under the

@@ -179,7 +179,7 @@ func TestSimPipelineBackpressure(t *testing.T) {
 	}
 	id := c.ActiveIDs()[0]
 	node := c.sys.Node(id).(core.Ops)
-	ignore := func(core.VersionedValue, core.ProcessID, error) {}
+	ignore := func(core.VersionedValue, error) {}
 	issued := 0
 	for {
 		err := node.Read(1, ignore)

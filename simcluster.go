@@ -3,7 +3,6 @@ package churnreg
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -288,7 +287,7 @@ func (c *SimCluster) StartReadKeyAt(id ProcessID, k RegisterID) *PendingOp {
 	c.shield(id)
 	p.shielded = true
 	c.live = append(c.live, p)
-	err := node.(core.Ops).Read(k, func(v core.VersionedValue, _ core.ProcessID, rerr error) {
+	err := node.(core.Ops).Read(k, func(v core.VersionedValue, rerr error) {
 		if rerr != nil {
 			p.fail(fmt.Errorf("churnreg: read %v: %w", k, rerr))
 			return
@@ -381,22 +380,19 @@ func (c *SimCluster) Read() (int64, error) {
 	return c.ReadKey(core.DefaultRegister)
 }
 
-// ReadKey returns one register's value as seen by a random active
-// replica of it (a joining one would refuse) — any active process when
-// unsharded. A synchronous read refused because its replica lost the
-// shard while the read waited on a handoff is asked again, at most once
-// per active process.
+// ReadKey returns one register's value as seen by one of its replicas —
+// any active process when unsharded — at Route's attempts from a random
+// start, moving on after ErrUnroutable (a synchronous read whose replica
+// lost the shard while it waited on a handoff), at most once per active
+// process.
 func (c *SimCluster) ReadKey(k RegisterID) (v int64, err error) {
-	err = ErrNoActiveProcess
-	for range c.sys.ActiveIDs() {
-		ids := c.sys.ActiveIDs()
-		if view := c.sys.Placement(); view != nil {
-			ids = slices.DeleteFunc(slices.Clone(view.Group(k)), func(id ProcessID) bool { return !c.sys.Node(id).Active() })
-		}
-		if len(ids) == 0 {
-			return 0, ErrNoActiveProcess
-		}
-		if v, err = c.ReadKeyAt(ids[c.sys.Rand().Intn(len(ids))], k); !errors.Is(err, core.ErrUnroutable) {
+	ids := c.sys.ActiveIDs()
+	if len(ids) == 0 {
+		return 0, ErrNoActiveProcess
+	}
+	start := c.sys.Rand().Intn(len(ids))
+	for i := range ids {
+		if v, err = c.ReadKeyAt(c.sys.Placement().Route(c.sys.ActiveIDs(), k, start+i), k); !errors.Is(err, core.ErrUnroutable) {
 			return v, err
 		}
 	}
