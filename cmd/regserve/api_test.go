@@ -2,8 +2,8 @@ package main
 
 import (
 	"io"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -77,17 +77,39 @@ func (f *fakeBackend) ShardInfo() (int, int, int) {
 	return 0, 0, 0
 }
 
-func newTestAPI(t *testing.T, b backend) *httptest.Server {
+// testAPI is an admin server answering on a loopback listener.
+type testAPI struct {
+	URL  string // http://host:port
+	addr string // host:port
+}
+
+func newTestAPI(t *testing.T, b backend) *testAPI {
 	t.Helper()
 	return newTestAPIWith(t, b, make(chan struct{}, 1))
 }
 
-func newTestAPIWith(t *testing.T, b backend, leavec chan<- struct{}) *httptest.Server {
+func newTestAPIWith(t *testing.T, b backend, leavec chan<- struct{}) *testAPI {
 	t.Helper()
-	cfg := &serverConfig{id: 1, protocol: "sync"}
-	srv := httptest.NewServer(newAPI(cfg, b, leavec))
-	t.Cleanup(srv.Close)
-	return srv
+	return startAPI(t, newAPI(&serverConfig{id: 1, protocol: "sync"}, b, leavec))
+}
+
+// startAPI serves srv on a fresh loopback listener until the test ends.
+func startAPI(t *testing.T, srv *adminServer) *testAPI {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		srv.serve(ln)
+		close(done)
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		<-done
+	})
+	return &testAPI{URL: "http://" + ln.Addr().String(), addr: ln.Addr().String()}
 }
 
 func call(t *testing.T, method, url string) (int, string) {
@@ -365,8 +387,7 @@ func TestAPIForwardMetrics(t *testing.T) {
 // TestAPIPprofGating: /debug/pprof serves only when -pprof was given.
 func TestAPIPprofGating(t *testing.T) {
 	cfg := &serverConfig{id: 1, protocol: "sync", pprof: true}
-	on := httptest.NewServer(newAPI(cfg, newFakeBackend(), make(chan struct{}, 1)))
-	t.Cleanup(on.Close)
+	on := startAPI(t, newAPI(cfg, newFakeBackend(), make(chan struct{}, 1)))
 	if status, body := get(t, on.URL+"/debug/pprof/cmdline"); status != 200 {
 		t.Fatalf("pprof-enabled node: /debug/pprof/cmdline status %d: %s", status, body)
 	}

@@ -29,6 +29,17 @@
 //
 //	regserve -id 4 -listen 127.0.0.1:7004 -api 127.0.0.1:8004 -n 3 -peers 127.0.0.1:7001
 //	curl -X POST 'localhost:8002/leave'    # graceful departure
+//
+// With -pprof it also serves the runtime's profiles under /debug/pprof/:
+//
+//	go tool pprof -top 'http://localhost:8003/debug/pprof/profile?seconds=1'
+//
+// The admin API is a small HTTP/1.1 responder of its own (admin.go), not
+// net/http, which with its TLS and X.509 stack would double the image
+// every daemon maps. It speaks the subset curl, a scraper and go tool
+// pprof use: one request per connection, closed after the answer (no
+// keep-alive), a request head of at most 8 KiB read under a deadline,
+// and no request bodies (one sent anyway is ignored).
 package main
 
 import (
@@ -37,8 +48,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
-	"net/http/pprof"
+	"net/url"
 	"os"
 	"os/signal"
 	"strings"
@@ -100,7 +110,7 @@ func parseFlags(args []string, errW io.Writer) (*serverConfig, error) {
 		shards      = fs.Int("shards", 0, "shard the keyspace into this many shards (0 = every node replicates every key); must match across the whole system")
 		replication = fs.Int("replication", 3, "replica group size per shard (with -shards; must match across the whole system)")
 		evictAfter  = fs.Duration("evict-after", 15*time.Second, "drop a peer whose dials have failed continuously for this long (sharded clusters under churn want this low — placement heals only after eviction)")
-		pprofFlag   = fs.Bool("pprof", false, "serve net/http/pprof under /debug/pprof on the API address (profiling a live cluster)")
+		pprofFlag   = fs.Bool("pprof", false, "serve the runtime's CPU, heap and other profiles and its execution trace under /debug/pprof on the API address (profiling a live cluster)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
@@ -201,9 +211,8 @@ func run(args []string, out, errW io.Writer) error {
 	tr.Start(cfg.peers)
 
 	leavec := make(chan struct{}, 1)
-	srv := &http.Server{Handler: newAPI(cfg, tr, leavec)}
-	httpDone := make(chan error, 1)
-	go func() { httpDone <- srv.Serve(apiLn) }()
+	apiDone := make(chan error, 1)
+	go func() { apiDone <- newAPI(cfg, tr, leavec).serve(apiLn) }()
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
@@ -214,12 +223,12 @@ func run(args []string, out, errW io.Writer) error {
 		fmt.Fprintf(errW, "regserve %d: %v, leaving gracefully\n", cfg.id, sig)
 	case <-leavec:
 		fmt.Fprintf(errW, "regserve %d: leave requested via API\n", cfg.id)
-	case err := <-httpDone:
+	case err := <-apiDone:
 		tr.Close()
-		return fmt.Errorf("http server: %w", err)
+		return fmt.Errorf("api server: %w", err)
 	}
 	tr.Leave()
-	srv.Close()
+	apiLn.Close()
 	return nil
 }
 
@@ -251,28 +260,26 @@ type api struct {
 	leavec chan<- struct{}
 }
 
-func newAPI(cfg *serverConfig, tr backend, leavec chan<- struct{}) http.Handler {
+// apiTimeout bounds each step of an admin exchange: reading the request's
+// head, writing the answer, draining a body the client sent anyway.
+const apiTimeout = 5 * time.Second
+
+func newAPI(cfg *serverConfig, tr backend, leavec chan<- struct{}) *adminServer {
 	a := &api{cfg: cfg, tr: tr, leavec: leavec}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /health", a.health)
-	mux.HandleFunc("POST /leave", a.leave)
-	mux.HandleFunc("GET /metrics", a.metrics)
-	if cfg.pprof {
-		// Explicit registration: the API uses its own mux, so the
-		// net/http/pprof package's DefaultServeMux handlers never apply.
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	routes := map[string]route{
+		"/health":  {"GET", "application/json", a.health},
+		"/leave":   {"POST", "application/json", a.leave},
+		"/metrics": {"GET", metrics.ContentType, a.metrics},
 	}
-	return mux
+	if cfg.pprof {
+		addPprofRoutes(routes)
+	}
+	return &adminServer{routes: routes, timeout: apiTimeout}
 }
 
 // metrics serves the Prometheus text exposition of series.
-func (a *api) metrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", metrics.ContentType)
-	metrics.WriteText(w, a.series())
+func (a *api) metrics(w io.Writer, _ url.Values) error {
+	return metrics.WriteText(w, a.series())
 }
 
 // series is every series /metrics exports, in the order it prints: the one
@@ -351,12 +358,7 @@ func (a *api) readNodeCounts() *nodeCounts {
 	}
 }
 
-func reply(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-func (a *api) health(w http.ResponseWriter, r *http.Request) {
+func (a *api) health(w io.Writer, _ url.Values) error {
 	out := map[string]any{
 		"id":       a.cfg.id,
 		"protocol": a.cfg.protocol,
@@ -369,13 +371,14 @@ func (a *api) health(w http.ResponseWriter, r *http.Request) {
 		out["shards_owned"] = owned
 		out["replication"] = repl
 	}
-	reply(w, out)
+	return json.NewEncoder(w).Encode(out)
 }
 
-func (a *api) leave(w http.ResponseWriter, r *http.Request) {
-	reply(w, map[string]any{"ok": true, "leaving": true})
+func (a *api) leave(w io.Writer, _ url.Values) error {
+	err := json.NewEncoder(w).Encode(map[string]any{"ok": true, "leaving": true})
 	select {
 	case a.leavec <- struct{}{}:
 	default:
 	}
+	return err
 }

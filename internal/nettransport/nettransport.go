@@ -1029,16 +1029,22 @@ func (t *Transport) learnPeer(id core.ProcessID, addr string, active bool) {
 		return
 	}
 	t.mu.Lock()
-	_, known := t.byID[id]
+	was, known := t.byID[id]
+	wasActive := known && was.active
 	p := t.ensurePeerLocked(id, addr)
-	if q := t.byID[id]; q != nil {
+	q := t.byID[id]
+	if q != nil {
 		q.active = q.active || active
 	}
 	if known {
-		// Perhaps a seed's identity got bound or a peer's activity
-		// learned; either way, nothing to announce.
+		// Nothing to announce. The view changes only if the entry did, or
+		// its activity was learned: a repeated HELLO or PEERS entry, as
+		// every connection brings, leaves it alone.
+		changed := q != was || q.active != wasActive
 		t.mu.Unlock()
-		t.refreshPlacement(false)
+		if changed {
+			t.refreshPlacement(false)
+		}
 		return
 	}
 	pending := t.pendingInquiry

@@ -9,6 +9,7 @@ import (
 	"churnreg/internal/core"
 	"churnreg/internal/esyncreg"
 	"churnreg/internal/placement"
+	"churnreg/internal/shard"
 	"churnreg/internal/sim"
 	"churnreg/internal/syncreg"
 	"churnreg/internal/wire"
@@ -17,13 +18,14 @@ import (
 const opTimeout = 10 * time.Second
 
 // startCluster boots n bootstrap transports on ephemeral localhost ports,
-// fully meshed by seeding each with the others' addresses.
-func startCluster(t *testing.T, n int, factory core.NodeFactory, delta sim.Duration) []*Transport {
+// fully meshed by seeding each with the others' addresses. Each config
+// is passed through with, if given.
+func startCluster(t *testing.T, n int, factory core.NodeFactory, delta sim.Duration, with ...func(*Config)) []*Transport {
 	t.Helper()
 	ts := make([]*Transport, n)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
-		tr, err := New(Config{
+		cfg := Config{
 			ID:         core.ProcessID(i + 1),
 			ListenAddr: "127.0.0.1:0",
 			N:          n,
@@ -32,7 +34,11 @@ func startCluster(t *testing.T, n int, factory core.NodeFactory, delta sim.Durat
 			Factory:    factory,
 			Bootstrap:  true,
 			Initial:    core.VersionedValue{Val: 0, SN: 0},
-		})
+		}
+		for _, w := range with {
+			w(&cfg)
+		}
+		tr, err := New(cfg)
 		if err != nil {
 			t.Fatalf("New(%d): %v", i, err)
 		}
@@ -375,5 +381,61 @@ func TestViewCountsActiveProcessesOnly(t *testing.T) {
 	l.mu.Unlock()
 	if len(frames) != 1 || frames[0].Type != wire.FramePeers || !slices.Equal(frames[0].Peers, []wire.Peer{{ID: 1, Addr: tr.Addr(), Active: true}}) {
 		t.Fatalf("queued for peer 2: %+v; want one PEERS naming process 1 active", frames)
+	}
+}
+
+// TestRepeatHelloLeavesTheViewAlone: a HELLO and a PEERS frame that tell
+// a meshed sharded node nothing new — as every fresh connection from a
+// known peer brings — leave its view as it was: no new version, no
+// PlacementChanged turn, no VIEW pushed to its client sessions.
+func TestRepeatHelloLeavesTheViewAlone(t *testing.T) {
+	ts := startCluster(t, 3, shard.Factory(esyncreg.Factory(esyncreg.Options{})), 5, func(c *Config) {
+		c.Placement = placement.Config{Shards: 4, Replication: 2}
+	})
+	tr, other := ts[0], ts[1]
+	version := func() uint64 {
+		tr.mu.Lock()
+		defer tr.mu.Unlock()
+		return tr.viewSeq
+	}
+	waitFor(t, "every view to hold all three processes", func() bool {
+		for _, x := range ts {
+			if v := x.Placement(); v == nil || len(v.Members()) != 3 {
+				return false
+			}
+		}
+		return true
+	})
+	// The mesh's own HELLOs may still be landing: wait out a quiet spell.
+	for v := uint64(0); v != version(); {
+		v = version()
+		time.Sleep(200 * time.Millisecond)
+	}
+	s := &clientSession{link: newLink()}
+	tr.mu.Lock()
+	tr.sessions[s] = struct{}{}
+	tr.publishLinksLocked()
+	tr.mu.Unlock()
+	before, adopted := version(), tr.Placement()
+
+	var in []byte
+	for _, f := range []wire.Frame{other.helloFrame(), other.peersFrame()} {
+		var err error
+		if in, err = wire.AppendFrameBytes(in, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// An accepted connection: the node answers the HELLO with its own.
+	tr.wg.Add(1)
+	tr.readConn(&feedConn{scriptConn: scriptConn{failAfter: -1}, chunks: [][]byte{in}}, nil, true, nil)
+
+	if got := version(); got != before || tr.Placement() != adopted {
+		t.Fatalf("a repeat HELLO and PEERS moved the view from version %d to %d", before, got)
+	}
+	s.mu.Lock()
+	queued := scanAll(t, s.buf)
+	s.mu.Unlock()
+	if len(queued) != 0 {
+		t.Fatalf("a repeat HELLO and PEERS pushed %d frames to a client session: %+v", len(queued), queued)
 	}
 }
