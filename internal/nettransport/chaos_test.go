@@ -12,7 +12,6 @@ import (
 
 	"churnreg/internal/core"
 	"churnreg/internal/esyncreg"
-	"churnreg/internal/nodeops"
 	"churnreg/internal/syncreg"
 )
 
@@ -95,7 +94,7 @@ func TestChaosConnectionDropsESync(t *testing.T) {
 			switch {
 			case err == nil:
 				oks.Add(1)
-			case errors.Is(err, nodeops.ErrTimeout):
+			case errors.Is(err, ErrTimeout):
 				timeouts.Add(1)
 			default:
 				t.Errorf("write %v: unexpected error: %v", k, err)
@@ -136,7 +135,7 @@ func TestChaosConnectionDropsESync(t *testing.T) {
 						t.Errorf("read %v returned %v, never written to that key", k, v)
 						return
 					}
-				case errors.Is(err, nodeops.ErrTimeout), errors.Is(err, core.ErrOpInProgress):
+				case errors.Is(err, ErrTimeout), errors.Is(err, core.ErrOpInProgress):
 					timeouts.Add(1)
 				default:
 					t.Errorf("read %v: unexpected error: %v", k, err)

@@ -103,7 +103,6 @@ import (
 	"time"
 
 	"churnreg/internal/core"
-	"churnreg/internal/nodeops"
 	"churnreg/internal/placement"
 	"churnreg/internal/sim"
 	"churnreg/internal/wire"
@@ -111,6 +110,9 @@ import (
 
 // ErrClosed is returned once the transport has been shut down.
 var ErrClosed = errors.New("nettransport: transport closed")
+
+// ErrTimeout is returned when a wait misses its real-time deadline.
+var ErrTimeout = errors.New("nettransport: operation timed out")
 
 const (
 	// dialTimeout bounds one connection attempt.
@@ -539,10 +541,8 @@ func (t *Transport) Invoke(fn func(core.Node)) error {
 	return nil
 }
 
-func (t *Transport) invoker() nodeops.Invoke { return t.Invoke }
-
 // WaitActive blocks until the node marks its join returned, the transport
-// closes (ErrClosed), or timeout passes (nodeops.ErrTimeout). It waits on
+// closes (ErrClosed), or timeout passes (ErrTimeout). It waits on
 // MarkActive's signal, not on the node: it enters no monitor turn.
 func (t *Transport) WaitActive(timeout time.Duration) error {
 	timer := time.NewTimer(timeout)
@@ -553,20 +553,54 @@ func (t *Transport) WaitActive(timeout time.Duration) error {
 	case <-t.quit:
 		return ErrClosed
 	case <-timer.C:
-		return nodeops.ErrTimeout
+		return ErrTimeout
 	}
 }
 
 // ReadKey runs a read of one register and waits for its result.
 func (t *Transport) ReadKey(reg core.RegisterID, timeout time.Duration) (core.VersionedValue, error) {
-	return nodeops.ReadKey(t.invoker(), reg, timeout)
+	return t.call(core.ForwardMsg{Reg: reg}, timeout)
 }
 
 // WriteKey runs a write of one register, waits for it to return ok, and
-// reports the exact ⟨v, sn⟩ it stored. Safe for concurrent callers: each
-// call pipelines as its own operation on the node.
+// reports the exact ⟨v, sn⟩ it stored — this write's own, which matters
+// to pipelined callers: with several writes to one key in flight, a
+// snapshot taken after completion may reflect a later write. Safe for
+// concurrent callers: each call pipelines as its own operation on the
+// node.
 func (t *Transport) WriteKey(reg core.RegisterID, v core.Value, timeout time.Duration) (core.VersionedValue, error) {
-	return nodeops.WriteKey(t.invoker(), reg, v, timeout)
+	return t.call(core.ForwardMsg{Reg: reg, IsWrite: true, Val: v}, timeout)
+}
+
+// result is one operation's outcome, as its done callback reports it.
+type result struct {
+	v   core.VersionedValue
+	err error
+}
+
+// call runs m in a turn of the node, as serve runs a client's FORWARD,
+// and waits for its result until timeout (ErrTimeout). The result
+// channel is buffered, so a node completing the operation after its
+// caller gave up never blocks; the operation itself still runs to
+// completion and reclaims its table entry.
+func (t *Transport) call(m core.ForwardMsg, timeout time.Duration) (core.VersionedValue, error) {
+	res := make(chan result, 1)
+	if !t.do(func() {
+		t.invoke(m, func(v core.VersionedValue, err error) { res <- result{v: v, err: err} })
+	}) {
+		return core.Bottom(), ErrClosed
+	}
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
+	select {
+	case r := <-res:
+		if r.err != nil {
+			return core.Bottom(), r.err
+		}
+		return r.v, nil
+	case <-timer.C:
+		return core.Bottom(), ErrTimeout
+	}
 }
 
 // ---- core.Env ----
@@ -1294,16 +1328,14 @@ func isClosedErr(err error) bool {
 // job, and a reconnect is a new session).
 type clientSession struct{ link }
 
-// errNoOps refuses a client operation at a node that serves none.
+// errNoOps refuses an operation at a node that serves none.
 var errNoOps = errors.New("nettransport: node serves no operations")
 
-// serve runs a client session's operation as the node's own Read or
-// Write — the call an in-process caller makes through core.Ops, so a
-// sharded node applies its write primacy and handoff queueing — and
-// answers FORWARDED on the session's link, from done or from the
-// invocation error. It runs in a turn: so does done.
+// serve runs a client session's operation on the node and answers
+// FORWARDED on the session's link, from done or from the invocation
+// error. It runs in a turn: so does done.
 func (t *Transport) serve(s *clientSession, m core.ForwardMsg) {
-	answer := func(v core.VersionedValue, err error) {
+	t.invoke(m, func(v core.VersionedValue, err error) {
 		code := core.ForwardOK
 		if err != nil {
 			code = forwardCode(err)
@@ -1313,19 +1345,28 @@ func (t *Transport) serve(s *clientSession, m core.ForwardMsg) {
 		}
 		t.transmit(true, wire.Frame{Type: wire.FrameMsg,
 			Msg: core.ForwardedMsg{From: t.cfg.ID, Op: m.Op, Reg: m.Reg, Value: v, Code: code}}, &s.link)
-	}
+	})
+}
+
+// invoke runs m as the node's own Read or Write — the call every
+// operation makes, a wire client's FORWARD and an in-process ReadKey or
+// WriteKey alike, so a sharded node applies its write primacy and handoff
+// queueing — and reports through done, which also gets the invocation
+// error (done runs once either way). A node that serves no operations
+// refuses with errNoOps. It runs in a turn.
+func (t *Transport) invoke(m core.ForwardMsg, done func(core.VersionedValue, error)) {
 	ops, ok := t.node.(core.Ops)
 	var err error
 	switch {
 	case !ok:
 		err = errNoOps
 	case m.IsWrite:
-		err = ops.Write(m.Reg, m.Val, answer)
+		err = ops.Write(m.Reg, m.Val, done)
 	default:
-		err = ops.Read(m.Reg, answer)
+		err = ops.Read(m.Reg, done)
 	}
 	if err != nil {
-		answer(core.Bottom(), err)
+		done(core.Bottom(), err)
 	}
 }
 

@@ -1,13 +1,16 @@
 package nettransport
 
-// Tests of what a client session's operation does at the node: serve
-// invokes the node's own Read or Write and answers on the session's link.
-// The node's peers and clock are played by the test (opEnv), and the
-// session has no connection behind it, so its answers stay queued on its
-// link for the test to read.
+// Tests of what an operation does at the node. serve invokes the node's
+// own Read or Write and answers on a client session's link; the node's
+// peers and clock are played by the test (opEnv), and the session has no
+// connection behind it, so its answers stay queued on its link for the
+// test to read. ReadKey and WriteKey make the same invocation and wait for
+// its result; a scripted node (scriptedNode) plays their outcomes.
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"churnreg/internal/abd"
 	"churnreg/internal/core"
@@ -284,5 +287,135 @@ func TestForwardedDropped(t *testing.T) {
 				t.Fatalf("the store went %v -> %v, %d operations pending", before, after, tr.node.(core.OpAccountant).PendingOps())
 			}
 		})
+	}
+}
+
+// scriptedNode is a node with core.Ops doing what the test scripts:
+// refuse returns from the invocation; otherwise done runs at once with
+// fail as its error, or, with hold set, is kept for the test to run.
+type scriptedNode struct {
+	probe
+	refuse error
+	fail   error
+	hold   bool
+	held   func()
+}
+
+func (s *scriptedNode) complete(f func()) {
+	if s.hold {
+		s.held = f
+		return
+	}
+	f()
+}
+
+func (s *scriptedNode) Read(reg core.RegisterID, done func(core.VersionedValue, error)) error {
+	if s.refuse != nil {
+		return s.refuse
+	}
+	s.complete(func() { done(core.VersionedValue{Val: core.Value(reg), SN: 3}, s.fail) })
+	return nil
+}
+
+func (s *scriptedNode) Write(reg core.RegisterID, v core.Value, done func(core.VersionedValue, error)) error {
+	if s.refuse != nil {
+		return s.refuse
+	}
+	s.complete(func() { done(core.VersionedValue{Val: v, SN: core.SeqNum(reg)}, s.fail) })
+	return nil
+}
+
+// newScriptedTransport builds an inert transport hosting n.
+func newScriptedTransport(t *testing.T, n *scriptedNode) *Transport {
+	t.Helper()
+	tr, _ := newProbeTransport(t, nil, func(c *Config) {
+		c.Factory = func(core.Env, core.SpawnContext) core.Node { return n }
+	})
+	return tr
+}
+
+// opWait bounds a key operation that is meant to complete.
+const opWait = time.Second
+
+// TestValueAndSNPassThrough: ReadKey and WriteKey return the ⟨v, sn⟩ the
+// node's done reports.
+func TestValueAndSNPassThrough(t *testing.T) {
+	tr := newScriptedTransport(t, &scriptedNode{})
+	if v, err := tr.ReadKey(4, opWait); err != nil || v != (core.VersionedValue{Val: 4, SN: 3}) {
+		t.Fatalf("read = %v, %v", v, err)
+	}
+	if vv, err := tr.WriteKey(6, 60, opWait); err != nil || vv != (core.VersionedValue{Val: 60, SN: 6}) {
+		t.Fatalf("write = %v, %v", vv, err)
+	}
+}
+
+// TestInvocationErrorIsReturned: an operation the node refuses at
+// invocation returns the refusal, and one at a closed transport ErrClosed.
+func TestInvocationErrorIsReturned(t *testing.T) {
+	tr := newScriptedTransport(t, &scriptedNode{refuse: core.ErrNotActive})
+	if _, err := tr.ReadKey(1, opWait); err != core.ErrNotActive {
+		t.Fatalf("read: %v", err)
+	}
+	if _, err := tr.WriteKey(1, 1, opWait); err != core.ErrNotActive {
+		t.Fatalf("write: %v", err)
+	}
+	tr.Close()
+	if _, err := tr.ReadKey(1, opWait); err != ErrClosed {
+		t.Fatalf("read on a closed transport: %v", err)
+	}
+	if _, err := tr.WriteKey(1, 1, opWait); err != ErrClosed {
+		t.Fatalf("write on a closed transport: %v", err)
+	}
+}
+
+// TestErrorDeliveredInDone: an operation that fails through done returns
+// that error, and a read ⊥.
+func TestErrorDeliveredInDone(t *testing.T) {
+	tr := newScriptedTransport(t, &scriptedNode{fail: core.ErrUnroutable})
+	if _, err := tr.WriteKey(1, 1, opWait); err != core.ErrUnroutable {
+		t.Fatalf("write: %v", err)
+	}
+	if v, err := tr.ReadKey(1, opWait); err != core.ErrUnroutable || !v.IsBottom() {
+		t.Fatalf("read: %v, %v", v, err)
+	}
+}
+
+// TestNodeWithoutOps: a node that serves no operations refuses ReadKey and
+// WriteKey with errNoOps, the refusal serve answers BUSY for.
+func TestNodeWithoutOps(t *testing.T) {
+	tr, _ := newProbeTransport(t, nil, nil)
+	if _, err := tr.ReadKey(1, opWait); !errors.Is(err, errNoOps) {
+		t.Fatalf("read: %v", err)
+	}
+	if _, err := tr.WriteKey(1, 1, opWait); !errors.Is(err, errNoOps) {
+		t.Fatalf("write: %v", err)
+	}
+}
+
+// TestTimeoutAndLateDone: a caller whose operation misses its deadline
+// gets ErrTimeout, and the node completing it afterwards is not blocked:
+// the late done returns and the node serves the next operation.
+func TestTimeoutAndLateDone(t *testing.T) {
+	n := &scriptedNode{hold: true}
+	tr := newScriptedTransport(t, n)
+	if _, err := tr.WriteKey(1, 1, 10*time.Millisecond); err != ErrTimeout {
+		t.Fatalf("write: %v, want ErrTimeout", err)
+	}
+	late := make(chan struct{})
+	go func() {
+		tr.do(n.held)
+		close(late)
+	}()
+	select {
+	case <-late:
+	case <-time.After(opWait):
+		t.Fatal("a late done blocked the node")
+	}
+	if _, err := tr.ReadKey(1, 10*time.Millisecond); err != ErrTimeout {
+		t.Fatalf("read: %v, want ErrTimeout", err)
+	}
+	tr.Invoke(func(core.Node) { n.hold = false })
+	if v, err := tr.ReadKey(5, opWait); err != nil || v.Val != 5 {
+		t.Fatalf("read after a late done = %v, %v", v, err)
 	}
 }

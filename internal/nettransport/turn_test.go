@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"churnreg/internal/core"
-	"churnreg/internal/nodeops"
 	"churnreg/internal/placement"
 	"churnreg/internal/sim"
 	"churnreg/internal/wire"
@@ -533,7 +532,7 @@ func TestWaitActive(t *testing.T) {
 	}
 	tr, p := newProbeTransport(t, nil, joining)
 	before := tr.Stats().LoopTurns.Load()
-	if err := tr.WaitActive(50 * time.Millisecond); err != nodeops.ErrTimeout {
+	if err := tr.WaitActive(50 * time.Millisecond); err != ErrTimeout {
 		t.Fatalf("wait on a node that never joins = %v, want ErrTimeout", err)
 	}
 	if after := tr.Stats().LoopTurns.Load(); after != before {

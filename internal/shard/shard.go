@@ -43,7 +43,8 @@
 // # Handoff
 //
 // When a view change makes this node a replica of a shard it did not
-// hold, the shard is PENDING: operations on it queue while the wrapper
+// hold, or the primary of a shard another process was primary of, the
+// shard is PENDING: operations on it queue while the wrapper
 // asks the shard's previous and current replicas (the donors) for their
 // state — INQUIRY tagged core.HandoffOp(shard), answered by the shard's
 // slice of the donor's snapshot REPLY (core.RegStore.SnapshotReply, the
@@ -238,7 +239,8 @@ func (n *Node) PendingOps() int {
 // ---- placement ----
 
 // PlacementChanged implements placement.Aware: adopt the new view,
-// start handoff for gained shards, drop state for lost ones.
+// start handoff for gained shards and for held shards whose primacy this
+// node gained, drop state for lost ones.
 func (n *Node) PlacementChanged(view *placement.View) {
 	old := n.view
 	first := old == nil
@@ -266,7 +268,9 @@ func (n *Node) PlacementChanged(view *placement.View) {
 	}
 	for _, s := range owned {
 		st := n.shards[s]
-		if st != nil {
+		// A held shard stays as it is, unless this node just became its
+		// primary: then it is handed off below as if gained.
+		if st != nil && !(st.ready && n.gainsPrimacy(old, view, s)) {
 			if !st.ready {
 				// Pending handoff continues; refresh the donor set
 				// against the new view so dead donors stop being
@@ -299,6 +303,16 @@ func (n *Node) PlacementChanged(view *placement.View) {
 			}
 		})
 	}
+}
+
+// gainsPrimacy reports whether shard s, which this node holds, has it as
+// primary in view and had another process in old: the new primary must
+// learn the shard's state before it mints a sequence number, so the shard
+// is handed off as if gained. A held shard was owned in old, so old is
+// not a first view and both groups name this node.
+func (n *Node) gainsPrimacy(old, view *placement.View, s int) bool {
+	self := n.env.ID()
+	return view.GroupFor(s)[0] == self && old.GroupFor(s)[0] != self
 }
 
 // Placement returns the wrapper's current view (tests).
@@ -503,12 +517,9 @@ func (n *Node) isPrimary(reg core.RegisterID) bool {
 	return len(g) > 0 && g[0] == n.env.ID()
 }
 
-// queueOnShard parks an operation until the shard's handoff completes.
+// queueOnShard parks an operation until the shard's handoff completes;
+// callers check pendingShard first.
 func (n *Node) queueOnShard(s int, fn func()) {
 	st := n.shards[s]
-	if st == nil || st.ready {
-		fn()
-		return
-	}
 	st.queue = append(st.queue, fn)
 }

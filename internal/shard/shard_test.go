@@ -607,3 +607,59 @@ func TestJoiningReplicaReadNotActive(t *testing.T) {
 		t.Fatal("the active joiner owns no shard")
 	}
 }
+
+// TestNewPrimaryLearnsBeforeItMints: under abd (n = 6, S = 1, R = 3) the
+// primary's WRITEs to the shard's second replica are held, so the
+// primary's two writes complete on the primary and the third replica
+// only. The primary is killed and the second replica, which held the
+// shard all along with a stale copy, becomes primary. It must learn the
+// shard's state before it mints: its write is acknowledged with a
+// sequence number above the two completed writes', not #1 again.
+func TestNewPrimaryLearnsBeforeItMints(t *testing.T) {
+	model := netsim.ScriptedDelayModel{
+		Base:      netsim.FixedDelayModel{D: 1},
+		Overrides: map[netsim.Route]sim.Duration{},
+	}
+	sys, err := dynsys.New(dynsys.Config{
+		N: 6, Delta: 5, Model: model, Seed: 3,
+		Factory:   shard.Factory(abd.Factory()),
+		Placement: placement.Config{Shards: 1, Replication: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = core.RegisterID(1)
+	g := sys.Placement().GroupFor(0)
+	model.Overrides[netsim.Route{From: g[0], To: g[1], Kind: core.KindWrite}] = 100_000
+	write := func(at core.ProcessID, v core.Value) core.VersionedValue {
+		t.Helper()
+		var got []core.VersionedValue
+		if err := sys.Node(at).(core.Ops).Write(key, v, func(vv core.VersionedValue, err error) {
+			if err != nil {
+				t.Errorf("write of %d at %v: %v", v, at, err)
+			}
+			got = append(got, vv)
+		}); err != nil {
+			t.Fatalf("write of %d at %v: %v", v, at, err)
+		}
+		for i := 0; len(got) == 0; i++ {
+			if i == 100 {
+				t.Fatalf("write of %d at %v did not complete in 100 ticks", v, at)
+			}
+			if err := sys.RunFor(1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return got[0]
+	}
+	if a, b := write(g[0], 11), write(g[0], 12); a.SN != 1 || b.SN != 2 {
+		t.Fatalf("the primary's writes were acknowledged as %v and %v, want #1 and #2", a, b)
+	}
+	sys.KillProcess(g[0])
+	if ng := sys.Placement().GroupFor(0); ng[0] != g[1] {
+		t.Fatalf("group %v after %v's departure from %v: want %v primary", ng, g[0], g, g[1])
+	}
+	if got := write(g[1], 21); got.SN <= 2 {
+		t.Fatalf("the new primary's write was acknowledged as %v, want a sequence number above #2", got)
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"churnreg/internal/core"
 	"churnreg/internal/nettransport"
 	"churnreg/internal/placement"
-	"churnreg/internal/shard"
 	"churnreg/internal/sim"
 )
 
@@ -90,10 +89,11 @@ func NewNetCluster(opt ...Option) (*NetCluster, error) {
 }
 
 // awaitViews waits, within opTimeout, until every process routes over
-// all n bootstrap processes: sharded, its shard wrapper has adopted a
-// view of n members; unsharded, its transport knows n-1 peers. Start
-// publishes views from a goroutine after the handshakes, so without this
-// wait the first operations would route on a partial system.
+// all n bootstrap processes: sharded, its transport has published a view
+// of n members (in the turn its node adopted it); unsharded, it knows n-1
+// peers. Start publishes views from a goroutine after the handshakes, so
+// without this wait the first operations would route on a partial
+// system.
 func (c *NetCluster) awaitViews(trs []*nettransport.Transport) error {
 	deadline := time.Now().Add(c.opts.opTimeout)
 	for _, tr := range trs {
@@ -112,13 +112,8 @@ func (c *NetCluster) routesOverAll(tr *nettransport.Transport) bool {
 	if !c.opts.placement.Enabled() {
 		return tr.PeerCount() == c.opts.n-1
 	}
-	members := 0
-	err := tr.Invoke(func(n core.Node) {
-		if v := n.(*shard.Node).Placement(); v != nil {
-			members = len(v.Members())
-		}
-	})
-	return err == nil && members == c.opts.n
+	v := tr.Placement()
+	return v != nil && len(v.Members()) == c.opts.n
 }
 
 func (c *NetCluster) transportConfig(id ProcessID, sc core.SpawnContext) nettransport.Config {

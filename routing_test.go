@@ -8,7 +8,6 @@ import (
 
 	"churnreg/internal/core"
 	"churnreg/internal/nettransport"
-	"churnreg/internal/nodeops"
 	"churnreg/internal/placement"
 	"churnreg/internal/spec"
 )
@@ -193,7 +192,7 @@ func TestNetClusterWriterSuccessorUnderConcurrentWrites(t *testing.T) {
 				default:
 				}
 				err := c.write(core.DefaultRegister, core.Value(v), time.Now().Add(c.opts.opTimeout), record)
-				if err != nil && !errors.Is(err, nettransport.ErrClosed) && !errors.Is(err, nodeops.ErrTimeout) {
+				if err != nil && !errors.Is(err, nettransport.ErrClosed) && !errors.Is(err, nettransport.ErrTimeout) {
 					t.Errorf("write: %v", err)
 					return
 				}

@@ -8,6 +8,7 @@ import (
 
 	"churnreg/internal/core"
 	"churnreg/internal/shard"
+	"churnreg/internal/sim"
 )
 
 // shardedOpts builds the deterministic sharded cluster configuration the
@@ -477,4 +478,36 @@ func churnedReadKeys(t *testing.T, rate float64) (joins, refusedWrites int) {
 		t.Fatalf("check: %v", rep)
 	}
 	return joins, refusedWrites
+}
+
+// TestSimNewPrimaryLearnsBeforeItMints: under StaticABD (n = 6, S = 1,
+// R = 3) the network drops the primary's WRITEs to the shard's second
+// replica, so two writes complete without it. The primary leaves and the
+// second replica, stale, becomes primary. Its write must order after the
+// two completed ones: the per-key write order holds.
+func TestSimNewPrimaryLearnsBeforeItMints(t *testing.T) {
+	c, err := NewSimCluster(shardedOpts(StaticABD, 6, 1, 3, 3)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = RegisterID(1)
+	g := c.sys.Placement().GroupFor(0)
+	c.sys.Network().SetDropRule(func(from, to core.ProcessID, m core.Message, _ sim.Time) bool {
+		return from == g[0] && to == g[1] && m.Kind() == core.KindWrite
+	})
+	for _, v := range []int64{11, 12} {
+		if err := c.WriteKey(key, v); err != nil {
+			t.Fatalf("write %d: %v", v, err)
+		}
+	}
+	c.Leave(g[0])
+	if ng := c.sys.Placement().GroupFor(0); ng[0] != g[1] {
+		t.Fatalf("group %v after %v's departure from %v: want %v primary", ng, g[0], g, g[1])
+	}
+	if err := c.WriteKey(key, 21); err != nil {
+		t.Fatalf("write 21: %v", err)
+	}
+	if rep := c.Check(); rep.WriteOrder != nil || !rep.OK() {
+		t.Fatalf("write order after the primary left: %v\n%v", rep.WriteOrder, rep)
+	}
 }

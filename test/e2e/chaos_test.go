@@ -186,6 +186,27 @@ func TestE2EChaosWireClient(t *testing.T) {
 	}
 }
 
+// TestE2EChaosShardedABD: the static quorum protocol, sharded as in
+// TestE2EChaosSharded over four founders, loses founder 4 — the primary
+// of keys 0, 2 and 3 — to a SIGKILL mid-traffic. Each key's new primary
+// held it as a backup, possibly without its latest writes, so it must
+// learn the shard's state before it mints; the regularity and write-order
+// verdicts hold. No process joins: an abd replacement never becomes
+// active, so it would never report healthy.
+func TestE2EChaosShardedABD(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs OS processes; skipped in -short")
+	}
+	cfg := chaosConfig{protocol: "abd", delta: 5, founders: 4, sharded: true, writers: 1,
+		schedule: []phase{{after: 1600 * time.Millisecond, kill: 4}},
+		tail:     time.Second}
+	for _, seed := range seedsToRun() {
+		t.Run(fmt.Sprintf("%s/seed=%d", cfg.protocol, seed), func(t *testing.T) {
+			runChaos(t, cfg, seed)
+		})
+	}
+}
+
 // run is one system under test with its client and the history of every
 // operation the client made.
 type run struct {
