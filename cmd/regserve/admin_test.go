@@ -217,7 +217,9 @@ func TestAPIPprofServesProfiles(t *testing.T) {
 
 // TestBinaryLinksNoHTTPStack: regserve's admin API is its own responder,
 // so the binary links neither net/http nor the TLS and X.509 stack that
-// comes with it, about half of the image every daemon maps.
+// comes with it, about half of the image every daemon maps — nor
+// net/textproto, whose header reader it does without, nor encoding/json,
+// since /health and /leave write their JSON by hand.
 func TestBinaryLinksNoHTTPStack(t *testing.T) {
 	gobin, err := exec.LookPath("go")
 	if err != nil {
@@ -229,7 +231,7 @@ func TestBinaryLinksNoHTTPStack(t *testing.T) {
 	}
 	for _, dep := range strings.Fields(string(out)) {
 		switch dep {
-		case "net/http", "crypto/tls", "crypto/x509":
+		case "net/http", "crypto/tls", "crypto/x509", "net/textproto", "encoding/json":
 			t.Errorf("cmd/regserve depends on %s", dep)
 		}
 	}

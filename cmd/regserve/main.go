@@ -43,7 +43,7 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -51,9 +51,11 @@ import (
 	"net/url"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
+	"unicode/utf8"
 
 	"churnreg/internal/abd"
 	"churnreg/internal/core"
@@ -278,7 +280,7 @@ func newAPI(cfg *serverConfig, tr backend, leavec chan<- struct{}) *adminServer 
 }
 
 // metrics serves the Prometheus text exposition of series.
-func (a *api) metrics(w io.Writer, _ url.Values) error {
+func (a *api) metrics(w *bytes.Buffer, _ url.Values) error {
 	return metrics.WriteText(w, a.series())
 }
 
@@ -358,24 +360,59 @@ func (a *api) readNodeCounts() *nodeCounts {
 	}
 }
 
-func (a *api) health(w io.Writer, _ url.Values) error {
-	out := map[string]any{
-		"id":       a.cfg.id,
-		"protocol": a.cfg.protocol,
-		"active":   a.tr.Active(),
-		"peers":    a.tr.PeerCount(),
-		"addr":     a.tr.Addr(),
-	}
+// health serves the node's identity and state as a JSON object, keys in
+// sorted order and a newline after it, as encoding/json would write the
+// map of them. It is written by hand into w's spare room, so a probe of
+// a process that lives a few seconds leaves nothing behind.
+func (a *api) health(w *bytes.Buffer, _ url.Values) error {
+	b := append(w.AvailableBuffer(), `{"active":`...)
+	b = strconv.AppendBool(b, a.tr.Active())
+	b = append(b, `,"addr":`...)
+	b = appendJSONString(b, a.tr.Addr())
+	b = append(b, `,"id":`...)
+	b = strconv.AppendInt(b, a.cfg.id, 10)
+	b = append(b, `,"peers":`...)
+	b = strconv.AppendInt(b, int64(a.tr.PeerCount()), 10)
+	b = append(b, `,"protocol":`...)
+	b = appendJSONString(b, a.cfg.protocol)
 	if shards, owned, repl := a.tr.ShardInfo(); shards > 0 {
-		out["shards"] = shards
-		out["shards_owned"] = owned
-		out["replication"] = repl
+		b = append(b, `,"replication":`...)
+		b = strconv.AppendInt(b, int64(repl), 10)
+		b = append(b, `,"shards":`...)
+		b = strconv.AppendInt(b, int64(shards), 10)
+		b = append(b, `,"shards_owned":`...)
+		b = strconv.AppendInt(b, int64(owned), 10)
 	}
-	return json.NewEncoder(w).Encode(out)
+	_, err := w.Write(append(b, "}\n"...))
+	return err
 }
 
-func (a *api) leave(w io.Writer, _ url.Values) error {
-	err := json.NewEncoder(w).Encode(map[string]any{"ok": true, "leaving": true})
+// appendJSONString appends s to b as encoding/json writes a string: quoted,
+// with ", \, control bytes, <, > and & escaped, each invalid UTF-8 byte as
+// \ufffd, and U+2028 and U+2029 escaped.
+func appendJSONString(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	for i := 0; i < len(s); {
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch short := strings.IndexRune("\b\f\n\r\t", r); {
+		case r == '"' || r == '\\':
+			b = append(b, '\\', byte(r))
+		case short >= 0:
+			b = append(b, '\\', "bfnrt"[short])
+		case r < ' ' || r == '<' || r == '>' || r == '&' || r == '\u2028' || r == '\u2029' || r == utf8.RuneError && size == 1:
+			b = append(b, '\\', 'u', hex[r>>12&0xf], hex[r>>8&0xf], hex[r>>4&0xf], hex[r&0xf])
+		default:
+			b = append(b, s[i:i+size]...)
+		}
+		i += size
+	}
+	return append(b, '"')
+}
+
+// leave answers {"leaving":true,"ok":true} and tells the daemon to leave.
+func (a *api) leave(w *bytes.Buffer, _ url.Values) error {
+	_, err := w.WriteString(`{"leaving":true,"ok":true}` + "\n")
 	select {
 	case a.leavec <- struct{}{}:
 	default:

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/url"
@@ -22,11 +23,11 @@ import (
 // `go tool pprof` never asks), and a named profile's ?seconds= delta.
 func addPprofRoutes(routes map[string]route) {
 	routes["/debug/pprof/"] = route{"GET", "text/html; charset=utf-8", pprofIndex}
-	routes["/debug/pprof/cmdline"] = route{"GET", "text/plain; charset=utf-8", func(w io.Writer, _ url.Values) error {
+	routes["/debug/pprof/cmdline"] = route{"GET", "text/plain; charset=utf-8", func(w *bytes.Buffer, _ url.Values) error {
 		_, err := io.WriteString(w, strings.Join(os.Args, "\x00"))
 		return err
 	}}
-	routes["/debug/pprof/profile"] = route{"GET", "application/octet-stream", func(w io.Writer, q url.Values) error {
+	routes["/debug/pprof/profile"] = route{"GET", "application/octet-stream", func(w *bytes.Buffer, q url.Values) error {
 		sec, err := strconv.ParseInt(q.Get("seconds"), 10, 64)
 		if sec <= 0 || err != nil {
 			sec = 30
@@ -38,7 +39,7 @@ func addPprofRoutes(routes map[string]route) {
 		pprof.StopCPUProfile()
 		return nil
 	}}
-	routes["/debug/pprof/trace"] = route{"GET", "application/octet-stream", func(w io.Writer, q url.Values) error {
+	routes["/debug/pprof/trace"] = route{"GET", "application/octet-stream", func(w *bytes.Buffer, q url.Values) error {
 		sec, err := strconv.ParseFloat(q.Get("seconds"), 64)
 		if sec <= 0 || err != nil {
 			sec = 1
@@ -51,7 +52,7 @@ func addPprofRoutes(routes map[string]route) {
 		return nil
 	}}
 	for _, p := range pprof.Profiles() {
-		routes["/debug/pprof/"+p.Name()] = route{"GET", "", func(w io.Writer, q url.Values) error {
+		routes["/debug/pprof/"+p.Name()] = route{"GET", "", func(w *bytes.Buffer, q url.Values) error {
 			if gc, _ := strconv.Atoi(q.Get("gc")); gc > 0 && p.Name() == "heap" {
 				runtime.GC()
 			}
@@ -62,7 +63,7 @@ func addPprofRoutes(routes map[string]route) {
 }
 
 // pprofIndex lists the profiles, each linked to its text form.
-func pprofIndex(w io.Writer, _ url.Values) error {
+func pprofIndex(w *bytes.Buffer, _ url.Values) error {
 	fmt.Fprint(w, "<html><head><title>/debug/pprof/</title></head><body>\n<p>Profiles:</p>\n<ul>\n")
 	for _, p := range pprof.Profiles() {
 		fmt.Fprintf(w, "<li><a href=\"%s?debug=1\">%s</a> (%d)</li>\n", p.Name(), p.Name(), p.Count())

@@ -579,10 +579,10 @@ type result struct {
 }
 
 // call runs m in a turn of the node, as serve runs a client's FORWARD,
-// and waits for its result until timeout (ErrTimeout). The result
-// channel is buffered, so a node completing the operation after its
-// caller gave up never blocks; the operation itself still runs to
-// completion and reclaims its table entry.
+// and waits for its result until timeout (ErrTimeout) or until the
+// transport closes (ErrClosed). The result channel is buffered, so a node
+// completing the operation after its caller gave up never blocks; the
+// operation itself still runs to completion and reclaims its table entry.
 func (t *Transport) call(m core.ForwardMsg, timeout time.Duration) (core.VersionedValue, error) {
 	res := make(chan result, 1)
 	if !t.do(func() {
@@ -598,6 +598,8 @@ func (t *Transport) call(m core.ForwardMsg, timeout time.Duration) (core.Version
 			return core.Bottom(), r.err
 		}
 		return r.v, nil
+	case <-t.quit:
+		return core.Bottom(), ErrClosed
 	case <-timer.C:
 		return core.Bottom(), ErrTimeout
 	}
@@ -1325,8 +1327,24 @@ func isClosedErr(err error) bool {
 // clientSession is the serving side of one external SDK connection: a
 // link written to the accepted connection, with no dialing (a session
 // lives exactly as long as its connection — reconnecting is the client's
-// job, and a reconnect is a new session).
-type clientSession struct{ link }
+// job, and a reconnect is a new session). free holds the session's idle
+// answer slots; only turns touch it.
+type clientSession struct {
+	link
+	free []*answerSlot
+}
+
+// answerSlot carries one served operation from its invocation to its
+// FORWARDED. done is the slot's answer method, bound once when the slot
+// is made, so serving an operation builds no closure; a slot goes back
+// on its session's free list when done has run.
+type answerSlot struct {
+	t    *Transport
+	s    *clientSession
+	op   core.OpID
+	reg  core.RegisterID
+	done func(core.VersionedValue, error)
+}
 
 // errNoOps refuses an operation at a node that serves none.
 var errNoOps = errors.New("nettransport: node serves no operations")
@@ -1335,17 +1353,31 @@ var errNoOps = errors.New("nettransport: node serves no operations")
 // FORWARDED on the session's link, from done or from the invocation
 // error. It runs in a turn: so does done.
 func (t *Transport) serve(s *clientSession, m core.ForwardMsg) {
-	t.invoke(m, func(v core.VersionedValue, err error) {
-		code := core.ForwardOK
-		if err != nil {
-			code = forwardCode(err)
-			t.stats.ForwardsRefused.Add(1)
-		} else {
-			t.stats.ForwardsServed.Add(1)
-		}
-		t.transmit(true, wire.Frame{Type: wire.FrameMsg,
-			Msg: core.ForwardedMsg{From: t.cfg.ID, Op: m.Op, Reg: m.Reg, Value: v, Code: code}}, &s.link)
-	})
+	var a *answerSlot
+	if n := len(s.free); n > 0 {
+		a, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		a = &answerSlot{s: s}
+		a.done = a.answer
+	}
+	a.t, a.op, a.reg = t, m.Op, m.Reg
+	t.invoke(m, a.done)
+}
+
+// answer is an answer slot's done: it frees the slot and queues the
+// operation's FORWARDED on the session's link.
+func (a *answerSlot) answer(v core.VersionedValue, err error) {
+	t, s := a.t, a.s
+	code := core.ForwardOK
+	if err != nil {
+		code = forwardCode(err)
+		t.stats.ForwardsRefused.Add(1)
+	} else {
+		t.stats.ForwardsServed.Add(1)
+	}
+	t.transmit(true, wire.Frame{Type: wire.FrameMsg,
+		Msg: core.ForwardedMsg{From: t.cfg.ID, Op: a.op, Reg: a.reg, Value: v, Code: code}}, &s.link)
+	s.free = append(s.free, a)
 }
 
 // invoke runs m as the node's own Read or Write — the call every

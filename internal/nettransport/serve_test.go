@@ -9,6 +9,7 @@ package nettransport
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -83,13 +84,14 @@ func wantAnswer(t *testing.T, s *clientSession, op core.OpID, code core.ForwardC
 }
 
 // TestServeForwardAllocs pins what serving one FORWARD costs in
-// allocations on an unsharded node: serve's answer and, for a read, the
-// adapter to Read's done; the inner protocol's operation (for abd, the
-// two quorum answers it waits for; for a sync write, its wait(δ) timer,
-// which the test fires, since syncreg takes no ACKs); and the FORWARDED
-// boxed into its frame. The abd answers name the operation's id, so the
-// test boxes each per run, and the abd ceilings count those two
-// allocations. A write's done is serve's answer itself, unwrapped.
+// allocations on an unsharded node: only the inner protocol's operation
+// (for abd, the two quorum answers it waits for; for a sync write, its
+// wait(δ) timer, which the test fires, since syncreg takes no ACKs), so a
+// sync read, served from the local copy, allocates nothing. serve's
+// answer slot is the session's, recycled, with its done bound once, and
+// the FORWARDED is encoded from the stack, never boxed. The abd answers
+// name the operation's id, so the test boxes each per run, and the abd
+// ceilings count those two allocations.
 func TestServeForwardAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector perturbs allocation counts")
@@ -102,10 +104,10 @@ func TestServeForwardAllocs(t *testing.T) {
 		op      core.ForwardMsg
 		max     float64
 	}{
-		{"sync read", syncreg.Factory(syncreg.Options{}), read, 3},
-		{"sync write", syncreg.Factory(syncreg.Options{}), write, 5},
-		{"abd read", abd.Factory(), read, 9},
-		{"abd write", abd.Factory(), write, 8},
+		{"sync read", syncreg.Factory(syncreg.Options{}), read, 0},
+		{"sync write", syncreg.Factory(syncreg.Options{}), write, 3},
+		{"abd read", abd.Factory(), read, 6},
+		{"abd write", abd.Factory(), write, 6},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -417,5 +419,145 @@ func TestTimeoutAndLateDone(t *testing.T) {
 	tr.Invoke(func(core.Node) { n.hold = false })
 	if v, err := tr.ReadKey(5, opWait); err != nil || v.Val != 5 {
 		t.Fatalf("read after a late done = %v, %v", v, err)
+	}
+}
+
+// TestCloseEndsOperationInFlight: an operation in flight when its
+// transport closes returns ErrClosed at once, not ErrTimeout after the
+// whole of its timeout.
+func TestCloseEndsOperationInFlight(t *testing.T) {
+	tr := newScriptedTransport(t, &scriptedNode{hold: true})
+	go func() {
+		time.Sleep(50 * time.Millisecond)
+		tr.Close()
+	}()
+	start := time.Now()
+	_, err := tr.ReadKey(1, 2*time.Second)
+	if took := time.Since(start); err != ErrClosed || took > 500*time.Millisecond {
+		t.Fatalf("a read held across Close returned %v after %v, want ErrClosed within 500ms", err, took)
+	}
+}
+
+// TestServePipelinedAnswers: one session carries two abd reads at once,
+// and the quorum replies of the second arrive before those of the first.
+// Each FORWARDED carries its own operation's id, register and value:
+// the answer slots of operations in flight together are distinct.
+func TestServePipelinedAnswers(t *testing.T) {
+	tr, env, sess := newOpTransport(t, abd.Factory(), true, placement.Config{})
+	type read struct {
+		fwd core.ForwardMsg
+		val core.VersionedValue
+		msg core.ReadMsg
+	}
+	reads := []*read{
+		{fwd: core.ForwardMsg{Op: 1, Reg: 4}, val: core.VersionedValue{Val: 40, SN: 2}},
+		{fwd: core.ForwardMsg{Op: 2, Reg: 9}, val: core.VersionedValue{Val: 90, SN: 5}},
+	}
+	for _, r := range reads {
+		tr.do(func() { tr.serve(sess, r.fwd) })
+		var ok bool
+		if r.msg, ok = env.last.(core.ReadMsg); !ok || r.msg.Reg != r.fwd.Reg {
+			t.Fatalf("read of %v sent %v, want a READ of it", r.fwd.Reg, env.last)
+		}
+	}
+	if got := answers(t, sess); len(got) != 0 {
+		t.Fatalf("answered %+v before any quorum replied", got)
+	}
+	for i := len(reads) - 1; i >= 0; i-- {
+		r := reads[i]
+		tr.do(func() {
+			for _, from := range []core.ProcessID{2, 3} {
+				tr.node.Deliver(from, core.ReplyMsg{From: from, Value: r.val, Reg: r.fwd.Reg, Op: r.msg.Op})
+			}
+		})
+		got := wantAnswer(t, sess, r.fwd.Op, core.ForwardOK)
+		if got.Reg != r.fwd.Reg || got.Value != r.val {
+			t.Fatalf("op %d answered register %v value %v, want %v and %v", r.fwd.Op, got.Reg, got.Value, r.fwd.Reg, r.val)
+		}
+	}
+}
+
+// heldNode keeps every operation's completion for the test to run, in
+// whatever order it likes; with refuse set it refuses the invocation.
+type heldNode struct {
+	probe
+	refuse  error
+	pending []func()
+}
+
+func (n *heldNode) Read(reg core.RegisterID, done func(core.VersionedValue, error)) error {
+	if n.refuse != nil {
+		return n.refuse
+	}
+	n.pending = append(n.pending, func() { done(core.VersionedValue{Val: core.Value(reg), SN: 1}, nil) })
+	return nil
+}
+
+func (n *heldNode) Write(reg core.RegisterID, v core.Value, done func(core.VersionedValue, error)) error {
+	return n.Read(reg, done)
+}
+
+// TestAnswerSlotsRecycled: 1,000 operations on one session — served ones
+// completing in shuffled order, refused ones (NOT_ACTIVE at invocation,
+// BUSY) between them — each get the answer to their own id and register,
+// and every slot goes back after its one done: the session's free list
+// ends no longer than the most operations that were ever in flight at
+// once.
+func TestAnswerSlotsRecycled(t *testing.T) {
+	n := &heldNode{}
+	tr, _ := newProbeTransport(t, nil, func(c *Config) {
+		c.Factory = func(core.Env, core.SpawnContext) core.Node { return n }
+	})
+	sess := &clientSession{link: newLink()}
+	rng := rand.New(rand.NewSource(1))
+	want := map[core.OpID]core.ForwardCode{}
+	check := func() {
+		t.Helper()
+		for _, a := range answers(t, sess) {
+			code, ok := want[a.Op]
+			if !ok || a.Code != code || a.Reg != core.RegisterID(a.Op%7) || (code == core.ForwardOK && a.Value.Val != core.Value(a.Op%7)) {
+				t.Fatalf("answer %+v, want one to op %d with code %v, register %d", a, a.Op, code, a.Op%7)
+			}
+			delete(want, a.Op)
+		}
+	}
+	const ops = 1000
+	most, refused := 0, 0
+	for op := core.OpID(1); op <= ops || len(n.pending) > 0; {
+		if op > ops || len(n.pending) > 0 && rng.Intn(3) == 0 {
+			i := rng.Intn(len(n.pending))
+			done := n.pending[i]
+			n.pending = append(n.pending[:i], n.pending[i+1:]...)
+			tr.do(done)
+			check()
+			continue
+		}
+		switch n.refuse = nil; rng.Intn(6) {
+		case 0:
+			n.refuse = core.ErrNotActive
+			want[op] = core.ForwardNotActive
+			refused++
+		case 1:
+			n.refuse = errors.New("overloaded")
+			want[op] = core.ForwardBusy
+			refused++
+		default:
+			want[op] = core.ForwardOK
+		}
+		tr.do(func() {
+			tr.serve(sess, core.ForwardMsg{Op: op, Reg: core.RegisterID(op % 7), IsWrite: op%2 == 0, Val: core.Value(op % 7)})
+		})
+		most = max(most, len(n.pending))
+		check()
+		op++
+	}
+	if len(want) != 0 {
+		t.Fatalf("%d operations never answered", len(want))
+	}
+	if st := tr.Stats(); st.ForwardsServed.Load() != uint64(ops-refused) || st.ForwardsRefused.Load() != uint64(refused) {
+		t.Fatalf("%d served, %d refused; want %d and %d", st.ForwardsServed.Load(), st.ForwardsRefused.Load(), ops-refused, refused)
+	}
+	if len(sess.free) > most || most < 2 {
+		t.Fatalf("free list of %d slots after at most %d operations in flight", len(sess.free), most)
 	}
 }

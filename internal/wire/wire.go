@@ -353,7 +353,7 @@ func appendMessage(b []byte, m core.Message) ([]byte, error) {
 		b = appendValue(b, msg.Value)
 		b = append(b, byte(msg.Code))
 	default:
-		return nil, fmt.Errorf("%w: %T", ErrMsgKind, m)
+		return nil, ErrMsgKind
 	}
 	return b, nil
 }
