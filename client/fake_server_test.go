@@ -88,10 +88,10 @@ func (fs *fakeServer) serve(conn net.Conn) {
 		case wire.FrameViewReq:
 			reply(fs.view(1))
 		case wire.FrameMsg:
-			fm, ok := f.Msg.(core.ForwardMsg)
-			if !ok {
+			if f.Kind != core.KindForward {
 				continue
 			}
+			fm := f.Forward
 			nth := fs.ops.Add(1)
 			if out := fs.script(fm, nth); out != nil {
 				out.Op = fm.Op

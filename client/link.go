@@ -216,10 +216,10 @@ func (s *serverConn) readLoop() {
 		}
 		switch f.Type {
 		case wire.FrameMsg:
-			if fm, ok := f.Msg.(core.ForwardedMsg); ok {
+			if f.Kind == core.KindForwarded {
 				// A reply to an op the sweep already failed finds nothing.
-				if op := s.take(fm.Op); op != nil {
-					op.done <- opOutcome{msg: fm}
+				if op := s.take(f.Forwarded.Op); op != nil {
+					op.done <- opOutcome{msg: f.Forwarded}
 				}
 			}
 		case wire.FrameView:

@@ -45,35 +45,96 @@
 package abd
 
 import (
+	"slices"
+
 	"churnreg/internal/core"
 	"churnreg/internal/placement"
 )
 
-// op is one in-flight quorum operation.
+// op is one in-flight quorum operation. Its record is recycled by the
+// op table, and its round's answers are kept in it, so an operation
+// allocates nothing of its own once the node has served one like it.
 type op struct {
 	reg core.RegisterID
 
-	// scope/quorum pin the quorum population at invocation: nil scope +
-	// ⌊n/2⌋+1 unsharded, the key's replica group + a majority of it
-	// sharded (placement.OpScope).
-	scope  []core.ProcessID
+	// quorum is the round's quorum size, pinned at invocation with the
+	// answers' scope (placement.OpScope): ⌊n/2⌋+1 unsharded, a majority
+	// of the key's replica group sharded.
 	quorum int
+	// answers collects the current round's answers: the read's REPLYs,
+	// then the ACKs of its write-back, or the write's ACKs.
+	answers quorumSet
 
-	reading     bool
-	readReplies map[core.ProcessID]core.VersionedValue
-	readDone    func(core.VersionedValue, error)
+	reading  bool
+	readDone func(core.VersionedValue, error)
 
 	// Write-back round of a slow-path read (quorum replies disagreed):
 	// wbVal is the adopted value being propagated; its ACKs route here by
 	// the read's OpID.
-	wb     bool
-	wbVal  core.VersionedValue
-	wbAcks map[core.ProcessID]bool
+	wb    bool
+	wbVal core.VersionedValue
 
 	writing   bool
 	writeVal  core.VersionedValue
-	writeAck  map[core.ProcessID]bool
 	writeDone func(core.VersionedValue, error)
+}
+
+// answer is one process's answer in a quorum round (ok is false for a
+// group member that has not answered).
+type answer struct {
+	from core.ProcessID
+	val  core.VersionedValue
+	ok   bool
+}
+
+// quorumSet is one round's answers, at most one per process. Sharded it
+// is positional over the operation's scope, the invocation view's group
+// slice: answer i is scope[i]'s. Unsharded (nil scope) it is a short
+// slice in arrival order. Each round starts on the inline array, which
+// holds up to eight answers without touching the heap.
+type quorumSet struct {
+	scope  []core.ProcessID
+	got    []answer
+	n      int
+	inline [8]answer
+}
+
+// reset empties the set for a round over scope.
+func (q *quorumSet) reset(scope []core.ProcessID) {
+	q.scope, q.n, q.got = scope, 0, q.inline[:0]
+	for range scope {
+		q.got = append(q.got, answer{})
+	}
+}
+
+// add records from's answer v, keeping the more recent when from answers
+// twice, and reports false for a process outside the round's scope.
+func (q *quorumSet) add(from core.ProcessID, v core.VersionedValue) bool {
+	i := -1
+	if q.scope != nil {
+		if i = slices.Index(q.scope, from); i < 0 {
+			return false
+		}
+	} else {
+		for j := range q.got {
+			if q.got[j].from == from {
+				i = j
+				break
+			}
+		}
+		if i < 0 {
+			i = len(q.got)
+			q.got = append(q.got, answer{})
+		}
+	}
+	switch a := &q.got[i]; {
+	case !a.ok:
+		*a = answer{from: from, val: v, ok: true}
+		q.n++
+	case v.MoreRecent(a.val):
+		a.val = v
+	}
+	return true
 }
 
 // Node is one process running the static ABD-style protocol.
@@ -183,23 +244,28 @@ func (n *Node) Read(k core.RegisterID, done func(core.VersionedValue, error)) er
 	id, o := n.ops.Begin()
 	n.stats.Reads++
 	o.reg = k
-	o.scope, o.quorum = placement.OpScope(n.env, k)
+	var scope []core.ProcessID
+	scope, o.quorum = placement.OpScope(n.env, k)
+	o.answers.reset(scope)
 	o.reading = true
-	o.readReplies = make(map[core.ProcessID]core.VersionedValue)
 	o.readDone = done
 	placement.ScopedBroadcast(n.env, k, core.ReadMsg{From: n.env.ID(), Reg: k, Op: id})
 	return nil
 }
 
 func (n *Node) checkRead(id core.OpID, o *op) {
-	if !o.reading || len(o.readReplies) < o.quorum {
+	if !o.reading || o.answers.n < o.quorum {
 		return
 	}
 	o.reading = false
 	agreed := true
 	var first, freshest core.VersionedValue
 	got := false
-	for _, v := range o.readReplies {
+	for _, a := range o.answers.got {
+		if !a.ok {
+			continue
+		}
+		v := a.val
 		n.merge(o.reg, v)
 		if !got {
 			first, freshest, got = v, v, true
@@ -217,8 +283,9 @@ func (n *Node) checkRead(id core.OpID, o *op) {
 		// later read's quorum intersects a node at ≥ sn — atomicity holds
 		// with no write-back (arXiv:1601.04820).
 		n.stats.FastReads++
+		done := o.readDone
 		n.ops.Finish(id)
-		o.readDone(freshest, nil)
+		done(freshest, nil)
 		return
 	}
 	// Slow path: before returning the freshest value, propagate it to a
@@ -227,16 +294,17 @@ func (n *Node) checkRead(id core.OpID, o *op) {
 	n.stats.SlowReads++
 	o.wb = true
 	o.wbVal = freshest
-	o.wbAcks = make(map[core.ProcessID]bool)
+	o.answers.reset(o.answers.scope)
 	placement.ScopedBroadcast(n.env, o.reg, core.WriteMsg{From: n.env.ID(), Value: freshest, Reg: o.reg, Op: id})
 }
 
 func (n *Node) checkWriteBack(id core.OpID, o *op) {
-	if !o.wb || len(o.wbAcks) < o.quorum {
+	if !o.wb || o.answers.n < o.quorum {
 		return
 	}
+	done, v := o.readDone, o.wbVal
 	n.ops.Finish(id)
-	o.readDone(o.wbVal, nil)
+	done(v, nil)
 }
 
 // Write implements core.Ops. Single-writer: the writer's own sequence
@@ -256,21 +324,23 @@ func (n *Node) Write(k core.RegisterID, v core.Value, done func(core.VersionedVa
 	next := core.VersionedValue{Val: v, SN: n.value(k).SN + 1}
 	n.vals.Store(k, next)
 	o.reg = k
-	o.scope, o.quorum = placement.OpScope(n.env, k)
+	var scope []core.ProcessID
+	scope, o.quorum = placement.OpScope(n.env, k)
+	o.answers.reset(scope)
 	o.writing = true
 	o.writeVal = next
-	o.writeAck = make(map[core.ProcessID]bool)
 	o.writeDone = done
 	placement.ScopedBroadcast(n.env, k, core.WriteMsg{From: n.env.ID(), Value: next, Reg: k, Op: id})
 	return nil
 }
 
 func (n *Node) checkWrite(id core.OpID, o *op) {
-	if !o.writing || len(o.writeAck) < o.quorum {
+	if !o.writing || o.answers.n < o.quorum {
 		return
 	}
+	done, v := o.writeDone, o.writeVal
 	n.ops.Finish(id)
-	o.writeDone(o.writeVal, nil)
+	done(v, nil)
 }
 
 // Deliver implements core.Node.
@@ -291,11 +361,8 @@ func (n *Node) Deliver(from core.ProcessID, m core.Message) {
 		if !ok || !o.reading || o.reg != msg.Reg {
 			return // stale: the read completed (or never was)
 		}
-		if !placement.InScope(o.scope, msg.From) {
+		if !o.answers.add(msg.From, msg.Value) {
 			return // sharded: only replica-group replies feed the quorum
-		}
-		if cur, ok := o.readReplies[msg.From]; !ok || msg.Value.MoreRecent(cur) {
-			o.readReplies[msg.From] = msg.Value
 		}
 		n.checkRead(msg.Op, o)
 	case core.WriteMsg:
@@ -310,16 +377,17 @@ func (n *Node) Deliver(from core.ProcessID, m core.Message) {
 		if !ok || o.reg != msg.Reg {
 			return
 		}
-		if !placement.InScope(o.scope, msg.From) {
-			return // sharded: only replica-group acks feed the quorum
-		}
+		// Sharded, only replica-group acks feed the quorum (add refuses
+		// the rest).
 		switch {
 		case o.writing && o.writeVal.SN == msg.SN:
-			o.writeAck[msg.From] = true
-			n.checkWrite(msg.Op, o)
+			if o.answers.add(msg.From, core.VersionedValue{}) {
+				n.checkWrite(msg.Op, o)
+			}
 		case o.wb && o.wbVal.SN == msg.SN:
-			o.wbAcks[msg.From] = true
-			n.checkWriteBack(msg.Op, o)
+			if o.answers.add(msg.From, core.VersionedValue{}) {
+				n.checkWriteBack(msg.Op, o)
+			}
 		}
 	default:
 		panic("abd: unexpected message kind " + m.Kind().String())

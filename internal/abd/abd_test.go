@@ -225,3 +225,70 @@ func TestUntaggedAcksDoNotCount(t *testing.T) {
 		t.Fatalf("%d operations pending after the write completed", p)
 	}
 }
+
+// TestStaleAnswersMissRecycledRecords: a finished operation's record is
+// reused by the next one, under a new OpID. A REPLY and an ACK that name
+// the finished OpID, delivered after the reuse, count for nothing, and
+// the new operation completes on its own quorum.
+func TestStaleAnswersMissRecycledRecords(t *testing.T) {
+	env := &stubEnv{}
+	n := abd.New(env, core.SpawnContext{Bootstrap: true})
+	n.Start()
+	const reg = 4
+	var got []core.VersionedValue
+	record := func(v core.VersionedValue, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, v)
+	}
+	if err := n.Read(reg, record); err != nil {
+		t.Fatal(err)
+	}
+	old := env.last.(core.ReadMsg).Op
+	for _, from := range []core.ProcessID{2, 3} {
+		n.Deliver(from, core.ReplyMsg{From: from, Value: core.ImplicitInitial(), Reg: reg, Op: old})
+	}
+	if len(got) != 1 {
+		t.Fatalf("first read completed %d times, want once", len(got))
+	}
+
+	if err := n.Write(reg, 7, record); err != nil {
+		t.Fatal(err)
+	}
+	w := env.last.(core.WriteMsg)
+	for _, from := range []core.ProcessID{2, 3} {
+		n.Deliver(from, core.ReplyMsg{From: from, Value: w.Value, Reg: reg, Op: old})
+		n.Deliver(from, core.AckMsg{From: from, SN: w.Value.SN, Reg: reg, Op: old})
+	}
+	n.Deliver(2, core.AckMsg{From: 2, SN: w.Value.SN, Reg: reg, Op: w.Op})
+	if len(got) != 1 {
+		t.Fatalf("write completed on one ACK of its own and stale ones: %v", got)
+	}
+	n.Deliver(3, core.AckMsg{From: 3, SN: w.Value.SN, Reg: reg, Op: w.Op})
+	if len(got) != 2 || got[1] != w.Value {
+		t.Fatalf("write results %v, want it to complete with %v", got, w.Value)
+	}
+
+	if err := n.Read(reg, record); err != nil {
+		t.Fatal(err)
+	}
+	r := env.last.(core.ReadMsg)
+	stale := core.VersionedValue{Val: 99, SN: w.Value.SN + 5}
+	for _, from := range []core.ProcessID{2, 3} {
+		n.Deliver(from, core.ReplyMsg{From: from, Value: stale, Reg: reg, Op: old})
+		n.Deliver(from, core.ReplyMsg{From: from, Value: stale, Reg: reg, Op: w.Op})
+	}
+	if len(got) != 2 {
+		t.Fatalf("read completed on stale replies: %v", got)
+	}
+	for _, from := range []core.ProcessID{2, 3} {
+		n.Deliver(from, core.ReplyMsg{From: from, Value: w.Value, Reg: reg, Op: r.Op})
+	}
+	if len(got) != 3 || got[2] != w.Value {
+		t.Fatalf("read results %v, want the write's %v", got, w.Value)
+	}
+	if p := n.PendingOps(); p != 0 {
+		t.Fatalf("%d operations pending", p)
+	}
+}

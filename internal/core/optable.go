@@ -14,9 +14,19 @@ import "sort"
 // an unreachable quorum must surface as backpressure at the invoking
 // node, not as an unbounded map. Like all protocol state it is confined
 // to the node's single event loop and needs no locks.
+//
+// Records are recycled, OpIDs never: Finish zeroes a record and keeps it
+// on a free list, and a later Begin hands it back under a fresh OpID, so
+// a node serving operations one after another allocates no record after
+// its first; the free list holds no more records than were ever in flight
+// at once. A message naming a finished OpID misses in Get even when its
+// record now serves another operation. A caller must therefore copy what
+// it still needs (the done callback, the result) out of a record before
+// it calls Finish.
 type OpTable[T any] struct {
 	last OpID
 	ops  map[OpID]*T
+	free []*T
 	cap  int
 }
 
@@ -33,12 +43,18 @@ func NewOpTable[T any](capacity int) *OpTable[T] {
 // condition protocols translate into ErrOpInProgress.
 func (t *OpTable[T]) Full() bool { return len(t.ops) >= t.cap }
 
-// Begin allocates the next OpID and its zero-valued entry. Callers check
-// Full first; Begin itself never refuses (a protocol mid-handshake may
-// legitimately add the one entry that crosses the bound).
+// Begin allocates the next OpID and its zero-valued entry, a recycled
+// one when a finished entry is free. Callers check Full first; Begin
+// itself never refuses (a protocol mid-handshake may legitimately add the
+// one entry that crosses the bound).
 func (t *OpTable[T]) Begin() (OpID, *T) {
 	t.last++
-	o := new(T)
+	var o *T
+	if n := len(t.free); n > 0 {
+		o, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		o = new(T)
+	}
 	t.ops[t.last] = o
 	return t.last, o
 }
@@ -51,9 +67,19 @@ func (t *OpTable[T]) Get(id OpID) (*T, bool) {
 	return o, ok
 }
 
-// Finish reclaims id's entry. Finishing an absent id is a no-op, so
-// completion paths need not guard against double delivery.
-func (t *OpTable[T]) Finish(id OpID) { delete(t.ops, id) }
+// Finish reclaims id's entry: it zeroes the record and frees it for a
+// later Begin. Finishing an absent id is a no-op, so completion paths
+// need not guard against double delivery.
+func (t *OpTable[T]) Finish(id OpID) {
+	o, ok := t.ops[id]
+	if !ok {
+		return
+	}
+	delete(t.ops, id)
+	var zero T
+	*o = zero
+	t.free = append(t.free, o)
+}
 
 // Len returns the number of in-flight operations.
 func (t *OpTable[T]) Len() int { return len(t.ops) }

@@ -65,3 +65,38 @@ func TestOpTableBoundsInFlight(t *testing.T) {
 		t.Fatal("default-capacity table is born full")
 	}
 }
+
+// TestOpTableRecyclesRecords: a finished record comes back from the next
+// Begin zeroed and under a fresh OpID, and the finished id stays finished.
+func TestOpTableRecyclesRecords(t *testing.T) {
+	type op struct {
+		n    int
+		done func()
+	}
+	tb := NewOpTable[op](0)
+	id, o := tb.Begin()
+	o.n, o.done = 7, func() {}
+	tb.Finish(id)
+	next, again := tb.Begin()
+	if again != o {
+		t.Fatalf("Begin after Finish made a new record %p, want the finished %p", again, o)
+	}
+	if again.n != 0 || again.done != nil {
+		t.Fatalf("recycled record not zeroed: %+v", *again)
+	}
+	if next == id {
+		t.Fatalf("recycled record reuses OpID %v", id)
+	}
+	if _, ok := tb.Get(id); ok {
+		t.Fatalf("Get(%v) finds the finished op through its recycled record", id)
+	}
+	if got, ok := tb.Get(next); !ok || got != o {
+		t.Fatalf("Get(%v) = %p, %v", next, got, ok)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		id, _ := tb.Begin()
+		tb.Finish(id)
+	}); n != 0 {
+		t.Fatalf("Begin and Finish of a recycled record allocate %v times, want 0", n)
+	}
+}

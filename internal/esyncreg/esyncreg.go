@@ -353,8 +353,9 @@ func (n *Node) checkRead(id core.OpID, o *op) {
 		n.pumpWrites(o.reg)
 		return
 	}
+	done, v := o.readDone, n.value(o.reg)
 	n.ops.Finish(id)
-	o.readDone(n.value(o.reg), nil)
+	done(v, nil)
 }
 
 // Write implements core.Ops — operation write(v), Figure 6 lines 01-05,
@@ -434,8 +435,9 @@ func (n *Node) checkWrite(id core.OpID, o *op) {
 		return
 	}
 	delete(n.ackRoute, ackName{reg: o.reg, sn: o.writeSN})
+	done, v := o.writeDone, core.VersionedValue{Val: o.writeVal, SN: o.writeSN}
 	n.ops.Finish(id)
-	o.writeDone(core.VersionedValue{Val: o.writeVal, SN: o.writeSN}, nil)
+	done(v, nil)
 }
 
 // Deliver implements core.Node, dispatching the handlers of Figures 4-6.

@@ -68,7 +68,10 @@ func answers(t *testing.T, s *clientSession) []core.ForwardedMsg {
 	s.mu.Unlock()
 	var out []core.ForwardedMsg
 	for _, f := range scanAll(t, b) {
-		out = append(out, f.Msg.(core.ForwardedMsg))
+		if f.Kind != core.KindForwarded {
+			t.Fatalf("answer %+v is not a FORWARDED", f)
+		}
+		out = append(out, f.Forwarded)
 	}
 	return out
 }
@@ -84,51 +87,80 @@ func wantAnswer(t *testing.T, s *clientSession, op core.OpID, code core.ForwardC
 }
 
 // TestServeForwardAllocs pins what serving one FORWARD costs in
-// allocations on an unsharded node: only the inner protocol's operation
-// (for abd, the two quorum answers it waits for; for a sync write, its
-// wait(δ) timer, which the test fires, since syncreg takes no ACKs), so a
-// sync read, served from the local copy, allocates nothing. serve's
-// answer slot is the session's, recycled, with its done bound once, and
-// the FORWARDED is encoded from the stack, never boxed. The abd answers
-// name the operation's id, so the test boxes each per run, and the abd
-// ceilings count those two allocations.
+// allocations, exactly: only the message the engine sends per round (its
+// one box into core.Message) and, for a quorum protocol, the answers the
+// test delivers, boxed per run because they name the operation's id; in
+// the daemon they stand for the decoder's one box per peer message. So an
+// unsharded sync read, served from the local copy, allocates nothing, a
+// sync write only its WRITE (its wait(δ) timer, which the test fires, is
+// a method value bound once), and an abd read or write its READ or WRITE
+// and the two answers. serve's answer slot is the session's, recycled
+// with its done bound once; the engines' op records are recycled by their
+// op tables; the FORWARDED is encoded from the stack, never boxed. The
+// sharded rows run the shard wrapper over the engine, node 1 being the
+// key's primary in a view of three, at the same counts. esync still keeps
+// each round's answers, its per-key write queue and its ack index in
+// maps: its read (one round) costs 7, its write (a read round, then a
+// write round) 13.
 func TestServeForwardAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector perturbs allocation counts")
 	}
-	const reg = 4
-	read, write := core.ForwardMsg{Op: 1, Reg: reg}, core.ForwardMsg{Op: 1, Reg: reg, IsWrite: true, Val: 7}
+	read, write := core.ForwardMsg{Op: 1}, core.ForwardMsg{Op: 1, IsWrite: true, Val: 7}
+	sharded := placement.Config{Shards: 8, Replication: 3}
 	cases := []struct {
 		name    string
 		factory core.NodeFactory
+		cfg     placement.Config
 		op      core.ForwardMsg
-		max     float64
+		want    float64
 	}{
-		{"sync read", syncreg.Factory(syncreg.Options{}), read, 0},
-		{"sync write", syncreg.Factory(syncreg.Options{}), write, 3},
-		{"abd read", abd.Factory(), read, 6},
-		{"abd write", abd.Factory(), write, 6},
+		{"sync read", syncreg.Factory(syncreg.Options{}), placement.Config{}, read, 0},
+		{"sync write", syncreg.Factory(syncreg.Options{}), placement.Config{}, write, 1},
+		{"abd read", abd.Factory(), placement.Config{}, read, 3},
+		{"abd write", abd.Factory(), placement.Config{}, write, 3},
+		{"esync read", esyncreg.Factory(esyncreg.Options{}), placement.Config{}, read, 7},
+		{"esync write", esyncreg.Factory(esyncreg.Options{}), placement.Config{}, write, 13},
+		{"sharded sync read", shard.Factory(syncreg.Factory(syncreg.Options{})), sharded, read, 0},
+		{"sharded sync write", shard.Factory(syncreg.Factory(syncreg.Options{})), sharded, write, 1},
+		{"sharded abd read", shard.Factory(abd.Factory()), sharded, read, 3},
+		{"sharded abd write", shard.Factory(abd.Factory()), sharded, write, 3},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			tr, env, sess := newOpTransport(t, tc.factory, true, placement.Config{})
+			tr, env, sess := newOpTransport(t, tc.factory, true, tc.cfg)
+			op := tc.op
+			op.Reg = 4
+			if tc.cfg.Shards > 0 {
+				view := placement.Build(tc.cfg, []core.ProcessID{1, 2, 3})
+				for view.Group(op.Reg)[0] != 1 {
+					op.Reg++
+				}
+				tr.Invoke(func(n core.Node) {
+					tr.view.Store(view)
+					n.(placement.Aware).PlacementChanged(view)
+				})
+			}
 			serve := func() {
 				tr.enter()
 				env.last = nil
-				tr.serve(sess, tc.op)
-				switch m := env.last.(type) {
-				case core.ReadMsg:
-					for _, from := range []core.ProcessID{2, 3} {
-						tr.node.Deliver(from, core.ReplyMsg{From: from, Value: core.ImplicitInitial(), Reg: reg, Op: m.Op})
-					}
-				case core.WriteMsg:
-					if fire := env.timer; fire != nil {
-						env.timer = nil
-						fire()
-						break
-					}
-					for _, from := range []core.ProcessID{2, 3} {
-						tr.node.Deliver(from, core.AckMsg{From: from, SN: m.Value.SN, Reg: reg, Op: m.Op})
+				tr.serve(sess, op)
+				for m := env.last; m != nil; m = env.last {
+					env.last = nil
+					switch m := m.(type) {
+					case core.ReadMsg:
+						for _, from := range []core.ProcessID{2, 3} {
+							tr.node.Deliver(from, core.ReplyMsg{From: from, Value: core.ImplicitInitial(), Reg: op.Reg, Op: m.Op})
+						}
+					case core.WriteMsg:
+						if fire := env.timer; fire != nil {
+							env.timer = nil
+							fire()
+							break
+						}
+						for _, from := range []core.ProcessID{2, 3} {
+							tr.node.Deliver(from, core.AckMsg{From: from, SN: m.Value.SN, Reg: op.Reg, Op: m.Op})
+						}
 					}
 				}
 				tr.exit()
@@ -141,8 +173,8 @@ func TestServeForwardAllocs(t *testing.T) {
 				sess.buf, sess.frames = sess.buf[:0], 0
 				sess.mu.Unlock()
 			})
-			if got > tc.max {
-				t.Fatalf("serving a FORWARD allocates %v times, want <= %v", got, tc.max)
+			if got != tc.want {
+				t.Fatalf("serving a FORWARD allocates %v times, want %v", got, tc.want)
 			}
 			serve()
 			wantAnswer(t, sess, 1, core.ForwardOK)

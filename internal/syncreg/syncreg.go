@@ -75,6 +75,14 @@ type Node struct {
 	// ops tracks in-flight writes, one entry per client operation, each
 	// completed by its own δ timer.
 	ops *core.OpTable[writeOp]
+	// waiting holds the in-flight writes' OpIDs from waiting[head] on, in
+	// invocation order. Every write waits exactly δ and Env.After breaks
+	// ties in call order, so the write timers fire in that order too and
+	// each firing completes the oldest: the timer needs no closure naming
+	// its write, only finishOldest, bound once in New.
+	waiting      []core.OpID
+	head         int
+	finishOldest func()
 
 	joining bool
 
@@ -102,6 +110,7 @@ func New(env core.Env, sc core.SpawnContext, opts Options) *Node {
 		replyToSeen: make(map[core.ProcessID]bool),
 		ops:         core.NewOpTable[writeOp](0),
 	}
+	n.finishOldest = n.finishWrite
 	n.active = sc.Bootstrap
 	return n
 }
@@ -252,18 +261,32 @@ func (n *Node) Write(k core.RegisterID, v core.Value, done func(core.VersionedVa
 	// Line 02: wait(δ); return ok. After δ every process present at the
 	// broadcast that has not left holds the value. Each write waits on its
 	// OWN timer: the waits overlap, which is the pipelining dividend.
-	n.env.After(n.env.Delta(), func() { n.finishWrite(id) })
+	n.wait(id)
+	n.env.After(n.env.Delta(), n.finishOldest)
 	return nil
 }
 
-// finishWrite reclaims one write's op-table entry and runs its callback.
-func (n *Node) finishWrite(id core.OpID) {
-	o, ok := n.ops.Get(id)
-	if !ok {
-		return
+// wait queues a write's OpID behind the writes already waiting. The
+// queue's array is reused: its free front is reclaimed before it grows.
+func (n *Node) wait(id core.OpID) {
+	if n.head > 0 && len(n.waiting) == cap(n.waiting) {
+		n.waiting = n.waiting[:copy(n.waiting, n.waiting[n.head:])]
+		n.head = 0
 	}
+	n.waiting = append(n.waiting, id)
+}
+
+// finishWrite completes the oldest waiting write, whose δ just elapsed:
+// it reclaims the write's op-table entry and runs its callback.
+func (n *Node) finishWrite() {
+	id := n.waiting[n.head]
+	if n.head++; n.head == len(n.waiting) {
+		n.waiting, n.head = n.waiting[:0], 0
+	}
+	o, _ := n.ops.Get(id)
+	done, stored := o.done, o.stored
 	n.ops.Finish(id)
-	o.done(o.stored, nil)
+	done(stored, nil)
 }
 
 // PendingOps implements core.OpAccountant.

@@ -216,3 +216,55 @@ func TestSkipInitialWaitGoesStraightToInquiry(t *testing.T) {
 // ignoreWrite is a write's done callback for a test that does not look
 // at the outcome.
 func ignoreWrite(core.VersionedValue, error) {}
+
+// TestPipelinedWritesCompleteInInvocationOrder: writes pipelined on one
+// key and interleaved with writes on others each wait their own δ, and
+// complete in invocation order with the ⟨v, sn⟩ each stored, however
+// their op records are recycled in between.
+func TestPipelinedWritesCompleteInInvocationOrder(t *testing.T) {
+	env := &fakeEnv{id: 1, n: 3, delta: 10}
+	n := New(env, core.SpawnContext{Bootstrap: true, Initial: core.VersionedValue{Val: 0, SN: 0}}, Options{})
+	n.Start()
+	type result struct {
+		reg core.RegisterID
+		v   core.VersionedValue
+	}
+	var got, want []result
+	write := func(k core.RegisterID, v core.Value, sn core.SeqNum) {
+		t.Helper()
+		want = append(want, result{k, core.VersionedValue{Val: v, SN: sn}})
+		if err := n.Write(k, v, func(vv core.VersionedValue, err error) {
+			if err != nil {
+				t.Fatalf("write %v on r%d: %v", v, k, err)
+			}
+			got = append(got, result{k, vv})
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Three rounds: each invokes writes on key 1 twice and key 2 once,
+	// then lets the oldest write finish before the next round, so each
+	// round's writes reuse records the previous round freed.
+	sn := map[core.RegisterID]core.SeqNum{}
+	for round := core.Value(0); round < 3; round++ {
+		for _, k := range []core.RegisterID{1, 2, 1} {
+			sn[k]++
+			write(k, 10*round+core.Value(k), sn[k])
+		}
+		env.fire(t)
+	}
+	for len(env.timers) > 0 {
+		env.fire(t)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d writes completed, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("completion %d = %+v, want %+v (all: %+v)", i, got[i], want[i], got)
+		}
+	}
+	if n.PendingOps() != 0 {
+		t.Fatalf("%d ops still pending", n.PendingOps())
+	}
+}

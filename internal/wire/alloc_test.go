@@ -2,12 +2,13 @@ package wire_test
 
 // The allocation-ceiling regression tests behind the zero-alloc codec:
 // steady-state encoding into a recycled buffer and the frame-scanning
-// machinery must not touch the heap, and decoding a protocol message may
-// allocate exactly the one core.Message interface box (a
-// value-typed message moving into an interface is a heap cell; everything
-// else — payload buffers, headers, cursors — is reused). CI runs these in
-// the main test job; they skip under -race, whose instrumentation
-// perturbs allocation counts.
+// machinery must not touch the heap; a client session's FORWARD and
+// FORWARDED decode by value, into the frame, with no allocation; and
+// decoding a protocol message may allocate exactly the one core.Message
+// interface box (a value-typed message moving into an interface is a heap
+// cell; everything else — payload buffers, headers, cursors — is reused).
+// CI runs these in the main test job; they skip under -race, whose
+// instrumentation perturbs allocation counts.
 
 import (
 	"bytes"
@@ -84,10 +85,50 @@ func TestScannerZeroAllocsControlFrames(t *testing.T) {
 	}
 }
 
+// TestScannerZeroAllocsSessionFrames: a stream of FORWARDs, what a
+// server reads from a client, and a stream of FORWARDEDs, what a client
+// reads back, each decode at 0 allocations per frame: the message is
+// carried by value in the frame, never boxed.
+func TestScannerZeroAllocsSessionFrames(t *testing.T) {
+	skipIfRace(t)
+	const runs = 1000
+	for _, tc := range []struct {
+		name  string
+		frame wire.Frame
+	}{
+		{"FORWARD", wire.Frame{Type: wire.FrameMsg, Kind: core.KindForward,
+			Forward: core.ForwardMsg{Op: 9, Reg: 4, IsWrite: true, Val: 7}}},
+		{"FORWARDED", wire.Frame{Type: wire.FrameMsg, Kind: core.KindForwarded,
+			Forwarded: core.ForwardedMsg{From: 2, Op: 9, Reg: 4, Value: core.VersionedValue{Val: 7, SN: 3}}}},
+	} {
+		var stream []byte
+		for i := 0; i < runs+10; i++ {
+			var err error
+			if stream, err = wire.AppendFrameBytes(stream, tc.frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s := wire.NewScanner(bytes.NewReader(stream))
+		allocs := testing.AllocsPerRun(runs, func() {
+			f, err := s.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f.Kind != tc.frame.Kind || f.Msg != nil || f.Forward != tc.frame.Forward || f.Forwarded != tc.frame.Forwarded {
+				t.Fatalf("scanned %+v, want %+v", f, tc.frame)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Scanner.Next allocs/op = %v on %s frames, want 0", allocs, tc.name)
+		}
+	}
+}
+
 // TestScannerMsgDecodeSingleBox pins message decode at its
 // theoretical floor: exactly one allocation per frame, the core.Message
-// interface box. A regression (payload copies, per-frame buffers) pushes
-// the count above 1 and fails here.
+// interface box a peer message keeps because it crosses core.Node.Deliver.
+// A regression (payload copies, per-frame buffers) pushes the count above
+// 1 and fails here.
 func TestScannerMsgDecodeSingleBox(t *testing.T) {
 	skipIfRace(t)
 	const runs = 1000

@@ -11,12 +11,18 @@ import (
 )
 
 // FuzzDecodeFrame asserts the decoder never panics on arbitrary bytes, and
-// that every payload it accepts re-encodes to the identical bytes (the
-// codec is canonical: one payload per frame, one frame per payload).
+// that every payload it accepts re-encodes to the identical bytes and
+// decodes again to the identical frame (the codec is canonical: one
+// payload per frame, one frame per payload). A FORWARD or FORWARDED
+// re-encodes from its by-value field: seeded both as encoded from Msg and
+// from that field.
 func FuzzDecodeFrame(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	for _, kind := range allKinds {
 		f.Add(encode(f, Frame{Type: FrameMsg, Msg: randMessage(rng, kind)}))
+	}
+	for _, kind := range []core.MsgKind{core.KindForward, core.KindForwarded} {
+		f.Add(encode(f, decoded(randMessage(rng, kind))))
 	}
 	for _, fr := range []Frame{
 		{Type: FrameHello, From: 3, Addr: "127.0.0.1:9999"},
@@ -66,6 +72,9 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		if !bytes.Equal(re[4:], b) {
 			t.Fatalf("codec not canonical:\n in: % x\nout: % x", b, re)
+		}
+		if again, err := DecodeFrame(re[4:]); err != nil || !reflect.DeepEqual(again, fr) {
+			t.Fatalf("re-encoded frame decodes to %#v, %v; want %#v", again, err, fr)
 		}
 	})
 }

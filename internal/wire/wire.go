@@ -171,8 +171,15 @@ type Frame struct {
 	// Peers is the gossiped address book (Peers) or the placement's member
 	// list (View).
 	Peers []Peer
-	// Msg is the carried protocol message (Msg).
-	Msg core.Message
+	// Kind is the carried message's kind (Msg). A decoded frame carries a
+	// client session's FORWARD in Forward and its FORWARDED answer in
+	// Forwarded, by value, and leaves Msg nil; every other message, the
+	// protocol's, is boxed in Msg, the form core.Node.Deliver takes. An
+	// encoder reads Msg when it is set, and otherwise Kind's field.
+	Kind      core.MsgKind
+	Msg       core.Message
+	Forward   core.ForwardMsg
+	Forwarded core.ForwardedMsg
 	// ViewVersion is the monotone stamp of the sender's placement view
 	// (View); a client discards pushes older than what it holds.
 	ViewVersion uint64
@@ -208,7 +215,16 @@ func AppendFrameBytes(dst []byte, f Frame) ([]byte, error) {
 	var err error
 	switch f.Type {
 	case FrameMsg:
-		b, err = appendMessage(b, f.Msg)
+		switch {
+		case f.Msg != nil:
+			b, err = appendMessage(b, f.Msg)
+		case f.Kind == core.KindForward:
+			b = appendForward(b, f.Forward)
+		case f.Kind == core.KindForwarded:
+			b = appendForwarded(b, f.Forwarded)
+		default:
+			err = ErrMsgKind
+		}
 	case FrameHello:
 		if f.Role > RoleClient {
 			return dst[:start], fmt.Errorf("wire: bad hello role %d", byte(f.Role))
@@ -269,7 +285,7 @@ func DecodeFrame(b []byte) (Frame, error) {
 	f := Frame{Type: typ}
 	switch typ {
 	case FrameMsg:
-		f.From, f.Msg = d.message()
+		d.message(&f)
 	case FrameHello:
 		f.From = core.ProcessID(d.i64())
 		f.Role = d.role()
@@ -341,21 +357,29 @@ func appendMessage(b []byte, m core.Message) ([]byte, error) {
 		b = be64(b, int64(msg.Reg))
 		b = appendOp(b, msg.Op)
 	case core.ForwardMsg:
-		b = appendHead(b, core.KindForward, msg.From)
-		b = appendOp(b, msg.Op)
-		b = be64(b, int64(msg.Reg))
-		b = append(b, boolByte(msg.IsWrite))
-		b = be64(b, int64(msg.Val))
+		b = appendForward(b, msg)
 	case core.ForwardedMsg:
-		b = appendHead(b, core.KindForwarded, msg.From)
-		b = appendOp(b, msg.Op)
-		b = be64(b, int64(msg.Reg))
-		b = appendValue(b, msg.Value)
-		b = append(b, byte(msg.Code))
+		b = appendForwarded(b, msg)
 	default:
 		return nil, ErrMsgKind
 	}
 	return b, nil
+}
+
+func appendForward(b []byte, m core.ForwardMsg) []byte {
+	b = appendHead(b, core.KindForward, m.From)
+	b = appendOp(b, m.Op)
+	b = be64(b, int64(m.Reg))
+	b = append(b, boolByte(m.IsWrite))
+	return be64(b, int64(m.Val))
+}
+
+func appendForwarded(b []byte, m core.ForwardedMsg) []byte {
+	b = appendHead(b, core.KindForwarded, m.From)
+	b = appendOp(b, m.Op)
+	b = be64(b, int64(m.Reg))
+	b = appendValue(b, m.Value)
+	return append(b, byte(m.Code))
 }
 
 func appendHead(b []byte, kind core.MsgKind, from core.ProcessID) []byte {
@@ -590,20 +614,21 @@ func (d *decoder) keyedValues() []core.KeyedValue {
 	return out
 }
 
-// message reads one MSG body: the kind byte, the sender, then the kind's
-// fields. It returns the sender beside the message so DecodeFrame can set
-// Frame.From without a type switch.
-func (d *decoder) message() (core.ProcessID, core.Message) {
-	kind := core.MsgKind(d.u8())
+// message reads one MSG body into f: the kind byte, the sender, then the
+// kind's fields — a FORWARD or a FORWARDED by value, any other kind boxed
+// in f.Msg.
+func (d *decoder) message(f *Frame) {
+	f.Kind = core.MsgKind(d.u8())
 	from := core.ProcessID(d.i64())
 	if d.err != nil {
-		return 0, nil
+		return
 	}
-	switch kind {
+	f.From = from
+	switch f.Kind {
 	case core.KindInquiry:
-		return from, core.InquiryMsg{From: from, Op: d.op()}
+		f.Msg = core.InquiryMsg{From: from, Op: d.op()}
 	case core.KindReply:
-		return from, core.ReplyMsg{
+		f.Msg = core.ReplyMsg{
 			From:  from,
 			Value: d.value(),
 			Reg:   d.reg(),
@@ -611,15 +636,15 @@ func (d *decoder) message() (core.ProcessID, core.Message) {
 			Rest:  d.keyedValues(),
 		}
 	case core.KindWrite:
-		return from, core.WriteMsg{From: from, Value: d.value(), Reg: d.reg(), Op: d.op()}
+		f.Msg = core.WriteMsg{From: from, Value: d.value(), Reg: d.reg(), Op: d.op()}
 	case core.KindAck:
-		return from, core.AckMsg{From: from, SN: core.SeqNum(d.i64()), Reg: d.reg(), Op: d.op()}
+		f.Msg = core.AckMsg{From: from, SN: core.SeqNum(d.i64()), Reg: d.reg(), Op: d.op()}
 	case core.KindRead:
-		return from, core.ReadMsg{From: from, Reg: d.reg(), Op: d.op()}
+		f.Msg = core.ReadMsg{From: from, Reg: d.reg(), Op: d.op()}
 	case core.KindDLPrev:
-		return from, core.DLPrevMsg{From: from, Reg: d.reg(), Op: d.op()}
+		f.Msg = core.DLPrevMsg{From: from, Reg: d.reg(), Op: d.op()}
 	case core.KindForward:
-		return from, core.ForwardMsg{
+		f.Forward = core.ForwardMsg{
 			From:    from,
 			Op:      d.op(),
 			Reg:     d.reg(),
@@ -627,7 +652,7 @@ func (d *decoder) message() (core.ProcessID, core.Message) {
 			Val:     core.Value(d.i64()),
 		}
 	case core.KindForwarded:
-		return from, core.ForwardedMsg{
+		f.Forwarded = core.ForwardedMsg{
 			From:  from,
 			Op:    d.op(),
 			Reg:   d.reg(),
@@ -635,7 +660,6 @@ func (d *decoder) message() (core.ProcessID, core.Message) {
 			Code:  d.forwardCode(),
 		}
 	default:
-		d.fail(fmt.Errorf("%w: %d", ErrMsgKind, int(kind)))
-		return 0, nil
+		d.fail(fmt.Errorf("%w: %d", ErrMsgKind, int(f.Kind)))
 	}
 }

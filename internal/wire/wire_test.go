@@ -41,6 +41,34 @@ func roundTrip(t testing.TB, m core.Message) core.Message {
 	if f.From != sender(m) {
 		t.Fatalf("%v: frame From = %v, want the message's sender %v", m.Kind(), f.From, sender(m))
 	}
+	return carried(f)
+}
+
+// decoded is the frame DecodeFrame makes of a MSG frame carrying m: its
+// sender and kind, and m by value if it is a FORWARD or a FORWARDED,
+// boxed in Msg otherwise.
+func decoded(m core.Message) Frame {
+	f := Frame{Type: FrameMsg, From: sender(m), Kind: m.Kind()}
+	switch msg := m.(type) {
+	case core.ForwardMsg:
+		f.Forward = msg
+	case core.ForwardedMsg:
+		f.Forwarded = msg
+	default:
+		f.Msg = m
+	}
+	return f
+}
+
+// carried is the message a decoded MSG frame carries, boxed whatever its
+// kind.
+func carried(f Frame) core.Message {
+	switch f.Kind {
+	case core.KindForward:
+		return f.Forward
+	case core.KindForwarded:
+		return f.Forwarded
+	}
 	return f.Msg
 }
 
@@ -153,8 +181,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			Peers: []Peer{{ID: 1, Addr: "10.0.0.1:9"}, {ID: 2, Addr: "[::1]:80"}, {ID: 3, Addr: "c:3"}}},
 	}
 	for _, kind := range allKinds {
-		m := randMessage(rng, kind)
-		frames = append(frames, Frame{Type: FrameMsg, From: sender(m), Msg: m})
+		frames = append(frames, decoded(randMessage(rng, kind)))
 	}
 	for _, f := range frames {
 		got, err := DecodeFrame(encode(t, f))
@@ -173,9 +200,8 @@ func TestWriteReadFrameStream(t *testing.T) {
 	var sent []Frame
 	for i := 0; i < 100; i++ {
 		m := randMessage(rng, allKinds[i%len(allKinds)])
-		f := Frame{Type: FrameMsg, From: sender(m), Msg: m}
-		sent = append(sent, f)
-		if err := WriteFrame(&buf, f); err != nil {
+		sent = append(sent, decoded(m))
+		if err := WriteFrame(&buf, Frame{Type: FrameMsg, Msg: m}); err != nil {
 			t.Fatalf("write frame %d: %v", i, err)
 		}
 	}
