@@ -448,7 +448,7 @@ func (c *Client) roundTrip(sc *serverConn, m core.ForwardMsg) (core.ForwardedMsg
 	op := opPool.Get().(*pendingOp)
 	op.id = m.Op
 	op.deadline = time.Since(c.epoch) + c.cfg.OpTimeout
-	if !sc.send(wire.Frame{Type: wire.FrameMsg, Kind: core.KindForward, Forward: m}, op) {
+	if !sc.send(wire.Frame{Type: wire.FrameMsg, Msg: m}, op) {
 		opPool.Put(op)
 		return core.ForwardedMsg{}, errNotSent
 	}

@@ -88,10 +88,11 @@ func (fs *fakeServer) serve(conn net.Conn) {
 		case wire.FrameViewReq:
 			reply(fs.view(1))
 		case wire.FrameMsg:
-			if f.Kind != core.KindForward {
+			m, ok := f.Msg.(*core.ForwardMsg)
+			if !ok {
 				continue
 			}
-			fm := f.Forward
+			fm := *m
 			nth := fs.ops.Add(1)
 			if out := fs.script(fm, nth); out != nil {
 				out.Op = fm.Op

@@ -216,11 +216,12 @@ func (s *serverConn) readLoop() {
 		}
 		switch f.Type {
 		case wire.FrameMsg:
-			if f.Kind == core.KindForwarded {
+			if fm, ok := f.Msg.(*core.ForwardedMsg); ok {
 				// A reply to an op the sweep already failed finds nothing.
-				if op := s.take(f.Forwarded.Op); op != nil {
-					op.done <- opOutcome{msg: f.Forwarded}
+				if op := s.take(fm.Op); op != nil {
+					op.done <- opOutcome{msg: *fm}
 				}
+				scn.Reuse(f)
 			}
 		case wire.FrameView:
 			s.c.adoptView(s.addr, f)

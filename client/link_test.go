@@ -118,10 +118,11 @@ func forwards(t *testing.T, b []byte) []core.ForwardMsg {
 		if err != nil {
 			return out
 		}
-		if f.Kind != core.KindForward {
+		m, ok := f.Msg.(*core.ForwardMsg)
+		if !ok {
 			t.Fatalf("frame %+v is not a FORWARD", f)
 		}
-		out = append(out, f.Forward)
+		out = append(out, *m)
 	}
 }
 
@@ -411,10 +412,10 @@ func (c *echoConn) Read(p []byte) (int, error) {
 }
 
 // TestRoundTripAllocs pins the per-operation allocations of the pooled
-// path at 0: the FORWARD rides its frame by value on the way out and the
-// FORWARDED is decoded by value on the way in, so neither is boxed; the
-// pending op, its channel, the frame bytes and the deadline are all
-// reused.
+// path at 0: the FORWARD is encoded without escaping its frame on the
+// way out, and the FORWARDED decodes on the way in into the record the
+// reader handed back for the previous one; the pending op, its channel,
+// the frame bytes and the deadline are all reused.
 func TestRoundTripAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector perturbs allocation counts")

@@ -1240,8 +1240,8 @@ func (t *Transport) readConn(conn net.Conn, own *peer, accepted bool, onDead fun
 			// A session sends client operations (FORWARDs) only, a peer
 			// protocol messages only: no process sends a FORWARD or a
 			// FORWARDED.
-			isOp := f.Kind == core.KindForward
-			if f.Kind == core.KindForwarded || isOp != (sess != nil) {
+			fm, isOp := f.Msg.(*core.ForwardMsg)
+			if _, isAnswer := f.Msg.(*core.ForwardedMsg); isAnswer || isOp != (sess != nil) {
 				continue
 			}
 			if !inTurn {
@@ -1250,7 +1250,8 @@ func (t *Transport) readConn(conn net.Conn, own *peer, accepted bool, onDead fun
 				}
 			}
 			if sess != nil {
-				op = f.Forward
+				op = *fm
+				sc.Reuse(f)
 				t.run(core.NoProcess, nil, serveOp)
 			} else {
 				t.run(f.From, f.Msg, nil)
@@ -1375,8 +1376,8 @@ func (a *answerSlot) answer(v core.VersionedValue, err error) {
 	} else {
 		t.stats.ForwardsServed.Add(1)
 	}
-	t.transmit(true, wire.Frame{Type: wire.FrameMsg, Kind: core.KindForwarded,
-		Forwarded: core.ForwardedMsg{From: t.cfg.ID, Op: a.op, Reg: a.reg, Value: v, Code: code}}, &s.link)
+	t.transmit(true, wire.Frame{Type: wire.FrameMsg,
+		Msg: core.ForwardedMsg{From: t.cfg.ID, Op: a.op, Reg: a.reg, Value: v, Code: code}}, &s.link)
 	s.free = append(s.free, a)
 }
 

@@ -68,10 +68,11 @@ func answers(t *testing.T, s *clientSession) []core.ForwardedMsg {
 	s.mu.Unlock()
 	var out []core.ForwardedMsg
 	for _, f := range scanAll(t, b) {
-		if f.Kind != core.KindForwarded {
+		fm, ok := f.Msg.(*core.ForwardedMsg)
+		if !ok {
 			t.Fatalf("answer %+v is not a FORWARDED", f)
 		}
-		out = append(out, f.Forwarded)
+		out = append(out, *fm)
 	}
 	return out
 }

@@ -3,7 +3,8 @@ package wire_test
 // The allocation-ceiling regression tests behind the zero-alloc codec:
 // steady-state encoding into a recycled buffer and the frame-scanning
 // machinery must not touch the heap; a client session's FORWARD and
-// FORWARDED decode by value, into the frame, with no allocation; and
+// FORWARDED decode with no allocation into a record the reader hands
+// back; and
 // decoding a protocol message may allocate exactly the one core.Message
 // interface box (a value-typed message moving into an interface is a heap
 // cell; everything else — payload buffers, headers, cursors — is reused).
@@ -12,6 +13,7 @@ package wire_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"churnreg/internal/core"
@@ -87,39 +89,46 @@ func TestScannerZeroAllocsControlFrames(t *testing.T) {
 
 // TestScannerZeroAllocsSessionFrames: a stream of FORWARDs, what a
 // server reads from a client, and a stream of FORWARDEDs, what a client
-// reads back, each decode at 0 allocations per frame: the message is
-// carried by value in the frame, never boxed.
+// reads back, each decode at 0 allocations per frame when the reader
+// hands every frame back: the next one is decoded into the same record.
+// A reader that keeps its frames gets a record of its own per frame.
 func TestScannerZeroAllocsSessionFrames(t *testing.T) {
 	skipIfRace(t)
 	const runs = 1000
 	for _, tc := range []struct {
-		name  string
-		frame wire.Frame
+		name string
+		msg  core.Message
 	}{
-		{"FORWARD", wire.Frame{Type: wire.FrameMsg, Kind: core.KindForward,
-			Forward: core.ForwardMsg{Op: 9, Reg: 4, IsWrite: true, Val: 7}}},
-		{"FORWARDED", wire.Frame{Type: wire.FrameMsg, Kind: core.KindForwarded,
-			Forwarded: core.ForwardedMsg{From: 2, Op: 9, Reg: 4, Value: core.VersionedValue{Val: 7, SN: 3}}}},
+		{"FORWARD", &core.ForwardMsg{Op: 9, Reg: 4, IsWrite: true, Val: 7}},
+		{"FORWARDED", &core.ForwardedMsg{From: 2, Op: 9, Reg: 4, Value: core.VersionedValue{Val: 7, SN: 3}}},
 	} {
 		var stream []byte
-		for i := 0; i < runs+10; i++ {
+		for i := 0; i < 2*runs+10; i++ {
 			var err error
-			if stream, err = wire.AppendFrameBytes(stream, tc.frame); err != nil {
+			if stream, err = wire.AppendFrameBytes(stream, wire.Frame{Type: wire.FrameMsg, Msg: tc.msg}); err != nil {
 				t.Fatal(err)
 			}
 		}
 		s := wire.NewScanner(bytes.NewReader(stream))
-		allocs := testing.AllocsPerRun(runs, func() {
+		next := func() wire.Frame {
 			f, err := s.Next()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if f.Kind != tc.frame.Kind || f.Msg != nil || f.Forward != tc.frame.Forward || f.Forwarded != tc.frame.Forwarded {
-				t.Fatalf("scanned %+v, want %+v", f, tc.frame)
+			if !reflect.DeepEqual(f.Msg, tc.msg) {
+				t.Fatalf("scanned %+v, want %+v", f.Msg, tc.msg)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("Scanner.Next allocs/op = %v on %s frames, want 0", allocs, tc.name)
+			return f
+		}
+		if allocs := testing.AllocsPerRun(runs, func() { s.Reuse(next()) }); allocs != 0 {
+			t.Errorf("Scanner.Next allocs/op = %v on %s frames handed back, want 0", allocs, tc.name)
+		}
+		kept := map[core.Message]bool{}
+		if allocs := testing.AllocsPerRun(runs, func() { kept[next().Msg] = true }); allocs < 1 {
+			t.Errorf("Scanner.Next allocs/op = %v on %s frames kept, want a record each", allocs, tc.name)
+		}
+		if len(kept) != runs+1 {
+			t.Errorf("%d kept %s frames share %d records", runs+1, tc.name, len(kept))
 		}
 	}
 }

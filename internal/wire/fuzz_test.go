@@ -14,8 +14,8 @@ import (
 // that every payload it accepts re-encodes to the identical bytes and
 // decodes again to the identical frame (the codec is canonical: one
 // payload per frame, one frame per payload). A FORWARD or FORWARDED
-// re-encodes from its by-value field: seeded both as encoded from Msg and
-// from that field.
+// re-encodes from its decoded record: seeded both as encoded from a value
+// and from a record.
 func FuzzDecodeFrame(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	for _, kind := range allKinds {

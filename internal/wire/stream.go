@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"io"
 	"sync"
+
+	"churnreg/internal/core"
 )
 
 // defaultBufCap sizes fresh pooled buffers: comfortably above the largest
@@ -49,11 +51,17 @@ func PutBuffer(b *[]byte) {
 // (TestScannerZeroAllocs). DecodeFrame copies every field it returns, so
 // reusing the payload buffer between calls is safe.
 //
+// A FORWARD or a FORWARDED decodes into a record the caller owns; a
+// reader that hands the frame back with Reuse once it has copied what it
+// needs lets the next one of that kind decode into the same record, so a
+// session's stream of them allocates nothing after the first.
+//
 // A Scanner is owned by a single reader goroutine; it is not safe for
 // concurrent use.
 type Scanner struct {
-	r   *bufio.Reader
-	buf []byte
+	r     *bufio.Reader
+	buf   []byte
+	spare records
 }
 
 // NewScanner builds a Scanner over r.
@@ -100,5 +108,17 @@ func (s *Scanner) Next() (Frame, error) {
 	if _, err := io.ReadFull(s.r, payload); err != nil {
 		return Frame{}, err
 	}
-	return DecodeFrame(payload)
+	return decodeFrame(payload, &s.spare)
+}
+
+// Reuse hands f's FORWARD or FORWARDED record back to s, for a later Next
+// to overwrite: the caller must not read f.Msg again. A frame of any other
+// kind is ignored.
+func (s *Scanner) Reuse(f Frame) {
+	switch m := f.Msg.(type) {
+	case *core.ForwardMsg:
+		s.spare.forward = m
+	case *core.ForwardedMsg:
+		s.spare.forwarded = m
+	}
 }

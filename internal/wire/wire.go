@@ -171,15 +171,13 @@ type Frame struct {
 	// Peers is the gossiped address book (Peers) or the placement's member
 	// list (View).
 	Peers []Peer
-	// Kind is the carried message's kind (Msg). A decoded frame carries a
-	// client session's FORWARD in Forward and its FORWARDED answer in
-	// Forwarded, by value, and leaves Msg nil; every other message, the
-	// protocol's, is boxed in Msg, the form core.Node.Deliver takes. An
-	// encoder reads Msg when it is set, and otherwise Kind's field.
-	Kind      core.MsgKind
-	Msg       core.Message
-	Forward   core.ForwardMsg
-	Forwarded core.ForwardedMsg
+	// Msg is the carried message (Msg). A protocol message decodes boxed
+	// by value, the form core.Node.Deliver takes. A client session's
+	// FORWARD and its FORWARDED answer decode into a record, a
+	// *core.ForwardMsg or *core.ForwardedMsg, that a Scanner reuses once
+	// its reader hands the frame back (Scanner.Reuse). An encoder takes
+	// either form of either kind.
+	Msg core.Message
 	// ViewVersion is the monotone stamp of the sender's placement view
 	// (View); a client discards pushes older than what it holds.
 	ViewVersion uint64
@@ -215,16 +213,7 @@ func AppendFrameBytes(dst []byte, f Frame) ([]byte, error) {
 	var err error
 	switch f.Type {
 	case FrameMsg:
-		switch {
-		case f.Msg != nil:
-			b, err = appendMessage(b, f.Msg)
-		case f.Kind == core.KindForward:
-			b = appendForward(b, f.Forward)
-		case f.Kind == core.KindForwarded:
-			b = appendForwarded(b, f.Forwarded)
-		default:
-			err = ErrMsgKind
-		}
+		b, err = appendMessage(b, f.Msg)
 	case FrameHello:
 		if f.Role > RoleClient {
 			return dst[:start], fmt.Errorf("wire: bad hello role %d", byte(f.Role))
@@ -272,8 +261,12 @@ func WriteFrame(w io.Writer, f Frame) error {
 // DecodeFrame parses one payload. It returns an error — never panics — on
 // malformed input, and rejects payloads with trailing garbage. A MSG
 // frame's From is its message's sender.
-func DecodeFrame(b []byte) (Frame, error) {
-	d := decoder{b: b}
+func DecodeFrame(b []byte) (Frame, error) { return decodeFrame(b, nil) }
+
+// decodeFrame is DecodeFrame drawing a FORWARD's or a FORWARDED's record
+// from spare when it holds one.
+func decodeFrame(b []byte, spare *records) (Frame, error) {
+	d := decoder{b: b, spare: spare}
 	ver := d.u8()
 	typ := FrameType(d.u8())
 	if d.err != nil {
@@ -285,7 +278,7 @@ func DecodeFrame(b []byte) (Frame, error) {
 	f := Frame{Type: typ}
 	switch typ {
 	case FrameMsg:
-		d.message(&f)
+		f.From, f.Msg = d.message()
 	case FrameHello:
 		f.From = core.ProcessID(d.i64())
 		f.Role = d.role()
@@ -358,8 +351,12 @@ func appendMessage(b []byte, m core.Message) ([]byte, error) {
 		b = appendOp(b, msg.Op)
 	case core.ForwardMsg:
 		b = appendForward(b, msg)
+	case *core.ForwardMsg:
+		b = appendForward(b, *msg)
 	case core.ForwardedMsg:
 		b = appendForwarded(b, msg)
+	case *core.ForwardedMsg:
+		b = appendForwarded(b, *msg)
 	default:
 		return nil, ErrMsgKind
 	}
@@ -435,6 +432,16 @@ type decoder struct {
 	b   []byte
 	off int
 	err error
+	// spare, when set, holds records to decode a FORWARD or a FORWARDED
+	// into in place of fresh ones.
+	spare *records
+}
+
+// records holds at most one record of each session kind for a decoder to
+// reuse: the ones a Scanner's reader handed back.
+type records struct {
+	forward   *core.ForwardMsg
+	forwarded *core.ForwardedMsg
 }
 
 func (d *decoder) fail(err error) {
@@ -614,21 +621,21 @@ func (d *decoder) keyedValues() []core.KeyedValue {
 	return out
 }
 
-// message reads one MSG body into f: the kind byte, the sender, then the
-// kind's fields — a FORWARD or a FORWARDED by value, any other kind boxed
-// in f.Msg.
-func (d *decoder) message(f *Frame) {
-	f.Kind = core.MsgKind(d.u8())
+// message reads one MSG body: the kind byte, the sender, then the kind's
+// fields. It returns the sender beside the message so DecodeFrame can set
+// Frame.From without a type switch. A FORWARD or a FORWARDED fills a
+// record, a spare one if the decoder holds it; any other kind is boxed.
+func (d *decoder) message() (core.ProcessID, core.Message) {
+	kind := core.MsgKind(d.u8())
 	from := core.ProcessID(d.i64())
 	if d.err != nil {
-		return
+		return 0, nil
 	}
-	f.From = from
-	switch f.Kind {
+	switch kind {
 	case core.KindInquiry:
-		f.Msg = core.InquiryMsg{From: from, Op: d.op()}
+		return from, core.InquiryMsg{From: from, Op: d.op()}
 	case core.KindReply:
-		f.Msg = core.ReplyMsg{
+		return from, core.ReplyMsg{
 			From:  from,
 			Value: d.value(),
 			Reg:   d.reg(),
@@ -636,30 +643,45 @@ func (d *decoder) message(f *Frame) {
 			Rest:  d.keyedValues(),
 		}
 	case core.KindWrite:
-		f.Msg = core.WriteMsg{From: from, Value: d.value(), Reg: d.reg(), Op: d.op()}
+		return from, core.WriteMsg{From: from, Value: d.value(), Reg: d.reg(), Op: d.op()}
 	case core.KindAck:
-		f.Msg = core.AckMsg{From: from, SN: core.SeqNum(d.i64()), Reg: d.reg(), Op: d.op()}
+		return from, core.AckMsg{From: from, SN: core.SeqNum(d.i64()), Reg: d.reg(), Op: d.op()}
 	case core.KindRead:
-		f.Msg = core.ReadMsg{From: from, Reg: d.reg(), Op: d.op()}
+		return from, core.ReadMsg{From: from, Reg: d.reg(), Op: d.op()}
 	case core.KindDLPrev:
-		f.Msg = core.DLPrevMsg{From: from, Reg: d.reg(), Op: d.op()}
+		return from, core.DLPrevMsg{From: from, Reg: d.reg(), Op: d.op()}
 	case core.KindForward:
-		f.Forward = core.ForwardMsg{
+		var m *core.ForwardMsg
+		if d.spare != nil && d.spare.forward != nil {
+			m, d.spare.forward = d.spare.forward, nil
+		} else {
+			m = new(core.ForwardMsg)
+		}
+		*m = core.ForwardMsg{
 			From:    from,
 			Op:      d.op(),
 			Reg:     d.reg(),
 			IsWrite: d.bool(),
 			Val:     core.Value(d.i64()),
 		}
+		return from, m
 	case core.KindForwarded:
-		f.Forwarded = core.ForwardedMsg{
+		var m *core.ForwardedMsg
+		if d.spare != nil && d.spare.forwarded != nil {
+			m, d.spare.forwarded = d.spare.forwarded, nil
+		} else {
+			m = new(core.ForwardedMsg)
+		}
+		*m = core.ForwardedMsg{
 			From:  from,
 			Op:    d.op(),
 			Reg:   d.reg(),
 			Value: d.value(),
 			Code:  d.forwardCode(),
 		}
+		return from, m
 	default:
-		d.fail(fmt.Errorf("%w: %d", ErrMsgKind, int(f.Kind)))
+		d.fail(fmt.Errorf("%w: %d", ErrMsgKind, int(kind)))
+		return 0, nil
 	}
 }

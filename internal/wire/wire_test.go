@@ -45,29 +45,27 @@ func roundTrip(t testing.TB, m core.Message) core.Message {
 }
 
 // decoded is the frame DecodeFrame makes of a MSG frame carrying m: its
-// sender and kind, and m by value if it is a FORWARD or a FORWARDED,
-// boxed in Msg otherwise.
+// sender, and m in a record if it is a FORWARD or a FORWARDED, boxed
+// otherwise.
 func decoded(m core.Message) Frame {
-	f := Frame{Type: FrameMsg, From: sender(m), Kind: m.Kind()}
+	f := Frame{Type: FrameMsg, From: sender(m), Msg: m}
 	switch msg := m.(type) {
 	case core.ForwardMsg:
-		f.Forward = msg
+		f.Msg = &msg
 	case core.ForwardedMsg:
-		f.Forwarded = msg
-	default:
-		f.Msg = m
+		f.Msg = &msg
 	}
 	return f
 }
 
-// carried is the message a decoded MSG frame carries, boxed whatever its
-// kind.
+// carried is the message a decoded MSG frame carries, by value whatever
+// its kind.
 func carried(f Frame) core.Message {
-	switch f.Kind {
-	case core.KindForward:
-		return f.Forward
-	case core.KindForwarded:
-		return f.Forwarded
+	switch m := f.Msg.(type) {
+	case *core.ForwardMsg:
+		return *m
+	case *core.ForwardedMsg:
+		return *m
 	}
 	return f.Msg
 }
