@@ -27,6 +27,6 @@ func coreBootstrap() core.SpawnContext {
 	return core.SpawnContext{Bootstrap: true, Initial: core.VersionedValue{Val: 0, SN: 0}}
 }
 
-func coreInquiry(from core.ProcessID) core.InquiryMsg {
-	return core.InquiryMsg{From: from}
+func coreInquiry(from core.ProcessID) *core.InquiryMsg {
+	return &core.InquiryMsg{From: from}
 }

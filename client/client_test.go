@@ -24,7 +24,13 @@ const opTimeout = 10 * time.Second
 // transport's default).
 func startCluster(t *testing.T, n, shards, repl int, evictAfter time.Duration) []*nettransport.Transport {
 	t.Helper()
-	factory := esyncreg.Factory(esyncreg.Options{})
+	return startClusterOf(t, esyncreg.Factory(esyncreg.Options{}), n, shards, repl, evictAfter)
+}
+
+// startClusterOf is startCluster running engine in place of esync.
+func startClusterOf(t *testing.T, engine core.NodeFactory, n, shards, repl int, evictAfter time.Duration) []*nettransport.Transport {
+	t.Helper()
+	factory := engine
 	var pcfg placement.Config
 	if shards > 0 {
 		factory = shard.Factory(factory)

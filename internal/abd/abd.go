@@ -145,6 +145,8 @@ type Node struct {
 	active bool // bootstrap processes only; replacements stay passive
 
 	ops *core.OpTable[op]
+	// out holds the records this node sends its messages from.
+	out core.Outbox
 
 	stats Stats
 }
@@ -249,7 +251,7 @@ func (n *Node) Read(k core.RegisterID, done func(core.VersionedValue, error)) er
 	o.answers.reset(scope)
 	o.reading = true
 	o.readDone = done
-	placement.ScopedBroadcast(n.env, k, core.ReadMsg{From: n.env.ID(), Reg: k, Op: id})
+	placement.ScopedBroadcast(n.env, k, n.out.Read(core.ReadMsg{From: n.env.ID(), Reg: k, Op: id}))
 	return nil
 }
 
@@ -295,7 +297,7 @@ func (n *Node) checkRead(id core.OpID, o *op) {
 	o.wb = true
 	o.wbVal = freshest
 	o.answers.reset(o.answers.scope)
-	placement.ScopedBroadcast(n.env, o.reg, core.WriteMsg{From: n.env.ID(), Value: freshest, Reg: o.reg, Op: id})
+	placement.ScopedBroadcast(n.env, o.reg, n.out.Write(core.WriteMsg{From: n.env.ID(), Value: freshest, Reg: o.reg, Op: id}))
 }
 
 func (n *Node) checkWriteBack(id core.OpID, o *op) {
@@ -330,7 +332,7 @@ func (n *Node) Write(k core.RegisterID, v core.Value, done func(core.VersionedVa
 	o.writing = true
 	o.writeVal = next
 	o.writeDone = done
-	placement.ScopedBroadcast(n.env, k, core.WriteMsg{From: n.env.ID(), Value: next, Reg: k, Op: id})
+	placement.ScopedBroadcast(n.env, k, n.out.Write(core.WriteMsg{From: n.env.ID(), Value: next, Reg: k, Op: id}))
 	return nil
 }
 
@@ -346,7 +348,7 @@ func (n *Node) checkWrite(id core.OpID, o *op) {
 // Deliver implements core.Node.
 func (n *Node) Deliver(from core.ProcessID, m core.Message) {
 	switch msg := m.(type) {
-	case core.ReadMsg:
+	case *core.ReadMsg:
 		// Every replica answers — including passive replacements, which
 		// may only have ⊥. That is the naive-membership failure mode the
 		// experiments measure.
@@ -355,8 +357,8 @@ func (n *Node) Deliver(from core.ProcessID, m core.Message) {
 			n.stats.BottomSent++
 		}
 		n.stats.RepliesSent++
-		n.env.Send(msg.From, core.ReplyMsg{From: n.env.ID(), Value: v, Reg: msg.Reg, Op: msg.Op})
-	case core.ReplyMsg:
+		n.env.Send(msg.From, n.out.Reply(core.ReplyMsg{From: n.env.ID(), Value: v, Reg: msg.Reg, Op: msg.Op}))
+	case *core.ReplyMsg:
 		o, ok := n.ops.Get(msg.Op)
 		if !ok || !o.reading || o.reg != msg.Reg {
 			return // stale: the read completed (or never was)
@@ -365,11 +367,11 @@ func (n *Node) Deliver(from core.ProcessID, m core.Message) {
 			return // sharded: only replica-group replies feed the quorum
 		}
 		n.checkRead(msg.Op, o)
-	case core.WriteMsg:
+	case *core.WriteMsg:
 		n.merge(msg.Reg, msg.Value)
 		n.stats.AcksSent++
-		n.env.Send(msg.From, core.AckMsg{From: n.env.ID(), SN: msg.Value.SN, Reg: msg.Reg, Op: msg.Op})
-	case core.AckMsg:
+		n.env.Send(msg.From, n.out.Ack(core.AckMsg{From: n.env.ID(), SN: msg.Value.SN, Reg: msg.Reg, Op: msg.Op}))
+	case *core.AckMsg:
 		// An ACK feeds the operation whose OpID it echoes: a write, or a
 		// slow-path read's write-back round. One that names no open
 		// operation (NoOp included) is stale.

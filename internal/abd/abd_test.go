@@ -1,6 +1,7 @@
 package abd_test
 
 import (
+	"reflect"
 	"testing"
 
 	"churnreg/internal/abd"
@@ -183,18 +184,25 @@ func ignoreWrite(core.VersionedValue, error) {}
 // the outcome.
 func ignoreRead(core.VersionedValue, error) {}
 
-// stubEnv is process 1 of three with no network behind it: it keeps the
-// last message the node broadcast.
+// stubEnv is process 1 of three with no network behind it: it keeps a
+// copy of the last message the node broadcast, as a runtime copies it.
 type stubEnv struct{ last core.Message }
 
 func (e *stubEnv) ID() core.ProcessID                { return 1 }
 func (e *stubEnv) Now() sim.Time                     { return 0 }
 func (e *stubEnv) Send(core.ProcessID, core.Message) {}
-func (e *stubEnv) Broadcast(m core.Message)          { e.last = m }
+func (e *stubEnv) Broadcast(m core.Message)          { e.last = copied(m) }
 func (e *stubEnv) After(sim.Duration, func())        {}
 func (e *stubEnv) Delta() sim.Duration               { return delta }
 func (e *stubEnv) SystemSize() int                   { return 3 }
 func (e *stubEnv) MarkActive()                       {}
+
+// copied is a record of m's own.
+func copied(m core.Message) core.Message {
+	r := reflect.New(reflect.TypeOf(m).Elem())
+	r.Elem().Set(reflect.ValueOf(m).Elem())
+	return r.Interface().(core.Message)
+}
 
 // TestUntaggedAcksDoNotCount: an ACK that names a write's ⟨reg, sn⟩ but
 // carries no OpID answers no WRITE this process sent, so it does not
@@ -209,13 +217,13 @@ func TestUntaggedAcksDoNotCount(t *testing.T) {
 	if err := n.Write(reg, 7, func(core.VersionedValue, error) { done = true }); err != nil {
 		t.Fatal(err)
 	}
-	w, ok := env.last.(core.WriteMsg)
+	w, ok := env.last.(*core.WriteMsg)
 	if !ok {
 		t.Fatalf("write broadcast %v, want a WRITE", env.last)
 	}
 	for _, op := range []core.OpID{core.NoOp, w.Op} {
 		for _, from := range []core.ProcessID{2, 3} {
-			n.Deliver(from, core.AckMsg{From: from, SN: w.Value.SN, Reg: reg, Op: op})
+			n.Deliver(from, &core.AckMsg{From: from, SN: w.Value.SN, Reg: reg, Op: op})
 		}
 		if want := op == w.Op; done != want {
 			t.Fatalf("after two ACKs with op %v: write done = %v, want %v", op, done, want)
@@ -245,9 +253,9 @@ func TestStaleAnswersMissRecycledRecords(t *testing.T) {
 	if err := n.Read(reg, record); err != nil {
 		t.Fatal(err)
 	}
-	old := env.last.(core.ReadMsg).Op
+	old := env.last.(*core.ReadMsg).Op
 	for _, from := range []core.ProcessID{2, 3} {
-		n.Deliver(from, core.ReplyMsg{From: from, Value: core.ImplicitInitial(), Reg: reg, Op: old})
+		n.Deliver(from, &core.ReplyMsg{From: from, Value: core.ImplicitInitial(), Reg: reg, Op: old})
 	}
 	if len(got) != 1 {
 		t.Fatalf("first read completed %d times, want once", len(got))
@@ -256,16 +264,16 @@ func TestStaleAnswersMissRecycledRecords(t *testing.T) {
 	if err := n.Write(reg, 7, record); err != nil {
 		t.Fatal(err)
 	}
-	w := env.last.(core.WriteMsg)
+	w := env.last.(*core.WriteMsg)
 	for _, from := range []core.ProcessID{2, 3} {
-		n.Deliver(from, core.ReplyMsg{From: from, Value: w.Value, Reg: reg, Op: old})
-		n.Deliver(from, core.AckMsg{From: from, SN: w.Value.SN, Reg: reg, Op: old})
+		n.Deliver(from, &core.ReplyMsg{From: from, Value: w.Value, Reg: reg, Op: old})
+		n.Deliver(from, &core.AckMsg{From: from, SN: w.Value.SN, Reg: reg, Op: old})
 	}
-	n.Deliver(2, core.AckMsg{From: 2, SN: w.Value.SN, Reg: reg, Op: w.Op})
+	n.Deliver(2, &core.AckMsg{From: 2, SN: w.Value.SN, Reg: reg, Op: w.Op})
 	if len(got) != 1 {
 		t.Fatalf("write completed on one ACK of its own and stale ones: %v", got)
 	}
-	n.Deliver(3, core.AckMsg{From: 3, SN: w.Value.SN, Reg: reg, Op: w.Op})
+	n.Deliver(3, &core.AckMsg{From: 3, SN: w.Value.SN, Reg: reg, Op: w.Op})
 	if len(got) != 2 || got[1] != w.Value {
 		t.Fatalf("write results %v, want it to complete with %v", got, w.Value)
 	}
@@ -273,17 +281,17 @@ func TestStaleAnswersMissRecycledRecords(t *testing.T) {
 	if err := n.Read(reg, record); err != nil {
 		t.Fatal(err)
 	}
-	r := env.last.(core.ReadMsg)
+	r := env.last.(*core.ReadMsg)
 	stale := core.VersionedValue{Val: 99, SN: w.Value.SN + 5}
 	for _, from := range []core.ProcessID{2, 3} {
-		n.Deliver(from, core.ReplyMsg{From: from, Value: stale, Reg: reg, Op: old})
-		n.Deliver(from, core.ReplyMsg{From: from, Value: stale, Reg: reg, Op: w.Op})
+		n.Deliver(from, &core.ReplyMsg{From: from, Value: stale, Reg: reg, Op: old})
+		n.Deliver(from, &core.ReplyMsg{From: from, Value: stale, Reg: reg, Op: w.Op})
 	}
 	if len(got) != 2 {
 		t.Fatalf("read completed on stale replies: %v", got)
 	}
 	for _, from := range []core.ProcessID{2, 3} {
-		n.Deliver(from, core.ReplyMsg{From: from, Value: w.Value, Reg: reg, Op: r.Op})
+		n.Deliver(from, &core.ReplyMsg{From: from, Value: w.Value, Reg: reg, Op: r.Op})
 	}
 	if len(got) != 3 || got[2] != w.Value {
 		t.Fatalf("read results %v, want the write's %v", got, w.Value)

@@ -47,6 +47,8 @@ type Node struct {
 	wbAcks   map[core.ProcessID]bool
 	wbValue  core.VersionedValue
 	wbDone   func(core.VersionedValue, error)
+	// out holds the records the wrapper sends its write-backs from.
+	out core.Outbox
 
 	stats Stats
 }
@@ -146,7 +148,7 @@ func (n *Node) startWriteBack(v core.VersionedValue, done func(core.VersionedVal
 	// cases (Figure 6 lines 06-08), which is exactly what a write-back
 	// needs. It reuses the writer's sequence number, so the single-writer
 	// ordering is untouched.
-	n.env.Broadcast(core.WriteMsg{From: n.env.ID(), Value: v})
+	n.env.Broadcast(n.out.Write(core.WriteMsg{From: n.env.ID(), Value: v}))
 }
 
 func (n *Node) checkWriteBack() {
@@ -166,7 +168,7 @@ func (n *Node) checkWriteBack() {
 // writing key 0 (this wrapper's operations are sequential), so a key-0
 // ACK matching wbSN can only belong to the write-back.
 func (n *Node) Deliver(from core.ProcessID, m core.Message) {
-	if ack, ok := m.(core.AckMsg); ok && ack.Reg == core.DefaultRegister && n.wbActive && ack.SN == n.wbSN {
+	if ack, ok := m.(*core.AckMsg); ok && ack.Reg == core.DefaultRegister && n.wbActive && ack.SN == n.wbSN {
 		n.stats.WriteBackAcked++
 		n.wbAcks[from] = true
 		n.checkWriteBack()

@@ -173,8 +173,11 @@ type Env interface {
 	// may deliver it with no delay at all, since a process's message to
 	// itself crosses no network (nettransport does: the goroutine that
 	// ran the handler delivers it next, before it lets go of the node).
+	// Send copies m before it returns, so the caller may refill the record
+	// m points to at once (see Message and Outbox).
 	Send(to ProcessID, m Message)
 	// Broadcast disseminates m through the broadcast service of §3.2/§5.1.
+	// Like Send, it copies m before it returns.
 	Broadcast(m Message)
 	// After schedules fn on this node no earlier than d time units of the
 	// runtime's clock after the call — a lower bound; how much later is the
@@ -203,7 +206,9 @@ type Node interface {
 	// beginning of its join, in the paper's "listening mode" sense), or at
 	// time 0 for the n initial processes (with Bootstrap set).
 	Start()
-	// Deliver hands the node a message. from is the sender's identity.
+	// Deliver hands the node a message. from is the sender's identity. m
+	// is a record the runtime lends (a *ReplyMsg, a *WriteMsg, ...), valid
+	// only for this call: the node copies what it keeps out of it.
 	Deliver(from ProcessID, m Message)
 	// Active reports whether the node completed its join.
 	Active() bool

@@ -53,12 +53,14 @@ func (k MsgKind) String() string {
 }
 
 // Message is a protocol wire message; internal/wire encodes every concrete
-// type. Both runtimes hand every other process a decoded copy, so nodes
-// can never share mutable state through a message. The one exception is
-// nettransport's self-delivery, which hands the sender its own value: a
-// snapshot ReplyMsg holds a slice whose backing array is then shared, so
-// senders build a fresh slice per message and receivers must treat it as
-// immutable.
+// type. A message is a record that is lent, never boxed: a sender hands
+// the runtime a pointer to a record it keeps (Outbox), and Env's Send,
+// SendGroup and Broadcast copy it before they return; a receiver gets the
+// runtime's own record, a decoded copy, valid only for its Deliver call.
+// So no process shares memory with another through a message, and neither
+// a send nor a delivery allocates. The one field that points elsewhere, a
+// snapshot ReplyMsg's Rest, decodes into a fresh slice per delivery, which
+// a receiver may keep.
 //
 // Per-register messages carry a Reg field whose zero value addresses
 // DefaultRegister, so single-register constructions predating the keyed
@@ -98,7 +100,6 @@ type ReplyMsg struct {
 	// replaces "the node's one pending read". NoOp marks a join reply.
 	Op OpID
 	// Rest holds the snapshot's remaining keys (join replies only).
-	// Receivers must not mutate it.
 	Rest []KeyedValue
 }
 
@@ -241,6 +242,38 @@ type ForwardedMsg struct {
 
 // Kind implements Message.
 func (ForwardedMsg) Kind() MsgKind { return KindForwarded }
+
+// Outbox holds the records a node sends its messages from, one per kind:
+// each method fills its kind's record with m and returns it, ready for
+// Env.Send, SendGroup or Broadcast, which copy it before they return. A
+// pointer fits in a Message as it is, so sending from a kept record
+// allocates nothing, where a message value would be boxed on every send.
+type Outbox struct {
+	inquiry InquiryMsg
+	reply   ReplyMsg
+	write   WriteMsg
+	ack     AckMsg
+	read    ReadMsg
+	dlPrev  DLPrevMsg
+}
+
+// Inquiry fills the INQUIRY record.
+func (o *Outbox) Inquiry(m InquiryMsg) *InquiryMsg { o.inquiry = m; return &o.inquiry }
+
+// Reply fills the REPLY record.
+func (o *Outbox) Reply(m ReplyMsg) *ReplyMsg { o.reply = m; return &o.reply }
+
+// Write fills the WRITE record.
+func (o *Outbox) Write(m WriteMsg) *WriteMsg { o.write = m; return &o.write }
+
+// Ack fills the ACK record.
+func (o *Outbox) Ack(m AckMsg) *AckMsg { o.ack = m; return &o.ack }
+
+// Read fills the READ record.
+func (o *Outbox) Read(m ReadMsg) *ReadMsg { o.read = m; return &o.read }
+
+// DLPrev fills the DL_PREV record.
+func (o *Outbox) DLPrev(m DLPrevMsg) *DLPrevMsg { o.dlPrev = m; return &o.dlPrev }
 
 // Compile-time interface checks.
 var (

@@ -28,7 +28,8 @@ func HandoffShard(op OpID) (int, bool) {
 // GroupSender is implemented by runtimes that can send one message to
 // several processes for less than that many Sends (a transport that
 // encodes the message once for the whole group). SendGroup(to, m) means
-// exactly Send(id, m) for each id of to, in order; to is not retained.
+// exactly Send(id, m) for each id of to, in order; to is not retained,
+// and m is copied before SendGroup returns.
 type GroupSender interface {
 	SendGroup(to []ProcessID, m Message)
 }

@@ -156,6 +156,8 @@ type Node struct {
 	// dlPrev is dl_prev_i; insertion-ordered for determinism.
 	dlPrev     map[reqKey]bool
 	dlPrevList []reqKey
+	// out holds the records this node sends its messages from.
+	out core.Outbox
 
 	stats Stats
 }
@@ -231,7 +233,7 @@ func (n *Node) Start() {
 	// Line 03: broadcast INQUIRY(i, read_sn_i) — the process's one and
 	// only join inquiry, whatever number of registers the namespace holds.
 	n.stats.JoinInquiries++
-	n.env.Broadcast(core.InquiryMsg{From: n.env.ID(), Op: core.NoOp})
+	n.env.Broadcast(n.out.Inquiry(core.InquiryMsg{From: n.env.ID(), Op: core.NoOp}))
 	// Line 04 ("wait until |replies_i| ≥ n/2+1") is event-driven: the
 	// check runs on every REPLY arrival (checkJoin).
 }
@@ -262,7 +264,7 @@ func (n *Node) flushDeferred() {
 		}
 		sent[k] = true
 		n.stats.DeferredReplies++
-		n.env.Send(k.id, n.replyFor(k))
+		n.env.Send(k.id, n.out.Reply(n.replyFor(k)))
 	}
 	n.replyTo = make(map[reqKey]bool)
 	n.replyToList = nil
@@ -330,7 +332,7 @@ func (n *Node) startReadPhase(id core.OpID, o *op) {
 	o.readReplies = make(map[core.ProcessID]core.VersionedValue)
 	// Line 03: broadcast READ(i, read_sn_i) — to the key's replica group
 	// when sharded, the full membership otherwise.
-	placement.ScopedBroadcast(n.env, o.reg, core.ReadMsg{From: n.env.ID(), Reg: o.reg, Op: id})
+	placement.ScopedBroadcast(n.env, o.reg, n.out.Read(core.ReadMsg{From: n.env.ID(), Reg: o.reg, Op: id}))
 	// Line 04 is event-driven (checkRead on every REPLY).
 }
 
@@ -418,7 +420,7 @@ func (n *Node) pumpWrites(k core.RegisterID) {
 		n.ackRoute[ackName{reg: k, sn: next.SN}] = id
 		// Line 04: broadcast WRITE(i, ⟨v, sn⟩) — scoped to the key's
 		// replica group when sharded.
-		placement.ScopedBroadcast(n.env, k, core.WriteMsg{From: n.env.ID(), Value: next, Reg: k, Op: id})
+		placement.ScopedBroadcast(n.env, k, n.out.Write(core.WriteMsg{From: n.env.ID(), Value: next, Reg: k, Op: id}))
 		q = q[1:]
 	}
 	if len(q) == 0 {
@@ -443,18 +445,18 @@ func (n *Node) checkWrite(id core.OpID, o *op) {
 // Deliver implements core.Node, dispatching the handlers of Figures 4-6.
 func (n *Node) Deliver(from core.ProcessID, m core.Message) {
 	switch msg := m.(type) {
-	case core.InquiryMsg:
-		n.handleInquiry(msg)
-	case core.ReadMsg:
-		n.handleRead(msg)
-	case core.ReplyMsg:
-		n.handleReply(msg)
-	case core.WriteMsg:
-		n.handleWrite(msg)
-	case core.AckMsg:
-		n.handleAck(msg)
-	case core.DLPrevMsg:
-		n.handleDLPrev(msg)
+	case *core.InquiryMsg:
+		n.handleInquiry(*msg)
+	case *core.ReadMsg:
+		n.handleRead(*msg)
+	case *core.ReplyMsg:
+		n.handleReply(*msg)
+	case *core.WriteMsg:
+		n.handleWrite(*msg)
+	case *core.AckMsg:
+		n.handleAck(*msg)
+	case *core.DLPrevMsg:
+		n.handleDLPrev(*msg)
 	default:
 		panic("esyncreg: unexpected message kind " + m.Kind().String())
 	}
@@ -465,7 +467,7 @@ func (n *Node) handleInquiry(m core.InquiryMsg) {
 	if n.active {
 		// Line 13: answer immediately — with the whole register space.
 		n.stats.RepliesSent++
-		n.env.Send(m.From, n.snapshotReply(m.Op))
+		n.env.Send(m.From, n.out.Reply(n.snapshotReply(m.Op)))
 		// Line 14: a reading process also asks the newcomer to answer its
 		// in-flight reads once active — the newcomer was not in those READ
 		// broadcasts' snapshots and would otherwise never reply. One
@@ -481,7 +483,7 @@ func (n *Node) handleInquiry(m core.InquiryMsg) {
 					continue
 				}
 				n.stats.DLPrevSent++
-				n.env.Send(m.From, core.DLPrevMsg{From: n.env.ID(), Reg: o.reg, Op: id})
+				n.env.Send(m.From, n.out.DLPrev(core.DLPrevMsg{From: n.env.ID(), Reg: o.reg, Op: id}))
 			}
 		}
 		return
@@ -493,7 +495,7 @@ func (n *Node) handleInquiry(m core.InquiryMsg) {
 	// replies, which is what makes join live (Lemma 5).
 	if !n.opts.DisableDLPrev {
 		n.stats.DLPrevSent++
-		n.env.Send(m.From, core.DLPrevMsg{From: n.env.ID(), Op: core.NoOp})
+		n.env.Send(m.From, n.out.DLPrev(core.DLPrevMsg{From: n.env.ID(), Op: core.NoOp}))
 	}
 }
 
@@ -502,7 +504,7 @@ func (n *Node) handleRead(m core.ReadMsg) {
 	if n.active {
 		// Line 09.
 		n.stats.RepliesSent++
-		n.env.Send(m.From, core.ReplyMsg{From: n.env.ID(), Value: n.value(m.Reg), Reg: m.Reg, Op: m.Op})
+		n.env.Send(m.From, n.out.Reply(core.ReplyMsg{From: n.env.ID(), Value: n.value(m.Reg), Reg: m.Reg, Op: m.Op}))
 		return
 	}
 	// Line 10: answer at join completion.
@@ -562,11 +564,11 @@ func (n *Node) handleJoinReply(m core.ReplyMsg) {
 	}
 	if n.opts.LiteralAckRSN {
 		n.stats.AcksSent++
-		n.env.Send(m.From, core.AckMsg{From: n.env.ID(), SN: core.SeqNum(m.Op), Reg: m.Reg})
+		n.env.Send(m.From, n.out.Ack(core.AckMsg{From: n.env.ID(), SN: core.SeqNum(m.Op), Reg: m.Reg}))
 	} else {
 		m.Entries(func(k core.RegisterID, v core.VersionedValue) {
 			n.stats.AcksSent++
-			n.env.Send(m.From, core.AckMsg{From: n.env.ID(), SN: v.SN, Reg: k})
+			n.env.Send(m.From, n.out.Ack(core.AckMsg{From: n.env.ID(), SN: v.SN, Reg: k}))
 		})
 	}
 	n.checkJoin()
@@ -580,7 +582,7 @@ func (n *Node) ack(to core.ProcessID, reg core.RegisterID, sn core.SeqNum, rsn c
 		sn = core.SeqNum(rsn)
 	}
 	n.stats.AcksSent++
-	n.env.Send(to, core.AckMsg{From: n.env.ID(), SN: sn, Reg: reg, Op: core.NoOp})
+	n.env.Send(to, n.out.Ack(core.AckMsg{From: n.env.ID(), SN: sn, Reg: reg, Op: core.NoOp}))
 }
 
 // handleWrite is Figure 6 lines 06-08 — runs at any process, active or
@@ -592,7 +594,7 @@ func (n *Node) handleWrite(m core.WriteMsg) {
 	// writes, so a slow writer can still terminate. The ACK echoes the
 	// WRITE's operation id, routing it straight to the write it answers.
 	n.stats.AcksSent++
-	n.env.Send(m.From, core.AckMsg{From: n.env.ID(), SN: m.Value.SN, Reg: m.Reg, Op: m.Op})
+	n.env.Send(m.From, n.out.Ack(core.AckMsg{From: n.env.ID(), SN: m.Value.SN, Reg: m.Reg, Op: m.Op}))
 }
 
 // handleAck is Figure 6 lines 09-10: route by echoed OpID when present
@@ -635,7 +637,7 @@ func (n *Node) handleDLPrev(m core.DLPrevMsg) {
 		// which can only lose liveness — answering now is safe: it is the
 		// same REPLY we would have sent a moment earlier.)
 		n.stats.RepliesSent++
-		n.env.Send(k.id, n.replyFor(k))
+		n.env.Send(k.id, n.out.Reply(n.replyFor(k)))
 		return
 	}
 	if !n.dlPrev[k] {

@@ -46,10 +46,10 @@ func TestListenersAckWrites(t *testing.T) {
 	// makes writes live under joins.
 	n, env := newJoining(5, Options{})
 	env.sent = nil
-	n.Deliver(9, core.WriteMsg{From: 9, Value: core.VersionedValue{Val: 1, SN: 1}})
+	n.Deliver(9, &core.WriteMsg{From: 9, Value: core.VersionedValue{Val: 1, SN: 1}})
 	found := false
 	for _, s := range env.sent {
-		if a, ok := s.msg.(core.AckMsg); ok && s.to == 9 && a.SN == 1 {
+		if a, ok := s.msg.(*core.AckMsg); ok && s.to == 9 && a.SN == 1 {
 			found = true
 		}
 	}
@@ -67,14 +67,14 @@ func TestWriteAckQuorumCountsDistinctProcesses(t *testing.T) {
 		n.Deliver(p, reply(p, 0, 0, 1)) // embedded read quorum
 	}
 	// Duplicate ACKs from one process must not satisfy the quorum.
-	n.Deliver(1, core.AckMsg{From: 1, SN: 1})
-	n.Deliver(1, core.AckMsg{From: 1, SN: 1})
-	n.Deliver(1, core.AckMsg{From: 1, SN: 1})
+	n.Deliver(1, &core.AckMsg{From: 1, SN: 1})
+	n.Deliver(1, &core.AckMsg{From: 1, SN: 1})
+	n.Deliver(1, &core.AckMsg{From: 1, SN: 1})
 	if opOn(n, core.DefaultRegister) == nil {
 		t.Fatal("triplicate ACKs from one process completed the write")
 	}
-	n.Deliver(2, core.AckMsg{From: 2, SN: 1})
-	n.Deliver(3, core.AckMsg{From: 3, SN: 1})
+	n.Deliver(2, &core.AckMsg{From: 2, SN: 1})
+	n.Deliver(3, &core.AckMsg{From: 3, SN: 1})
 	if opOn(n, core.DefaultRegister) != nil {
 		t.Fatal("write did not complete on a true majority")
 	}
@@ -82,9 +82,9 @@ func TestWriteAckQuorumCountsDistinctProcesses(t *testing.T) {
 
 func TestDLPrevDedup(t *testing.T) {
 	n, _ := newJoining(5, Options{})
-	n.Deliver(7, core.DLPrevMsg{From: 7, Op: 2})
-	n.Deliver(7, core.DLPrevMsg{From: 7, Op: 2})
-	n.Deliver(7, core.DLPrevMsg{From: 7, Op: 3})
+	n.Deliver(7, &core.DLPrevMsg{From: 7, Op: 2})
+	n.Deliver(7, &core.DLPrevMsg{From: 7, Op: 2})
+	n.Deliver(7, &core.DLPrevMsg{From: 7, Op: 3})
 	if len(n.dlPrevList) != 2 {
 		t.Fatalf("dl_prev entries = %d, want 2 (distinct rsn)", len(n.dlPrevList))
 	}
@@ -92,9 +92,9 @@ func TestDLPrevDedup(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	n, _ := newActive(5, Options{})
-	n.Deliver(7, core.InquiryMsg{From: 7, Op: 0})
-	n.Deliver(8, core.ReadMsg{From: 8, Op: 1})
-	n.Deliver(9, core.WriteMsg{From: 9, Value: core.VersionedValue{Val: 1, SN: 1}})
+	n.Deliver(7, &core.InquiryMsg{From: 7, Op: 0})
+	n.Deliver(8, &core.ReadMsg{From: 8, Op: 1})
+	n.Deliver(9, &core.WriteMsg{From: 9, Value: core.VersionedValue{Val: 1, SN: 1}})
 	s := n.Stats()
 	if s.RepliesSent != 2 {
 		t.Fatalf("RepliesSent = %d, want 2", s.RepliesSent)

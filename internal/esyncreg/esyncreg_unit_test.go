@@ -5,6 +5,7 @@ package esyncreg
 // protocol never consults time (After/Delta panic in the fake).
 
 import (
+	"reflect"
 	"testing"
 
 	"churnreg/internal/core"
@@ -29,11 +30,20 @@ type fakeEnv struct {
 func (e *fakeEnv) ID() core.ProcessID { return e.id }
 func (e *fakeEnv) Now() sim.Time      { return 0 }
 
+// Send and Broadcast keep a copy of m, as a runtime's do: the node refills
+// the record it sent from.
 func (e *fakeEnv) Send(to core.ProcessID, m core.Message) {
-	e.sent = append(e.sent, sent{to: to, msg: m})
+	e.sent = append(e.sent, sent{to: to, msg: copied(m)})
 }
 
-func (e *fakeEnv) Broadcast(m core.Message) { e.bcasts = append(e.bcasts, m) }
+func (e *fakeEnv) Broadcast(m core.Message) { e.bcasts = append(e.bcasts, copied(m)) }
+
+// copied is a record of m's own.
+func copied(m core.Message) core.Message {
+	r := reflect.New(reflect.TypeOf(m).Elem())
+	r.Elem().Set(reflect.ValueOf(m).Elem())
+	return r.Interface().(core.Message)
+}
 
 func (e *fakeEnv) After(sim.Duration, func()) {
 	panic("esyncreg consulted a timer: the protocol must be time-free")
@@ -74,8 +84,8 @@ func lastSent(t *testing.T, env *fakeEnv) sent {
 }
 
 // reply is REPLY(⟨from, ⟨val, sn⟩⟩, r_sn); r_sn is the Op it echoes.
-func reply(from core.ProcessID, val core.Value, sn core.SeqNum, rsn core.OpID) core.ReplyMsg {
-	return core.ReplyMsg{From: from, Value: core.VersionedValue{Val: val, SN: sn}, Op: rsn}
+func reply(from core.ProcessID, val core.Value, sn core.SeqNum, rsn core.OpID) *core.ReplyMsg {
+	return &core.ReplyMsg{From: from, Value: core.VersionedValue{Val: val, SN: sn}, Op: rsn}
 }
 
 // opOn returns the newest in-flight operation on key k (nil if none) —
@@ -95,7 +105,7 @@ func TestJoinBroadcastsInquiryZero(t *testing.T) {
 	if len(env.bcasts) != 1 {
 		t.Fatalf("broadcasts = %d, want 1", len(env.bcasts))
 	}
-	inq, ok := env.bcasts[0].(core.InquiryMsg)
+	inq, ok := env.bcasts[0].(*core.InquiryMsg)
 	if !ok || inq.Op != core.NoOp || inq.From != 100 {
 		t.Fatalf("join broadcast = %#v, want INQUIRY(p100, 0)", env.bcasts[0])
 	}
@@ -146,7 +156,7 @@ func TestReplyAckCarriesRegisterSN(t *testing.T) {
 	n, env := newJoining(5, Options{})
 	n.Deliver(1, reply(1, 9, 4, 0))
 	s := lastSent(t, env)
-	ack, ok := s.msg.(core.AckMsg)
+	ack, ok := s.msg.(*core.AckMsg)
 	if !ok || s.to != 1 {
 		t.Fatalf("reply not ACKed: %#v", s)
 	}
@@ -159,7 +169,7 @@ func TestReplyAckCarriesRegisterSN(t *testing.T) {
 func TestReplyAckLiteralVariantCarriesRSN(t *testing.T) {
 	n, env := newJoining(5, Options{LiteralAckRSN: true})
 	n.Deliver(1, reply(1, 9, 4, 0))
-	ack := lastSent(t, env).msg.(core.AckMsg)
+	ack := lastSent(t, env).msg.(*core.AckMsg)
 	if ack.SN != core.SeqNum(core.NoOp) {
 		t.Fatalf("literal ACK.SN = %d, want r_sn 0", ack.SN)
 	}
@@ -169,9 +179,9 @@ func TestReplyAckLiteralVariantCarriesRSN(t *testing.T) {
 func TestInquiryWhileActiveRepliesImmediately(t *testing.T) {
 	n, env := newActive(5, Options{})
 	n.vals.Store(core.DefaultRegister, core.VersionedValue{Val: 3, SN: 2})
-	n.Deliver(7, core.InquiryMsg{From: 7, Op: 0})
+	n.Deliver(7, &core.InquiryMsg{From: 7, Op: 0})
 	s := lastSent(t, env)
-	r, ok := s.msg.(core.ReplyMsg)
+	r, ok := s.msg.(*core.ReplyMsg)
 	if !ok || s.to != 7 {
 		t.Fatalf("no reply to inquiry: %#v", s)
 	}
@@ -186,11 +196,11 @@ func TestInquiryWhileActiveAndReadingAddsDLPrev(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.sent = nil
-	n.Deliver(7, core.InquiryMsg{From: 7, Op: 0})
+	n.Deliver(7, &core.InquiryMsg{From: 7, Op: 0})
 	if len(env.sent) != 2 {
 		t.Fatalf("sent %d messages, want REPLY + DL_PREV", len(env.sent))
 	}
-	dl, ok := env.sent[1].msg.(core.DLPrevMsg)
+	dl, ok := env.sent[1].msg.(*core.DLPrevMsg)
 	if !ok {
 		t.Fatalf("second message = %#v, want DL_PREV", env.sent[1].msg)
 	}
@@ -202,11 +212,11 @@ func TestInquiryWhileActiveAndReadingAddsDLPrev(t *testing.T) {
 func TestInquiryWhileJoiningDefersAndSendsDLPrev(t *testing.T) {
 	n, env := newJoining(5, Options{})
 	env.sent = nil
-	n.Deliver(7, core.InquiryMsg{From: 7, Op: 0})
+	n.Deliver(7, &core.InquiryMsg{From: 7, Op: 0})
 	if len(n.replyToList) != 1 || n.replyToList[0] != (reqKey{id: 7, op: 0}) {
 		t.Fatalf("reply_to = %v, want [(p7,0)]", n.replyToList)
 	}
-	dl, ok := lastSent(t, env).msg.(core.DLPrevMsg)
+	dl, ok := lastSent(t, env).msg.(*core.DLPrevMsg)
 	if !ok || dl.Op != 0 {
 		t.Fatalf("DL_PREV = %#v, want rsn 0 (our pending join)", lastSent(t, env).msg)
 	}
@@ -215,7 +225,7 @@ func TestInquiryWhileJoiningDefersAndSendsDLPrev(t *testing.T) {
 func TestInquiryDLPrevDisabled(t *testing.T) {
 	n, env := newJoining(5, Options{DisableDLPrev: true})
 	env.sent = nil
-	n.Deliver(7, core.InquiryMsg{From: 7, Op: 0})
+	n.Deliver(7, &core.InquiryMsg{From: 7, Op: 0})
 	if len(env.sent) != 0 {
 		t.Fatalf("ablated node sent %v, want nothing", env.sent)
 	}
@@ -228,9 +238,9 @@ func TestJoinCompletionFlushesDeferredOnce(t *testing.T) {
 	n, env := newJoining(5, Options{})
 	// Same requester lands in both reply_to (via INQUIRY) and dl_prev
 	// (via DL_PREV): the flush must reply once.
-	n.Deliver(7, core.InquiryMsg{From: 7, Op: 0})
-	n.Deliver(7, core.DLPrevMsg{From: 7, Op: 0})
-	n.Deliver(8, core.ReadMsg{From: 8, Op: 3})
+	n.Deliver(7, &core.InquiryMsg{From: 7, Op: 0})
+	n.Deliver(7, &core.DLPrevMsg{From: 7, Op: 0})
+	n.Deliver(8, &core.ReadMsg{From: 8, Op: 3})
 	env.sent = nil
 	n.Deliver(1, reply(1, 1, 1, 0))
 	n.Deliver(2, reply(2, 1, 1, 0))
@@ -240,7 +250,7 @@ func TestJoinCompletionFlushesDeferredOnce(t *testing.T) {
 	}
 	var replies []sent
 	for _, s := range env.sent {
-		if _, ok := s.msg.(core.ReplyMsg); ok {
+		if _, ok := s.msg.(*core.ReplyMsg); ok {
 			replies = append(replies, s)
 		}
 	}
@@ -249,7 +259,7 @@ func TestJoinCompletionFlushesDeferredOnce(t *testing.T) {
 	}
 	seen := map[core.ProcessID]core.OpID{}
 	for _, s := range replies {
-		seen[s.to] = s.msg.(core.ReplyMsg).Op
+		seen[s.to] = s.msg.(*core.ReplyMsg).Op
 	}
 	if seen[7] != 0 || seen[8] != 3 {
 		t.Fatalf("deferred replies carry wrong rsn: %v", seen)
@@ -263,7 +273,7 @@ func TestReadBroadcastsAndCompletesOnMajority(t *testing.T) {
 	if err := n.Read(0, func(v core.VersionedValue, _ error) { got = v; doneRan = true }); err != nil {
 		t.Fatal(err)
 	}
-	rd, ok := env.bcasts[len(env.bcasts)-1].(core.ReadMsg)
+	rd, ok := env.bcasts[len(env.bcasts)-1].(*core.ReadMsg)
 	if !ok || rd.Op != 1 {
 		t.Fatalf("read broadcast = %#v, want READ(_, 1)", env.bcasts[len(env.bcasts)-1])
 	}
@@ -314,14 +324,14 @@ func TestWriteEmbedsReadThenBroadcastsWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Phase 1: the embedded read.
-	if _, ok := env.bcasts[len(env.bcasts)-1].(core.ReadMsg); !ok {
+	if _, ok := env.bcasts[len(env.bcasts)-1].(*core.ReadMsg); !ok {
 		t.Fatalf("write did not read first: %#v", env.bcasts[len(env.bcasts)-1])
 	}
 	n.Deliver(1, reply(1, 5, 3, 1)) // some process knows sn 3
 	n.Deliver(2, reply(2, 0, 0, 1))
 	n.Deliver(3, reply(3, 0, 0, 1))
 	// Phase 2: the WRITE broadcast with sn = 3+1.
-	w, ok := env.bcasts[len(env.bcasts)-1].(core.WriteMsg)
+	w, ok := env.bcasts[len(env.bcasts)-1].(*core.WriteMsg)
 	if !ok {
 		t.Fatalf("no WRITE broadcast after embedded read: %#v", env.bcasts[len(env.bcasts)-1])
 	}
@@ -329,12 +339,12 @@ func TestWriteEmbedsReadThenBroadcastsWrite(t *testing.T) {
 		t.Fatalf("WRITE = %v, want ⟨77,#4⟩", w.Value)
 	}
 	// ACKs: needs 3.
-	n.Deliver(1, core.AckMsg{From: 1, SN: 4})
-	n.Deliver(2, core.AckMsg{From: 2, SN: 4})
+	n.Deliver(1, &core.AckMsg{From: 1, SN: 4})
+	n.Deliver(2, &core.AckMsg{From: 2, SN: 4})
 	if doneRan {
 		t.Fatal("write returned before ACK majority")
 	}
-	n.Deliver(3, core.AckMsg{From: 3, SN: 4})
+	n.Deliver(3, &core.AckMsg{From: 3, SN: 4})
 	if !doneRan {
 		t.Fatal("write did not return on ACK majority")
 	}
@@ -348,8 +358,8 @@ func TestAckWithWrongSNIgnored(t *testing.T) {
 	for _, p := range []core.ProcessID{1, 2, 3} {
 		n.Deliver(p, reply(p, 0, 0, 1))
 	}
-	n.Deliver(1, core.AckMsg{From: 1, SN: 0}) // stale sn
-	n.Deliver(2, core.AckMsg{From: 2, SN: 9}) // future sn
+	n.Deliver(1, &core.AckMsg{From: 1, SN: 0}) // stale sn
+	n.Deliver(2, &core.AckMsg{From: 2, SN: 9}) // future sn
 	if wa := opOn(n, core.DefaultRegister).writeAck; len(wa) != 0 {
 		t.Fatalf("mismatched ACKs counted: %v", wa)
 	}
@@ -358,20 +368,20 @@ func TestAckWithWrongSNIgnored(t *testing.T) {
 func TestWriteDeliveryUpdatesAndAlwaysAcks(t *testing.T) {
 	n, env := newActive(5, Options{})
 	env.sent = nil
-	n.Deliver(9, core.WriteMsg{From: 9, Value: core.VersionedValue{Val: 8, SN: 2}})
+	n.Deliver(9, &core.WriteMsg{From: 9, Value: core.VersionedValue{Val: 8, SN: 2}})
 	if v := n.Snapshot(); v.Val != 8 || v.SN != 2 {
 		t.Fatalf("WRITE not applied: %v", v)
 	}
-	ack := lastSent(t, env).msg.(core.AckMsg)
+	ack := lastSent(t, env).msg.(*core.AckMsg)
 	if ack.SN != 2 {
 		t.Fatalf("ACK.SN = %d, want 2", ack.SN)
 	}
 	// Stale write: not applied, still ACKed (Figure 6 line 08).
-	n.Deliver(9, core.WriteMsg{From: 9, Value: core.VersionedValue{Val: 1, SN: 1}})
+	n.Deliver(9, &core.WriteMsg{From: 9, Value: core.VersionedValue{Val: 1, SN: 1}})
 	if v := n.Snapshot(); v.SN != 2 {
 		t.Fatalf("stale WRITE applied: %v", v)
 	}
-	ack = lastSent(t, env).msg.(core.AckMsg)
+	ack = lastSent(t, env).msg.(*core.AckMsg)
 	if ack.SN != 1 {
 		t.Fatalf("stale WRITE not ACKed with its sn: %d", ack.SN)
 	}
@@ -379,7 +389,7 @@ func TestWriteDeliveryUpdatesAndAlwaysAcks(t *testing.T) {
 
 func TestJoiningProcessAppliesWrites(t *testing.T) {
 	n, _ := newJoining(5, Options{})
-	n.Deliver(9, core.WriteMsg{From: 9, Value: core.VersionedValue{Val: 8, SN: 2}})
+	n.Deliver(9, &core.WriteMsg{From: 9, Value: core.VersionedValue{Val: 8, SN: 2}})
 	if v := n.Snapshot(); v.Val != 8 || v.SN != 2 {
 		t.Fatalf("listening process did not apply WRITE: %v", v)
 	}
@@ -388,7 +398,7 @@ func TestJoiningProcessAppliesWrites(t *testing.T) {
 func TestReadWhileJoiningDefersWithoutDLPrev(t *testing.T) {
 	n, env := newJoining(5, Options{})
 	env.sent = nil
-	n.Deliver(7, core.ReadMsg{From: 7, Op: 2})
+	n.Deliver(7, &core.ReadMsg{From: 7, Op: 2})
 	if len(n.replyToList) != 1 || n.replyToList[0] != (reqKey{id: 7, op: 2}) {
 		t.Fatalf("READ not deferred: %v", n.replyToList)
 	}
@@ -401,8 +411,8 @@ func TestReadWhileJoiningDefersWithoutDLPrev(t *testing.T) {
 func TestDLPrevAtActiveNodeAnswersImmediately(t *testing.T) {
 	n, env := newActive(5, Options{})
 	env.sent = nil
-	n.Deliver(7, core.DLPrevMsg{From: 7, Op: 4})
-	r, ok := lastSent(t, env).msg.(core.ReplyMsg)
+	n.Deliver(7, &core.DLPrevMsg{From: 7, Op: 4})
+	r, ok := lastSent(t, env).msg.(*core.ReplyMsg)
 	if !ok || r.Op != 4 {
 		t.Fatalf("late DL_PREV not answered: %#v", lastSent(t, env).msg)
 	}
@@ -450,8 +460,8 @@ func TestOperationGuards(t *testing.T) {
 // 11).
 func TestDeferredRepliesPrecedeMarkActive(t *testing.T) {
 	n, env := newJoining(3, Options{}) // majority = 2
-	n.Deliver(7, core.InquiryMsg{From: 7, Op: core.NoOp})
-	if _, ok := lastSent(t, env).msg.(core.DLPrevMsg); !ok || len(env.sent) != 1 {
+	n.Deliver(7, &core.InquiryMsg{From: 7, Op: core.NoOp})
+	if _, ok := lastSent(t, env).msg.(*core.DLPrevMsg); !ok || len(env.sent) != 1 {
 		t.Fatalf("a joining node answered an INQUIRY with %v, want one DL_PREV", env.sent)
 	}
 	n.Deliver(1, reply(1, 0, 0, 0))
@@ -460,7 +470,7 @@ func TestDeferredRepliesPrecedeMarkActive(t *testing.T) {
 		t.Fatal("join with a majority of replies did not call MarkActive")
 	}
 	last := lastSent(t, env)
-	if r, ok := last.msg.(core.ReplyMsg); !ok || last.to != 7 || r.Op != core.NoOp {
+	if r, ok := last.msg.(*core.ReplyMsg); !ok || last.to != 7 || r.Op != core.NoOp {
 		t.Fatalf("last send = %v to %v, want the deferred join REPLY to p7", last.msg, last.to)
 	}
 	if env.sentAtActive != len(env.sent) {

@@ -22,8 +22,11 @@
 //
 // Every message crosses the daemon's codec, internal/wire: Send and
 // Broadcast encode it once, as the frame nettransport writes, and each
-// delivery decodes its own copy. Receivers therefore never share memory
-// with the sender, Stats.BytesSent counts encoded frames (length prefix
+// transmission decodes its own copy when it is sent. Drop rules, traces
+// and the destination all get that copy, a record nobody reuses, so the
+// sender may refill its record as soon as Send returns, a drop rule may
+// keep the messages it is shown, and receivers never share memory with
+// the sender. Stats.BytesSent counts encoded frames (length prefix
 // included), and a message the codec cannot carry panics at send.
 package netsim
 
@@ -60,7 +63,8 @@ const LoopbackDelay sim.Duration = 1
 // DropRule lets tests inject message loss or partitions. Returning true
 // drops the message. A nil rule drops nothing (the paper's network is
 // reliable; injection exists to prove the checkers catch violations when
-// the model's axioms are broken).
+// the model's axioms are broken). m is the transmission's own decoded
+// copy, which the rule may keep.
 type DropRule func(from, to core.ProcessID, m core.Message, at sim.Time) bool
 
 // TraceFunc observes message lifecycle events when tracing is enabled.
@@ -213,14 +217,20 @@ func encode(m core.Message) []byte {
 	return b
 }
 
-// transmit schedules one delivery of frame, the encoding of m. Drop rules
-// and trace observers see m; the destination receives its own decoded
-// copy, so no two processes ever share a message's memory.
+// transmit schedules one delivery of frame, the encoding of m. It decodes
+// the transmission's own copy of m at once: the drop rule sees that copy
+// and the destination receives it, so no two processes ever share a
+// message's memory.
 func (n *Network) transmit(from, to core.ProcessID, m core.Message, frame []byte, d sim.Duration) {
 	if d < 1 {
 		d = 1
 	}
 	at, kind := n.sched.Now(), m.Kind()
+	f, err := wire.DecodeFrame(frame[4:])
+	if err != nil {
+		panic(fmt.Sprintf("netsim: cannot decode %v: %v", kind, err))
+	}
+	m = f.Msg
 	n.stats.Sent++
 	n.stats.BytesSent += uint64(len(frame))
 	n.stats.SentByKind[kind]++
@@ -252,11 +262,7 @@ func (n *Network) transmit(from, to core.ProcessID, m core.Message, frame []byte
 		if n.trace != nil {
 			n.trace(TraceEvent{At: n.sched.Now(), From: from, To: to, Kind: kind, Delivered: true})
 		}
-		f, err := wire.DecodeFrame(frame[4:])
-		if err != nil {
-			panic(fmt.Sprintf("netsim: cannot decode %v: %v", kind, err))
-		}
-		ep.Deliver(from, f.Msg)
+		ep.Deliver(from, m)
 	})
 }
 

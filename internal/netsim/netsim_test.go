@@ -229,8 +229,10 @@ type unknownMsg struct{}
 func (unknownMsg) Kind() core.MsgKind { return core.MsgKind(99) }
 
 // TestMessagesCrossTheCodec pins that every message travels as the bytes
-// nettransport would write: receivers get decoded copies, the byte count
-// is the encoded frames', and what the codec cannot carry fails at send.
+// nettransport would write: receivers and drop rules get copies decoded at
+// send, which a sender's later sends from the same record leave alone, the
+// byte count is the encoded frames', and what the codec cannot carry fails
+// at send.
 func TestMessagesCrossTheCodec(t *testing.T) {
 	frameLen := func(t *testing.T, m core.Message) uint64 {
 		b, err := wire.AppendFrameBytes(nil, wire.Frame{Type: wire.FrameMsg, Msg: m})
@@ -256,7 +258,7 @@ func TestMessagesCrossTheCodec(t *testing.T) {
 				if len(ep.got) != 1 {
 					t.Fatalf("%v deliveries = %d, want 1", ep.id, len(ep.got))
 				}
-				got := ep.got[0].msg.(core.ReplyMsg).Rest
+				got := ep.got[0].msg.(*core.ReplyMsg).Rest
 				if len(got) != len(sent) || got[0] != sent[0] || got[1] != sent[1] {
 					t.Fatalf("%v Rest = %v, want the sent %v", ep.id, got, sent)
 				}
@@ -264,6 +266,32 @@ func TestMessagesCrossTheCodec(t *testing.T) {
 					t.Fatalf("%v shares Rest's backing array with %v", ep.id, other)
 				}
 				arrays[&got[0]] = ep.id
+			}
+		}},
+		{"a drop rule keeps its copy", func(t *testing.T, sched *sim.Scheduler, net *Network, eps []*recorder) {
+			var kept []core.Message
+			net.SetDropRule(func(_, _ core.ProcessID, m core.Message, _ sim.Time) bool {
+				kept = append(kept, m)
+				return false
+			})
+			var rec core.WriteMsg
+			for sn := core.SeqNum(1); sn <= 3; sn++ {
+				rec = core.WriteMsg{From: 1, Value: core.VersionedValue{Val: 10, SN: sn}, Reg: 4, Op: core.OpID(sn)}
+				net.Send(1, 2, &rec)
+			}
+			rec = core.WriteMsg{}
+			if err := sched.RunUntil(100); err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			if len(kept) != 3 || len(eps[1].got) != 3 {
+				t.Fatalf("the rule kept %d and p2 got %d messages, want 3 each", len(kept), len(eps[1].got))
+			}
+			for i, m := range kept {
+				sn := core.SeqNum(i + 1)
+				want := core.WriteMsg{From: 1, Value: core.VersionedValue{Val: 10, SN: sn}, Reg: 4, Op: core.OpID(sn)}
+				if w, ok := m.(*core.WriteMsg); !ok || *w != want {
+					t.Fatalf("kept message %d reads %+v, want the %+v sent", i, m, want)
+				}
 			}
 		}},
 		{"bytes are the encoded frames", func(t *testing.T, sched *sim.Scheduler, net *Network, eps []*recorder) {

@@ -125,7 +125,7 @@ func wantMsgs(t *testing.T, got []wire.Frame, want []core.WriteMsg) {
 		t.Fatalf("got %d message frames, want %d", len(got), len(want))
 	}
 	for i, f := range got {
-		if m, ok := f.Msg.(core.WriteMsg); !ok || m != want[i] {
+		if m, ok := f.Msg.(*core.WriteMsg); !ok || *m != want[i] {
 			t.Fatalf("frame %d = %+v, want %+v", i, f.Msg, want[i])
 		}
 	}

@@ -54,8 +54,12 @@
 // sent it has returned, so never re-entrantly; before the next task; with
 // no timer or goroutine, because a process's message to itself costs no
 // message delay (it is still asynchronous, which is all core.Env
-// promises). A reader stays for every whole frame already in its
-// scanner's buffer — what the remote flushed together. When the producer
+// promises). The FIFO holds the message's encoded frame, the bytes its
+// peers get, and decodes it as a reader decodes theirs, into a record the
+// monitor hands back after the delivery: a node is only ever handed a
+// record the runtime lends, and a sender may refill its own at once. A
+// reader stays for every whole frame already in its scanner's buffer —
+// what the remote flushed together. When the producer
 // has nothing more, or after turnTasks steps, the turn ends: each link it
 // queued frames on is flushed, once, and the monitor released — between
 // two turns of one producer too, so a node that keeps messaging itself
@@ -235,7 +239,8 @@ type Stats struct {
 	// LoopTurns counts the monitor's turns and LoopTasks the tasks they
 	// ran: tasks per turn is the batching a turn achieves (each link is
 	// flushed once per turn). SelfDeliveries counts messages the node
-	// addressed to itself, delivered from the monitor's own FIFO.
+	// addressed to itself, delivered from the monitor's own FIFO (a send
+	// to self from outside the monitor included).
 	LoopTurns      atomic.Uint64
 	LoopTasks      atomic.Uint64
 	SelfDeliveries atomic.Uint64
@@ -303,7 +308,8 @@ type Transport struct {
 	links atomic.Pointer[linkTable]
 
 	// mon is the monitor: it owns the node and the fields below.
-	// selfq[selfHead:] holds the messages the node addressed to itself,
+	// selfq[selfHead:] holds the frames of the messages the node addressed
+	// to itself, which selfDec decodes,
 	// dirty the links the current turn queued frames on, steps how far into
 	// the turn it is. chasing: a producer whose turn left selfq not empty is
 	// between turns and will be back for the rest. halted: Close has run.
@@ -311,8 +317,9 @@ type Transport struct {
 	// and clock wakes the tick goroutine, started (ticking) by the first
 	// After.
 	mon       sync.Mutex
-	selfq     []core.Message
+	selfq     []byte
 	selfHead  int
+	selfDec   wire.Decoder
 	dirty     []*link
 	steps     int
 	chasing   bool
@@ -639,16 +646,17 @@ func (t *Transport) send(inTurn bool, m core.Message, to ...core.ProcessID) {
 	tab := t.links.Load()
 	var room [8]*link
 	ls := room[:0]
+	self := false
 	for _, id := range to {
 		if id == t.cfg.ID {
-			t.deliverSelf(inTurn, m)
+			self = true
 		} else if l := tab.byID[id]; l != nil {
 			ls = append(ls, l)
 		} else {
 			t.stats.SendUnknown.Add(1)
 		}
 	}
-	t.transmit(inTurn, wire.Frame{Type: wire.FrameMsg, Msg: m}, ls...)
+	t.post(inTurn, self, wire.Frame{Type: wire.FrameMsg, Msg: m}, ls)
 }
 
 // broadcast queues m on every outbound peer and delivers it to self. A
@@ -661,34 +669,39 @@ func (t *Transport) broadcast(inTurn bool, m core.Message) {
 	default:
 	}
 	f := wire.Frame{Type: wire.FrameMsg, Msg: m}
-	if inq, ok := m.(core.InquiryMsg); ok && inq.Op == core.NoOp && !t.active.Load() {
+	if inq, ok := m.(*core.InquiryMsg); ok && inq.Op == core.NoOp && !t.active.Load() {
 		if b, err := wire.AppendFrameBytes(nil, f); err == nil {
 			t.mu.Lock()
 			t.pendingInquiry = b
 			t.mu.Unlock()
 		}
 	}
-	t.deliverSelf(inTurn, m)
-	t.transmit(inTurn, f, t.links.Load().peers...)
+	t.post(inTurn, true, f, t.links.Load().peers)
 }
 
-// deliverSelf hands the node a message it addressed to itself —
-// asynchronously, after the current handler: inside a turn that is an
-// append to the FIFO the turn drains before its next task. From outside
-// the monitor there is no handler to wait for, and it is a turn.
-func (t *Transport) deliverSelf(inTurn bool, m core.Message) {
+// deliverSelf hands the node a message it addressed to itself, as its
+// encoded frame — asynchronously, after the current handler: inside a
+// turn that is an append to the FIFO the turn drains before its next
+// task. From outside the monitor there is no handler to wait for, and
+// the FIFO is drained at once, in a turn.
+func (t *Transport) deliverSelf(inTurn bool, frame []byte) {
 	if inTurn {
-		t.selfq = append(t.selfq, m)
+		t.selfq = append(t.selfq, frame...)
 	} else if t.enter() {
-		t.run(t.cfg.ID, m, nil)
+		t.selfq = append(t.selfq, frame...)
+		t.drainSelf()
 		t.exit()
 	}
 }
 
 // transmit encodes f once, length prefix included, and queues the bytes
 // on every link in ls.
-func (t *Transport) transmit(inTurn bool, f wire.Frame, ls ...*link) {
-	if len(ls) == 0 {
+func (t *Transport) transmit(inTurn bool, f wire.Frame, ls ...*link) { t.post(inTurn, false, f, ls) }
+
+// post is transmit for a frame that goes to the node itself too when
+// self is set: the bytes queued on the links are the ones its FIFO gets.
+func (t *Transport) post(inTurn, self bool, f wire.Frame, ls []*link) {
+	if len(ls) == 0 && !self {
 		return
 	}
 	bp := wire.GetBuffer()
@@ -699,6 +712,9 @@ func (t *Transport) transmit(inTurn bool, f wire.Frame, ls ...*link) {
 		return
 	}
 	*bp = b // keep what the encode grew
+	if self {
+		t.deliverSelf(inTurn, b)
+	}
 	t.queue(inTurn, b, ls...)
 }
 
@@ -859,7 +875,7 @@ func (t *Transport) enter() bool {
 }
 
 // run is one task of a turn, monitor held: a message delivery (m != nil,
-// carried unboxed: the receive path pays no closure) or fn, then the
+// a reader's record: the receive path pays no closure) or fn, then the
 // node's messages to itself. A producer whose earlier tasks used the turn
 // up starts another first.
 func (t *Transport) run(from core.ProcessID, m core.Message, fn func()) {
@@ -877,16 +893,22 @@ func (t *Transport) run(from core.ProcessID, m core.Message, fn func()) {
 }
 
 // drainSelf delivers the self-addressed FIFO, oldest first, while the
-// turn lasts.
+// turn lasts: each frame decodes into one of selfDec's records, handed
+// back once the node is done with it.
 func (t *Transport) drainSelf() {
 	for ; t.steps < turnTasks && t.selfHead < len(t.selfq); t.steps++ {
-		m := t.selfq[t.selfHead]
-		t.selfq[t.selfHead] = nil
-		if t.selfHead++; t.selfHead == len(t.selfq) {
+		end := t.selfHead + wire.FrameSize(t.selfq[t.selfHead:])
+		f, err := t.selfDec.Decode(t.selfq[t.selfHead+4 : end])
+		if t.selfHead = end; t.selfHead == len(t.selfq) {
 			t.selfq, t.selfHead = t.selfq[:0], 0
 		}
+		if err != nil { // the transport's own encoding: a codec bug
+			t.cfg.Logf("nettransport %v: decode own frame: %v", t.cfg.ID, err)
+			continue
+		}
 		t.stats.SelfDeliveries.Add(1)
-		t.node.Deliver(t.cfg.ID, m)
+		t.node.Deliver(t.cfg.ID, f.Msg)
+		t.selfDec.Reuse(f)
 	}
 }
 
@@ -1255,6 +1277,7 @@ func (t *Transport) readConn(conn net.Conn, own *peer, accepted bool, onDead fun
 				t.run(core.NoProcess, nil, serveOp)
 			} else {
 				t.run(f.From, f.Msg, nil)
+				sc.Reuse(f)
 			}
 		case wire.FrameLeave:
 			if sess != nil {

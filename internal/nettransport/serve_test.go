@@ -26,7 +26,8 @@ import (
 // opEnv is the Env the served node is built with: the transport's own,
 // except that what the node sends is kept instead of sent and the timer it
 // arms is kept instead of armed. It allocates nothing itself, so
-// AllocsPerRun counts the node's own work.
+// AllocsPerRun counts the node's own work: last is the node's own record,
+// not a copy, so a test reads it before the node sends again.
 type opEnv struct {
 	loopEnv
 	last  core.Message
@@ -88,21 +89,19 @@ func wantAnswer(t *testing.T, s *clientSession, op core.OpID, code core.ForwardC
 }
 
 // TestServeForwardAllocs pins what serving one FORWARD costs in
-// allocations, exactly: only the message the engine sends per round (its
-// one box into core.Message) and, for a quorum protocol, the answers the
-// test delivers, boxed per run because they name the operation's id; in
-// the daemon they stand for the decoder's one box per peer message. So an
-// unsharded sync read, served from the local copy, allocates nothing, a
-// sync write only its WRITE (its wait(δ) timer, which the test fires, is
-// a method value bound once), and an abd read or write its READ or WRITE
-// and the two answers. serve's answer slot is the session's, recycled
-// with its done bound once; the engines' op records are recycled by their
-// op tables; the FORWARDED is encoded from the stack, never boxed. The
-// sharded rows run the shard wrapper over the engine, node 1 being the
-// key's primary in a view of three, at the same counts. esync still keeps
-// each round's answers, its per-key write queue and its ack index in
-// maps: its read (one round) costs 7, its write (a read round, then a
-// write round) 13.
+// allocations, exactly. Every message is a record that is lent: the
+// engine sends its READ, WRITE, REPLY or ACK from a record it keeps, and
+// the test delivers a quorum protocol's two answers from records it
+// keeps, as a reader's decoder lends its own. So sync and abd, reads and
+// writes alike, allocate nothing: a sync write's wait(δ) timer, which the
+// test fires, is a method value bound once; serve's answer slot is the
+// session's, recycled with its done bound once; the engines' op records
+// are recycled by their op tables; the FORWARDED is encoded from the
+// stack. The sharded rows run the shard wrapper over the engine, node 1
+// being the key's primary in a view of three, at the same counts. esync
+// still keeps each round's answers, its per-key write queue and its ack
+// index in maps: its read (one round) costs 2, its write (a read round,
+// then a write round) 5.
 func TestServeForwardAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector perturbs allocation counts")
@@ -117,15 +116,15 @@ func TestServeForwardAllocs(t *testing.T) {
 		want    float64
 	}{
 		{"sync read", syncreg.Factory(syncreg.Options{}), placement.Config{}, read, 0},
-		{"sync write", syncreg.Factory(syncreg.Options{}), placement.Config{}, write, 1},
-		{"abd read", abd.Factory(), placement.Config{}, read, 3},
-		{"abd write", abd.Factory(), placement.Config{}, write, 3},
-		{"esync read", esyncreg.Factory(esyncreg.Options{}), placement.Config{}, read, 7},
-		{"esync write", esyncreg.Factory(esyncreg.Options{}), placement.Config{}, write, 13},
+		{"sync write", syncreg.Factory(syncreg.Options{}), placement.Config{}, write, 0},
+		{"abd read", abd.Factory(), placement.Config{}, read, 0},
+		{"abd write", abd.Factory(), placement.Config{}, write, 0},
+		{"esync read", esyncreg.Factory(esyncreg.Options{}), placement.Config{}, read, 2},
+		{"esync write", esyncreg.Factory(esyncreg.Options{}), placement.Config{}, write, 5},
 		{"sharded sync read", shard.Factory(syncreg.Factory(syncreg.Options{})), sharded, read, 0},
-		{"sharded sync write", shard.Factory(syncreg.Factory(syncreg.Options{})), sharded, write, 1},
-		{"sharded abd read", shard.Factory(abd.Factory()), sharded, read, 3},
-		{"sharded abd write", shard.Factory(abd.Factory()), sharded, write, 3},
+		{"sharded sync write", shard.Factory(syncreg.Factory(syncreg.Options{})), sharded, write, 0},
+		{"sharded abd read", shard.Factory(abd.Factory()), sharded, read, 0},
+		{"sharded abd write", shard.Factory(abd.Factory()), sharded, write, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -142,6 +141,10 @@ func TestServeForwardAllocs(t *testing.T) {
 					n.(placement.Aware).PlacementChanged(view)
 				})
 			}
+			// The answers are delivered from records the test keeps, as
+			// a runtime lends its own.
+			var reply core.ReplyMsg
+			var ack core.AckMsg
 			serve := func() {
 				tr.enter()
 				env.last = nil
@@ -149,18 +152,22 @@ func TestServeForwardAllocs(t *testing.T) {
 				for m := env.last; m != nil; m = env.last {
 					env.last = nil
 					switch m := m.(type) {
-					case core.ReadMsg:
+					case *core.ReadMsg:
+						reply = core.ReplyMsg{Value: core.ImplicitInitial(), Reg: op.Reg, Op: m.Op}
 						for _, from := range []core.ProcessID{2, 3} {
-							tr.node.Deliver(from, core.ReplyMsg{From: from, Value: core.ImplicitInitial(), Reg: op.Reg, Op: m.Op})
+							reply.From = from
+							tr.node.Deliver(from, &reply)
 						}
-					case core.WriteMsg:
+					case *core.WriteMsg:
 						if fire := env.timer; fire != nil {
 							env.timer = nil
 							fire()
 							break
 						}
+						ack = core.AckMsg{SN: m.Value.SN, Reg: op.Reg, Op: m.Op}
 						for _, from := range []core.ProcessID{2, 3} {
-							tr.node.Deliver(from, core.AckMsg{From: from, SN: m.Value.SN, Reg: op.Reg, Op: m.Op})
+							ack.From = from
+							tr.node.Deliver(from, &ack)
 						}
 					}
 				}
@@ -238,13 +245,14 @@ func TestServeForwardRefusesOnStaleView(t *testing.T) {
 				}
 				return
 			}
-			rd, ok := env.last.(core.ReadMsg)
-			if !ok || rd.Reg != outsider {
+			sent, ok := env.last.(*core.ReadMsg)
+			if !ok || sent.Reg != outsider {
 				t.Fatalf("a read at an outsider sent %v, want a READ of %v to its group", env.last, outsider)
 			}
+			rd := *sent
 			tr.do(func() {
 				for _, g := range view.Group(outsider) {
-					tr.node.Deliver(g, core.ReplyMsg{From: g, Value: latest, Reg: outsider, Op: rd.Op})
+					tr.node.Deliver(g, &core.ReplyMsg{From: g, Value: latest, Reg: outsider, Op: rd.Op})
 				}
 			})
 			if got := wantAnswer(t, sess, 2, core.ForwardOK); got.Value != latest {
@@ -311,7 +319,7 @@ func TestForwardedDropped(t *testing.T) {
 			st := tr.Stats()
 			sent := st.FramesSent.Load()
 			serve(tr, b)
-			if _, ok := env.last.(core.ReplyMsg); !ok {
+			if _, ok := env.last.(*core.ReplyMsg); !ok {
 				t.Fatalf("the %v behind the dropped frames was answered with %v, want a REPLY", tc.request.Kind(), env.last)
 			}
 			if st.FramesSent.Load() != sent || st.ForwardsServed.Load()+st.ForwardsRefused.Load() != 0 || st.DecodeErrors.Load() != 0 {
@@ -488,10 +496,11 @@ func TestServePipelinedAnswers(t *testing.T) {
 	}
 	for _, r := range reads {
 		tr.do(func() { tr.serve(sess, r.fwd) })
-		var ok bool
-		if r.msg, ok = env.last.(core.ReadMsg); !ok || r.msg.Reg != r.fwd.Reg {
+		sent, ok := env.last.(*core.ReadMsg)
+		if !ok || sent.Reg != r.fwd.Reg {
 			t.Fatalf("read of %v sent %v, want a READ of it", r.fwd.Reg, env.last)
 		}
+		r.msg = *sent
 	}
 	if got := answers(t, sess); len(got) != 0 {
 		t.Fatalf("answered %+v before any quorum replied", got)
@@ -500,7 +509,7 @@ func TestServePipelinedAnswers(t *testing.T) {
 		r := reads[i]
 		tr.do(func() {
 			for _, from := range []core.ProcessID{2, 3} {
-				tr.node.Deliver(from, core.ReplyMsg{From: from, Value: r.val, Reg: r.fwd.Reg, Op: r.msg.Op})
+				tr.node.Deliver(from, &core.ReplyMsg{From: from, Value: r.val, Reg: r.fwd.Reg, Op: r.msg.Op})
 			}
 		})
 		got := wantAnswer(t, sess, r.fwd.Op, core.ForwardOK)

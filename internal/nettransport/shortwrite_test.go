@@ -79,7 +79,7 @@ func (sp *stalledPeer) readOps(conn net.Conn, sc *wire.Scanner, last core.OpID) 
 		if err != nil {
 			sp.t.Fatalf("after %d frames: %v", len(ops), err)
 		}
-		m, ok := f.Msg.(core.ReplyMsg)
+		m, ok := f.Msg.(*core.ReplyMsg)
 		if !ok || f.From != 1 || len(m.Rest) != stallEntries {
 			sp.t.Fatalf("frame %d = %+v, want one of p1's snapshot replies", len(ops), f)
 		}

@@ -8,6 +8,7 @@ package nettransport
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -122,7 +123,7 @@ func TestDueTimersShareOneTurnAndOneWrite(t *testing.T) {
 	turns := st.LoopTurns.Load()
 	waitFor(t, "the three frames", func() bool { return len(scanAll(t, conn.bytesWritten())) == 3 })
 	for i, f := range scanAll(t, conn.bytesWritten()) {
-		if f.Msg != label(i) {
+		if !reflect.DeepEqual(f.Msg, label(i)) {
 			t.Fatalf("frame %d = %+v, want %+v (deadline ties run in call order)", i, f.Msg, label(i))
 		}
 	}

@@ -45,7 +45,7 @@ func (p *probe) Deliver(from core.ProcessID, m core.Message) {
 	p.depth++
 	p.maxDepth = max(p.maxDepth, p.depth)
 	p.delivers.Add(1)
-	if r, ok := m.(core.ReadMsg); ok {
+	if r, ok := m.(*core.ReadMsg); ok {
 		p.events = append(p.events, fmt.Sprintf("deliver %d from %v", r.Op, from))
 	}
 	if p.onDeliver != nil {
@@ -59,7 +59,7 @@ func label(op int) core.Message { return labelFrom(1, op) }
 
 // labelFrom is a message from process from told apart by its Op.
 func labelFrom(from core.ProcessID, op int) core.Message {
-	return core.ReadMsg{From: from, Op: core.OpID(op)}
+	return &core.ReadMsg{From: from, Op: core.OpID(op)}
 }
 
 // goid names the calling goroutine, from the first line of its stack
@@ -192,7 +192,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestSelfDeliveryIsFIFOAfterHandlerBeforeNextTask(t *testing.T) {
 	tr, p := newProbeTransport(t, func(p *probe, from core.ProcessID, m core.Message) {
-		switch m.(core.ReadMsg).Op {
+		switch m.(*core.ReadMsg).Op {
 		case 100: // the trigger, from a peer
 			p.env.Send(1, label(1))
 			p.env.Broadcast(label(2))
@@ -304,7 +304,7 @@ func TestReaderBatchIsOneTurnAndOneWritePerLink(t *testing.T) {
 	waitFor(t, "the turn's frames", func() bool { return len(scanAll(t, conn.bytesWritten())) == frames })
 	// Relayed unchanged, each message still names its sender, p3.
 	for i, f := range scanAll(t, conn.bytesWritten()) {
-		if f.Msg != labelFrom(3, i) || f.From != 3 {
+		if !reflect.DeepEqual(f.Msg, labelFrom(3, i)) || f.From != 3 {
 			t.Fatalf("frame %d = %+v from %v, want %+v from p3", i, f.Msg, f.From, labelFrom(3, i))
 		}
 	}
@@ -371,7 +371,7 @@ func TestForeignSendFlushesWithoutATurn(t *testing.T) {
 	tr.Send(2, label(7))
 	tr.Send(3, label(8)) // nobody: counted, not queued
 	waitFor(t, "the frame", func() bool { return len(scanAll(t, conn.bytesWritten())) == 1 })
-	if got := scanAll(t, conn.bytesWritten())[0]; got.From != 1 || got.Msg != label(7) {
+	if got := scanAll(t, conn.bytesWritten())[0]; got.From != 1 || !reflect.DeepEqual(got.Msg, label(7)) {
 		t.Fatalf("wrote %+v, want message 7 from p1", got)
 	}
 	st := tr.Stats()
@@ -480,11 +480,12 @@ func TestCloseStopsTrackedTimers(t *testing.T) {
 	checkLeaks() // the clock's goroutine, started by the first After, is gone
 }
 
-// TestSendPathZeroAllocs is the send path's allocation ceiling: with the
-// message already boxed in its interface (the codec's one allocation per
-// message, paid by whoever builds it), neither a send to a connected peer
-// nor a send to self allocates in steady state — the turn around it, and
-// the non-blocking write that ends it, included.
+// TestSendPathZeroAllocs is the send path's allocation ceiling: sending
+// from a record the sender keeps, as every engine does, neither a send to
+// a connected peer nor a send to self allocates in steady state — the
+// turn around it, the self-addressed frame's decode into a record the
+// monitor hands back, and the non-blocking write that ends the turn,
+// included.
 func TestSendPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are perturbed under -race")
@@ -493,7 +494,7 @@ func TestSendPathZeroAllocs(t *testing.T) {
 	tr.goid = nil // reads the stack: test-only, and not free
 	attachPeer(tr, 2, &discardConn{})
 	go io.Copy(io.Discard, attachTCPPeer(t, tr, 3))
-	msg := core.Message(core.WriteMsg{From: 1, Value: core.VersionedValue{Val: 123456, SN: 42}, Reg: 9, Op: 1337})
+	msg := &core.WriteMsg{From: 1, Value: core.VersionedValue{Val: 123456, SN: 42}, Reg: 9, Op: 1337}
 	group := []core.ProcessID{1, 2, 3}
 	toWriter := func() { p.env.Send(2, msg) }
 	toSocket := func() { p.env.Send(3, msg) }

@@ -129,6 +129,8 @@ type Node struct {
 
 	// shards holds state for every owned shard.
 	shards map[int]*shardState
+	// out holds the records the wrapper sends its handoff messages from.
+	out core.Outbox
 
 	stats Stats
 }
@@ -194,14 +196,14 @@ func (n *Node) Snapshot() core.VersionedValue { return n.inner.Snapshot() }
 // everything else flows to the inner protocol.
 func (n *Node) Deliver(from core.ProcessID, m core.Message) {
 	switch msg := m.(type) {
-	case core.InquiryMsg:
+	case *core.InquiryMsg:
 		if s, ok := core.HandoffShard(msg.Op); ok {
-			n.handleHandoffInquiry(msg, s)
+			n.handleHandoffInquiry(*msg, s)
 			return
 		}
-	case core.ReplyMsg:
+	case *core.ReplyMsg:
 		if s, ok := core.HandoffShard(msg.Op); ok {
-			n.handleHandoffReply(msg, s)
+			n.handleHandoffReply(*msg, s)
 			return
 		}
 	}
@@ -321,7 +323,7 @@ func (n *Node) Placement() *placement.View { return n.view }
 func (n *Node) sendHandoffInquiries(s int, st *shardState) {
 	for _, d := range st.donors {
 		if !st.got[d] {
-			n.env.Send(d, core.InquiryMsg{From: n.env.ID(), Op: core.HandoffOp(s)})
+			n.env.Send(d, n.out.Inquiry(core.InquiryMsg{From: n.env.ID(), Op: core.HandoffOp(s)}))
 		}
 	}
 }
@@ -398,7 +400,7 @@ func (n *Node) handleHandoffInquiry(m core.InquiryMsg, shard int) {
 	if n.view != nil {
 		inShard = func(k core.RegisterID) bool { return n.view.ShardOf(k) == shard }
 	}
-	n.env.Send(m.From, n.store.SnapshotReply(n.env.ID(), m.Op, true, inShard))
+	n.env.Send(m.From, n.out.Reply(n.store.SnapshotReply(n.env.ID(), m.Op, true, inShard)))
 }
 
 // handleHandoffReply merges a donor's snapshot into the inner node's

@@ -232,7 +232,7 @@ func TestQueuedWriteChecksPrimacyAgain(t *testing.T) {
 	}
 	n.PlacementChanged(view3)
 	for _, d := range placement.Donors(view2, view3, shardOf, 1) {
-		n.Deliver(d, core.ReplyMsg{From: d, Value: core.Bottom(), Reg: core.DefaultRegister, Op: core.HandoffOp(shardOf)})
+		n.Deliver(d, &core.ReplyMsg{From: d, Value: core.Bottom(), Reg: core.DefaultRegister, Op: core.HandoffOp(shardOf)})
 	}
 	if st := n.Stats(); st.HandoffsComplete != 1 || st.LocalWrites != 0 {
 		t.Fatalf("stats %+v, want the handoff complete and no write served", st)

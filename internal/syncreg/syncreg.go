@@ -85,6 +85,8 @@ type Node struct {
 	finishOldest func()
 
 	joining bool
+	// out holds the records this node sends its messages from.
+	out core.Outbox
 
 	stats Stats
 }
@@ -174,7 +176,7 @@ func (n *Node) startJoin() {
 		// is the process's one and only join inquiry, whatever number of
 		// registers the namespace holds.
 		n.stats.JoinInquiries++
-		n.env.Broadcast(core.InquiryMsg{From: n.env.ID(), Op: core.NoOp})
+		n.env.Broadcast(n.out.Inquiry(core.InquiryMsg{From: n.env.ID(), Op: core.NoOp}))
 		n.env.After(2*n.env.Delta(), n.completeJoin)
 	})
 }
@@ -191,7 +193,7 @@ func (n *Node) completeJoin() {
 	// Line 11: answer inquiries deferred while we were joining — each
 	// answer carries our full register space.
 	for _, j := range n.replyTo {
-		n.env.Send(j, n.snapshotReply())
+		n.env.Send(j, n.out.Reply(n.snapshotReply()))
 	}
 	n.replyTo = nil
 	n.replyToSeen = make(map[core.ProcessID]bool)
@@ -257,7 +259,7 @@ func (n *Node) Write(k core.RegisterID, v core.Value, done func(core.VersionedVa
 	// Sharded runtimes scope the dissemination to the key's replica
 	// group (R sends instead of a full broadcast — the capacity dividend);
 	// unsharded ones broadcast exactly as Figure 2 prescribes.
-	placement.ScopedBroadcast(n.env, k, core.WriteMsg{From: n.env.ID(), Value: next, Reg: k, Op: id})
+	placement.ScopedBroadcast(n.env, k, n.out.Write(core.WriteMsg{From: n.env.ID(), Value: next, Reg: k, Op: id}))
 	// Line 02: wait(δ); return ok. After δ every process present at the
 	// broadcast that has not left holds the value. Each write waits on its
 	// OWN timer: the waits overlap, which is the pipelining dividend.
@@ -296,12 +298,12 @@ func (n *Node) PendingOps() int { return n.ops.Len() }
 // Figures 1 and 2.
 func (n *Node) Deliver(from core.ProcessID, m core.Message) {
 	switch msg := m.(type) {
-	case core.InquiryMsg:
-		n.handleInquiry(msg)
-	case core.ReplyMsg:
-		n.handleReply(msg)
-	case core.WriteMsg:
-		n.handleWrite(msg)
+	case *core.InquiryMsg:
+		n.handleInquiry(*msg)
+	case *core.ReplyMsg:
+		n.handleReply(*msg)
+	case *core.WriteMsg:
+		n.handleWrite(*msg)
 	default:
 		// Other kinds belong to the eventually synchronous protocol; a
 		// mixed deployment is a configuration bug we surface loudly in
@@ -316,7 +318,7 @@ func (n *Node) handleInquiry(m core.InquiryMsg) {
 		// Line 14: active processes answer immediately, with their whole
 		// register space in one message.
 		n.stats.InquiriesServed++
-		n.env.Send(m.From, n.snapshotReply())
+		n.env.Send(m.From, n.out.Reply(n.snapshotReply()))
 		return
 	}
 	// Line 15: postpone the answer until our own join completes.

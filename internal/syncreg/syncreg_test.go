@@ -190,7 +190,7 @@ func TestStaleWriteIgnored(t *testing.T) {
 	ids := sys.ActiveIDs()
 	n := syncNode(t, sys, ids[0])
 	// Hand-deliver a stale WRITE (sn 0 when node already has sn 0).
-	n.Deliver(ids[1], core.WriteMsg{From: ids[1], Value: core.VersionedValue{Val: 99, SN: 0}})
+	n.Deliver(ids[1], &core.WriteMsg{From: ids[1], Value: core.VersionedValue{Val: 99, SN: 0}})
 	v, _ := readLocal(n)
 	if v.Val != 0 {
 		t.Fatalf("stale write applied: %v", v)
@@ -393,7 +393,7 @@ func TestDeliverUnknownKindPanics(t *testing.T) {
 			t.Fatal("Deliver of esync-only message did not panic")
 		}
 	}()
-	n.Deliver(99, core.ReadMsg{From: 99})
+	n.Deliver(99, &core.ReadMsg{From: 99})
 }
 
 func TestChurnRunAllJoinsCompleteUnderBound(t *testing.T) {

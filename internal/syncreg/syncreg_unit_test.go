@@ -4,6 +4,7 @@ package syncreg
 // pinning Figure 1/2 behaviour line by line without a network.
 
 import (
+	"reflect"
 	"testing"
 
 	"churnreg/internal/core"
@@ -32,14 +33,23 @@ type fakeEnv struct {
 func (e *fakeEnv) ID() core.ProcessID { return e.id }
 func (e *fakeEnv) Now() sim.Time      { return e.now }
 
+// Send and Broadcast keep a copy of m, as a runtime's do: the node refills
+// the record it sent from.
 func (e *fakeEnv) Send(to core.ProcessID, m core.Message) {
 	e.sent = append(e.sent, struct {
 		to  core.ProcessID
 		msg core.Message
-	}{to, m})
+	}{to, copied(m)})
 }
 
-func (e *fakeEnv) Broadcast(m core.Message) { e.bcasts = append(e.bcasts, m) }
+func (e *fakeEnv) Broadcast(m core.Message) { e.bcasts = append(e.bcasts, copied(m)) }
+
+// copied is a record of m's own.
+func copied(m core.Message) core.Message {
+	r := reflect.New(reflect.TypeOf(m).Elem())
+	r.Elem().Set(reflect.ValueOf(m).Elem())
+	return r.Interface().(core.Message)
+}
 
 func (e *fakeEnv) After(d sim.Duration, fn func()) {
 	e.timers = append(e.timers, timer{d: d, fn: fn})
@@ -99,7 +109,7 @@ func TestJoinStillInquiresWhenWriteArrived(t *testing.T) {
 	// nothing about other keys, so the joiner must inquire regardless —
 	// exactly once — while still adopting the value it overheard.
 	n, env := newJoining(Options{})
-	n.Deliver(1, core.WriteMsg{From: 1, Value: core.VersionedValue{Val: 6, SN: 3}})
+	n.Deliver(1, &core.WriteMsg{From: 1, Value: core.VersionedValue{Val: 6, SN: 3}})
 	env.fire(t) // pre-wait ends → INQUIRY despite the adopted value
 	if len(env.bcasts) != 1 || env.bcasts[0].Kind() != core.KindInquiry {
 		t.Fatalf("broadcasts after pre-wait = %v, want exactly one INQUIRY", env.bcasts)
@@ -119,9 +129,9 @@ func TestJoinStillInquiresWhenWriteArrived(t *testing.T) {
 func TestJoinAdoptsHighestReply(t *testing.T) {
 	n, env := newJoining(Options{})
 	env.fire(t) // pre-wait
-	n.Deliver(1, core.ReplyMsg{From: 1, Value: core.VersionedValue{Val: 10, SN: 1}})
-	n.Deliver(2, core.ReplyMsg{From: 2, Value: core.VersionedValue{Val: 30, SN: 3}})
-	n.Deliver(3, core.ReplyMsg{From: 3, Value: core.VersionedValue{Val: 20, SN: 2}})
+	n.Deliver(1, &core.ReplyMsg{From: 1, Value: core.VersionedValue{Val: 10, SN: 1}})
+	n.Deliver(2, &core.ReplyMsg{From: 2, Value: core.VersionedValue{Val: 30, SN: 3}})
+	n.Deliver(3, &core.ReplyMsg{From: 3, Value: core.VersionedValue{Val: 20, SN: 2}})
 	env.fire(t) // window closes
 	if v := n.Snapshot(); v.SN != 3 || v.Val != 30 {
 		t.Fatalf("adopted %v, want the highest-sn reply ⟨30,#3⟩", v)
@@ -133,8 +143,8 @@ func TestDuplicateReplierKeepsMax(t *testing.T) {
 	env.fire(t)
 	// Same process replies twice (e.g. deferred + direct); the max wins
 	// regardless of arrival order.
-	n.Deliver(1, core.ReplyMsg{From: 1, Value: core.VersionedValue{Val: 50, SN: 5}})
-	n.Deliver(1, core.ReplyMsg{From: 1, Value: core.VersionedValue{Val: 10, SN: 1}})
+	n.Deliver(1, &core.ReplyMsg{From: 1, Value: core.VersionedValue{Val: 50, SN: 5}})
+	n.Deliver(1, &core.ReplyMsg{From: 1, Value: core.VersionedValue{Val: 10, SN: 1}})
 	env.fire(t)
 	if v := n.Snapshot(); v.SN != 5 {
 		t.Fatalf("adopted %v, want sn 5", v)
@@ -143,9 +153,9 @@ func TestDuplicateReplierKeepsMax(t *testing.T) {
 
 func TestReplyToDedupes(t *testing.T) {
 	n, env := newJoining(Options{})
-	n.Deliver(7, core.InquiryMsg{From: 7})
-	n.Deliver(7, core.InquiryMsg{From: 7})
-	n.Deliver(8, core.InquiryMsg{From: 8})
+	n.Deliver(7, &core.InquiryMsg{From: 7})
+	n.Deliver(7, &core.InquiryMsg{From: 7})
+	n.Deliver(8, &core.InquiryMsg{From: 8})
 	env.fire(t) // pre-wait
 	env.fire(t) // window — completion flushes deferred replies
 	replies := 0
@@ -162,9 +172,9 @@ func TestReplyToDedupes(t *testing.T) {
 func TestLateReplyAfterJoinDoesNotChangeRegister(t *testing.T) {
 	n, env := newJoining(Options{})
 	env.fire(t)
-	n.Deliver(1, core.ReplyMsg{From: 1, Value: core.VersionedValue{Val: 1, SN: 1}})
+	n.Deliver(1, &core.ReplyMsg{From: 1, Value: core.VersionedValue{Val: 1, SN: 1}})
 	env.fire(t) // join completes with sn 1
-	n.Deliver(2, core.ReplyMsg{From: 2, Value: core.VersionedValue{Val: 9, SN: 9}})
+	n.Deliver(2, &core.ReplyMsg{From: 2, Value: core.VersionedValue{Val: 9, SN: 9}})
 	if v := n.Snapshot(); v.SN != 1 {
 		t.Fatalf("late REPLY mutated the register: %v (only WRITEs may)", v)
 	}
@@ -175,11 +185,11 @@ func TestWriteUsesAdoptedSN(t *testing.T) {
 	n := New(env, core.SpawnContext{Bootstrap: true, Initial: core.VersionedValue{Val: 0, SN: 0}}, Options{})
 	n.Start()
 	// The node learns sn 7 via a WRITE, then writes: new sn must be 8.
-	n.Deliver(2, core.WriteMsg{From: 2, Value: core.VersionedValue{Val: 70, SN: 7}})
+	n.Deliver(2, &core.WriteMsg{From: 2, Value: core.VersionedValue{Val: 70, SN: 7}})
 	if err := n.Write(0, 80, ignoreWrite); err != nil {
 		t.Fatal(err)
 	}
-	w, ok := env.bcasts[len(env.bcasts)-1].(core.WriteMsg)
+	w, ok := env.bcasts[len(env.bcasts)-1].(*core.WriteMsg)
 	if !ok || w.Value.SN != 8 || w.Value.Val != 80 {
 		t.Fatalf("WRITE = %#v, want ⟨80,#8⟩", env.bcasts[len(env.bcasts)-1])
 	}
@@ -194,7 +204,7 @@ func TestInquiryEchoIgnoredWhileJoining(t *testing.T) {
 	// itself, which is harmless but must not break activation.
 	n, env := newJoining(Options{})
 	env.fire(t)
-	n.Deliver(100, core.InquiryMsg{From: 100}) // own loopback
+	n.Deliver(100, &core.InquiryMsg{From: 100}) // own loopback
 	env.fire(t)
 	if !n.Active() {
 		t.Fatal("self-inquiry broke the join")

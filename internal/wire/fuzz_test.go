@@ -13,15 +13,15 @@ import (
 // FuzzDecodeFrame asserts the decoder never panics on arbitrary bytes, and
 // that every payload it accepts re-encodes to the identical bytes and
 // decodes again to the identical frame (the codec is canonical: one
-// payload per frame, one frame per payload). A FORWARD or FORWARDED
-// re-encodes from its decoded record: seeded both as encoded from a value
-// and from a record.
+// payload per frame, one frame per payload). Every kind re-encodes from
+// its decoded record: seeded both as encoded from a value and from a
+// record.
 func FuzzDecodeFrame(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	for _, kind := range allKinds {
 		f.Add(encode(f, Frame{Type: FrameMsg, Msg: randMessage(rng, kind)}))
 	}
-	for _, kind := range []core.MsgKind{core.KindForward, core.KindForwarded} {
+	for _, kind := range allKinds {
 		f.Add(encode(f, decoded(randMessage(rng, kind))))
 	}
 	for _, fr := range []Frame{

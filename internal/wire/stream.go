@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"io"
 	"sync"
-
-	"churnreg/internal/core"
 )
 
 // defaultBufCap sizes fresh pooled buffers: comfortably above the largest
@@ -46,22 +44,20 @@ func PutBuffer(b *[]byte) {
 }
 
 // Scanner reads length-prefixed frames from a connection through one
-// bufio.Reader and one reusable payload buffer: after warm-up, scanning a
-// stream of fixed-field frames performs zero heap allocations per frame
-// (TestScannerZeroAllocs). DecodeFrame copies every field it returns, so
+// bufio.Reader and one reusable payload buffer, and decodes them with its
+// Decoder: a message decodes into a record that the reader hands back
+// with Reuse once it is done with it, and the next one of that kind
+// decodes into the same record. So after warm-up a reader that hands
+// every frame back scans at zero heap allocations per frame
+// (TestScannerZeroAllocs*). Decoding copies every field it returns, so
 // reusing the payload buffer between calls is safe.
-//
-// A FORWARD or a FORWARDED decodes into a record the caller owns; a
-// reader that hands the frame back with Reuse once it has copied what it
-// needs lets the next one of that kind decode into the same record, so a
-// session's stream of them allocates nothing after the first.
 //
 // A Scanner is owned by a single reader goroutine; it is not safe for
 // concurrent use.
 type Scanner struct {
-	r     *bufio.Reader
-	buf   []byte
-	spare records
+	r   *bufio.Reader
+	buf []byte
+	dec Decoder
 }
 
 // NewScanner builds a Scanner over r.
@@ -108,17 +104,9 @@ func (s *Scanner) Next() (Frame, error) {
 	if _, err := io.ReadFull(s.r, payload); err != nil {
 		return Frame{}, err
 	}
-	return decodeFrame(payload, &s.spare)
+	return s.dec.Decode(payload)
 }
 
-// Reuse hands f's FORWARD or FORWARDED record back to s, for a later Next
-// to overwrite: the caller must not read f.Msg again. A frame of any other
-// kind is ignored.
-func (s *Scanner) Reuse(f Frame) {
-	switch m := f.Msg.(type) {
-	case *core.ForwardMsg:
-		s.spare.forward = m
-	case *core.ForwardedMsg:
-		s.spare.forwarded = m
-	}
-}
+// Reuse hands f's message record back to s, for a later Next to
+// overwrite (see Decoder.Reuse).
+func (s *Scanner) Reuse(f Frame) { s.dec.Reuse(f) }

@@ -171,12 +171,10 @@ type Frame struct {
 	// Peers is the gossiped address book (Peers) or the placement's member
 	// list (View).
 	Peers []Peer
-	// Msg is the carried message (Msg). A protocol message decodes boxed
-	// by value, the form core.Node.Deliver takes. A client session's
-	// FORWARD and its FORWARDED answer decode into a record, a
-	// *core.ForwardMsg or *core.ForwardedMsg, that a Scanner reuses once
-	// its reader hands the frame back (Scanner.Reuse). An encoder takes
-	// either form of either kind.
+	// Msg is the carried message (Msg). Every kind decodes into a record,
+	// a *core.InquiryMsg through a *core.ForwardedMsg, that a Decoder (or
+	// a Scanner) reuses once its reader hands the frame back with Reuse.
+	// An encoder takes either a record or a message value of any kind.
 	Msg core.Message
 	// ViewVersion is the monotone stamp of the sender's placement view
 	// (View); a client discards pushes older than what it holds.
@@ -260,11 +258,52 @@ func WriteFrame(w io.Writer, f Frame) error {
 
 // DecodeFrame parses one payload. It returns an error — never panics — on
 // malformed input, and rejects payloads with trailing garbage. A MSG
-// frame's From is its message's sender.
+// frame's From is its message's sender, and its Msg a fresh record that
+// nobody reuses.
 func DecodeFrame(b []byte) (Frame, error) { return decodeFrame(b, nil) }
 
-// decodeFrame is DecodeFrame drawing a FORWARD's or a FORWARDED's record
-// from spare when it holds one.
+// A Decoder decodes payloads as DecodeFrame does, into records it lends:
+// a MSG frame's message is a record of its kind, drawn from those handed
+// back with Reuse, and fresh only when none of that kind is. A reader
+// that hands every frame back once it is done with its message decodes a
+// stream at no allocation per frame; one that keeps its frames gets a
+// record of its own per frame. The zero Decoder is ready to use. It is
+// not safe for concurrent use.
+type Decoder struct {
+	spare records
+}
+
+// Decode parses one payload (see DecodeFrame).
+func (d *Decoder) Decode(payload []byte) (Frame, error) { return decodeFrame(payload, &d.spare) }
+
+// Reuse hands f's message record back to d, for a later Decode to
+// overwrite: the caller must not read f.Msg again. A REPLY's Rest is
+// dropped, so the record pins no snapshot. A frame without a record is
+// ignored.
+func (d *Decoder) Reuse(f Frame) {
+	switch m := f.Msg.(type) {
+	case *core.InquiryMsg:
+		d.spare.inquiry = m
+	case *core.ReplyMsg:
+		m.Rest = nil
+		d.spare.reply = m
+	case *core.WriteMsg:
+		d.spare.write = m
+	case *core.AckMsg:
+		d.spare.ack = m
+	case *core.ReadMsg:
+		d.spare.read = m
+	case *core.DLPrevMsg:
+		d.spare.dlPrev = m
+	case *core.ForwardMsg:
+		d.spare.forward = m
+	case *core.ForwardedMsg:
+		d.spare.forwarded = m
+	}
+}
+
+// decodeFrame is DecodeFrame drawing its message's record from spare when
+// that holds one of the kind.
 func decodeFrame(b []byte, spare *records) (Frame, error) {
 	d := decoder{b: b, spare: spare}
 	ver := d.u8()
@@ -315,52 +354,87 @@ func FrameSize(b []byte) int {
 }
 
 // appendMessage appends m's encoding to b: the kind byte, the sender, then
-// the kind's fields.
+// the kind's fields. m is a record or a value of its kind.
 func appendMessage(b []byte, m core.Message) ([]byte, error) {
 	switch msg := m.(type) {
+	case *core.InquiryMsg:
+		return appendInquiry(b, *msg), nil
 	case core.InquiryMsg:
-		b = appendHead(b, core.KindInquiry, msg.From)
-		b = appendOp(b, msg.Op)
+		return appendInquiry(b, msg), nil
+	case *core.ReplyMsg:
+		return appendReply(b, msg), nil
 	case core.ReplyMsg:
-		b = appendHead(b, core.KindReply, msg.From)
-		b = appendValue(b, msg.Value)
-		b = be64(b, int64(msg.Reg))
-		b = appendOp(b, msg.Op)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(msg.Rest)))
-		for _, kv := range msg.Rest {
-			b = be64(b, int64(kv.Reg))
-			b = appendValue(b, kv.Value)
-		}
+		return appendReply(b, &msg), nil
+	case *core.WriteMsg:
+		return appendWrite(b, *msg), nil
 	case core.WriteMsg:
-		b = appendHead(b, core.KindWrite, msg.From)
-		b = appendValue(b, msg.Value)
-		b = be64(b, int64(msg.Reg))
-		b = appendOp(b, msg.Op)
+		return appendWrite(b, msg), nil
+	case *core.AckMsg:
+		return appendAck(b, *msg), nil
 	case core.AckMsg:
-		b = appendHead(b, core.KindAck, msg.From)
-		b = be64(b, int64(msg.SN))
-		b = be64(b, int64(msg.Reg))
-		b = appendOp(b, msg.Op)
+		return appendAck(b, msg), nil
+	case *core.ReadMsg:
+		return appendRead(b, *msg), nil
 	case core.ReadMsg:
-		b = appendHead(b, core.KindRead, msg.From)
-		b = be64(b, int64(msg.Reg))
-		b = appendOp(b, msg.Op)
+		return appendRead(b, msg), nil
+	case *core.DLPrevMsg:
+		return appendDLPrev(b, *msg), nil
 	case core.DLPrevMsg:
-		b = appendHead(b, core.KindDLPrev, msg.From)
-		b = be64(b, int64(msg.Reg))
-		b = appendOp(b, msg.Op)
-	case core.ForwardMsg:
-		b = appendForward(b, msg)
+		return appendDLPrev(b, msg), nil
 	case *core.ForwardMsg:
-		b = appendForward(b, *msg)
-	case core.ForwardedMsg:
-		b = appendForwarded(b, msg)
+		return appendForward(b, *msg), nil
+	case core.ForwardMsg:
+		return appendForward(b, msg), nil
 	case *core.ForwardedMsg:
-		b = appendForwarded(b, *msg)
+		return appendForwarded(b, *msg), nil
+	case core.ForwardedMsg:
+		return appendForwarded(b, msg), nil
 	default:
 		return nil, ErrMsgKind
 	}
-	return b, nil
+}
+
+func appendInquiry(b []byte, m core.InquiryMsg) []byte {
+	return appendOp(appendHead(b, core.KindInquiry, m.From), m.Op)
+}
+
+func appendReply(b []byte, m *core.ReplyMsg) []byte {
+	b = appendHead(b, core.KindReply, m.From)
+	b = appendValue(b, m.Value)
+	b = be64(b, int64(m.Reg))
+	b = appendOp(b, m.Op)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(m.Rest)))
+	for _, kv := range m.Rest {
+		b = be64(b, int64(kv.Reg))
+		b = appendValue(b, kv.Value)
+	}
+	return b
+}
+
+func appendWrite(b []byte, m core.WriteMsg) []byte {
+	b = appendHead(b, core.KindWrite, m.From)
+	b = appendValue(b, m.Value)
+	b = be64(b, int64(m.Reg))
+	return appendOp(b, m.Op)
+}
+
+func appendAck(b []byte, m core.AckMsg) []byte {
+	b = appendHead(b, core.KindAck, m.From)
+	b = be64(b, int64(m.SN))
+	b = be64(b, int64(m.Reg))
+	return appendOp(b, m.Op)
+}
+
+func appendRead(b []byte, m core.ReadMsg) []byte {
+	b = appendHead(b, core.KindRead, m.From)
+	b = be64(b, int64(m.Reg))
+	return appendOp(b, m.Op)
+}
+
+func appendDLPrev(b []byte, m core.DLPrevMsg) []byte {
+	b = appendHead(b, core.KindDLPrev, m.From)
+	b = be64(b, int64(m.Reg))
+	return appendOp(b, m.Op)
 }
 
 func appendForward(b []byte, m core.ForwardMsg) []byte {
@@ -432,16 +506,31 @@ type decoder struct {
 	b   []byte
 	off int
 	err error
-	// spare, when set, holds records to decode a FORWARD or a FORWARDED
-	// into in place of fresh ones.
+	// spare, when set, holds records to decode a message into in place of
+	// fresh ones.
 	spare *records
 }
 
-// records holds at most one record of each session kind for a decoder to
-// reuse: the ones a Scanner's reader handed back.
+// records holds at most one record of each kind for a decoder to reuse:
+// the ones a Decoder's reader handed back.
 type records struct {
+	inquiry   *core.InquiryMsg
+	reply     *core.ReplyMsg
+	write     *core.WriteMsg
+	ack       *core.AckMsg
+	read      *core.ReadMsg
+	dlPrev    *core.DLPrevMsg
 	forward   *core.ForwardMsg
 	forwarded *core.ForwardedMsg
+}
+
+// record returns the spare record *spare holds, taking it, or a fresh one.
+func record[M any](spare **M) *M {
+	if m := *spare; m != nil {
+		*spare = nil
+		return m
+	}
+	return new(M)
 }
 
 func (d *decoder) fail(err error) {
@@ -622,66 +711,59 @@ func (d *decoder) keyedValues() []core.KeyedValue {
 }
 
 // message reads one MSG body: the kind byte, the sender, then the kind's
-// fields. It returns the sender beside the message so DecodeFrame can set
-// Frame.From without a type switch. A FORWARD or a FORWARDED fills a
-// record, a spare one if the decoder holds it; any other kind is boxed.
+// fields, into a record of the kind, a spare one if the decoder holds it.
+// It returns the sender beside the message so DecodeFrame can set
+// Frame.From without a type switch.
 func (d *decoder) message() (core.ProcessID, core.Message) {
 	kind := core.MsgKind(d.u8())
 	from := core.ProcessID(d.i64())
 	if d.err != nil {
 		return 0, nil
 	}
+	var spare records
+	if d.spare != nil {
+		spare = *d.spare
+	}
+	var m core.Message
 	switch kind {
 	case core.KindInquiry:
-		return from, core.InquiryMsg{From: from, Op: d.op()}
+		r := record(&spare.inquiry)
+		*r = core.InquiryMsg{From: from, Op: d.op()}
+		m = r
 	case core.KindReply:
-		return from, core.ReplyMsg{
-			From:  from,
-			Value: d.value(),
-			Reg:   d.reg(),
-			Op:    d.op(),
-			Rest:  d.keyedValues(),
-		}
+		r := record(&spare.reply)
+		*r = core.ReplyMsg{From: from, Value: d.value(), Reg: d.reg(), Op: d.op(), Rest: d.keyedValues()}
+		m = r
 	case core.KindWrite:
-		return from, core.WriteMsg{From: from, Value: d.value(), Reg: d.reg(), Op: d.op()}
+		r := record(&spare.write)
+		*r = core.WriteMsg{From: from, Value: d.value(), Reg: d.reg(), Op: d.op()}
+		m = r
 	case core.KindAck:
-		return from, core.AckMsg{From: from, SN: core.SeqNum(d.i64()), Reg: d.reg(), Op: d.op()}
+		r := record(&spare.ack)
+		*r = core.AckMsg{From: from, SN: core.SeqNum(d.i64()), Reg: d.reg(), Op: d.op()}
+		m = r
 	case core.KindRead:
-		return from, core.ReadMsg{From: from, Reg: d.reg(), Op: d.op()}
+		r := record(&spare.read)
+		*r = core.ReadMsg{From: from, Reg: d.reg(), Op: d.op()}
+		m = r
 	case core.KindDLPrev:
-		return from, core.DLPrevMsg{From: from, Reg: d.reg(), Op: d.op()}
+		r := record(&spare.dlPrev)
+		*r = core.DLPrevMsg{From: from, Reg: d.reg(), Op: d.op()}
+		m = r
 	case core.KindForward:
-		var m *core.ForwardMsg
-		if d.spare != nil && d.spare.forward != nil {
-			m, d.spare.forward = d.spare.forward, nil
-		} else {
-			m = new(core.ForwardMsg)
-		}
-		*m = core.ForwardMsg{
-			From:    from,
-			Op:      d.op(),
-			Reg:     d.reg(),
-			IsWrite: d.bool(),
-			Val:     core.Value(d.i64()),
-		}
-		return from, m
+		r := record(&spare.forward)
+		*r = core.ForwardMsg{From: from, Op: d.op(), Reg: d.reg(), IsWrite: d.bool(), Val: core.Value(d.i64())}
+		m = r
 	case core.KindForwarded:
-		var m *core.ForwardedMsg
-		if d.spare != nil && d.spare.forwarded != nil {
-			m, d.spare.forwarded = d.spare.forwarded, nil
-		} else {
-			m = new(core.ForwardedMsg)
-		}
-		*m = core.ForwardedMsg{
-			From:  from,
-			Op:    d.op(),
-			Reg:   d.reg(),
-			Value: d.value(),
-			Code:  d.forwardCode(),
-		}
-		return from, m
+		r := record(&spare.forwarded)
+		*r = core.ForwardedMsg{From: from, Op: d.op(), Reg: d.reg(), Value: d.value(), Code: d.forwardCode()}
+		m = r
 	default:
 		d.fail(fmt.Errorf("%w: %d", ErrMsgKind, int(kind)))
 		return 0, nil
 	}
+	if d.spare != nil {
+		*d.spare = spare
+	}
+	return from, m
 }
