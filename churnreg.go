@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"churnreg/internal/abd"
+	"churnreg/internal/churn"
 	"churnreg/internal/core"
 	"churnreg/internal/esyncreg"
 	"churnreg/internal/netsim"
@@ -240,12 +241,12 @@ func (o options) model() netsim.DelayModel {
 }
 
 // SyncChurnBound returns 1/(3δ), the synchronous protocol's churn bound.
-func SyncChurnBound(delta int64) float64 { return 1.0 / (3.0 * float64(delta)) }
+func SyncChurnBound(delta int64) float64 { return churn.SyncChurnBound(sim.Duration(delta)) }
 
 // ESyncChurnBound returns 1/(3δn), the eventually synchronous protocol's
 // churn bound.
 func ESyncChurnBound(delta int64, n int) float64 {
-	return 1.0 / (3.0 * float64(delta) * float64(n))
+	return churn.ESyncChurnBound(sim.Duration(delta), n)
 }
 
 // ProcessID identifies a process in a cluster (re-exported for callers).

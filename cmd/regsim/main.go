@@ -20,6 +20,7 @@ import (
 	"os"
 
 	"churnreg/internal/abd"
+	"churnreg/internal/churn"
 	"churnreg/internal/core"
 	"churnreg/internal/dynsys"
 	"churnreg/internal/esyncreg"
@@ -144,8 +145,8 @@ func simulate(args []string, w io.Writer) error {
 	t := metrics.NewTable(fmt.Sprintf("regsim: %s n=%d δ=%d c=%g seed=%d (%d ticks)",
 		*protocol, *n, *delta, *churnRate, *seed, *duration),
 		"metric", "value")
-	t.AddRow("churn bound 1/(3δ)", metrics.F(harness.SyncChurnBound(sim.Duration(*delta)), 4))
-	t.AddRow("churn bound 1/(3δn)", metrics.F(harness.ESyncChurnBound(sim.Duration(*delta), *n), 5))
+	t.AddRow("churn bound 1/(3δ)", metrics.F(churn.SyncChurnBound(sim.Duration(*delta)), 4))
+	t.AddRow("churn bound 1/(3δn)", metrics.F(churn.ESyncChurnBound(sim.Duration(*delta), *n), 5))
 	t.AddRow("joins completed / pending / abandoned",
 		fmt.Sprintf("%d / %d / %d", res.JoinCompleted, res.JoinPending, res.JoinAbandoned))
 	t.AddRow("join latency p50 / p99",

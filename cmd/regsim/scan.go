@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"churnreg/internal/churn"
 	"churnreg/internal/harness"
 	"churnreg/internal/sim"
 )
@@ -30,9 +31,9 @@ func scan(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	bound := harness.SyncChurnBound(sim.Duration(*delta)) // abd has none: sync's, for scale
+	bound := churn.SyncChurnBound(sim.Duration(*delta)) // abd has none: sync's, for scale
 	if *protocol == "esync" {
-		bound = harness.ESyncChurnBound(sim.Duration(*delta), *n)
+		bound = churn.ESyncChurnBound(sim.Duration(*delta), *n)
 	}
 
 	fmt.Fprintln(w, "protocol,c,c_over_bound,seed,joins_completed,joins_pending,reads_completed,writes_completed,violations,inversions,min_active,join_p50,join_p99")

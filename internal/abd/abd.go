@@ -45,8 +45,6 @@
 package abd
 
 import (
-	"slices"
-
 	"churnreg/internal/core"
 	"churnreg/internal/placement"
 )
@@ -56,14 +54,10 @@ import (
 // allocates nothing of its own once the node has served one like it.
 type op struct {
 	reg core.RegisterID
-
-	// quorum is the round's quorum size, pinned at invocation with the
-	// answers' scope (placement.OpScope): ⌊n/2⌋+1 unsharded, a majority
-	// of the key's replica group sharded.
-	quorum int
-	// answers collects the current round's answers: the read's REPLYs,
-	// then the ACKs of its write-back, or the write's ACKs.
-	answers quorumSet
+	// round counts the current round's answers, scoped at invocation
+	// (placement.OpScope): the read's REPLYs, then the ACKs of its
+	// write-back, or the write's ACKs.
+	round placement.Round
 
 	reading  bool
 	readDone func(core.VersionedValue, error)
@@ -77,64 +71,6 @@ type op struct {
 	writing   bool
 	writeVal  core.VersionedValue
 	writeDone func(core.VersionedValue, error)
-}
-
-// answer is one process's answer in a quorum round (ok is false for a
-// group member that has not answered).
-type answer struct {
-	from core.ProcessID
-	val  core.VersionedValue
-	ok   bool
-}
-
-// quorumSet is one round's answers, at most one per process. Sharded it
-// is positional over the operation's scope, the invocation view's group
-// slice: answer i is scope[i]'s. Unsharded (nil scope) it is a short
-// slice in arrival order. Each round starts on the inline array, which
-// holds up to eight answers without touching the heap.
-type quorumSet struct {
-	scope  []core.ProcessID
-	got    []answer
-	n      int
-	inline [8]answer
-}
-
-// reset empties the set for a round over scope.
-func (q *quorumSet) reset(scope []core.ProcessID) {
-	q.scope, q.n, q.got = scope, 0, q.inline[:0]
-	for range scope {
-		q.got = append(q.got, answer{})
-	}
-}
-
-// add records from's answer v, keeping the more recent when from answers
-// twice, and reports false for a process outside the round's scope.
-func (q *quorumSet) add(from core.ProcessID, v core.VersionedValue) bool {
-	i := -1
-	if q.scope != nil {
-		if i = slices.Index(q.scope, from); i < 0 {
-			return false
-		}
-	} else {
-		for j := range q.got {
-			if q.got[j].from == from {
-				i = j
-				break
-			}
-		}
-		if i < 0 {
-			i = len(q.got)
-			q.got = append(q.got, answer{})
-		}
-	}
-	switch a := &q.got[i]; {
-	case !a.ok:
-		*a = answer{from: from, val: v, ok: true}
-		q.n++
-	case v.MoreRecent(a.val):
-		a.val = v
-	}
-	return true
 }
 
 // Node is one process running the static ABD-style protocol.
@@ -194,8 +130,6 @@ var (
 	_ core.ReadPathCounter = (*Node)(nil)
 )
 
-func (n *Node) majority() int { return n.env.SystemSize()/2 + 1 }
-
 // value and merge are per-key store accessors; passive replicas and
 // unseen keys fall back to ⊥ / the implicit initial exactly like the
 // dynamic protocols (see core.RegStore.Value).
@@ -246,9 +180,7 @@ func (n *Node) Read(k core.RegisterID, done func(core.VersionedValue, error)) er
 	id, o := n.ops.Begin()
 	n.stats.Reads++
 	o.reg = k
-	var scope []core.ProcessID
-	scope, o.quorum = placement.OpScope(n.env, k)
-	o.answers.reset(scope)
+	o.round.Open(placement.OpScope(n.env, k))
 	o.reading = true
 	o.readDone = done
 	placement.ScopedBroadcast(n.env, k, n.out.Read(core.ReadMsg{From: n.env.ID(), Reg: k, Op: id}))
@@ -256,18 +188,14 @@ func (n *Node) Read(k core.RegisterID, done func(core.VersionedValue, error)) er
 }
 
 func (n *Node) checkRead(id core.OpID, o *op) {
-	if !o.reading || o.answers.n < o.quorum {
+	if !o.reading || !o.round.Done() {
 		return
 	}
 	o.reading = false
 	agreed := true
 	var first, freshest core.VersionedValue
 	got := false
-	for _, a := range o.answers.got {
-		if !a.ok {
-			continue
-		}
-		v := a.val
+	for v := range o.round.Values {
 		n.merge(o.reg, v)
 		if !got {
 			first, freshest, got = v, v, true
@@ -296,12 +224,12 @@ func (n *Node) checkRead(id core.OpID, o *op) {
 	n.stats.SlowReads++
 	o.wb = true
 	o.wbVal = freshest
-	o.answers.reset(o.answers.scope)
+	o.round.Reopen()
 	placement.ScopedBroadcast(n.env, o.reg, n.out.Write(core.WriteMsg{From: n.env.ID(), Value: freshest, Reg: o.reg, Op: id}))
 }
 
 func (n *Node) checkWriteBack(id core.OpID, o *op) {
-	if !o.wb || o.answers.n < o.quorum {
+	if !o.wb || !o.round.Done() {
 		return
 	}
 	done, v := o.readDone, o.wbVal
@@ -326,9 +254,7 @@ func (n *Node) Write(k core.RegisterID, v core.Value, done func(core.VersionedVa
 	next := core.VersionedValue{Val: v, SN: n.value(k).SN + 1}
 	n.vals.Store(k, next)
 	o.reg = k
-	var scope []core.ProcessID
-	scope, o.quorum = placement.OpScope(n.env, k)
-	o.answers.reset(scope)
+	o.round.Open(placement.OpScope(n.env, k))
 	o.writing = true
 	o.writeVal = next
 	o.writeDone = done
@@ -337,7 +263,7 @@ func (n *Node) Write(k core.RegisterID, v core.Value, done func(core.VersionedVa
 }
 
 func (n *Node) checkWrite(id core.OpID, o *op) {
-	if !o.writing || o.answers.n < o.quorum {
+	if !o.writing || !o.round.Done() {
 		return
 	}
 	done, v := o.writeDone, o.writeVal
@@ -363,7 +289,7 @@ func (n *Node) Deliver(from core.ProcessID, m core.Message) {
 		if !ok || !o.reading || o.reg != msg.Reg {
 			return // stale: the read completed (or never was)
 		}
-		if !o.answers.add(msg.From, msg.Value) {
+		if !o.round.Add(msg.From, msg.Value) {
 			return // sharded: only replica-group replies feed the quorum
 		}
 		n.checkRead(msg.Op, o)
@@ -379,15 +305,15 @@ func (n *Node) Deliver(from core.ProcessID, m core.Message) {
 		if !ok || o.reg != msg.Reg {
 			return
 		}
-		// Sharded, only replica-group acks feed the quorum (add refuses
+		// Sharded, only replica-group acks feed the quorum (Add refuses
 		// the rest).
 		switch {
 		case o.writing && o.writeVal.SN == msg.SN:
-			if o.answers.add(msg.From, core.VersionedValue{}) {
+			if o.round.Add(msg.From, core.VersionedValue{}) {
 				n.checkWrite(msg.Op, o)
 			}
 		case o.wb && o.wbVal.SN == msg.SN:
-			if o.answers.add(msg.From, core.VersionedValue{}) {
+			if o.round.Add(msg.From, core.VersionedValue{}) {
 				n.checkWriteBack(msg.Op, o)
 			}
 		}

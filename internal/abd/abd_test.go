@@ -74,9 +74,8 @@ func TestReadQuorumIntersectsWriteQuorum(t *testing.T) {
 	sys := newSystem(t, 5, 0)
 	ids := sys.ActiveIDs()
 	w := abdNode(t, sys, ids[0])
-	dropTo := map[core.ProcessID]bool{ids[3]: true, ids[4]: true}
 	sys.Network().SetDropRule(func(_, to core.ProcessID, m core.Message, _ sim.Time) bool {
-		return m.Kind() == core.KindWrite && dropTo[to]
+		return m.Kind() == core.KindWrite && (to == ids[3] || to == ids[4])
 	})
 	if err := w.Write(0, 5, ignoreWrite); err != nil {
 		t.Fatal(err)

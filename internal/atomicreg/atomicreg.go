@@ -24,6 +24,7 @@ import (
 
 	"churnreg/internal/core"
 	"churnreg/internal/esyncreg"
+	"churnreg/internal/placement"
 )
 
 // Node wraps an eventually synchronous node, upgrading Read to atomic
@@ -44,7 +45,7 @@ type Node struct {
 	// Write-back round state.
 	wbActive bool
 	wbSN     core.SeqNum
-	wbAcks   map[core.ProcessID]bool
+	wbAcks   placement.Round
 	wbValue  core.VersionedValue
 	wbDone   func(core.VersionedValue, error)
 	// out holds the records the wrapper sends its write-backs from.
@@ -62,11 +63,7 @@ type Stats struct {
 
 // New builds an atomic node over a fresh inner regular node.
 func New(env core.Env, sc core.SpawnContext, opts esyncreg.Options) *Node {
-	return &Node{
-		env:    env,
-		inner:  esyncreg.New(env, sc, opts),
-		wbAcks: make(map[core.ProcessID]bool),
-	}
+	return &Node{env: env, inner: esyncreg.New(env, sc, opts)}
 }
 
 // Factory returns a core.NodeFactory for the atomic register.
@@ -90,8 +87,6 @@ func keyZeroOnly(reg core.RegisterID) error {
 	}
 	return nil
 }
-
-func (n *Node) majority() int { return n.env.SystemSize()/2 + 1 }
 
 // Start implements core.Node.
 func (n *Node) Start() { n.inner.Start() }
@@ -142,7 +137,7 @@ func (n *Node) startWriteBack(v core.VersionedValue, done func(core.VersionedVal
 	n.wbActive = true
 	n.wbSN = v.SN
 	n.wbValue = v
-	n.wbAcks = make(map[core.ProcessID]bool)
+	n.wbAcks.Open(placement.SystemScope(n.env))
 	n.wbDone = done
 	// An ordinary WRITE: replicas apply it if newer and ACK it in all
 	// cases (Figure 6 lines 06-08), which is exactly what a write-back
@@ -152,7 +147,7 @@ func (n *Node) startWriteBack(v core.VersionedValue, done func(core.VersionedVal
 }
 
 func (n *Node) checkWriteBack() {
-	if !n.wbActive || len(n.wbAcks) < n.majority() {
+	if !n.wbActive || !n.wbAcks.Done() {
 		return
 	}
 	n.wbActive = false
@@ -170,7 +165,7 @@ func (n *Node) checkWriteBack() {
 func (n *Node) Deliver(from core.ProcessID, m core.Message) {
 	if ack, ok := m.(*core.AckMsg); ok && ack.Reg == core.DefaultRegister && n.wbActive && ack.SN == n.wbSN {
 		n.stats.WriteBackAcked++
-		n.wbAcks[from] = true
+		n.wbAcks.Add(from, core.VersionedValue{})
 		n.checkWriteBack()
 		return
 	}

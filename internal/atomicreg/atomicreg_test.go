@@ -255,3 +255,52 @@ func runScriptedReaders(t *testing.T, factory core.NodeFactory) (*spec.History, 
 // ignoreRead is a read's done callback for a test that does not look at
 // the outcome.
 func ignoreRead(core.VersionedValue, error) {}
+
+// stepEnv is the Env of process 100 of five, driven by hand: it keeps the
+// last message the node broadcast.
+type stepEnv struct{ last core.Message }
+
+func (e *stepEnv) ID() core.ProcessID                { return 100 }
+func (e *stepEnv) Now() sim.Time                     { return 0 }
+func (e *stepEnv) Send(core.ProcessID, core.Message) {}
+func (e *stepEnv) Broadcast(m core.Message)          { e.last = m }
+func (e *stepEnv) After(sim.Duration, func())        {}
+func (e *stepEnv) Delta() sim.Duration               { return delta }
+func (e *stepEnv) SystemSize() int                   { return 5 }
+func (e *stepEnv) MarkActive()                       {}
+
+// TestWriteBackNeedsDistinctAckers: a read's write-back completes only on
+// ACKs from a majority of distinct processes; one process acknowledging
+// it again and again counts once.
+func TestWriteBackNeedsDistinctAckers(t *testing.T) {
+	env := &stepEnv{}
+	n := atomicreg.New(env, core.SpawnContext{Bootstrap: true, Initial: core.VersionedValue{Val: 0, SN: 0}}, esyncreg.Options{})
+	n.Start()
+	returned := false
+	if err := n.Read(0, func(core.VersionedValue, error) { returned = true }); err != nil {
+		t.Fatal(err)
+	}
+	rd, ok := env.last.(*core.ReadMsg)
+	if !ok {
+		t.Fatalf("a read broadcast %v, want a READ", env.last)
+	}
+	op := rd.Op
+	latest := core.VersionedValue{Val: 6, SN: 2}
+	for _, p := range []core.ProcessID{1, 2, 3} {
+		n.Deliver(p, &core.ReplyMsg{From: p, Value: latest, Op: op})
+	}
+	if wb, ok := env.last.(*core.WriteMsg); !ok || wb.Value != latest {
+		t.Fatalf("after a read quorum the node broadcast %v, want the write-back of %v", env.last, latest)
+	}
+	for range 3 {
+		n.Deliver(1, &core.AckMsg{From: 1, SN: latest.SN})
+	}
+	n.Deliver(2, &core.AckMsg{From: 2, SN: latest.SN})
+	if returned {
+		t.Fatal("the read returned on ACKs from two processes, one of them repeated, below a majority of 3")
+	}
+	n.Deliver(3, &core.AckMsg{From: 3, SN: latest.SN})
+	if !returned {
+		t.Fatal("the read did not return on ACKs from a majority of distinct processes")
+	}
+}

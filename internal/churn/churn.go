@@ -83,6 +83,15 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// SyncChurnBound returns 1/(3δ), the synchronous protocol's churn bound.
+func SyncChurnBound(delta sim.Duration) float64 { return 1.0 / (3.0 * float64(delta)) }
+
+// ESyncChurnBound returns 1/(3δn), the eventually synchronous protocol's
+// churn bound.
+func ESyncChurnBound(delta sim.Duration, n int) float64 {
+	return 1.0 / (3.0 * float64(delta) * float64(n))
+}
+
 // Stats reports engine activity.
 type Stats struct {
 	Joins          uint64

@@ -481,3 +481,12 @@ func TestAllocateIDNeverReuses(t *testing.T) {
 		seen[id] = true
 	}
 }
+
+func TestChurnBounds(t *testing.T) {
+	if got := SyncChurnBound(5); got != 1.0/15 {
+		t.Fatalf("SyncChurnBound(5) = %v", got)
+	}
+	if got := ESyncChurnBound(5, 10); got != 1.0/150 {
+		t.Fatalf("ESyncChurnBound(5,10) = %v", got)
+	}
+}

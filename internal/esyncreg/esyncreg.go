@@ -87,21 +87,16 @@ type reqKey struct {
 // operations (the per-key single pending slot this table replaced).
 type op struct {
 	reg core.RegisterID
+	// round is the read phase's replies_i, then the write's write_ack,
+	// over the scope resolved at invocation (placement.OpScope): sharded,
+	// only the key's replica group counts, which keeps the per-shard
+	// quorum intersection.
+	round placement.Round
 
-	// scope/quorum pin the operation's quorum population at invocation:
-	// unsharded, scope is nil and quorum is ⌊n/2⌋+1; sharded, scope is
-	// the key's replica group and quorum a majority of it — replies and
-	// acks from outside the scope (DL_PREV answerers that joined after
-	// the broadcast, say) never count, preserving the per-shard quorum
-	// intersection (placement.OpScope).
-	scope  []core.ProcessID
-	quorum int
-
-	// Read phase: Figure 5's reading_i / replies_i for a client read, or
-	// Figure 6 line 01's embedded read for a write.
-	reading     bool
-	readReplies map[core.ProcessID]core.VersionedValue
-	readDone    func(core.VersionedValue, error)
+	// Read phase: Figure 5's reading_i for a client read, or Figure 6
+	// line 01's embedded read for a write.
+	reading  bool
+	readDone func(core.VersionedValue, error)
 
 	// Write phase (Figure 6). writeReadDone marks the embedded read
 	// complete while the op waits its turn in the key's SN-assignment
@@ -113,7 +108,6 @@ type op struct {
 	writeReadDone  bool
 	writeBroadcast bool
 	writeSN        core.SeqNum
-	writeAck       map[core.ProcessID]bool
 	writeDone      func(core.VersionedValue, error)
 }
 
@@ -138,10 +132,10 @@ type Node struct {
 	active bool
 	// joining marks the window between Start and the join quorum.
 	joining bool
-	// joinReplies is replies_i for the join: the distinct repliers whose
+	// join is replies_i for the join: the distinct repliers whose
 	// snapshots were merged (values fold into vals on arrival; only the
 	// replier set is needed for the majority test).
-	joinReplies map[core.ProcessID]bool
+	join placement.Round
 	// ops is the operation table. Its counter doubles as read_sn_i: 0
 	// identifies the join inquiry, every operation draws the next value.
 	ops *core.OpTable[op]
@@ -179,15 +173,14 @@ type Stats struct {
 // called.
 func New(env core.Env, sc core.SpawnContext, opts Options) *Node {
 	n := &Node{
-		env:         env,
-		opts:        opts,
-		vals:        core.NewRegStore(sc),
-		joinReplies: make(map[core.ProcessID]bool),
-		ops:         core.NewOpTable[op](0),
-		writeQ:      make(map[core.RegisterID][]core.OpID),
-		ackRoute:    make(map[ackName]core.OpID),
-		replyTo:     make(map[reqKey]bool),
-		dlPrev:      make(map[reqKey]bool),
+		env:      env,
+		opts:     opts,
+		vals:     core.NewRegStore(sc),
+		ops:      core.NewOpTable[op](0),
+		writeQ:   make(map[core.RegisterID][]core.OpID),
+		ackRoute: make(map[ackName]core.OpID),
+		replyTo:  make(map[reqKey]bool),
+		dlPrev:   make(map[reqKey]bool),
 	}
 	n.active = sc.Bootstrap
 	return n
@@ -208,10 +201,6 @@ var (
 	_ core.OpAccountant = (*Node)(nil)
 )
 
-// majority returns ⌊n/2⌋+1, the quorum size backed by the §5.2 assumption
-// that a majority of the n processes is active at every instant.
-func (n *Node) majority() int { return n.env.SystemSize()/2 + 1 }
-
 // value and merge are per-key store accessors threading the node's
 // activation state (see core.RegStore.Value for the ⊥/implicit-initial
 // rules).
@@ -228,8 +217,9 @@ func (n *Node) Start() {
 		return
 	}
 	n.joining = true
-	// Lines 01-02: initialization happened in New; read_sn_i starts at 0
-	// (the op counter's NoOp), identifying this join's inquiry.
+	// Lines 01-02: replies_i := ∅ over the whole membership; read_sn_i
+	// starts at 0 (the op counter's NoOp), identifying this join's inquiry.
+	n.join.Open(placement.SystemScope(n.env))
 	// Line 03: broadcast INQUIRY(i, read_sn_i) — the process's one and
 	// only join inquiry, whatever number of registers the namespace holds.
 	n.stats.JoinInquiries++
@@ -241,7 +231,7 @@ func (n *Node) Start() {
 // checkJoin completes the join once a majority of snapshot replies arrived
 // (Figure 4 lines 05-11). Per-key values were merged on arrival.
 func (n *Node) checkJoin() {
-	if !n.joining || len(n.joinReplies) < n.majority() {
+	if !n.joining || !n.join.Done() {
 		return
 	}
 	n.joining = false
@@ -318,7 +308,6 @@ func (n *Node) Read(k core.RegisterID, done func(core.VersionedValue, error)) er
 	id, o := n.ops.Begin()
 	n.stats.Reads++
 	o.reg = k
-	o.scope, o.quorum = placement.OpScope(n.env, k)
 	o.readDone = done
 	n.startReadPhase(id, o)
 	return nil
@@ -327,9 +316,9 @@ func (n *Node) Read(k core.RegisterID, done func(core.VersionedValue, error)) er
 // startReadPhase is Figure 5 lines 02-03, shared by client reads and the
 // write's embedded read: the broadcast READ carries the operation's id.
 func (n *Node) startReadPhase(id core.OpID, o *op) {
-	// Line 02: replies := ∅; reading := true.
+	// Line 02: replies := ∅ over the operation's scope; reading := true.
+	o.round.Open(placement.OpScope(n.env, o.reg))
 	o.reading = true
-	o.readReplies = make(map[core.ProcessID]core.VersionedValue)
 	// Line 03: broadcast READ(i, read_sn_i) — to the key's replica group
 	// when sharded, the full membership otherwise.
 	placement.ScopedBroadcast(n.env, o.reg, n.out.Read(core.ReadMsg{From: n.env.ID(), Reg: o.reg, Op: id}))
@@ -340,16 +329,15 @@ func (n *Node) startReadPhase(id core.OpID, o *op) {
 // matching replies arrived (Figure 5 lines 05-07): a client read returns;
 // a write proceeds to SN assignment through its key's FIFO.
 func (n *Node) checkRead(id core.OpID, o *op) {
-	if !o.reading || len(o.readReplies) < o.quorum {
+	if !o.reading || !o.round.Done() {
 		return
 	}
 	// Lines 05-06: merge the most up-to-date value.
-	for _, v := range o.readReplies {
+	for v := range o.round.Values {
 		n.merge(o.reg, v)
 	}
 	// Line 07: reading := false; return register_i.
 	o.reading = false
-	o.readReplies = nil
 	if o.isWrite {
 		o.writeReadDone = true
 		n.pumpWrites(o.reg)
@@ -376,7 +364,6 @@ func (n *Node) Write(k core.RegisterID, v core.Value, done func(core.VersionedVa
 	id, o := n.ops.Begin()
 	n.stats.Writes++
 	o.reg = k
-	o.scope, o.quorum = placement.OpScope(n.env, k)
 	o.isWrite = true
 	o.writeVal = v
 	o.writeDone = done
@@ -414,8 +401,8 @@ func (n *Node) pumpWrites(k core.RegisterID) {
 		next := core.VersionedValue{Val: o.writeVal, SN: n.value(k).SN + 1}
 		n.vals.Store(k, next)
 		o.writeSN = next.SN
-		// Line 03: write_ack := ∅.
-		o.writeAck = make(map[core.ProcessID]bool)
+		// Line 03: write_ack := ∅, over the same scope as the read.
+		o.round.Reopen()
 		o.writeBroadcast = true
 		n.ackRoute[ackName{reg: k, sn: next.SN}] = id
 		// Line 04: broadcast WRITE(i, ⟨v, sn⟩) — scoped to the key's
@@ -433,7 +420,7 @@ func (n *Node) pumpWrites(k core.RegisterID) {
 // checkWrite completes a write once a majority of ACKs arrived (Figure 6
 // line 05).
 func (n *Node) checkWrite(id core.OpID, o *op) {
-	if !o.writeBroadcast || len(o.writeAck) < o.quorum {
+	if !o.writeBroadcast || !o.round.Done() {
 		return
 	}
 	delete(n.ackRoute, ackName{reg: o.reg, sn: o.writeSN})
@@ -525,20 +512,17 @@ func (n *Node) handleReply(m core.ReplyMsg) {
 		n.stats.StaleRepliesSeen++
 		return
 	}
-	if !placement.InScope(o.scope, m.From) {
-		// Sharded: a replier outside the key's replica group (a DL_PREV
-		// answerer that joined after the broadcast) must not dilute the
-		// per-shard quorum.
+	// Line 20: record the reply and acknowledge it. Sharded, the round
+	// refuses a replier outside the key's replica group (a DL_PREV
+	// answerer that joined after the broadcast), which must not dilute
+	// the per-shard quorum and is not acknowledged either. The ACK
+	// carries the register sequence number from the reply (not r_sn): if
+	// the replier is a writer with an in-flight write on this key, this
+	// ACK is how processes that joined after the WRITE broadcast
+	// contribute to its quorum (Lemma 7; see ARCHITECTURE.md §1).
+	// Options.LiteralAckRSN restores the literal text.
+	if !o.round.Add(m.From, m.Value) {
 		return
-	}
-	// Line 20: record the reply and acknowledge it. The ACK carries the
-	// register sequence number from the reply (not r_sn): if the replier
-	// is a writer with an in-flight write on this key, this ACK is how
-	// processes that joined after the WRITE broadcast contribute to its
-	// quorum (Lemma 7; see ARCHITECTURE.md §1). Options.LiteralAckRSN restores
-	// the literal text.
-	if cur, ok := o.readReplies[m.From]; !ok || m.Value.MoreRecent(cur) {
-		o.readReplies[m.From] = m.Value
 	}
 	n.ack(m.From, m.Reg, m.Value.SN, m.Op)
 	// Line 04 of Figure 5: re-check the quorum.
@@ -560,7 +544,7 @@ func (n *Node) handleJoinReply(m core.ReplyMsg) {
 		m.Entries(func(k core.RegisterID, v core.VersionedValue) {
 			n.merge(k, v)
 		})
-		n.joinReplies[m.From] = true
+		n.join.Add(m.From, core.VersionedValue{})
 	}
 	if n.opts.LiteralAckRSN {
 		n.stats.AcksSent++
@@ -614,10 +598,9 @@ func (n *Node) handleAck(m core.AckMsg) {
 	if !ok || !o.isWrite || !o.writeBroadcast || o.reg != m.Reg || o.writeSN != m.SN {
 		return
 	}
-	if !placement.InScope(o.scope, m.From) {
+	if !o.round.Add(m.From, core.VersionedValue{}) {
 		return // sharded: only replica-group acks feed the quorum
 	}
-	o.writeAck[m.From] = true
 	n.checkWrite(id, o)
 }
 

@@ -3,6 +3,7 @@ package esyncreg
 // Additional unit coverage for quorum bookkeeping edge paths.
 
 import (
+	"slices"
 	"testing"
 
 	"churnreg/internal/core"
@@ -31,12 +32,12 @@ func TestSameReplierUpgradesWithinOneRead(t *testing.T) {
 	// the quorum, and the max value wins.
 	n.Deliver(1, reply(1, 10, 1, 1))
 	n.Deliver(1, reply(1, 90, 9, 1))
-	rr := opOn(n, core.DefaultRegister).readReplies
+	rr := slices.Collect(opOn(n, core.DefaultRegister).round.Values)
 	if len(rr) != 1 {
 		t.Fatalf("one replier counted %d times", len(rr))
 	}
-	if rr[1].SN != 9 {
-		t.Fatalf("kept %v, want the replier's max", rr[1])
+	if rr[0].SN != 9 {
+		t.Fatalf("kept %v, want the replier's max", rr[0])
 	}
 }
 

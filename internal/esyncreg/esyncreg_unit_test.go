@@ -6,6 +6,7 @@ package esyncreg
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"churnreg/internal/core"
@@ -141,7 +142,7 @@ func TestReplyWithWrongRSNIgnored(t *testing.T) {
 	n, env := newJoining(5, Options{})
 	before := len(env.sent)
 	n.Deliver(1, reply(1, 9, 9, 4)) // r_sn 4 != our read_sn 0
-	if len(n.joinReplies) != 0 {
+	if len(slices.Collect(n.join.Values)) != 0 {
 		t.Fatal("stale reply recorded")
 	}
 	if len(env.sent) != before {
@@ -257,7 +258,7 @@ func TestJoinCompletionFlushesDeferredOnce(t *testing.T) {
 	if len(replies) != 2 {
 		t.Fatalf("deferred replies = %d (%v), want 2 (p7 once, p8 once)", len(replies), replies)
 	}
-	seen := map[core.ProcessID]core.OpID{}
+	seen := make([]core.OpID, 9) // by process id
 	for _, s := range replies {
 		seen[s.to] = s.msg.(*core.ReplyMsg).Op
 	}
@@ -350,6 +351,30 @@ func TestWriteEmbedsReadThenBroadcastsWrite(t *testing.T) {
 	}
 }
 
+// TestWriteAckQuorumIsItsOwn: the processes that answered a write's
+// embedded read do not count toward its WRITE's ACK quorum. The round is
+// reopened as the WRITE goes out, so after a read quorum of three one ACK
+// leaves the write waiting for two more.
+func TestWriteAckQuorumIsItsOwn(t *testing.T) {
+	n, _ := newActive(5, Options{})
+	doneRan := false
+	if err := n.Write(0, 77, func(core.VersionedValue, error) { doneRan = true }); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []core.ProcessID{1, 2, 3} {
+		n.Deliver(p, reply(p, 0, 0, 1))
+	}
+	n.Deliver(4, &core.AckMsg{From: 4, SN: 1, Op: 1})
+	if doneRan {
+		t.Fatal("one ACK completed the write: its read phase's three repliers counted toward the ACK quorum")
+	}
+	n.Deliver(1, &core.AckMsg{From: 1, SN: 1, Op: 1})
+	n.Deliver(2, &core.AckMsg{From: 2, SN: 1, Op: 1})
+	if !doneRan {
+		t.Fatal("write did not return on an ACK majority")
+	}
+}
+
 func TestAckWithWrongSNIgnored(t *testing.T) {
 	n, _ := newActive(5, Options{})
 	if err := n.Write(0, 1, ignoreWrite); err != nil {
@@ -360,7 +385,7 @@ func TestAckWithWrongSNIgnored(t *testing.T) {
 	}
 	n.Deliver(1, &core.AckMsg{From: 1, SN: 0}) // stale sn
 	n.Deliver(2, &core.AckMsg{From: 2, SN: 9}) // future sn
-	if wa := opOn(n, core.DefaultRegister).writeAck; len(wa) != 0 {
+	if wa := slices.Collect(opOn(n, core.DefaultRegister).round.Values); len(wa) != 0 {
 		t.Fatalf("mismatched ACKs counted: %v", wa)
 	}
 }

@@ -132,7 +132,7 @@ func BurstyChurn(seed uint64) *metrics.Table {
 		delta = 5
 		dur   = 3000
 	)
-	bound := SyncChurnBound(delta)
+	bound := churn.SyncChurnBound(delta)
 	// Bursty profile: 4×bound for 5 ticks, quiet for 33 — mean ≈
 	// 4×bound×5/38 ≈ 0.53×bound, same as the constant run. Each burst
 	// refreshes 4·(1/3δ)·n·5 = 20/15·n > n processes: a full population

@@ -160,15 +160,6 @@ func Collect(sys *dynsys.System, history *spec.History, runner *workload.Runner,
 	return res, nil
 }
 
-// SyncChurnBound returns the synchronous protocol's churn bound 1/(3δ).
-func SyncChurnBound(delta sim.Duration) float64 { return 1.0 / (3.0 * float64(delta)) }
-
-// ESyncChurnBound returns the eventually synchronous protocol's churn
-// bound 1/(3δn).
-func ESyncChurnBound(delta sim.Duration, n int) float64 {
-	return 1.0 / (3.0 * float64(delta) * float64(n))
-}
-
 // Experiment couples an id/title with a table generator, for `regsim experiments`.
 type Experiment struct {
 	ID    string

@@ -33,15 +33,6 @@ func TestRunTrialBasics(t *testing.T) {
 	}
 }
 
-func TestChurnBounds(t *testing.T) {
-	if got := SyncChurnBound(5); got != 1.0/15 {
-		t.Fatalf("SyncChurnBound(5) = %v", got)
-	}
-	if got := ESyncChurnBound(5, 10); got != 1.0/150 {
-		t.Fatalf("ESyncChurnBound(5,10) = %v", got)
-	}
-}
-
 func TestFig3WhyWait(t *testing.T) {
 	tb := Fig3WhyWait(testSeed)
 	if len(tb.Rows) != 2 {

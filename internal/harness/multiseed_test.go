@@ -23,7 +23,7 @@ func TestSyncRegularAcrossSeeds(t *testing.T) {
 	const delta = 5
 	for seed := uint64(1); seed <= sweepSeeds; seed++ {
 		res, err := Run(Trial{
-			N: 25, Delta: delta, Churn: SyncChurnBound(delta) * 0.7,
+			N: 25, Delta: delta, Churn: churn.SyncChurnBound(delta) * 0.7,
 			Policy:   churn.RemoveOldestActive,
 			Duration: 1500, Seed: seed,
 			Factory:  syncreg.Factory(syncreg.Options{}),
@@ -54,7 +54,7 @@ func TestESyncRegularAcrossSeeds(t *testing.T) {
 	const n = 12
 	for seed := uint64(1); seed <= sweepSeeds; seed++ {
 		res, err := Run(Trial{
-			N: n, Delta: delta, Churn: ESyncChurnBound(delta, n),
+			N: n, Delta: delta, Churn: churn.ESyncChurnBound(delta, n),
 			MinLifetime: 3 * delta,
 			Duration:    2000, Seed: seed,
 			Factory:  esyncreg.Factory(esyncreg.Options{}),
@@ -82,7 +82,7 @@ func TestAtomicNoInversionsAcrossSeeds(t *testing.T) {
 	const n = 10
 	for seed := uint64(1); seed <= sweepSeeds; seed++ {
 		res, err := Run(Trial{
-			N: n, Delta: delta, Churn: ESyncChurnBound(delta, n),
+			N: n, Delta: delta, Churn: churn.ESyncChurnBound(delta, n),
 			MinLifetime: 3 * delta,
 			Duration:    1500, Seed: seed,
 			Factory:  atomicreg.Factory(esyncreg.Options{}),

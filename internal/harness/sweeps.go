@@ -44,7 +44,7 @@ func Lemma2ActiveSet(seed uint64) *metrics.Table {
 		delta = 5
 		dur   = 1500
 	)
-	bound := SyncChurnBound(delta) // 1/(3δ)
+	bound := churn.SyncChurnBound(delta) // 1/(3δ)
 	t := metrics.NewTable("E3 — Lemma 2: min |A(τ,τ+3δ)| under churn",
 		"c", "c/(1/3δ)", "initial window", "paper bound n(1−3δc)", "holds@τ=0",
 		"steady min", "steady bound n(1−6δc)", "holds steady")
@@ -83,7 +83,7 @@ func Theorem1SafetySweep(seed uint64) *metrics.Table {
 		delta = 5
 		dur   = 2000
 	)
-	bound := SyncChurnBound(delta)
+	bound := churn.SyncChurnBound(delta)
 	t := metrics.NewTable("E4 — Theorem 1: synchronous protocol across the churn bound",
 		"c/bound", "c", "joins done", "⊥ joins", "reads done", "regular violations", "inversions")
 	for _, frac := range []float64{0.3, 0.6, 0.9, 1.5, 3.0, 6.0} {
@@ -125,7 +125,7 @@ func ESyncGSTSweep(seed uint64) *metrics.Table {
 		delta = 5
 		dur   = 4000
 	)
-	c := ESyncChurnBound(delta, n) / 4 // well inside the bound
+	c := churn.ESyncChurnBound(delta, n) / 4 // well inside the bound
 	t := metrics.NewTable("E6 — Theorems 3-4: eventually synchronous protocol across GST",
 		"GST", "joins done", "joins stuck", "reads done", "writes done", "max op latency", "regular violations")
 	for _, gst := range []sim.Time{0, 500, 1500} {
@@ -169,7 +169,7 @@ func ChurnBoundScaling(seed uint64) *metrics.Table {
 		"protocol", "n", "c", "c·3δn", "joins done", "joins stuck", "min active", "regular violations")
 	for _, n := range []int{10, 20, 40} {
 		for _, mult := range []float64{1, 8, 32} {
-			c := ESyncChurnBound(delta, n) * mult
+			c := churn.ESyncChurnBound(delta, n) * mult
 			res, err := Run(Trial{
 				N: n, Delta: delta, Churn: c, Duration: dur, Seed: seed,
 				MinLifetime: 3 * delta,
@@ -189,7 +189,7 @@ func ChurnBoundScaling(seed uint64) *metrics.Table {
 	// The synchronous protocol at the same absolute churn rates stays
 	// healthy regardless of n (its bound does not involve n).
 	for _, n := range []int{10, 40} {
-		c := SyncChurnBound(delta) * 0.5
+		c := churn.SyncChurnBound(delta) * 0.5
 		res, err := Run(Trial{
 			N: n, Delta: delta, Churn: c, Duration: dur, Seed: seed,
 			Factory:  syncreg.Factory(syncreg.Options{}),
@@ -268,7 +268,7 @@ func LatencyScaling(seed uint64) *metrics.Table {
 	t := metrics.NewTable("E10 — latency scaling",
 		"protocol", "δ", "c", "join p50", "join p99", "write mean", "read mean")
 	for _, delta := range []sim.Duration{2, 5, 10, 20} {
-		c := SyncChurnBound(delta) * 0.5
+		c := churn.SyncChurnBound(delta) * 0.5
 		res, err := Run(Trial{
 			N: 20, Delta: delta, Churn: c, Duration: dur, Seed: seed,
 			Factory:  syncreg.Factory(syncreg.Options{}),
@@ -284,7 +284,7 @@ func LatencyScaling(seed uint64) *metrics.Table {
 			metrics.F(res.ReadLatency.Mean(), 1))
 	}
 	for _, delta := range []sim.Duration{2, 5, 10, 20} {
-		c := ESyncChurnBound(delta, 20) / 2
+		c := churn.ESyncChurnBound(delta, 20) / 2
 		res, err := Run(Trial{
 			N: 20, Delta: delta, Churn: c, Duration: dur, Seed: seed,
 			MinLifetime: 3 * delta,

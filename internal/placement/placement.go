@@ -16,9 +16,10 @@
 //
 // A runtime hands its current view to the protocols through their Env
 // (Placed) and to the node wrapper (Aware). The engines stay
-// placement-correct through three helpers, OpScope, InScope and
-// ScopedBroadcast, which fall back to the whole membership when the Env
-// carries no view.
+// placement-correct through OpScope, which resolves an operation's quorum
+// scope, Round, the one quorum tally, which refuses answers from outside
+// that scope, and ScopedBroadcast; all fall back to the whole membership
+// when the Env carries no view.
 package placement
 
 import (

@@ -1,10 +1,6 @@
 package placement
 
-import (
-	"slices"
-
-	"churnreg/internal/core"
-)
+import "churnreg/internal/core"
 
 // Placed is implemented by Envs whose runtime shards the keyspace. A nil
 // view means the runtime is (currently) unsharded and protocols fall back
@@ -48,13 +44,15 @@ func OpScope(env core.Env, reg core.RegisterID) ([]core.ProcessID, int) {
 			return g, len(g)/2 + 1
 		}
 	}
-	return nil, env.SystemSize()/2 + 1
+	return SystemScope(env)
 }
 
-// InScope reports whether a reply/ack from id may count toward a quorum
-// with the given scope (nil scope = unsharded, everyone counts).
-func InScope(scope []core.ProcessID, id core.ProcessID) bool {
-	return scope == nil || slices.Contains(scope, id)
+// SystemScope is the quorum scope of what the whole membership answers
+// (a join's INQUIRY, an unsharded operation): nil, every process counts,
+// and a quorum of ⌊n/2⌋+1 over the constant system size, the majority
+// the paper assumes is active at every instant.
+func SystemScope(env core.Env) ([]core.ProcessID, int) {
+	return nil, env.SystemSize()/2 + 1
 }
 
 // ScopedBroadcast disseminates a per-register message to reg's replica

@@ -34,9 +34,11 @@ func TestOpScopeAllocs(t *testing.T) {
 	if !slices.Equal(scope, view.Group(reg)) || quorum != 2 {
 		t.Fatalf("OpScope = %v, %d; want the group %v and a quorum of 2", scope, quorum, view.Group(reg))
 	}
+	var r placement.Round
+	r.Open(scope, quorum)
 	for _, id := range view.Members() {
-		if got, want := placement.InScope(scope, id), view.IsReplica(reg, id); got != want {
-			t.Fatalf("InScope(%v) = %v, want %v", id, got, want)
+		if got, want := r.Add(id, core.VersionedValue{}), view.IsReplica(reg, id); got != want {
+			t.Fatalf("Add(%v) = %v, want %v", id, got, want)
 		}
 	}
 	if got := testing.AllocsPerRun(1000, func() { scope, quorum = placement.OpScope(env, reg) }); got != 0 {
