@@ -11,13 +11,14 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"net"
 	"net/url"
 	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
+
+	"churnreg/internal/tcp"
 )
 
 // maxHead caps a request's line and headers together; a longer head is
@@ -44,13 +45,21 @@ type adminServer struct {
 	timeout time.Duration
 }
 
+// stream is what the responder needs of a connection: a *tcp.Conn, or a
+// test's net.Conn.
+type stream interface {
+	io.ReadWriteCloser
+	SetReadDeadline(t time.Time) error
+	SetWriteDeadline(t time.Time) error
+}
+
 // maxConns bounds the connections answered at once; later ones wait in
 // the listener's backlog.
 const maxConns = 64
 
 // serve accepts connections until ln fails, answering each on its own
 // goroutine. Running out of file descriptors is waited out, not fatal.
-func (s *adminServer) serve(ln net.Listener) error {
+func (s *adminServer) serve(ln *tcp.Listener) error {
 	slots := make(chan struct{}, maxConns)
 	for {
 		c, err := ln.Accept()
@@ -207,7 +216,7 @@ func (x *exchange) release() {
 }
 
 // serveConn answers the one request c carries and closes c.
-func (s *adminServer) serveConn(c net.Conn) {
+func (s *adminServer) serveConn(c stream) {
 	defer c.Close()
 	x := exchanges.Get().(*exchange)
 	defer x.release()
@@ -300,7 +309,7 @@ var statusText = map[int]string{
 
 // write sends a with x's body, bar the body when the request was a HEAD,
 // in one write.
-func (s *adminServer) write(c net.Conn, x *exchange, a answer, head bool) {
+func (s *adminServer) write(c stream, x *exchange, a answer, head bool) {
 	b := append(x.out[:0], "HTTP/1.1 "...)
 	b = strconv.AppendInt(b, int64(a.code), 10)
 	b = append(b, ' ')

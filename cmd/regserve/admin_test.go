@@ -219,7 +219,10 @@ func TestAPIPprofServesProfiles(t *testing.T) {
 // so the binary links neither net/http nor the TLS and X.509 stack that
 // comes with it, about half of the image every daemon maps — nor
 // net/textproto, whose header reader it does without, nor encoding/json,
-// since /health and /leave write their JSON by hand.
+// since /health and /leave write their JSON by hand. Its sockets are
+// internal/tcp's, so it links no package net either, and with it no cgo
+// resolver: runtime/cgo is absent, the binary is static, and no daemon
+// maps libc or ld.so. net/netip and net/url are pure Go and allowed.
 func TestBinaryLinksNoHTTPStack(t *testing.T) {
 	gobin, err := exec.LookPath("go")
 	if err != nil {
@@ -231,7 +234,7 @@ func TestBinaryLinksNoHTTPStack(t *testing.T) {
 	}
 	for _, dep := range strings.Fields(string(out)) {
 		switch dep {
-		case "net/http", "crypto/tls", "crypto/x509", "net/textproto", "encoding/json":
+		case "net/http", "crypto/tls", "crypto/x509", "net/textproto", "encoding/json", "net", "runtime/cgo":
 			t.Errorf("cmd/regserve depends on %s", dep)
 		}
 	}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -12,6 +11,7 @@ import (
 
 	"churnreg/internal/core"
 	"churnreg/internal/nettransport"
+	"churnreg/internal/tcp"
 )
 
 // fakeBackend implements the api's backend interface in memory: the
@@ -96,7 +96,7 @@ func newTestAPIWith(t *testing.T, b backend, leavec chan<- struct{}) *testAPI {
 // startAPI serves srv on a fresh loopback listener until the test ends.
 func startAPI(t *testing.T, srv *adminServer) *testAPI {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := tcp.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,6 +40,12 @@
 // pprof use: one request per connection, closed after the answer (no
 // keep-alive), a request head of at most 8 KiB read under a deadline,
 // and no request bodies (one sent anyway is ignored).
+//
+// Both listeners and every peer dial are internal/tcp's, not package
+// net's: without net no cgo resolver is linked, so the binary is static
+// and no daemon maps libc or ld.so. Nothing can look a name up, so
+// -listen, -api and each -peers entry are an IP literal or an empty host
+// with a port, and a host name is refused when the flags are parsed.
 package main
 
 import (
@@ -47,7 +53,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/url"
 	"os"
 	"os/signal"
@@ -66,6 +71,7 @@ import (
 	"churnreg/internal/shard"
 	"churnreg/internal/sim"
 	"churnreg/internal/syncreg"
+	"churnreg/internal/tcp"
 )
 
 func main() {
@@ -99,15 +105,15 @@ func parseFlags(args []string, errW io.Writer) (*serverConfig, error) {
 	fs.SetOutput(errW)
 	var (
 		id          = fs.Int64("id", 0, "unique process id (> 0; never reuse an id)")
-		listen      = fs.String("listen", "127.0.0.1:0", "TCP address for protocol traffic")
-		api         = fs.String("api", "127.0.0.1:0", "HTTP address for /health, /metrics and /leave")
+		listen      = fs.String("listen", "127.0.0.1:0", "TCP address for protocol traffic: an IP literal or an empty host, and a port (names are not looked up)")
+		api         = fs.String("api", "127.0.0.1:0", "HTTP address for /health, /metrics and /leave: an IP literal or an empty host, and a port")
 		protocol    = fs.String("protocol", "sync", "protocol: sync, esync, or abd")
 		n           = fs.Int("n", 3, "constant system size n known to every process")
 		delta       = fs.Int64("delta", 50, "communication bound δ (ticks)")
 		tick        = fs.Duration("tick", time.Millisecond, "real duration of one tick (δ×tick must exceed network+scheduler slop)")
 		bootstrap   = fs.Bool("bootstrap", false, "one of the n initial processes (active at once, holds the initial value)")
 		initial     = fs.Int64("initial", 0, "register 0's initial value (bootstrap only)")
-		peers       = fs.String("peers", "", "comma-separated seed addresses to dial")
+		peers       = fs.String("peers", "", "comma-separated seed addresses to dial, each an IP literal or an empty host, and a port")
 		verbose     = fs.Bool("v", false, "log transport events to stderr")
 		shards      = fs.Int("shards", 0, "shard the keyspace into this many shards (0 = every node replicates every key); must match across the whole system")
 		replication = fs.Int("replication", 3, "replica group size per shard (with -shards; must match across the whole system)")
@@ -141,6 +147,19 @@ func parseFlags(args []string, errW io.Writer) (*serverConfig, error) {
 	for _, p := range strings.Split(*peers, ",") {
 		if p = strings.TrimSpace(p); p != "" {
 			cfg.peers = append(cfg.peers, p)
+		}
+	}
+	// The daemon has no resolver (package tcp): a name could never be
+	// dialed, so it is refused here rather than redialed forever.
+	if _, err := tcp.ParseAddr(cfg.listen); err != nil {
+		return nil, fmt.Errorf("-listen: %w", err)
+	}
+	if _, err := tcp.ParseAddr(cfg.api); err != nil {
+		return nil, fmt.Errorf("-api: %w", err)
+	}
+	for _, p := range cfg.peers {
+		if _, err := tcp.ParseAddr(p); err != nil {
+			return nil, fmt.Errorf("-peers: %w", err)
 		}
 	}
 	if _, err := factoryFor(cfg.protocol, cfg.shards); err != nil {
@@ -199,7 +218,7 @@ func run(args []string, out, errW io.Writer) error {
 	if err != nil {
 		return err
 	}
-	apiLn, err := net.Listen("tcp", cfg.api)
+	apiLn, err := tcp.Listen(cfg.api)
 	if err != nil {
 		tr.Close()
 		return fmt.Errorf("api listen %s: %w", cfg.api, err)

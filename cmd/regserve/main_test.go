@@ -27,6 +27,13 @@ func TestParseFlagsValidates(t *testing.T) {
 		{"the HTTP data path is gone, and its deadline", []string{"-id", "1", "-op-timeout", "5s"}, "flag provided but not defined"},
 		{"multiwriter refused", []string{"-id", "2", "-protocol", "multiwriter"}, "unknown protocol"},
 		{"ok abd sharded", []string{"-id", "2", "-protocol", "abd", "-shards", "8"}, ""},
+		{"ok IP literals and an empty host", []string{"-id", "1", "-listen", "[::1]:7001", "-api", ":8001", "-peers", "127.0.0.1:7002,[::]:7003"}, ""},
+		{"listen host name refused", []string{"-id", "1", "-listen", "localhost:7001"}, "-listen: "},
+		{"api host name refused", []string{"-id", "1", "-api", "example.com:80"}, "-api: "},
+		{"peer host name refused", []string{"-id", "1", "-peers", "127.0.0.1:7002,node2:7002"}, "-peers: "},
+		{"listen port missing", []string{"-id", "1", "-listen", "127.0.0.1"}, "-listen: "},
+		{"peer port named", []string{"-id", "1", "-peers", "127.0.0.1:http"}, "-peers: "},
+		{"peer IPv6 unbracketed", []string{"-id", "1", "-peers", "::1:7002"}, "-peers: "},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -48,11 +55,11 @@ func TestParseFlagsValidates(t *testing.T) {
 }
 
 func TestParseFlagsPeersList(t *testing.T) {
-	cfg, err := parseFlags([]string{"-id", "1", "-peers", "a:1, b:2 ,,c:3"}, io.Discard)
+	cfg, err := parseFlags([]string{"-id", "1", "-peers", "10.0.0.1:1, 10.0.0.2:2 ,,[::1]:3"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cfg.peers) != 3 || cfg.peers[0] != "a:1" || cfg.peers[1] != "b:2" || cfg.peers[2] != "c:3" {
+	if len(cfg.peers) != 3 || cfg.peers[0] != "10.0.0.1:1" || cfg.peers[1] != "10.0.0.2:2" || cfg.peers[2] != "[::1]:3" {
 		t.Fatalf("peers = %q", cfg.peers)
 	}
 }

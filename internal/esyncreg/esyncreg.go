@@ -140,7 +140,10 @@ type Node struct {
 	// identifies the join inquiry, every operation draws the next value.
 	ops *core.OpTable[op]
 	// writeQ orders SN assignment per key: write OpIDs in invocation
-	// order, popped as their embedded reads complete (head first).
+	// order, popped as their embedded reads complete (head first). A
+	// key's entry stays once its queue empties, on its own backing array,
+	// so its next write appends without allocating: one entry per key
+	// ever written.
 	writeQ map[core.RegisterID][]core.OpID
 	// ackRoute indexes broadcast writes by the ⟨reg, sn⟩ their acks name.
 	ackRoute map[ackName]core.OpID
@@ -384,7 +387,8 @@ func (n *Node) Write(k core.RegisterID, v core.Value, done func(core.VersionedVa
 // serialization pipelining keeps, and it is local bookkeeping only (no
 // messages, no waits).
 func (n *Node) pumpWrites(k core.RegisterID) {
-	q := n.writeQ[k]
+	all := n.writeQ[k]
+	q := all
 	for len(q) > 0 {
 		id := q[0]
 		o, ok := n.ops.Get(id)
@@ -410,11 +414,9 @@ func (n *Node) pumpWrites(k core.RegisterID) {
 		placement.ScopedBroadcast(n.env, k, n.out.Write(core.WriteMsg{From: n.env.ID(), Value: next, Reg: k, Op: id}))
 		q = q[1:]
 	}
-	if len(q) == 0 {
-		delete(n.writeQ, k)
-	} else {
-		n.writeQ[k] = q
-	}
+	// What is left moves to the front of the array, so the queue never
+	// creeps off its own capacity.
+	n.writeQ[k] = append(all[:0], q...)
 }
 
 // checkWrite completes a write once a majority of ACKs arrived (Figure 6

@@ -4,7 +4,7 @@ package nettransport
 // Concurrency section says who flushes it and when.
 
 import (
-	"net"
+	"io"
 	"sync"
 	"syscall"
 	"time"
@@ -16,6 +16,13 @@ import (
 // (a join snapshot, a backlog built while the connection was down) must
 // not stay pinned on every link it once passed through.
 const maxSpare = 64 << 10
+
+// stream is what the transport needs of a connection: a *tcp.Conn in
+// production, and any net.Conn a test passes in its place.
+type stream interface {
+	io.ReadWriteCloser
+	SetWriteDeadline(t time.Time) error
+}
 
 // link is the sending half of one connection, shared by peers and client
 // sessions: frames already in wire form, appended back to back by any
@@ -101,7 +108,7 @@ func (l *link) depth() int {
 // leave, once per wake — until the connection breaks or connDead closes
 // (returns true: redial) or the link or the transport stops (returns
 // false). It closes conn on the way out.
-func (l *link) drain(t *Transport, conn net.Conn, hello bool, connDead <-chan struct{}) bool {
+func (l *link) drain(t *Transport, conn stream, hello bool, connDead <-chan struct{}) bool {
 	defer conn.Close()
 	if hello {
 		b, err := wire.AppendFrameBytes(nil, t.helloFrame())
@@ -132,7 +139,7 @@ func (l *link) drain(t *Transport, conn net.Conn, hello bool, connDead <-chan st
 // attach makes conn the link's live connection, or with nil leaves it
 // with none: whatever part of the batch the old one took, the next one
 // starts the batch over.
-func (l *link) attach(conn net.Conn) {
+func (l *link) attach(conn stream) {
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	l.raw, l.off = nil, 0
@@ -154,7 +161,7 @@ func (l *link) attach(conn net.Conn) {
 // all of it when the writer is busy or there is nothing it can write to
 // without blocking. It reports false when the writer's write failed: the
 // batch stays, for the next connection.
-func (l *link) flush(t *Transport, conn net.Conn) bool {
+func (l *link) flush(t *Transport, conn stream) bool {
 	if conn != nil {
 		l.wmu.Lock()
 	} else if !l.wmu.TryLock() {
@@ -218,7 +225,7 @@ func (l *link) flush(t *Transport, conn net.Conn) bool {
 
 // writeAll writes b under a deadline, which it lifts again: a deadline
 // that has passed fails every later write, a turn's non-blocking one too.
-func writeAll(conn net.Conn, b []byte) (int, error) {
+func writeAll(conn stream, b []byte) (int, error) {
 	conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
 	n, err := conn.Write(b)
 	conn.SetWriteDeadline(time.Time{})

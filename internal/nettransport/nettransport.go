@@ -100,7 +100,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -109,6 +109,7 @@ import (
 	"churnreg/internal/core"
 	"churnreg/internal/placement"
 	"churnreg/internal/sim"
+	"churnreg/internal/tcp"
 	"churnreg/internal/wire"
 )
 
@@ -271,7 +272,8 @@ func (s *Stats) FramesPerWrite() float64 {
 // Transport hosts one protocol process over TCP.
 type Transport struct {
 	cfg   Config
-	ln    net.Listener
+	ln    *tcp.Listener
+	addr  string // ln's address, as Addr reports it
 	start time.Time
 
 	node    core.Node
@@ -284,7 +286,7 @@ type Transport struct {
 	mu     sync.Mutex
 	byAddr map[string]*peer
 	byID   map[core.ProcessID]*peer
-	conns  map[net.Conn]struct{}
+	conns  map[stream]struct{}
 	// sessions holds the live client sessions (accepted connections whose
 	// HELLO declared wire.RoleClient). Client sessions are served, never
 	// meshed: they are absent from the address book, the gossip, and the
@@ -366,7 +368,7 @@ func New(cfg Config) (*Transport, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", cfg.ListenAddr)
+	ln, err := tcp.Listen(cfg.ListenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("nettransport: listen %s: %w", cfg.ListenAddr, err)
 	}
@@ -379,6 +381,7 @@ func New(cfg Config) (*Transport, error) {
 	t := &Transport{
 		cfg:      cfg,
 		ln:       ln,
+		addr:     ln.Addr().String(),
 		start:    time.Now(),
 		quit:     make(chan struct{}),
 		joined:   make(chan struct{}),
@@ -386,7 +389,7 @@ func New(cfg Config) (*Transport, error) {
 		cancel:   cancel,
 		byAddr:   make(map[string]*peer),
 		byID:     make(map[core.ProcessID]*peer),
-		conns:    make(map[net.Conn]struct{}),
+		conns:    make(map[stream]struct{}),
 		sessions: make(map[*clientSession]struct{}),
 		clock:    clk,
 	}
@@ -399,8 +402,9 @@ func New(cfg Config) (*Transport, error) {
 	return t, nil
 }
 
-// Addr returns the bound listen address.
-func (t *Transport) Addr() string { return t.ln.Addr().String() }
+// Addr returns the bound listen address, printed as package net prints
+// it: the process's identity in every address book and on the wire.
+func (t *Transport) Addr() string { return t.addr }
 
 // Start launches the network goroutines, dials the seed
 // addresses, and starts the protocol node — for a non-bootstrap process
@@ -513,7 +517,7 @@ func (t *Transport) Leave() {
 // exercise mid-operation reconnects.
 func (t *Transport) DropConnections() {
 	t.mu.Lock()
-	conns := make([]net.Conn, 0, len(t.conns))
+	conns := make([]stream, 0, len(t.conns))
 	for c := range t.conns {
 		conns = append(conns, c)
 	}
@@ -990,7 +994,7 @@ func (t *Transport) acceptLoop() {
 }
 
 // trackConn registers an open connection for shutdown/chaos teardown.
-func (t *Transport) trackConn(conn net.Conn) bool {
+func (t *Transport) trackConn(conn stream) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -1000,7 +1004,7 @@ func (t *Transport) trackConn(conn net.Conn) bool {
 	return true
 }
 
-func (t *Transport) untrackConn(conn net.Conn) {
+func (t *Transport) untrackConn(conn stream) {
 	t.mu.Lock()
 	delete(t.conns, conn)
 	t.mu.Unlock()
@@ -1177,7 +1181,7 @@ func (t *Transport) forgetPeer(id core.ProcessID) {
 // peer is dropped, never handed to an engine. onDead, when set, runs
 // once the connection stops being readable, so an idle writer learns its
 // link died without having to write into it.
-func (t *Transport) readConn(conn net.Conn, own *peer, accepted bool, onDead func()) {
+func (t *Transport) readConn(conn stream, own *peer, accepted bool, onDead func()) {
 	defer t.wg.Done()
 	defer t.untrackConn(conn)
 	defer conn.Close()
@@ -1214,7 +1218,7 @@ func (t *Transport) readConn(conn net.Conn, own *peer, accepted bool, onDead fun
 		if err != nil {
 			if !isClosedErr(err) {
 				t.stats.DecodeErrors.Add(1)
-				t.cfg.Logf("nettransport %v: read %s: %v", t.cfg.ID, conn.RemoteAddr(), err)
+				t.cfg.Logf("nettransport %v: read %s: %v", t.cfg.ID, remoteAddr(conn), err)
 			}
 			return
 		}
@@ -1297,7 +1301,7 @@ func (t *Transport) readConn(conn net.Conn, own *peer, accepted bool, onDead fun
 
 // newClientSession registers a client session for an accepted connection
 // and starts its writer. Returns nil when the transport is closing.
-func (t *Transport) newClientSession(conn net.Conn) *clientSession {
+func (t *Transport) newClientSession(conn stream) *clientSession {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -1338,14 +1342,24 @@ func (t *Transport) dropSession(s *clientSession) {
 }
 
 // isClosedErr reports whether err is the ordinary end of a connection
-// (remote closed or crashed, or we tore it down) rather than a protocol
-// problem worth logging.
+// (remote closed, reset or crashed, or we tore it down) rather than a
+// protocol problem worth logging. A socket's read error is one: an
+// *os.PathError from a tcp.Conn, a net.Error from a net.Conn — each has a
+// Timeout method, which the codec's errors do not.
 func isClosedErr(err error) bool {
-	if errors.Is(err, net.ErrClosed) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+	if errors.Is(err, os.ErrClosed) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 		return true
 	}
-	var ne net.Error
-	return errors.As(err, &ne)
+	var se interface{ Timeout() bool }
+	return errors.As(err, &se)
+}
+
+// remoteAddr names conn's other end for a log line.
+func remoteAddr(conn stream) string {
+	if c, ok := conn.(*tcp.Conn); ok {
+		return c.RemoteAddr().String()
+	}
+	return fmt.Sprintf("(%T)", conn)
 }
 
 // clientSession is the serving side of one external SDK connection: a
@@ -1455,7 +1469,6 @@ type peer struct {
 // stops, or the peer proves dead (dials failing for EvictAfter).
 func (p *peer) run(t *Transport) {
 	defer t.wg.Done()
-	dialer := net.Dialer{Timeout: dialTimeout}
 	backoff := 25 * time.Millisecond
 	first := true
 	var failingSince time.Time
@@ -1467,7 +1480,7 @@ func (p *peer) run(t *Transport) {
 			return
 		default:
 		}
-		conn, err := dialer.DialContext(t.ctx, "tcp", p.addr)
+		conn, err := tcp.Dial(t.ctx, p.addr, dialTimeout)
 		if err != nil {
 			if failingSince.IsZero() {
 				failingSince = time.Now()
